@@ -19,6 +19,12 @@ cmake --build --preset sanitize -j"${JOBS}"
 ctest --preset sanitize -j"${JOBS}" -R \
   'core_windowing_test|stats_acf_test|core_feature_selection_test|core_incremental_training_test|ml_grid_search_test'
 
+# Publish-path primitives: slice-by-8 CRC-32 at every start alignment
+# (UBSan checks its unaligned word loads) and the to_chars double
+# formatter against printf over a million bit patterns plus saved bundles.
+ctest --preset sanitize -j"${JOBS}" -R \
+  'common_crc32_test|common_string_util_test|core_forecaster_persistence_test'
+
 # Warm-start surface: the SMO warm path (kernel-row LRU cache spans,
 # shrinking working-set indexing, beta shift/repair arithmetic) and the
 # forecaster's captured-state lifecycle are new index-heavy paths; the

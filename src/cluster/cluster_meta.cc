@@ -112,7 +112,10 @@ StatusOr<std::vector<double>> ParseDoubles(
 }
 
 void WriteDoubles(std::ostringstream& os, const std::vector<double>& v) {
-  for (double x : v) os << " " << StrFormat("%.17g", x);
+  for (double x : v) {
+    os << " ";
+    WriteDouble17(os, x);
+  }
 }
 
 }  // namespace
@@ -297,7 +300,9 @@ std::string ClustersMeta::Serialize() const {
   os << kMetaMagic << "\n";
   os << "seed " << seed << "\n";
   os << "acf_lags " << acf_lags << "\n";
-  os << "inertia " << StrFormat("%.17g", inertia) << "\n";
+  os << "inertia ";
+  WriteDouble17(os, inertia);
+  os << "\n";
   os << "scaling_mean " << scaling.mean.size();
   WriteDoubles(os, scaling.mean);
   os << "\n";

@@ -1,0 +1,22 @@
+#ifndef VUPRED_COMMON_FILE_UTIL_H_
+#define VUPRED_COMMON_FILE_UTIL_H_
+
+#include <cstdint>
+#include <string>
+
+#include "common/statusor.h"
+
+namespace vup {
+
+/// Reads the whole file at `path` into one buffer with one read. The size
+/// is checked against `max_bytes` BEFORE the buffer is allocated, so a
+/// huge or hostile file costs a stat, never an allocation of its size.
+///
+/// NotFound when the file does not exist; DataLoss when it is larger than
+/// `max_bytes` or the read comes up short; Internal for other stat errors.
+StatusOr<std::string> ReadFileCapped(const std::string& path,
+                                     uint64_t max_bytes);
+
+}  // namespace vup
+
+#endif  // VUPRED_COMMON_FILE_UTIL_H_

@@ -34,16 +34,12 @@ Status CheckCount(const char* what, long long value, long long max) {
   return Status::OK();
 }
 
-void WriteDouble(std::ostream& os, double v) {
-  os << StrFormat("%.17g", v);
-}
-
 void WriteVector(std::ostream& os, const char* key,
                  std::span<const double> v) {
   os << key << " " << v.size();
   for (double x : v) {
     os << " ";
-    WriteDouble(os, x);
+    WriteDouble17(os, x);
   }
   os << "\n";
 }
@@ -135,19 +131,19 @@ Status RequireFitted(const Regressor& model) {
 void SaveLinearBody(const LinearRegression& m, std::ostream& os) {
   os << "fit_intercept " << (m.options().fit_intercept ? 1 : 0) << "\n";
   os << "ridge ";
-  WriteDouble(os, m.options().ridge);
+  WriteDouble17(os, m.options().ridge);
   os << "\nintercept ";
-  WriteDouble(os, m.intercept());
+  WriteDouble17(os, m.intercept());
   os << "\n";
   WriteVector(os, "coef", m.coefficients());
 }
 
 void SaveLassoBody(const Lasso& m, std::ostream& os) {
   os << "alpha ";
-  WriteDouble(os, m.options().alpha);
+  WriteDouble17(os, m.options().alpha);
   os << "\nfit_intercept " << (m.options().fit_intercept ? 1 : 0) << "\n";
   os << "intercept ";
-  WriteDouble(os, m.intercept());
+  WriteDouble17(os, m.intercept());
   os << "\n";
   WriteVector(os, "coef", m.coefficients());
 }
@@ -155,24 +151,24 @@ void SaveLassoBody(const Lasso& m, std::ostream& os) {
 void SaveSvrBody(const Svr& m, std::ostream& os) {
   const Svr::Options& o = m.options();
   os << "c ";
-  WriteDouble(os, o.c);
+  WriteDouble17(os, o.c);
   os << "\nepsilon ";
-  WriteDouble(os, o.epsilon);
+  WriteDouble17(os, o.epsilon);
   os << "\nkernel " << KernelTypeToString(o.kernel.type) << " ";
-  WriteDouble(os, o.kernel.gamma);
+  WriteDouble17(os, o.kernel.gamma);
   os << " ";
-  WriteDouble(os, o.kernel.coef0);
+  WriteDouble17(os, o.kernel.coef0);
   os << " " << o.kernel.degree << "\n";
   os << "num_features " << m.num_features() << "\n";
   os << "bias ";
-  WriteDouble(os, m.bias());
+  WriteDouble17(os, m.bias());
   os << "\nnum_sv " << m.support_vectors().rows() << "\n";
   for (size_t r = 0; r < m.support_vectors().rows(); ++r) {
     os << "sv ";
-    WriteDouble(os, m.dual_coefficients()[r]);
+    WriteDouble17(os, m.dual_coefficients()[r]);
     for (double v : m.support_vectors().Row(r)) {
       os << " ";
-      WriteDouble(os, v);
+      WriteDouble17(os, v);
     }
     os << "\n";
   }
@@ -188,9 +184,9 @@ void SaveTreeBody(const RegressionTree& m, std::ostream& os) {
   os << "num_nodes " << nodes.size() << "\n";
   for (const RegressionTree::NodeState& n : nodes) {
     os << "node " << n.feature << " ";
-    WriteDouble(os, n.threshold);
+    WriteDouble17(os, n.threshold);
     os << " " << n.left << " " << n.right << " ";
-    WriteDouble(os, n.value);
+    WriteDouble17(os, n.value);
     os << "\n";
   }
 }
@@ -198,12 +194,12 @@ void SaveTreeBody(const RegressionTree& m, std::ostream& os) {
 void SaveGbBody(const GradientBoosting& m, std::ostream& os) {
   const GradientBoosting::Options& o = m.options();
   os << "learning_rate ";
-  WriteDouble(os, o.learning_rate);
+  WriteDouble17(os, o.learning_rate);
   os << "\nloss " << (o.loss == GbLoss::kLeastSquares ? "ls" : "lad")
      << "\n";
   os << "num_features " << m.num_features() << "\n";
   os << "init ";
-  WriteDouble(os, m.initial_prediction());
+  WriteDouble17(os, m.initial_prediction());
   os << "\nnum_trees " << m.trees().size() << "\n";
   for (const RegressionTree& tree : m.trees()) {
     SaveTreeBody(tree, os);
@@ -482,11 +478,11 @@ Status SaveLogistic(const LogisticRegression& model, std::ostream& os) {
   os << kMagic << "\n";
   os << "type Logistic\n";
   os << "l2 ";
-  WriteDouble(os, model.options().l2);
+  WriteDouble17(os, model.options().l2);
   os << "\nfit_intercept " << (model.options().fit_intercept ? 1 : 0)
      << "\n";
   os << "intercept ";
-  WriteDouble(os, model.intercept());
+  WriteDouble17(os, model.intercept());
   os << "\n";
   WriteVector(os, "coef", model.coefficients());
   os << "end\n";

@@ -15,7 +15,8 @@ namespace vup {
 /// overnight can be stored and applied at the edge without retraining.
 ///
 /// Format: a line-oriented `vupred-model v1` block -- human-inspectable,
-/// diff-able, platform-independent (doubles round-trip via %.17g). The
+/// diff-able, platform-independent (doubles are byte-identical to %.17g,
+/// rendered with to_chars, so they round-trip exactly). The
 /// loader validates structure and sizes and returns InvalidArgument on any
 /// malformed input; it never aborts on bad data.
 ///

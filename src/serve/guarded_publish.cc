@@ -6,6 +6,7 @@
 #include <sstream>
 #include <system_error>
 
+#include "common/file_util.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "serve/manifest.h"
@@ -159,12 +160,9 @@ StatusOr<RollbackJournal> RollbackJournal::Parse(const std::string& content) {
 }
 
 StatusOr<RollbackJournal> ReadRollbackJournal(const std::string& root) {
-  const std::string path = root + "/" + kRollbackJournalFileName;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("no " + path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::DataLoss("read failed: " + path);
+  VUP_ASSIGN_OR_RETURN(
+      std::string content,
+      ReadFileCapped(root + "/" + kRollbackJournalFileName, kMaxJournalBytes));
   return RollbackJournal::Parse(content);
 }
 

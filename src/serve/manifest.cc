@@ -7,6 +7,7 @@
 #include <system_error>
 
 #include "common/crc32.h"
+#include "common/file_util.h"
 #include "common/string_util.h"
 
 namespace vup::serve {
@@ -22,6 +23,9 @@ constexpr const char* kManifestSentinel = "end-manifest";
 constexpr size_t kMaxManifestEntries = 10'000'000;
 constexpr size_t kMaxManifestBytes = 512ull * 1024 * 1024;
 constexpr size_t kMaxFileNameLength = 255;
+// Bound on one staged file checksummed into a manifest: far above any
+// bundle or sidecar a generation holds.
+constexpr uint64_t kMaxListedFileBytes = 1ull << 30;
 
 Status ValidateFileName(std::string_view file) {
   if (file.empty() || file.size() > kMaxFileNameLength) {
@@ -164,15 +168,9 @@ StatusOr<GenerationManifest> GenerationManifest::BuildFromDirectory(
     const std::string name = entry.path().filename().string();
     if (name == kManifestFileName) continue;
     if (name.size() > 4 && name.substr(name.size() - 4) == ".tmp") continue;
-    std::ifstream in(entry.path(), std::ios::binary);
-    if (!in) {
-      return Status::Internal("cannot read " + entry.path().string());
-    }
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    if (in.bad()) {
-      return Status::DataLoss("read failed: " + entry.path().string());
-    }
+    VUP_ASSIGN_OR_RETURN(
+        std::string bytes,
+        ReadFileCapped(entry.path().string(), kMaxListedFileBytes));
     VUP_RETURN_IF_ERROR(manifest.Add(
         name, bytes.size(), Crc32(bytes.data(), bytes.size())));
   }
@@ -199,14 +197,14 @@ Status GenerationManifest::VerifyBytes(const ManifestEntry& entry,
 Status GenerationManifest::VerifyFile(const std::string& dir,
                                       const ManifestEntry& entry) {
   const std::string path = dir + "/" + entry.file;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  // Capped at the listed size: a grown file is a mismatch found by stat,
+  // not by reading it.
+  StatusOr<std::string> bytes = ReadFileCapped(path, entry.size);
+  if (bytes.status().IsNotFound()) {
     return Status::NotFound("manifest-listed file is missing: " + path);
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::DataLoss("read failed: " + path);
-  return VerifyBytes(entry, bytes);
+  if (!bytes.ok()) return bytes.status();
+  return VerifyBytes(entry, bytes.value());
 }
 
 Status AtomicWriteFile(const std::string& path, const std::string& content) {

@@ -9,6 +9,7 @@
 #include <system_error>
 
 #include "common/crc32.h"
+#include "common/file_util.h"
 #include "common/imemstream.h"
 #include "common/mmap_file.h"
 #include "common/random.h"
@@ -553,15 +554,8 @@ Status ModelRegistry::Publish(int64_t vehicle_id,
     // Keep the generation manifest truthful: re-checksum the installed
     // bundles and swap their entries, or the next verified load (and every
     // scrub) would quarantine the bundles we just published.
-    std::ifstream installed(path, std::ios::binary);
-    if (!installed) {
-      return Status::Internal("cannot re-read published bundle: " + path);
-    }
-    std::string bytes((std::istreambuf_iterator<char>(installed)),
-                      std::istreambuf_iterator<char>());
-    if (installed.bad()) {
-      return Status::DataLoss("re-read failed: " + path);
-    }
+    VUP_ASSIGN_OR_RETURN(const std::string bytes,
+                         ReadFileCapped(path, kMaxBundleBytes));
     const std::string file = BundleFileName(vehicle_id);
     const std::string compact_file = CompactBundleFileName(vehicle_id);
     GenerationManifest updated;
@@ -647,35 +641,16 @@ ModelRegistry::LoadVerifiedLocked(Shard& shard, int64_t vehicle_id) {
     if (!mapped_or.status().IsNotFound()) return mapped_or.status();
   }
 
-  const std::string path = dir + "/" + file;
-  // Size cap BEFORE the buffer is sized, then ONE read into ONE buffer:
-  // CRC verify and deserialize both run over string_views of it (no
-  // istreambuf_iterator append-loop, no istringstream copy).
-  std::error_code ec;
-  const uintmax_t file_size = fs::file_size(path, ec);
-  if (ec) {
-    if (ec == std::errc::no_such_file_or_directory) {
-      return Status::NotFound(
-          StrFormat("no model bundle for vehicle %lld in %s",
-                    static_cast<long long>(vehicle_id), dir.c_str()));
-    }
-    return Status::Internal("cannot stat bundle " + path + ": " +
-                            ec.message());
-  }
-  if (file_size > kMaxBundleBytes) {
-    return Status::DataLoss("bundle implausibly large: " + path);
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  // One capped read into one buffer: CRC verify and deserialize both run
+  // over views of it.
+  StatusOr<std::string> read = ReadFileCapped(dir + "/" + file,
+                                              kMaxBundleBytes);
+  if (read.status().IsNotFound()) {
     return Status::NotFound(
         StrFormat("no model bundle for vehicle %lld in %s",
                   static_cast<long long>(vehicle_id), dir.c_str()));
   }
-  std::string bytes(static_cast<size_t>(file_size), '\0');
-  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (in.bad() || static_cast<uintmax_t>(in.gcount()) != file_size) {
-    return Status::DataLoss("bundle read failed: " + path);
-  }
+  VUP_ASSIGN_OR_RETURN(const std::string bytes, std::move(read));
   if (has_manifest && text_entry.has_value()) {
     // Verify BEFORE the deserializer ever sees the bytes: a corrupt bundle
     // must never be scored, and a flipped bit that still deserializes into

@@ -2,10 +2,10 @@
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <vector>
 
 #include "common/crc32.h"
+#include "common/file_util.h"
 #include "common/string_util.h"
 #include "serve/guarded_publish.h"
 #include "serve/manifest.h"
@@ -78,25 +78,24 @@ StatusOr<ScrubReport> RegistryScrubber::ScrubOnce() {
     for (const ManifestEntry& entry : manifest.value().entries()) {
       ++report.files_checked;
       files_verified_.Increment();
-      const std::string path = dir + "/" + entry.file;
-      std::ifstream in(path, std::ios::binary);
-      bool corrupt = false;
-      if (!in) {
+      // Capped at the listed size, so a grown or stray oversized file is
+      // counted from its stat alone and never read.
+      StatusOr<std::string> bytes =
+          ReadFileCapped(dir + "/" + entry.file, entry.size);
+      bool corrupt = true;
+      if (bytes.status().IsDataLoss() ||
+          (bytes.ok() && bytes.value().size() != entry.size)) {
+        ++report.size_mismatches;
+        size_mismatches_.Increment();
+      } else if (!bytes.ok()) {
         ++report.missing_files;
         missing_files_.Increment();
-        corrupt = true;
+      } else if (Crc32(bytes.value().data(), bytes.value().size()) !=
+                 entry.crc32) {
+        ++report.crc_mismatches;
+        crc_mismatches_.Increment();
       } else {
-        std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-        if (in.bad() || bytes.size() != entry.size) {
-          ++report.size_mismatches;
-          size_mismatches_.Increment();
-          corrupt = true;
-        } else if (Crc32(bytes.data(), bytes.size()) != entry.crc32) {
-          ++report.crc_mismatches;
-          crc_mismatches_.Increment();
-          corrupt = true;
-        }
+        corrupt = false;
       }
       if (corrupt && dir == active_dir && options_.registry != nullptr) {
         std::optional<int64_t> id =

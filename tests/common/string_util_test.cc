@@ -1,6 +1,14 @@
 #include "common/string_util.h"
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <sstream>
+
 #include <gtest/gtest.h>
+
+#include "common/random.h"
 
 namespace vup {
 namespace {
@@ -74,6 +82,63 @@ TEST(StrFormatTest, FormatsLikePrintf) {
   EXPECT_EQ(StrFormat("%d-%02d", 2015, 3), "2015-03");
   EXPECT_EQ(StrFormat("%.2f%%", 12.345), "12.35%");
   EXPECT_EQ(StrFormat("%s", ""), "");
+}
+
+std::string Printf17(double v) {
+  char buf[64];
+  const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return std::string(buf, static_cast<size_t>(n));
+}
+
+/// Counts values whose WriteDouble17 bytes differ from printf's "%.17g",
+/// reporting the first few.
+size_t CountMismatches(const std::vector<double>& values) {
+  size_t mismatches = 0;
+  std::ostringstream os;
+  for (double v : values) {
+    os.str("");
+    WriteDouble17(os, v);
+    const std::string expected = Printf17(v);
+    if (os.str() != expected) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "bits 0x" << std::hex << std::bit_cast<uint64_t>(v)
+                      << ": wrote '" << os.str() << "', printf '"
+                      << expected << "'";
+      }
+    }
+  }
+  return mismatches;
+}
+
+TEST(WriteDouble17Test, SpecialValuesMatchPrintf) {
+  using Limits = std::numeric_limits<double>;
+  const double nan = Limits::quiet_NaN();
+  const std::vector<double> values = {
+      0.0, -0.0, Limits::infinity(), -Limits::infinity(), nan,
+      std::copysign(nan, -1.0), Limits::denorm_min(), -Limits::denorm_min(),
+      std::nextafter(Limits::min(), 0.0), Limits::min(), Limits::max(),
+      -Limits::max(), Limits::epsilon(), 1.0, -1.0, 0.1, 1.0 / 3.0, 1e22,
+      1e23, 9007199254740993.0, 123456789012345678.0, 1e-5, 1e16, 1e17,
+      0.5, 2.5, 100.0};
+  EXPECT_EQ(CountMismatches(values), 0u);
+  std::ostringstream os;
+  WriteDouble17(os, 0.1);
+  EXPECT_EQ(os.str(), "0.10000000000000001");
+}
+
+TEST(WriteDouble17Test, MillionRandomBitPatternsMatchPrintf) {
+  Rng rng(17);
+  std::vector<double> values;
+  values.reserve(1'200'000);
+  // Every bit pattern is a double (NaN payloads and denormals included).
+  for (int i = 0; i < 1'000'000; ++i) {
+    values.push_back(std::bit_cast<double>(rng.NextUint64()));
+  }
+  // Random bits rarely land on model-scale magnitudes; cover those too.
+  for (int i = 0; i < 200'000; ++i) {
+    values.push_back(rng.Normal() * std::pow(10.0, rng.UniformInt(-8, 8)));
+  }
+  EXPECT_EQ(CountMismatches(values), 0u);
 }
 
 }  // namespace

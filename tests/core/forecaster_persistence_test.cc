@@ -1,3 +1,6 @@
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -57,6 +60,48 @@ TEST_P(ForecasterPersistenceTest, SaveLoadPredictsIdentically) {
                      original.PredictTarget(ds, t).value())
         << "target " << t;
   }
+}
+
+/// Re-renders every numeric token of a saved bundle with printf("%.17g")
+/// of the value it parses to, keeping all other bytes as they are. A
+/// bundle equals its rendering exactly when every number in it is the
+/// %.17g text of its double. `doubles` counts the non-integer tokens.
+std::string PrintfRendering(const std::string& text, size_t* doubles) {
+  std::string out;
+  size_t pos = 0;
+  while (pos < text.size()) {
+    const size_t end = std::min(text.find_first_of(" \n", pos), text.size());
+    const std::string token = text.substr(pos, end - pos);
+    char* parsed_end = nullptr;
+    const double value = std::strtod(token.c_str(), &parsed_end);
+    if (!token.empty() && *parsed_end == '\0') {
+      char buf[64];
+      out.append(buf, static_cast<size_t>(std::snprintf(
+                          buf, sizeof(buf), "%.17g", value)));
+      if (token.find_first_of(".e") != std::string::npos) ++*doubles;
+    } else {
+      out += token;
+    }
+    if (end < text.size()) out += text[end];
+    pos = end + 1;
+  }
+  return out;
+}
+
+TEST_P(ForecasterPersistenceTest, SavedBytesMatchPrintfReference) {
+  VehicleDataset ds = WeeklyDataset(220);
+  ForecasterConfig cfg;
+  cfg.algorithm = GetParam();
+  cfg.windowing.lookback_w = 14;
+  cfg.selection.top_k = 7;
+  cfg.gb.n_estimators = 30;
+  VehicleForecaster forecaster(cfg);
+  ASSERT_TRUE(forecaster.Train(ds, 20, 200).ok());
+  std::ostringstream os;
+  ASSERT_TRUE(forecaster.Save(os).ok());
+  size_t doubles = 0;
+  EXPECT_EQ(os.str(), PrintfRendering(os.str(), &doubles));
+  EXPECT_GE(doubles, 10u) << "too few doubles for a meaningful check";
 }
 
 INSTANTIATE_TEST_SUITE_P(

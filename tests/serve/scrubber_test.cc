@@ -182,6 +182,24 @@ TEST_F(ScrubberTest, MissingFileAndDamagedManifestAreCounted) {
   EXPECT_FALSE(second.value().clean());
 }
 
+TEST_F(ScrubberTest, OversizedFileIsASizeMismatchFromItsStat) {
+  ModelRegistry registry = OpenRegistry();
+  PublishGeneration(&registry, {1, 2});
+  // A stray 256 MiB file (sparse: no disk, no page cache) under a listed
+  // name. The scrubber must count it from its size, not slurp it.
+  fs::resize_file(registry.BundlePath(2), 256ull << 20);
+
+  RegistryScrubber scrubber({.root = dir_, .registry = &registry});
+  StatusOr<ScrubReport> report = scrubber.ScrubOnce();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.value().size_mismatches, 1u) << report.value().ToString();
+  EXPECT_EQ(report.value().crc_mismatches, 0u);
+  EXPECT_EQ(report.value().missing_files, 0u);
+  EXPECT_EQ(report.value().quarantined, 1u);
+  EXPECT_TRUE(registry.IsQuarantined(2));
+  EXPECT_FALSE(registry.IsQuarantined(1));
+}
+
 TEST_F(ScrubberTest, LegacyUnmanifestedDirectoryIsFlaggedNotFailed) {
   ModelRegistry registry = OpenRegistry();
   ASSERT_TRUE(
