@@ -25,13 +25,14 @@ ctest --preset sanitize -j"${JOBS}" -R \
 ctest --preset sanitize -j"${JOBS}" -R \
   'common_crc32_test|common_string_util_test|core_forecaster_persistence_test'
 
-# Warm-start surface: the SMO warm path (kernel-row LRU cache spans,
-# shrinking working-set indexing, beta shift/repair arithmetic) and the
-# forecaster's captured-state lifecycle are new index-heavy paths; the
-# equivalence harness doubles as a UB probe because every fit is replayed
-# cold and warm over the same buffers.
+# SVR solver and warm-start surface: the lane-parallel Gram loop and its
+# AVX2 clone, the SMO working-set selection, the warm path (kernel-row LRU
+# cache spans, beta shift/repair arithmetic) and the forecaster's
+# captured-state lifecycle are index-heavy paths; the equivalence harness
+# doubles as a UB probe because every fit is replayed cold and warm over
+# the same buffers.
 ctest --preset sanitize -j"${JOBS}" -R \
-  'ml_warmstart_equivalence_test|ml_kernel_cache_property_test|ml_svr_shrinking_test|core_warmstart_training_test'
+  'ml_svr_test|ml_warmstart_equivalence_test|ml_kernel_cache_property_test|ml_svr_shrinking_test|core_warmstart_training_test'
 
 # Deep seeded fuzz of the wire decoder under the sanitizers: 50k mutated
 # streams (vs. 5k in the tier-1 run). The decoder parses every byte as

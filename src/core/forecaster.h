@@ -91,12 +91,10 @@ struct ForecasterConfig {
     size_t gb_max_trees = 400;
     /// LRU capacity (rows) of the SVR kernel-row cache.
     size_t svr_kernel_cache_rows = 256;
-    /// Sweep budget for warm SVR fits. The cold SMO is budget-bound on
-    /// real windows (it exhausts Svr::Options::max_sweeps rather than
-    /// meeting the sweep-improvement tolerance), so a warm fit resuming
-    /// from the adjacent window's solution gets a proportionally smaller
-    /// budget -- the GB analogue is gb_extra_stages vs n_estimators. The
-    /// equivalence tolerances of DESIGN.md section 14 certify the result.
+    /// Step cap for warm SVR fits, in sweeps of n pair steps (cold fits
+    /// use Svr::Options::max_sweeps). Cold and warm fits both stop on the
+    /// KKT gap Svr::Options::tol, on walk-forward windows after about 3
+    /// and 2 sweeps, so the cap only bounds a fit that cannot converge.
     size_t svr_warm_max_sweeps = 15;
   };
   WarmStartOptions warm_start;

@@ -47,9 +47,61 @@ double KernelFunction(const KernelParams& params, std::span<const double> a,
   return 0.0;
 }
 
+namespace {
+
+// GCC on x86-64 builds an AVX2 clone of the lane loop next to the baseline
+// one and picks it at load time. AVX2 does not imply FMA, so neither clone
+// contracts `sq += d * d` and both give KernelFunction's bits. Not under
+// ThreadSanitizer: its instrumented ifunc resolver runs before the TSan
+// runtime is up and crashes the program at load.
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
+    !defined(__SANITIZE_THREAD__)
+#define VUP_LANE_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define VUP_LANE_CLONES
+#endif
+
+/// sq[j] += (x_ic - x_jc)^2 for j in [i, n), over c = 0..d-1 in order,
+/// where `xt` is x feature-major (xt[c * n + j] = x(j, c)). Each sq[j] is
+/// its own add chain in KernelFunction's order, so the lanes vectorize
+/// across j without reassociating any sum.
+VUP_LANE_CLONES
+void AccumulateSquaredDistances(const double* xt, size_t n, size_t d,
+                                size_t i, double* sq) {
+  for (size_t c = 0; c < d; ++c) {
+    const double* col = xt + c * n;
+    const double xic = col[i];
+    for (size_t j = i; j < n; ++j) {
+      const double diff = xic - col[j];
+      sq[j] += diff * diff;
+    }
+  }
+}
+
+}  // namespace
+
 Matrix KernelMatrix(const KernelParams& params, const Matrix& x) {
   const size_t n = x.rows();
   Matrix k(n, n);
+  if (params.type == KernelType::kRbf && n > 0) {
+    const size_t d = x.cols();
+    const double g = params.EffectiveGamma(d);
+    std::vector<double> xt(n * d);
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t c = 0; c < d; ++c) xt[c * n + r] = x(r, c);
+    }
+    std::vector<double> sq(n);
+    for (size_t i = 0; i < n; ++i) {
+      std::fill(sq.begin() + i, sq.end(), 0.0);
+      AccumulateSquaredDistances(xt.data(), n, d, i, sq.data());
+      for (size_t j = i; j < n; ++j) {
+        const double v = std::exp(-g * sq[j]);
+        k(i, j) = v;
+        k(j, i) = v;
+      }
+    }
+    return k;
+  }
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i; j < n; ++j) {
       double v = KernelFunction(params, x.Row(i), x.Row(j));

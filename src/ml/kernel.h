@@ -42,13 +42,14 @@ struct KernelParams {
 double KernelFunction(const KernelParams& params, std::span<const double> a,
                       std::span<const double> b);
 
-/// Full Gram matrix K_ij = k(row_i, row_j), symmetric.
+/// Full Gram matrix K_ij = k(row_i, row_j), symmetric. Every entry is
+/// bitwise KernelFunction(params, row_i, row_j).
 Matrix KernelMatrix(const KernelParams& params, const Matrix& x);
 
 /// LRU cache of Gram-matrix rows K(i, .) over a fixed design matrix,
-/// computed on first access. Lets an SMO solver that only touches a
-/// shrinking working set avoid the O(n^2 d) full-Gram precompute while
-/// bounding memory to `capacity` rows.
+/// computed on first access. Lets an SMO solver that touches only some
+/// rows avoid the O(n^2 d) full-Gram precompute while bounding memory to
+/// `capacity` rows.
 ///
 /// Determinism: a cached row is bitwise-identical to a fresh recompute
 /// (the property the kernel-cache test suite asserts). A miss fills

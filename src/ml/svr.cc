@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "stats/descriptive.h"
 
@@ -22,9 +23,7 @@ double PairObjectiveDelta(double delta, double eta, double f_diff, double eps,
 
 /// Analytic minimizer of the pair subproblem over [lo, hi]. Candidates:
 /// stationary points per sign region of (bi + delta, bj - delta), plus the
-/// kinks and the box ends. Shared by the cold and warm paths with the same
-/// arithmetic and evaluation order, so factoring it out leaves the cold
-/// path bitwise-unchanged.
+/// kinks and the box ends.
 void BestPairStep(double eta, double f_diff, double eps, double bi, double bj,
                   double lo, double hi, double* best_delta,
                   double* best_obj) {
@@ -90,13 +89,11 @@ Status Svr::Fit(const Matrix& x, std::span<const double> y) {
   }
 
   std::vector<double> beta(n, 0.0);
-  // f_i = sum_k beta_k K_ik - y_i (gradient of the smooth part).
-  std::vector<double> f(n);
-  for (size_t i = 0; i < n; ++i) f[i] = -y[i];
-
+  size_t max_sweeps = options_.max_sweeps;
   if (have_warm && warm.beta0.size() == n) {
     fit_stats_.warm_started = true;
     beta = std::move(warm.beta0);
+    if (warm.max_sweeps != 0) max_sweeps = warm.max_sweeps;
     // Sanitize the starting point: clamp to the box, then repair
     // sum(beta) = 0 by taking the imbalance back out, newest rows first.
     double imbalance = 0.0;
@@ -109,211 +106,111 @@ Status Svr::Fit(const Matrix& x, std::span<const double> y) {
       beta[i] -= take;
       imbalance -= take;
     }
-    SolveWarm(x, y, kernel, beta, f, warm.kernel_cache_rows,
-              warm.max_sweeps == 0 ? options_.max_sweeps : warm.max_sweeps);
-  } else {
-    Matrix k = KernelMatrix(kernel, x);
-    sweeps_run_ = 0;
-    for (size_t sweep = 0; sweep < options_.max_sweeps; ++sweep) {
-      ++sweeps_run_;
-      double sweep_improvement = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        // Partner: the index with the largest |f_i - f_k| (steepest pair).
-        size_t j = i;
-        double best_gap = 0.0;
-        for (size_t kk = 0; kk < n; ++kk) {
-          double gap = std::abs(f[i] - f[kk]);
-          if (kk != i && gap > best_gap) {
-            best_gap = gap;
-            j = kk;
-          }
-        }
-        if (j == i) continue;
-
-        double eta = k(i, i) + k(j, j) - 2.0 * k(i, j);
-        if (eta <= 1e-12) continue;
-        double f_diff = f[i] - f[j];
-        double bi = beta[i];
-        double bj = beta[j];
-
-        // Feasible delta range from the box constraints.
-        double lo = std::max(-c - bi, bj - c);
-        double hi = std::min(c - bi, bj + c);
-        if (lo >= hi) continue;
-
-        double best_delta = 0.0;
-        double best_obj = 0.0;
-        BestPairStep(eta, f_diff, eps, bi, bj, lo, hi, &best_delta,
-                     &best_obj);
-        if (best_obj >= -1e-14 || best_delta == 0.0) continue;
-
-        beta[i] += best_delta;
-        beta[j] -= best_delta;
-        for (size_t kk = 0; kk < n; ++kk) {
-          f[kk] += best_delta * (k(i, kk) - k(j, kk));
-        }
-        sweep_improvement += -best_obj;
-      }
-      if (sweep_improvement < options_.tol) break;
-    }
   }
 
-  FinishFit(x, y, beta, f, kernel);
-  return Status::OK();
-}
+  // Kernel rows: the full Gram matrix for a cold fit, an LRU row cache for
+  // a warm one. Both give the same bits for K(i, j).
+  std::optional<Matrix> gram;
+  std::optional<KernelRowCache> cache;
+  std::vector<double> diag(n);
+  if (fit_stats_.warm_started) {
+    cache.emplace(kernel, x, warm.kernel_cache_rows);
+    for (size_t i = 0; i < n; ++i) {
+      diag[i] = KernelFunction(kernel, x.Row(i), x.Row(i));
+    }
+  } else {
+    gram = KernelMatrix(kernel, x);
+    for (size_t i = 0; i < n; ++i) diag[i] = (*gram)(i, i);
+  }
+  auto row = [&](size_t i) { return gram ? gram->Row(i) : cache->Row(i); };
 
-void Svr::SolveWarm(const Matrix& x, std::span<const double> y,
-                    const KernelParams& kernel, std::vector<double>& beta,
-                    std::vector<double>& f, size_t kernel_cache_rows,
-                    size_t max_sweeps) {
-  (void)y;  // f already carries -y; y itself is not needed here.
-  const size_t n = x.rows();
-  const double c = options_.c;
-  const double eps = options_.epsilon;
-  KernelRowCache cache(kernel, x, kernel_cache_rows);
-
-  // f = K beta - y from the nonzero starting coefficients. A near-optimal
-  // beta0 from the adjacent window is sparse (support vectors only), so
-  // this touches far fewer kernel rows than a full Gram precompute.
+  // f = K beta - y, the gradient of the smooth part; only nonzero
+  // coefficients touch a kernel row.
+  std::vector<double> f(n);
+  for (size_t i = 0; i < n; ++i) f[i] = -y[i];
   for (size_t k = 0; k < n; ++k) {
     if (beta[k] == 0.0) continue;
-    std::span<const double> row = cache.Row(k);
-    for (size_t i = 0; i < n; ++i) f[i] += beta[k] * row[i];
+    std::span<const double> row_k = row(k);
+    for (size_t i = 0; i < n; ++i) f[i] += beta[k] * row_k[i];
   }
 
-  // First-order KKT machinery: up/down are the one-sided directional
-  // derivatives of the dual for increasing/decreasing one coordinate; a
-  // pair (i up, j down) is improving iff up(i) + down(j) < 0. kkt_tol =
-  // sqrt(tol) bounds the violation any "converged" exit may leave behind
-  // (DESIGN.md section 14 documents the resulting equivalence tolerance).
+  // up/down are the one-sided derivatives of the dual for raising/lowering
+  // one coefficient; moving the pair (i up, j down) improves the dual iff
+  // up(i) + down(j) < 0. The maximal violation -(m_up + m_down) is the KKT
+  // gap that libsvm stops on.
   const double upper = c * (1.0 - 1e-9);
   const double lower = -upper;
-  const double kkt_tol = std::sqrt(options_.tol);
   auto up_cost = [&](size_t i) {
     return f[i] + (beta[i] < -1e-12 ? -eps : eps);
   };
   auto down_cost = [&](size_t i) {
     return -f[i] + (beta[i] > 1e-12 ? -eps : eps);
   };
-  auto min_costs = [&](bool all_rows, std::span<const char> active,
-                       double* m_up, double* m_down) {
-    *m_up = std::numeric_limits<double>::infinity();
-    *m_down = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < n; ++i) {
-      if (!all_rows && !active[i]) continue;
-      if (beta[i] < upper) *m_up = std::min(*m_up, up_cost(i));
-      if (beta[i] > lower) *m_down = std::min(*m_down, down_cost(i));
-    }
-  };
 
-  std::vector<char> active(n, 1);
-  size_t num_active = n;
-  constexpr size_t kShrinkInterval = 4;
-
-  sweeps_run_ = 0;
-  for (size_t sweep = 0; sweep < max_sweeps; ++sweep) {
-    if (sweep % kShrinkInterval == 0 && num_active > 2) {
-      // Shrink rows that cannot belong to any improving pair: i is
-      // useful as the "up" member only if it can move up and its best
-      // possible partner (bounded by m_down) still makes the pair
-      // improving beyond kkt_tol; symmetrically for "down". Running this
-      // at sweep 0 is the point of a warm start: a near-optimal beta0
-      // leaves only a handful of violating rows active, so early sweeps
-      // cost O(|active|^2) instead of O(n^2).
-      double m_up = 0.0;
-      double m_down = 0.0;
-      min_costs(/*all_rows=*/false, active, &m_up, &m_down);
-      for (size_t i = 0; i < n && num_active > 2; ++i) {
-        if (!active[i]) continue;
-        bool up_useful = beta[i] < upper && up_cost(i) + m_down < -kkt_tol;
-        bool down_useful =
-            beta[i] > lower && down_cost(i) + m_up < -kkt_tol;
-        if (!up_useful && !down_useful) {
-          active[i] = 0;
-          --num_active;
+  // Second-order working-set selection (Fan, Chen & Lin, JMLR 2005): i is
+  // the steepest "up" row, j the "down" row whose exact pair step gains
+  // the most, b^2 / a with b = up(i) + down(j) and a the pair curvature.
+  const size_t max_iterations = max_sweeps * n;
+  size_t iterations = 0;
+  double gap = 0.0;
+  while (true) {
+    size_t i = n;
+    double m_up = std::numeric_limits<double>::infinity();
+    double m_down = std::numeric_limits<double>::infinity();
+    for (size_t t = 0; t < n; ++t) {
+      if (beta[t] < upper) {
+        const double up = up_cost(t);
+        if (up < m_up) {
+          m_up = up;
+          i = t;
         }
       }
-      fit_stats_.shrunk_rows_peak =
-          std::max(fit_stats_.shrunk_rows_peak, n - num_active);
+      if (beta[t] > lower) m_down = std::min(m_down, down_cost(t));
     }
+    gap = std::max(0.0, -(m_up + m_down));
+    if (gap <= options_.tol || iterations >= max_iterations) break;
 
-    ++sweeps_run_;
-    double sweep_improvement = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      if (!active[i]) continue;
-      // Partner: largest |f_i - f_k| within the working set.
-      size_t j = i;
-      double best_gap = 0.0;
-      for (size_t kk = 0; kk < n; ++kk) {
-        if (!active[kk]) continue;
-        double gap = std::abs(f[i] - f[kk]);
-        if (kk != i && gap > best_gap) {
-          best_gap = gap;
-          j = kk;
-        }
+    std::span<const double> row_i = row(i);
+    size_t j = n;
+    double best_gain = 0.0;
+    for (size_t t = 0; t < n; ++t) {
+      if (t == i || !(beta[t] > lower)) continue;
+      const double b = m_up + down_cost(t);
+      if (b >= 0.0) continue;
+      const double a = std::max(diag[i] + diag[t] - 2.0 * row_i[t], 1e-12);
+      const double gain = b * b / a;
+      if (gain > best_gain) {
+        best_gain = gain;
+        j = t;
       }
-      if (j == i) continue;
-
-      std::span<const double> row_i = cache.Row(i);
-      std::span<const double> row_j = cache.Row(j);
-      double eta = row_i[i] + row_j[j] - 2.0 * row_i[j];
-      if (eta <= 1e-12) continue;
-      double f_diff = f[i] - f[j];
-      double bi = beta[i];
-      double bj = beta[j];
-      double lo = std::max(-c - bi, bj - c);
-      double hi = std::min(c - bi, bj + c);
-      if (lo >= hi) continue;
-
-      double best_delta = 0.0;
-      double best_obj = 0.0;
-      BestPairStep(eta, f_diff, eps, bi, bj, lo, hi, &best_delta, &best_obj);
-      if (best_obj >= -1e-14 || best_delta == 0.0) continue;
-
-      beta[i] += best_delta;
-      beta[j] -= best_delta;
-      // Keep f fresh for every row -- shrunk ones included -- so the
-      // KKT checks and shrink decisions never need a recompute.
-      for (size_t kk = 0; kk < n; ++kk) {
-        f[kk] += best_delta * (row_i[kk] - row_j[kk]);
-      }
-      sweep_improvement += -best_obj;
     }
+    if (j == n) break;
 
-    // First-order convergence check over ALL rows, every sweep (O(n): f
-    // is maintained for shrunk rows too). This is what converts a good
-    // beta0 into saved sweeps -- the cold solver's sweep-stall criterion
-    // can keep zigzagging in the dual's flat directions long after the
-    // solution stopped improving in any meaningful way.
-    double m_up = 0.0;
-    double m_down = 0.0;
-    min_costs(/*all_rows=*/true, active, &m_up, &m_down);
-    if (m_up + m_down >= -kkt_tol) break;
+    std::span<const double> row_j = row(j);
+    const double eta = std::max(diag[i] + diag[j] - 2.0 * row_i[j], 1e-12);
+    const double bi = beta[i];
+    const double bj = beta[j];
+    const double lo = std::max(-c - bi, bj - c);
+    const double hi = std::min(c - bi, bj + c);
+    double delta = 0.0;
+    double obj = 0.0;
+    BestPairStep(eta, f[i] - f[j], eps, bi, bj, lo, hi, &delta, &obj);
+    // A violating pair always has a descent step; none means rounding ate
+    // it, and picking the same pair again would not change that.
+    if (delta == 0.0) break;
 
-    if (sweep_improvement < options_.tol || num_active < 2) {
-      // The shrunk working set stalled while a violating pair remains
-      // outside it: the shrinking heuristic skipped a row it should not
-      // have. Bring everything back and keep sweeping; the reactivations
-      // are counted for the shrinking test suite.
-      if (num_active == n) {
-        // Already sweeping the full set and still stalled: pair steps
-        // cannot buy tol-sized progress on this violation (degenerate
-        // curvature); stop like the cold path would.
-        break;
-      }
-      size_t reactivated = 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (!active[i]) {
-          active[i] = 1;
-          ++reactivated;
-        }
-      }
-      num_active = n;
-      ++fit_stats_.unshrink_passes;
-      fit_stats_.kkt_reactivations += reactivated;
-    }
+    beta[i] += delta;
+    beta[j] -= delta;
+    for (size_t t = 0; t < n; ++t) f[t] += delta * (row_i[t] - row_j[t]);
+    ++iterations;
   }
-  fit_stats_.kernel_cache = cache.stats();
+  fit_stats_.iterations = iterations;
+  fit_stats_.sweeps = (iterations + n - 1) / n;
+  fit_stats_.gap = gap;
+  if (cache) fit_stats_.kernel_cache = cache->stats();
+
+  FinishFit(x, y, beta, f, kernel);
+  return Status::OK();
 }
 
 void Svr::FinishFit(const Matrix& x, std::span<const double> y,
@@ -367,7 +264,6 @@ void Svr::FinishFit(const Matrix& x, std::span<const double> y,
 
   // Remember the resolved kernel (gamma fixed at fit time).
   options_.kernel = kernel;
-  fit_stats_.sweeps = sweeps_run_;
   fitted_ = true;
 }
 

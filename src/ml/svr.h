@@ -18,10 +18,15 @@ namespace vup {
 ///   min_beta  1/2 beta^T K beta - y^T beta + epsilon * ||beta||_1
 ///   s.t.      sum_i beta_i = 0
 ///
-/// with an SMO-style pairwise coordinate descent: each step moves a pair
-/// (beta_i += delta, beta_j -= delta), keeping the equality constraint
-/// satisfied; the optimal delta of the piecewise-quadratic one-dimensional
-/// subproblem is found analytically over its sign regions.
+/// with SMO: each step moves a pair (beta_i += delta, beta_j -= delta),
+/// keeping the equality constraint satisfied; the optimal delta of the
+/// piecewise-quadratic one-dimensional subproblem is found analytically
+/// over its sign regions. The pair is chosen with second-order
+/// information (Fan, Chen & Lin, JMLR 2005), and the solver stops when the
+/// maximal-violating-pair KKT gap falls to `tol` -- libsvm's rule, so a
+/// fit is converged, not budget-bound. Cold and warm fits run the same
+/// loop; they differ only in the starting point and in where kernel rows
+/// come from.
 ///
 /// The paper's configuration is kernel=rbf, C=10, epsilon=0.1. For gamma,
 /// see KernelParams: gamma <= 0 resolves to 1/num_features at fit time.
@@ -31,22 +36,24 @@ class Svr : public Regressor {
     double c = 10.0;
     double epsilon = 0.1;
     KernelParams kernel;
-    /// Stop when the best pair improvement in a full sweep is below tol.
-    double tol = 1e-5;
+    /// Stop when the KKT gap -(min_i up(i) + min_j down(j)) falls to tol,
+    /// where up/down are the one-sided dual derivatives of raising and
+    /// lowering one coefficient (libsvm's rule and default).
+    double tol = 1e-3;
+    /// Safety cap: at most max_sweeps * n pair steps per fit.
     size_t max_sweeps = 300;
   };
 
   /// Diagnostics of the last Fit (cold or warm).
   struct FitStats {
     bool warm_started = false;
+    /// Pair steps taken.
+    size_t iterations = 0;
+    /// ceil(iterations / n): pair steps in units of the row count.
     size_t sweeps = 0;
-    /// Most rows simultaneously out of the shrinking working set.
-    size_t shrunk_rows_peak = 0;
-    /// Rows brought back by the final full KKT pass(es): nonzero means
-    /// the shrinking heuristic skipped a row that was still violating.
-    size_t kkt_reactivations = 0;
-    /// Number of full KKT passes that found a violation and resumed.
-    size_t unshrink_passes = 0;
+    /// Final KKT gap -(m_up + m_down), clamped at 0; <= tol unless the
+    /// step cap or rounding stopped the fit first.
+    double gap = 0.0;
     KernelRowCache::Stats kernel_cache;  // Zero for the cold (full-Gram) path.
   };
 
@@ -74,32 +81,19 @@ class Svr : public Regressor {
 
   /// Arms the next Fit to resume SMO from `beta0` (one dual coefficient
   /// per training row of the upcoming design matrix) instead of zero,
-  /// solving over a `kernel_cache_rows`-row LRU kernel cache instead of
-  /// the precomputed full Gram matrix, with a shrinking heuristic that
-  /// drops bound-clamped, KKT-satisfied rows from the working set.
+  /// reading kernel rows through a `kernel_cache_rows`-row LRU cache
+  /// instead of the precomputed full Gram matrix.
   ///
   /// Consumed by the next Fit whatever its outcome; silently ignored
   /// (cold fit) when beta0's length does not match the row count. The
   /// starting point is clamped to the box and repaired to sum(beta) = 0,
   /// so any beta0 is safe -- a good one (the previous adjacent window's
-  /// solution through ShiftSvrBetaForward) just converges in far fewer
-  /// sweeps.
+  /// solution through ShiftSvrBetaForward) just starts closer.
   ///
-  /// Convergence contract: the warm path stops on the same
-  /// sweep-improvement tolerance as the cold path, then runs a full
-  /// first-order KKT pass over ALL rows -- shrunk ones included -- and
-  /// resumes sweeping with everything reactivated if a violating pair
-  /// remains (within sqrt(tol); see DESIGN.md section 14). Shrinking
-  /// therefore never changes what "converged" means, only how much work
-  /// reaching it takes.
-  ///
-  /// `max_sweeps` caps the warm fit's sweep count (0 means inherit
-  /// options_.max_sweeps). On problems where the cold solver is
-  /// budget-bound -- it exhausts max_sweeps instead of meeting tol --
-  /// neither tolerance fires early, so the warm win comes from this
-  /// reduced budget: the shifted previous solution starts close enough
-  /// that far fewer sweeps reach the same neighborhood (the equivalence
-  /// harness certifies how close; see DESIGN.md section 14).
+  /// The warm fit runs the cold fit's loop and stops on the same KKT gap,
+  /// so both end at tol-converged optima (see DESIGN.md section 14).
+  /// `max_sweeps` overrides the step cap for this fit (0 means inherit
+  /// options_.max_sweeps).
   void WarmStart(std::vector<double> beta0, size_t kernel_cache_rows,
                  size_t max_sweeps = 0);
 
@@ -120,7 +114,6 @@ class Svr : public Regressor {
   /// Number of support vectors (beta != 0) after fitting.
   size_t num_support_vectors() const { return support_.rows(); }
   double bias() const { return bias_; }
-  size_t sweeps_run() const { return sweeps_run_; }
   const FitStats& last_fit_stats() const { return fit_stats_; }
 
   /// The full-length dual vector of the last Fit (one beta per training
@@ -139,14 +132,7 @@ class Svr : public Regressor {
     size_t max_sweeps = 0;  // 0 = inherit options_.max_sweeps.
   };
 
-  /// Warm SMO over the kernel-row cache with shrinking; `beta` is the
-  /// sanitized starting point (box-clamped, sum repaired).
-  void SolveWarm(const Matrix& x, std::span<const double> y,
-                 const KernelParams& kernel, std::vector<double>& beta,
-                 std::vector<double>& f, size_t kernel_cache_rows,
-                 size_t max_sweeps);
-
-  /// Shared fit tail: bias from free-SV KKT conditions, support-vector
+  /// Fit tail: bias from free-SV KKT conditions, support-vector
   /// compaction, dual objective, resolved-kernel capture.
   void FinishFit(const Matrix& x, std::span<const double> y,
                  const std::vector<double>& beta,
@@ -160,7 +146,6 @@ class Svr : public Regressor {
   std::vector<double> full_beta_;  // Dual coefficient per training row.
   double bias_ = 0.0;
   double dual_objective_ = 0.0;
-  size_t sweeps_run_ = 0;
   FitStats fit_stats_;
   std::optional<WarmRequest> warm_request_;
 };

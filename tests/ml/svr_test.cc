@@ -1,11 +1,17 @@
 #include "ml/svr.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "core/experiment.h"
+#include "core/forecaster.h"
+#include "core/windowing.h"
 #include "ml/metrics.h"
+#include "telemetry/fleet.h"
 
 namespace vup {
 namespace {
@@ -64,6 +70,119 @@ TEST(KernelTest, MatrixIsSymmetricWithUnitDiagonal) {
       EXPECT_LE(k(i, j), 1.0);
     }
   }
+}
+
+TEST(KernelTest, MatrixIsBitwiseKernelFunction) {
+  // KernelMatrix computes RBF entries lane-parallel over a feature-major
+  // copy; every entry must still carry KernelFunction's exact bits. The
+  // sizes cover a lone row, odd tails around the vector width and the
+  // walk-forward design (n = 140, d = 89).
+  KernelParams rbf_auto;
+  KernelParams rbf;
+  rbf.gamma = 0.37;
+  KernelParams linear;
+  linear.type = KernelType::kLinear;
+  KernelParams poly;
+  poly.type = KernelType::kPolynomial;
+  poly.gamma = 0.5;
+  poly.coef0 = 1.0;
+  poly.degree = 3;
+  Rng rng(17);
+  for (size_t n : {1, 2, 3, 5, 7, 33, 140}) {
+    for (size_t d : {1, 3, 89}) {
+      Matrix x(n, d);
+      for (size_t r = 0; r < n; ++r) {
+        for (size_t c = 0; c < d; ++c) x(r, c) = rng.Normal();
+      }
+      for (const KernelParams& params : {rbf_auto, rbf, linear, poly}) {
+        Matrix k = KernelMatrix(params, x);
+        size_t mismatches = 0;
+        for (size_t i = 0; i < n; ++i) {
+          for (size_t j = 0; j < n; ++j) {
+            const double expected = KernelFunction(params, x.Row(i), x.Row(j));
+            const double actual = k(i, j);
+            if (std::memcmp(&expected, &actual, sizeof(double)) != 0) {
+              ++mismatches;
+            }
+          }
+        }
+        EXPECT_EQ(mismatches, 0u)
+            << KernelTypeToString(params.type) << " gamma=" << params.gamma
+            << " n=" << n << " d=" << d;
+      }
+    }
+  }
+}
+
+/// The KKT gap of `svr`'s last fit recomputed from scratch: f = K beta - y
+/// from the returned dual vector, not the solver's running f.
+double RecomputedGap(const Svr& svr, const Matrix& x,
+                     std::span<const double> y) {
+  const std::vector<double>& beta = svr.last_full_beta();
+  const double c = svr.options().c;
+  const double eps = svr.options().epsilon;
+  const double upper = c * (1.0 - 1e-9);
+  const Matrix k = KernelMatrix(svr.options().kernel, x);
+  double m_up = std::numeric_limits<double>::infinity();
+  double m_down = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < x.rows(); ++i) {
+    double f = -y[i];
+    for (size_t j = 0; j < x.rows(); ++j) f += beta[j] * k(i, j);
+    if (beta[i] < upper) {
+      m_up = std::min(m_up, f + (beta[i] < -1e-12 ? -eps : eps));
+    }
+    if (beta[i] > -upper) {
+      m_down = std::min(m_down, -f + (beta[i] > 1e-12 ? -eps : eps));
+    }
+  }
+  return -(m_up + m_down);
+}
+
+TEST(SvrTest, ColdAndWarmFitsConvergeOnBenchFleetWindow) {
+  // Vehicle 25 of the seeded 40-vehicle bench fleet, targets 941..1080
+  // (n = 140, the paper's TW): a window on which an SMO that stops on a
+  // sweep-improvement budget runs all 300 sweeps without converging.
+  Fleet fleet = Fleet::Generate(FleetConfig::Small(40, 42));
+  ExperimentRunner runner(&fleet);
+  ExperimentOptions options;
+  options.max_vehicles = 40;
+  (void)runner.SelectVehicles(options);
+  StatusOr<const VehicleDataset*> ds_or = runner.Dataset(25);
+  ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
+  const VehicleDataset& ds = *ds_or.value();
+
+  // The warm fit is the walk-forward's own: the previous window's
+  // solution, shifted by one row.
+  ForecasterConfig config;
+  ASSERT_EQ(config.algorithm, Algorithm::kSvr);
+  config.warm_start.enabled = true;
+  VehicleForecaster forecaster(config);
+  ASSERT_TRUE(forecaster.Train(ds, 940, 1080).ok());
+  ASSERT_TRUE(forecaster.Train(ds, 941, 1081).ok());
+  const Svr& warm = static_cast<const Svr&>(*forecaster.regressor());
+  ASSERT_TRUE(warm.last_fit_stats().warm_started);
+
+  // The same window's design, rebuilt the way Train builds it.
+  StatusOr<WindowedDataset> windowed =
+      BuildWindowedDataset(ds, config.windowing, 941, 1080);
+  ASSERT_TRUE(windowed.ok());
+  StatusOr<Matrix> x = forecaster.scaler().Transform(
+      windowed.value().x.SelectColumns(forecaster.selected_columns()));
+  ASSERT_TRUE(x.ok());
+  const std::vector<double>& y = windowed.value().y;
+  const size_t n = x.value().rows();
+  ASSERT_EQ(n, 140u);
+
+  Svr cold(config.svr);
+  ASSERT_TRUE(cold.Fit(x.value(), y).ok());
+  const double tol = config.svr.tol;
+  EXPECT_LT(cold.last_fit_stats().iterations, config.svr.max_sweeps * n);
+  EXPECT_LT(warm.last_fit_stats().iterations,
+            config.warm_start.svr_warm_max_sweeps * n);
+  EXPECT_LE(cold.last_fit_stats().gap, tol);
+  EXPECT_LE(warm.last_fit_stats().gap, tol);
+  EXPECT_LE(RecomputedGap(cold, x.value(), y), tol);
+  EXPECT_LE(RecomputedGap(warm, x.value(), y), tol);
 }
 
 TEST(SvrTest, FitsConstantFunction) {

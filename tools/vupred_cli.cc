@@ -1831,7 +1831,7 @@ double WarmPredictionToleranceFor(Algorithm a) {
     case Algorithm::kLasso:
       return 0.05;
     case Algorithm::kSvr:
-      return 3.0;
+      return 0.05;
     case Algorithm::kGradientBoosting:
       return 3.0;
     default:
