@@ -20,10 +20,12 @@ ctest --preset sanitize -j"${JOBS}" -R \
   'core_windowing_test|stats_acf_test|core_feature_selection_test|core_incremental_training_test|ml_grid_search_test'
 
 # Publish-path primitives: slice-by-8 CRC-32 at every start alignment
-# (UBSan checks its unaligned word loads) and the to_chars double
-# formatter against printf over a million bit patterns plus saved bundles.
+# (UBSan checks its unaligned word loads), the to_chars double formatter
+# against printf over a million bit patterns plus saved bundles, and the
+# write-behind publisher with its writer pool -- ASan catches a queued
+# bundle snapshot that outlives (or aliases) the forecaster it came from.
 ctest --preset sanitize -j"${JOBS}" -R \
-  'common_crc32_test|common_string_util_test|core_forecaster_persistence_test'
+  'common_crc32_test|common_string_util_test|core_forecaster_persistence_test|serve_model_registry_test|common_thread_pool_test'
 
 # SVR solver and warm-start surface: the lane-parallel Gram loop and its
 # AVX2 clone, the SMO working-set selection, the warm path (kernel-row LRU

@@ -557,7 +557,7 @@ void WriteIndexVector(std::ostream& os, const char* key,
 
 }  // namespace
 
-Status VehicleForecaster::Save(std::ostream& os) const {
+Status VehicleForecaster::CheckSavable() const {
   if (!trained_) {
     return Status::FailedPrecondition("cannot save an untrained forecaster");
   }
@@ -565,6 +565,11 @@ Status VehicleForecaster::Save(std::ostream& os) const {
     return Status::Unimplemented(
         "baseline forecasters carry no state to save");
   }
+  return Status::OK();
+}
+
+Status VehicleForecaster::Save(std::ostream& os) const {
+  VUP_RETURN_IF_ERROR(CheckSavable());
   os << kForecasterMagic << "\n";
   os << "algorithm " << AlgorithmToString(config_.algorithm) << "\n";
   os << "lookback_w " << config_.windowing.lookback_w << "\n";
@@ -718,14 +723,14 @@ StatusOr<VehicleForecaster> VehicleForecaster::FromParts(
   return forecaster;
 }
 
+StatusOr<VehicleForecaster> VehicleForecaster::Snapshot() const {
+  VUP_RETURN_IF_ERROR(CheckSavable());
+  return FromParts(config_, selected_lags_, selected_columns_, scaler_,
+                   model_->CloneFitted());
+}
+
 StatusOr<std::string> VehicleForecaster::SaveCompact() const {
-  if (!trained_) {
-    return Status::FailedPrecondition("cannot save an untrained forecaster");
-  }
-  if (IsBaseline()) {
-    return Status::Unimplemented(
-        "baseline forecasters carry no state to save");
-  }
+  VUP_RETURN_IF_ERROR(CheckSavable());
   CompactPipelineHeader header;
   header.algorithm = static_cast<int>(config_.algorithm);
   header.lookback_w = static_cast<uint32_t>(config_.windowing.lookback_w);

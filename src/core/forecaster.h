@@ -218,6 +218,14 @@ class VehicleForecaster {
   static StatusOr<VehicleForecaster> LoadCompact(
       std::span<const uint8_t> bytes, std::shared_ptr<const void> owner);
 
+  /// Deep copy of the persisted pipeline (config, selected lags and
+  /// columns, scaler, fitted model), independent of this forecaster: Save
+  /// and SaveCompact of the copy write the same bytes as of this one, even
+  /// after this forecaster is retrained or destroyed. Training caches and
+  /// warm-start state are not copied. Same preconditions and statuses as
+  /// Save.
+  StatusOr<VehicleForecaster> Snapshot() const;
+
   /// Reassembles a trained forecaster from already-validated parts (the
   /// compact decode path), with Load's structural validation: ML
   /// algorithm only, fitted model, selected columns within the window
@@ -232,6 +240,10 @@ class VehicleForecaster {
     return config_.algorithm == Algorithm::kLastValue ||
            config_.algorithm == Algorithm::kMovingAverage;
   }
+
+  /// Save's preconditions: FailedPrecondition before Train, Unimplemented
+  /// for baseline algorithms.
+  Status CheckSavable() const;
 
   /// Advances (or rebuilds) the cached sliding-window builder so it covers
   /// targets train_begin..train_end-1 of `ds`.

@@ -215,7 +215,8 @@ class CompactModel final : public Regressor {
 
   // Compact models never re-enter training, so the only meaningful clone
   // is another in-place reader over the same (shared-ownership) bytes.
-  std::unique_ptr<Regressor> Clone() const override {
+  std::unique_ptr<Regressor> Clone() const override { return CloneFitted(); }
+  std::unique_ptr<Regressor> CloneFitted() const override {
     return std::make_unique<CompactModel>(*this);
   }
 

@@ -75,6 +75,9 @@ class GradientBoosting : public Regressor {
   std::unique_ptr<Regressor> Clone() const override {
     return std::make_unique<GradientBoosting>(options_);
   }
+  std::unique_ptr<Regressor> CloneFitted() const override {
+    return std::make_unique<GradientBoosting>(*this);
+  }
   bool fitted() const override { return fitted_; }
   size_t ResidentBytes() const override {
     size_t bytes = sizeof(*this) +

@@ -55,6 +55,9 @@ class Lasso : public Regressor {
   std::unique_ptr<Regressor> Clone() const override {
     return std::make_unique<Lasso>(options_);
   }
+  std::unique_ptr<Regressor> CloneFitted() const override {
+    return std::make_unique<Lasso>(*this);
+  }
   bool fitted() const override { return fitted_; }
   size_t ResidentBytes() const override {
     return sizeof(*this) + coef_.capacity() * sizeof(double) +

@@ -43,6 +43,9 @@ class LinearRegression : public Regressor {
   std::unique_ptr<Regressor> Clone() const override {
     return std::make_unique<LinearRegression>(options_);
   }
+  std::unique_ptr<Regressor> CloneFitted() const override {
+    return std::make_unique<LinearRegression>(*this);
+  }
   bool fitted() const override { return fitted_; }
   size_t ResidentBytes() const override {
     return sizeof(*this) + coef_.capacity() * sizeof(double);

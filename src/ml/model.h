@@ -51,6 +51,11 @@ class Regressor {
   /// Fresh unfitted copy with identical hyper-parameters.
   virtual std::unique_ptr<Regressor> Clone() const = 0;
 
+  /// Deep copy including the fitted state, independent of this model (a
+  /// later Fit of either leaves the other untouched). Models scoring over
+  /// externally owned bytes share that owner instead of copying it.
+  virtual std::unique_ptr<Regressor> CloneFitted() const = 0;
+
   virtual bool fitted() const = 0;
 };
 

@@ -103,6 +103,9 @@ class Svr : public Regressor {
   std::unique_ptr<Regressor> Clone() const override {
     return std::make_unique<Svr>(options_);
   }
+  std::unique_ptr<Regressor> CloneFitted() const override {
+    return std::make_unique<Svr>(*this);
+  }
   bool fitted() const override { return fitted_; }
   size_t ResidentBytes() const override {
     return sizeof(*this) +

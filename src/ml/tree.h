@@ -49,6 +49,9 @@ class RegressionTree : public Regressor {
   std::unique_ptr<Regressor> Clone() const override {
     return std::make_unique<RegressionTree>(options_);
   }
+  std::unique_ptr<Regressor> CloneFitted() const override {
+    return std::make_unique<RegressionTree>(*this);
+  }
   bool fitted() const override { return fitted_; }
   size_t ResidentBytes() const override {
     return sizeof(*this) + nodes_.capacity() * sizeof(Node);

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <istream>
 #include <optional>
 #include <sstream>
 #include <system_error>
+#include <thread>
 
 #include "common/crc32.h"
 #include "common/file_util.h"
@@ -38,6 +40,43 @@ constexpr long long kMaxMetaVehicles = 100'000'000;
 constexpr size_t kMaxMetaTokenLength = 128;
 constexpr size_t kMaxMetaLines = 64;
 constexpr size_t kMaxMetaBytes = 64 * 1024;
+
+/// Renders a bundle file's bytes into its open file stream.
+using BundleWriter = std::function<Status(std::ostream&)>;
+
+BundleWriter BytesWriter(std::string_view bytes) {
+  return [bytes](std::ostream& out) {
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return Status::OK();
+  };
+}
+
+/// Creates (truncates) `path` and fills it through `write`; `kind` names
+/// the file in errors.
+Status WriteBundleFile(const std::string& path, const std::string& kind,
+                       const BundleWriter& write) {
+  std::ofstream out(path, std::ios::trunc | std::ios::binary);
+  if (!out) {
+    return Status::Internal("cannot open " + kind + " for writing: " + path);
+  }
+  VUP_RETURN_IF_ERROR(write(out));
+  out.flush();
+  if (!out) return Status::DataLoss(kind + " write failed: " + path);
+  return Status::OK();
+}
+
+/// Stages one vehicle in `dir`: the text bundle `text` renders (streamed
+/// straight into the file, so no writer holds a whole text bundle in
+/// memory), plus the compact twin when `compact` is non-empty.
+Status WriteStagedBundle(const std::string& dir, int64_t vehicle_id,
+                         const BundleWriter& text, std::string_view compact) {
+  VUP_RETURN_IF_ERROR(WriteBundleFile(
+      dir + "/" + ModelRegistry::BundleFileName(vehicle_id), "bundle", text));
+  if (compact.empty()) return Status::OK();
+  return WriteBundleFile(
+      dir + "/" + ModelRegistry::CompactBundleFileName(vehicle_id),
+      "compact bundle", BytesWriter(compact));
+}
 
 /// Atomic small-file write: temp name, then rename over the target.
 Status WriteFileAtomic(const std::string& path, const std::string& content) {
@@ -494,17 +533,9 @@ Status ModelRegistry::Publish(int64_t vehicle_id,
   // Write to a temp name then rename, so a crashed publish never leaves a
   // half-written bundle under the serving name.
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return Status::Internal("cannot open bundle for writing: " + tmp);
-    }
-    VUP_RETURN_IF_ERROR(forecaster.Save(out));
-    out.flush();
-    if (!out) {
-      return Status::DataLoss("bundle write failed: " + tmp);
-    }
-  }
+  VUP_RETURN_IF_ERROR(WriteBundleFile(
+      tmp, "bundle",
+      [&forecaster](std::ostream& out) { return forecaster.Save(out); }));
   std::error_code ec;
   fs::rename(tmp, path, ec);
   if (ec) {
@@ -520,15 +551,8 @@ Status ModelRegistry::Publish(int64_t vehicle_id,
       CompactBundleFileName(vehicle_id);
   {
     const std::string compact_tmp = compact_path + ".tmp";
-    std::ofstream out(compact_tmp, std::ios::trunc | std::ios::binary);
-    if (!out) {
-      return Status::Internal("cannot open bundle for writing: " +
-                              compact_tmp);
-    }
-    out.write(compact_bytes.data(),
-              static_cast<std::streamsize>(compact_bytes.size()));
-    out.flush();
-    if (!out) return Status::DataLoss("bundle write failed: " + compact_tmp);
+    VUP_RETURN_IF_ERROR(
+        WriteBundleFile(compact_tmp, "bundle", BytesWriter(compact_bytes)));
     fs::rename(compact_tmp, compact_path, ec);
     if (ec) {
       return Status::Internal("cannot install bundle " + compact_path +
@@ -1004,27 +1028,41 @@ GenerationPublisher::GenerationPublisher(GenerationPublisher&& other) noexcept
     : root_(std::move(other.root_)),
       number_(other.number_),
       staging_dir_(std::move(other.staging_dir_)),
+      emit_compact_(other.emit_compact_),
       finalized_(other.finalized_),
-      committed_(other.committed_) {
+      committed_(other.committed_),
+      moved_from_(other.moved_from_),
+      writers_(std::move(other.writers_)),
+      pending_ids_(std::move(other.pending_ids_)) {
   other.moved_from_ = true;
 }
 
 GenerationPublisher& GenerationPublisher::operator=(
     GenerationPublisher&& other) noexcept {
   if (this != &other) {
+    Release();
     root_ = std::move(other.root_);
     number_ = other.number_;
     staging_dir_ = std::move(other.staging_dir_);
+    emit_compact_ = other.emit_compact_;
     finalized_ = other.finalized_;
     committed_ = other.committed_;
-    moved_from_ = false;
+    moved_from_ = other.moved_from_;
+    writers_ = std::move(other.writers_);
+    pending_ids_ = std::move(other.pending_ids_);
     other.moved_from_ = true;
   }
   return *this;
 }
 
-GenerationPublisher::~GenerationPublisher() {
-  if (moved_from_ || finalized_) return;
+GenerationPublisher::~GenerationPublisher() { Release(); }
+
+void GenerationPublisher::Release() {
+  if (moved_from_) return;
+  // Writers first: the pool's shutdown drains every queued write, so none
+  // can land in the staging directory after it is removed.
+  writers_.reset();
+  if (finalized_) return;
   // Abandoned without Finalize: the staging directory was never visible to
   // readers, remove it. A finalized-but-unpromoted generation stays on
   // disk deliberately -- the publish gate may have failed it, and the
@@ -1033,42 +1071,48 @@ GenerationPublisher::~GenerationPublisher() {
   fs::remove_all(staging_dir_, ec);
 }
 
+Status GenerationPublisher::DrainWriters() const {
+  pending_ids_.clear();
+  return writers_ == nullptr ? Status::OK() : writers_->Wait();
+}
+
+const std::string& GenerationPublisher::staging_dir() const {
+  (void)DrainWriters();  // Writer errors surface at Finalize.
+  return staging_dir_;
+}
+
 Status GenerationPublisher::Add(int64_t vehicle_id,
                                 const VehicleForecaster& forecaster) {
   if (finalized_) {
     return Status::FailedPrecondition(
         "generation already finalized (its manifest is sealed)");
   }
-  const std::string path =
-      staging_dir_ + "/" + ModelRegistry::BundleFileName(vehicle_id);
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return Status::Internal("cannot open bundle for writing: " + path);
+  // The snapshot is what the writer renders, so the caller may retrain or
+  // destroy `forecaster` as soon as this returns.
+  VUP_ASSIGN_OR_RETURN(VehicleForecaster snapshot, forecaster.Snapshot());
+  // A queued write of the same id lands first, so this Add wins.
+  if (pending_ids_.count(vehicle_id) != 0) (void)DrainWriters();
+  if (writers_ == nullptr) {
+    // One writer per hardware thread; the queue bound caps the snapshots
+    // held in memory however many vehicles a publish stages.
+    const size_t workers =
+        std::max<size_t>(1, std::thread::hardware_concurrency());
+    writers_ = std::make_unique<ThreadPool>(
+        ThreadPool::Options(workers, 2 * workers));
   }
-  VUP_RETURN_IF_ERROR(forecaster.Save(out));
-  out.flush();
-  if (!out) return Status::DataLoss("bundle write failed: " + path);
-  if (emit_compact_) {
-    VUP_ASSIGN_OR_RETURN(const std::string compact,
-                         forecaster.SaveCompact());
-    const std::string compact_path =
-        staging_dir_ + "/" +
-        ModelRegistry::CompactBundleFileName(vehicle_id);
-    std::ofstream cout_stream(compact_path,
-                              std::ios::trunc | std::ios::binary);
-    if (!cout_stream) {
-      return Status::Internal("cannot open compact bundle for writing: " +
-                              compact_path);
+  pending_ids_.insert(vehicle_id);
+  auto bundle =
+      std::make_shared<const VehicleForecaster>(std::move(snapshot));
+  return writers_->Submit([dir = staging_dir_, vehicle_id, bundle,
+                           emit_compact = emit_compact_]() -> Status {
+    std::string compact;
+    if (emit_compact) {
+      VUP_ASSIGN_OR_RETURN(compact, bundle->SaveCompact());
     }
-    cout_stream.write(compact.data(),
-                      static_cast<std::streamsize>(compact.size()));
-    cout_stream.flush();
-    if (!cout_stream) {
-      return Status::DataLoss("compact bundle write failed: " +
-                              compact_path);
-    }
-  }
-  return Status::OK();
+    return WriteStagedBundle(
+        dir, vehicle_id,
+        [&bundle](std::ostream& out) { return bundle->Save(out); }, compact);
+  });
 }
 
 Status GenerationPublisher::AddPrebuilt(int64_t vehicle_id,
@@ -1082,35 +1126,10 @@ Status GenerationPublisher::AddPrebuilt(int64_t vehicle_id,
     return Status::FailedPrecondition(
         "generation already finalized (its manifest is sealed)");
   }
-  const std::string path =
-      staging_dir_ + "/" + ModelRegistry::BundleFileName(vehicle_id);
-  std::ofstream out(path, std::ios::trunc | std::ios::binary);
-  if (!out) {
-    return Status::Internal("cannot open bundle for writing: " + path);
-  }
-  out.write(text_bytes.data(),
-            static_cast<std::streamsize>(text_bytes.size()));
-  out.flush();
-  if (!out) return Status::DataLoss("bundle write failed: " + path);
-  if (!compact_bytes.empty()) {
-    const std::string compact_path =
-        staging_dir_ + "/" +
-        ModelRegistry::CompactBundleFileName(vehicle_id);
-    std::ofstream cout_stream(compact_path,
-                              std::ios::trunc | std::ios::binary);
-    if (!cout_stream) {
-      return Status::Internal("cannot open compact bundle for writing: " +
-                              compact_path);
-    }
-    cout_stream.write(compact_bytes.data(),
-                      static_cast<std::streamsize>(compact_bytes.size()));
-    cout_stream.flush();
-    if (!cout_stream) {
-      return Status::DataLoss("compact bundle write failed: " +
-                              compact_path);
-    }
-  }
-  return Status::OK();
+  // A queued Add of the same id lands first, so these bytes win.
+  if (pending_ids_.count(vehicle_id) != 0) (void)DrainWriters();
+  return WriteStagedBundle(staging_dir_, vehicle_id, BytesWriter(text_bytes),
+                           compact_bytes);
 }
 
 Status GenerationPublisher::Finalize(const RegistryMeta& meta) {
@@ -1122,7 +1141,10 @@ Status GenerationPublisher::Finalize(const RegistryMeta& meta) {
   // the meta -- so any later bit-rot is detectable, (3) the directory
   // rename makes the complete generation appear under its final name. A
   // crash between any two steps leaves at worst an ignored staging
-  // directory; CURRENT never moves here.
+  // directory; CURRENT never moves here. The writers drain first, so the
+  // MANIFEST covers only complete files, and a generation with a failed
+  // bundle write is never renamed.
+  VUP_RETURN_IF_ERROR(DrainWriters());
   VUP_RETURN_IF_ERROR(WriteRegistryMetaFile(staging_dir_, meta));
   VUP_ASSIGN_OR_RETURN(GenerationManifest manifest,
                        GenerationManifest::BuildFromDirectory(staging_dir_));

@@ -17,6 +17,7 @@
 #include "common/clock.h"
 #include "common/retry.h"
 #include "common/statusor.h"
+#include "common/thread_pool.h"
 #include "core/forecaster.h"
 #include "obs/metrics.h"
 #include "serve/manifest.h"
@@ -403,13 +404,23 @@ class ModelRegistry {
 /// (GenerationValidator, canary drill) can inspect the complete,
 /// checksummed generation BEFORE any reader can be pointed at it.
 ///
+/// Add is write-behind: it snapshots the trained pipeline and queues the
+/// bundle writes on a writer pool the publisher owns. Every point that
+/// reads the staging directory (staging_dir, Finalize, a re-Add of a
+/// still-queued id) waits for the writers first; the destructor shuts
+/// them down before it removes the staging directory.
+///
 /// A publisher destroyed without Finalize removes its staging directory;
 /// one destroyed after Finalize but without Promote leaves the complete
 /// generation on disk un-promoted (prunable, never served). A publisher
 /// *killed* at any step leaves either an ignored staging directory or an
 /// un-promoted generation behind -- never a torn active fleet.
+///
+/// Not thread-safe: one thread drives a publisher.
 class GenerationPublisher {
  public:
+  /// Moves carry everything, queued writes included. Assigning over a
+  /// publisher first releases its generation as its destructor would.
   GenerationPublisher(GenerationPublisher&& other) noexcept;
   GenerationPublisher& operator=(GenerationPublisher&& other) noexcept;
   ~GenerationPublisher();
@@ -418,17 +429,28 @@ class GenerationPublisher {
   /// bundle Add writes. Off by default; flip before the first Add.
   void set_emit_compact(bool emit) { emit_compact_ = emit; }
 
+  /// Stages the bundle of `vehicle_id` (and its compact twin when
+  /// enabled). Checks run here, with Save's statuses: FailedPrecondition
+  /// after Finalize or for an untrained forecaster, Unimplemented for a
+  /// baseline. The bundle is then written behind from a deep snapshot,
+  /// so the caller may retrain or destroy `forecaster` as soon as this
+  /// returns; open and write failures surface at Finalize. Blocks while
+  /// the writers' queue is full. A later Add or AddPrebuilt of the same id
+  /// replaces this one.
   Status Add(int64_t vehicle_id, const VehicleForecaster& forecaster);
 
   /// Writes pre-serialized bundle bytes for `vehicle_id` -- the fast path
   /// for synthetic registries (serve-bench replicates one trained
   /// template across 10^5..10^6 vehicle ids without re-serializing each).
-  /// `compact_bytes` empty means no compact twin.
+  /// `compact_bytes` empty means no compact twin. Synchronous: errors
+  /// return here.
   Status AddPrebuilt(int64_t vehicle_id, std::string_view text_bytes,
                      std::string_view compact_bytes = {});
 
-  /// Completes the staged generation: meta, MANIFEST (size + CRC-32 of
-  /// every staged file), rename to the final gen_NNNNNN name. Readers are
+  /// Completes the staged generation: waits for the writers and returns
+  /// the first error of any queued Add (the generation is then left
+  /// staged, never renamed), then meta, MANIFEST (size + CRC-32 of every
+  /// staged file), rename to the final gen_NNNNNN name. Readers are
   /// unaffected; CURRENT does not move.
   Status Finalize(const RegistryMeta& meta);
 
@@ -444,8 +466,10 @@ class GenerationPublisher {
   uint64_t number() const { return number_; }
 
   /// Before Finalize: the hidden staging directory. After: the final
-  /// generation directory.
-  const std::string& staging_dir() const { return staging_dir_; }
+  /// generation directory. Waits for queued writes first, so every
+  /// bundle staged so far is on disk when the caller reads the directory
+  /// (a failed write is reported by Finalize, not here).
+  const std::string& staging_dir() const;
 
  private:
   friend class ModelRegistry;
@@ -456,6 +480,14 @@ class GenerationPublisher {
         number_(number),
         staging_dir_(std::move(staging_dir)) {}
 
+  /// Blocks until every queued write has finished; returns the first
+  /// writer error of this publisher's lifetime (OK if none).
+  Status DrainWriters() const;
+
+  /// The destructor's work: shut the writers down, then remove the
+  /// staging directory unless finalized. No-op when moved from.
+  void Release();
+
   std::string root_;
   uint64_t number_ = 0;
   std::string staging_dir_;
@@ -463,6 +495,10 @@ class GenerationPublisher {
   bool finalized_ = false;
   bool committed_ = false;
   bool moved_from_ = false;
+  /// Write-behind bundle writers, created at the first Add.
+  std::unique_ptr<ThreadPool> writers_;
+  /// Ids queued on writers_ since the last drain.
+  mutable std::unordered_set<int64_t> pending_ids_;
 };
 
 }  // namespace vup::serve

@@ -104,6 +104,29 @@ TEST_P(ForecasterPersistenceTest, SavedBytesMatchPrintfReference) {
   EXPECT_GE(doubles, 10u) << "too few doubles for a meaningful check";
 }
 
+TEST_P(ForecasterPersistenceTest, SnapshotSavesTheSameBytes) {
+  VehicleDataset ds = WeeklyDataset(220);
+  ForecasterConfig cfg;
+  cfg.algorithm = GetParam();
+  cfg.windowing.lookback_w = 14;
+  cfg.selection.top_k = 7;
+  cfg.gb.n_estimators = 30;
+  VehicleForecaster forecaster(cfg);
+  ASSERT_TRUE(forecaster.Train(ds, 20, 200).ok());
+  std::ostringstream text;
+  ASSERT_TRUE(forecaster.Save(text).ok());
+  const std::string compact = forecaster.SaveCompact().value();
+
+  StatusOr<VehicleForecaster> snapshot = forecaster.Snapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  // Retraining the source leaves the snapshot's bytes as they were.
+  ASSERT_TRUE(forecaster.Train(ds, 40, 210).ok());
+  std::ostringstream copied;
+  ASSERT_TRUE(snapshot.value().Save(copied).ok());
+  EXPECT_EQ(copied.str(), text.str());
+  EXPECT_EQ(snapshot.value().SaveCompact().value(), compact);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     MlAlgorithms, ForecasterPersistenceTest,
     ::testing::Values(Algorithm::kLinearRegression, Algorithm::kLasso,
@@ -116,6 +139,7 @@ TEST(ForecasterPersistenceTest, UntrainedRejected) {
   VehicleForecaster forecaster(ForecasterConfig{});
   std::ostringstream os;
   EXPECT_TRUE(forecaster.Save(os).IsFailedPrecondition());
+  EXPECT_TRUE(forecaster.Snapshot().status().IsFailedPrecondition());
 }
 
 TEST(ForecasterPersistenceTest, BaselineRejected) {
@@ -126,6 +150,7 @@ TEST(ForecasterPersistenceTest, BaselineRejected) {
   ASSERT_TRUE(forecaster.Train(ds, 0, 90).ok());
   std::ostringstream os;
   EXPECT_TRUE(forecaster.Save(os).IsUnimplemented());
+  EXPECT_TRUE(forecaster.Snapshot().status().IsUnimplemented());
 }
 
 TEST(ForecasterPersistenceTest, GarbageRejected) {

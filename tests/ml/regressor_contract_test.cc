@@ -110,6 +110,22 @@ TEST_P(RegressorContractTest, CloneIsIndependentAndUnfitted) {
   EXPECT_EQ(before, after);
 }
 
+TEST_P(RegressorContractTest, CloneFittedIsIndependentAndFitted) {
+  std::unique_ptr<Regressor> model = GetParam().make();
+  Matrix x;
+  std::vector<double> y;
+  MakeProblem(&x, &y, 50, 4);
+  ASSERT_TRUE(model->Fit(x, y).ok());
+  std::unique_ptr<Regressor> copy = model->CloneFitted();
+  EXPECT_TRUE(copy->fitted());
+  EXPECT_EQ(copy->name(), model->name());
+  const std::vector<double> before = model->Predict(x).value();
+  EXPECT_EQ(copy->Predict(x).value(), before);
+  // Refitting the original does not disturb the copy.
+  ASSERT_TRUE(model->Fit(x, std::vector<double>(y.size(), 0.0)).ok());
+  EXPECT_EQ(copy->Predict(x).value(), before);
+}
+
 TEST_P(RegressorContractTest, FitIsDeterministic) {
   Matrix x;
   std::vector<double> y;

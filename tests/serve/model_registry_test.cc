@@ -2,12 +2,17 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/forecaster.h"
+#include "serve/validator.h"
 
 namespace vup::serve {
 namespace {
@@ -584,6 +589,207 @@ TEST_F(ModelRegistryGenerationTest, OpenResolvesCurrentGeneration) {
   ModelRegistry reopened = OpenRegistry(4);
   EXPECT_EQ(reopened.active_generation(), 1u);
   EXPECT_EQ(reopened.ListVehicleIds(), (std::vector<int64_t>{1}));
+}
+
+// ---- Write-behind staging ------------------------------------------------
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+std::string SaveText(const VehicleForecaster& forecaster) {
+  std::ostringstream out;
+  EXPECT_TRUE(forecaster.Save(out).ok());
+  return out.str();
+}
+
+/// True when no `*.staging` directory is left under `root`.
+bool NoStagingLeft(const std::string& root) {
+  for (const auto& entry : std::filesystem::directory_iterator(root)) {
+    if (entry.path().extension() == ".staging") return false;
+  }
+  return true;
+}
+
+TEST_F(ModelRegistryGenerationTest, AddSnapshotsTheForecaster) {
+  ModelRegistry registry = OpenRegistry(4);
+  const VehicleDataset ds = MakeDataset(3);
+  auto forecaster =
+      std::make_unique<VehicleForecaster>(TrainForecaster(ds));
+  const std::string text = SaveText(*forecaster);
+  const std::string compact = forecaster->SaveCompact().value();
+
+  StatusOr<GenerationPublisher> pub = registry.NewGeneration();
+  ASSERT_TRUE(pub.ok());
+  pub.value().set_emit_compact(true);
+  ASSERT_TRUE(pub.value().Add(3, *forecaster).ok());
+  // Retrain on another span, then destroy: the staged bundle is the one
+  // trained when Add was called.
+  ASSERT_TRUE(forecaster->Train(ds, 40, 210).ok());
+  ASSERT_NE(SaveText(*forecaster), text);
+  forecaster.reset();
+  ASSERT_TRUE(pub.value().Commit(TestMeta()).ok());
+
+  const std::string gen = pub.value().staging_dir();
+  EXPECT_EQ(ReadFile(gen + "/" + ModelRegistry::BundleFileName(3)), text);
+  EXPECT_EQ(ReadFile(gen + "/" + ModelRegistry::CompactBundleFileName(3)),
+            compact);
+}
+
+TEST_F(ModelRegistryGenerationTest, LaterStagingOfAnIdWins) {
+  ModelRegistry registry = OpenRegistry(4);
+  const VehicleForecaster a = TrainForecaster(MakeDataset(1));
+  const VehicleForecaster b = TrainForecaster(MakeDataset(2));
+  StatusOr<GenerationPublisher> pub = registry.NewGeneration();
+  ASSERT_TRUE(pub.ok());
+  GenerationPublisher& publisher = pub.value();
+  auto staged = [&](int64_t id) {
+    return ReadFile(publisher.staging_dir() + "/" +
+                    ModelRegistry::BundleFileName(id));
+  };
+
+  // Add then Add: the last forecaster's bundle. Alternating a few times
+  // gives two queued writes of one id every chance to race.
+  for (int round = 0; round < 8; ++round) {
+    ASSERT_TRUE(publisher.Add(1, a).ok());
+    ASSERT_TRUE(publisher.Add(1, b).ok());
+  }
+  EXPECT_EQ(staged(1), SaveText(b));
+
+  // Add then AddPrebuilt: the prebuilt bytes, with the Add still queued.
+  ASSERT_TRUE(publisher.Add(2, a).ok());
+  ASSERT_TRUE(publisher.AddPrebuilt(2, "prebuilt bytes").ok());
+  EXPECT_EQ(staged(2), "prebuilt bytes");
+
+  // AddPrebuilt then Add: the forecaster's bundle.
+  ASSERT_TRUE(publisher.AddPrebuilt(3, "prebuilt bytes").ok());
+  ASSERT_TRUE(publisher.Add(3, b).ok());
+  EXPECT_EQ(staged(3), SaveText(b));
+}
+
+TEST_F(ModelRegistryGenerationTest, StagingDirWaitsForQueuedWrites) {
+  ModelRegistry registry = OpenRegistry(4);
+  const VehicleDataset ds = MakeDataset(4);
+  const VehicleForecaster forecaster = TrainForecaster(ds);
+  StatusOr<GenerationPublisher> pub = registry.NewGeneration();
+  ASSERT_TRUE(pub.ok());
+  constexpr int64_t kBundles = 24;
+  std::map<int64_t, const VehicleDataset*> probes;
+  for (int64_t id = 1; id <= kBundles; ++id) {
+    ASSERT_TRUE(pub.value().Add(id, forecaster).ok());
+    probes[id] = &ds;
+  }
+  StatusOr<ValidationReport> report =
+      ValidateGeneration(pub.value().staging_dir(), "", probes);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().models_checked, static_cast<size_t>(kBundles));
+  EXPECT_TRUE(report.value().ok()) << report.value().Summary();
+}
+
+TEST_F(ModelRegistryGenerationTest, WriterFailureFailsFinalize) {
+  ModelRegistry registry = OpenRegistry(4);
+  const VehicleForecaster forecaster = TrainForecaster(MakeDataset(5));
+  CommitGeneration(registry, 1, forecaster);
+  const std::string current = ReadFile(registry.directory() + "/CURRENT");
+  {
+    StatusOr<GenerationPublisher> pub = registry.NewGeneration();
+    ASSERT_TRUE(pub.ok());
+    // A directory squatting on the bundle's name makes the writer's open
+    // fail whatever the process's privileges.
+    ASSERT_TRUE(std::filesystem::create_directory(
+        pub.value().staging_dir() + "/" + ModelRegistry::BundleFileName(5)));
+    ASSERT_TRUE(pub.value().Add(5, forecaster).ok());  // Errors come later.
+    const Status finalized = pub.value().Finalize(TestMeta());
+    EXPECT_FALSE(finalized.ok());
+    EXPECT_NE(finalized.message().find("cannot open bundle for writing"),
+              std::string::npos)
+        << finalized.ToString();
+    // The error is sticky: the generation can never be finalized.
+    EXPECT_FALSE(pub.value().Commit(TestMeta()).ok());
+  }
+  for (const auto& entry :
+       std::filesystem::directory_iterator(registry.directory())) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("gen_", 0) == 0) {
+      EXPECT_EQ(name, "gen_000001");
+    }
+  }
+  EXPECT_EQ(ReadFile(registry.directory() + "/CURRENT"), current);
+  EXPECT_TRUE(NoStagingLeft(registry.directory()));
+}
+
+TEST_F(ModelRegistryGenerationTest, AbandonedPublisherWithQueuedWrites) {
+  ModelRegistry registry = OpenRegistry(4);
+  const VehicleForecaster forecaster = TrainForecaster(MakeDataset(6));
+  {
+    StatusOr<GenerationPublisher> pub = registry.NewGeneration();
+    ASSERT_TRUE(pub.ok());
+    pub.value().set_emit_compact(true);
+    for (int64_t id = 1; id <= 32; ++id) {
+      ASSERT_TRUE(pub.value().Add(id, forecaster).ok());
+    }
+    // Destroyed with writes still queued, without staging_dir().
+  }
+  EXPECT_TRUE(NoStagingLeft(registry.directory()));
+}
+
+// ---- Publisher moves -----------------------------------------------------
+
+TEST_F(ModelRegistryGenerationTest, MoveConstructionKeepsEmitCompact) {
+  ModelRegistry registry = OpenRegistry(4);
+  StatusOr<GenerationPublisher> pub = registry.NewGeneration();
+  ASSERT_TRUE(pub.ok());
+  pub.value().set_emit_compact(true);
+  const VehicleForecaster forecaster = TrainForecaster(MakeDataset(1));
+  ASSERT_TRUE(pub.value().Add(1, forecaster).ok());  // Queued, then moved.
+  GenerationPublisher moved(std::move(pub.value()));
+  ASSERT_TRUE(moved.Add(2, forecaster).ok());
+  ASSERT_TRUE(moved.Commit(TestMeta()).ok());
+  for (int64_t id : {1, 2}) {
+    EXPECT_TRUE(std::filesystem::exists(
+        moved.staging_dir() + "/" + ModelRegistry::BundleFileName(id)));
+    EXPECT_TRUE(std::filesystem::exists(
+        moved.staging_dir() + "/" +
+        ModelRegistry::CompactBundleFileName(id)))
+        << "vehicle " << id;
+  }
+}
+
+TEST_F(ModelRegistryGenerationTest, MoveAssignmentTakesEmitCompact) {
+  ModelRegistry registry = OpenRegistry(4);
+  StatusOr<GenerationPublisher> target = registry.NewGeneration();
+  StatusOr<GenerationPublisher> source = registry.NewGeneration();
+  ASSERT_TRUE(target.ok() && source.ok());
+  source.value().set_emit_compact(true);  // The target keeps the default.
+  target.value() = std::move(source.value());
+  const VehicleForecaster forecaster = TrainForecaster(MakeDataset(1));
+  ASSERT_TRUE(target.value().Add(1, forecaster).ok());
+  ASSERT_TRUE(target.value().Commit(TestMeta()).ok());
+  EXPECT_TRUE(std::filesystem::exists(target.value().staging_dir() + "/" +
+                                      ModelRegistry::CompactBundleFileName(1)));
+}
+
+TEST_F(ModelRegistryGenerationTest, MoveAssignmentReleasesTheTarget) {
+  ModelRegistry registry = OpenRegistry(4);
+  const VehicleForecaster forecaster = TrainForecaster(MakeDataset(1));
+  StatusOr<GenerationPublisher> target = registry.NewGeneration();
+  ASSERT_TRUE(target.ok());
+  ASSERT_TRUE(target.value().Add(7, forecaster).ok());
+  const std::string abandoned = target.value().staging_dir();
+  StatusOr<GenerationPublisher> source = registry.NewGeneration();
+  ASSERT_TRUE(source.ok());
+  const std::string kept = source.value().staging_dir();
+  target.value() = std::move(source.value());
+  // The target's unfinalized staging is gone, as its destructor would
+  // have left it; the source's is now the target's.
+  EXPECT_FALSE(std::filesystem::exists(abandoned));
+  EXPECT_EQ(target.value().staging_dir(), kept);
+  EXPECT_TRUE(std::filesystem::is_directory(kept));
+  ASSERT_TRUE(target.value().Add(8, forecaster).ok());
+  ASSERT_TRUE(target.value().Commit(TestMeta()).ok());
+  ASSERT_TRUE(registry.Reload().ok());
+  EXPECT_EQ(registry.ListVehicleIds(), (std::vector<int64_t>{8}));
 }
 
 }  // namespace
