@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "ml/lanes.h"
 #include "obs/metrics.h"
 
 namespace vup {
@@ -49,32 +50,48 @@ double KernelFunction(const KernelParams& params, std::span<const double> a,
 
 namespace {
 
-// GCC on x86-64 builds an AVX2 clone of the lane loop next to the baseline
-// one and picks it at load time. AVX2 does not imply FMA, so neither clone
-// contracts `sq += d * d` and both give KernelFunction's bits. Not under
-// ThreadSanitizer: its instrumented ifunc resolver runs before the TSan
-// runtime is up and crashes the program at load.
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
-    !defined(__SANITIZE_THREAD__)
-#define VUP_LANE_CLONES __attribute__((target_clones("avx2", "default")))
-#else
-#define VUP_LANE_CLONES
-#endif
+/// Rows per panel of the packed design: one lane per row.
+constexpr size_t kPanelRows = kLaneWidth;
 
-/// sq[j] += (x_ic - x_jc)^2 for j in [i, n), over c = 0..d-1 in order,
-/// where `xt` is x feature-major (xt[c * n + j] = x(j, c)). Each sq[j] is
-/// its own add chain in KernelFunction's order, so the lanes vectorize
-/// across j without reassociating any sum.
+/// sq[4q + l] = sum over c = 0..d-1, in order, of (xi[c] - x(4(b+q) + l,
+/// c))^2 for the `count` panels b, b+1, ... that start at `panels` (see
+/// KernelMatrix for the layout). A block of four panels -- 16 lanes --
+/// stays in registers across the whole c loop. Each lane is its own add
+/// chain in KernelFunction's order, so no sum is reassociated.
 VUP_LANE_CLONES
-void AccumulateSquaredDistances(const double* xt, size_t n, size_t d,
-                                size_t i, double* sq) {
-  for (size_t c = 0; c < d; ++c) {
-    const double* col = xt + c * n;
-    const double xic = col[i];
-    for (size_t j = i; j < n; ++j) {
-      const double diff = xic - col[j];
-      sq[j] += diff * diff;
+void PanelSquaredDistances(const double* xi, const double* panels, size_t d,
+                           size_t count, double* sq) {
+  const size_t stride = d * kPanelRows;  // Doubles per panel.
+  size_t q = 0;
+  for (; q + 4 <= count; q += 4) {
+    const double* p = panels + q * stride;
+    Lanes s0 = {}, s1 = {}, s2 = {}, s3 = {};
+    for (size_t c = 0; c < d; ++c) {
+      const double xic = xi[c];
+      const double* pc = p + c * kPanelRows;
+      const Lanes d0 = xic - LanesAt(pc);
+      const Lanes d1 = xic - LanesAt(pc + stride);
+      const Lanes d2 = xic - LanesAt(pc + 2 * stride);
+      const Lanes d3 = xic - LanesAt(pc + 3 * stride);
+      s0 += d0 * d0;
+      s1 += d1 * d1;
+      s2 += d2 * d2;
+      s3 += d3 * d3;
     }
+    double* out = sq + q * kPanelRows;
+    LanesAt(out) = s0;
+    LanesAt(out + kPanelRows) = s1;
+    LanesAt(out + 2 * kPanelRows) = s2;
+    LanesAt(out + 3 * kPanelRows) = s3;
+  }
+  for (; q < count; ++q) {
+    const double* p = panels + q * stride;
+    Lanes s = {};
+    for (size_t c = 0; c < d; ++c) {
+      const Lanes diff = xi[c] - LanesAt(p + c * kPanelRows);
+      s += diff * diff;
+    }
+    LanesAt(sq + q * kPanelRows) = s;
   }
 }
 
@@ -86,16 +103,26 @@ Matrix KernelMatrix(const KernelParams& params, const Matrix& x) {
   if (params.type == KernelType::kRbf && n > 0) {
     const size_t d = x.cols();
     const double g = params.EffectiveGamma(d);
-    std::vector<double> xt(n * d);
+    // x packed into panels of 4 rows, panel-major then feature-major:
+    // panels[(b * d + c) * 4 + l] = x(4b + l, c). Rows past n are zero.
+    const size_t num_panels = (n + kPanelRows - 1) / kPanelRows;
+    std::vector<double> panels(num_panels * d * kPanelRows, 0.0);
     for (size_t r = 0; r < n; ++r) {
-      for (size_t c = 0; c < d; ++c) xt[c * n + r] = x(r, c);
+      double* out = panels.data() + (r / kPanelRows) * d * kPanelRows +
+                    r % kPanelRows;
+      for (size_t c = 0; c < d; ++c) out[c * kPanelRows] = x(r, c);
     }
-    std::vector<double> sq(n);
+    std::vector<double> sq(num_panels * kPanelRows);
     for (size_t i = 0; i < n; ++i) {
-      std::fill(sq.begin() + i, sq.end(), 0.0);
-      AccumulateSquaredDistances(xt.data(), n, d, i, sq.data());
+      // Row i against the panels from its own onwards: sq[j - first]
+      // holds ||x_i - x_j||^2 for j >= first.
+      const size_t b = i / kPanelRows;
+      const size_t first = b * kPanelRows;
+      PanelSquaredDistances(x.Row(i).data(),
+                            panels.data() + b * d * kPanelRows, d,
+                            num_panels - b, sq.data());
       for (size_t j = i; j < n; ++j) {
-        const double v = std::exp(-g * sq[j]);
+        const double v = std::exp(-g * sq[j - first]);
         k(i, j) = v;
         k(j, i) = v;
       }

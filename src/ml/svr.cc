@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 
+#include "ml/lanes.h"
 #include "stats/descriptive.h"
 
 namespace vup {
@@ -51,6 +52,127 @@ void BestPairStep(double eta, double f_diff, double eps, double bi, double bj,
   }
 }
 
+/// The steepest "up" row and the smallest "down" cost of one scan.
+struct UpDownScan {
+  double m_up;
+  size_t i;  // Row of m_up; the row count when no row can move up.
+  double m_down;
+};
+
+/// The SMO scans run kStripes independent lane vectors per block of
+/// kBlock rows, so their loop-carried compare-and-select chains overlap.
+constexpr size_t kStripes = 2;
+constexpr size_t kBlock = kStripes * kLaneWidth;
+
+/// One pass over the padded rows [0, padded): first the previous step's
+/// gradient update f[t] += delta * (ri[t] - rj[t]) (skipped when `ri` is
+/// null), then the scan of the updated f. up(t) = f[t] + (beta[t] < -1e-12
+/// ? -eps : eps) for rows with beta[t] < upper; down(t) = -f[t] +
+/// (beta[t] > 1e-12 ? -eps : eps) for rows with beta[t] > -upper, written
+/// to `down` (+inf for rows that cannot move down) for the partner scan.
+/// Padded rows hold beta = NaN, which fails both box tests.
+///
+/// Row t runs in lane t % kBlock. Each lane keeps its first strict minimum
+/// of up; across lanes the smallest value wins and the lowest row breaks a
+/// tie. That is the row the sequential `<` scan picks -- the first row
+/// whose up compares equal to the minimum -- and it carries that row's
+/// bits.
+VUP_LANE_CLONES
+UpDownScan UpdateAndScan(size_t n, size_t padded, double delta,
+                         const double* ri, const double* rj,
+                         const double* beta, double upper, double eps,
+                         double* f, double* down) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const int64_t none = static_cast<int64_t>(n);
+  Lanes best_up[kStripes], best_down[kStripes];
+  LaneMask best_i[kStripes], row[kStripes];
+  for (size_t h = 0; h < kStripes; ++h) {
+    best_up[h] = Lanes{inf, inf, inf, inf};
+    best_down[h] = best_up[h];
+    best_i[h] = LaneMask{none, none, none, none};
+    const int64_t r0 = static_cast<int64_t>(h * kLaneWidth);
+    row[h] = LaneMask{r0, r0 + 1, r0 + 2, r0 + 3};
+  }
+  for (size_t t0 = 0; t0 < padded; t0 += kBlock) {
+    for (size_t h = 0; h < kStripes; ++h) {
+      const size_t t = t0 + h * kLaneWidth;
+      Lanes ft = LanesAt(f + t);
+      if (ri != nullptr) {
+        ft += delta * (LanesAt(ri + t) - LanesAt(rj + t));
+        LanesAt(f + t) = ft;
+      }
+      const Lanes bt = LanesAt(beta + t);
+      const Lanes up = ft + (bt < -1e-12 ? -eps : eps);
+      const LaneMask wins = (bt < upper) & (up < best_up[h]);
+      best_up[h] = wins ? up : best_up[h];
+      best_i[h] = wins ? row[h] : best_i[h];
+      Lanes dn = -ft + (bt > 1e-12 ? -eps : eps);
+      dn = bt > -upper ? dn : inf;
+      LanesAt(down + t) = dn;
+      best_down[h] = dn < best_down[h] ? dn : best_down[h];
+      row[h] += kBlock;
+    }
+  }
+  UpDownScan scan{inf, n, inf};
+  for (size_t h = 0; h < kStripes; ++h) {
+    for (size_t l = 0; l < kLaneWidth; ++l) {
+      const size_t i = static_cast<size_t>(best_i[h][l]);
+      const double up = best_up[h][l];
+      if (up < scan.m_up || (up == scan.m_up && i < scan.i)) {
+        scan.m_up = up;
+        scan.i = i;
+      }
+      scan.m_down = std::min(scan.m_down, best_down[h][l]);
+    }
+  }
+  return scan;
+}
+
+/// The partner row j maximizing gain = b^2 / a over rows with b = m_up +
+/// down[t] < 0, where a = max(diag_i + diag[t] - 2 ri[t], 1e-12); the row
+/// count when no row gains. Rows that cannot move down, the row i itself
+/// and padded rows carry down = +inf, so b < 0 fails for them. Ties go to
+/// the lowest row, as in the sequential `>` scan (see UpdateAndScan).
+VUP_LANE_CLONES
+size_t SelectPartner(size_t n, size_t padded, double m_up, double diag_i,
+                     const double* diag, const double* ri,
+                     const double* down) {
+  const int64_t none = static_cast<int64_t>(n);
+  Lanes best_gain[kStripes];
+  LaneMask best_j[kStripes], row[kStripes];
+  for (size_t h = 0; h < kStripes; ++h) {
+    best_gain[h] = Lanes{};
+    best_j[h] = LaneMask{none, none, none, none};
+    const int64_t r0 = static_cast<int64_t>(h * kLaneWidth);
+    row[h] = LaneMask{r0, r0 + 1, r0 + 2, r0 + 3};
+  }
+  for (size_t t0 = 0; t0 < padded; t0 += kBlock) {
+    for (size_t h = 0; h < kStripes; ++h) {
+      const size_t t = t0 + h * kLaneWidth;
+      const Lanes b = m_up + LanesAt(down + t);
+      Lanes a = diag_i + LanesAt(diag + t) - 2.0 * LanesAt(ri + t);
+      a = a < 1e-12 ? 1e-12 : a;
+      const Lanes gain = b * b / a;
+      const LaneMask wins = (b < 0.0) & (gain > best_gain[h]);
+      best_gain[h] = wins ? gain : best_gain[h];
+      best_j[h] = wins ? row[h] : best_j[h];
+      row[h] += kBlock;
+    }
+  }
+  double gain = 0.0;
+  size_t j = n;
+  for (size_t h = 0; h < kStripes; ++h) {
+    for (size_t l = 0; l < kLaneWidth; ++l) {
+      const size_t t = static_cast<size_t>(best_j[h][l]);
+      if (best_gain[h][l] > gain || (best_gain[h][l] == gain && t < j)) {
+        gain = best_gain[h][l];
+        j = t;
+      }
+    }
+  }
+  return j;
+}
+
 }  // namespace
 
 void Svr::WarmStart(std::vector<double> beta0, size_t kernel_cache_rows,
@@ -71,11 +193,19 @@ Status Svr::Fit(const Matrix& x, std::span<const double> y) {
   if (y.size() != x.rows()) {
     return Status::InvalidArgument("target size does not match design matrix");
   }
-  if (options_.c <= 0.0) {
-    return Status::InvalidArgument("C must be positive");
+  // Written so that NaN fails each test: a NaN tol would never stop the
+  // solver, and a NaN gamma would silently mean "auto".
+  if (!(std::isfinite(options_.c) && options_.c > 0.0)) {
+    return Status::InvalidArgument("C must be positive and finite");
   }
-  if (options_.epsilon < 0.0) {
-    return Status::InvalidArgument("epsilon must be non-negative");
+  if (!(std::isfinite(options_.epsilon) && options_.epsilon >= 0.0)) {
+    return Status::InvalidArgument("epsilon must be non-negative and finite");
+  }
+  if (!std::isfinite(options_.kernel.gamma)) {
+    return Status::InvalidArgument("gamma must be finite");
+  }
+  if (!(options_.tol >= 0.0)) {
+    return Status::InvalidArgument("tol must be non-negative");
   }
 
   const size_t n = x.rows();
@@ -112,7 +242,10 @@ Status Svr::Fit(const Matrix& x, std::span<const double> y) {
   // a warm one. Both give the same bits for K(i, j).
   std::optional<Matrix> gram;
   std::optional<KernelRowCache> cache;
-  std::vector<double> diag(n);
+  // The solver's vectors are padded to whole blocks of lanes: beta = NaN
+  // (no box test passes), f = diag = 0 and zero kernel-row tails.
+  const size_t padded = (n + kBlock - 1) / kBlock * kBlock;
+  std::vector<double> diag(padded, 0.0);
   if (fit_stats_.warm_started) {
     cache.emplace(kernel, x, warm.kernel_cache_rows);
     for (size_t i = 0; i < n; ++i) {
@@ -126,67 +259,51 @@ Status Svr::Fit(const Matrix& x, std::span<const double> y) {
 
   // f = K beta - y, the gradient of the smooth part; only nonzero
   // coefficients touch a kernel row.
-  std::vector<double> f(n);
+  std::vector<double> f(padded, 0.0);
   for (size_t i = 0; i < n; ++i) f[i] = -y[i];
   for (size_t k = 0; k < n; ++k) {
     if (beta[k] == 0.0) continue;
     std::span<const double> row_k = row(k);
     for (size_t i = 0; i < n; ++i) f[i] += beta[k] * row_k[i];
   }
+  beta.resize(padded, std::numeric_limits<double>::quiet_NaN());
+
+  // The pair's kernel rows K(i, .) and K(j, .), copied out of the Gram
+  // matrix or the cache into one padded buffer, and the last scan's down
+  // costs for the partner scan.
+  std::vector<double> pair_rows(2 * padded, 0.0);
+  double* const row_i = pair_rows.data();
+  double* const row_j = pair_rows.data() + padded;
+  std::vector<double> down(padded);
 
   // up/down are the one-sided derivatives of the dual for raising/lowering
   // one coefficient; moving the pair (i up, j down) improves the dual iff
   // up(i) + down(j) < 0. The maximal violation -(m_up + m_down) is the KKT
   // gap that libsvm stops on.
   const double upper = c * (1.0 - 1e-9);
-  const double lower = -upper;
-  auto up_cost = [&](size_t i) {
-    return f[i] + (beta[i] < -1e-12 ? -eps : eps);
-  };
-  auto down_cost = [&](size_t i) {
-    return -f[i] + (beta[i] > 1e-12 ? -eps : eps);
-  };
 
   // Second-order working-set selection (Fan, Chen & Lin, JMLR 2005): i is
   // the steepest "up" row, j the "down" row whose exact pair step gains
   // the most, b^2 / a with b = up(i) + down(j) and a the pair curvature.
+  // Each step's f update is fused with the next step's up/down scan.
   const size_t max_iterations = max_sweeps * n;
   size_t iterations = 0;
   double gap = 0.0;
+  UpDownScan scan = UpdateAndScan(n, padded, 0.0, nullptr, nullptr,
+                                  beta.data(), upper, eps, f.data(),
+                                  down.data());
   while (true) {
-    size_t i = n;
-    double m_up = std::numeric_limits<double>::infinity();
-    double m_down = std::numeric_limits<double>::infinity();
-    for (size_t t = 0; t < n; ++t) {
-      if (beta[t] < upper) {
-        const double up = up_cost(t);
-        if (up < m_up) {
-          m_up = up;
-          i = t;
-        }
-      }
-      if (beta[t] > lower) m_down = std::min(m_down, down_cost(t));
-    }
-    gap = std::max(0.0, -(m_up + m_down));
+    gap = std::max(0.0, -(scan.m_up + scan.m_down));
     if (gap <= options_.tol || iterations >= max_iterations) break;
 
-    std::span<const double> row_i = row(i);
-    size_t j = n;
-    double best_gain = 0.0;
-    for (size_t t = 0; t < n; ++t) {
-      if (t == i || !(beta[t] > lower)) continue;
-      const double b = m_up + down_cost(t);
-      if (b >= 0.0) continue;
-      const double a = std::max(diag[i] + diag[t] - 2.0 * row_i[t], 1e-12);
-      const double gain = b * b / a;
-      if (gain > best_gain) {
-        best_gain = gain;
-        j = t;
-      }
-    }
+    const size_t i = scan.i;
+    std::ranges::copy(row(i), row_i);
+    down[i] = std::numeric_limits<double>::infinity();  // j != i.
+    const size_t j = SelectPartner(n, padded, scan.m_up, diag[i],
+                                   diag.data(), row_i, down.data());
     if (j == n) break;
 
-    std::span<const double> row_j = row(j);
+    std::ranges::copy(row(j), row_j);
     const double eta = std::max(diag[i] + diag[j] - 2.0 * row_i[j], 1e-12);
     const double bi = beta[i];
     const double bj = beta[j];
@@ -201,21 +318,21 @@ Status Svr::Fit(const Matrix& x, std::span<const double> y) {
 
     beta[i] += delta;
     beta[j] -= delta;
-    for (size_t t = 0; t < n; ++t) f[t] += delta * (row_i[t] - row_j[t]);
     ++iterations;
+    scan = UpdateAndScan(n, padded, delta, row_i, row_j, beta.data(), upper,
+                         eps, f.data(), down.data());
   }
   fit_stats_.iterations = iterations;
   fit_stats_.sweeps = (iterations + n - 1) / n;
   fit_stats_.gap = gap;
   if (cache) fit_stats_.kernel_cache = cache->stats();
 
-  FinishFit(x, y, beta, f, kernel);
+  FinishFit(x, y, std::span(beta).first(n), std::span(f).first(n), kernel);
   return Status::OK();
 }
 
 void Svr::FinishFit(const Matrix& x, std::span<const double> y,
-                    const std::vector<double>& beta,
-                    const std::vector<double>& f,
+                    std::span<const double> beta, std::span<const double> f,
                     const KernelParams& kernel) {
   const size_t n = x.rows();
   const double c = options_.c;
@@ -260,7 +377,7 @@ void Svr::FinishFit(const Matrix& x, std::span<const double> y,
   beta_.clear();
   beta_.reserve(sv_rows.size());
   for (size_t i : sv_rows) beta_.push_back(beta[i]);
-  full_beta_ = beta;
+  full_beta_.assign(beta.begin(), beta.end());
 
   // Remember the resolved kernel (gamma fixed at fit time).
   options_.kernel = kernel;

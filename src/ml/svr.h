@@ -32,6 +32,8 @@ namespace vup {
 /// see KernelParams: gamma <= 0 resolves to 1/num_features at fit time.
 class Svr : public Regressor {
  public:
+  /// Fit rejects a non-finite or non-positive c, a non-finite or negative
+  /// epsilon, a non-finite kernel.gamma and a NaN or negative tol.
   struct Options {
     double c = 10.0;
     double epsilon = 0.1;
@@ -138,8 +140,8 @@ class Svr : public Regressor {
   /// Fit tail: bias from free-SV KKT conditions, support-vector
   /// compaction, dual objective, resolved-kernel capture.
   void FinishFit(const Matrix& x, std::span<const double> y,
-                 const std::vector<double>& beta,
-                 const std::vector<double>& f, const KernelParams& kernel);
+                 std::span<const double> beta, std::span<const double> f,
+                 const KernelParams& kernel);
 
   Options options_;
   bool fitted_ = false;

@@ -1,8 +1,11 @@
 #include "ml/svr.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +14,7 @@
 #include "core/forecaster.h"
 #include "core/windowing.h"
 #include "ml/metrics.h"
+#include "stats/descriptive.h"
 #include "telemetry/fleet.h"
 
 namespace vup {
@@ -73,9 +77,10 @@ TEST(KernelTest, MatrixIsSymmetricWithUnitDiagonal) {
 }
 
 TEST(KernelTest, MatrixIsBitwiseKernelFunction) {
-  // KernelMatrix computes RBF entries lane-parallel over a feature-major
-  // copy; every entry must still carry KernelFunction's exact bits. The
-  // sizes cover a lone row, odd tails around the vector width and the
+  // KernelMatrix computes RBF entries lane-parallel over 4-row panels of
+  // x, four panels at a time; every entry must still carry
+  // KernelFunction's exact bits. The sizes cover a lone row, each panel
+  // remainder, the edges of the four-panel block (n = 15, 16, 17) and the
   // walk-forward design (n = 140, d = 89).
   KernelParams rbf_auto;
   KernelParams rbf;
@@ -88,7 +93,7 @@ TEST(KernelTest, MatrixIsBitwiseKernelFunction) {
   poly.coef0 = 1.0;
   poly.degree = 3;
   Rng rng(17);
-  for (size_t n : {1, 2, 3, 5, 7, 33, 140}) {
+  for (size_t n : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 140}) {
     for (size_t d : {1, 3, 89}) {
       Matrix x(n, d);
       for (size_t r = 0; r < n; ++r) {
@@ -185,6 +190,279 @@ TEST(SvrTest, ColdAndWarmFitsConvergeOnBenchFleetWindow) {
   EXPECT_LE(RecomputedGap(warm, x.value(), y), tol);
 }
 
+/// The scalar SMO solver that Svr::Fit's lane-parallel scans replaced,
+/// kept as the reference they must match bit for bit: the same sanitized
+/// start, the same second-order working-set loop with sequential `<` / `>`
+/// argmin and argmax scans, and the same bias rule. Kernel rows are
+/// KernelFunction evaluations.
+struct ScalarFit {
+  std::vector<double> beta;
+  double bias = 0.0;
+  size_t iterations = 0;
+  double gap = 0.0;
+};
+
+double ScalarPairObjectiveDelta(double delta, double eta, double f_diff,
+                                double eps, double bi, double bj) {
+  return 0.5 * eta * delta * delta + f_diff * delta +
+         eps * (std::abs(bi + delta) - std::abs(bi)) +
+         eps * (std::abs(bj - delta) - std::abs(bj));
+}
+
+void ScalarBestPairStep(double eta, double f_diff, double eps, double bi,
+                        double bj, double lo, double hi, double* best_delta,
+                        double* best_obj) {
+  double candidates[8];
+  int num_candidates = 0;
+  for (double sa : {-1.0, 1.0}) {
+    for (double sb : {-1.0, 1.0}) {
+      candidates[num_candidates++] = -(f_diff + eps * (sa - sb)) / eta;
+    }
+  }
+  candidates[num_candidates++] = -bi;
+  candidates[num_candidates++] = bj;
+  candidates[num_candidates++] = lo;
+  candidates[num_candidates++] = hi;
+  *best_delta = 0.0;
+  *best_obj = 0.0;
+  for (int ci = 0; ci < num_candidates; ++ci) {
+    double delta = std::clamp(candidates[ci], lo, hi);
+    double obj = ScalarPairObjectiveDelta(delta, eta, f_diff, eps, bi, bj);
+    if (obj < *best_obj) {
+      *best_obj = obj;
+      *best_delta = delta;
+    }
+  }
+}
+
+/// `beta0` empty means a cold fit from beta = 0.
+ScalarFit ScalarReferenceFit(const Svr::Options& options, const Matrix& x,
+                             std::span<const double> y,
+                             std::vector<double> beta0) {
+  const size_t n = x.rows();
+  const double c = options.c;
+  const double eps = options.epsilon;
+  KernelParams kernel = options.kernel;
+  if (kernel.gamma <= 0.0) kernel.gamma = kernel.EffectiveGamma(x.cols());
+  Matrix k(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      k(i, j) = KernelFunction(kernel, x.Row(i), x.Row(j));
+    }
+  }
+
+  std::vector<double> beta(n, 0.0);
+  if (!beta0.empty()) {
+    beta = std::move(beta0);
+    double imbalance = 0.0;
+    for (double& b : beta) {
+      b = std::clamp(b, -c, c);
+      imbalance += b;
+    }
+    for (size_t i = n; i-- > 0 && imbalance != 0.0;) {
+      double take = std::clamp(imbalance, beta[i] - c, beta[i] + c);
+      beta[i] -= take;
+      imbalance -= take;
+    }
+  }
+  std::vector<double> f(n);
+  for (size_t i = 0; i < n; ++i) f[i] = -y[i];
+  for (size_t r = 0; r < n; ++r) {
+    if (beta[r] == 0.0) continue;
+    for (size_t i = 0; i < n; ++i) f[i] += beta[r] * k(r, i);
+  }
+
+  const double upper = c * (1.0 - 1e-9);
+  const double lower = -upper;
+  auto up_cost = [&](size_t i) {
+    return f[i] + (beta[i] < -1e-12 ? -eps : eps);
+  };
+  auto down_cost = [&](size_t i) {
+    return -f[i] + (beta[i] > 1e-12 ? -eps : eps);
+  };
+  const size_t max_iterations = options.max_sweeps * n;
+  ScalarFit fit;
+  while (true) {
+    size_t i = n;
+    double m_up = std::numeric_limits<double>::infinity();
+    double m_down = std::numeric_limits<double>::infinity();
+    for (size_t t = 0; t < n; ++t) {
+      if (beta[t] < upper) {
+        const double up = up_cost(t);
+        if (up < m_up) {
+          m_up = up;
+          i = t;
+        }
+      }
+      if (beta[t] > lower) m_down = std::min(m_down, down_cost(t));
+    }
+    fit.gap = std::max(0.0, -(m_up + m_down));
+    if (fit.gap <= options.tol || fit.iterations >= max_iterations) break;
+
+    size_t j = n;
+    double best_gain = 0.0;
+    for (size_t t = 0; t < n; ++t) {
+      if (t == i || !(beta[t] > lower)) continue;
+      const double b = m_up + down_cost(t);
+      if (b >= 0.0) continue;
+      const double a = std::max(k(i, i) + k(t, t) - 2.0 * k(i, t), 1e-12);
+      const double gain = b * b / a;
+      if (gain > best_gain) {
+        best_gain = gain;
+        j = t;
+      }
+    }
+    if (j == n) break;
+
+    const double eta = std::max(k(i, i) + k(j, j) - 2.0 * k(i, j), 1e-12);
+    const double bi = beta[i];
+    const double bj = beta[j];
+    const double lo = std::max(-c - bi, bj - c);
+    const double hi = std::min(c - bi, bj + c);
+    double delta = 0.0;
+    double obj = 0.0;
+    ScalarBestPairStep(eta, f[i] - f[j], eps, bi, bj, lo, hi, &delta, &obj);
+    if (delta == 0.0) break;
+    beta[i] += delta;
+    beta[j] -= delta;
+    for (size_t t = 0; t < n; ++t) f[t] += delta * (k(i, t) - k(j, t));
+    ++fit.iterations;
+  }
+
+  std::vector<double> bias_estimates;
+  for (size_t i = 0; i < n; ++i) {
+    if (beta[i] > 1e-12 && beta[i] < upper) {
+      bias_estimates.push_back(-f[i] - eps);
+    } else if (beta[i] < -1e-12 && beta[i] > -upper) {
+      bias_estimates.push_back(-f[i] + eps);
+    }
+  }
+  if (!bias_estimates.empty()) {
+    fit.bias = Mean(bias_estimates);
+  } else {
+    double sum = 0.0;
+    for (size_t i = 0; i < n; ++i) sum += -f[i];
+    fit.bias = sum / static_cast<double>(n);
+  }
+  fit.beta = std::move(beta);
+  return fit;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Fits `x, y` cold, then warm from a rotated copy of the cold solution
+/// through a 2-row and an n-row kernel cache, and checks each fit against
+/// the scalar reference bit for bit.
+void ExpectMatchesScalarReference(const Svr::Options& options,
+                                  const Matrix& x,
+                                  const std::vector<double>& y,
+                                  const std::string& label,
+                                  bool expect_steps = true) {
+  const size_t n = x.rows();
+  Svr cold(options);
+  ASSERT_TRUE(cold.Fit(x, y).ok()) << label;
+  const ScalarFit cold_ref = ScalarReferenceFit(options, x, y, {});
+  if (expect_steps) {
+    EXPECT_GT(cold_ref.iterations, 0u) << label;
+  } else {
+    EXPECT_EQ(cold_ref.iterations, 0u) << label;
+  }
+
+  std::vector<double> beta0(n);
+  for (size_t i = 0; i < n; ++i) {
+    beta0[i] = cold.last_full_beta()[(i + 1) % n];
+  }
+  struct Run {
+    std::string name;
+    size_t cache_rows;  // 0 = cold.
+  };
+  for (const Run& run : {Run{"cold", 0}, Run{"warm/2", 2}, Run{"warm/n", n}}) {
+    const std::string where = label + " " + run.name;
+    Svr svr(options);
+    const std::vector<double> start = run.cache_rows > 0
+                                          ? beta0
+                                          : std::vector<double>();
+    if (run.cache_rows > 0) svr.WarmStart(start, run.cache_rows);
+    ASSERT_TRUE(svr.Fit(x, y).ok()) << where;
+    EXPECT_EQ(svr.last_fit_stats().warm_started, run.cache_rows > 0)
+        << where;
+    const ScalarFit ref = run.cache_rows > 0
+                              ? ScalarReferenceFit(options, x, y, start)
+                              : cold_ref;
+    EXPECT_EQ(svr.last_fit_stats().iterations, ref.iterations) << where;
+    EXPECT_TRUE(SameBits(svr.last_fit_stats().gap, ref.gap))
+        << where << " gap " << svr.last_fit_stats().gap << " vs " << ref.gap;
+    EXPECT_TRUE(SameBits(svr.bias(), ref.bias))
+        << where << " bias " << svr.bias() << " vs " << ref.bias;
+    const std::vector<double>& beta = svr.last_full_beta();
+    ASSERT_EQ(beta.size(), n) << where;
+    EXPECT_EQ(std::memcmp(beta.data(), ref.beta.data(), n * sizeof(double)),
+              0)
+        << where;
+  }
+}
+
+TEST(SvrTest, SolverIsBitwiseScalarReference) {
+  // Sizes around the solver's lane blocks and the walk-forward TW.
+  Rng rng(29);
+  for (size_t n : {1, 2, 3, 4, 5, 7, 8, 9, 33, 140}) {
+    const size_t d = n == 140 ? 89 : 3;
+    Matrix x(n, d);
+    std::vector<double> y(n);
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t c = 0; c < d; ++c) x(r, c) = rng.Normal();
+      y[r] = 3.0 * rng.Normal();
+    }
+    Svr::Options options;
+    ExpectMatchesScalarReference(options, x, y, "n=" + std::to_string(n),
+                                 /*expect_steps=*/n > 1);
+    // A small C pins coefficients at the box bounds.
+    options.c = 0.3;
+    ExpectMatchesScalarReference(options, x, y,
+                                 "C=0.3 n=" + std::to_string(n),
+                                 /*expect_steps=*/n > 1);
+  }
+
+  // Rows that repeat with a period, targets too: equal up costs and equal
+  // pair gains, so both scans must break ties towards the lowest row --
+  // between rows in one lane and rows in different lanes alike.
+  for (size_t period : {4, 11}) {
+    const size_t n = period == 4 ? 24 : 22;
+    Matrix x(n, 2);
+    std::vector<double> y(n);
+    for (size_t r = 0; r < n; ++r) {
+      const size_t base = r % period;
+      x(r, 0) = static_cast<double>(base % 4);
+      x(r, 1) = static_cast<double>(base % 3);
+      y[r] = static_cast<double>(base % 5) - 2.0;
+    }
+    const std::string label = "period " + std::to_string(period);
+    Svr::Options options;
+    options.kernel.gamma = 0.5;
+    ExpectMatchesScalarReference(options, x, y, label);
+    options.c = 0.25;
+    ExpectMatchesScalarReference(options, x, y, label + " C=0.25");
+  }
+
+  // Every target inside the epsilon tube of the others: the gap is zero at
+  // beta = 0, so the fit takes no step.
+  {
+    Matrix x(9, 2);
+    std::vector<double> y(9);
+    for (size_t r = 0; r < 9; ++r) {
+      x(r, 0) = rng.Normal();
+      x(r, 1) = rng.Normal();
+      y[r] = 4.0 + 0.01 * rng.Normal();
+    }
+    Svr::Options options;
+    options.epsilon = 0.2;
+    ExpectMatchesScalarReference(options, x, y, "inside tube",
+                                 /*expect_steps=*/false);
+  }
+}
+
 TEST(SvrTest, FitsConstantFunction) {
   Matrix x = Matrix::FromRows({{0}, {1}, {2}, {3}});
   std::vector<double> y = {5, 5, 5, 5};
@@ -277,6 +555,25 @@ TEST(SvrTest, ErrorHandling) {
   bad_eps.epsilon = -0.1;
   EXPECT_TRUE(
       Svr(bad_eps).Fit(x, std::vector<double>{1, 2}).IsInvalidArgument());
+  // NaN passes a plain `c <= 0` or `tol < 0` test, and a NaN or negative
+  // tol would run every fit to the step cap.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<Svr::Options> bad;
+  for (double v : {nan, inf}) {
+    bad.emplace_back().c = v;
+    bad.emplace_back().epsilon = v;
+    bad.emplace_back().kernel.gamma = v;
+  }
+  bad.emplace_back().kernel.gamma = -inf;
+  bad.emplace_back().tol = nan;
+  bad.emplace_back().tol = -1e-3;
+  for (const Svr::Options& options : bad) {
+    EXPECT_TRUE(
+        Svr(options).Fit(x, std::vector<double>{1, 2}).IsInvalidArgument())
+        << "c=" << options.c << " epsilon=" << options.epsilon
+        << " gamma=" << options.kernel.gamma << " tol=" << options.tol;
+  }
   EXPECT_TRUE(
       svr.PredictOne(std::vector<double>{1}).status().IsFailedPrecondition());
   ASSERT_TRUE(svr.Fit(x, std::vector<double>{1, 2}).ok());
