@@ -60,7 +60,7 @@ ctest --preset sanitize -j"${JOBS}" -R \
 ctest --preset sanitize -j"${JOBS}" -R \
   'serve_manifest_test|serve_validator_test|serve_scrubber_test|serve_registry_reload_breaker_test|integration_publish_chaos_test'
 
-# Compact-bundle decoder fuzz under the sanitizers: the vupc v1 decoder
+# Compact-bundle decoder fuzz under the sanitizers: the vupc v2 decoder
 # walks attacker-controlled mmap bytes (counts, offsets, tree child
 # indices), so every truncation, bit flip and seeded mutation in the
 # suite must fail as a clean Status here -- an OOB read, misaligned f64

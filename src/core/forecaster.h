@@ -197,18 +197,19 @@ class VehicleForecaster {
 
   /// Persists the trained pipeline (config, selected columns, scaler,
   /// model) as text, so a model trained centrally can be applied at the
-  /// edge without retraining. FailedPrecondition before Train;
-  /// Unimplemented for baseline algorithms (they carry no state).
+  /// edge without retraining (`vupred train --save`, `predict --model`).
+  /// Registries publish SaveCompact bundles instead. FailedPrecondition
+  /// before Train; Unimplemented for baseline algorithms (they carry no
+  /// state).
   Status Save(std::ostream& os) const;
 
   /// Restores a pipeline written by Save.
   static StatusOr<VehicleForecaster> Load(std::istream& is);
 
   /// Persists the trained pipeline as a compact binary bundle
-  /// (ml/compact.h): fixed layout, CRC-framed, mmap-able. Same
-  /// preconditions as Save. Prediction parity vs the text bundle is
-  /// bitwise for LR and tolerance-bounded for Lasso/SVR/GB (DESIGN.md
-  /// section 15).
+  /// (ml/compact.h): fixed layout, CRC-framed, mmap-able -- the format
+  /// registries publish and serve. Same preconditions as Save. The loaded
+  /// pipeline predicts bitwise what this one does (DESIGN.md section 15).
   StatusOr<std::string> SaveCompact() const;
 
   /// Restores a pipeline written by SaveCompact. The forecaster scores in

@@ -37,42 +37,32 @@ constexpr uint8_t kKnownFlags =
 // the text loader's cap for the same fields.
 constexpr uint32_t kMaxStructural = 1u << 16;
 constexpr uint32_t kMaxCompactFeatures = 1u << 20;
-constexpr uint64_t kMaxSvCells = 1ull << 26;  // num_sv * num_features.
+constexpr uint64_t kMaxSvCells = 1ull << 23;  // num_sv * num_features.
 constexpr uint32_t kMaxTrees = 1u << 16;
 constexpr uint32_t kMaxNodesPerTree = 0xFFFF;  // Indices must fit u16.
 constexpr uint16_t kLeafFeature = 0xFFFF;
-constexpr size_t kGbNodeBytes = 14;  // u16 x3 + f32 x2, packed.
+constexpr size_t kGbNodeBytes = 22;  // u16 x3 + f64 x2, packed.
+
+// Values are written as, and payload arrays read in place as, their
+// native bytes.
+static_assert(std::endian::native == std::endian::little,
+              "compact bundles are little-endian and scored in place");
 
 constexpr size_t kFixedHeaderBytes = 32;
 constexpr size_t kMinBundleBytes = kFixedHeaderBytes + 4;  // + CRC.
 
-// ---- little-endian put/get; byte assembly only, so unaligned and
-// ---- strict-aliasing safe on any host.
+// ---- put: native (little-endian) bytes appended; get: byte assembly,
+// ---- so unaligned and strict-aliasing safe.
 
-void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
+template <typename T>
+void PutArray(std::string* out, std::span<const T> values) {
+  out->append(reinterpret_cast<const char*>(values.data()),
+              values.size_bytes());
 }
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutF32(std::string* out, float v) {
-  PutU32(out, std::bit_cast<uint32_t>(v));
-}
-
-void PutF64(std::string* out, double v) {
-  PutU64(out, std::bit_cast<uint64_t>(v));
-}
+void PutU16(std::string* out, uint16_t v) { PutArray<uint16_t>(out, {&v, 1}); }
+void PutU32(std::string* out, uint32_t v) { PutArray<uint32_t>(out, {&v, 1}); }
+void PutF64(std::string* out, double v) { PutArray<double>(out, {&v, 1}); }
 
 uint16_t GetU16(const uint8_t* p) {
   return static_cast<uint16_t>(p[0] | (uint16_t{p[1]} << 8));
@@ -86,8 +76,6 @@ uint32_t GetU32(const uint8_t* p) {
 uint64_t GetU64(const uint8_t* p) {
   return GetU32(p) | (uint64_t{GetU32(p + 4)} << 32);
 }
-
-float GetF32(const uint8_t* p) { return std::bit_cast<float>(GetU32(p)); }
 
 double GetF64(const uint8_t* p) { return std::bit_cast<double>(GetU64(p)); }
 
@@ -123,6 +111,18 @@ struct Cursor {
     *v = GetF64(q);
     return true;
   }
+  // `count` doubles read in place. The layout keeps every such array at
+  // an 8-byte offset and the decoder aligns the buffer, so the pointer is
+  // aligned.
+  bool F64s(size_t count, const double** v) {
+    const uint8_t* q;
+    if (count > static_cast<size_t>(end - p) / 8 || !Take(8 * count, &q)) {
+      return false;
+    }
+    VUP_DCHECK((q - base) % 8 == 0);
+    *v = reinterpret_cast<const double*>(q);
+    return true;
+  }
 };
 
 Status Truncated(const char* what) {
@@ -130,9 +130,10 @@ Status Truncated(const char* what) {
       "compact bundle truncated or corrupt inside %s", what));
 }
 
-// In-place scoring model over a decoded bundle's payload bytes. Replicates
-// each algorithm's PredictOne arithmetic exactly (see the parity notes per
-// branch); keeps `owner` alive so mapped bytes outlive the model.
+// In-place scoring model over a decoded bundle's payload bytes. Runs each
+// algorithm's PredictOne arithmetic over the same f64 values, so its
+// predictions are bitwise the trained model's; keeps `owner` alive so
+// mapped bytes outlive the model.
 class CompactModel final : public Regressor {
  public:
   struct TreeRef {
@@ -151,36 +152,21 @@ class CompactModel final : public Regressor {
       return Status::InvalidArgument("feature count differs from training");
     }
     switch (alg_) {
-      case kAlgLr: {
-        // Bitwise contract with LinearRegression::PredictOne: same f64
-        // coefficients, and on the (guaranteed-by-format) aligned path
-        // the very same Dot() the text model calls.
-        if (coef_aligned_) {
-          std::span<const double> coef(
-              reinterpret_cast<const double*>(coef_), nf_);
-          return intercept_ + Dot(features, coef);
-        }
-        double sum = 0.0;
-        for (size_t i = 0; i < nf_; ++i) {
-          sum += features[i] * GetF64(coef_ + 8 * i);
-        }
-        return intercept_ + sum;
-      }
-      case kAlgLasso: {
-        double sum = 0.0;
-        for (size_t i = 0; i < nf_; ++i) {
-          sum += features[i] * static_cast<double>(GetF32(coef_ + 4 * i));
-        }
-        return intercept_ + sum;
-      }
+      case kAlgLr:
+      case kAlgLasso:
+        // LinearRegression::PredictOne and Lasso::PredictOne.
+        return intercept_ + Dot(features, {coef_, nf_});
       case kAlgSvr: {
+        // Svr::PredictOne.
         double sum = bias_;
         for (size_t s = 0; s < num_sv_; ++s) {
-          sum += GetF64(beta_ + 8 * s) * Kernel(sv_ + 4 * nf_ * s, features);
+          sum += beta_[s] * KernelFunction(kernel_, {sv_ + nf_ * s, nf_},
+                                           features);
         }
         return sum;
       }
       case kAlgGb: {
+        // GradientBoosting::PredictOne over RegressionTree::LeafIndex.
         double sum = init_;
         for (const TreeRef& tree : trees_) {
           uint32_t idx = 0;
@@ -188,14 +174,13 @@ class CompactModel final : public Regressor {
             const uint8_t* n = tree.nodes + kGbNodeBytes * idx;
             const uint16_t feature = GetU16(n);
             if (feature == kLeafFeature) {
-              sum += learning_rate_ * static_cast<double>(GetF32(n + 10));
+              sum += learning_rate_ * GetF64(n + 14);
               break;
             }
             // Decode validated left/right > idx and < count, so this
             // walk strictly advances and terminates.
-            idx = features[feature] <= static_cast<double>(GetF32(n + 6))
-                      ? GetU16(n + 2)
-                      : GetU16(n + 4);
+            idx = features[feature] <= GetF64(n + 6) ? GetU16(n + 2)
+                                                     : GetU16(n + 4);
           }
         }
         return sum;
@@ -232,51 +217,18 @@ class CompactModel final : public Regressor {
   std::shared_ptr<const void> owner_;
   uint8_t alg_ = 0;
   size_t nf_ = 0;
-  bool coef_aligned_ = false;
   double intercept_ = 0.0;
-  const uint8_t* coef_ = nullptr;  // LR: f64[nf]; Lasso: f32[nf].
+  const double* coef_ = nullptr;  // LR/Lasso: [nf].
   // SVR.
-  KernelType kernel_type_ = KernelType::kRbf;
-  int degree_ = 3;
-  double gamma_ = 0.0;
-  double coef0_ = 0.0;
+  KernelParams kernel_;  // Gamma resolved.
   double bias_ = 0.0;
   size_t num_sv_ = 0;
-  const uint8_t* beta_ = nullptr;  // f64[num_sv].
-  const uint8_t* sv_ = nullptr;    // f32[num_sv * nf], row-major.
+  const double* beta_ = nullptr;  // [num_sv].
+  const double* sv_ = nullptr;    // [num_sv * nf], row-major.
   // GB.
   double init_ = 0.0;
   double learning_rate_ = 0.0;
   std::vector<TreeRef> trees_;
-
- private:
-  // KernelFunction(params, support_row, features) with the support row
-  // read as float32 from the bundle; same operation order per family.
-  double Kernel(const uint8_t* sv_row, std::span<const double> b) const {
-    switch (kernel_type_) {
-      case KernelType::kRbf: {
-        double sq = 0.0;
-        for (size_t i = 0; i < nf_; ++i) {
-          const double d = static_cast<double>(GetF32(sv_row + 4 * i)) - b[i];
-          sq += d * d;
-        }
-        return std::exp(-gamma_ * sq);
-      }
-      case KernelType::kLinear:
-        return RowDot(sv_row, b);
-      case KernelType::kPolynomial:
-        return std::pow(gamma_ * RowDot(sv_row, b) + coef0_, degree_);
-    }
-    return 0.0;
-  }
-
-  double RowDot(const uint8_t* sv_row, std::span<const double> b) const {
-    double sum = 0.0;
-    for (size_t i = 0; i < nf_; ++i) {
-      sum += static_cast<double>(GetF32(sv_row + 4 * i)) * b[i];
-    }
-    return sum;
-  }
 };
 
 void PadTo8(std::string* out) {
@@ -351,7 +303,7 @@ StatusOr<std::string> EncodeCompactPipeline(
   out.reserve(kFixedHeaderBytes +
               4 * (header.selected_lags.size() +
                    header.selected_columns.size()) +
-              (header.standardize ? 16 * nf : 0) + 16 * nf + 64);
+              (header.standardize ? 16 * nf : 0) + 8 * nf + 64);
   out.append("VUPC", 4);
   PutU16(&out, kCompactVersion);
   out.push_back(static_cast<char>(alg));
@@ -362,22 +314,20 @@ StatusOr<std::string> EncodeCompactPipeline(
   PutU32(&out, static_cast<uint32_t>(nf));
   PutU32(&out, static_cast<uint32_t>(header.selected_lags.size()));
   PutU32(&out, static_cast<uint32_t>(header.selected_columns.size()));
-  for (uint32_t lag : header.selected_lags) PutU32(&out, lag);
-  for (uint32_t col : header.selected_columns) PutU32(&out, col);
+  PutArray<uint32_t>(&out, header.selected_lags);
+  PutArray<uint32_t>(&out, header.selected_columns);
   if (header.standardize) {
-    for (double m : scaler->means()) PutF64(&out, m);
-    for (double s : scaler->scales()) PutF64(&out, s);
+    PutArray<double>(&out, scaler->means());
+    PutArray<double>(&out, scaler->scales());
   }
   PadTo8(&out);
 
   if (lr != nullptr) {
     PutF64(&out, lr->intercept());
-    for (double c : lr->coefficients()) PutF64(&out, c);
+    PutArray<double>(&out, lr->coefficients());
   } else if (lasso != nullptr) {
     PutF64(&out, lasso->intercept());
-    for (double c : lasso->coefficients()) {
-      PutF32(&out, static_cast<float>(c));
-    }
+    PutArray<double>(&out, lasso->coefficients());
   } else if (svr != nullptr) {
     const Matrix& support = svr->support_vectors();
     const std::vector<double>& beta = svr->dual_coefficients();
@@ -390,20 +340,16 @@ StatusOr<std::string> EncodeCompactPipeline(
           "SVR support-vector matrix too large for compact format");
     }
     const KernelParams& kernel = svr->options().kernel;
-    out.push_back(static_cast<char>(static_cast<int>(kernel.type)));
-    PutU32(&out, static_cast<uint32_t>(kernel.degree));
     // Resolved (positive) gamma: decode must not re-derive "auto".
     PutF64(&out, kernel.EffectiveGamma(nf));
     PutF64(&out, kernel.coef0);
     PutF64(&out, svr->bias());
+    PutU32(&out, static_cast<uint32_t>(kernel.type));
+    PutU32(&out, static_cast<uint32_t>(kernel.degree));
     PutU32(&out, static_cast<uint32_t>(support.rows()));
-    for (double b : beta) PutF64(&out, b);
-    for (size_t r = 0; r < support.rows(); ++r) {
-      std::span<const double> row = support.Row(r);
-      for (size_t c = 0; c < nf; ++c) {
-        PutF32(&out, static_cast<float>(row[c]));
-      }
-    }
+    PutU32(&out, 0);  // Keeps beta and sv 8-byte aligned.
+    PutArray<double>(&out, beta);
+    PutArray<double>(&out, support.data());  // Row-major, rows x nf.
   } else {
     if (nf >= kLeafFeature) {
       return Status::Unimplemented(
@@ -444,8 +390,8 @@ StatusOr<std::string> EncodeCompactPipeline(
           PutU16(&out, static_cast<uint16_t>(n.left));
           PutU16(&out, static_cast<uint16_t>(n.right));
         }
-        PutF32(&out, static_cast<float>(n.threshold));
-        PutF32(&out, static_cast<float>(n.value));
+        PutF64(&out, n.threshold);
+        PutF64(&out, n.value);
       }
     }
   }
@@ -469,6 +415,11 @@ StatusOr<DecodedCompactPipeline> DecodeCompactPipeline(
     return Status::InvalidArgument("not a compact model bundle (bad magic)");
   }
   const uint16_t version = GetU16(bytes.data() + 4);
+  if (version == 1) {
+    return Status::Unimplemented(
+        "compact bundle version 1 (float32 payloads) is no longer served; "
+        "re-publish the generation");
+  }
   if (version != kCompactVersion) {
     return Status::Unimplemented(
         StrFormat("compact bundle version %u not supported (decoder "
@@ -484,6 +435,17 @@ StatusOr<DecodedCompactPipeline> DecodeCompactPipeline(
         StrFormat("compact bundle CRC mismatch (stored %u, computed %u): "
                   "truncated or bit-rotted",
                   stored_crc, actual_crc));
+  }
+
+  // Payload arrays are read in place as f64 spans. An mmap-ed file (page
+  // aligned) or a malloc-ed buffer already is 8-byte aligned; anything
+  // else is copied once, under the size cap checked above.
+  if (reinterpret_cast<uintptr_t>(bytes.data()) % alignof(double) != 0) {
+    auto aligned =
+        std::make_shared<std::vector<double>>((bytes.size() + 7) / 8);
+    std::memcpy(aligned->data(), bytes.data(), bytes.size());
+    bytes = {reinterpret_cast<const uint8_t*>(aligned->data()), bytes.size()};
+    owner = std::move(aligned);
   }
 
   Cursor cur{bytes.data() + 6, bytes.data() + bytes.size() - 4, bytes.data()};
@@ -571,53 +533,37 @@ StatusOr<DecodedCompactPipeline> DecodeCompactPipeline(
   model->nf_ = nf;
 
   switch (alg) {
-    case kAlgLr: {
-      const uint8_t* weights;
-      if (!cur.F64(&model->intercept_) || !cur.Take(8 * nf, &weights)) {
-        return Truncated("LR weights");
+    case kAlgLr:
+    case kAlgLasso:
+      if (!cur.F64(&model->intercept_) || !cur.F64s(nf, &model->coef_)) {
+        return Truncated("linear weights");
       }
-      model->coef_ = weights;
-      model->coef_aligned_ =
-          reinterpret_cast<uintptr_t>(weights) % alignof(double) == 0;
       break;
-    }
-    case kAlgLasso: {
-      const uint8_t* weights;
-      if (!cur.F64(&model->intercept_) || !cur.Take(4 * nf, &weights)) {
-        return Truncated("Lasso weights");
-      }
-      model->coef_ = weights;
-      break;
-    }
     case kAlgSvr: {
-      uint8_t kernel_type = 0;
-      uint32_t degree = 0, num_sv = 0;
-      if (!cur.U8(&kernel_type) || !cur.U32(&degree) ||
-          !cur.F64(&model->gamma_) || !cur.F64(&model->coef0_) ||
-          !cur.F64(&model->bias_) || !cur.U32(&num_sv)) {
+      uint32_t kernel_type = 0, degree = 0, num_sv = 0, zero = 0;
+      if (!cur.F64(&model->kernel_.gamma) || !cur.F64(&model->kernel_.coef0) ||
+          !cur.F64(&model->bias_) || !cur.U32(&kernel_type) ||
+          !cur.U32(&degree) || !cur.U32(&num_sv) || !cur.U32(&zero)) {
         return Truncated("SVR header");
       }
-      if (kernel_type > static_cast<uint8_t>(KernelType::kPolynomial)) {
-        return Status::DataLoss("compact bundle SVR kernel type unknown");
+      if (kernel_type > static_cast<uint32_t>(KernelType::kPolynomial) ||
+          degree > kMaxStructural || zero != 0) {
+        return Status::DataLoss("compact bundle SVR kernel is invalid");
       }
-      if (!std::isfinite(model->gamma_) || model->gamma_ <= 0.0) {
+      if (!std::isfinite(model->kernel_.gamma) || model->kernel_.gamma <= 0.0) {
         return Status::DataLoss("compact bundle SVR gamma not resolved");
       }
       const uint64_t cells = static_cast<uint64_t>(num_sv) * nf;
       if (cells > kMaxSvCells) {
         return Status::DataLoss("compact bundle SVR matrix outside caps");
       }
-      const uint8_t* beta;
-      const uint8_t* sv;
-      if (!cur.Take(8 * static_cast<size_t>(num_sv), &beta) ||
-          !cur.Take(4 * static_cast<size_t>(cells), &sv)) {
+      if (!cur.F64s(num_sv, &model->beta_) ||
+          !cur.F64s(static_cast<size_t>(cells), &model->sv_)) {
         return Truncated("SVR vectors");
       }
-      model->kernel_type_ = static_cast<KernelType>(kernel_type);
-      model->degree_ = static_cast<int>(degree);
+      model->kernel_.type = static_cast<KernelType>(kernel_type);
+      model->kernel_.degree = static_cast<int>(degree);
       model->num_sv_ = num_sv;
-      model->beta_ = beta;
-      model->sv_ = sv;
       break;
     }
     case kAlgGb: {

@@ -13,15 +13,14 @@
 
 namespace vup {
 
-/// Compact binary model bundle, `vupc v1`: the fixed-layout, mmap-able
-/// twin of the text `vupred-forecaster v1` format, sized for registries
-/// holding 10^5..10^6 per-vehicle models where text-bundle parse cost and
-/// resident weight bytes dominate serving.
+/// Compact binary model bundle, `vupc v2`: the one on-disk model format
+/// of a published generation. Fixed layout, mmap-able and scored in
+/// place, sized for registries holding 10^5..10^6 per-vehicle models.
 ///
 /// Layout (little-endian, packed; offsets in bytes):
 ///
 ///   0   magic "VUPC"
-///   4   u16 version (1)
+///   4   u16 version (2)
 ///   6   u8  algorithm code (2=LR, 3=Lasso, 4=SVR, 5=GB -- the integer
 ///       values of vup::Algorithm)
 ///   7   u8  flags (bit0 use_feature_selection, bit1 standardize,
@@ -37,18 +36,16 @@ namespace vup {
 ///   end-4  u32 CRC-32 (IEEE, as the wire frames and MANIFEST) over every
 ///          preceding byte
 ///
-/// Payloads:
-///   LR:    f64 intercept, f64 coef[nf]           (float64: the round-trip
-///          contract for LR is BITWISE prediction equality with the text
-///          bundle, which float32 weights cannot honor; see DESIGN.md 15)
-///   Lasso: f64 intercept, f32 coef[nf]
-///   SVR:   u8 kernel type, u32 degree, f64 gamma (resolved, > 0),
-///          f64 coef0, f64 bias, u32 num_sv, f64 beta[num_sv],
-///          f32 sv[num_sv * nf] row-major
+/// Payloads store every weight as f64, so a decoded model predicts
+/// bitwise what the trained one does (DESIGN.md section 15):
+///   LR, Lasso: f64 intercept, f64 coef[nf]
+///   SVR:   f64 gamma (resolved, > 0), f64 coef0, f64 bias, u32 kernel
+///          type, u32 degree, u32 num_sv, u32 zero, f64 beta[num_sv],
+///          f64 sv[num_sv * nf] row-major
 ///   GB:    f64 init, f64 learning_rate, u32 num_trees, then per tree:
-///          u32 num_nodes + packed 14-byte nodes
+///          u32 num_nodes + packed 22-byte nodes
 ///          {u16 feature (0xFFFF = leaf), u16 left, u16 right,
-///           f32 threshold, f32 value}; internal nodes must point strictly
+///           f64 threshold, f64 value}; internal nodes must point strictly
 ///          forward (left/right > own index), so traversal terminates on
 ///          any bundle that passes validation
 ///
@@ -56,18 +53,21 @@ namespace vup {
 /// allocation, the CRC is verified before the structure is walked, and
 /// every count is bounds-checked against both the buffer and hard
 /// structural caps. Truncation and bit-rot surface as DataLoss (a wrong
-/// magic as InvalidArgument, a newer version as Unimplemented) -- never
-/// UB, a crash, or an attacker-sized allocation.
+/// magic as InvalidArgument, any other version as Unimplemented) -- never
+/// UB, a crash, or an attacker-sized allocation. A `vupc v1` bundle
+/// (float32 Lasso/SVR/GB payloads, written before v2) is Unimplemented
+/// with a message that says to re-publish; it is never decoded.
 ///
-/// A decoded model *scores in place*: the returned Regressor reads
-/// coefficients, support vectors and tree nodes directly from the bundle
-/// bytes (an mmap-ed file stays page-cache backed, never heap-copied).
-/// Only O(num_trees) bookkeeping and the scaler vectors are materialized.
+/// A decoded model *scores in place*: coefficient, dual and support-vector
+/// arrays are aligned f64 spans over the bundle bytes, fed to the same
+/// Dot()/KernelFunction() the trained models call (an mmap-ed file stays
+/// page-cache backed, never heap-copied). Only O(num_trees) bookkeeping
+/// and the scaler vectors are materialized.
 
-inline constexpr uint16_t kCompactVersion = 1;
+inline constexpr uint16_t kCompactVersion = 2;
 
 /// Hard cap on a compact bundle's total size, checked before anything
-/// else: 64 MiB holds ~10^6 float32 SVR cells with room to spare.
+/// else: 64 MiB holds ~8 x 10^6 f64 SVR cells.
 inline constexpr size_t kMaxCompactBytes = 64ull << 20;
 
 /// Pipeline-shape fields of a compact bundle -- the ml-layer mirror of
@@ -110,7 +110,9 @@ StatusOr<std::string> EncodeCompactPipeline(
 /// Validates and decodes a compact bundle. The returned model keeps
 /// `owner` alive and reads `bytes` in place, so `bytes` must stay valid
 /// as long as `owner` is held (pass the MappedFile, or the heap buffer,
-/// that backs them). See the format comment for the error contract.
+/// that backs them). Bytes that are not 8-byte aligned are copied once
+/// into an aligned buffer the model owns. See the format comment for the
+/// error contract.
 StatusOr<DecodedCompactPipeline> DecodeCompactPipeline(
     std::span<const uint8_t> bytes, std::shared_ptr<const void> owner);
 

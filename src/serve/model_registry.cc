@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <istream>
 #include <optional>
 #include <sstream>
@@ -11,8 +10,6 @@
 #include <thread>
 
 #include "common/crc32.h"
-#include "common/file_util.h"
-#include "common/imemstream.h"
 #include "common/mmap_file.h"
 #include "common/random.h"
 #include "common/string_util.h"
@@ -24,12 +21,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kBundleSuffix = ".fcst";
-constexpr const char* kCompactSuffix = ".cfcst";
+constexpr const char* kBundleSuffix = ".cfcst";
 constexpr const char* kBundlePrefix = "vehicle_";
-/// Cap checked BEFORE any read buffer is sized (the manifest path's
-/// discipline): a text bundle beyond this is damage, not a model.
-constexpr uintmax_t kMaxBundleBytes = 64ull << 20;
 constexpr const char* kCurrentFile = "CURRENT";
 constexpr const char* kGenerationPrefix = "gen_";
 constexpr const char* kMetaFile = "registry_meta.txt";
@@ -41,41 +34,16 @@ constexpr size_t kMaxMetaTokenLength = 128;
 constexpr size_t kMaxMetaLines = 64;
 constexpr size_t kMaxMetaBytes = 64 * 1024;
 
-/// Renders a bundle file's bytes into its open file stream.
-using BundleWriter = std::function<Status(std::ostream&)>;
-
-BundleWriter BytesWriter(std::string_view bytes) {
-  return [bytes](std::ostream& out) {
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    return Status::OK();
-  };
-}
-
-/// Creates (truncates) `path` and fills it through `write`; `kind` names
-/// the file in errors.
-Status WriteBundleFile(const std::string& path, const std::string& kind,
-                       const BundleWriter& write) {
+/// Creates (truncates) `path` and writes `bytes` into it.
+Status WriteBundleFile(const std::string& path, std::string_view bytes) {
   std::ofstream out(path, std::ios::trunc | std::ios::binary);
   if (!out) {
-    return Status::Internal("cannot open " + kind + " for writing: " + path);
+    return Status::Internal("cannot open bundle for writing: " + path);
   }
-  VUP_RETURN_IF_ERROR(write(out));
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   out.flush();
-  if (!out) return Status::DataLoss(kind + " write failed: " + path);
+  if (!out) return Status::DataLoss("bundle write failed: " + path);
   return Status::OK();
-}
-
-/// Stages one vehicle in `dir`: the text bundle `text` renders (streamed
-/// straight into the file, so no writer holds a whole text bundle in
-/// memory), plus the compact twin when `compact` is non-empty.
-Status WriteStagedBundle(const std::string& dir, int64_t vehicle_id,
-                         const BundleWriter& text, std::string_view compact) {
-  VUP_RETURN_IF_ERROR(WriteBundleFile(
-      dir + "/" + ModelRegistry::BundleFileName(vehicle_id), "bundle", text));
-  if (compact.empty()) return Status::OK();
-  return WriteBundleFile(
-      dir + "/" + ModelRegistry::CompactBundleFileName(vehicle_id),
-      "compact bundle", BytesWriter(compact));
 }
 
 /// Atomic small-file write: temp name, then rename over the target.
@@ -267,6 +235,12 @@ StatusOr<RegistryMeta> ReadRegistryMetaFile(const std::string& directory) {
   return RegistryMeta::Parse(in);
 }
 
+StatusOr<VehicleForecaster> LoadBundleFile(const std::string& path) {
+  VUP_ASSIGN_OR_RETURN(MappedFile mapped, MappedFile::Open(path));
+  auto owner = std::make_shared<MappedFile>(std::move(mapped));
+  return VehicleForecaster::LoadCompact(owner->bytes(), owner);
+}
+
 std::string_view BreakerStateToString(BreakerState state) {
   switch (state) {
     case BreakerState::kClosed:
@@ -284,11 +258,6 @@ std::string_view BreakerStateToString(BreakerState state) {
 std::string ModelRegistry::BundleFileName(int64_t vehicle_id) {
   return StrFormat("%s%lld%s", kBundlePrefix,
                    static_cast<long long>(vehicle_id), kBundleSuffix);
-}
-
-std::string ModelRegistry::CompactBundleFileName(int64_t vehicle_id) {
-  return StrFormat("%s%lld%s", kBundlePrefix,
-                   static_cast<long long>(vehicle_id), kCompactSuffix);
 }
 
 std::optional<int64_t> ModelRegistry::ParseBundleFileName(
@@ -529,35 +498,17 @@ Status ModelRegistry::PruneGenerations(size_t keep) {
 
 Status ModelRegistry::Publish(int64_t vehicle_id,
                               const VehicleForecaster& forecaster) {
+  VUP_ASSIGN_OR_RETURN(const std::string bytes, forecaster.SaveCompact());
   const std::string path = BundlePath(vehicle_id);
   // Write to a temp name then rename, so a crashed publish never leaves a
   // half-written bundle under the serving name.
   const std::string tmp = path + ".tmp";
-  VUP_RETURN_IF_ERROR(WriteBundleFile(
-      tmp, "bundle",
-      [&forecaster](std::ostream& out) { return forecaster.Save(out); }));
+  VUP_RETURN_IF_ERROR(WriteBundleFile(tmp, bytes));
   std::error_code ec;
   fs::rename(tmp, path, ec);
   if (ec) {
     return Status::Internal("cannot install bundle " + path + ": " +
                             ec.message());
-  }
-  // Keep the compact twin coherent: install a fresh one next to the text
-  // bundle (same temp+rename discipline), so a prefer_compact reader can
-  // never score a stale compact bundle shadowing the text one.
-  VUP_ASSIGN_OR_RETURN(std::string compact_bytes, forecaster.SaveCompact());
-  const std::string compact_path =
-      fs::path(path).parent_path().string() + "/" +
-      CompactBundleFileName(vehicle_id);
-  {
-    const std::string compact_tmp = compact_path + ".tmp";
-    VUP_RETURN_IF_ERROR(
-        WriteBundleFile(compact_tmp, "bundle", BytesWriter(compact_bytes)));
-    fs::rename(compact_tmp, compact_path, ec);
-    if (ec) {
-      return Status::Internal("cannot install bundle " + compact_path +
-                              ": " + ec.message());
-    }
   }
   // Drop any stale resident copy so the next Get sees the new bundle, and
   // give the fresh bundle a fresh breaker and a clean quarantine record.
@@ -575,23 +526,17 @@ Status ModelRegistry::Publish(int64_t vehicle_id,
   }
   std::lock_guard<std::mutex> lock(*active_mu_);
   if (active_.manifest.has_value()) {
-    // Keep the generation manifest truthful: re-checksum the installed
-    // bundles and swap their entries, or the next verified load (and every
-    // scrub) would quarantine the bundles we just published.
-    VUP_ASSIGN_OR_RETURN(const std::string bytes,
-                         ReadFileCapped(path, kMaxBundleBytes));
+    // Keep the generation manifest truthful: swap the bundle's entry for
+    // the bytes just installed, or the next verified load (and every
+    // scrub) would quarantine the bundle we just published.
     const std::string file = BundleFileName(vehicle_id);
-    const std::string compact_file = CompactBundleFileName(vehicle_id);
     GenerationManifest updated;
     for (const ManifestEntry& entry : active_.manifest->entries()) {
-      if (entry.file == file || entry.file == compact_file) continue;
+      if (entry.file == file) continue;
       VUP_RETURN_IF_ERROR(updated.Add(entry.file, entry.size, entry.crc32));
     }
     VUP_RETURN_IF_ERROR(
         updated.Add(file, bytes.size(), Crc32(bytes.data(), bytes.size())));
-    VUP_RETURN_IF_ERROR(updated.Add(
-        compact_file, compact_bytes.size(),
-        Crc32(compact_bytes.data(), compact_bytes.size())));
     VUP_RETURN_IF_ERROR(WriteManifestFile(active_.dir, updated));
     active_.manifest = std::move(updated);
   }
@@ -600,27 +545,18 @@ Status ModelRegistry::Publish(int64_t vehicle_id,
 
 StatusOr<std::shared_ptr<const VehicleForecaster>>
 ModelRegistry::LoadVerifiedLocked(Shard& shard, int64_t vehicle_id) {
-  // One consistent peek at the active generation (dir + manifest entries):
+  // One consistent peek at the active generation (dir + manifest entry):
   // shard.mu is already held, active_mu_ nests inside it -- the global
   // lock order -- so a concurrent Reload can never hand this load the new
   // generation's manifest with the old generation's directory.
   std::string dir;
-  std::optional<ManifestEntry> text_entry;
-  std::optional<ManifestEntry> compact_entry;
-  bool has_manifest = false;
+  std::optional<ManifestEntry> entry;
   const std::string file = BundleFileName(vehicle_id);
-  const std::string compact_file = CompactBundleFileName(vehicle_id);
   {
     std::lock_guard<std::mutex> lock(*active_mu_);
     dir = active_.dir;
     if (active_.manifest.has_value()) {
-      has_manifest = true;
-      if (const ManifestEntry* e = active_.manifest->Find(file)) {
-        text_entry = *e;
-      }
-      if (const ManifestEntry* e = active_.manifest->Find(compact_file)) {
-        compact_entry = *e;
-      }
+      if (const ManifestEntry* e = active_.manifest->Find(file)) entry = *e;
     }
   }
 
@@ -632,63 +568,35 @@ ModelRegistry::LoadVerifiedLocked(Shard& shard, int64_t vehicle_id) {
         static_cast<long long>(vehicle_id), why.message().c_str()));
   };
 
-  if (options_.prefer_compact) {
-    // Compact path: mmap, verify in place (manifest CRC first when listed,
-    // the bundle's own CRC always), score in place. Falls back to the text
-    // bundle only when no compact twin exists.
-    const std::string compact_path = dir + "/" + compact_file;
-    StatusOr<MappedFile> mapped_or = MappedFile::Open(compact_path);
-    if (mapped_or.ok()) {
-      auto mapped = std::make_shared<MappedFile>(std::move(mapped_or).value());
-      const std::string_view view(
-          reinterpret_cast<const char*>(mapped->data()), mapped->size());
-      if (compact_entry.has_value()) {
-        Status verified =
-            GenerationManifest::VerifyBytes(*compact_entry, view);
-        if (!verified.ok()) return quarantine(verified);
-      }
-      StatusOr<VehicleForecaster> forecaster =
-          VehicleForecaster::LoadCompact(mapped->bytes(), mapped);
-      if (!forecaster.ok()) {
-        // A compact bundle the manifest vouched for but that fails its own
-        // framing is corruption caught late -- same quarantine as a
-        // manifest mismatch. Unlisted bundles surface the raw error and
-        // count against the breaker like any text-path parse failure.
-        if (compact_entry.has_value()) {
-          return quarantine(forecaster.status());
-        }
-        return forecaster.status();
-      }
-      return std::make_shared<const VehicleForecaster>(
-          std::move(forecaster).value());
-    }
-    if (!mapped_or.status().IsNotFound()) return mapped_or.status();
-  }
-
-  // One capped read into one buffer: CRC verify and deserialize both run
-  // over views of it.
-  StatusOr<std::string> read = ReadFileCapped(dir + "/" + file,
-                                              kMaxBundleBytes);
-  if (read.status().IsNotFound()) {
+  StatusOr<MappedFile> mapped = MappedFile::Open(dir + "/" + file);
+  if (mapped.status().IsNotFound()) {
     return Status::NotFound(
         StrFormat("no model bundle for vehicle %lld in %s",
                   static_cast<long long>(vehicle_id), dir.c_str()));
   }
-  VUP_ASSIGN_OR_RETURN(const std::string bytes, std::move(read));
-  if (has_manifest && text_entry.has_value()) {
-    // Verify BEFORE the deserializer ever sees the bytes: a corrupt bundle
-    // must never be scored, and a flipped bit that still deserializes into
-    // plausible coefficients is exactly the failure CRCs exist to catch.
-    // Files the manifest does not list load unverified (single-bundle
-    // Publish into a legacy generation keeps working).
+  VUP_RETURN_IF_ERROR(mapped.status());
+  auto owner = std::make_shared<MappedFile>(std::move(mapped).value());
+  if (entry.has_value()) {
+    // Verify BEFORE the decoder ever sees the bytes: a corrupt bundle must
+    // never be scored. Files the manifest does not list load unverified
+    // (single-bundle Publish into a legacy generation keeps working).
     Status verified = GenerationManifest::VerifyBytes(
-        *text_entry, std::string_view(bytes));
+        *entry, std::string_view(reinterpret_cast<const char*>(owner->data()),
+                                 owner->size()));
     if (!verified.ok()) return quarantine(verified);
   }
-  ImemStream verified_stream{std::string_view(bytes)};
-  VUP_ASSIGN_OR_RETURN(VehicleForecaster forecaster,
-                       VehicleForecaster::Load(verified_stream));
-  return std::make_shared<const VehicleForecaster>(std::move(forecaster));
+  StatusOr<VehicleForecaster> forecaster =
+      VehicleForecaster::LoadCompact(owner->bytes(), owner);
+  if (!forecaster.ok()) {
+    // A bundle the manifest vouched for but that fails its own framing is
+    // corruption caught late (or a bundle this build cannot read) -- same
+    // quarantine as a manifest mismatch. Unlisted bundles surface the raw
+    // error and count against the breaker.
+    if (entry.has_value()) return quarantine(forecaster.status());
+    return forecaster.status();
+  }
+  return std::make_shared<const VehicleForecaster>(
+      std::move(forecaster).value());
 }
 
 int64_t ModelRegistry::BreakerBackoffMs(int64_t vehicle_id,
@@ -1028,7 +936,6 @@ GenerationPublisher::GenerationPublisher(GenerationPublisher&& other) noexcept
     : root_(std::move(other.root_)),
       number_(other.number_),
       staging_dir_(std::move(other.staging_dir_)),
-      emit_compact_(other.emit_compact_),
       finalized_(other.finalized_),
       committed_(other.committed_),
       moved_from_(other.moved_from_),
@@ -1044,7 +951,6 @@ GenerationPublisher& GenerationPublisher::operator=(
     root_ = std::move(other.root_);
     number_ = other.number_;
     staging_dir_ = std::move(other.staging_dir_);
-    emit_compact_ = other.emit_compact_;
     finalized_ = other.finalized_;
     committed_ = other.committed_;
     moved_from_ = other.moved_from_;
@@ -1103,20 +1009,16 @@ Status GenerationPublisher::Add(int64_t vehicle_id,
   pending_ids_.insert(vehicle_id);
   auto bundle =
       std::make_shared<const VehicleForecaster>(std::move(snapshot));
-  return writers_->Submit([dir = staging_dir_, vehicle_id, bundle,
-                           emit_compact = emit_compact_]() -> Status {
-    std::string compact;
-    if (emit_compact) {
-      VUP_ASSIGN_OR_RETURN(compact, bundle->SaveCompact());
-    }
-    return WriteStagedBundle(
-        dir, vehicle_id,
-        [&bundle](std::ostream& out) { return bundle->Save(out); }, compact);
-  });
+  return writers_->Submit(
+      [path = staging_dir_ + "/" + ModelRegistry::BundleFileName(vehicle_id),
+       bundle]() -> Status {
+        VUP_ASSIGN_OR_RETURN(const std::string bytes, bundle->SaveCompact());
+        return WriteBundleFile(path, bytes);
+      });
 }
 
 Status GenerationPublisher::AddPrebuilt(int64_t vehicle_id,
-                                        std::string_view text_bytes,
+                                        std::string_view /*text_bytes*/,
                                         std::string_view compact_bytes) {
   // Byte-level Add for synthetic fleets: serve-bench stamps one trained
   // model's bundle bytes across hundreds of thousands of vehicle ids
@@ -1126,10 +1028,14 @@ Status GenerationPublisher::AddPrebuilt(int64_t vehicle_id,
     return Status::FailedPrecondition(
         "generation already finalized (its manifest is sealed)");
   }
+  if (compact_bytes.empty()) {
+    return Status::InvalidArgument("AddPrebuilt needs compact bundle bytes");
+  }
   // A queued Add of the same id lands first, so these bytes win.
   if (pending_ids_.count(vehicle_id) != 0) (void)DrainWriters();
-  return WriteStagedBundle(staging_dir_, vehicle_id, BytesWriter(text_bytes),
-                           compact_bytes);
+  return WriteBundleFile(
+      staging_dir_ + "/" + ModelRegistry::BundleFileName(vehicle_id),
+      compact_bytes);
 }
 
 Status GenerationPublisher::Finalize(const RegistryMeta& meta) {

@@ -57,6 +57,11 @@ Status WriteRegistryMetaFile(const std::string& directory,
 /// Reads and parses `directory`/registry_meta.txt.
 StatusOr<RegistryMeta> ReadRegistryMetaFile(const std::string& directory);
 
+/// Maps the compact bundle at `path` and decodes it in place; the
+/// forecaster keeps the mapping alive. NotFound when the file is missing,
+/// the decoder's statuses (ml/compact.h) when it does not decode.
+StatusOr<VehicleForecaster> LoadBundleFile(const std::string& path);
+
 /// Per-vehicle circuit-breaker state exposed in registry stats.
 enum class BreakerState { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
 
@@ -110,8 +115,9 @@ struct ModelRegistryStats {
 class GenerationPublisher;
 
 /// Directory-backed store of per-vehicle model bundles with a bounded LRU
-/// cache of resident (deserialized) models, per-vehicle circuit breakers
-/// around the disk-load path, and atomically swappable generations.
+/// cache of resident models, per-vehicle circuit breakers around the
+/// disk-load path, and atomically swappable generations. Every bundle is
+/// a `vupc v2` compact bundle (ml/compact.h), mmap-ed and scored in place.
 ///
 /// On-disk layout, generation mode:
 ///
@@ -119,7 +125,8 @@ class GenerationPublisher;
 ///     CURRENT               # name of the active generation ("gen_000003")
 ///     gen_000002/           # a complete, immutable published fleet
 ///       registry_meta.txt
-///       vehicle_<id>.fcst
+///       MANIFEST
+///       vehicle_<id>.cfcst
 ///     gen_000003/ ...
 ///
 /// `CURRENT` is written temp+rename and flipped only after the generation
@@ -179,9 +186,8 @@ class ModelRegistry {
     /// Lock/LRU/breaker shards (>= 1). Vehicles route by SplitMix64 of
     /// their id, so same-fleet runs shard identically.
     size_t shards = 1;
-    /// Serve the compact bundle (vehicle_<id>.cfcst, mmap-ed and scored
-    /// in place) when one exists, falling back to the text bundle when it
-    /// does not.
+    /// Ignored: compact bundles are the only format, and every registry
+    /// serves them. Kept so existing callers still compile.
     bool prefer_compact = false;
     /// Time source for breaker transitions; null means Clock::Real().
     const Clock* clock = nullptr;
@@ -195,8 +201,8 @@ class ModelRegistry {
   ModelRegistry(ModelRegistry&&) noexcept = default;
   ModelRegistry& operator=(ModelRegistry&&) noexcept = default;
 
-  /// Writes the bundle of `vehicle_id` (must be trained) into the active
-  /// generation. Replaces an existing bundle, drops any stale resident
+  /// Writes the compact bundle of `vehicle_id` (must be trained) into the
+  /// active generation. Replaces an existing bundle, drops any stale resident
   /// copy and resets the vehicle's breaker (a fresh bundle deserves fresh
   /// chances).
   Status Publish(int64_t vehicle_id, const VehicleForecaster& forecaster);
@@ -225,16 +231,18 @@ class ModelRegistry {
 
   /// The model of `vehicle_id`, from cache or disk. NotFound when no
   /// bundle exists OR when the model is quarantined (so callers degrade
-  /// through the same fallback chain either way); InvalidArgument/DataLoss
-  /// when the bundle is corrupt and unlisted in any manifest; Unavailable
-  /// (fast, no disk IO) while the vehicle's breaker is open.
+  /// through the same fallback chain either way); the decoder's errors
+  /// (ml/compact.h) when the bundle is corrupt and unlisted in any
+  /// manifest; Unavailable (fast, no disk IO) while the vehicle's breaker
+  /// is open.
   ///
   /// When the active generation carries a MANIFEST, every disk load is
   /// verified against it first: a size/CRC mismatch quarantines the model
-  /// (never deserialized, never scored) and returns NotFound. Quarantine
-  /// does not touch the circuit breaker -- corruption is a publisher/disk
-  /// fault, not a load-path fault, and burning breaker probes on it would
-  /// delay recovery after the generation is repaired.
+  /// (never decoded, never scored) and returns NotFound, and so does a
+  /// listed bundle the decoder rejects (a `vupc v1` bundle among them).
+  /// Quarantine does not touch the circuit breaker -- corruption is a
+  /// publisher/disk fault, not a load-path fault, and burning breaker
+  /// probes on it would delay recovery after the generation is repaired.
   StatusOr<std::shared_ptr<const VehicleForecaster>> Get(int64_t vehicle_id);
 
   /// Marks the model of `vehicle_id` as unservable (drops any resident
@@ -285,16 +293,18 @@ class ModelRegistry {
 
   const std::string& directory() const { return options_.directory; }
 
+  /// The bundle file of a vehicle: "vehicle_<id>.cfcst".
   static std::string BundleFileName(int64_t vehicle_id);
-  /// Compact binary twin of BundleFileName: "vehicle_<id>.cfcst".
-  static std::string CompactBundleFileName(int64_t vehicle_id);
+  /// Same as BundleFileName; kept so existing callers still compile.
+  static std::string CompactBundleFileName(int64_t vehicle_id) {
+    return BundleFileName(vehicle_id);
+  }
   /// Bundle path inside the active generation.
   std::string BundlePath(int64_t vehicle_id) const;
 
-  /// Inverse of BundleFileName: "vehicle_<id>.fcst" -> id, nullopt for
-  /// anything else (meta, manifest, compact bundles, tmp leftovers) --
-  /// compact files deliberately do not match, so vehicle listing and
-  /// pruning keep exactly one name per vehicle.
+  /// Inverse of BundleFileName: "vehicle_<id>.cfcst" -> id, nullopt for
+  /// anything else (meta, manifest, tmp leftovers, and the text bundles
+  /// of generations published before compact-only generations).
   static std::optional<int64_t> ParseBundleFileName(std::string_view name);
 
   static std::string GenerationDirName(uint64_t number);
@@ -361,9 +371,9 @@ class ModelRegistry {
 
   Shard& ShardForVehicle(int64_t vehicle_id) const;
 
-  /// Loads the bundle of `vehicle_id` from the active generation (compact
-  /// first when options_.prefer_compact), verifying it against the
-  /// manifest when one lists it. A verification failure quarantines the
+  /// Maps the bundle of `vehicle_id` from the active generation, verifies
+  /// it against the manifest when one lists it, and decodes it in place.
+  /// A verification or decode failure of a listed bundle quarantines the
   /// vehicle and returns NotFound. Caller holds the vehicle's shard
   /// mutex; this takes active_mu_ inside (see Shard's lock ordering).
   StatusOr<std::shared_ptr<const VehicleForecaster>> LoadVerifiedLocked(
@@ -425,25 +435,25 @@ class GenerationPublisher {
   GenerationPublisher& operator=(GenerationPublisher&& other) noexcept;
   ~GenerationPublisher();
 
-  /// Emit a compact binary twin (vehicle_<id>.cfcst) next to every text
-  /// bundle Add writes. Off by default; flip before the first Add.
-  void set_emit_compact(bool emit) { emit_compact_ = emit; }
+  /// Ignored: Add always stages the compact bundle, the only format. Kept
+  /// so existing callers still compile.
+  void set_emit_compact(bool /*emit*/) {}
 
-  /// Stages the bundle of `vehicle_id` (and its compact twin when
-  /// enabled). Checks run here, with Save's statuses: FailedPrecondition
-  /// after Finalize or for an untrained forecaster, Unimplemented for a
-  /// baseline. The bundle is then written behind from a deep snapshot,
-  /// so the caller may retrain or destroy `forecaster` as soon as this
-  /// returns; open and write failures surface at Finalize. Blocks while
-  /// the writers' queue is full. A later Add or AddPrebuilt of the same id
-  /// replaces this one.
+  /// Stages the compact bundle of `vehicle_id`. Checks run here, with
+  /// Save's statuses: FailedPrecondition after Finalize or for an
+  /// untrained forecaster, Unimplemented for a baseline. The bundle is
+  /// then written behind from a deep snapshot, so the caller may retrain
+  /// or destroy `forecaster` as soon as this returns; open and write
+  /// failures surface at Finalize. Blocks while the writers' queue is
+  /// full. A later Add or AddPrebuilt of the same id replaces this one.
   Status Add(int64_t vehicle_id, const VehicleForecaster& forecaster);
 
-  /// Writes pre-serialized bundle bytes for `vehicle_id` -- the fast path
-  /// for synthetic registries (serve-bench replicates one trained
-  /// template across 10^5..10^6 vehicle ids without re-serializing each).
-  /// `compact_bytes` empty means no compact twin. Synchronous: errors
-  /// return here.
+  /// Writes pre-serialized compact bundle bytes for `vehicle_id` -- the
+  /// fast path for synthetic registries (serve-bench replicates one
+  /// trained template across 10^5..10^6 vehicle ids without
+  /// re-serializing each). `text_bytes` is ignored and kept so existing
+  /// callers still compile; empty `compact_bytes` is InvalidArgument.
+  /// Synchronous: errors return here.
   Status AddPrebuilt(int64_t vehicle_id, std::string_view text_bytes,
                      std::string_view compact_bytes = {});
 
@@ -491,7 +501,6 @@ class GenerationPublisher {
   std::string root_;
   uint64_t number_ = 0;
   std::string staging_dir_;
-  bool emit_compact_ = false;
   bool finalized_ = false;
   bool committed_ = false;
   bool moved_from_ = false;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <span>
 
 #include "common/string_util.h"
@@ -44,11 +43,7 @@ StatusOr<std::map<int64_t, VehicleForecaster>> LoadBundles(
     std::optional<int64_t> id =
         ModelRegistry::ParseBundleFileName(entry.path().filename().string());
     if (!id.has_value()) continue;
-    std::ifstream in(entry.path());
-    if (!in) {
-      return Status::Internal("cannot read " + entry.path().string());
-    }
-    StatusOr<VehicleForecaster> model = VehicleForecaster::Load(in);
+    StatusOr<VehicleForecaster> model = LoadBundleFile(entry.path().string());
     if (!model.ok()) continue;  // Counted by the staged-side pass.
     models.emplace(*id, std::move(model).value());
   }
@@ -90,13 +85,7 @@ StatusOr<ValidationReport> ValidateGeneration(
     std::optional<int64_t> id = ModelRegistry::ParseBundleFileName(name);
     if (!id.has_value()) continue;
     ++report.models_checked;
-    std::ifstream in(entry.path());
-    if (!in) {
-      ++report.deserialize_failures;
-      report.failures.push_back("unreadable bundle: " + name);
-      continue;
-    }
-    StatusOr<VehicleForecaster> model = VehicleForecaster::Load(in);
+    StatusOr<VehicleForecaster> model = LoadBundleFile(entry.path().string());
     if (!model.ok()) {
       ++report.deserialize_failures;
       report.failures.push_back(name + " does not deserialize: " +

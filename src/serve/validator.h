@@ -57,7 +57,7 @@ struct ValidationReport {
 };
 
 /// Validates every staged model bundle before the generation may be
-/// promoted: deserializes each `vehicle_*.fcst` under `staged_dir`, scores
+/// promoted: decodes each `vehicle_*.cfcst` under `staged_dir`, scores
 /// deterministic sanity probes against `probe_data` (keyed by vehicle id;
 /// pooled models -- negative reserved ids -- are probed on the first
 /// dataset), and, when `live_dir` is non-empty, scores a shared holdout

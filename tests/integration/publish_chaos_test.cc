@@ -75,9 +75,11 @@ class PublishChaosTest : public ::testing::Test {
 
   void WriteBundle(const std::string& dir, int64_t id,
                    const VehicleForecaster& forecaster) {
+    StatusOr<std::string> bytes = forecaster.SaveCompact();
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
     std::ofstream out(dir + "/" + ModelRegistry::BundleFileName(id),
-                      std::ios::trunc);
-    ASSERT_TRUE(forecaster.Save(out).ok());
+                      std::ios::trunc | std::ios::binary);
+    out << bytes.value();
   }
 
   void WriteRawFile(const std::string& path, const std::string& content) {

@@ -144,8 +144,8 @@ TEST_F(RegistryChaosTest, PublisherKilledAtEveryStepKeepsOldGeneration) {
   const std::string staging = dir_ + "/gen_000002.staging";
   fs::create_directories(staging);
   {
-    std::ofstream out(staging + "/vehicle_1.fcst");
-    ASSERT_TRUE(new_model.Save(out).ok());
+    std::ofstream out(staging + "/vehicle_1.cfcst", std::ios::binary);
+    out << new_model.SaveCompact().value();
   }
   check_still_old("staged-without-meta");
 
@@ -179,7 +179,7 @@ TEST_F(RegistryChaosTest, AbandonedStagingDoesNotBlockTheNextPublish) {
   // publisher must still commit, under a number that never collides.
   fs::create_directories(dir_ + "/gen_000002.staging");
   {
-    std::ofstream out(dir_ + "/gen_000002.staging/vehicle_1.fcst");
+    std::ofstream out(dir_ + "/gen_000002.staging/vehicle_1.cfcst");
     out << "partial garbage";
   }
   CommitFleet(registry, {&model}, /*meta_seed=*/2);
@@ -220,7 +220,7 @@ TEST_F(RegistryChaosTest, ConcurrentReadersNeverSeeATornFleet) {
   // A torn generation a buggy flip might point at: bundle, no meta.
   fs::create_directories(dir_ + "/gen_000099");
   {
-    std::ofstream out(dir_ + "/gen_000099/vehicle_1.fcst");
+    std::ofstream out(dir_ + "/gen_000099/vehicle_1.cfcst");
     out << "torn";
   }
 

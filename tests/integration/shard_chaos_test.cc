@@ -95,7 +95,6 @@ class ShardChaosTest : public ::testing::Test {
     for (uint64_t fleet = 0; fleet < 2; ++fleet) {
       StatusOr<GenerationPublisher> pub = registry.NewGeneration();
       ASSERT_TRUE(pub.ok()) << pub.status().ToString();
-      pub.value().set_emit_compact(true);
       for (int64_t id = 1; id <= kVehicles; ++id) {
         // Same model either way; the chaos here is about locking, not
         // distinguishability (registry_chaos_test covers torn fleets).
@@ -220,7 +219,7 @@ TEST_F(ShardChaosTest, ReadersAcrossShardsSurviveSwapAndQuarantineStorm) {
       const std::string staging = dir_ + "/gen_000777.staging";
       fs::create_directories(staging);
       {
-        std::ofstream out(staging + "/vehicle_1.fcst");
+        std::ofstream out(staging + "/vehicle_1.cfcst");
         out << "partial";
       }
       fs::remove_all(staging);
@@ -284,7 +283,6 @@ TEST_F(ShardChaosTest, PublisherKilledMidGenerationNeverTearsShardedReaders) {
         bad_observations.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      pub.value().set_emit_compact(true);
       for (int64_t id = 1; id <= kVehicles; ++id) {
         if (!pub.value().Add(id, *models_[id - 1]).ok()) {
           bad_observations.fetch_add(1, std::memory_order_relaxed);

@@ -1,8 +1,8 @@
-// Compact bundle codec: per-algorithm prediction parity against the
-// in-memory model (LR bitwise, float32-payload algorithms within the
-// documented 0.05 ceiling), header/scaler round-trips, and the hostile-
-// bytes error contract -- truncation and bit-rot must surface as clean
-// Status errors, never UB or a crash.
+// Compact bundle codec: bitwise prediction parity against the in-memory
+// model for every algorithm (per model and per forecaster pipeline),
+// header/scaler round-trips, and the hostile-bytes error contract --
+// truncation, bit-rot and retired versions must surface as clean Status
+// errors, never UB, a crash or a misread.
 
 #include "ml/compact.h"
 
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/random.h"
 #include "core/forecaster.h"
 #include "ml/gradient_boosting.h"
@@ -69,18 +70,14 @@ DecodedCompactPipeline RoundTrip(const CompactPipelineHeader& header,
   return std::move(decoded).value();
 }
 
-/// Encode->decode, then compare predictions row by row. `max_abs_delta`
-/// of 0 demands bitwise equality.
-void ExpectParity(const Regressor& model, const Regressor& decoded,
-                  const Matrix& x, double max_abs_delta) {
+/// Compares predictions row by row, bit for bit.
+void ExpectBitwiseParity(const Regressor& model, const Regressor& decoded,
+                         const Matrix& x) {
   for (size_t r = 0; r < x.rows(); ++r) {
     const double want = model.PredictOne(x.Row(r)).value();
     const double got = decoded.PredictOne(x.Row(r)).value();
-    if (max_abs_delta == 0.0) {
-      EXPECT_EQ(want, got) << model.name() << " row " << r;
-    } else {
-      EXPECT_NEAR(want, got, max_abs_delta) << model.name() << " row " << r;
-    }
+    EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+        << model.name() << " row " << r << ": " << want << " vs " << got;
   }
 }
 
@@ -95,11 +92,10 @@ TEST(CompactRoundtripTest, LinearRegressionIsBitwise) {
       MakeHeader(Algorithm::kLinearRegression, false), nullptr, model);
   ASSERT_NE(decoded.model, nullptr);
   EXPECT_TRUE(decoded.model->fitted());
-  // The LR contract is bitwise: f64 coefficients through the same Dot.
-  ExpectParity(model, *decoded.model, x, /*max_abs_delta=*/0.0);
+  ExpectBitwiseParity(model, *decoded.model, x);
 }
 
-TEST(CompactRoundtripTest, LassoWithinTolerance) {
+TEST(CompactRoundtripTest, LassoIsBitwise) {
   Matrix x;
   std::vector<double> y;
   MakeProblem(&x, &y, 80, 11);
@@ -109,26 +105,32 @@ TEST(CompactRoundtripTest, LassoWithinTolerance) {
   DecodedCompactPipeline decoded =
       RoundTrip(MakeHeader(Algorithm::kLasso, false), nullptr, model);
   ASSERT_NE(decoded.model, nullptr);
-  ExpectParity(model, *decoded.model, x, /*max_abs_delta=*/0.05);
+  ExpectBitwiseParity(model, *decoded.model, x);
 }
 
-TEST(CompactRoundtripTest, SvrWithinTolerance) {
+TEST(CompactRoundtripTest, SvrIsBitwiseForEveryKernel) {
   Matrix x;
   std::vector<double> y;
   MakeProblem(&x, &y, 60, 13);
-  Svr::Options o;
-  o.c = 20.0;
-  o.epsilon = 0.05;
-  Svr model(o);
-  ASSERT_TRUE(model.Fit(x, y).ok());
+  for (KernelType type :
+       {KernelType::kRbf, KernelType::kLinear, KernelType::kPolynomial}) {
+    Svr::Options o;
+    o.c = 20.0;
+    o.epsilon = 0.05;
+    o.kernel.type = type;
+    o.kernel.coef0 = 0.5;
+    o.kernel.degree = 2;
+    Svr model(o);
+    ASSERT_TRUE(model.Fit(x, y).ok());
 
-  DecodedCompactPipeline decoded =
-      RoundTrip(MakeHeader(Algorithm::kSvr, false), nullptr, model);
-  ASSERT_NE(decoded.model, nullptr);
-  ExpectParity(model, *decoded.model, x, /*max_abs_delta=*/0.05);
+    DecodedCompactPipeline decoded =
+        RoundTrip(MakeHeader(Algorithm::kSvr, false), nullptr, model);
+    ASSERT_NE(decoded.model, nullptr);
+    ExpectBitwiseParity(model, *decoded.model, x);
+  }
 }
 
-TEST(CompactRoundtripTest, GradientBoostingWithinTolerance) {
+TEST(CompactRoundtripTest, GradientBoostingIsBitwise) {
   Matrix x;
   std::vector<double> y;
   MakeProblem(&x, &y, 80, 17);
@@ -141,7 +143,109 @@ TEST(CompactRoundtripTest, GradientBoostingWithinTolerance) {
   DecodedCompactPipeline decoded = RoundTrip(
       MakeHeader(Algorithm::kGradientBoosting, false), nullptr, model);
   ASSERT_NE(decoded.model, nullptr);
-  ExpectParity(model, *decoded.model, x, /*max_abs_delta=*/0.05);
+  ExpectBitwiseParity(model, *decoded.model, x);
+
+  // Training rows rarely land between a threshold and its rounding, so
+  // also probe each split exactly at its threshold and one ulp above:
+  // any threshold that did not round-trip sends one probe the other way.
+  std::vector<std::pair<size_t, double>> splits;
+  for (const RegressionTree& tree : model.trees()) {
+    for (const RegressionTree::NodeState& node : tree.GetState()) {
+      if (node.feature < 0) continue;
+      const size_t f = static_cast<size_t>(node.feature);
+      splits.emplace_back(f, node.threshold);
+      splits.emplace_back(f, std::nextafter(node.threshold, HUGE_VAL));
+    }
+  }
+  ASSERT_FALSE(splits.empty());
+  Matrix probes(splits.size(), x.cols());
+  for (size_t r = 0; r < splits.size(); ++r) {
+    for (size_t c = 0; c < x.cols(); ++c) probes(r, c) = x(0, c);
+    probes(r, splits[r].first) = splits[r].second;
+  }
+  ExpectBitwiseParity(model, *decoded.model, probes);
+}
+
+// ---- Forecaster pipeline parity ------------------------------------------
+
+const Country& Italy() {
+  return *CountryRegistry::Global().Find("IT").value();
+}
+
+/// Weekday usage with seeded noise, so every algorithm fits a model with
+/// many distinct weights (SVR keeps a large support set).
+VehicleDataset NoisyWeeklyDataset(int n) {
+  Rng rng(41);
+  std::vector<DailyUsageRecord> recs;
+  for (int i = 0; i < n; ++i) {
+    DailyUsageRecord r;
+    r.date = Date::FromYmd(2016, 2, 1).value().AddDays(i);
+    const int wd = static_cast<int>(r.date.weekday());
+    r.hours = wd < 5 ? std::max(0.0, 4.0 + 0.5 * wd + rng.Normal()) : 0.0;
+    r.avg_engine_load_pct = r.hours > 0 ? 40 + 5 * rng.Uniform() : 0;
+    r.fuel_used_l = r.hours * 12;
+    recs.push_back(r);
+  }
+  VehicleInfo info;
+  info.vehicle_id = 31;
+  return VehicleDataset::Build(info, recs, Italy()).value();
+}
+
+struct ParityCase {
+  const char* name;
+  ForecasterConfig config;
+};
+
+std::vector<ParityCase> ParityCases() {
+  std::vector<ParityCase> cases;
+  auto add = [&](const char* name, Algorithm algorithm) -> ForecasterConfig& {
+    ForecasterConfig config;
+    config.algorithm = algorithm;
+    config.windowing.lookback_w = 14;
+    config.selection.top_k = 7;
+    cases.push_back({name, config});
+    return cases.back().config;
+  };
+  add("LR", Algorithm::kLinearRegression);
+  add("Lasso", Algorithm::kLasso);
+  add("SVR-rbf", Algorithm::kSvr);
+  add("SVR-linear", Algorithm::kSvr).svr.kernel.type = KernelType::kLinear;
+  ForecasterConfig& poly = add("SVR-poly", Algorithm::kSvr);
+  poly.svr.kernel.type = KernelType::kPolynomial;
+  poly.svr.kernel.degree = 2;
+  poly.svr.kernel.coef0 = 1.0;
+  ForecasterConfig& lad = add("GB-LAD", Algorithm::kGradientBoosting);
+  lad.gb.loss = GbLoss::kLeastAbsoluteDeviation;
+  lad.gb.n_estimators = 40;
+  ForecasterConfig& ls = add("GB-LS", Algorithm::kGradientBoosting);
+  ls.gb.loss = GbLoss::kLeastSquares;
+  ls.gb.n_estimators = 40;
+  return cases;
+}
+
+TEST(CompactForecasterParityTest, ServedPredictionsAreBitwiseTrained) {
+  const VehicleDataset ds = NoisyWeeklyDataset(260);
+  for (const ParityCase& c : ParityCases()) {
+    VehicleForecaster trained(c.config);
+    ASSERT_TRUE(trained.Train(ds, 20, 200).ok()) << c.name;
+    StatusOr<std::string> bytes = trained.SaveCompact();
+    ASSERT_TRUE(bytes.ok()) << c.name << ": " << bytes.status().ToString();
+    auto owner = std::make_shared<std::string>(std::move(bytes).value());
+    StatusOr<VehicleForecaster> served = VehicleForecaster::LoadCompact(
+        std::span<const uint8_t>(
+            reinterpret_cast<const uint8_t*>(owner->data()), owner->size()),
+        owner);
+    ASSERT_TRUE(served.ok()) << c.name << ": " << served.status().ToString();
+
+    size_t targets = 0;
+    for (size_t t = 150; t <= ds.num_days(); ++t, ++targets) {
+      const double want = trained.PredictTarget(ds, t).value();
+      const double got = served.value().PredictTarget(ds, t).value();
+      ASSERT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+          << c.name << " target " << t << ": " << want << " vs " << got;
+    }
+    EXPECT_GE(targets, 50u) << c.name;
+  }
 }
 
 TEST(CompactRoundtripTest, HeaderAndScalerRoundTrip) {
@@ -197,16 +301,34 @@ TEST(CompactRoundtripTest, DecodedModelRefusesFit) {
 
 // ---- Hostile-bytes contract --------------------------------------------
 
-std::string EncodeSample() {
+/// A small encoded bundle of `algorithm` over a 4-feature problem.
+std::string EncodeSample(Algorithm algorithm = Algorithm::kLinearRegression) {
   Matrix x;
   std::vector<double> y;
   MakeProblem(&x, &y, 40, 29);
-  LinearRegression model;
-  EXPECT_TRUE(model.Fit(x, y).ok());
-  StatusOr<std::string> encoded = EncodeCompactPipeline(
-      MakeHeader(Algorithm::kLinearRegression, false), nullptr, model);
+  std::unique_ptr<Regressor> model;
+  if (algorithm == Algorithm::kSvr) {
+    model = std::make_unique<Svr>(Svr::Options{});
+  } else if (algorithm == Algorithm::kGradientBoosting) {
+    GradientBoosting::Options o;
+    o.n_estimators = 8;
+    o.max_depth = 2;
+    model = std::make_unique<GradientBoosting>(o);
+  } else {
+    model = std::make_unique<LinearRegression>();
+  }
+  EXPECT_TRUE(model->Fit(x, y).ok());
+  StatusOr<std::string> encoded =
+      EncodeCompactPipeline(MakeHeader(algorithm, false), nullptr, *model);
   EXPECT_TRUE(encoded.ok());
   return std::move(encoded).value();
+}
+
+/// One sample per payload layout: linear, SVR, GB.
+std::vector<std::string> EncodeSamples() {
+  return {EncodeSample(Algorithm::kLinearRegression),
+          EncodeSample(Algorithm::kSvr),
+          EncodeSample(Algorithm::kGradientBoosting)};
 }
 
 Status DecodeBytes(std::string bytes) {
@@ -239,38 +361,78 @@ TEST(CompactHostileBytesTest, NewerVersionIsUnimplemented) {
   std::string bytes = EncodeSample();
   // Version is checked before the CRC: a reader that cannot understand
   // the format must say so, not misreport it as corruption.
-  bytes[4] = 2;
+  bytes[4] = 3;
   bytes[5] = 0;
   EXPECT_TRUE(DecodeBytes(bytes).IsUnimplemented());
 }
 
+TEST(CompactHostileBytesTest, VersionOneIsRefusedNeverMisread) {
+  // A v1 LR bundle is byte for byte a v2 one with version 1 (LR was f64
+  // in both); v1 Lasso/SVR/GB payloads held float32 that v2 would misread.
+  // So any bundle stamped v1, even with a valid CRC, must be refused.
+  std::string bytes = EncodeSample();
+  bytes[4] = 1;
+  bytes[5] = 0;
+  const uint32_t crc = Crc32(bytes.data(), bytes.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    bytes[bytes.size() - 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
+  }
+  const Status status = DecodeBytes(bytes);
+  EXPECT_TRUE(status.IsUnimplemented()) << status.ToString();
+  EXPECT_NE(status.message().find("re-publish"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(CompactHostileBytesTest, MisalignedBytesDecodeIdentically) {
+  // A buffer at an odd address is copied to an aligned one, never read
+  // through a misaligned f64 pointer.
+  const std::string bytes = EncodeSample(Algorithm::kSvr);
+  auto owner = std::make_shared<std::string>("x" + bytes);
+  StatusOr<DecodedCompactPipeline> decoded = DecodeCompactPipeline(
+      std::span<const uint8_t>(
+          reinterpret_cast<const uint8_t*>(owner->data()) + 1, bytes.size()),
+      owner);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const std::vector<double> features = {0.5, -1.0, 2.0, 0.25};
+  auto aligned = std::make_shared<std::string>(bytes);
+  StatusOr<DecodedCompactPipeline> reference = DecodeCompactPipeline(
+      std::span<const uint8_t>(
+          reinterpret_cast<const uint8_t*>(aligned->data()), bytes.size()),
+      aligned);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(decoded.value().model->PredictOne(features).value(),
+            reference.value().model->PredictOne(features).value());
+}
+
 TEST(CompactHostileBytesTest, EveryTruncationFailsCleanly) {
-  const std::string bytes = EncodeSample();
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    Status status = DecodeBytes(bytes.substr(0, len));
-    ASSERT_FALSE(status.ok()) << "truncated to " << len << " decoded";
-    ASSERT_TRUE(status.IsDataLoss() || status.IsInvalidArgument() ||
-                status.IsUnimplemented())
-        << "truncated to " << len << ": " << status.ToString();
+  for (const std::string& bytes : EncodeSamples()) {
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      Status status = DecodeBytes(bytes.substr(0, len));
+      ASSERT_FALSE(status.ok()) << "truncated to " << len << " decoded";
+      ASSERT_TRUE(status.IsDataLoss() || status.IsInvalidArgument() ||
+                  status.IsUnimplemented())
+          << "truncated to " << len << ": " << status.ToString();
+    }
   }
 }
 
 TEST(CompactHostileBytesTest, SingleBitFlipsNeverDecode) {
-  const std::string bytes = EncodeSample();
-  // Every bit of a small bundle: the CRC (verified before the structure
-  // walk) must catch each flip; flips inside magic/version fields may
-  // surface as their dedicated errors instead.
-  for (size_t byte = 0; byte < bytes.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string mutated = bytes;
-      mutated[byte] = static_cast<char>(mutated[byte] ^ (1 << bit));
-      Status status = DecodeBytes(mutated);
-      ASSERT_FALSE(status.ok())
-          << "flip byte " << byte << " bit " << bit << " decoded";
-      ASSERT_TRUE(status.IsDataLoss() || status.IsInvalidArgument() ||
-                  status.IsUnimplemented())
-          << "flip byte " << byte << " bit " << bit << ": "
-          << status.ToString();
+  // Every bit of each small bundle: the CRC (verified before the
+  // structure walk) must catch each flip; flips inside magic/version
+  // fields may surface as their dedicated errors instead.
+  for (const std::string& bytes : EncodeSamples()) {
+    for (size_t byte = 0; byte < bytes.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string mutated = bytes;
+        mutated[byte] = static_cast<char>(mutated[byte] ^ (1 << bit));
+        Status status = DecodeBytes(mutated);
+        ASSERT_FALSE(status.ok())
+            << "flip byte " << byte << " bit " << bit << " decoded";
+        ASSERT_TRUE(status.IsDataLoss() || status.IsInvalidArgument() ||
+                    status.IsUnimplemented())
+            << "flip byte " << byte << " bit " << bit << ": "
+            << status.ToString();
+      }
     }
   }
 }

@@ -34,8 +34,8 @@ class ManifestTest : public ::testing::Test {
 
 TEST_F(ManifestTest, SerializeParseRoundTrips) {
   GenerationManifest manifest;
-  ASSERT_TRUE(manifest.Add("b.fcst", 10, 0xDEADBEEF).ok());
-  ASSERT_TRUE(manifest.Add("a.fcst", 0, 0).ok());
+  ASSERT_TRUE(manifest.Add("b.cfcst", 10, 0xDEADBEEF).ok());
+  ASSERT_TRUE(manifest.Add("a.cfcst", 0, 0).ok());
   ASSERT_TRUE(manifest.Add("clusters.meta", 123, 0xFFFFFFFF).ok());
 
   std::istringstream in(manifest.Serialize());
@@ -44,8 +44,8 @@ TEST_F(ManifestTest, SerializeParseRoundTrips) {
   EXPECT_TRUE(parsed.value() == manifest);
   // Entries come back strictly ascending regardless of Add order.
   ASSERT_EQ(parsed.value().size(), 3u);
-  EXPECT_EQ(parsed.value().entries()[0].file, "a.fcst");
-  EXPECT_EQ(parsed.value().entries()[1].file, "b.fcst");
+  EXPECT_EQ(parsed.value().entries()[0].file, "a.cfcst");
+  EXPECT_EQ(parsed.value().entries()[1].file, "b.cfcst");
   EXPECT_EQ(parsed.value().entries()[2].file, "clusters.meta");
 }
 
@@ -55,8 +55,8 @@ TEST_F(ManifestTest, AddRejectsUnusableNamesAndDuplicates) {
   EXPECT_TRUE(manifest.Add("..", 1, 1).IsInvalidArgument());
   EXPECT_TRUE(manifest.Add("a/b", 1, 1).IsInvalidArgument());
   EXPECT_TRUE(manifest.Add("a b", 1, 1).IsInvalidArgument());
-  ASSERT_TRUE(manifest.Add("ok.fcst", 1, 1).ok());
-  EXPECT_TRUE(manifest.Add("ok.fcst", 2, 2).IsInvalidArgument());
+  ASSERT_TRUE(manifest.Add("ok.cfcst", 1, 1).ok());
+  EXPECT_TRUE(manifest.Add("ok.cfcst", 2, 2).IsInvalidArgument());
 }
 
 TEST_F(ManifestTest, ParseRejectsStructuralDamage) {
@@ -68,7 +68,7 @@ TEST_F(ManifestTest, ParseRejectsStructuralDamage) {
   EXPECT_TRUE(parse("vupred-manifest v9\nend-manifest\n")
                   .IsInvalidArgument());
   // Missing end sentinel (truncation must always be detectable).
-  EXPECT_TRUE(parse("vupred-manifest v1\nentry a.fcst 1 2\n")
+  EXPECT_TRUE(parse("vupred-manifest v1\nentry a.cfcst 1 2\n")
                   .IsInvalidArgument());
   // Missing trailing newline after the sentinel.
   EXPECT_TRUE(parse("vupred-manifest v1\nend-manifest")
@@ -99,11 +99,11 @@ TEST_F(ManifestTest, ParseRejectsStructuralDamage) {
 }
 
 TEST_F(ManifestTest, BuildFromDirectoryIsDeterministicAndSkipsLeftovers) {
-  WriteFile("vehicle_2.fcst", "model two");
-  WriteFile("vehicle_1.fcst", "model one");
+  WriteFile("vehicle_2.cfcst", "model two");
+  WriteFile("vehicle_1.cfcst", "model one");
   WriteFile("registry_meta.txt", "meta");
   WriteFile("MANIFEST", "a stale manifest must never checksum itself");
-  WriteFile("vehicle_3.fcst.tmp", "torn install leftover");
+  WriteFile("vehicle_3.cfcst.tmp", "torn install leftover");
 
   StatusOr<GenerationManifest> a = GenerationManifest::BuildFromDirectory(dir_);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
@@ -112,11 +112,11 @@ TEST_F(ManifestTest, BuildFromDirectoryIsDeterministicAndSkipsLeftovers) {
   EXPECT_TRUE(a.value() == b.value());
   ASSERT_EQ(a.value().size(), 3u);
   EXPECT_EQ(a.value().entries()[0].file, "registry_meta.txt");
-  EXPECT_EQ(a.value().entries()[1].file, "vehicle_1.fcst");
-  EXPECT_EQ(a.value().entries()[2].file, "vehicle_2.fcst");
+  EXPECT_EQ(a.value().entries()[1].file, "vehicle_1.cfcst");
+  EXPECT_EQ(a.value().entries()[2].file, "vehicle_2.cfcst");
   EXPECT_EQ(a.value().entries()[1].size, 9u);
   EXPECT_EQ(a.value().Find("MANIFEST"), nullptr);
-  EXPECT_EQ(a.value().Find("vehicle_3.fcst.tmp"), nullptr);
+  EXPECT_EQ(a.value().Find("vehicle_3.cfcst.tmp"), nullptr);
   // Every listed file verifies against the bytes on disk.
   for (const ManifestEntry& entry : a.value().entries()) {
     EXPECT_TRUE(GenerationManifest::VerifyFile(dir_, entry).ok())
@@ -125,7 +125,7 @@ TEST_F(ManifestTest, BuildFromDirectoryIsDeterministicAndSkipsLeftovers) {
 }
 
 TEST_F(ManifestTest, VerifyBytesCatchesSizeThenCrcMismatch) {
-  WriteFile("vehicle_1.fcst", "original content");
+  WriteFile("vehicle_1.cfcst", "original content");
   StatusOr<GenerationManifest> built =
       GenerationManifest::BuildFromDirectory(dir_);
   ASSERT_TRUE(built.ok());
@@ -141,7 +141,7 @@ TEST_F(ManifestTest, VerifyBytesCatchesSizeThenCrcMismatch) {
 
 TEST_F(ManifestTest, VerifyFileIsNotFoundWhenTheFileVanished) {
   GenerationManifest manifest;
-  ASSERT_TRUE(manifest.Add("vehicle_9.fcst", 4, 0x12345).ok());
+  ASSERT_TRUE(manifest.Add("vehicle_9.cfcst", 4, 0x12345).ok());
   EXPECT_TRUE(GenerationManifest::VerifyFile(dir_, manifest.entries()[0])
                   .IsNotFound());
 }
@@ -152,7 +152,7 @@ TEST_F(ManifestTest, DetectsEveryFaultInjectorCorruptionKind) {
   FaultInjector rot(FaultProfile::BitRot(), /*seed=*/7);
   bool seen[4] = {false, false, false, false};
   for (uint64_t tag = 0; tag < 64; ++tag) {
-    const std::string name = "vehicle_" + std::to_string(tag) + ".fcst";
+    const std::string name = "vehicle_" + std::to_string(tag) + ".cfcst";
     WriteFile(name, "a model bundle with enough bytes to damage " +
                         std::to_string(tag));
     StatusOr<GenerationManifest> built =
@@ -183,7 +183,7 @@ TEST_F(ManifestTest, WriteReadManifestFileRoundTripsAndFlagsLegacy) {
   EXPECT_TRUE(ReadManifestFile(dir_).status().IsNotFound());
 
   GenerationManifest manifest;
-  ASSERT_TRUE(manifest.Add("vehicle_1.fcst", 42, 0xABCD).ok());
+  ASSERT_TRUE(manifest.Add("vehicle_1.cfcst", 42, 0xABCD).ok());
   ASSERT_TRUE(WriteManifestFile(dir_, manifest).ok());
   StatusOr<GenerationManifest> read = ReadManifestFile(dir_);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
@@ -193,7 +193,7 @@ TEST_F(ManifestTest, WriteReadManifestFileRoundTripsAndFlagsLegacy) {
 
   // A hand-mangled manifest fails parse rather than half-loading.
   std::ofstream out(dir_ + "/MANIFEST", std::ios::trunc);
-  out << "vupred-manifest v1\nentry vehicle_1.fcst 42 43981\n";
+  out << "vupred-manifest v1\nentry vehicle_1.cfcst 42 43981\n";
   out.close();
   EXPECT_TRUE(ReadManifestFile(dir_).status().IsInvalidArgument());
 }

@@ -1,16 +1,17 @@
 #include "serve/model_registry.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "core/forecaster.h"
 #include "serve/validator.h"
 
@@ -311,8 +312,9 @@ TEST_F(ModelRegistryBreakerTest, SuccessfulProbeClosesBreaker) {
   // Repair the bundle behind the registry's back (no Publish, which would
   // reset the breaker anyway), let the backoff elapse, probe.
   {
-    std::ofstream out(registry.BundlePath(9), std::ios::trunc);
-    ASSERT_TRUE(good.Save(out).ok());
+    std::ofstream out(registry.BundlePath(9),
+                      std::ios::trunc | std::ios::binary);
+    out << good.SaveCompact().value();
   }
   clock.AdvanceMs(registry.BreakerBackoffMs(9, 1) + 1);
   StatusOr<std::shared_ptr<const VehicleForecaster>> loaded =
@@ -529,7 +531,7 @@ TEST_F(ModelRegistryGenerationTest, ReloadRejectsTornGeneration) {
   const std::string torn = registry.directory() + "/gen_000007";
   std::filesystem::create_directories(torn);
   {
-    std::ofstream out(torn + "/vehicle_2.fcst");
+    std::ofstream out(torn + "/vehicle_2.cfcst");
     out << "half a bundle";
   }
   {
@@ -598,10 +600,10 @@ std::string ReadFile(const std::string& path) {
   return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
-std::string SaveText(const VehicleForecaster& forecaster) {
-  std::ostringstream out;
-  EXPECT_TRUE(forecaster.Save(out).ok());
-  return out.str();
+std::string SaveBundle(const VehicleForecaster& forecaster) {
+  StatusOr<std::string> bytes = forecaster.SaveCompact();
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? bytes.value() : std::string();
 }
 
 /// True when no `*.staging` directory is left under `root`.
@@ -617,24 +619,70 @@ TEST_F(ModelRegistryGenerationTest, AddSnapshotsTheForecaster) {
   const VehicleDataset ds = MakeDataset(3);
   auto forecaster =
       std::make_unique<VehicleForecaster>(TrainForecaster(ds));
-  const std::string text = SaveText(*forecaster);
-  const std::string compact = forecaster->SaveCompact().value();
+  const std::string bundle = SaveBundle(*forecaster);
 
   StatusOr<GenerationPublisher> pub = registry.NewGeneration();
   ASSERT_TRUE(pub.ok());
-  pub.value().set_emit_compact(true);
   ASSERT_TRUE(pub.value().Add(3, *forecaster).ok());
   // Retrain on another span, then destroy: the staged bundle is the one
   // trained when Add was called.
   ASSERT_TRUE(forecaster->Train(ds, 40, 210).ok());
-  ASSERT_NE(SaveText(*forecaster), text);
+  ASSERT_NE(SaveBundle(*forecaster), bundle);
   forecaster.reset();
   ASSERT_TRUE(pub.value().Commit(TestMeta()).ok());
 
   const std::string gen = pub.value().staging_dir();
-  EXPECT_EQ(ReadFile(gen + "/" + ModelRegistry::BundleFileName(3)), text);
-  EXPECT_EQ(ReadFile(gen + "/" + ModelRegistry::CompactBundleFileName(3)),
-            compact);
+  EXPECT_EQ(ReadFile(gen + "/" + ModelRegistry::BundleFileName(3)), bundle);
+}
+
+TEST_F(ModelRegistryGenerationTest, GenerationHoldsOnlyCompactBundles) {
+  ModelRegistry registry = OpenRegistry(4);
+  const VehicleForecaster forecaster = TrainForecaster(MakeDataset(2));
+  CommitGeneration(registry, 2, forecaster);
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           registry.directory() + "/gen_000001")) {
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"MANIFEST", "registry_meta.txt",
+                                             "vehicle_2.cfcst"}));
+  EXPECT_EQ(ModelRegistry::BundleFileName(2), "vehicle_2.cfcst");
+  EXPECT_EQ(ModelRegistry::ParseBundleFileName("vehicle_2.cfcst"),
+            std::optional<int64_t>(2));
+  // Text bundles of generations published before compact-only ones are
+  // not bundles of this registry.
+  EXPECT_EQ(ModelRegistry::ParseBundleFileName("vehicle_2.fcst"),
+            std::nullopt);
+}
+
+TEST_F(ModelRegistryGenerationTest, VersionOneBundleIsQuarantinedNotScored) {
+  ModelRegistry registry = OpenRegistry(4);
+  CommitGeneration(registry, 2, TrainForecaster(MakeDataset(2)));
+  // Rewrite the bundle as a generation published with `vupc v1` would
+  // hold it: version 1, a valid CRC, and a MANIFEST that vouches for it.
+  const std::string gen = registry.directory() + "/gen_000001";
+  const std::string path = gen + "/" + ModelRegistry::BundleFileName(2);
+  std::string bytes = ReadFile(path);
+  bytes[4] = 1;
+  const uint32_t crc = Crc32(bytes.data(), bytes.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    bytes[bytes.size() - 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
+  }
+  {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << bytes;
+  }
+  ASSERT_TRUE(WriteManifestFile(
+                  gen, GenerationManifest::BuildFromDirectory(gen).value())
+                  .ok());
+  ModelRegistry reopened = OpenRegistry(4);
+  const Status status = reopened.Get(2).status();
+  EXPECT_TRUE(status.IsNotFound()) << status.ToString();
+  EXPECT_NE(status.message().find("re-publish"), std::string::npos)
+      << status.ToString();
+  EXPECT_TRUE(reopened.IsQuarantined(2));
+  EXPECT_EQ(reopened.stats().load_failures, 0u);
 }
 
 TEST_F(ModelRegistryGenerationTest, LaterStagingOfAnIdWins) {
@@ -655,17 +703,21 @@ TEST_F(ModelRegistryGenerationTest, LaterStagingOfAnIdWins) {
     ASSERT_TRUE(publisher.Add(1, a).ok());
     ASSERT_TRUE(publisher.Add(1, b).ok());
   }
-  EXPECT_EQ(staged(1), SaveText(b));
+  EXPECT_EQ(staged(1), SaveBundle(b));
 
   // Add then AddPrebuilt: the prebuilt bytes, with the Add still queued.
   ASSERT_TRUE(publisher.Add(2, a).ok());
-  ASSERT_TRUE(publisher.AddPrebuilt(2, "prebuilt bytes").ok());
+  ASSERT_TRUE(publisher.AddPrebuilt(2, {}, "prebuilt bytes").ok());
   EXPECT_EQ(staged(2), "prebuilt bytes");
 
   // AddPrebuilt then Add: the forecaster's bundle.
-  ASSERT_TRUE(publisher.AddPrebuilt(3, "prebuilt bytes").ok());
+  ASSERT_TRUE(publisher.AddPrebuilt(3, {}, "prebuilt bytes").ok());
   ASSERT_TRUE(publisher.Add(3, b).ok());
-  EXPECT_EQ(staged(3), SaveText(b));
+  EXPECT_EQ(staged(3), SaveBundle(b));
+
+  // The text argument is ignored: compact bytes are required.
+  EXPECT_TRUE(
+      publisher.AddPrebuilt(4, "text bytes").IsInvalidArgument());
 }
 
 TEST_F(ModelRegistryGenerationTest, StagingDirWaitsForQueuedWrites) {
@@ -725,7 +777,6 @@ TEST_F(ModelRegistryGenerationTest, AbandonedPublisherWithQueuedWrites) {
   {
     StatusOr<GenerationPublisher> pub = registry.NewGeneration();
     ASSERT_TRUE(pub.ok());
-    pub.value().set_emit_compact(true);
     for (int64_t id = 1; id <= 32; ++id) {
       ASSERT_TRUE(pub.value().Add(id, forecaster).ok());
     }
@@ -736,11 +787,10 @@ TEST_F(ModelRegistryGenerationTest, AbandonedPublisherWithQueuedWrites) {
 
 // ---- Publisher moves -----------------------------------------------------
 
-TEST_F(ModelRegistryGenerationTest, MoveConstructionKeepsEmitCompact) {
+TEST_F(ModelRegistryGenerationTest, MoveConstructionCarriesQueuedWrites) {
   ModelRegistry registry = OpenRegistry(4);
   StatusOr<GenerationPublisher> pub = registry.NewGeneration();
   ASSERT_TRUE(pub.ok());
-  pub.value().set_emit_compact(true);
   const VehicleForecaster forecaster = TrainForecaster(MakeDataset(1));
   ASSERT_TRUE(pub.value().Add(1, forecaster).ok());  // Queued, then moved.
   GenerationPublisher moved(std::move(pub.value()));
@@ -748,26 +798,9 @@ TEST_F(ModelRegistryGenerationTest, MoveConstructionKeepsEmitCompact) {
   ASSERT_TRUE(moved.Commit(TestMeta()).ok());
   for (int64_t id : {1, 2}) {
     EXPECT_TRUE(std::filesystem::exists(
-        moved.staging_dir() + "/" + ModelRegistry::BundleFileName(id)));
-    EXPECT_TRUE(std::filesystem::exists(
-        moved.staging_dir() + "/" +
-        ModelRegistry::CompactBundleFileName(id)))
+        moved.staging_dir() + "/" + ModelRegistry::BundleFileName(id)))
         << "vehicle " << id;
   }
-}
-
-TEST_F(ModelRegistryGenerationTest, MoveAssignmentTakesEmitCompact) {
-  ModelRegistry registry = OpenRegistry(4);
-  StatusOr<GenerationPublisher> target = registry.NewGeneration();
-  StatusOr<GenerationPublisher> source = registry.NewGeneration();
-  ASSERT_TRUE(target.ok() && source.ok());
-  source.value().set_emit_compact(true);  // The target keeps the default.
-  target.value() = std::move(source.value());
-  const VehicleForecaster forecaster = TrainForecaster(MakeDataset(1));
-  ASSERT_TRUE(target.value().Add(1, forecaster).ok());
-  ASSERT_TRUE(target.value().Commit(TestMeta()).ok());
-  EXPECT_TRUE(std::filesystem::exists(target.value().staging_dir() + "/" +
-                                      ModelRegistry::CompactBundleFileName(1)));
 }
 
 TEST_F(ModelRegistryGenerationTest, MoveAssignmentReleasesTheTarget) {

@@ -73,7 +73,7 @@ class ReloadBreakerTest : public ::testing::Test {
   }
 
   /// Publishes vehicle 9's bundle into the flat (unmanifested) layout and
-  /// corrupts it on disk so every load fails with DataLoss. Flat on
+  /// corrupts it on disk so every load fails to decode. Flat on
   /// purpose: the corrupt-load path, not the manifest-quarantine path, is
   /// what trips breakers.
   void PublishCorruptGeneration(ModelRegistry* registry) {

@@ -1,8 +1,8 @@
 // Sharded-registry behavior: the byte-budgeted LRU (mixed model sizes,
 // oversized models, the cache_bytes gauge), breaker state surviving
 // eviction, the per-shard-sums-equal-totals stats invariant, and the
-// compact (mmap) serving path -- parity with text bundles and quarantine
-// on bit-rot.
+// compact (mmap) serving path -- bitwise parity with the trained models
+// and quarantine on bit-rot.
 
 #include <algorithm>
 #include <filesystem>
@@ -103,12 +103,14 @@ TEST_F(RegistryShardTest, ShardCountIsValidatedAndRouted) {
 }
 
 TEST_F(RegistryShardTest, ByteBudgetHonoredWithMixedModelSizes) {
-  // SVR keeps support vectors resident, Lasso a single coefficient row:
-  // genuinely mixed per-model weights.
+  // Mapped bundles charge only their heap bookkeeping: GB keeps one
+  // entry per tree resident, Lasso none -- genuinely mixed per-model
+  // weights.
   ModelRegistry unbounded = OpenWith(ModelRegistry::Options{});
   std::vector<int64_t> ids;
   for (int64_t id = 1; id <= 6; ++id) {
-    const Algorithm alg = id % 2 == 0 ? Algorithm::kSvr : Algorithm::kLasso;
+    const Algorithm alg =
+        id % 2 == 0 ? Algorithm::kGradientBoosting : Algorithm::kLasso;
     ASSERT_TRUE(
         unbounded.Publish(id, TrainForecaster(MakeDataset(id), alg)).ok());
     ids.push_back(id);
@@ -273,80 +275,73 @@ TEST_F(RegistryShardTest, CacheBytesGaugeMatchesResidency) {
 
 class RegistryCompactTest : public RegistryShardTest {
  protected:
-  /// Commits a generation of LR models for ids 1..n with compact twins.
-  void CommitCompactFleet(ModelRegistry& registry, int64_t n) {
+  /// Commits a generation of `algorithm` models for ids 1..n and returns
+  /// the trained forecasters, indexed by id - 1.
+  std::vector<VehicleForecaster> CommitCompactFleet(
+      ModelRegistry& registry, int64_t n,
+      Algorithm algorithm = Algorithm::kLinearRegression) {
+    std::vector<VehicleForecaster> trained;
     StatusOr<GenerationPublisher> pub = registry.NewGeneration();
-    ASSERT_TRUE(pub.ok()) << pub.status().ToString();
-    pub.value().set_emit_compact(true);
+    EXPECT_TRUE(pub.ok()) << pub.status().ToString();
+    if (!pub.ok()) return trained;
     for (int64_t id = 1; id <= n; ++id) {
-      ASSERT_TRUE(
-          pub.value()
-              .Add(id, TrainForecaster(MakeDataset(id),
-                                       Algorithm::kLinearRegression))
-              .ok());
+      trained.push_back(TrainForecaster(MakeDataset(id), algorithm));
+      EXPECT_TRUE(pub.value().Add(id, trained.back()).ok());
     }
-    ASSERT_TRUE(pub.value().Commit(TestMeta(7, "LinearRegression")).ok());
-    ASSERT_TRUE(registry.Reload().ok());
-  }
-
-  std::string CompactPath(const ModelRegistry& registry, int64_t id) {
-    return fs::path(registry.BundlePath(id)).parent_path() /
-           ModelRegistry::CompactBundleFileName(id);
+    EXPECT_TRUE(pub.value().Commit(TestMeta(7, "LinearRegression")).ok());
+    EXPECT_TRUE(registry.Reload().ok());
+    return trained;
   }
 };
 
-TEST_F(RegistryCompactTest, CompactServingIsBitExactForLr) {
-  ModelRegistry text_registry = OpenWith(ModelRegistry::Options{});
-  CommitCompactFleet(text_registry, 3);
-  for (int64_t id = 1; id <= 3; ++id) {
-    ASSERT_TRUE(fs::exists(CompactPath(text_registry, id)))
-        << "no compact twin for vehicle " << id;
-  }
-
-  ModelRegistry::Options compact_opts;
-  compact_opts.prefer_compact = true;
-  ModelRegistry compact_registry = OpenWith(compact_opts);
-
-  for (int64_t id = 1; id <= 3; ++id) {
-    StatusOr<std::shared_ptr<const VehicleForecaster>> from_text =
-        text_registry.Get(id);
-    StatusOr<std::shared_ptr<const VehicleForecaster>> from_compact =
-        compact_registry.Get(id);
-    ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
-    ASSERT_TRUE(from_compact.ok()) << from_compact.status().ToString();
-    VehicleDataset ds = MakeDataset(id);
-    for (size_t t = 205; t <= ds.num_days(); t += 4) {
-      // The LR compact contract is bitwise, not just close.
-      EXPECT_EQ(from_text.value()->PredictTarget(ds, t).value(),
-                from_compact.value()->PredictTarget(ds, t).value())
-          << "vehicle " << id << " target " << t;
+TEST_F(RegistryCompactTest, ServingIsBitExactToTrained) {
+  for (Algorithm algorithm :
+       {Algorithm::kLinearRegression, Algorithm::kLasso, Algorithm::kSvr,
+        Algorithm::kGradientBoosting}) {
+    fs::remove_all(dir_);
+    ModelRegistry registry = OpenWith(ModelRegistry::Options{});
+    const std::vector<VehicleForecaster> trained =
+        CommitCompactFleet(registry, 3, algorithm);
+    ASSERT_EQ(trained.size(), 3u);
+    for (int64_t id = 1; id <= 3; ++id) {
+      StatusOr<std::shared_ptr<const VehicleForecaster>> served =
+          registry.Get(id);
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      VehicleDataset ds = MakeDataset(id);
+      for (size_t t = 205; t <= ds.num_days(); t += 4) {
+        // The compact contract is bitwise, not just close.
+        EXPECT_EQ(trained[static_cast<size_t>(id - 1)]
+                      .PredictTarget(ds, t)
+                      .value(),
+                  served.value()->PredictTarget(ds, t).value())
+            << AlgorithmToString(algorithm) << " vehicle " << id
+            << " target " << t;
+      }
     }
   }
 }
 
-TEST_F(RegistryCompactTest, MissingCompactTwinFallsBackToText) {
-  ModelRegistry::Options opts;
-  opts.prefer_compact = true;
-  ModelRegistry registry = OpenWith(opts);
+TEST_F(RegistryCompactTest, MissingBundleIsNotFoundNotQuarantined) {
+  ModelRegistry registry = OpenWith(ModelRegistry::Options{});
   CommitCompactFleet(registry, 2);
-  ASSERT_TRUE(fs::remove(CompactPath(registry, 1)));
+  ASSERT_TRUE(fs::remove(registry.BundlePath(1)));
 
-  // Manifest lists the deleted compact file, but absence is a fallback,
-  // not corruption: the text bundle still serves.
-  StatusOr<std::shared_ptr<const VehicleForecaster>> model = registry.Get(1);
-  EXPECT_TRUE(model.ok()) << model.status().ToString();
+  // The manifest lists the deleted bundle, but absence is the degradation
+  // path, not corruption: NotFound, no quarantine, no breaker.
+  Status status = registry.Get(1).status();
+  EXPECT_TRUE(status.IsNotFound()) << status.ToString();
   EXPECT_FALSE(registry.IsQuarantined(1));
+  EXPECT_EQ(registry.breaker_state(1), BreakerState::kClosed);
+  EXPECT_TRUE(registry.Get(2).ok());
 }
 
 TEST_F(RegistryCompactTest, BitRottedCompactBundleQuarantines) {
-  ModelRegistry::Options opts;
-  opts.prefer_compact = true;
-  ModelRegistry registry = OpenWith(opts);
+  ModelRegistry registry = OpenWith(ModelRegistry::Options{});
   CommitCompactFleet(registry, 2);
 
-  // Flip one payload byte: the generation MANIFEST covers compact twins,
+  // Flip one payload byte: the generation MANIFEST covers every bundle,
   // so verification must catch it before the decoder ever runs.
-  const std::string path = CompactPath(registry, 2);
+  const std::string path = registry.BundlePath(2);
   {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.good());
@@ -371,12 +366,10 @@ TEST_F(RegistryCompactTest, BitRottedCompactBundleQuarantines) {
 }
 
 TEST_F(RegistryCompactTest, TruncatedCompactBundleQuarantines) {
-  ModelRegistry::Options opts;
-  opts.prefer_compact = true;
-  ModelRegistry registry = OpenWith(opts);
+  ModelRegistry registry = OpenWith(ModelRegistry::Options{});
   CommitCompactFleet(registry, 1);
 
-  const std::string path = CompactPath(registry, 1);
+  const std::string path = registry.BundlePath(1);
   const size_t size = fs::file_size(path);
   fs::resize_file(path, size / 2);
 

@@ -133,6 +133,43 @@ TEST_F(ScrubberTest, ActiveGenerationCorruptionIsQuarantinedBeforeAnyGet) {
   EXPECT_EQ(registry.stats().quarantines, 1u);
 }
 
+TEST_F(ScrubberTest, ResidentBundleBitRotIsQuarantinedAndEvicted) {
+  ModelRegistry registry = OpenRegistry();
+  PublishGeneration(&registry, {1, 2});
+  // Vehicle 2 is resident: its model scores in place over the mapped
+  // bundle, so bit-rot on disk reaches it without any new load.
+  ASSERT_TRUE(registry.Get(2).ok());
+  ASSERT_EQ(registry.resident_models(), 1u);
+
+  // Flip a bit of the last payload f64, just before the CRC trailer.
+  const std::string path = registry.BundlePath(2);
+  const auto at = static_cast<std::streamoff>(fs::file_size(path)) - 5;
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    char byte = 0;
+    f.seekg(at);
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x40);
+    f.seekp(at);
+    f.write(&byte, 1);
+  }
+
+  RegistryScrubber scrubber({.root = dir_, .registry = &registry});
+  StatusOr<ScrubReport> report = scrubber.ScrubOnce();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.value().crc_mismatches, 1u) << report.value().ToString();
+  EXPECT_EQ(report.value().quarantined, 1u);
+  EXPECT_TRUE(registry.IsQuarantined(2));
+  EXPECT_EQ(registry.resident_models(), 0u) << "the rotted model stayed cached";
+  EXPECT_EQ(registry.resident_bytes(), 0u);
+
+  const uint64_t hits = registry.stats().hits;
+  EXPECT_TRUE(registry.Get(2).status().IsNotFound());
+  EXPECT_EQ(registry.stats().hits, hits);
+  EXPECT_TRUE(registry.Get(1).ok());
+}
+
 TEST_F(ScrubberTest, NonActiveGenerationCorruptionIsReportedNotQuarantined) {
   ModelRegistry registry = OpenRegistry();
   PublishGeneration(&registry, {1});

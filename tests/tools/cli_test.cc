@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -203,6 +204,19 @@ TEST(CliTest, PublishThenServeBench) {
   std::string gen_dir =
       registry + "/" + current.substr(0, current.find('\n'));
   EXPECT_FALSE(ReadFile(gen_dir + "/registry_meta.txt").empty());
+  // One compact bundle per vehicle, the meta and the MANIFEST: nothing
+  // else.
+  size_t bundles = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(gen_dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name == "registry_meta.txt" || name == "MANIFEST") continue;
+    EXPECT_EQ(name.rfind("vehicle_", 0), 0u) << name;
+    EXPECT_EQ(entry.path().extension().string(), ".cfcst") << name;
+    ++bundles;
+  }
+  EXPECT_EQ(bundles, 2u);
+  // Compact bundles are the only format: the old twin flag is gone.
+  EXPECT_EQ(CliExitCode("publish --out=" + registry + " --compact"), 2);
 
   std::string report = dir + "/serve_bench.txt";
   std::string json = dir + "/BENCH_serve.json";

@@ -532,10 +532,6 @@ int RunPublish(const Flags& flags) {
   StatusOr<serve::GenerationPublisher> publisher =
       registry.value().NewGeneration();
   if (!publisher.ok()) return Fail(publisher.status());
-  // --compact stages a .cfcst mmap twin next to every .fcst text bundle;
-  // both land in the MANIFEST, so a prefer_compact registry verifies the
-  // compact bytes with the same CRC discipline as the text ones.
-  if (flags.Has("compact")) publisher.value().set_emit_compact(true);
 
   size_t published = 0;
   std::map<int64_t, const VehicleDataset*> probe_data;
@@ -1105,21 +1101,20 @@ std::string LatencyHistogramJson(const obs::Histogram& histogram) {
   return out.str();
 }
 
-/// Synthetic-registry mode: vupred serve-bench --vehicles=N [--compact]
-/// [--shards=S]. Trains one template forecaster per ML algorithm, stamps
-/// the serialized bundle bytes across N vehicle ids (text + compact
-/// twins), then drives a seeded Get() stream against the sharded registry
-/// and reports per-shard cache behavior, load-latency histograms, and the
-/// process RSS against --max-rss-mb. Model-count scale without
-/// model-training cost: publishing is byte replication, so a 10^5..10^6
-/// fleet is minutes of IO, not days of training.
+/// Synthetic-registry mode: vupred serve-bench --vehicles=N [--shards=S].
+/// Trains one template forecaster per ML algorithm, stamps its compact
+/// bundle bytes across N vehicle ids, then drives a seeded Get() stream
+/// against the sharded registry and reports per-shard cache behavior,
+/// load-latency histograms, and the process RSS against --max-rss-mb.
+/// Model-count scale without model-training cost: publishing is byte
+/// replication, so a 10^5..10^6 fleet is minutes of IO, not days of
+/// training.
 int RunServeBenchSynthetic(const Flags& flags) {
   namespace fs = std::filesystem;
   const size_t vehicles = static_cast<size_t>(
       std::max<long long>(flags.GetInt("vehicles", 100'000), 1));
   const size_t shards = static_cast<size_t>(
       std::max<long long>(flags.GetInt("shards", 8), 1));
-  const bool compact = flags.Has("compact");
   const size_t cache_mb = static_cast<size_t>(
       std::max<long long>(flags.GetInt("cache-mb", 64), 0));
   const long long max_rss_mb = flags.GetInt("max-rss-mb", 0);
@@ -1159,7 +1154,7 @@ int RunServeBenchSynthetic(const Flags& flags) {
 
   struct Template {
     std::string name;
-    std::string text;
+    std::unique_ptr<VehicleForecaster> trained;
     std::string compact;
   };
   std::vector<Template> templates;
@@ -1169,23 +1164,17 @@ int RunServeBenchSynthetic(const Flags& flags) {
     cfg.windowing.lookback_w =
         static_cast<size_t>(flags.GetInt("lookback", 21));
     cfg.selection.top_k = static_cast<size_t>(flags.GetInt("topk", 7));
-    VehicleForecaster forecaster(cfg);
+    Template t;
+    t.name = std::string(AlgorithmToString(algorithm));
+    t.trained = std::make_unique<VehicleForecaster>(cfg);
     const size_t n = ds.num_days();
     const size_t begin = n > 200 ? std::max<size_t>(n - 200, cfg.windowing.lookback_w)
                                  : cfg.windowing.lookback_w;
-    Status trained = forecaster.Train(ds, begin, n);
+    Status trained = t.trained->Train(ds, begin, n);
     if (!trained.ok()) return Fail(trained);
-    std::ostringstream text;
-    Status saved = forecaster.Save(text);
-    if (!saved.ok()) return Fail(saved);
-    Template t;
-    t.name = std::string(AlgorithmToString(algorithm));
-    t.text = text.str();
-    if (compact) {
-      StatusOr<std::string> bytes = forecaster.SaveCompact();
-      if (!bytes.ok()) return Fail(bytes.status());
-      t.compact = std::move(bytes).value();
-    }
+    StatusOr<std::string> bytes = t.trained->SaveCompact();
+    if (!bytes.ok()) return Fail(bytes.status());
+    t.compact = std::move(bytes).value();
     templates.push_back(std::move(t));
   }
 
@@ -1204,9 +1193,8 @@ int RunServeBenchSynthetic(const Flags& flags) {
   const auto publish_start = std::chrono::steady_clock::now();
   for (size_t v = 1; v <= vehicles; ++v) {
     const Template& t = templates[(v - 1) % templates.size()];
-    Status stored = publisher.value().AddPrebuilt(
-        static_cast<int64_t>(v), t.text,
-        compact ? std::string_view(t.compact) : std::string_view());
+    Status stored =
+        publisher.value().AddPrebuilt(static_cast<int64_t>(v), {}, t.compact);
     if (!stored.ok()) return Fail(stored);
   }
   serve::RegistryMeta meta;
@@ -1220,59 +1208,40 @@ int RunServeBenchSynthetic(const Flags& flags) {
                                     publish_start)
           .count();
 
-  // The serving registry under test: sharded, byte-budgeted, optionally
-  // preferring the compact mmap twins.
+  // The serving registry under test: sharded and byte-budgeted.
   serve::ModelRegistry::Options reg_opts;
   reg_opts.directory = registry_dir;
   reg_opts.cache_capacity = vehicles;  // Entry count never binds; bytes do.
   reg_opts.cache_max_bytes = cache_mb << 20;
   reg_opts.shards = shards;
-  reg_opts.prefer_compact = compact;
   StatusOr<serve::ModelRegistry> registry =
       serve::ModelRegistry::Open(std::move(reg_opts));
   if (!registry.ok()) return Fail(registry.status());
 
   // Parity gate before any timing: for one vehicle per template, the
-  // served prediction must match the text bundle loaded offline -- the
-  // serving path's only contract that matters. LR is bitwise always;
-  // float32-payload algorithms (Lasso/SVR/GB) get the documented 0.05
-  // ceiling when --compact reroutes them through the mmap decoder.
+  // served prediction must be bitwise the trained template's -- the
+  // serving path's only contract that matters.
   const size_t target = ds.num_days();
-  double max_delta = 0.0;
   std::string parity_json = "{";
   for (size_t t = 0; t < templates.size() && t < vehicles; ++t) {
     const int64_t id = static_cast<int64_t>(t + 1);
-    std::ifstream bundle(registry.value().BundlePath(id));
-    StatusOr<VehicleForecaster> offline = VehicleForecaster::Load(bundle);
-    if (!offline.ok()) return Fail(offline.status());
-    StatusOr<double> offline_pred =
-        offline.value().PredictTarget(ds, target);
-    if (!offline_pred.ok()) return Fail(offline_pred.status());
+    StatusOr<double> trained_pred =
+        templates[t].trained->PredictTarget(ds, target);
+    if (!trained_pred.ok()) return Fail(trained_pred.status());
     StatusOr<std::shared_ptr<const VehicleForecaster>> served =
         registry.value().Get(id);
     if (!served.ok()) return Fail(served.status());
     StatusOr<double> served_pred =
         served.value()->PredictTarget(ds, target);
     if (!served_pred.ok()) return Fail(served_pred.status());
-    const double delta =
-        std::fabs(served_pred.value() - offline_pred.value());
-    const bool exact_required =
-        !compact || templates[t].name == "LR";
-    if (exact_required && served_pred.value() != offline_pred.value()) {
+    if (served_pred.value() != trained_pred.value()) {
       return Fail(Status::Internal(StrFormat(
-          "%s parity violated: served %.17g vs text %.17g",
+          "%s parity violated: served %.17g vs trained %.17g",
           templates[t].name.c_str(), served_pred.value(),
-          offline_pred.value())));
+          trained_pred.value())));
     }
-    if (delta > 0.05) {
-      return Fail(Status::Internal(StrFormat(
-          "%s compact prediction drifted %.6f > 0.05 from text",
-          templates[t].name.c_str(), delta)));
-    }
-    max_delta = std::max(max_delta, delta);
-    parity_json += StrFormat("%s\"%s\": %.9g",
-                             t == 0 ? "" : ", ",
-                             templates[t].name.c_str(), delta);
+    parity_json += StrFormat("%s\"%s\": 0", t == 0 ? "" : ", ",
+                             templates[t].name.c_str());
   }
   parity_json += "}";
 
@@ -1310,11 +1279,9 @@ int RunServeBenchSynthetic(const Flags& flags) {
   const auto [rss_mb, rss_peak_mb] = ReadRssMb();
 
   std::printf("serve-bench: mode=synthetic vehicles=%zu shards=%zu "
-              "compact=%s cache-mb=%zu requests=%zu\n",
-              vehicles, shards, compact ? "on" : "off", cache_mb,
-              num_requests);
-  std::printf("publish: %zu bundles (%s twins) in %.1fs\n", vehicles,
-              compact ? "text+compact" : "text-only", publish_wall);
+              "cache-mb=%zu requests=%zu\n",
+              vehicles, shards, cache_mb, num_requests);
+  std::printf("publish: %zu bundles in %.1fs\n", vehicles, publish_wall);
   std::printf("throughput=%.0f req/s wall=%.3fs ok=%zu failed=%zu\n", rps,
               wall, ok, failed);
   std::printf("get-latency: p50=%.1fus p95=%.1fus p99=%.1fus\n",
@@ -1341,9 +1308,7 @@ int RunServeBenchSynthetic(const Flags& flags) {
               max_rss_mb > 0
                   ? StrFormat(" ceiling %lld MiB", max_rss_mb).c_str()
                   : "");
-  std::printf("verify: LR bitwise, float32 payloads max |dPred| = %.3g "
-              "(ceiling 0.05)\n",
-              max_delta);
+  std::printf("verify: served == trained (exact) for LR, Lasso, SVR, GB\n");
 
   std::ofstream json(json_path, std::ios::trunc);
   if (!json) return Fail(Status::Internal("cannot write " + json_path));
@@ -1354,7 +1319,6 @@ int RunServeBenchSynthetic(const Flags& flags) {
       "  \"mode\": \"synthetic\",\n"
       "  \"vehicles\": %zu,\n"
       "  \"shards\": %zu,\n"
-      "  \"compact\": %s,\n"
       "  \"cache_mb\": %zu,\n"
       "  \"requests\": %zu,\n"
       "  \"publish_seconds\": %.3f,\n"
@@ -1373,9 +1337,9 @@ int RunServeBenchSynthetic(const Flags& flags) {
       "  \"parity_max_abs_delta\": %s,\n"
       "  \"load_latency\": %s,\n"
       "  \"shard_stats\": %s,\n"
-      "  \"verify\": \"lr-bitwise-float32-within-0.05\"\n"
+      "  \"verify\": \"exact-match\"\n"
       "}\n",
-      vehicles, shards, compact ? "true" : "false", cache_mb, num_requests,
+      vehicles, shards, cache_mb, num_requests,
       publish_wall, wall, rps, ok, failed,
       static_cast<unsigned long long>(reg_stats.hits),
       static_cast<unsigned long long>(reg_stats.misses),
@@ -1467,7 +1431,6 @@ int RunServeBench(const Flags& flags) {
   // Starts at 1ms so an epoch-zero deadline is already expired.
   FakeClock fake_clock(1'000'000);
 
-  const bool prefer_compact = flags.Has("compact");
   serve::ModelRegistry::Options reg_opts;
   reg_opts.directory = dir;
   reg_opts.cache_capacity = cache;
@@ -1476,7 +1439,6 @@ int RunServeBench(const Flags& flags) {
       << 20;
   reg_opts.shards = static_cast<size_t>(
       std::max<long long>(flags.GetInt("shards", 1), 1));
-  reg_opts.prefer_compact = prefer_compact;
   if (overload) reg_opts.clock = &fake_clock;
   StatusOr<serve::ModelRegistry> registry =
       serve::ModelRegistry::Open(std::move(reg_opts));
@@ -1592,16 +1554,13 @@ int RunServeBench(const Flags& flags) {
   const double rps =
       wall > 0 ? static_cast<double>(num_requests) / wall : 0.0;
 
-  // Consistency gate: serving a sampled vehicle must reproduce the offline
-  // (text-bundle) forecaster bit-for-bit -- except when the registry
-  // serves compact bundles for a float32-payload algorithm, where the
-  // contract is the documented 0.05 ceiling instead (DESIGN.md section
-  // 15; LR stays bitwise even compact).
+  // Consistency gate: serving a sampled vehicle must reproduce its bundle
+  // decoded offline (outside the registry and the service) bit-for-bit.
   const int64_t sample_id = ids.front();
   const VehicleDataset* sample_ds = dataset_of[sample_id];
   const size_t sample_target = sample_ds->num_days();
-  std::ifstream bundle(registry.value().BundlePath(sample_id));
-  StatusOr<VehicleForecaster> offline = VehicleForecaster::Load(bundle);
+  StatusOr<VehicleForecaster> offline =
+      serve::LoadBundleFile(registry.value().BundlePath(sample_id));
   if (!offline.ok()) return Fail(offline.status());
   StatusOr<double> offline_pred =
       offline.value().PredictTarget(*sample_ds, sample_target);
@@ -1612,11 +1571,7 @@ int RunServeBench(const Flags& flags) {
   sample_request.target_index = sample_target;
   serve::PredictionResponse served = service.Predict(sample_request);
   if (!served.status.ok()) return Fail(served.status);
-  const bool tolerance_verify =
-      prefer_compact &&
-      offline.value().config().algorithm != Algorithm::kLinearRegression;
-  const double verify_ceiling = tolerance_verify ? 0.05 : 0.0;
-  if (std::abs(served.prediction - offline_pred.value()) > verify_ceiling) {
+  if (served.prediction != offline_pred.value()) {
     return Fail(Status::Internal(StrFormat(
         "serving/offline mismatch for vehicle %lld: %.17g vs %.17g",
         static_cast<long long>(sample_id), served.prediction,
@@ -1654,9 +1609,9 @@ int RunServeBench(const Flags& flags) {
               "baseline=%zu\n",
               hierarchy.ok() ? "on" : "off", fallback.cluster, fallback.type,
               fallback.global, fallback.baseline);
-  std::printf("verify: vehicle %lld serving == offline forecaster (%s)\n",
-              static_cast<long long>(sample_id),
-              tolerance_verify ? "compact, within 0.05" : "exact");
+  std::printf("verify: vehicle %lld serving == offline forecaster "
+              "(exact)\n",
+              static_cast<long long>(sample_id));
 
   std::ofstream json(json_path, std::ios::trunc);
   if (!json) {
@@ -1669,7 +1624,6 @@ int RunServeBench(const Flags& flags) {
       "  \"mode\": \"replay\",\n"
       "  \"models\": %zu,\n"
       "  \"shards\": %zu,\n"
-      "  \"compact\": %s,\n"
       "  \"workers\": %zu,\n"
       "  \"batch\": %zu,\n"
       "  \"requests\": %zu,\n"
@@ -1700,10 +1654,9 @@ int RunServeBench(const Flags& flags) {
       "  \"fallback_type\": %zu,\n"
       "  \"fallback_global\": %zu,\n"
       "  \"fallback_baseline\": %zu,\n"
-      "  \"verify\": \"%s\"\n"
+      "  \"verify\": \"exact-match\"\n"
       "}\n",
-      ids.size(), reg_stats.shards.size(),
-      prefer_compact ? "true" : "false", workers, batch,
+      ids.size(), reg_stats.shards.size(), workers, batch,
       num_requests, wall, rps, stats.p50_seconds * 1e3,
       stats.p95_seconds * 1e3, stats.p99_seconds * 1e3, ok, degraded,
       failed, overload ? "true" : "false", admission, policy_name.c_str(),
@@ -1718,8 +1671,7 @@ int RunServeBench(const Flags& flags) {
       static_cast<unsigned long long>(reg_stats.cache_bytes),
       ShardStatsJson(reg_stats).c_str(),
       hierarchy.ok() ? "true" : "false", fallback.cluster, fallback.type,
-      fallback.global, fallback.baseline,
-      tolerance_verify ? "compact-within-0.05" : "exact-match");
+      fallback.global, fallback.baseline);
   if (!json) return Fail(Status::DataLoss("write failed: " + json_path));
   std::printf("wrote %s\n", json_path.c_str());
 
@@ -2920,32 +2872,29 @@ const std::vector<Command>& Commands() {
        "  [--max-vehicles=M] [--algorithm=Lasso] [--lookback=21]\n"
        "  [--topk=7] [--train-days=200] [--keep-generations=2]\n"
        "  [--clusters=K] [--acf-lags=14] [--validate]\n"
-       "  [--canary-fraction=F] [--rollback] [--compact]\n"
-       "  Train one forecaster per eligible fleet vehicle and write the\n"
-       "  bundles plus registry metadata into DIR as a new generation,\n"
-       "  made live by an atomic CURRENT flip, ready for serve-bench (or\n"
-       "  any ModelRegistry consumer). With --clusters=K the same\n"
+       "  [--canary-fraction=F] [--rollback]\n"
+       "  Train one forecaster per eligible fleet vehicle and write its\n"
+       "  compact bundle (vehicle_<id>.cfcst) plus registry metadata and a\n"
+       "  MANIFEST into DIR as a new generation, made live by an atomic\n"
+       "  CURRENT flip, ready for serve-bench (or any ModelRegistry\n"
+       "  consumer). With --clusters=K the same\n"
        "  generation also carries clusters.meta plus pooled per-cluster /\n"
        "  per-type / global bundles under their reserved negative ids, so\n"
        "  serving falls back down the hierarchy for vehicles without a\n"
        "  bundle. Old generations beyond --keep-generations are pruned\n"
        "  (never the ones the rollback journal points at).\n"
        "  --validate gates the CURRENT flip: every staged bundle must\n"
-       "  deserialize and survive finite/bounded sanity probes, and the\n"
+       "  decode and survive finite/bounded sanity probes, and the\n"
        "  staged fleet must not regress holdout PE against the live\n"
        "  generation; a failing generation never leaves staging.\n"
        "  --canary-fraction=F shadow-scores the finalized generation\n"
        "  behind live traffic on the seeded F-slice of vehicles before\n"
        "  the flip; a canary breach aborts with CURRENT untouched.\n"
        "  --rollback (standalone) undoes the last journaled promotion\n"
-       "  and exits: CURRENT flips back to the previous generation.\n"
-       "  --compact additionally stages a .cfcst compact (mmap-able)\n"
-       "  twin per bundle, checksummed by the same MANIFEST; a registry\n"
-       "  opened with prefer_compact serves from the twins and falls\n"
-       "  back to text where a twin is missing.\n",
+       "  and exits: CURRENT flips back to the previous generation.\n",
        {"out", "vehicles", "seed", "max-vehicles", "algorithm", "lookback",
         "topk", "train-days", "keep-generations", "clusters", "acf-lags",
-        "validate", "canary-fraction", "rollback", "compact"},
+        "validate", "canary-fraction", "rollback"},
        {"out"},
        RunPublish},
       {"publish-bench", "time the guarded publish path end to end",
@@ -2973,40 +2922,40 @@ const std::vector<Command>& Commands() {
       {"serve-bench", "replay a request stream against the service",
        "usage: vupred serve-bench --registry=DIR [--workers=4]\n"
        "  [--batch=64] [--requests=512] [--cache=32] [--cache-mb=0]\n"
-       "  [--shards=1] [--compact] [--stream-seed=7]\n"
+       "  [--shards=1] [--stream-seed=7]\n"
        "  [--json=BENCH_serve.json] [--overload] [--overload-seed=7]\n"
        "  [--admission=N] [--shed-policy=block|shed-newest|shed-oldest]\n"
        "  [--deadline-ms=50] [--metrics-out=FILE]\n"
        "  [--metrics-format=prom|json] [--trace]\n"
        "synthetic: vupred serve-bench --vehicles=N [--shards=8]\n"
-       "  [--compact] [--cache-mb=64] [--max-rss-mb=0] [--requests=N]\n"
+       "  [--cache-mb=64] [--max-rss-mb=0] [--requests=N]\n"
        "  [--seed=42] [--stream-seed=7] [--lookback=21] [--topk=7]\n"
        "  [--registry=DIR] [--json=BENCH_serve.json]\n"
        "  Replay a deterministic request stream against the prediction\n"
        "  service at the given batch size and worker count; print a\n"
-       "  latency/throughput report, verify serving == offline on a\n"
-       "  sampled vehicle, and write the schema-v2 JSON report (per-shard\n"
-       "  hit/miss/eviction slices included). --shards=S splits the\n"
-       "  registry cache into S independently locked shards, --cache-mb\n"
-       "  byte-budgets the resident models, --compact serves from the\n"
-       "  .cfcst mmap twins where published. --overload drives offered\n"
-       "  load past the admission capacity under a fake clock (seeded\n"
+       "  latency/throughput report, verify that serving a sampled\n"
+       "  vehicle equals its bundle decoded offline, bitwise, and write\n"
+       "  the schema-v2 JSON report (per-shard hit/miss/eviction slices\n"
+       "  included). --shards=S splits the registry cache into S\n"
+       "  independently locked shards, --cache-mb byte-budgets the\n"
+       "  resident models. --overload drives offered load past the\n"
+       "  admission capacity under a fake clock (seeded\n"
        "  expired deadlines, mid-run registry Reload) and reports shed /\n"
        "  deadline-exceeded / breaker counters -- deterministic per seed.\n"
        "  With --vehicles=N the bench switches to synthetic-registry\n"
        "  mode: one template forecaster per ML algorithm (LR, Lasso,\n"
-       "  SVR, GB) is trained once and its bundle bytes stamped across N\n"
-       "  vehicle ids (text + compact twins under --compact), then a\n"
-       "  seeded Get() stream runs against the sharded registry. Reports\n"
+       "  SVR, GB) is trained once and its compact bundle bytes stamped\n"
+       "  across N vehicle ids, then a seeded Get() stream runs against\n"
+       "  the sharded registry. Reports\n"
        "  per-shard cache behavior, a Get-latency histogram, publish\n"
        "  wall time, and process RSS; gates ONLY on the --max-rss-mb\n"
-       "  ceiling (0 disables) and on prediction parity: LR must match\n"
-       "  the text bundle bitwise, float32-payload algorithms within\n"
-       "  0.05. --metrics-out writes the unified metrics snapshot\n"
+       "  ceiling (0 disables) and on prediction parity: every served\n"
+       "  template must predict bitwise what the trained one does.\n"
+       "  --metrics-out writes the unified metrics snapshot\n"
        "  (Prometheus text, or JSON when the path ends in .json or\n"
        "  --metrics-format=json); --trace prints the serving span tree.\n",
        {"registry", "workers", "batch", "requests", "cache", "cache-mb",
-        "shards", "compact", "vehicles", "max-rss-mb", "seed", "lookback",
+        "shards", "vehicles", "max-rss-mb", "seed", "lookback",
         "topk", "stream-seed", "json", "overload", "overload-seed",
         "admission", "shed-policy", "deadline-ms", "metrics-out",
         "metrics-format", "trace"},
