@@ -87,7 +87,7 @@ grep -q '"verify": "rollback-restores-previous-generation"' build/BENCH_publish_
 rm -rf build/publish_smoke_registry
 
 echo "== tier-1d3: serve-bench synthetic smoke (RSS ceiling, no timing gates) =="
-# 10^5-vehicle synthetic registry served compact/mmap over 16 shards with
+# 10^5-vehicle synthetic registry served compact over 16 shards with
 # a 64 MiB cache byte budget; the command exits non-zero unless every
 # sampled prediction is bitwise its trained template's (LR, Lasso, SVR,
 # GB) AND peak RSS stays under the gate -- the "million models on one

@@ -24,8 +24,11 @@ ctest --preset sanitize -j"${JOBS}" -R \
 # against printf over a million bit patterns plus saved bundles, and the
 # write-behind publisher with its writer pool -- ASan catches a queued
 # bundle snapshot that outlives (or aliases) the forecaster it came from.
+# The registry chaos and scrubber suites ride along for the read path:
+# every resident model scores in place over a bundle buffer it owns, so
+# ASan catches a model that outlives that buffer.
 ctest --preset sanitize -j"${JOBS}" -R \
-  'common_crc32_test|common_string_util_test|core_forecaster_persistence_test|serve_model_registry_test|common_thread_pool_test'
+  'common_crc32_test|common_file_util_test|common_string_util_test|core_forecaster_persistence_test|serve_model_registry_test|common_thread_pool_test|integration_registry_chaos_test|serve_scrubber_test'
 
 # SVR solver and warm-start surface: the panel-packed Gram kernel and the
 # fused SMO scans read whole lane vectors, so ASan guards their padded
@@ -61,7 +64,7 @@ ctest --preset sanitize -j"${JOBS}" -R \
   'serve_manifest_test|serve_validator_test|serve_scrubber_test|serve_registry_reload_breaker_test|integration_publish_chaos_test'
 
 # Compact-bundle decoder fuzz under the sanitizers: the vupc v2 decoder
-# walks attacker-controlled mmap bytes (counts, offsets, tree child
+# walks attacker-controlled bundle bytes (counts, offsets, tree child
 # indices), so every truncation, bit flip and seeded mutation in the
 # suite must fail as a clean Status here -- an OOB read, misaligned f64
 # load, or length-field-sized allocation is exactly what this pass

@@ -1,19 +1,16 @@
 #include "cluster/cluster_meta.h"
 
 #include <cmath>
-#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <limits>
 #include <sstream>
-#include <system_error>
 
+#include "common/file_util.h"
 #include "common/string_util.h"
 #include "telemetry/taxonomy.h"
 
 namespace vup::cluster {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -26,27 +23,6 @@ constexpr const char* kMetaEnd = "end-clusters";
 constexpr long long kMaxDim = 1 << 16;
 constexpr long long kMaxClusters = 1 << 16;
 constexpr long long kMaxVehicles = 100'000'000;
-
-/// Atomic small-file write: temp name, then rename over the target (same
-/// discipline as the registry's CURRENT/meta installs).
-Status WriteFileAtomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return Status::Internal("cannot open for writing: " + tmp);
-    }
-    out << content;
-    out.flush();
-    if (!out) return Status::DataLoss("write failed: " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    return Status::Internal("cannot install " + path + ": " + ec.message());
-  }
-  return Status::OK();
-}
 
 /// Reads the next line; it must be newline-terminated (a writer killed
 /// mid-line leaves a partial final line, which must parse as truncation,

@@ -34,4 +34,21 @@ StatusOr<std::string> ReadFileCapped(const std::string& path,
   return bytes;
 }
 
+Status WriteFileAtomic(const std::string& path, std::string_view content) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) return Status::Internal("cannot open for writing: " + tmp);
+    out.write(content.data(), static_cast<std::streamsize>(content.size()));
+    out.flush();
+    if (!out) return Status::DataLoss("write failed: " + tmp);
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    return Status::Internal("cannot install " + path + ": " + ec.message());
+  }
+  return Status::OK();
+}
+
 }  // namespace vup

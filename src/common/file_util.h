@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/statusor.h"
 
@@ -16,6 +17,13 @@ namespace vup {
 /// `max_bytes` or the read comes up short; Internal for other stat errors.
 StatusOr<std::string> ReadFileCapped(const std::string& path,
                                      uint64_t max_bytes);
+
+/// Installs `content` at `path` through a temp file: writes and flushes
+/// `path`.tmp, then renames it over `path`, so a reader (or a writer
+/// killed mid-way) sees the old file or the new one, never a torn one.
+/// No fsync. Internal when the temp file cannot be opened or renamed;
+/// DataLoss when the write fails.
+Status WriteFileAtomic(const std::string& path, std::string_view content);
 
 }  // namespace vup
 

@@ -191,8 +191,8 @@ class VehicleForecaster {
 
   /// Approximate heap bytes this trained pipeline keeps resident (model
   /// weights, scaler state, column tables) -- the unit of the serving
-  /// registry's byte-budgeted cache. Compact (mmap-backed) pipelines
-  /// report only bookkeeping; their weights live in clean mapped pages.
+  /// registry's byte-budgeted cache. Compact pipelines charge the whole
+  /// bundle they keep alive.
   size_t ResidentBytes() const;
 
   /// Persists the trained pipeline (config, selected columns, scaler,
@@ -207,15 +207,14 @@ class VehicleForecaster {
   static StatusOr<VehicleForecaster> Load(std::istream& is);
 
   /// Persists the trained pipeline as a compact binary bundle
-  /// (ml/compact.h): fixed layout, CRC-framed, mmap-able -- the format
-  /// registries publish and serve. Same preconditions as Save. The loaded
+  /// (ml/compact.h): fixed layout, CRC-framed, scored in place -- the
+  /// format registries publish and serve. Same preconditions as Save. The loaded
   /// pipeline predicts bitwise what this one does (DESIGN.md section 15).
   StatusOr<std::string> SaveCompact() const;
 
   /// Restores a pipeline written by SaveCompact. The forecaster scores in
-  /// place over `bytes` and keeps `owner` alive, so pass the MappedFile
-  /// (or heap buffer) backing them. Error contract as
-  /// DecodeCompactPipeline.
+  /// place over `bytes` and keeps `owner` alive, so pass the heap buffer
+  /// backing them. Error contract as DecodeCompactPipeline.
   static StatusOr<VehicleForecaster> LoadCompact(
       std::span<const uint8_t> bytes, std::shared_ptr<const void> owner);
 

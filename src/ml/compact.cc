@@ -133,7 +133,7 @@ Status Truncated(const char* what) {
 // In-place scoring model over a decoded bundle's payload bytes. Runs each
 // algorithm's PredictOne arithmetic over the same f64 values, so its
 // predictions are bitwise the trained model's; keeps `owner` alive so
-// mapped bytes outlive the model.
+// the bundle bytes outlive the model.
 class CompactModel final : public Regressor {
  public:
   struct TreeRef {
@@ -207,14 +207,15 @@ class CompactModel final : public Regressor {
 
   bool fitted() const override { return true; }
 
-  // Weights stay in the mapped bundle (clean, reclaimable pages); only
-  // this object's bookkeeping is heap-resident.
+  // The weights are read in place from the bundle this model keeps alive,
+  // so the whole bundle is charged, plus this object's bookkeeping.
   size_t ResidentBytes() const override {
-    return sizeof(*this) + trees_.capacity() * sizeof(TreeRef);
+    return sizeof(*this) + bundle_bytes_ + trees_.capacity() * sizeof(TreeRef);
   }
 
   // Populated by the decoder.
   std::shared_ptr<const void> owner_;
+  size_t bundle_bytes_ = 0;
   uint8_t alg_ = 0;
   size_t nf_ = 0;
   double intercept_ = 0.0;
@@ -437,9 +438,9 @@ StatusOr<DecodedCompactPipeline> DecodeCompactPipeline(
                   stored_crc, actual_crc));
   }
 
-  // Payload arrays are read in place as f64 spans. An mmap-ed file (page
-  // aligned) or a malloc-ed buffer already is 8-byte aligned; anything
-  // else is copied once, under the size cap checked above.
+  // Payload arrays are read in place as f64 spans. A malloc-ed buffer
+  // already is 8-byte aligned; anything else is copied once, under the
+  // size cap checked above.
   if (reinterpret_cast<uintptr_t>(bytes.data()) % alignof(double) != 0) {
     auto aligned =
         std::make_shared<std::vector<double>>((bytes.size() + 7) / 8);
@@ -529,6 +530,7 @@ StatusOr<DecodedCompactPipeline> DecodeCompactPipeline(
 
   auto model = std::make_unique<CompactModel>();
   model->owner_ = std::move(owner);
+  model->bundle_bytes_ = bytes.size();
   model->alg_ = alg;
   model->nf_ = nf;
 

@@ -14,8 +14,8 @@
 namespace vup {
 
 /// Compact binary model bundle, `vupc v2`: the one on-disk model format
-/// of a published generation. Fixed layout, mmap-able and scored in
-/// place, sized for registries holding 10^5..10^6 per-vehicle models.
+/// of a published generation. Fixed layout, read with one read and scored
+/// in place, sized for registries holding 10^5..10^6 per-vehicle models.
 ///
 /// Layout (little-endian, packed; offsets in bytes):
 ///
@@ -60,9 +60,10 @@ namespace vup {
 ///
 /// A decoded model *scores in place*: coefficient, dual and support-vector
 /// arrays are aligned f64 spans over the bundle bytes, fed to the same
-/// Dot()/KernelFunction() the trained models call (an mmap-ed file stays
-/// page-cache backed, never heap-copied). Only O(num_trees) bookkeeping
-/// and the scaler vectors are materialized.
+/// Dot()/KernelFunction() the trained models call, never copied into
+/// per-model arrays. Only O(num_trees) bookkeeping and the scaler vectors
+/// are materialized. The model's ResidentBytes() charges the whole bundle
+/// it keeps alive.
 
 inline constexpr uint16_t kCompactVersion = 2;
 
@@ -109,8 +110,7 @@ StatusOr<std::string> EncodeCompactPipeline(
 
 /// Validates and decodes a compact bundle. The returned model keeps
 /// `owner` alive and reads `bytes` in place, so `bytes` must stay valid
-/// as long as `owner` is held (pass the MappedFile, or the heap buffer,
-/// that backs them). Bytes that are not 8-byte aligned are copied once
+/// as long as `owner` is held (pass the heap buffer that backs them). Bytes that are not 8-byte aligned are copied once
 /// into an aligned buffer the model owns. See the format comment for the
 /// error contract.
 StatusOr<DecodedCompactPipeline> DecodeCompactPipeline(

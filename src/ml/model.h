@@ -43,9 +43,8 @@ class Regressor {
 
   /// Approximate heap bytes a fitted model keeps resident (weights,
   /// support vectors, tree nodes), for byte-budgeted caches. Models that
-  /// score in place over externally owned bytes (compact bundles) report
-  /// only their own bookkeeping: mapped pages are clean and reclaimable,
-  /// so they are not charged against a heap budget.
+  /// score in place over a bundle they keep alive (compact bundles) charge
+  /// that whole bundle.
   virtual size_t ResidentBytes() const { return 0; }
 
   /// Fresh unfitted copy with identical hyper-parameters.

@@ -172,7 +172,7 @@ Status WriteRollbackJournal(const std::string& root,
   if (!journal.previous.empty()) {
     VUP_RETURN_IF_ERROR(ValidateGenerationName(journal.previous));
   }
-  return AtomicWriteFile(root + "/" + kRollbackJournalFileName,
+  return WriteFileAtomic(root + "/" + kRollbackJournalFileName,
                          journal.Serialize());
 }
 
@@ -191,7 +191,7 @@ Status PromoteGeneration(const std::string& root,
   // detects the mismatch and refuses, readers are unaffected.
   VUP_RETURN_IF_ERROR(WriteRollbackJournal(
       root, RollbackJournal{generation, previous}));
-  return AtomicWriteFile(root + "/" + kCurrentFileName, generation + "\n");
+  return WriteFileAtomic(root + "/" + kCurrentFileName, generation + "\n");
 }
 
 StatusOr<std::string> RollbackGeneration(const std::string& root) {
@@ -211,7 +211,7 @@ StatusOr<std::string> RollbackGeneration(const std::string& root) {
   // The journal stays in place, still naming `promoted`: once CURRENT no
   // longer matches it, a second rollback of the same promotion fails with
   // FailedPrecondition instead of ping-ponging between generations.
-  VUP_RETURN_IF_ERROR(AtomicWriteFile(root + "/" + kCurrentFileName,
+  VUP_RETURN_IF_ERROR(WriteFileAtomic(root + "/" + kCurrentFileName,
                                       journal.previous + "\n"));
   return journal.previous;
 }

@@ -207,28 +207,9 @@ Status GenerationManifest::VerifyFile(const std::string& dir,
   return VerifyBytes(entry, bytes.value());
 }
 
-Status AtomicWriteFile(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-    if (!out) {
-      return Status::Internal("cannot open for writing: " + tmp);
-    }
-    out << content;
-    out.flush();
-    if (!out) return Status::DataLoss("write failed: " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    return Status::Internal("cannot install " + path + ": " + ec.message());
-  }
-  return Status::OK();
-}
-
 Status WriteManifestFile(const std::string& directory,
                          const GenerationManifest& manifest) {
-  return AtomicWriteFile(directory + "/" + kManifestFileName,
+  return WriteFileAtomic(directory + "/" + kManifestFileName,
                          manifest.Serialize());
 }
 

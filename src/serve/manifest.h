@@ -92,10 +92,6 @@ Status WriteManifestFile(const std::string& directory,
 /// predates manifests (legacy, served unverified).
 StatusOr<GenerationManifest> ReadManifestFile(const std::string& directory);
 
-/// Atomic small-file install shared by the serve layer: write to
-/// `path`.tmp, then rename over `path`.
-Status AtomicWriteFile(const std::string& path, const std::string& content);
-
 }  // namespace vup::serve
 
 #endif  // VUPRED_SERVE_MANIFEST_H_

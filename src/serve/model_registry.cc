@@ -10,9 +10,10 @@
 #include <thread>
 
 #include "common/crc32.h"
-#include "common/mmap_file.h"
+#include "common/file_util.h"
 #include "common/random.h"
 #include "common/string_util.h"
+#include "ml/compact.h"
 #include "serve/guarded_publish.h"
 
 namespace vup::serve {
@@ -46,24 +47,14 @@ Status WriteBundleFile(const std::string& path, std::string_view bytes) {
   return Status::OK();
 }
 
-/// Atomic small-file write: temp name, then rename over the target.
-Status WriteFileAtomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return Status::Internal("cannot open for writing: " + tmp);
-    }
-    out << content;
-    out.flush();
-    if (!out) return Status::DataLoss("write failed: " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    return Status::Internal("cannot install " + path + ": " + ec.message());
-  }
-  return Status::OK();
+/// Decodes a compact bundle that the returned forecaster then owns: the
+/// model scores in place over `bytes`, held alive by the forecaster.
+StatusOr<VehicleForecaster> DecodeOwnedBundle(std::string bytes) {
+  auto owner = std::make_shared<const std::string>(std::move(bytes));
+  return VehicleForecaster::LoadCompact(
+      std::span<const uint8_t>(
+          reinterpret_cast<const uint8_t*>(owner->data()), owner->size()),
+      owner);
 }
 
 /// Vehicle ids with a bundle file directly under `dir`, ascending.
@@ -236,9 +227,9 @@ StatusOr<RegistryMeta> ReadRegistryMetaFile(const std::string& directory) {
 }
 
 StatusOr<VehicleForecaster> LoadBundleFile(const std::string& path) {
-  VUP_ASSIGN_OR_RETURN(MappedFile mapped, MappedFile::Open(path));
-  auto owner = std::make_shared<MappedFile>(std::move(mapped));
-  return VehicleForecaster::LoadCompact(owner->bytes(), owner);
+  VUP_ASSIGN_OR_RETURN(std::string bytes,
+                       ReadFileCapped(path, kMaxCompactBytes));
+  return DecodeOwnedBundle(std::move(bytes));
 }
 
 std::string_view BreakerStateToString(BreakerState state) {
@@ -568,32 +559,45 @@ ModelRegistry::LoadVerifiedLocked(Shard& shard, int64_t vehicle_id) {
         static_cast<long long>(vehicle_id), why.message().c_str()));
   };
 
-  StatusOr<MappedFile> mapped = MappedFile::Open(dir + "/" + file);
-  if (mapped.status().IsNotFound()) {
+  // A listed bundle is read capped at its manifest size, so a grown file
+  // is a mismatch found by its stat, never read.
+  StatusOr<std::string> bytes = ReadFileCapped(
+      dir + "/" + file, entry.has_value() ? entry->size : kMaxCompactBytes);
+  if (bytes.status().IsNotFound()) {
     return Status::NotFound(
         StrFormat("no model bundle for vehicle %lld in %s",
                   static_cast<long long>(vehicle_id), dir.c_str()));
   }
-  VUP_RETURN_IF_ERROR(mapped.status());
-  auto owner = std::make_shared<MappedFile>(std::move(mapped).value());
   if (entry.has_value()) {
-    // Verify BEFORE the decoder ever sees the bytes: a corrupt bundle must
-    // never be scored. Files the manifest does not list load unverified
-    // (single-bundle Publish into a legacy generation keeps working).
-    Status verified = GenerationManifest::VerifyBytes(
-        *entry, std::string_view(reinterpret_cast<const char*>(owner->data()),
-                                 owner->size()));
-    if (!verified.ok()) return quarantine(verified);
+    if (bytes.status().IsDataLoss()) return quarantine(bytes.status());
+    if (bytes.ok() && bytes.value().size() != entry->size) {
+      return quarantine(Status::DataLoss(StrFormat(
+          "%s: size %zu does not match manifest (%llu bytes)", file.c_str(),
+          bytes.value().size(),
+          static_cast<unsigned long long>(entry->size))));
+    }
   }
+  VUP_RETURN_IF_ERROR(bytes.status());
+  // The decoder makes the one CRC pass: it checks the bundle's own trailer
+  // before it trusts any structural field, so corrupt bytes are never
+  // scored. Files the manifest does not list load unverified by it
+  // (single-bundle Publish into a legacy generation keeps working).
   StatusOr<VehicleForecaster> forecaster =
-      VehicleForecaster::LoadCompact(owner->bytes(), owner);
+      DecodeOwnedBundle(std::move(bytes).value());
   if (!forecaster.ok()) {
     // A bundle the manifest vouched for but that fails its own framing is
-    // corruption caught late (or a bundle this build cannot read) -- same
-    // quarantine as a manifest mismatch. Unlisted bundles surface the raw
-    // error and count against the breaker.
+    // corruption (or a bundle this build cannot read): quarantine it.
+    // Unlisted bundles surface the raw error and count against the
+    // breaker.
     if (entry.has_value()) return quarantine(forecaster.status());
     return forecaster.status();
+  }
+  // A bundle whose trailer checks has the whole-file CRC kCrc32Residue, so
+  // the manifest's CRC is compared without a second pass.
+  if (entry.has_value() && entry->crc32 != kCrc32Residue) {
+    return quarantine(Status::DataLoss(StrFormat(
+        "%s: crc32 %u does not match manifest (%u)", file.c_str(),
+        kCrc32Residue, entry->crc32)));
   }
   return std::make_shared<const VehicleForecaster>(
       std::move(forecaster).value());

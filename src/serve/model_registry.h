@@ -117,7 +117,8 @@ class GenerationPublisher;
 /// Directory-backed store of per-vehicle model bundles with a bounded LRU
 /// cache of resident models, per-vehicle circuit breakers around the
 /// disk-load path, and atomically swappable generations. Every bundle is
-/// a `vupc v2` compact bundle (ml/compact.h), mmap-ed and scored in place.
+/// a `vupc v2` compact bundle (ml/compact.h), read into a buffer the model
+/// owns and scored in place.
 ///
 /// On-disk layout, generation mode:
 ///
@@ -180,8 +181,8 @@ class ModelRegistry {
     size_t cache_capacity = 64;
     /// Total resident-byte budget across all shards (0 = unbounded).
     /// Split evenly per shard; a model whose ResidentBytes() exceeds its
-    /// shard's slice is served but never cached. Mapped compact bundles
-    /// charge only their bookkeeping bytes (their pages are clean).
+    /// shard's slice is served but never cached. A compact model is
+    /// charged its whole bundle, which it owns and scores in place.
     size_t cache_max_bytes = 0;
     /// Lock/LRU/breaker shards (>= 1). Vehicles route by SplitMix64 of
     /// their id, so same-fleet runs shard identically.

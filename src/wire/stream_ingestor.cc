@@ -7,6 +7,7 @@
 #include <system_error>
 #include <vector>
 
+#include "common/file_util.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 
@@ -248,24 +249,7 @@ Status StreamIngestor::Checkpoint() {
 
   // Temp + rename: readers (and recovery) only ever see the old or the
   // new checkpoint, never a torn one.
-  const std::string path = checkpoint_path();
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::Internal("cannot open checkpoint for writing: " + tmp);
-    }
-    out.write(encoded.data(),
-              static_cast<std::streamsize>(encoded.size()));
-    out.flush();
-    if (!out) return Status::DataLoss("checkpoint write failed: " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    return Status::Internal(StrFormat("checkpoint rename failed: %s",
-                                      ec.message().c_str()));
-  }
+  VUP_RETURN_IF_ERROR(WriteFileAtomic(checkpoint_path(), encoded));
   // Truncate the journal last: a crash between rename and truncate only
   // re-replays frames the checkpoint already holds (idempotent).
   VUP_RETURN_IF_ERROR(wal_->Reset());

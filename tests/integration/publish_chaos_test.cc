@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster_meta.h"
+#include "common/file_util.h"
 #include "core/forecaster.h"
 #include "serve/guarded_publish.h"
 #include "serve/manifest.h"
@@ -173,7 +174,7 @@ TEST_F(PublishChaosTest, KillAtEveryPublishStepServesOneCompleteGeneration) {
   EXPECT_EQ(ServedPrediction(ds), pred_a);
 
   // Kill 8: CURRENT flipped -- the promotion is complete, B serves.
-  ASSERT_TRUE(AtomicWriteFile(root_ + "/" + kCurrentFileName, gen_b + "\n")
+  ASSERT_TRUE(WriteFileAtomic(root_ + "/" + kCurrentFileName, gen_b + "\n")
                   .ok());
   EXPECT_EQ(ServedPrediction(ds), pred_b);
   StatusOr<RollbackJournal> journal = ReadRollbackJournal(root_);

@@ -5,6 +5,7 @@
 // old or new, never a mix of the two, never a torn bundle.
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -16,6 +17,7 @@
 #include "common/random.h"
 #include "core/forecaster.h"
 #include "serve/model_registry.h"
+#include "serve/scrubber.h"
 
 namespace vup::serve {
 namespace {
@@ -284,6 +286,56 @@ TEST_F(RegistryChaosTest, ConcurrentReadersNeverSeeATornFleet) {
   EXPECT_EQ(torn_observations.load(), 0u);
   EXPECT_GT(reads.load(), 0u);
   EXPECT_GT(failed_reloads, 0u) << "chaos never exercised the torn path";
+}
+
+TEST_F(RegistryChaosTest, BundleTruncatedUnderAResidentModelKeepsServing) {
+  // A resident model scores from the bundle bytes it read and owns, so a
+  // bundle truncated on disk afterwards cannot reach it: the model keeps
+  // predicting the same bits until the scrubber takes it out of service.
+  ModelRegistry registry = OpenRegistry(4);
+  const VehicleDataset ds = MakeDataset(3);
+  ForecasterConfig cfg;
+  cfg.algorithm = Algorithm::kSvr;
+  cfg.windowing.lookback_w = 28;
+  cfg.selection.top_k = 14;
+  VehicleForecaster svr(cfg);
+  ASSERT_TRUE(svr.Train(ds, 30, 200).ok());
+  CommitFleet(registry, {&svr}, /*meta_seed=*/1);
+
+  const std::string path = registry.BundlePath(1);
+  ASSERT_GE(fs::file_size(path), 3u * 4096u) << "bundle spans < 3 pages";
+  StatusOr<std::shared_ptr<const VehicleForecaster>> model = registry.Get(1);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  std::vector<double> before;
+  for (size_t t = 200; t < 215; ++t) {
+    StatusOr<double> p = model.value()->PredictTarget(ds, t);
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    before.push_back(p.value());
+  }
+
+  fs::resize_file(path, 100);
+  for (size_t t = 200; t < 215; ++t) {
+    StatusOr<double> p = model.value()->PredictTarget(ds, t);
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    EXPECT_EQ(std::memcmp(&p.value(), &before[t - 200], sizeof(double)), 0)
+        << "target " << t;
+  }
+  // The cached model still serves until the scrub; the scrub then
+  // quarantines the vehicle and evicts it.
+  ASSERT_TRUE(registry.Get(1).ok());
+
+  RegistryScrubber scrubber({.root = dir_, .registry = &registry});
+  StatusOr<ScrubReport> report = scrubber.ScrubOnce();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().size_mismatches, 1u) << report.value().ToString();
+  EXPECT_EQ(report.value().quarantined, 1u);
+  EXPECT_TRUE(registry.IsQuarantined(1));
+  EXPECT_EQ(registry.resident_models(), 0u);
+  EXPECT_TRUE(registry.Get(1).status().IsNotFound());
+  // The model handed out before the scrub still owns its bytes.
+  StatusOr<double> held = model.value()->PredictTarget(ds, 200);
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  EXPECT_EQ(std::memcmp(&held.value(), &before[0], sizeof(double)), 0);
 }
 
 }  // namespace

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
+#include "core/forecaster.h"
+#include "serve/model_registry.h"
 #include "telemetry/fault_injector.h"
 
 namespace vup::serve {
@@ -198,20 +201,61 @@ TEST_F(ManifestTest, WriteReadManifestFileRoundTripsAndFlagsLegacy) {
   EXPECT_TRUE(ReadManifestFile(dir_).status().IsInvalidArgument());
 }
 
-TEST_F(ManifestTest, AtomicWriteFileInstallsViaRename) {
-  const std::string path = dir_ + "/CURRENT";
-  ASSERT_TRUE(AtomicWriteFile(path, "gen_000001\n").ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_EQ(content, "gen_000001\n");
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
-  // Overwrite is atomic too.
-  ASSERT_TRUE(AtomicWriteFile(path, "gen_000002\n").ok());
-  std::ifstream again(path, std::ios::binary);
-  std::string content2((std::istreambuf_iterator<char>(again)),
-                       std::istreambuf_iterator<char>());
-  EXPECT_EQ(content2, "gen_000002\n");
+VehicleDataset WeeklyDataset(int64_t vehicle_id) {
+  const Country& italy = *CountryRegistry::Global().Find("IT").value();
+  const Date start = Date::FromYmd(2016, 2, 1).value();
+  std::vector<DailyUsageRecord> recs;
+  for (int i = 0; i < 220; ++i) {
+    DailyUsageRecord r;
+    r.date = start.AddDays(i);
+    const int wd = static_cast<int>(r.date.weekday());
+    r.hours = wd < 5 ? 2.0 + static_cast<double>(vehicle_id) + wd +
+                           0.05 * (i % 3)
+                     : 0.0;
+    r.avg_engine_load_pct = r.hours > 0 ? 50 : 0;
+    r.fuel_used_l = r.hours * 12;
+    recs.push_back(r);
+  }
+  VehicleInfo info;
+  info.vehicle_id = vehicle_id;
+  return VehicleDataset::Build(info, recs, italy).value();
+}
+
+TEST_F(ManifestTest, EveryPublishedBundleEntryCarriesTheCrcResidue) {
+  // Each bundle ends in the CRC of the bytes before it, so its whole-file
+  // CRC -- the one the MANIFEST records -- is the residue. The registry's
+  // one-pass load check relies on exactly this.
+  StatusOr<ModelRegistry> registry = ModelRegistry::Open({dir_, 4});
+  ASSERT_TRUE(registry.ok()) << registry.status().ToString();
+  StatusOr<GenerationPublisher> pub = registry.value().NewGeneration();
+  ASSERT_TRUE(pub.ok()) << pub.status().ToString();
+  const Algorithm algorithms[] = {
+      Algorithm::kLinearRegression, Algorithm::kLasso, Algorithm::kSvr,
+      Algorithm::kGradientBoosting};
+  int64_t id = 0;
+  for (Algorithm algorithm : algorithms) {
+    ForecasterConfig cfg;
+    cfg.algorithm = algorithm;
+    cfg.windowing.lookback_w = 14;
+    cfg.selection.top_k = 7;
+    VehicleForecaster forecaster(cfg);
+    ++id;
+    ASSERT_TRUE(forecaster.Train(WeeklyDataset(id), 20, 200).ok());
+    ASSERT_TRUE(pub.value().Add(id, forecaster).ok());
+  }
+  ASSERT_TRUE(pub.value().Commit(RegistryMeta{}).ok());
+  ASSERT_TRUE(registry.value().Reload().ok());
+
+  StatusOr<GenerationManifest> manifest = ReadManifestFile(
+      fs::path(registry.value().BundlePath(1)).parent_path().string());
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  size_t bundles = 0;
+  for (const ManifestEntry& entry : manifest.value().entries()) {
+    if (!ModelRegistry::ParseBundleFileName(entry.file).has_value()) continue;
+    ++bundles;
+    EXPECT_EQ(entry.crc32, kCrc32Residue) << entry.file;
+  }
+  EXPECT_EQ(bundles, std::size(algorithms));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Sharded-registry behavior: the byte-budgeted LRU (mixed model sizes,
 // oversized models, the cache_bytes gauge), breaker state surviving
 // eviction, the per-shard-sums-equal-totals stats invariant, and the
-// compact (mmap) serving path -- bitwise parity with the trained models
+// compact serving path -- bitwise parity with the trained models
 // and quarantine on bit-rot.
 
 #include <algorithm>
@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "core/forecaster.h"
 #include "obs/metrics.h"
+#include "serve/manifest.h"
 #include "serve/model_registry.h"
 
 namespace vup::serve {
@@ -103,9 +105,8 @@ TEST_F(RegistryShardTest, ShardCountIsValidatedAndRouted) {
 }
 
 TEST_F(RegistryShardTest, ByteBudgetHonoredWithMixedModelSizes) {
-  // Mapped bundles charge only their heap bookkeeping: GB keeps one
-  // entry per tree resident, Lasso none -- genuinely mixed per-model
-  // weights.
+  // Compact models charge their whole bundle: a GB ensemble's bundle
+  // dwarfs a Lasso's -- genuinely mixed per-model weights.
   ModelRegistry unbounded = OpenWith(ModelRegistry::Options{});
   std::vector<int64_t> ids;
   for (int64_t id = 1; id <= 6; ++id) {
@@ -376,6 +377,53 @@ TEST_F(RegistryCompactTest, TruncatedCompactBundleQuarantines) {
   Status status = registry.Get(1).status();
   EXPECT_TRUE(status.IsNotFound()) << status.ToString();
   EXPECT_TRUE(registry.IsQuarantined(1));
+}
+
+TEST_F(RegistryCompactTest, ManifestMismatchOnAnIntactBundleQuarantines) {
+  ModelRegistry registry = OpenWith(ModelRegistry::Options{});
+  CommitCompactFleet(registry, 3);
+  // Leave every bundle intact but make the MANIFEST disagree with two of
+  // them: vehicle 1's CRC and vehicle 2's size.
+  const std::string gen = fs::path(registry.BundlePath(1)).parent_path();
+  StatusOr<GenerationManifest> listed = ReadManifestFile(gen);
+  ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+  GenerationManifest edited;
+  for (const ManifestEntry& entry : listed.value().entries()) {
+    ManifestEntry e = entry;
+    if (e.file == ModelRegistry::BundleFileName(1)) {
+      ASSERT_EQ(e.crc32, kCrc32Residue);
+      e.crc32 ^= 1;
+    }
+    if (e.file == ModelRegistry::BundleFileName(2)) e.size += 8;
+    ASSERT_TRUE(edited.Add(e.file, e.size, e.crc32).ok());
+  }
+  ASSERT_TRUE(WriteManifestFile(gen, edited).ok());
+
+  ModelRegistry reopened = OpenWith(ModelRegistry::Options{});
+  const Status crc = reopened.Get(1).status();
+  EXPECT_TRUE(crc.IsNotFound()) << crc.ToString();
+  EXPECT_NE(crc.message().find("crc32"), std::string::npos) << crc.ToString();
+  const Status size = reopened.Get(2).status();
+  EXPECT_TRUE(size.IsNotFound()) << size.ToString();
+  EXPECT_NE(size.message().find("size"), std::string::npos)
+      << size.ToString();
+  EXPECT_TRUE(reopened.IsQuarantined(1));
+  EXPECT_TRUE(reopened.IsQuarantined(2));
+  EXPECT_TRUE(reopened.Get(3).ok());
+  EXPECT_EQ(reopened.stats().quarantines, 2u);
+  EXPECT_EQ(reopened.stats().load_failures, 0u);
+}
+
+TEST_F(RegistryCompactTest, ResidentModelIsChargedItsWholeBundle) {
+  ModelRegistry registry = OpenWith(ModelRegistry::Options{});
+  CommitCompactFleet(registry, 1, Algorithm::kSvr);
+  StatusOr<std::shared_ptr<const VehicleForecaster>> model = registry.Get(1);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  // The model scores in place over the bundle buffer it owns, so the
+  // byte budget must see that buffer.
+  EXPECT_GE(model.value()->ResidentBytes(),
+            fs::file_size(registry.BundlePath(1)));
+  EXPECT_EQ(registry.resident_bytes(), model.value()->ResidentBytes());
 }
 
 }  // namespace

@@ -136,8 +136,8 @@ TEST_F(ScrubberTest, ActiveGenerationCorruptionIsQuarantinedBeforeAnyGet) {
 TEST_F(ScrubberTest, ResidentBundleBitRotIsQuarantinedAndEvicted) {
   ModelRegistry registry = OpenRegistry();
   PublishGeneration(&registry, {1, 2});
-  // Vehicle 2 is resident: its model scores in place over the mapped
-  // bundle, so bit-rot on disk reaches it without any new load.
+  // Vehicle 2 is resident: its model scores from a buffer read before the
+  // rot, so only the scrubber can take it out of service.
   ASSERT_TRUE(registry.Get(2).ok());
   ASSERT_EQ(registry.resident_models(), 1u);
 

@@ -1360,7 +1360,7 @@ int RunServeBenchSynthetic(const Flags& flags) {
   if (metrics_exit != 0) return metrics_exit;
 
   // The RSS ceiling is the bench's one gate (timings are reported, never
-  // gated): a sharded + byte-budgeted + mmap'd registry that cannot hold
+  // gated): a sharded + byte-budgeted compact registry that cannot hold
   // a documented ceiling at 10^5-10^6 vehicles has failed its reason to
   // exist.
   if (max_rss_mb > 0 && rss_mb > static_cast<double>(max_rss_mb)) {
