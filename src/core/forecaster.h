@@ -55,9 +55,9 @@ struct ForecasterConfig {
   /// precomputed running sums (SlidingAcf) instead of rebuilding both from
   /// scratch each step. The windowed matrix is bit-identical to the naive
   /// build; the ACF agrees up to floating-point rounding (see SlidingAcf).
-  /// Disable to force the naive full-rebuild path (the reference baseline
-  /// that `vupred core-bench` compares against). Not serialized by Save:
-  /// it changes how training runs, not what a trained pipeline is.
+  /// Disable to force the naive full-rebuild path (the bitwise reference
+  /// that incremental_training_test compares against). Not serialized by
+  /// Save: it changes how training runs, not what a trained pipeline is.
   bool incremental_training = true;
 
   /// Warm-start solver state across consecutive Train calls on the same

@@ -17,8 +17,8 @@ namespace vup::obs {
 /// MetricsSnapshot::Normalize() first for deterministic output.
 std::string ToPrometheusText(const MetricsSnapshot& snapshot);
 
-/// Renders a snapshot as the flat `"key": value` JSON object shape used by
-/// the CLI's BENCH_serve.json reports. Counters and gauges map to one key
+/// Renders a snapshot as a flat `"key": value` JSON object (the CLI's
+/// `--metrics-out=FILE.json`). Counters and gauges map to one key
 /// each (labels folded into the key as `name{k="v"}`); histograms emit
 /// `_count`, `_sum` and conservative `_p50`/`_p95`/`_p99` keys.
 std::string ToJson(const MetricsSnapshot& snapshot);

@@ -1024,8 +1024,9 @@ Status GenerationPublisher::Add(int64_t vehicle_id,
 Status GenerationPublisher::AddPrebuilt(int64_t vehicle_id,
                                         std::string_view /*text_bytes*/,
                                         std::string_view compact_bytes) {
-  // Byte-level Add for synthetic fleets: serve-bench stamps one trained
-  // model's bundle bytes across hundreds of thousands of vehicle ids
+  // Byte-level Add for synthetic fleets: the RSS ceiling test and the
+  // perfbench serving set-ups stamp one trained model's bundle bytes
+  // across up to hundreds of thousands of vehicle ids
   // without re-serializing (or re-training) per id. Finalize checksums
   // the staged files like any other generation.
   if (finalized_) {

@@ -450,9 +450,9 @@ class GenerationPublisher {
   Status Add(int64_t vehicle_id, const VehicleForecaster& forecaster);
 
   /// Writes pre-serialized compact bundle bytes for `vehicle_id` -- the
-  /// fast path for synthetic registries (serve-bench replicates one
-  /// trained template across 10^5..10^6 vehicle ids without
-  /// re-serializing each). `text_bytes` is ignored and kept so existing
+  /// fast path for synthetic registries (serve_rss_ceiling_test and
+  /// perfbench replicate one trained template across up to 10^5
+  /// vehicle ids without re-serializing each). `text_bytes` is ignored and kept so existing
   /// callers still compile; empty `compact_bytes` is InvalidArgument.
   /// Synchronous: errors return here.
   Status AddPrebuilt(int64_t vehicle_id, std::string_view text_bytes,

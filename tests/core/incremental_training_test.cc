@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "common/random.h"
 #include "core/evaluation.h"
 #include "core/forecaster.h"
+#include "obs/metrics.h"
 #include "pipeline/dataset.h"
 
 namespace vup {
@@ -71,6 +73,11 @@ EvaluationConfig BaseConfig(Algorithm algorithm) {
   return cfg;
 }
 
+/// Current value of a process-wide counter.
+double CounterValue(std::string_view name) {
+  return obs::MetricsRegistry::Global().Snapshot().Value(name);
+}
+
 VehicleEvaluation Evaluate(const VehicleDataset& ds, EvaluationConfig cfg,
                            bool incremental) {
   cfg.forecaster.incremental_training = incremental;
@@ -82,7 +89,9 @@ VehicleEvaluation Evaluate(const VehicleDataset& ds, EvaluationConfig cfg,
 TEST(IncrementalTrainingTest, SlidingEvaluationIsBitIdentical) {
   VehicleDataset ds = MakeDataset(160, 3);
   for (Algorithm algorithm :
-       {Algorithm::kLinearRegression, Algorithm::kLasso}) {
+       {Algorithm::kLinearRegression, Algorithm::kLasso, Algorithm::kSvr,
+        Algorithm::kGradientBoosting}) {
+    SCOPED_TRACE(AlgorithmToString(algorithm));
     EvaluationConfig cfg = BaseConfig(algorithm);
     ExpectIdenticalEvaluations(Evaluate(ds, cfg, false),
                                Evaluate(ds, cfg, true));
@@ -137,11 +146,27 @@ TEST(IncrementalTrainingTest, ForecasterReusedAcrossSlidingSpans) {
 
   ForecasterConfig naive_cfg = cfg;
   naive_cfg.incremental_training = false;
+  constexpr std::string_view kAdvances =
+      "vupred_window_incremental_advances_total";
+  constexpr std::string_view kRebuilds =
+      "vupred_window_incremental_rebuilds_total";
+  double advances = 0.0;
+  double rebuilds = 0.0;
   const size_t count = 30;
   for (size_t begin = 10; begin + count + 5 < ds.num_days(); begin += 2) {
+    const double advances0 = CounterValue(kAdvances);
+    const double rebuilds0 = CounterValue(kRebuilds);
     ASSERT_TRUE(incremental.Train(ds, begin, begin + count).ok());
+    advances += CounterValue(kAdvances) - advances0;
+    rebuilds += CounterValue(kRebuilds) - rebuilds0;
+
+    // The naive path never touches the sliding-window counters.
+    const double advances1 = CounterValue(kAdvances);
+    const double rebuilds1 = CounterValue(kRebuilds);
     VehicleForecaster naive(naive_cfg);
     ASSERT_TRUE(naive.Train(ds, begin, begin + count).ok());
+    EXPECT_EQ(CounterValue(kAdvances), advances1);
+    EXPECT_EQ(CounterValue(kRebuilds), rebuilds1);
     EXPECT_EQ(incremental.selected_lags(), naive.selected_lags());
     const size_t target = begin + count;
     StatusOr<double> a = naive.PredictTarget(ds, target);
@@ -149,6 +174,10 @@ TEST(IncrementalTrainingTest, ForecasterReusedAcrossSlidingSpans) {
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_TRUE(SameBits(a.value(), b.value())) << "span at " << begin;
   }
+  // One full build for the first span; every later span advanced in place.
+  EXPECT_GT(advances, 0.0);
+  EXPECT_GE(rebuilds, 1.0);
+  EXPECT_GT(advances, rebuilds);
 }
 
 TEST(IncrementalTrainingTest, DatasetSwitchResetsCaches) {

@@ -258,6 +258,8 @@ TEST_F(PublishChaosTest, PruneSparesJournalPinnedGenerations) {
   ModelRegistry registry = std::move(opened.value());
 
   const VehicleDataset ds = MakeDataset(1);
+  PredictionService service(&registry, nullptr);
+  std::vector<double> served;  // Vehicle 1's answer while each was live.
   for (int g = 0; g < 3; ++g) {
     StatusOr<GenerationPublisher> pub = registry.NewGeneration();
     ASSERT_TRUE(pub.ok()) << pub.status().ToString();
@@ -265,13 +267,22 @@ TEST_F(PublishChaosTest, PruneSparesJournalPinnedGenerations) {
         pub.value().Add(1, TrainForecaster(MakeDataset(g + 1))).ok());
     ASSERT_TRUE(pub.value().Commit(rmeta_).ok());
     ASSERT_TRUE(registry.Reload().ok());
+    PredictionResponse resp = service.Predict({1, &ds, ds.num_days()});
+    ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+    served.push_back(resp.prediction);
   }
   ASSERT_EQ(registry.active_generation(), 3u);
+  ASSERT_NE(served[1], served[2]);
 
   // Roll back to generation 2; the journal now pins generation 3 (the
   // promotion it undid) and generation 2 (the restore target = active).
   ASSERT_TRUE(registry.Rollback().ok());
   ASSERT_EQ(registry.active_generation(), 2u);
+  // Serving flips back to generation 2's own model, bit for bit.
+  PredictionResponse restored = service.Predict({1, &ds, ds.num_days()});
+  ASSERT_TRUE(restored.status.ok()) << restored.status.ToString();
+  EXPECT_EQ(restored.level, ServedLevel::kVehicle);
+  EXPECT_EQ(restored.prediction, served[1]);
 
   // keep=0 is the most aggressive prune there is -- it must still spare
   // the journal-pinned generation 3, or the journal becomes a pointer at
@@ -374,6 +385,8 @@ TEST_F(PublishChaosTest, CanaryReadersRacePromoteRollbackFlips) {
   EXPECT_GT(reads.load(), 0u);
   CanarySnapshot canary = service.canary_counts();
   EXPECT_GT(canary.shadow_scores, 0u);
+  // fraction = 1.0: every successful live answer was shadow-scored once.
+  EXPECT_EQ(canary.shadow_scores, reads.load());
   EXPECT_EQ(canary.nonfinite_outputs, 0u);
   EXPECT_EQ(canary.shadow_errors, 0u);
   EXPECT_TRUE(service.EvaluateCanary().healthy)

@@ -9,6 +9,8 @@
 
 #include "common/thread_pool.h"
 #include "core/forecaster.h"
+#include "obs/export.h"
+#include "obs/metrics.h"
 #include "serve/model_registry.h"
 
 namespace vup::serve {
@@ -393,6 +395,81 @@ TEST_F(PredictionServiceTest, ShedRespondsWithoutTouchingTheRegistry) {
   // Shed requests never reached the registry: exactly one model load.
   EXPECT_EQ(registry_->stats().misses, misses_before + 1);
   EXPECT_TRUE(pool.Shutdown().ok());
+}
+
+TEST_F(PredictionServiceTest, MetricsExportRoundTripsServingCounters) {
+  // A batch that sheds and expires requests, exported as Prometheus text
+  // and parsed back: every serving counter must equal stats(), and the
+  // registry families must equal the registry's own stats.
+  FakeClock clock(1'000'000);
+  ThreadPool pool({2, 32});
+  PredictionService::Options options;
+  options.clock = &clock;
+  options.admission_capacity = 4;
+  options.overload_policy = OverloadPolicy::kShedNewest;
+  PredictionService service(registry_.get(), &pool, options);
+
+  std::vector<PredictionRequest> requests;
+  for (int64_t id : {1, 2, 3, 1, 2, 3, 1}) {  // 7 requests, capacity 4.
+    const VehicleDataset& ds = datasets_.at(id);
+    PredictionRequest req{id, &ds, ds.num_days()};
+    if (id == 2) req.deadline = Deadline::At(Clock::TimePoint{});
+    requests.push_back(req);
+  }
+  std::vector<PredictionResponse> responses = service.PredictBatch(requests);
+  ASSERT_EQ(responses.size(), requests.size());
+  EXPECT_TRUE(pool.Shutdown().ok());
+
+  const ServingStatsSnapshot stats = service.stats();
+  ASSERT_GT(stats.shed, 0u);
+  ASSERT_GT(stats.deadline_exceeded, 0u);
+  ASSERT_EQ(stats.requests, requests.size());
+
+  obs::MetricsSnapshot snapshot;
+  service.CollectMetrics(&snapshot);
+  registry_->CollectMetrics(&snapshot);
+  snapshot.Normalize();
+  obs::ParsedMetrics parsed;
+  std::string error;
+  ASSERT_TRUE(obs::ParsePrometheusText(obs::ToPrometheusText(snapshot),
+                                       &parsed, &error))
+      << error;
+
+  auto as_double = [](size_t v) { return static_cast<double>(v); };
+  EXPECT_EQ(parsed.Value("vupred_serve_requests_total", {}, -1.0),
+            as_double(stats.requests));
+  EXPECT_EQ(parsed.Value("vupred_serve_shed_total", {}, -1.0),
+            as_double(stats.shed));
+  EXPECT_EQ(parsed.Value("vupred_serve_deadline_exceeded_total", {}, -1.0),
+            as_double(stats.deadline_exceeded));
+  EXPECT_EQ(parsed.Value("vupred_serve_in_flight", {}, -1.0), 0.0);
+
+  // The latency histogram holds every scored request: shed and expired
+  // requests are answered without scoring and carry no latency sample.
+  const obs::ParsedSample* inf_bucket = parsed.Find(
+      "vupred_serve_request_seconds_bucket", {{"le", "+Inf"}});
+  ASSERT_NE(inf_bucket, nullptr);
+  EXPECT_EQ(inf_bucket->value,
+            parsed.Value("vupred_serve_request_seconds_count", {}, -1.0));
+  EXPECT_EQ(inf_bucket->value,
+            as_double(stats.requests - stats.shed - stats.deadline_exceeded));
+  bool saw_counter_type = false;
+  for (const auto& [name, type] : parsed.types) {
+    if (name == "vupred_serve_requests_total") {
+      saw_counter_type = type == "counter";
+    }
+  }
+  EXPECT_TRUE(saw_counter_type);
+
+  const ModelRegistryStats reg = registry_->stats();
+  EXPECT_EQ(parsed.Value("vupred_registry_hits_total", {}, -1.0),
+            as_double(reg.hits));
+  EXPECT_EQ(parsed.Value("vupred_registry_misses_total", {}, -1.0),
+            as_double(reg.misses));
+  EXPECT_EQ(parsed.Value("vupred_registry_reloads_total", {}, -1.0),
+            as_double(reg.reloads));
+  EXPECT_EQ(parsed.Value("vupred_registry_generation", {}, -1.0),
+            as_double(reg.generation));
 }
 
 }  // namespace

@@ -152,8 +152,8 @@ int CliExitCode(const std::string& args) {
 TEST(CliTest, HelpExitsZeroForEveryCommand) {
   std::string dir = TempDir();
   for (const char* cmd : {"generate", "train", "predict", "evaluate",
-                          "fleet", "publish", "serve-bench", "core-bench",
-                          "ingest-bench", "publish-bench"}) {
+                          "fleet", "publish", "ingest-bench",
+                          "cluster-bench"}) {
     std::string out = dir + "/help.txt";
     EXPECT_EQ(RunCli(std::string(cmd) + " --help", out), 0) << cmd;
     EXPECT_NE(ReadFile(out).find("usage: vupred "), std::string::npos)
@@ -165,10 +165,17 @@ TEST(CliTest, HelpExitsZeroForEveryCommand) {
 TEST(CliTest, UnknownFlagsExitWithCodeTwo) {
   EXPECT_EQ(CliExitCode("fleet --no-such-flag=1"), 2);
   EXPECT_EQ(CliExitCode("generate --out=/tmp --frobnicate"), 2);
-  EXPECT_EQ(CliExitCode("serve-bench --registry=/tmp --wrokers=4"), 2);
+  EXPECT_EQ(CliExitCode("ingest-bench --vehicels=4"), 2);
   EXPECT_EQ(CliExitCode("evaluate --data=x.csv stray-positional"), 2);
   EXPECT_EQ(CliExitCode("train"), 2);  // Missing required flags.
   EXPECT_EQ(CliExitCode("nosuchcommand"), 2);
+  // The training, publish and serving benchmarks live in perfbench/; the
+  // old CLI bench commands are unknown commands now.
+  for (const char* retired :
+       {"core-bench", "publish-bench", "serve-bench"}) {
+    EXPECT_EQ(CliExitCode(retired), 2) << retired;
+    EXPECT_EQ(CliExitCode(std::string(retired) + " --help"), 2) << retired;
+  }
 }
 
 TEST(CliTest, FleetJobsOutputByteIdentical) {
@@ -191,7 +198,7 @@ TEST(CliTest, FleetJobsOutputByteIdentical) {
   EXPECT_EQ(CliExitCode("fleet --jobs=-1"), 2);
 }
 
-TEST(CliTest, PublishThenServeBench) {
+TEST(CliTest, PublishWritesOneCompactBundlePerVehicle) {
   std::string dir = TempDir();
   std::string registry = dir + "/registry";
   ASSERT_EQ(RunCli("publish --out=" + registry +
@@ -217,26 +224,6 @@ TEST(CliTest, PublishThenServeBench) {
   EXPECT_EQ(bundles, 2u);
   // Compact bundles are the only format: the old twin flag is gone.
   EXPECT_EQ(CliExitCode("publish --out=" + registry + " --compact"), 2);
-
-  std::string report = dir + "/serve_bench.txt";
-  std::string json = dir + "/BENCH_serve.json";
-  ASSERT_EQ(RunCli("serve-bench --registry=" + registry +
-                       " --workers=4 --batch=32 --requests=128 --json=" +
-                       json,
-                   report),
-            0);
-  std::string text = ReadFile(report);
-  EXPECT_NE(text.find("p50="), std::string::npos);
-  EXPECT_NE(text.find("p99="), std::string::npos);
-  EXPECT_NE(text.find("req/s"), std::string::npos);
-  EXPECT_NE(text.find("serving == offline forecaster"), std::string::npos);
-  std::string json_text = ReadFile(json);
-  EXPECT_NE(json_text.find("\"requests_per_second\""), std::string::npos);
-  EXPECT_NE(json_text.find("\"verify\": \"exact-match\""),
-            std::string::npos);
-
-  // Against a directory that is not a registry, fail cleanly.
-  EXPECT_EQ(CliExitCode("serve-bench --registry=" + dir), 1);
 }
 
 /// Value of a `"name": <number>` field in a flat JSON report.
@@ -249,136 +236,16 @@ std::string JsonField(const std::string& json, const std::string& name) {
   return json.substr(start, end - start);
 }
 
-TEST(CliTest, ServeBenchOverloadIsSeededAndDeterministic) {
-  std::string dir = TempDir();
-  std::string registry = dir + "/overload_registry";
-  ASSERT_EQ(RunCli("publish --out=" + registry +
-                   " --vehicles=10 --max-vehicles=3 --train-days=120"),
-            0);
-
-  // Offered load far above pool capacity with a tight admission queue:
-  // the bench must report nonzero shed and deadline-exceeded counts, and
-  // two same-seed runs must agree on every outcome counter (latencies are
-  // real time and may differ).
-  std::string args = "serve-bench --registry=" + registry +
-                     " --workers=2 --batch=64 --requests=512 --overload" +
-                     " --overload-seed=7 --deadline-ms=50 --admission=8" +
-                     " --shed-policy=shed-newest";
-  std::string json_a = dir + "/overload_a.json";
-  std::string json_b = dir + "/overload_b.json";
-  ASSERT_EQ(RunCli(args + " --json=" + json_a, dir + "/overload_a.txt"), 0);
-  ASSERT_EQ(RunCli(args + " --json=" + json_b, dir + "/overload_b.txt"), 0);
-
-  std::string a = ReadFile(json_a);
-  std::string b = ReadFile(json_b);
-  EXPECT_NE(JsonField(a, "shed"), " 0");
-  EXPECT_NE(JsonField(a, "deadline_exceeded"), " 0");
-  EXPECT_EQ(JsonField(a, "overload"), " true");
-  for (const char* field :
-       {"requests", "ok", "degraded", "failed", "shed",
-        "deadline_exceeded", "generation", "reloads"}) {
-    EXPECT_EQ(JsonField(a, field), JsonField(b, field)) << field;
-  }
-
-  // An unknown shed policy is a usage error.
-  EXPECT_EQ(CliExitCode("serve-bench --registry=" + registry +
-                        " --overload --shed-policy=coin-flip"),
-            2);
-}
-
 TEST(CliTest, MetricsFlagsValidation) {
   // Misspelled --metrics-* flags hit the unknown-flag allowlist.
   EXPECT_EQ(CliExitCode("fleet --metrics-outt=/tmp/x.prom"), 2);
   EXPECT_EQ(CliExitCode("fleet --metrics-fromat=json"), 2);
-  EXPECT_EQ(CliExitCode("serve-bench --registry=/tmp --metrics-bogus=1"),
-            2);
+  EXPECT_EQ(CliExitCode("ingest-bench --metrics-bogus=1"), 2);
   // A bad format value is rejected before any work happens.
   EXPECT_EQ(CliExitCode("fleet --metrics-out=/tmp/x --metrics-format=xml"),
             2);
-  EXPECT_EQ(CliExitCode("serve-bench --registry=/tmp --metrics-format=xml"),
-            2);
-}
-
-TEST(CliTest, ServeBenchOverloadMetricsRoundTripAndLegacyJsonStable) {
-  std::string dir = TempDir();
-  std::string registry = dir + "/metrics_registry";
-  ASSERT_EQ(RunCli("publish --out=" + registry +
-                   " --vehicles=10 --max-vehicles=3 --train-days=120"),
-            0);
-
-  std::string args = "serve-bench --registry=" + registry +
-                     " --workers=2 --batch=64 --requests=512 --overload" +
-                     " --overload-seed=7 --deadline-ms=50 --admission=8" +
-                     " --shed-policy=shed-newest";
-  std::string json_with = dir + "/metrics_bench.json";
-  std::string json_without = dir + "/metrics_bench_plain.json";
-  std::string prom_path = dir + "/metrics.prom";
-  std::string stdout_file = dir + "/metrics_bench.txt";
-  ASSERT_EQ(RunCli(args + " --json=" + json_with +
-                       " --metrics-out=" + prom_path,
-                   stdout_file),
-            0);
-  EXPECT_NE(ReadFile(stdout_file).find("wrote metrics (prom) to"),
-            std::string::npos);
-
-  // Round trip: the emitted exposition text must parse back, and its
-  // values must agree with the legacy BENCH_serve.json counters (both are
-  // read from the same stats after the run).
-  std::string prom_text = ReadFile(prom_path);
-  ASSERT_FALSE(prom_text.empty());
-  obs::ParsedMetrics parsed;
-  std::string error;
-  ASSERT_TRUE(obs::ParsePrometheusText(prom_text, &parsed, &error))
-      << error;
-  std::string json_text = ReadFile(json_with);
-  auto json_number = [&](const std::string& field) {
-    return std::stod(JsonField(json_text, field));
-  };
-  EXPECT_EQ(parsed.Value("vupred_serve_shed_total", {}, -1.0),
-            json_number("shed"));
-  EXPECT_EQ(parsed.Value("vupred_serve_deadline_exceeded_total", {}, -1.0),
-            json_number("deadline_exceeded"));
-  EXPECT_GE(parsed.Value("vupred_serve_requests_total"),
-            json_number("requests"));
-  EXPECT_EQ(parsed.Value("vupred_registry_generation", {}, -1.0),
-            json_number("generation"));
-  EXPECT_EQ(parsed.Value("vupred_registry_reloads_total", {}, -1.0),
-            json_number("reloads"));
-  EXPECT_EQ(parsed.Value("vupred_registry_hits_total", {}, -1.0),
-            json_number("cache_hits"));
-  EXPECT_EQ(parsed.Value("vupred_serve_in_flight", {}, -1.0), 0.0);
-  EXPECT_GT(parsed.Value("vupred_threadpool_tasks_total",
-                         {{"pool", "serve"}}),
-            0.0);
-  // The latency histogram exports cumulative buckets ending in +Inf, and
-  // the +Inf bucket equals the _count series.
-  const obs::ParsedSample* inf_bucket = parsed.Find(
-      "vupred_serve_request_seconds_bucket", {{"le", "+Inf"}});
-  ASSERT_NE(inf_bucket, nullptr);
-  EXPECT_EQ(inf_bucket->value,
-            parsed.Value("vupred_serve_request_seconds_count"));
-  bool saw_counter_type = false;
-  for (const auto& [name, type] : parsed.types) {
-    if (name == "vupred_serve_requests_total") {
-      saw_counter_type = type == "counter";
-    }
-  }
-  EXPECT_TRUE(saw_counter_type);
-
-  // The metrics flag must not perturb the legacy report: every
-  // deterministic BENCH_serve.json field matches a run without it.
-  ASSERT_EQ(RunCli(args + " --json=" + json_without,
-                   dir + "/metrics_bench_plain.txt"),
-            0);
-  std::string plain_text = ReadFile(json_without);
-  for (const char* field :
-       {"requests", "ok", "degraded", "failed", "shed",
-        "deadline_exceeded", "breaker_opens", "breaker_short_circuits",
-        "generation", "reloads", "cache_hits", "cache_misses",
-        "cache_evictions"}) {
-    EXPECT_EQ(JsonField(json_text, field), JsonField(plain_text, field))
-        << field;
-  }
+  EXPECT_EQ(CliExitCode("ingest-bench --metrics-format=xml"), 2);
+  EXPECT_EQ(CliExitCode("cluster-bench --metrics-format=xml"), 2);
 }
 
 TEST(CliTest, FleetMetricsDeterministicAcrossRuns) {
@@ -456,79 +323,6 @@ TEST(CliTest, FleetMetricsJsonFormatAndTrace) {
   EXPECT_NE(trace_text.find("fit"), std::string::npos);
 }
 
-TEST(CliTest, CoreBenchVerifiesEquivalenceAndWritesJson) {
-  std::string dir = TempDir();
-  std::string json_path = dir + "/BENCH_core.json";
-  std::string out = dir + "/core_bench.txt";
-  std::string base =
-      "core-bench --vehicles=8 --max-vehicles=2 --eval-days=12 "
-      "--lookback=30 --train-window=40 --topk=10 ";
-  ASSERT_EQ(RunCli(base + "--json=" + json_path, out), 0);
-
-  // The run itself asserts bitwise equivalence; a zero exit plus the
-  // verify line is the proof it ran and passed.
-  std::string text = ReadFile(out);
-  EXPECT_NE(text.find("core-bench: fleet=8 benched=2"), std::string::npos);
-  EXPECT_NE(text.find("byte-identical"), std::string::npos);
-  EXPECT_NE(text.find("window"), std::string::npos);
-
-  std::string json = ReadFile(json_path);
-  EXPECT_NE(json.find("\"bench\": \"core\""), std::string::npos);
-  EXPECT_NE(json.find("\"verify\": \"exact-match\""), std::string::npos);
-  for (const char* field :
-       {"benched_vehicles", "predictions", "algorithm",
-        "naive_window_seconds", "incremental_window_seconds",
-        "window_stage_speedup", "select_stage_speedup", "total_speedup"}) {
-    EXPECT_NE(json.find("\"" + std::string(field) + "\""),
-              std::string::npos)
-        << field;
-  }
-
-  // --jobs is an implementation detail: the counted (non-timing) fields
-  // must match a parallel run of the same seeded benchmark.
-  std::string json_j4 = dir + "/BENCH_core_j4.json";
-  ASSERT_EQ(RunCli(base + "--jobs=4 --json=" + json_j4,
-                   dir + "/core_bench_j4.txt"),
-            0);
-  std::string parallel = ReadFile(json_j4);
-  for (const char* field :
-       {"fleet_vehicles", "benched_vehicles", "predictions", "eval_days",
-        "lookback_w", "top_k", "train_window", "retrain_every"}) {
-    EXPECT_EQ(JsonField(json, field), JsonField(parallel, field)) << field;
-  }
-}
-
-TEST(CliTest, CoreBenchMetricsExposeIncrementalCounters) {
-  std::string dir = TempDir();
-  std::string prom_path = dir + "/core_bench.prom";
-  ASSERT_EQ(RunCli("core-bench --vehicles=8 --max-vehicles=1 --eval-days=10 "
-                   "--lookback=25 --train-window=30 --topk=8 --json=" +
-                       dir + "/BENCH_core_m.json --metrics-out=" + prom_path,
-                   dir + "/core_bench_m.txt"),
-            0);
-  obs::ParsedMetrics parsed;
-  std::string error;
-  ASSERT_TRUE(obs::ParsePrometheusText(ReadFile(prom_path), &parsed, &error))
-      << error;
-  // The incremental path advanced the ring buffer; the naive reference run
-  // never touches these counters, so advances dominate rebuilds.
-  double advances =
-      parsed.Value("vupred_window_incremental_advances_total", {}, -1.0);
-  double rebuilds =
-      parsed.Value("vupred_window_incremental_rebuilds_total", {}, -1.0);
-  EXPECT_GT(advances, 0.0);
-  EXPECT_GE(rebuilds, 1.0);  // One full build per benched vehicle.
-  EXPECT_GT(advances, rebuilds);
-}
-
-TEST(CliTest, CoreBenchRejectsBadArguments) {
-  // Baselines have no windowing pipeline to benchmark.
-  EXPECT_EQ(CliExitCode("core-bench --algorithm=LV"), 2);
-  EXPECT_EQ(CliExitCode("core-bench --algorithm=MA"), 2);
-  EXPECT_EQ(CliExitCode("core-bench --algorithm=Perceptron"), 2);
-  EXPECT_EQ(CliExitCode("core-bench --no-such-flag=1"), 2);
-}
-
 TEST(CliTest, IngestBenchVerifiesRecoveryAndWritesJson) {
   std::string dir = TempDir();
   std::string json_path = dir + "/BENCH_ingest.json";
@@ -590,41 +384,6 @@ TEST(CliTest, IngestBenchRejectsBadArguments) {
   EXPECT_EQ(CliExitCode("ingest-bench --no-such-flag=1"), 2);
   EXPECT_EQ(CliExitCode("ingest-bench --vehicles=0"), 2);
   EXPECT_EQ(CliExitCode("ingest-bench --days=0"), 2);
-}
-
-TEST(CliTest, CoreBenchReportsTrainStagePerAlgorithm) {
-  std::string dir = TempDir();
-  // The train stage must be separately measured so SVR and GB fits are
-  // comparable: the JSON carries the stage speedup and each path's share
-  // of wall time.
-  for (const char* alg : {"SVR", "GB"}) {
-    std::string json_path =
-        dir + "/BENCH_core_" + std::string(alg) + ".json";
-    std::string out = dir + "/core_bench_" + std::string(alg) + ".txt";
-    ASSERT_EQ(RunCli("core-bench --vehicles=8 --max-vehicles=1 "
-                     "--eval-days=8 --lookback=25 --train-window=30 "
-                     "--topk=8 --algorithm=" +
-                         std::string(alg) + " --json=" + json_path,
-                     out),
-              0)
-        << alg;
-    std::string text = ReadFile(out);
-    EXPECT_NE(text.find("algorithm=" + std::string(alg)),
-              std::string::npos)
-        << alg;
-    EXPECT_NE(text.find("% of wall"), std::string::npos) << alg;
-    std::string json = ReadFile(json_path);
-    EXPECT_NE(json.find("\"algorithm\": \"" + std::string(alg) + "\""),
-              std::string::npos)
-        << alg;
-    for (const char* field :
-         {"schema_version", "train_stage_speedup", "naive_train_fraction",
-          "incremental_train_fraction"}) {
-      EXPECT_NE(json.find("\"" + std::string(field) + "\""),
-                std::string::npos)
-          << alg << " missing " << field;
-    }
-  }
 }
 
 TEST(CliTest, ClusterBenchSmokeProvesDeterminismAndColdStart) {
@@ -700,7 +459,7 @@ TEST(CliTest, FleetClustersReportsHierarchyComparison) {
   EXPECT_NE(text.find("global PE="), std::string::npos);
 }
 
-TEST(CliTest, PublishWithClustersServesHierarchyFromServeBench) {
+TEST(CliTest, PublishWithClustersStagesHierarchyAndClustersMeta) {
   std::string dir = TempDir();
   std::string registry = dir + "/cluster_registry";
   std::string publish_out = dir + "/publish_clusters.txt";
@@ -721,22 +480,6 @@ TEST(CliTest, PublishWithClustersServesHierarchyFromServeBench) {
   std::string meta_text = ReadFile(gen_dir + "/clusters.meta");
   EXPECT_NE(meta_text.find("vupred-clusters v1"), std::string::npos);
   EXPECT_NE(meta_text.find("end-clusters"), std::string::npos);
-
-  // serve-bench detects the hierarchy, serves only real vehicles, and
-  // reports the fallback counters.
-  std::string report = dir + "/serve_bench_clusters.txt";
-  ASSERT_EQ(RunCli("serve-bench --registry=" + registry +
-                       " --workers=2 --batch=16 --requests=64 --json=" +
-                       dir + "/BENCH_serve_clusters.json",
-                   report),
-            0);
-  std::string text = ReadFile(report);
-  EXPECT_NE(text.find("fallback: hierarchy=on"), std::string::npos);
-  std::string json = ReadFile(dir + "/BENCH_serve_clusters.json");
-  EXPECT_NE(json.find("\"hierarchy\": true"), std::string::npos);
-  EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"mode\": \"replay\""), std::string::npos);
-  EXPECT_NE(json.find("\"shard_stats\": ["), std::string::npos);
 }
 
 TEST(CliTest, PublishGuardrailsValidateCanaryRollback) {
@@ -772,57 +515,6 @@ TEST(CliTest, PublishGuardrailsValidateCanaryRollback) {
   EXPECT_EQ(ReadFile(registry + "/CURRENT"), first);
   // ...and a second rollback of the spent journal fails cleanly.
   EXPECT_EQ(CliExitCode("publish --out=" + registry + " --rollback"), 1);
-}
-
-TEST(CliTest, PublishBenchVerifiesGuardedPathAndWritesJson) {
-  std::string dir = TempDir();
-  std::string json_path = dir + "/BENCH_publish.json";
-  std::string out = dir + "/publish_bench.txt";
-  ASSERT_EQ(RunCli("publish-bench --vehicles=8 --max-vehicles=4 "
-                   "--train-days=150 --clusters=2 --registry-dir=" +
-                       dir + "/publish_bench_registry --json=" + json_path,
-                   out),
-            0);
-
-  // The run itself asserts the canary verdict, the scrubber quarantine,
-  // the fallback level and the rollback restore; zero exit plus the
-  // verify line is the proof it all held.
-  std::string text = ReadFile(out);
-  EXPECT_NE(text.find("publish-bench: fleet=8"), std::string::npos);
-  EXPECT_NE(text.find("validate"), std::string::npos);
-  EXPECT_NE(text.find("scrub"), std::string::npos);
-  EXPECT_NE(text.find("rollback restores generation A predictions"),
-            std::string::npos);
-
-  std::string json = ReadFile(json_path);
-  EXPECT_NE(json.find("\"bench\": \"publish\""), std::string::npos);
-  EXPECT_NE(json.find("\"schema_version\": 1"), std::string::npos);
-  EXPECT_NE(
-      json.find("\"verify\": \"rollback-restores-previous-generation\""),
-      std::string::npos);
-  for (const char* field :
-       {"fleet_vehicles", "published_models", "pooled_models", "clusters",
-        "generations_published", "validate_seconds", "canary_seconds",
-        "promote_seconds", "scrub_seconds", "rollback_seconds",
-        "canary_shadow_scores", "scrub_files_checked", "scrub_corruptions",
-        "corruption_kind", "quarantined_models", "victim_served_level"}) {
-    EXPECT_NE(json.find("\"" + std::string(field) + "\""),
-              std::string::npos)
-        << field;
-  }
-
-  EXPECT_EQ(CliExitCode("publish-bench --no-such-flag=1"), 2);
-}
-
-TEST(CliTest, CoreBenchSpeedupGateFailsWhenUnmeetable) {
-  std::string dir = TempDir();
-  // An absurd required speedup turns the gate into a deterministic failure
-  // while the equivalence check still passes (exit 1, not 2).
-  EXPECT_EQ(CliExitCode("core-bench --vehicles=8 --max-vehicles=1 "
-                        "--eval-days=8 --lookback=25 --train-window=30 "
-                        "--topk=8 --min-window-speedup=1000000 --json=" +
-                        dir + "/BENCH_core_gate.json"),
-            1);
 }
 
 }  // namespace

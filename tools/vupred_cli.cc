@@ -10,17 +10,6 @@
 //                       serving registry directory, optionally gated by
 //                       --validate and --canary-fraction; --rollback
 //                       reverts the last journaled promotion.
-//   vupred publish-bench Time the guarded publish path (validate, canary,
-//                       promote, scrub, rollback) on a seeded fleet;
-//                       verifies quarantine + rollback invariants and
-//                       writes BENCH_publish.json.
-//   vupred serve-bench  Replay a request stream against the prediction
-//                       service; prints latency/throughput and writes
-//                       BENCH_serve.json.
-//   vupred core-bench   Time the windowing/selection/fit/predict stages of
-//                       the walk-forward evaluation, naive rebuild vs
-//                       incremental sliding window; verifies byte-identical
-//                       results and writes BENCH_core.json.
 //   vupred ingest-bench Time the binary wire path (encode, decode, WAL
 //                       journal+ingest, crash recovery) on a seeded report
 //                       stream; verifies recovery is bit-identical and
@@ -35,7 +24,6 @@
 // rejected with exit code 2.
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -43,14 +31,12 @@
 #include <fstream>
 #include <map>
 #include <span>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/cluster_meta.h"
 #include "cluster/pooled.h"
-#include "common/clock.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -64,7 +50,6 @@
 #include "serve/guarded_publish.h"
 #include "serve/model_registry.h"
 #include "serve/prediction_service.h"
-#include "serve/scrubber.h"
 #include "serve/validator.h"
 #include "table/csv.h"
 #include "telemetry/fault_injector.h"
@@ -145,7 +130,7 @@ int Fail(const Status& status) {
   return 1;
 }
 
-// ---- Observability plumbing (shared by fleet and serve-bench) ----------
+// ---- Observability plumbing (fleet and the bench commands) -------------
 
 /// Resolves --metrics-format, defaulting by --metrics-out extension:
 /// *.json -> json, anything else -> prom. Empty string on a bad value
@@ -700,1476 +685,6 @@ int RunPublish(const Flags& flags) {
                 pooled_published, pooled_k);
   }
   return 0;
-}
-
-int RunPublishBench(const Flags& flags) {
-  namespace fs = std::filesystem;
-  const size_t vehicles =
-      static_cast<size_t>(std::max<long long>(flags.GetInt("vehicles", 12), 2));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  const size_t max_vehicles = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("max-vehicles", 6), 2));
-  const size_t train_days =
-      static_cast<size_t>(flags.GetInt("train-days", 200));
-  const size_t clusters = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("clusters", 3), 1));
-  const std::string json_path = flags.Get("json", "BENCH_publish.json");
-  const std::string registry_dir = flags.Get(
-      "registry-dir",
-      (fs::temp_directory_path() / "vupred_publish_bench").string());
-  const std::string metrics_format = ResolveMetricsFormat(flags);
-  if (metrics_format.empty()) return 2;
-
-  const auto seconds_since = [](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-  };
-
-  std::error_code ec;
-  fs::remove_all(registry_dir, ec);
-
-  // Seeded fleet + per-vehicle forecasters; the bench publishes two
-  // generations trained on different windows so the canary / rollback
-  // drills compare genuinely different fleets.
-  Fleet fleet = Fleet::Generate(FleetConfig::Small(vehicles, seed));
-  ExperimentRunner runner(&fleet);
-  ExperimentOptions opts;
-  opts.max_vehicles = max_vehicles;
-  std::vector<size_t> selected = runner.SelectVehicles(opts);
-  if (selected.size() < 2) {
-    return Fail(Status::FailedPrecondition(
-        "publish-bench needs at least 2 eligible vehicles"));
-  }
-
-  ForecasterConfig cfg;
-  cfg.algorithm = Algorithm::kLasso;
-  cfg.windowing.lookback_w =
-      static_cast<size_t>(flags.GetInt("lookback", 21));
-  cfg.selection.top_k = static_cast<size_t>(flags.GetInt("topk", 7));
-
-  std::map<int64_t, const VehicleDataset*> probe_data;
-  std::vector<VehicleDataset> cluster_datasets;
-  std::vector<int64_t> ids;
-  for (size_t index : selected) {
-    StatusOr<const VehicleDataset*> ds = runner.Dataset(index);
-    if (!ds.ok()) return Fail(ds.status());
-    const int64_t id = fleet.vehicle(index).vehicle_id;
-    probe_data[id] = ds.value();
-    cluster_datasets.push_back(*ds.value());
-    ids.push_back(id);
-  }
-
-  // Train one fleet per generation: gen A on the full window, gen B on a
-  // shorter one (a "newer, differently trained" fleet).
-  const auto train_fleet = [&](size_t window)
-      -> StatusOr<std::map<int64_t, VehicleForecaster>> {
-    std::map<int64_t, VehicleForecaster> models;
-    for (const int64_t id : ids) {
-      const VehicleDataset& d = *probe_data[id];
-      const size_t n = d.num_days();
-      const size_t begin = n > window
-                               ? std::max(n - window, cfg.windowing.lookback_w)
-                               : cfg.windowing.lookback_w;
-      VehicleForecaster forecaster(cfg);
-      VUP_RETURN_IF_ERROR(forecaster.Train(d, begin, n));
-      models.emplace(id, std::move(forecaster));
-    }
-    return models;
-  };
-  StatusOr<std::map<int64_t, VehicleForecaster>> fleet_a =
-      train_fleet(train_days);
-  if (!fleet_a.ok()) return Fail(fleet_a.status());
-  StatusOr<std::map<int64_t, VehicleForecaster>> fleet_b = train_fleet(
-      train_days > 60 ? train_days - 30 : train_days);
-  if (!fleet_b.ok()) return Fail(fleet_b.status());
-
-  // Shared pooled hierarchy (clusters.meta + reserved-id bundles) so the
-  // corruption drill can prove cluster-level fallback serving.
-  cluster::ProfileConfig profile_config;
-  profile_config.acf_lags = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("acf-lags", 14), 1));
-  cluster::KMeansConfig kmeans_config;
-  kmeans_config.k = clusters;
-  kmeans_config.seed = seed;
-  StatusOr<cluster::ClustersMeta> cmeta = cluster::BuildFleetClustering(
-      cluster_datasets, profile_config, kmeans_config);
-  if (!cmeta.ok()) return Fail(cmeta.status());
-  cluster::PooledTrainingOptions popts;
-  popts.forecaster = cfg;
-  popts.train_window = train_days;
-  popts.holdout_days = 0;
-  StatusOr<std::vector<cluster::PooledModel>> pooled =
-      cluster::TrainPooledHierarchy(cluster_datasets, cmeta.value(), popts);
-  if (!pooled.ok()) return Fail(pooled.status());
-
-  serve::ModelRegistry::Options reg_opts;
-  reg_opts.directory = registry_dir;
-  reg_opts.cache_capacity = 0;
-  StatusOr<serve::ModelRegistry> registry =
-      serve::ModelRegistry::Open(std::move(reg_opts));
-  if (!registry.ok()) return Fail(registry.status());
-
-  serve::RegistryMeta meta;
-  meta.fleet_seed = seed;
-  meta.fleet_vehicles = vehicles;
-  meta.algorithm = std::string(AlgorithmToString(cfg.algorithm));
-
-  double validate_s = 0.0;
-  double canary_s = 0.0;
-  double promote_s = 0.0;
-
-  // Stage + validate + promote one generation through the full guarded
-  // path; the canary drill only runs once a live generation exists.
-  const auto publish_generation =
-      [&](const std::map<int64_t, VehicleForecaster>& models,
-          bool canary) -> StatusOr<uint64_t> {
-    StatusOr<serve::GenerationPublisher> publisher =
-        registry.value().NewGeneration();
-    if (!publisher.ok()) return publisher.status();
-    for (const auto& [id, model] : models) {
-      VUP_RETURN_IF_ERROR(publisher.value().Add(id, model));
-    }
-    for (const cluster::PooledModel& model : pooled.value()) {
-      VUP_RETURN_IF_ERROR(
-          publisher.value().Add(model.model_id, model.forecaster));
-    }
-    VUP_RETURN_IF_ERROR(cluster::WriteClustersMetaFile(
-        publisher.value().staging_dir(), cmeta.value()));
-
-    std::string live_dir;
-    if (registry.value().active_generation() != 0) {
-      live_dir = registry_dir + "/" +
-                 serve::ModelRegistry::GenerationDirName(
-                     registry.value().active_generation());
-    }
-    serve::ValidationOptions vopts;
-    // The bench times the gate; the regression-strictness knobs are
-    // exercised by the unit suite. Both fleets are healthy here.
-    vopts.max_pe_regression_ratio = 10.0;
-    const auto validate_t0 = std::chrono::steady_clock::now();
-    StatusOr<serve::ValidationReport> report = serve::ValidateGeneration(
-        publisher.value().staging_dir(), live_dir, probe_data, vopts);
-    validate_s += seconds_since(validate_t0);
-    if (!report.ok()) return report.status();
-    if (!report.value().ok()) {
-      return Status::Internal("bench generation failed validation: " +
-                              report.value().Summary());
-    }
-    VUP_RETURN_IF_ERROR(publisher.value().Finalize(meta));
-
-    if (canary && !live_dir.empty()) {
-      serve::ModelRegistry::Options staged_opts;
-      staged_opts.directory = publisher.value().staging_dir();
-      staged_opts.cache_capacity = 0;
-      StatusOr<serve::ModelRegistry> staged =
-          serve::ModelRegistry::Open(std::move(staged_opts));
-      if (!staged.ok()) return staged.status();
-      serve::PredictionService::Options service_opts;
-      service_opts.canary.staged = &staged.value();
-      service_opts.canary.fraction = 1.0;
-      service_opts.canary.seed = seed;
-      // Differently trained fleets legitimately disagree; the drill
-      // guards against non-finite/erroring staged models, not drift.
-      service_opts.canary.divergence_hours = 24.0;
-      serve::PredictionService service(&registry.value(), nullptr,
-                                       service_opts);
-      const auto canary_t0 = std::chrono::steady_clock::now();
-      for (const auto& [id, ds] : probe_data) {
-        serve::PredictionRequest request(id, ds, ds->num_days());
-        service.Predict(request);
-      }
-      serve::CanaryVerdict verdict = service.EvaluateCanary();
-      canary_s += seconds_since(canary_t0);
-      if (!verdict.healthy) {
-        return Status::Internal("bench canary breached: " + verdict.reason);
-      }
-      if (verdict.snapshot.shadow_scores != probe_data.size()) {
-        return Status::Internal(StrFormat(
-            "canary shadow-scored %llu of %zu vehicles",
-            static_cast<unsigned long long>(verdict.snapshot.shadow_scores),
-            probe_data.size()));
-      }
-    }
-
-    const auto promote_t0 = std::chrono::steady_clock::now();
-    VUP_RETURN_IF_ERROR(publisher.value().Promote());
-    VUP_RETURN_IF_ERROR(registry.value().Reload());
-    promote_s += seconds_since(promote_t0);
-    return publisher.value().number();
-  };
-
-  StatusOr<uint64_t> gen_a = publish_generation(fleet_a.value(), false);
-  if (!gen_a.ok()) return Fail(gen_a.status());
-
-  // Reference prediction served by generation A, for the rollback proof.
-  const int64_t sample_id = ids.front();
-  serve::PredictionService::Options hier_opts;
-  hier_opts.hierarchy = &cmeta.value();
-  const auto serve_once = [&](int64_t id) -> serve::PredictionResponse {
-    serve::PredictionService service(&registry.value(), nullptr, hier_opts);
-    serve::PredictionRequest request(id, probe_data[id],
-                                     probe_data[id]->num_days());
-    return service.Predict(request);
-  };
-  serve::PredictionResponse sample_a = serve_once(sample_id);
-  if (!sample_a.status.ok()) return Fail(sample_a.status);
-
-  StatusOr<uint64_t> gen_b = publish_generation(fleet_b.value(), true);
-  if (!gen_b.ok()) return Fail(gen_b.status());
-
-  // Corruption drill: bit-rot one live bundle, let the scrubber catch and
-  // quarantine it, then prove the victim is served from the hierarchy.
-  const int64_t victim_id = ids.back();
-  FaultInjector rot(FaultProfile::BitRot(), seed);
-  FileCorruptionStats rot_stats;
-  StatusOr<FileCorruptionKind> kind = rot.CorruptFileOnDisk(
-      registry.value().BundlePath(victim_id),
-      static_cast<uint64_t>(victim_id), &rot_stats);
-  if (!kind.ok()) return Fail(kind.status());
-  if (kind.value() == FileCorruptionKind::kNone) {
-    return Fail(Status::Internal("BitRot profile spared the victim bundle"));
-  }
-  serve::ScrubOptions scrub_opts;
-  scrub_opts.root = registry_dir;
-  scrub_opts.registry = &registry.value();
-  serve::RegistryScrubber scrubber(scrub_opts);
-  const auto scrub_t0 = std::chrono::steady_clock::now();
-  StatusOr<serve::ScrubReport> scrub = scrubber.ScrubOnce();
-  const double scrub_s = seconds_since(scrub_t0);
-  if (!scrub.ok()) return Fail(scrub.status());
-  if (scrub.value().corruptions() == 0 ||
-      !registry.value().IsQuarantined(victim_id)) {
-    return Fail(Status::Internal(
-        "scrubber missed the injected corruption: " +
-        scrub.value().ToString()));
-  }
-  serve::PredictionResponse victim_response = serve_once(victim_id);
-  if (!victim_response.status.ok()) return Fail(victim_response.status);
-  if (victim_response.level == serve::ServedLevel::kVehicle) {
-    return Fail(Status::Internal(
-        "quarantined model was served at vehicle level"));
-  }
-  // Snapshot while the victim is still quarantined: the rollback below
-  // swaps generations, which clears the quarantine set (a gauge).
-  const size_t quarantined_models =
-      registry.value().stats().quarantined_models;
-
-  // Rollback drill: revert the B promotion and prove serving flips back
-  // to generation A's answers.
-  const auto rollback_t0 = std::chrono::steady_clock::now();
-  Status rolled_back = registry.value().Rollback();
-  const double rollback_s = seconds_since(rollback_t0);
-  if (!rolled_back.ok()) return Fail(rolled_back);
-  if (registry.value().active_generation() != gen_a.value()) {
-    return Fail(Status::Internal(StrFormat(
-        "rollback landed on generation %llu, expected %llu",
-        static_cast<unsigned long long>(
-            registry.value().active_generation()),
-        static_cast<unsigned long long>(gen_a.value()))));
-  }
-  serve::PredictionResponse sample_restored = serve_once(sample_id);
-  if (!sample_restored.status.ok()) return Fail(sample_restored.status);
-  if (sample_restored.prediction != sample_a.prediction ||
-      sample_restored.level != serve::ServedLevel::kVehicle) {
-    return Fail(Status::Internal(StrFormat(
-        "rollback did not restore generation A serving: %.6f vs %.6f",
-        sample_restored.prediction, sample_a.prediction)));
-  }
-
-  std::printf("publish-bench: fleet=%zu published=%zu pooled=%zu "
-              "clusters=%zu seed=%llu\n",
-              vehicles, ids.size(), pooled.value().size(),
-              cmeta.value().k(), static_cast<unsigned long long>(seed));
-  std::printf("stage      wall\n");
-  std::printf("validate  %9.3fms  (2 generations)\n", validate_s * 1e3);
-  std::printf("canary    %9.3fms  (%zu shadow scores)\n", canary_s * 1e3,
-              probe_data.size());
-  std::printf("promote   %9.3fms  (2 flips incl. reload)\n",
-              promote_s * 1e3);
-  std::printf("scrub     %9.3fms  (%zu files, %zu corrupt, %s)\n",
-              scrub_s * 1e3, scrub.value().files_checked,
-              scrub.value().corruptions(),
-              std::string(FileCorruptionKindToString(kind.value())).c_str());
-  std::printf("rollback  %9.3fms  (gen %llu -> gen %llu)\n",
-              rollback_s * 1e3,
-              static_cast<unsigned long long>(gen_b.value()),
-              static_cast<unsigned long long>(gen_a.value()));
-  std::printf("verify: corrupted bundle quarantined + served at level=%s; "
-              "rollback restores generation A predictions\n",
-              std::string(
-                  serve::ServedLevelToString(victim_response.level))
-                  .c_str());
-
-  std::ofstream json(json_path, std::ios::trunc);
-  if (!json) return Fail(Status::Internal("cannot write " + json_path));
-  json << StrFormat(
-      "{\n"
-      "  \"bench\": \"publish\",\n"
-      "  \"schema_version\": 1,\n"
-      "  \"fleet_vehicles\": %zu,\n"
-      "  \"published_models\": %zu,\n"
-      "  \"pooled_models\": %zu,\n"
-      "  \"clusters\": %zu,\n"
-      "  \"generations_published\": 2,\n"
-      "  \"validate_seconds\": %.6f,\n"
-      "  \"canary_seconds\": %.6f,\n"
-      "  \"promote_seconds\": %.6f,\n"
-      "  \"scrub_seconds\": %.6f,\n"
-      "  \"rollback_seconds\": %.6f,\n"
-      "  \"canary_shadow_scores\": %zu,\n"
-      "  \"scrub_files_checked\": %zu,\n"
-      "  \"scrub_corruptions\": %zu,\n"
-      "  \"corruption_kind\": \"%s\",\n"
-      "  \"quarantined_models\": %zu,\n"
-      "  \"victim_served_level\": \"%s\",\n"
-      "  \"verify\": \"rollback-restores-previous-generation\"\n"
-      "}\n",
-      vehicles, ids.size(), pooled.value().size(), cmeta.value().k(),
-      validate_s, canary_s, promote_s, scrub_s, rollback_s,
-      probe_data.size(), scrub.value().files_checked,
-      scrub.value().corruptions(),
-      std::string(FileCorruptionKindToString(kind.value())).c_str(),
-      quarantined_models,
-      std::string(serve::ServedLevelToString(victim_response.level))
-          .c_str());
-  if (!json) return Fail(Status::DataLoss("write failed: " + json_path));
-  std::printf("wrote %s\n", json_path.c_str());
-
-  obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
-  registry.value().CollectMetrics(&snapshot);
-  scrubber.CollectMetrics(&snapshot);
-  if (!flags.Has("registry-dir")) fs::remove_all(registry_dir, ec);
-  return WriteMetricsOutput(flags, metrics_format, std::move(snapshot));
-}
-
-/// Current / peak resident set in MiB from /proc/self/status. Zeros when
-/// the file is unavailable (non-Linux), which also disables the RSS gate.
-std::pair<double, double> ReadRssMb() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  long long rss_kb = 0, hwm_kb = 0, kb = 0;
-  while (std::getline(status, line)) {
-    if (std::sscanf(line.c_str(), "VmRSS: %lld kB", &kb) == 1) rss_kb = kb;
-    if (std::sscanf(line.c_str(), "VmHWM: %lld kB", &kb) == 1) hwm_kb = kb;
-  }
-  return {static_cast<double>(rss_kb) / 1024.0,
-          static_cast<double>(hwm_kb) / 1024.0};
-}
-
-/// The per-shard slice array every schema-v2 serve report carries. The
-/// validator cross-checks that these slices sum to the report's totals.
-std::string ShardStatsJson(const serve::ModelRegistryStats& stats) {
-  std::ostringstream out;
-  out << "[";
-  for (size_t s = 0; s < stats.shards.size(); ++s) {
-    const serve::ModelRegistryShardStats& shard = stats.shards[s];
-    out << (s == 0 ? "\n" : ",\n");
-    out << StrFormat(
-        "    {\"shard\": %zu, \"hits\": %llu, \"misses\": %llu, "
-        "\"evictions\": %llu, \"load_failures\": %llu, "
-        "\"resident_models\": %llu, \"cache_bytes\": %llu}",
-        s, static_cast<unsigned long long>(shard.hits),
-        static_cast<unsigned long long>(shard.misses),
-        static_cast<unsigned long long>(shard.evictions),
-        static_cast<unsigned long long>(shard.load_failures),
-        static_cast<unsigned long long>(shard.resident_models),
-        static_cast<unsigned long long>(shard.cache_bytes));
-  }
-  out << "\n  ]";
-  return out.str();
-}
-
-/// Bounds/counts/quantiles of a latency histogram, in microseconds.
-std::string LatencyHistogramJson(const obs::Histogram& histogram) {
-  const obs::HistogramData data = histogram.Snapshot();
-  std::ostringstream out;
-  out << "{\n    \"bounds_us\": [";
-  for (size_t i = 0; i < data.bounds.size(); ++i) {
-    out << (i == 0 ? "" : ", ") << StrFormat("%.0f", data.bounds[i]);
-  }
-  out << "],\n    \"counts\": [";
-  for (size_t i = 0; i < data.counts.size(); ++i) {
-    out << (i == 0 ? "" : ", ")
-        << static_cast<unsigned long long>(data.counts[i]);
-  }
-  out << StrFormat(
-      "],\n    \"count\": %llu,\n    \"p50_us\": %.1f,\n"
-      "    \"p95_us\": %.1f,\n    \"p99_us\": %.1f\n  }",
-      static_cast<unsigned long long>(data.count), data.Quantile(0.50),
-      data.Quantile(0.95), data.Quantile(0.99));
-  return out.str();
-}
-
-/// Synthetic-registry mode: vupred serve-bench --vehicles=N [--shards=S].
-/// Trains one template forecaster per ML algorithm, stamps its compact
-/// bundle bytes across N vehicle ids, then drives a seeded Get() stream
-/// against the sharded registry and reports per-shard cache behavior,
-/// load-latency histograms, and the process RSS against --max-rss-mb.
-/// Model-count scale without model-training cost: publishing is byte
-/// replication, so a 10^5..10^6 fleet is minutes of IO, not days of
-/// training.
-int RunServeBenchSynthetic(const Flags& flags) {
-  namespace fs = std::filesystem;
-  const size_t vehicles = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("vehicles", 100'000), 1));
-  const size_t shards = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("shards", 8), 1));
-  const size_t cache_mb = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("cache-mb", 64), 0));
-  const long long max_rss_mb = flags.GetInt("max-rss-mb", 0);
-  const size_t num_requests = static_cast<size_t>(std::max<long long>(
-      flags.GetInt("requests", static_cast<long long>(vehicles)), 1));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  const uint64_t stream_seed =
-      static_cast<uint64_t>(flags.GetInt("stream-seed", 7));
-  const std::string json_path = flags.Get("json", "BENCH_serve.json");
-  const std::string metrics_format = ResolveMetricsFormat(flags);
-  if (metrics_format.empty()) return 2;
-
-  const std::string registry_dir = flags.Get(
-      "registry",
-      (fs::temp_directory_path() / "vupred_serve_bench_synth").string());
-  std::error_code ec;
-  if (!flags.Has("registry")) fs::remove_all(registry_dir, ec);
-
-  // One template per ML algorithm, all trained on the same seeded
-  // vehicle; vehicle id v serves template (v-1) mod 4, so every algorithm
-  // is exercised at every scale.
-  const Algorithm kTemplateAlgorithms[] = {
-      Algorithm::kLinearRegression, Algorithm::kLasso, Algorithm::kSvr,
-      Algorithm::kGradientBoosting};
-  Fleet fleet = Fleet::Generate(FleetConfig::Small(8, seed));
-  ExperimentRunner runner(&fleet);
-  ExperimentOptions opts;
-  opts.max_vehicles = 1;
-  std::vector<size_t> selected = runner.SelectVehicles(opts);
-  if (selected.empty()) {
-    return Fail(Status::FailedPrecondition(
-        "no eligible template vehicle in the seeded fleet"));
-  }
-  StatusOr<const VehicleDataset*> template_ds = runner.Dataset(selected[0]);
-  if (!template_ds.ok()) return Fail(template_ds.status());
-  const VehicleDataset& ds = *template_ds.value();
-
-  struct Template {
-    std::string name;
-    std::unique_ptr<VehicleForecaster> trained;
-    std::string compact;
-  };
-  std::vector<Template> templates;
-  for (Algorithm algorithm : kTemplateAlgorithms) {
-    ForecasterConfig cfg;
-    cfg.algorithm = algorithm;
-    cfg.windowing.lookback_w =
-        static_cast<size_t>(flags.GetInt("lookback", 21));
-    cfg.selection.top_k = static_cast<size_t>(flags.GetInt("topk", 7));
-    Template t;
-    t.name = std::string(AlgorithmToString(algorithm));
-    t.trained = std::make_unique<VehicleForecaster>(cfg);
-    const size_t n = ds.num_days();
-    const size_t begin = n > 200 ? std::max<size_t>(n - 200, cfg.windowing.lookback_w)
-                                 : cfg.windowing.lookback_w;
-    Status trained = t.trained->Train(ds, begin, n);
-    if (!trained.ok()) return Fail(trained);
-    StatusOr<std::string> bytes = t.trained->SaveCompact();
-    if (!bytes.ok()) return Fail(bytes.status());
-    t.compact = std::move(bytes).value();
-    templates.push_back(std::move(t));
-  }
-
-  // Stamp the template bundle bytes across the synthetic fleet (ids
-  // 1..vehicles) and promote the generation; Finalize CRCs every staged
-  // file into the MANIFEST like a real publish.
-  serve::ModelRegistry::Options pub_opts;
-  pub_opts.directory = registry_dir;
-  pub_opts.cache_capacity = 0;
-  StatusOr<serve::ModelRegistry> pub_registry =
-      serve::ModelRegistry::Open(std::move(pub_opts));
-  if (!pub_registry.ok()) return Fail(pub_registry.status());
-  StatusOr<serve::GenerationPublisher> publisher =
-      pub_registry.value().NewGeneration();
-  if (!publisher.ok()) return Fail(publisher.status());
-  const auto publish_start = std::chrono::steady_clock::now();
-  for (size_t v = 1; v <= vehicles; ++v) {
-    const Template& t = templates[(v - 1) % templates.size()];
-    Status stored =
-        publisher.value().AddPrebuilt(static_cast<int64_t>(v), {}, t.compact);
-    if (!stored.ok()) return Fail(stored);
-  }
-  serve::RegistryMeta meta;
-  meta.fleet_seed = seed;
-  meta.fleet_vehicles = 8;
-  meta.algorithm = "synthetic-mixed";
-  Status committed = publisher.value().Commit(meta);
-  if (!committed.ok()) return Fail(committed);
-  const double publish_wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    publish_start)
-          .count();
-
-  // The serving registry under test: sharded and byte-budgeted.
-  serve::ModelRegistry::Options reg_opts;
-  reg_opts.directory = registry_dir;
-  reg_opts.cache_capacity = vehicles;  // Entry count never binds; bytes do.
-  reg_opts.cache_max_bytes = cache_mb << 20;
-  reg_opts.shards = shards;
-  StatusOr<serve::ModelRegistry> registry =
-      serve::ModelRegistry::Open(std::move(reg_opts));
-  if (!registry.ok()) return Fail(registry.status());
-
-  // Parity gate before any timing: for one vehicle per template, the
-  // served prediction must be bitwise the trained template's -- the
-  // serving path's only contract that matters.
-  const size_t target = ds.num_days();
-  std::string parity_json = "{";
-  for (size_t t = 0; t < templates.size() && t < vehicles; ++t) {
-    const int64_t id = static_cast<int64_t>(t + 1);
-    StatusOr<double> trained_pred =
-        templates[t].trained->PredictTarget(ds, target);
-    if (!trained_pred.ok()) return Fail(trained_pred.status());
-    StatusOr<std::shared_ptr<const VehicleForecaster>> served =
-        registry.value().Get(id);
-    if (!served.ok()) return Fail(served.status());
-    StatusOr<double> served_pred =
-        served.value()->PredictTarget(ds, target);
-    if (!served_pred.ok()) return Fail(served_pred.status());
-    if (served_pred.value() != trained_pred.value()) {
-      return Fail(Status::Internal(StrFormat(
-          "%s parity violated: served %.17g vs trained %.17g",
-          templates[t].name.c_str(), served_pred.value(),
-          trained_pred.value())));
-    }
-    parity_json += StrFormat("%s\"%s\": 0", t == 0 ? "" : ", ",
-                             templates[t].name.c_str());
-  }
-  parity_json += "}";
-
-  // Seeded uniform Get() stream. Latency is recorded per Get in
-  // microseconds: cold loads dominate the tail, cache hits the head.
-  obs::Histogram load_latency(
-      obs::Histogram::ExponentialBounds(1.0, 2.0, 22));
-  Rng rng(stream_seed);
-  size_t ok = 0, failed = 0;
-  const auto start = std::chrono::steady_clock::now();
-  for (size_t r = 0; r < num_requests; ++r) {
-    const int64_t id = 1 + rng.UniformInt(
-        0, static_cast<int64_t>(vehicles) - 1);
-    const auto t0 = std::chrono::steady_clock::now();
-    StatusOr<std::shared_ptr<const VehicleForecaster>> model =
-        registry.value().Get(id);
-    const double us =
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    load_latency.Record(us);
-    if (model.ok()) {
-      ++ok;
-    } else {
-      ++failed;
-    }
-  }
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  const double rps =
-      wall > 0 ? static_cast<double>(num_requests) / wall : 0.0;
-
-  const serve::ModelRegistryStats reg_stats = registry.value().stats();
-  const auto [rss_mb, rss_peak_mb] = ReadRssMb();
-
-  std::printf("serve-bench: mode=synthetic vehicles=%zu shards=%zu "
-              "cache-mb=%zu requests=%zu\n",
-              vehicles, shards, cache_mb, num_requests);
-  std::printf("publish: %zu bundles in %.1fs\n", vehicles, publish_wall);
-  std::printf("throughput=%.0f req/s wall=%.3fs ok=%zu failed=%zu\n", rps,
-              wall, ok, failed);
-  std::printf("get-latency: p50=%.1fus p95=%.1fus p99=%.1fus\n",
-              load_latency.Quantile(0.50), load_latency.Quantile(0.95),
-              load_latency.Quantile(0.99));
-  std::printf("cache: hits=%llu misses=%llu evictions=%llu "
-              "resident=%llu bytes=%llu\n",
-              static_cast<unsigned long long>(reg_stats.hits),
-              static_cast<unsigned long long>(reg_stats.misses),
-              static_cast<unsigned long long>(reg_stats.evictions),
-              static_cast<unsigned long long>(reg_stats.resident_models),
-              static_cast<unsigned long long>(reg_stats.cache_bytes));
-  for (size_t s = 0; s < reg_stats.shards.size(); ++s) {
-    const serve::ModelRegistryShardStats& shard = reg_stats.shards[s];
-    std::printf("  shard %zu: hits=%llu misses=%llu evictions=%llu "
-                "resident=%llu bytes=%llu\n",
-                s, static_cast<unsigned long long>(shard.hits),
-                static_cast<unsigned long long>(shard.misses),
-                static_cast<unsigned long long>(shard.evictions),
-                static_cast<unsigned long long>(shard.resident_models),
-                static_cast<unsigned long long>(shard.cache_bytes));
-  }
-  std::printf("rss: %.1f MiB (peak %.1f MiB)%s\n", rss_mb, rss_peak_mb,
-              max_rss_mb > 0
-                  ? StrFormat(" ceiling %lld MiB", max_rss_mb).c_str()
-                  : "");
-  std::printf("verify: served == trained (exact) for LR, Lasso, SVR, GB\n");
-
-  std::ofstream json(json_path, std::ios::trunc);
-  if (!json) return Fail(Status::Internal("cannot write " + json_path));
-  json << StrFormat(
-      "{\n"
-      "  \"bench\": \"serve\",\n"
-      "  \"schema_version\": 2,\n"
-      "  \"mode\": \"synthetic\",\n"
-      "  \"vehicles\": %zu,\n"
-      "  \"shards\": %zu,\n"
-      "  \"cache_mb\": %zu,\n"
-      "  \"requests\": %zu,\n"
-      "  \"publish_seconds\": %.3f,\n"
-      "  \"wall_seconds\": %.6f,\n"
-      "  \"requests_per_second\": %.1f,\n"
-      "  \"ok\": %zu,\n"
-      "  \"failed\": %zu,\n"
-      "  \"cache_hits\": %llu,\n"
-      "  \"cache_misses\": %llu,\n"
-      "  \"cache_evictions\": %llu,\n"
-      "  \"resident_models\": %llu,\n"
-      "  \"cache_bytes\": %llu,\n"
-      "  \"rss_mb\": %.1f,\n"
-      "  \"rss_peak_mb\": %.1f,\n"
-      "  \"max_rss_mb\": %lld,\n"
-      "  \"parity_max_abs_delta\": %s,\n"
-      "  \"load_latency\": %s,\n"
-      "  \"shard_stats\": %s,\n"
-      "  \"verify\": \"exact-match\"\n"
-      "}\n",
-      vehicles, shards, cache_mb, num_requests,
-      publish_wall, wall, rps, ok, failed,
-      static_cast<unsigned long long>(reg_stats.hits),
-      static_cast<unsigned long long>(reg_stats.misses),
-      static_cast<unsigned long long>(reg_stats.evictions),
-      static_cast<unsigned long long>(reg_stats.resident_models),
-      static_cast<unsigned long long>(reg_stats.cache_bytes), rss_mb,
-      rss_peak_mb, max_rss_mb, parity_json.c_str(),
-      LatencyHistogramJson(load_latency).c_str(),
-      ShardStatsJson(reg_stats).c_str());
-  if (!json) return Fail(Status::DataLoss("write failed: " + json_path));
-  std::printf("wrote %s\n", json_path.c_str());
-
-  obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
-  registry.value().CollectMetrics(&snapshot);
-  const int metrics_exit =
-      WriteMetricsOutput(flags, metrics_format, std::move(snapshot));
-  if (!flags.Has("registry")) fs::remove_all(registry_dir, ec);
-  if (metrics_exit != 0) return metrics_exit;
-
-  // The RSS ceiling is the bench's one gate (timings are reported, never
-  // gated): a sharded + byte-budgeted compact registry that cannot hold
-  // a documented ceiling at 10^5-10^6 vehicles has failed its reason to
-  // exist.
-  if (max_rss_mb > 0 && rss_mb > static_cast<double>(max_rss_mb)) {
-    return Fail(Status::FailedPrecondition(StrFormat(
-        "RSS %.1f MiB exceeds the --max-rss-mb=%lld ceiling", rss_mb,
-        max_rss_mb)));
-  }
-  return 0;
-}
-
-int RunServeBench(const Flags& flags) {
-  if (flags.Has("vehicles")) return RunServeBenchSynthetic(flags);
-  const std::string dir = flags.Get("registry", "");
-  if (dir.empty()) {
-    std::fprintf(stderr,
-                 "serve-bench needs --registry=DIR (replay mode) or "
-                 "--vehicles=N (synthetic mode)\n");
-    return 2;
-  }
-  const size_t workers =
-      static_cast<size_t>(std::max<long long>(flags.GetInt("workers", 4), 1));
-  const size_t batch =
-      static_cast<size_t>(std::max<long long>(flags.GetInt("batch", 64), 1));
-  const size_t num_requests = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("requests", 512), 1));
-  const size_t cache =
-      static_cast<size_t>(std::max<long long>(flags.GetInt("cache", 32), 0));
-  const uint64_t stream_seed =
-      static_cast<uint64_t>(flags.GetInt("stream-seed", 7));
-  const std::string json_path = flags.Get("json", "BENCH_serve.json");
-
-  // Overload mode: offered load exceeds the admission capacity, a seeded
-  // slice of the stream arrives with already-expired deadlines, and the
-  // registry is Reload()ed mid-run. Time is a FakeClock, so shed and
-  // deadline-exceeded counts are a pure function of the seeds: two runs
-  // with the same flags produce identical counters.
-  const bool overload = flags.Has("overload");
-  const uint64_t overload_seed =
-      static_cast<uint64_t>(flags.GetInt("overload-seed", 7));
-  const long long deadline_ms = flags.GetInt("deadline-ms", 50);
-  const size_t default_admission =
-      overload ? std::max<size_t>(batch / 4, 1) : 0;
-  const size_t admission = static_cast<size_t>(std::max<long long>(
-      flags.GetInt("admission",
-                   static_cast<long long>(default_admission)),
-      0));
-  const std::string policy_name =
-      flags.Get("shed-policy", overload ? "shed-newest" : "block");
-  serve::OverloadPolicy policy;
-  if (policy_name == "block") {
-    policy = serve::OverloadPolicy::kBlock;
-  } else if (policy_name == "shed-newest") {
-    policy = serve::OverloadPolicy::kShedNewest;
-  } else if (policy_name == "shed-oldest") {
-    policy = serve::OverloadPolicy::kShedOldest;
-  } else {
-    std::fprintf(stderr,
-                 "unknown --shed-policy=%s "
-                 "(block|shed-newest|shed-oldest)\n",
-                 policy_name.c_str());
-    return 2;
-  }
-
-  const std::string metrics_format = ResolveMetricsFormat(flags);
-  if (metrics_format.empty()) return 2;
-  ScopedCliTracer tracer(flags.Has("trace"));
-
-  // Starts at 1ms so an epoch-zero deadline is already expired.
-  FakeClock fake_clock(1'000'000);
-
-  serve::ModelRegistry::Options reg_opts;
-  reg_opts.directory = dir;
-  reg_opts.cache_capacity = cache;
-  reg_opts.cache_max_bytes =
-      static_cast<size_t>(std::max<long long>(flags.GetInt("cache-mb", 0), 0))
-      << 20;
-  reg_opts.shards = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("shards", 1), 1));
-  if (overload) reg_opts.clock = &fake_clock;
-  StatusOr<serve::ModelRegistry> registry =
-      serve::ModelRegistry::Open(std::move(reg_opts));
-  if (!registry.ok()) return Fail(registry.status());
-
-  StatusOr<serve::RegistryMeta> meta = registry.value().ReadMeta();
-  if (!meta.ok()) return Fail(meta.status());
-
-  std::vector<int64_t> ids = registry.value().ListVehicleIds();
-  // Reserved pooled hierarchy bundles (negative ids) are fallback targets,
-  // not per-vehicle request subjects.
-  std::erase_if(ids, [](int64_t id) { return id < 0; });
-  if (ids.empty()) {
-    return Fail(Status::NotFound("registry holds no model bundles: " + dir));
-  }
-
-  // A generation published with --clusters carries clusters.meta; serve
-  // with the hierarchy fallback chain enabled in that case.
-  const std::string generation_dir =
-      std::filesystem::path(registry.value().BundlePath(0))
-          .parent_path()
-          .string();
-  StatusOr<cluster::ClustersMeta> hierarchy =
-      cluster::ReadClustersMetaFile(generation_dir);
-  if (!hierarchy.ok() && !hierarchy.status().IsNotFound()) {
-    return Fail(hierarchy.status());
-  }
-
-  // Rebuild the datasets the bundles were trained from.
-  Fleet fleet = Fleet::Generate(
-      FleetConfig::Small(meta.value().fleet_vehicles,
-                         meta.value().fleet_seed));
-  std::map<int64_t, size_t> index_of;
-  for (size_t i = 0; i < fleet.size(); ++i) {
-    index_of[fleet.vehicle(i).vehicle_id] = i;
-  }
-  ExperimentRunner runner(&fleet);
-  std::map<int64_t, const VehicleDataset*> dataset_of;
-  for (int64_t id : ids) {
-    auto it = index_of.find(id);
-    if (it == index_of.end()) {
-      return Fail(Status::InvalidArgument(StrFormat(
-          "registry vehicle %lld is not in the meta-described fleet",
-          static_cast<long long>(id))));
-    }
-    StatusOr<const VehicleDataset*> ds = runner.Dataset(it->second);
-    if (!ds.ok()) return Fail(ds.status());
-    dataset_of[id] = ds.value();
-  }
-
-  // Deterministic request stream: random vehicle, target in the trailing
-  // month (one-step-ahead included). In overload mode a seeded ~10% slice
-  // arrives already expired (deadline in the past), the rest carry
-  // --deadline-ms against the fake clock.
-  Rng rng(stream_seed);
-  Rng overload_rng(overload_seed);
-  std::vector<serve::PredictionRequest> stream;
-  stream.reserve(num_requests);
-  for (size_t r = 0; r < num_requests; ++r) {
-    serve::PredictionRequest req;
-    req.vehicle_id = ids[static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1))];
-    const VehicleDataset* ds = dataset_of[req.vehicle_id];
-    req.dataset = ds;
-    req.target_index =
-        ds->num_days() - static_cast<size_t>(rng.UniformInt(0, 29));
-    if (overload) {
-      req.deadline =
-          overload_rng.UniformInt(0, 9) == 0
-              ? Deadline::At(Clock::TimePoint{})  // Expired on arrival.
-              : Deadline::AfterMs(fake_clock, deadline_ms);
-    }
-    stream.push_back(req);
-  }
-
-  ThreadPool pool({workers, /*queue_capacity=*/4096, "serve"});
-  serve::PredictionService::Options service_opts;
-  service_opts.admission_capacity = admission;
-  service_opts.overload_policy = policy;
-  if (overload) service_opts.clock = &fake_clock;
-  if (hierarchy.ok()) service_opts.hierarchy = &hierarchy.value();
-  serve::PredictionService service(&registry.value(), &pool,
-                                   service_opts);
-
-  size_t ok = 0, degraded = 0, failed = 0;
-  size_t reload_errors = 0;
-  const size_t num_batches = (stream.size() + batch - 1) / batch;
-  size_t batch_index = 0;
-  const auto start = std::chrono::steady_clock::now();
-  for (size_t at = 0; at < stream.size(); at += batch, ++batch_index) {
-    if (overload && batch_index == num_batches / 2) {
-      // Hot-swap while traffic is in flight: a no-op when CURRENT did not
-      // move, but proves Reload never disturbs concurrent scoring.
-      Status reloaded = registry.value().Reload();
-      if (!reloaded.ok()) ++reload_errors;
-    }
-    const size_t take = std::min(batch, stream.size() - at);
-    std::vector<serve::PredictionResponse> responses = service.PredictBatch(
-        std::span<const serve::PredictionRequest>(&stream[at], take));
-    for (const serve::PredictionResponse& resp : responses) {
-      if (!resp.status.ok()) {
-        ++failed;
-      } else if (resp.degraded) {
-        ++degraded;
-      } else {
-        ++ok;
-      }
-    }
-  }
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  const double rps =
-      wall > 0 ? static_cast<double>(num_requests) / wall : 0.0;
-
-  // Consistency gate: serving a sampled vehicle must reproduce its bundle
-  // decoded offline (outside the registry and the service) bit-for-bit.
-  const int64_t sample_id = ids.front();
-  const VehicleDataset* sample_ds = dataset_of[sample_id];
-  const size_t sample_target = sample_ds->num_days();
-  StatusOr<VehicleForecaster> offline =
-      serve::LoadBundleFile(registry.value().BundlePath(sample_id));
-  if (!offline.ok()) return Fail(offline.status());
-  StatusOr<double> offline_pred =
-      offline.value().PredictTarget(*sample_ds, sample_target);
-  if (!offline_pred.ok()) return Fail(offline_pred.status());
-  serve::PredictionRequest sample_request;
-  sample_request.vehicle_id = sample_id;
-  sample_request.dataset = sample_ds;
-  sample_request.target_index = sample_target;
-  serve::PredictionResponse served = service.Predict(sample_request);
-  if (!served.status.ok()) return Fail(served.status);
-  if (served.prediction != offline_pred.value()) {
-    return Fail(Status::Internal(StrFormat(
-        "serving/offline mismatch for vehicle %lld: %.17g vs %.17g",
-        static_cast<long long>(sample_id), served.prediction,
-        offline_pred.value())));
-  }
-
-  const serve::ServingStatsSnapshot stats = service.stats();
-  const serve::ModelRegistryStats reg_stats = registry.value().stats();
-  std::printf("serve-bench: registry=%s models=%zu workers=%zu batch=%zu "
-              "requests=%zu generation=%llu\n",
-              dir.c_str(), ids.size(), workers, batch, num_requests,
-              static_cast<unsigned long long>(reg_stats.generation));
-  std::printf("throughput=%.0f req/s wall=%.3fs\n", rps, wall);
-  std::printf("latency: p50=%.3fms p95=%.3fms p99=%.3fms\n",
-              stats.p50_seconds * 1e3, stats.p95_seconds * 1e3,
-              stats.p99_seconds * 1e3);
-  std::printf("outcomes: ok=%zu degraded=%zu failed=%zu in-flight=%zu\n",
-              ok, degraded, failed, stats.in_flight);
-  if (overload) {
-    std::printf("overload: admission=%zu policy=%s shed=%zu "
-                "deadline-exceeded=%zu reloads=%zu reload-errors=%zu\n",
-                admission, policy_name.c_str(), stats.shed,
-                stats.deadline_exceeded, reg_stats.reloads,
-                reload_errors);
-    std::printf("breaker: opens=%zu short-circuits=%zu open-vehicles=%zu\n",
-                reg_stats.breaker_opens, reg_stats.breaker_short_circuits,
-                reg_stats.breaker_open_vehicles);
-  }
-  std::printf("cache: hits=%zu misses=%zu evictions=%zu resident=%zu\n",
-              reg_stats.hits, reg_stats.misses, reg_stats.evictions,
-              registry.value().resident_models());
-  const serve::PredictionService::FallbackSnapshot fallback =
-      service.fallback_counts();
-  std::printf("fallback: hierarchy=%s cluster=%zu type=%zu global=%zu "
-              "baseline=%zu\n",
-              hierarchy.ok() ? "on" : "off", fallback.cluster, fallback.type,
-              fallback.global, fallback.baseline);
-  std::printf("verify: vehicle %lld serving == offline forecaster "
-              "(exact)\n",
-              static_cast<long long>(sample_id));
-
-  std::ofstream json(json_path, std::ios::trunc);
-  if (!json) {
-    return Fail(Status::Internal("cannot write " + json_path));
-  }
-  json << StrFormat(
-      "{\n"
-      "  \"bench\": \"serve\",\n"
-      "  \"schema_version\": 2,\n"
-      "  \"mode\": \"replay\",\n"
-      "  \"models\": %zu,\n"
-      "  \"shards\": %zu,\n"
-      "  \"workers\": %zu,\n"
-      "  \"batch\": %zu,\n"
-      "  \"requests\": %zu,\n"
-      "  \"wall_seconds\": %.6f,\n"
-      "  \"requests_per_second\": %.1f,\n"
-      "  \"p50_ms\": %.4f,\n"
-      "  \"p95_ms\": %.4f,\n"
-      "  \"p99_ms\": %.4f,\n"
-      "  \"ok\": %zu,\n"
-      "  \"degraded\": %zu,\n"
-      "  \"failed\": %zu,\n"
-      "  \"overload\": %s,\n"
-      "  \"admission_capacity\": %zu,\n"
-      "  \"shed_policy\": \"%s\",\n"
-      "  \"shed\": %zu,\n"
-      "  \"deadline_exceeded\": %zu,\n"
-      "  \"breaker_opens\": %llu,\n"
-      "  \"breaker_short_circuits\": %llu,\n"
-      "  \"generation\": %llu,\n"
-      "  \"reloads\": %llu,\n"
-      "  \"cache_hits\": %llu,\n"
-      "  \"cache_misses\": %llu,\n"
-      "  \"cache_evictions\": %llu,\n"
-      "  \"cache_bytes\": %llu,\n"
-      "  \"shard_stats\": %s,\n"
-      "  \"hierarchy\": %s,\n"
-      "  \"fallback_cluster\": %zu,\n"
-      "  \"fallback_type\": %zu,\n"
-      "  \"fallback_global\": %zu,\n"
-      "  \"fallback_baseline\": %zu,\n"
-      "  \"verify\": \"exact-match\"\n"
-      "}\n",
-      ids.size(), reg_stats.shards.size(), workers, batch,
-      num_requests, wall, rps, stats.p50_seconds * 1e3,
-      stats.p95_seconds * 1e3, stats.p99_seconds * 1e3, ok, degraded,
-      failed, overload ? "true" : "false", admission, policy_name.c_str(),
-      stats.shed, stats.deadline_exceeded,
-      static_cast<unsigned long long>(reg_stats.breaker_opens),
-      static_cast<unsigned long long>(reg_stats.breaker_short_circuits),
-      static_cast<unsigned long long>(reg_stats.generation),
-      static_cast<unsigned long long>(reg_stats.reloads),
-      static_cast<unsigned long long>(reg_stats.hits),
-      static_cast<unsigned long long>(reg_stats.misses),
-      static_cast<unsigned long long>(reg_stats.evictions),
-      static_cast<unsigned long long>(reg_stats.cache_bytes),
-      ShardStatsJson(reg_stats).c_str(),
-      hierarchy.ok() ? "true" : "false", fallback.cluster, fallback.type,
-      fallback.global, fallback.baseline);
-  if (!json) return Fail(Status::DataLoss("write failed: " + json_path));
-  std::printf("wrote %s\n", json_path.c_str());
-
-  // Unified metrics export: global instruments (thread pool, pipeline)
-  // plus the serving components' collected families.
-  obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
-  service.CollectMetrics(&snapshot);
-  registry.value().CollectMetrics(&snapshot);
-  return WriteMetricsOutput(flags, metrics_format, std::move(snapshot));
-}
-
-// ---- core-bench -------------------------------------------------------
-
-/// Wall time attributed to each pipeline stage, summed over every span of
-/// that name anywhere in a tracer's aggregate tree (spans opened on pool
-/// workers surface as roots of their own subtree).
-struct CoreStageSeconds {
-  double window = 0.0;
-  double select = 0.0;
-  double scale = 0.0;
-  double train = 0.0;
-  double predict = 0.0;
-};
-
-void AccumulateStages(const obs::Tracer::Node& node, CoreStageSeconds* out) {
-  if (node.name == "window") out->window += node.total_seconds;
-  if (node.name == "select") out->select += node.total_seconds;
-  if (node.name == "scale") out->scale += node.total_seconds;
-  if (node.name == "train") out->train += node.total_seconds;
-  if (node.name == "predict") out->predict += node.total_seconds;
-  for (const auto& child : node.children) AccumulateStages(*child, out);
-}
-
-struct CorePathResult {
-  std::vector<VehicleEvaluation> evals;  // One per benched vehicle.
-  double wall_seconds = 0.0;
-  CoreStageSeconds stages;
-};
-
-/// Runs the walk-forward evaluation over every dataset under a dedicated
-/// tracer (so stage timings are attributable to this path alone) and folds
-/// results in dataset order.
-StatusOr<CorePathResult> RunCorePath(
-    const std::vector<const VehicleDataset*>& datasets,
-    const EvaluationConfig& cfg, size_t jobs) {
-  CorePathResult out;
-  const size_t n = datasets.size();
-  std::vector<StatusOr<VehicleEvaluation>> slots(
-      n, StatusOr<VehicleEvaluation>(Status::Internal("unevaluated")));
-
-  obs::Tracer tracer;
-  obs::Tracer* previous = obs::Tracer::SetActive(&tracer);
-  const auto start = std::chrono::steady_clock::now();
-  if (jobs <= 1) {
-    for (size_t i = 0; i < n; ++i) slots[i] = EvaluateVehicle(*datasets[i], cfg);
-  } else {
-    ThreadPool pool({jobs, n + 1, "core-bench"});
-    for (size_t i = 0; i < n; ++i) {
-      Status submitted = pool.Submit([&, i]() -> Status {
-        slots[i] = EvaluateVehicle(*datasets[i], cfg);
-        return Status::OK();
-      });
-      if (!submitted.ok()) slots[i] = EvaluateVehicle(*datasets[i], cfg);
-    }
-    Status drained = pool.Shutdown();
-    if (!drained.ok()) {
-      obs::Tracer::SetActive(previous);
-      return drained;
-    }
-  }
-  out.wall_seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-  obs::Tracer::SetActive(previous);
-
-  for (StatusOr<VehicleEvaluation>& slot : slots) {
-    if (!slot.ok()) return slot.status();
-    out.evals.push_back(std::move(slot.value()));
-  }
-  tracer.VisitTree(
-      [&out](const obs::Tracer::Node& root) { AccumulateStages(root, &out.stages); });
-  return out;
-}
-
-bool SameBits(double a, double b) {
-  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
-}
-
-/// naive/incremental ratio; a zero incremental denominator (stage faster
-/// than the clock resolution) reports the naive time against one tick.
-double StageSpeedup(double naive_seconds, double incremental_seconds) {
-  if (incremental_seconds > 0.0) return naive_seconds / incremental_seconds;
-  return naive_seconds > 0.0 ? naive_seconds / 1e-9 : 1.0;
-}
-
-/// Per-algorithm warm-start equivalence tolerance: the max absolute
-/// per-prediction delta (hours) between the warm path and the cold
-/// incremental reference (DESIGN.md section 14). Warm starts legitimately
-/// change the solver's iterate path, so predictions agree only within
-/// these bounds: Lasso converges to the same coordinate-descent fixed
-/// point (tightest), the SVR dual has flat epsilon-insensitive directions
-/// so distinct tol-converged optima predict slightly differently, and GB
-/// continues a one-step-stale ensemble (loosest). The PE delta needs no
-/// separate gate: |delta PE| <= 100 * sum|delta pred| / sum|actual| by the
-/// triangle inequality, so bounding predictions bounds PE; the observed
-/// PE delta is still reported.
-double WarmPredictionToleranceFor(Algorithm a) {
-  switch (a) {
-    case Algorithm::kLasso:
-      return 0.05;
-    case Algorithm::kSvr:
-      return 0.05;
-    case Algorithm::kGradientBoosting:
-      return 3.0;
-    default:
-      return 0.0;
-  }
-}
-
-/// Everything core-bench measures for one algorithm: the naive reference,
-/// the bitwise-equivalent incremental path, and (for warm-capable
-/// algorithms) the opt-in warm-start path with its tolerance verdict and
-/// decision counters.
-struct CoreAlgorithmReport {
-  std::string name;
-  Algorithm algorithm = Algorithm::kLinearRegression;
-  size_t predictions = 0;
-  CorePathResult naive;
-  CorePathResult incremental;
-  bool warm_capable = false;
-  CorePathResult warm;
-  double warm_max_pred_delta = 0.0;
-  double warm_max_pe_delta = 0.0;
-  double warm_hits = 0.0;
-  double warm_cold_starts = 0.0;
-  double warm_invalidations = 0.0;
-};
-
-int RunCoreBench(const Flags& flags) {
-  const size_t vehicles = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("vehicles", 12), 1));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  const size_t max_vehicles = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("max-vehicles", 3), 1));
-  const size_t eval_days = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("eval-days", 100), 1));
-  const size_t lookback = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("lookback", 120), 1));
-  const size_t topk =
-      static_cast<size_t>(std::max<long long>(flags.GetInt("topk", 20), 1));
-  const size_t train_window = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("train-window", 140), 2));
-  const size_t retrain_every = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("retrain-every", 1), 1));
-  const size_t jobs =
-      static_cast<size_t>(std::max<long long>(flags.GetInt("jobs", 1), 1));
-  const std::string json_path = flags.Get("json", "BENCH_core.json");
-  // Optional gates (0 = off). CI smoke runs leave both off: timings are
-  // not asserted there by design.
-  const long long min_window_speedup =
-      std::max<long long>(flags.GetInt("min-window-speedup", 0), 0);
-  const double min_train_speedup =
-      std::max(flags.GetDouble("min-train-speedup", 0.0), 0.0);
-
-  // Algorithm list: --algorithm=X keeps its single-algorithm meaning and
-  // wins over --algorithms; the default benches the paper's three ML
-  // families side by side.
-  std::vector<Algorithm> algorithms;
-  const std::string single_alg = flags.Get("algorithm", "");
-  const std::string alg_list =
-      !single_alg.empty() ? single_alg
-                          : flags.Get("algorithms", "LR,SVR,GB");
-  for (const std::string& name : Split(alg_list, ',')) {
-    bool found = false;
-    for (int a = 0; a < kNumAlgorithms; ++a) {
-      if (AlgorithmToString(static_cast<Algorithm>(a)) == name) {
-        algorithms.push_back(static_cast<Algorithm>(a));
-        found = true;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr, "unknown --algorithm=%s\n", name.c_str());
-      return 2;
-    }
-    if (algorithms.back() == Algorithm::kLastValue ||
-        algorithms.back() == Algorithm::kMovingAverage) {
-      std::fprintf(stderr,
-                   "core-bench needs an ML algorithm (baselines skip the "
-                   "windowing pipeline), got --algorithm=%s\n",
-                   name.c_str());
-      return 2;
-    }
-  }
-  if (algorithms.empty()) {
-    std::fprintf(stderr, "empty --algorithms list\n");
-    return 2;
-  }
-
-  EvaluationConfig cfg;
-  cfg.forecaster.windowing.lookback_w = lookback;
-  cfg.forecaster.selection.top_k = topk;
-  cfg.eval_days = eval_days;
-  cfg.retrain_every = retrain_every;
-  cfg.train_window = train_window;
-
-  const std::string metrics_format = ResolveMetricsFormat(flags);
-  if (metrics_format.empty()) return 2;
-  ScopedCliTracer cli_tracer(flags.Has("trace"));
-
-  // Seeded fleet; datasets are prepared once (outside the timed region)
-  // and shared by every path of every algorithm.
-  Fleet fleet = Fleet::Generate(FleetConfig::Small(vehicles, seed));
-  ExperimentRunner runner(&fleet);
-  ExperimentOptions opts;
-  opts.max_vehicles = max_vehicles;
-  std::vector<size_t> selected = runner.SelectVehicles(opts);
-  if (selected.empty()) {
-    return Fail(Status::FailedPrecondition(
-        "no eligible vehicles in the benchmark fleet"));
-  }
-  std::vector<const VehicleDataset*> datasets;
-  for (size_t index : selected) {
-    StatusOr<const VehicleDataset*> ds = runner.Dataset(index);
-    if (!ds.ok()) return Fail(ds.status());
-    datasets.push_back(ds.value());
-  }
-
-  std::vector<CoreAlgorithmReport> reports;
-  for (Algorithm algorithm : algorithms) {
-    CoreAlgorithmReport report;
-    report.algorithm = algorithm;
-    report.name = std::string(AlgorithmToString(algorithm));
-    cfg.forecaster.algorithm = algorithm;
-
-    // Reference path: full rebuild of the windowed matrix and training-span
-    // ACF at every retrain step.
-    EvaluationConfig naive_cfg = cfg;
-    naive_cfg.forecaster.incremental_training = false;
-    StatusOr<CorePathResult> naive = RunCorePath(datasets, naive_cfg, jobs);
-    if (!naive.ok()) return Fail(naive.status());
-    report.naive = std::move(naive.value());
-
-    EvaluationConfig incremental_cfg = cfg;
-    incremental_cfg.forecaster.incremental_training = true;
-    StatusOr<CorePathResult> incremental =
-        RunCorePath(datasets, incremental_cfg, jobs);
-    if (!incremental.ok()) return Fail(incremental.status());
-    report.incremental = std::move(incremental.value());
-
-    // Equivalence assertion: every prediction and both error metrics must
-    // match the naive rebuild bit for bit, per vehicle.
-    for (size_t v = 0; v < datasets.size(); ++v) {
-      const VehicleEvaluation& a = report.naive.evals[v];
-      const VehicleEvaluation& b = report.incremental.evals[v];
-      if (a.predictions.size() != b.predictions.size()) {
-        return Fail(Status::Internal(StrFormat(
-            "%s vehicle #%zu: prediction counts differ (%zu vs %zu)",
-            report.name.c_str(), v, a.predictions.size(),
-            b.predictions.size())));
-      }
-      for (size_t i = 0; i < a.predictions.size(); ++i) {
-        if (!SameBits(a.predictions[i], b.predictions[i])) {
-          return Fail(Status::Internal(StrFormat(
-              "%s vehicle #%zu prediction %zu: incremental %.17g != naive "
-              "%.17g",
-              report.name.c_str(), v, i, b.predictions[i],
-              a.predictions[i])));
-        }
-      }
-      if (!SameBits(a.pe, b.pe) || !SameBits(a.mae, b.mae)) {
-        return Fail(Status::Internal(StrFormat(
-            "%s vehicle #%zu error metrics diverge: PE %.17g vs %.17g, MAE "
-            "%.17g vs %.17g",
-            report.name.c_str(), v, b.pe, a.pe, b.mae, a.mae)));
-      }
-      report.predictions += a.predictions.size();
-    }
-
-    // Opt-in third path: warm-started solvers, verified against the
-    // incremental reference within the per-algorithm tolerances.
-    report.warm_capable = AlgorithmSupportsWarmStart(algorithm);
-    if (report.warm_capable) {
-      const std::string alg_label = report.name;
-      const obs::LabelSet warm_labels = {{"algorithm", alg_label}};
-      obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
-      EvaluationConfig warm_cfg = cfg;
-      warm_cfg.forecaster.incremental_training = true;
-      warm_cfg.forecaster.warm_start.enabled = true;
-      StatusOr<CorePathResult> warm = RunCorePath(datasets, warm_cfg, jobs);
-      if (!warm.ok()) return Fail(warm.status());
-      report.warm = std::move(warm.value());
-      obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
-      auto delta = [&](std::string_view name) {
-        return after.Value(name, warm_labels, 0.0) -
-               before.Value(name, warm_labels, 0.0);
-      };
-      report.warm_hits = delta("vupred_train_warmstart_hits_total");
-      report.warm_cold_starts =
-          delta("vupred_train_warmstart_cold_starts_total");
-      report.warm_invalidations =
-          delta("vupred_train_warmstart_invalidations_total");
-
-      const double tolerance = WarmPredictionToleranceFor(algorithm);
-      for (size_t v = 0; v < datasets.size(); ++v) {
-        const VehicleEvaluation& b = report.incremental.evals[v];
-        const VehicleEvaluation& w = report.warm.evals[v];
-        if (b.predictions.size() != w.predictions.size()) {
-          return Fail(Status::Internal(StrFormat(
-              "%s vehicle #%zu: warm prediction counts differ (%zu vs %zu)",
-              report.name.c_str(), v, w.predictions.size(),
-              b.predictions.size())));
-        }
-        for (size_t i = 0; i < b.predictions.size(); ++i) {
-          report.warm_max_pred_delta =
-              std::max(report.warm_max_pred_delta,
-                       std::abs(w.predictions[i] - b.predictions[i]));
-        }
-        report.warm_max_pe_delta =
-            std::max(report.warm_max_pe_delta, std::abs(w.pe - b.pe));
-      }
-      if (report.warm_max_pred_delta > tolerance) {
-        return Fail(Status::Internal(StrFormat(
-            "%s warm-start drifted past tolerance: max |dpred| %.4f "
-            "(allowed %.4f), max |dPE| %.4f",
-            report.name.c_str(), report.warm_max_pred_delta, tolerance,
-            report.warm_max_pe_delta)));
-      }
-    }
-    reports.push_back(std::move(report));
-  }
-
-  // ---- report ----------------------------------------------------------
-  for (const CoreAlgorithmReport& r : reports) {
-    const CoreStageSeconds& ns = r.naive.stages;
-    const CoreStageSeconds& is = r.incremental.stages;
-    const double window_speedup = StageSpeedup(ns.window, is.window);
-    const double select_speedup = StageSpeedup(ns.select, is.select);
-    // Train-stage share of the wall: the regressor fit dominates under SVR
-    // and GB, so the per-algorithm fraction is what makes cross-algorithm
-    // comparisons meaningful (windowing speedups wash out when fit is 99%).
-    const double train_speedup = StageSpeedup(ns.train, is.train);
-    const double naive_train_fraction =
-        r.naive.wall_seconds > 0.0 ? ns.train / r.naive.wall_seconds : 0.0;
-    const double incremental_train_fraction =
-        r.incremental.wall_seconds > 0.0
-            ? is.train / r.incremental.wall_seconds
-            : 0.0;
-    const double total_speedup =
-        StageSpeedup(r.naive.wall_seconds, r.incremental.wall_seconds);
-
-    std::printf("core-bench: fleet=%zu benched=%zu predictions=%zu "
-                "algorithm=%s lookback=%zu topk=%zu train-window=%zu "
-                "eval-days=%zu retrain-every=%zu jobs=%zu\n",
-                vehicles, datasets.size(), r.predictions, r.name.c_str(),
-                lookback, topk, train_window, eval_days, retrain_every,
-                jobs);
-    std::printf("stage          naive        incremental  speedup\n");
-    std::printf("window     %9.3fms  %11.3fms  %6.1fx\n", ns.window * 1e3,
-                is.window * 1e3, window_speedup);
-    std::printf("select     %9.3fms  %11.3fms  %6.1fx\n", ns.select * 1e3,
-                is.select * 1e3, select_speedup);
-    std::printf("scale      %9.3fms  %11.3fms\n", ns.scale * 1e3,
-                is.scale * 1e3);
-    std::printf("train      %9.3fms  %11.3fms  %6.1fx (%.0f%% / %.0f%% of "
-                "wall)\n",
-                ns.train * 1e3, is.train * 1e3, train_speedup,
-                naive_train_fraction * 100.0,
-                incremental_train_fraction * 100.0);
-    if (r.warm_capable) {
-      std::printf("train-warm %9.3fms  %11.3fms  %6.1fx (vs incremental "
-                  "train)\n",
-                  is.train * 1e3, r.warm.stages.train * 1e3,
-                  StageSpeedup(is.train, r.warm.stages.train));
-    }
-    std::printf("predict    %9.3fms  %11.3fms\n", ns.predict * 1e3,
-                is.predict * 1e3);
-    std::printf("wall       %9.3fms  %11.3fms  %6.2fx\n",
-                r.naive.wall_seconds * 1e3, r.incremental.wall_seconds * 1e3,
-                total_speedup);
-    std::printf("verify: %zu predictions + error metrics byte-identical "
-                "across %zu vehicles (exact)\n",
-                r.predictions, datasets.size());
-    if (r.warm_capable) {
-      std::printf("verify: warm-start within tolerance, max |dpred|=%.4f "
-                  "max |dPE|=%.4f (hits=%.0f cold=%.0f invalidated=%.0f)\n",
-                  r.warm_max_pred_delta, r.warm_max_pe_delta, r.warm_hits,
-                  r.warm_cold_starts, r.warm_invalidations);
-    }
-  }
-
-  std::ofstream json(json_path, std::ios::trunc);
-  if (!json) return Fail(Status::Internal("cannot write " + json_path));
-  json << StrFormat(
-      "{\n"
-      "  \"bench\": \"core\",\n"
-      "  \"schema_version\": 2,\n"
-      "  \"fleet_vehicles\": %zu,\n"
-      "  \"benched_vehicles\": %zu,\n"
-      "  \"predictions\": %zu,\n"
-      "  \"lookback_w\": %zu,\n"
-      "  \"top_k\": %zu,\n"
-      "  \"train_window\": %zu,\n"
-      "  \"eval_days\": %zu,\n"
-      "  \"retrain_every\": %zu,\n"
-      "  \"jobs\": %zu,\n"
-      "  \"algorithms\": [\n",
-      vehicles, datasets.size(), reports.front().predictions, lookback,
-      topk, train_window, eval_days, retrain_every, jobs);
-  for (size_t idx = 0; idx < reports.size(); ++idx) {
-    const CoreAlgorithmReport& r = reports[idx];
-    const CoreStageSeconds& ns = r.naive.stages;
-    const CoreStageSeconds& is = r.incremental.stages;
-    json << StrFormat(
-        "    {\n"
-        "      \"algorithm\": \"%s\",\n"
-        "      \"naive_wall_seconds\": %.6f,\n"
-        "      \"incremental_wall_seconds\": %.6f,\n"
-        "      \"naive_window_seconds\": %.6f,\n"
-        "      \"incremental_window_seconds\": %.6f,\n"
-        "      \"naive_select_seconds\": %.6f,\n"
-        "      \"incremental_select_seconds\": %.6f,\n"
-        "      \"naive_scale_seconds\": %.6f,\n"
-        "      \"incremental_scale_seconds\": %.6f,\n"
-        "      \"naive_train_seconds\": %.6f,\n"
-        "      \"incremental_train_seconds\": %.6f,\n"
-        "      \"naive_predict_seconds\": %.6f,\n"
-        "      \"incremental_predict_seconds\": %.6f,\n"
-        "      \"window_stage_speedup\": %.2f,\n"
-        "      \"select_stage_speedup\": %.2f,\n"
-        "      \"train_stage_speedup\": %.2f,\n"
-        "      \"naive_train_fraction\": %.4f,\n"
-        "      \"incremental_train_fraction\": %.4f,\n"
-        "      \"total_speedup\": %.3f,\n"
-        "      \"warm_supported\": %s,\n",
-        r.name.c_str(), r.naive.wall_seconds, r.incremental.wall_seconds,
-        ns.window, is.window, ns.select, is.select, ns.scale, is.scale,
-        ns.train, is.train, ns.predict, is.predict,
-        StageSpeedup(ns.window, is.window),
-        StageSpeedup(ns.select, is.select),
-        StageSpeedup(ns.train, is.train),
-        r.naive.wall_seconds > 0.0 ? ns.train / r.naive.wall_seconds : 0.0,
-        r.incremental.wall_seconds > 0.0
-            ? is.train / r.incremental.wall_seconds
-            : 0.0,
-        StageSpeedup(r.naive.wall_seconds, r.incremental.wall_seconds),
-        r.warm_capable ? "true" : "false");
-    if (r.warm_capable) {
-      json << StrFormat(
-          "      \"warm_wall_seconds\": %.6f,\n"
-          "      \"warm_train_seconds\": %.6f,\n"
-          "      \"warm_train_speedup\": %.2f,\n"
-          "      \"warm_hits\": %.0f,\n"
-          "      \"warm_cold_starts\": %.0f,\n"
-          "      \"warm_invalidations\": %.0f,\n"
-          "      \"warm_max_abs_prediction_delta\": %.6f,\n"
-          "      \"warm_max_abs_pe_delta\": %.6f,\n"
-          "      \"warm_verify\": \"tolerance-match\",\n",
-          r.warm.wall_seconds, r.warm.stages.train,
-          StageSpeedup(is.train, r.warm.stages.train), r.warm_hits,
-          r.warm_cold_starts, r.warm_invalidations, r.warm_max_pred_delta,
-          r.warm_max_pe_delta);
-    }
-    json << StrFormat("      \"verify\": \"exact-match\"\n    }%s\n",
-                      idx + 1 < reports.size() ? "," : "");
-  }
-  json << "  ]\n}\n";
-  if (!json) return Fail(Status::DataLoss("write failed: " + json_path));
-  std::printf("wrote %s\n", json_path.c_str());
-
-  const int metrics_rc = WriteMetricsOutput(
-      flags, metrics_format, obs::MetricsRegistry::Global().Snapshot());
-  if (metrics_rc != 0) return metrics_rc;
-
-  int gate_rc = 0;
-  for (const CoreAlgorithmReport& r : reports) {
-    const double window_speedup =
-        StageSpeedup(r.naive.stages.window, r.incremental.stages.window);
-    if (min_window_speedup > 0 &&
-        window_speedup < static_cast<double>(min_window_speedup)) {
-      std::fprintf(
-          stderr,
-          "error: %s window-stage speedup %.1fx below required %lldx\n",
-          r.name.c_str(), window_speedup, min_window_speedup);
-      gate_rc = 1;
-    }
-    if (min_train_speedup > 0.0 && r.warm_capable) {
-      const double warm_train_speedup =
-          StageSpeedup(r.incremental.stages.train, r.warm.stages.train);
-      if (warm_train_speedup < min_train_speedup) {
-        std::fprintf(stderr,
-                     "error: %s warm-start train-stage speedup %.2fx below "
-                     "required %.2fx\n",
-                     r.name.c_str(), warm_train_speedup, min_train_speedup);
-        gate_rc = 1;
-      }
-    }
-  }
-  return gate_rc;
 }
 
 int RunIngestBench(const Flags& flags) {
@@ -2876,8 +1391,8 @@ const std::vector<Command>& Commands() {
        "  Train one forecaster per eligible fleet vehicle and write its\n"
        "  compact bundle (vehicle_<id>.cfcst) plus registry metadata and a\n"
        "  MANIFEST into DIR as a new generation, made live by an atomic\n"
-       "  CURRENT flip, ready for serve-bench (or any ModelRegistry\n"
-       "  consumer). With --clusters=K the same\n"
+       "  CURRENT flip, ready for any ModelRegistry consumer. With\n"
+       "  --clusters=K the same\n"
        "  generation also carries clusters.meta plus pooled per-cluster /\n"
        "  per-type / global bundles under their reserved negative ids, so\n"
        "  serving falls back down the hierarchy for vehicles without a\n"
@@ -2897,105 +1412,6 @@ const std::vector<Command>& Commands() {
         "validate", "canary-fraction", "rollback"},
        {"out"},
        RunPublish},
-      {"publish-bench", "time the guarded publish path end to end",
-       "usage: vupred publish-bench [--vehicles=12] [--seed=42]\n"
-       "  [--max-vehicles=6] [--train-days=200] [--lookback=21] [--topk=7]\n"
-       "  [--clusters=3] [--acf-lags=14] [--json=BENCH_publish.json]\n"
-       "  [--registry-dir=DIR] [--metrics-out=FILE]\n"
-       "  [--metrics-format=prom|json]\n"
-       "  Drive the guarded publish path on a seeded fleet: publish two\n"
-       "  differently trained generations through validate -> canary ->\n"
-       "  promote, bit-rot one live bundle and let the scrubber catch and\n"
-       "  quarantine it (the victim must come back from the pooled\n"
-       "  hierarchy, never the corrupt bundle), then roll the promotion\n"
-       "  back and prove serving returns generation A's exact\n"
-       "  predictions. Reports per-stage wall times, always verifies the\n"
-       "  quarantine + rollback invariants (exits non-zero on any\n"
-       "  divergence; timings are never gated) and writes the JSON report\n"
-       "  to --json. --registry-dir keeps the scratch registry for\n"
-       "  inspection.\n",
-       {"vehicles", "seed", "max-vehicles", "train-days", "lookback",
-        "topk", "clusters", "acf-lags", "json", "registry-dir",
-        "metrics-out", "metrics-format"},
-       {},
-       RunPublishBench},
-      {"serve-bench", "replay a request stream against the service",
-       "usage: vupred serve-bench --registry=DIR [--workers=4]\n"
-       "  [--batch=64] [--requests=512] [--cache=32] [--cache-mb=0]\n"
-       "  [--shards=1] [--stream-seed=7]\n"
-       "  [--json=BENCH_serve.json] [--overload] [--overload-seed=7]\n"
-       "  [--admission=N] [--shed-policy=block|shed-newest|shed-oldest]\n"
-       "  [--deadline-ms=50] [--metrics-out=FILE]\n"
-       "  [--metrics-format=prom|json] [--trace]\n"
-       "synthetic: vupred serve-bench --vehicles=N [--shards=8]\n"
-       "  [--cache-mb=64] [--max-rss-mb=0] [--requests=N]\n"
-       "  [--seed=42] [--stream-seed=7] [--lookback=21] [--topk=7]\n"
-       "  [--registry=DIR] [--json=BENCH_serve.json]\n"
-       "  Replay a deterministic request stream against the prediction\n"
-       "  service at the given batch size and worker count; print a\n"
-       "  latency/throughput report, verify that serving a sampled\n"
-       "  vehicle equals its bundle decoded offline, bitwise, and write\n"
-       "  the schema-v2 JSON report (per-shard hit/miss/eviction slices\n"
-       "  included). --shards=S splits the registry cache into S\n"
-       "  independently locked shards, --cache-mb byte-budgets the\n"
-       "  resident models. --overload drives offered load past the\n"
-       "  admission capacity under a fake clock (seeded\n"
-       "  expired deadlines, mid-run registry Reload) and reports shed /\n"
-       "  deadline-exceeded / breaker counters -- deterministic per seed.\n"
-       "  With --vehicles=N the bench switches to synthetic-registry\n"
-       "  mode: one template forecaster per ML algorithm (LR, Lasso,\n"
-       "  SVR, GB) is trained once and its compact bundle bytes stamped\n"
-       "  across N vehicle ids, then a seeded Get() stream runs against\n"
-       "  the sharded registry. Reports\n"
-       "  per-shard cache behavior, a Get-latency histogram, publish\n"
-       "  wall time, and process RSS; gates ONLY on the --max-rss-mb\n"
-       "  ceiling (0 disables) and on prediction parity: every served\n"
-       "  template must predict bitwise what the trained one does.\n"
-       "  --metrics-out writes the unified metrics snapshot\n"
-       "  (Prometheus text, or JSON when the path ends in .json or\n"
-       "  --metrics-format=json); --trace prints the serving span tree.\n",
-       {"registry", "workers", "batch", "requests", "cache", "cache-mb",
-        "shards", "vehicles", "max-rss-mb", "seed", "lookback",
-        "topk", "stream-seed", "json", "overload", "overload-seed",
-        "admission", "shed-policy", "deadline-ms", "metrics-out",
-        "metrics-format", "trace"},
-       {},
-       RunServeBench},
-      {"core-bench",
-       "time the evaluation pipeline, naive vs incremental vs warm",
-       "usage: vupred core-bench [--vehicles=12] [--seed=42]\n"
-       "  [--max-vehicles=3] [--algorithms=LR,SVR,GB] [--algorithm=X]\n"
-       "  [--eval-days=100] [--lookback=120] [--topk=20]\n"
-       "  [--train-window=140] [--retrain-every=1] [--jobs=1]\n"
-       "  [--json=BENCH_core.json] [--min-window-speedup=0]\n"
-       "  [--min-train-speedup=0] [--metrics-out=FILE]\n"
-       "  [--metrics-format=prom|json] [--trace]\n"
-       "  Run the walk-forward per-vehicle evaluation on a seeded\n"
-       "  synthetic fleet, once per algorithm in --algorithms\n"
-       "  (--algorithm=X restricts to one): a naive path rebuilding the\n"
-       "  windowed matrix and training-span ACF from scratch at every\n"
-       "  step, an incremental path advancing them in place, and -- for\n"
-       "  Lasso/SVR/GB -- a warm-start path that also resumes each\n"
-       "  solver from the previous window's state. Reports per-stage\n"
-       "  (window/select/scale/train/predict) timings plus speedups per\n"
-       "  algorithm. Always asserts the incremental path is\n"
-       "  byte-identical to naive, and the warm path within the\n"
-       "  per-algorithm tolerances of DESIGN.md section 14; exits\n"
-       "  non-zero on any divergence. --min-window-speedup=N fails the\n"
-       "  run when a windowing-stage speedup is below N;\n"
-       "  --min-train-speedup=X fails it when a warm-capable algorithm's\n"
-       "  warm train-stage speedup over the incremental path is below X\n"
-       "  (both off by default; CI smoke checks the report schema only).\n"
-       "  Writes the JSON report (schema_version 2, one entry per\n"
-       "  algorithm) to --json; --metrics-out exports the metrics\n"
-       "  snapshot (incremental advance/rebuild, warm-start decision and\n"
-       "  kernel-cache counters included).\n",
-       {"vehicles", "seed", "max-vehicles", "algorithm", "algorithms",
-        "eval-days", "lookback", "topk", "train-window", "retrain-every",
-        "jobs", "json", "min-window-speedup", "min-train-speedup",
-        "metrics-out", "metrics-format", "trace"},
-       {},
-       RunCoreBench},
       {"ingest-bench", "time the binary wire ingest path end to end",
        "usage: vupred ingest-bench [--vehicles=6] [--days=30] [--seed=42]\n"
        "  [--json=BENCH_ingest.json] [--wal-dir=DIR] [--metrics-out=FILE]\n"
