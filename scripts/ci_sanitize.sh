@@ -30,15 +30,12 @@ ctest --preset sanitize -j"${JOBS}" -R \
 ctest --preset sanitize -j"${JOBS}" -R \
   'common_crc32_test|common_file_util_test|common_string_util_test|core_forecaster_persistence_test|serve_model_registry_test|common_thread_pool_test|integration_registry_chaos_test|serve_scrubber_test'
 
-# SVR solver and warm-start surface: the panel-packed Gram kernel and the
-# fused SMO scans read whole lane vectors, so ASan guards their padded
-# lanes -- a panel or solver buffer one lane short of its last block reads
-# out of bounds here. The warm path (kernel-row LRU cache, beta
-# shift/repair arithmetic) and the forecaster's captured-state lifecycle
-# are index-heavy too; the equivalence harness doubles as a UB probe
-# because every fit is replayed cold and warm over the same buffers.
-ctest --preset sanitize -j"${JOBS}" -R \
-  'ml_svr_test|ml_warmstart_equivalence_test|ml_kernel_cache_property_test|ml_svr_shrinking_test|core_warmstart_training_test'
+# SVR solver surface: the panel-packed Gram kernel and the fused SMO
+# scans read whole lane vectors, so ASan guards their padded lanes -- a
+# panel, a Gram row stride or a solver buffer one lane short of its last
+# block reads out of bounds here. The scalar-reference suite replays
+# every fit over the same inputs, so it doubles as a UB probe.
+ctest --preset sanitize -j"${JOBS}" -R 'ml_svr_test'
 
 # Deep seeded fuzz of the wire decoder under the sanitizers: 50k mutated
 # streams (vs. 5k in the tier-1 run). The decoder parses every byte as

@@ -60,6 +60,9 @@ Status VehicleForecaster::Train(const VehicleDataset& ds, size_t train_begin,
                                 size_t train_end) {
   obs::TraceSpan fit_span("fit");
   trained_ = false;
+  if (config_.warm_start.enabled) {
+    return Status::InvalidArgument("warm start is retired");
+  }
   if (train_begin >= train_end) {
     return Status::InvalidArgument("empty training span");
   }
@@ -135,163 +138,15 @@ Status VehicleForecaster::Train(const VehicleDataset& ds, size_t train_begin,
   }
 
   VUP_ASSIGN_OR_RETURN(model_, MakeRegressor(config_));
-  const bool warm_capable = config_.warm_start.enabled &&
-                            AlgorithmSupportsWarmStart(config_.algorithm);
-  bool fitted_warm = false;
-  if (warm_capable) {
-    fitted_warm = ApplyWarmStart(ds, train_begin, train_end, x.cols());
-  }
   {
     obs::TraceSpan span("train");
     VUP_RETURN_IF_ERROR(model_->Fit(x, y));
-  }
-  if (warm_capable) {
-    CaptureWarmStartState(train_begin, train_end, fitted_warm);
   }
   trained_ = true;
   return Status::OK();
 }
 
-bool AlgorithmSupportsWarmStart(Algorithm algorithm) {
-  return algorithm == Algorithm::kLasso || algorithm == Algorithm::kSvr ||
-         algorithm == Algorithm::kGradientBoosting;
-}
-
-uint64_t WarmStartConfigHash(const ForecasterConfig& config) {
-  uint64_t h = kWarmStartHashSeed;
-  h = HashCombine(h, static_cast<uint64_t>(config.algorithm));
-  h = HashCombine(h, config.windowing.lookback_w);
-  h = HashCombine(h, config.windowing.include_target_day_context ? 1 : 0);
-  h = HashCombine(h, config.windowing.include_lag_context ? 1 : 0);
-  h = HashCombine(h, config.windowing.lag_engine_features);
-  h = HashCombine(h, config.selection.top_k);
-  h = HashCombine(h, config.use_feature_selection ? 1 : 0);
-  h = HashCombine(h, config.standardize ? 1 : 0);
-  h = HashDouble(h, config.lr_ridge);
-  h = HashDouble(h, config.lasso.alpha);
-  h = HashCombine(h, config.lasso.max_iter);
-  h = HashDouble(h, config.lasso.tol);
-  h = HashCombine(h, config.lasso.fit_intercept ? 1 : 0);
-  h = HashDouble(h, config.svr.c);
-  h = HashDouble(h, config.svr.epsilon);
-  h = HashCombine(h, static_cast<uint64_t>(config.svr.kernel.type));
-  h = HashDouble(h, config.svr.kernel.gamma);
-  h = HashDouble(h, config.svr.kernel.coef0);
-  h = HashCombine(h, static_cast<uint64_t>(config.svr.kernel.degree));
-  h = HashDouble(h, config.svr.tol);
-  h = HashCombine(h, config.svr.max_sweeps);
-  h = HashDouble(h, config.gb.learning_rate);
-  h = HashCombine(h, config.gb.n_estimators);
-  h = HashCombine(h, static_cast<uint64_t>(config.gb.max_depth));
-  h = HashCombine(h, config.gb.min_samples_leaf);
-  h = HashCombine(h, static_cast<uint64_t>(config.gb.loss));
-  h = HashDouble(h, config.gb.subsample);
-  h = HashCombine(h, config.gb.seed);
-  h = HashCombine(h, config.warm_start.gb_extra_stages);
-  h = HashCombine(h, config.warm_start.gb_max_staleness);
-  h = HashCombine(h, config.warm_start.gb_max_trees);
-  h = HashCombine(h, config.warm_start.svr_kernel_cache_rows);
-  h = HashCombine(h, config.warm_start.svr_warm_max_sweeps);
-  return h;
-}
-
-bool VehicleForecaster::ApplyWarmStart(const VehicleDataset& ds,
-                                       size_t train_begin, size_t train_end,
-                                       size_t num_columns) {
-  // Dataset identity gate, same key as the incremental caches.
-  if (warm_ds_ != &ds || warm_days_ != ds.num_days()) {
-    warm_state_.Reset();
-    warm_ds_ = &ds;
-    warm_days_ = ds.num_days();
-  }
-
-  WarmStartKey key;
-  key.config_hash = WarmStartConfigHash(config_);
-  key.selected_columns = selected_columns_;
-  key.num_records = train_end - train_begin;
-  key.first_target = train_begin;
-
-  WarmStartDecision decision = WarmStartDecision::kColdStart;
-  if (warm_state_.valid) {
-    const bool same_problem = warm_state_.key.MatchesProblem(key);
-    // Only the add-one-drop-one shift of the sliding walk-forward loop
-    // is mappable: the span must have advanced by exactly one target.
-    const bool unit_shift =
-        warm_state_.key.first_target + 1 == train_begin;
-    if (!same_problem || !unit_shift) {
-      decision = WarmStartDecision::kInvalidated;
-    } else if (config_.algorithm == Algorithm::kGradientBoosting &&
-               (warm_state_.gb_warm_fits >=
-                    config_.warm_start.gb_max_staleness ||
-                warm_state_.gb_trees.size() +
-                        config_.warm_start.gb_extra_stages >
-                    config_.warm_start.gb_max_trees)) {
-      // Scheduled full refresh: the ensemble aged past the staleness cap
-      // (or would outgrow the tree budget). A cold start, not an
-      // invalidation -- the problem still matches.
-      decision = WarmStartDecision::kColdStart;
-    } else {
-      decision = WarmStartDecision::kWarm;
-    }
-  }
-  RecordWarmStartDecision(decision, AlgorithmToString(config_.algorithm));
-  if (decision != WarmStartDecision::kWarm) {
-    warm_state_.Reset();
-    return false;
-  }
-
-  switch (config_.algorithm) {
-    case Algorithm::kLasso:
-      static_cast<Lasso*>(model_.get())->WarmStart(warm_state_.lasso_coef);
-      break;
-    case Algorithm::kSvr:
-      static_cast<Svr*>(model_.get())
-          ->WarmStart(ShiftSvrBetaForward(warm_state_.svr_beta,
-                                          config_.svr.c),
-                      config_.warm_start.svr_kernel_cache_rows,
-                      config_.warm_start.svr_warm_max_sweeps);
-      break;
-    case Algorithm::kGradientBoosting:
-      static_cast<GradientBoosting*>(model_.get())
-          ->WarmStart(warm_state_.gb_trees, warm_state_.gb_init,
-                      num_columns, config_.warm_start.gb_extra_stages);
-      break;
-    default:
-      return false;
-  }
-  return true;
-}
-
-void VehicleForecaster::CaptureWarmStartState(size_t train_begin,
-                                              size_t train_end,
-                                              bool fitted_warm) {
-  warm_state_.key.config_hash = WarmStartConfigHash(config_);
-  warm_state_.key.selected_columns = selected_columns_;
-  warm_state_.key.num_records = train_end - train_begin;
-  warm_state_.key.first_target = train_begin;
-  switch (config_.algorithm) {
-    case Algorithm::kLasso:
-      warm_state_.lasso_coef =
-          static_cast<const Lasso*>(model_.get())->coefficients();
-      break;
-    case Algorithm::kSvr:
-      warm_state_.svr_beta =
-          static_cast<const Svr*>(model_.get())->last_full_beta();
-      break;
-    case Algorithm::kGradientBoosting: {
-      const auto* gb = static_cast<const GradientBoosting*>(model_.get());
-      warm_state_.gb_trees = gb->trees();
-      warm_state_.gb_init = gb->initial_prediction();
-      warm_state_.gb_warm_fits = fitted_warm && gb->last_fit_warm_started()
-                                     ? warm_state_.gb_warm_fits + 1
-                                     : 0;
-      break;
-    }
-    default:
-      return;
-  }
-  warm_state_.valid = true;
-}
+bool AlgorithmSupportsWarmStart(Algorithm) { return false; }
 
 StatusOr<VehicleForecaster> VehicleForecaster::TrainPooled(
     std::span<const PooledTrainingSpan> members,

@@ -17,7 +17,6 @@
 #include "ml/model.h"
 #include "ml/scaler.h"
 #include "ml/svr.h"
-#include "ml/warm_start.h"
 #include "pipeline/dataset.h"
 
 namespace vup {
@@ -60,44 +59,13 @@ struct ForecasterConfig {
   /// Save: it changes how training runs, not what a trained pipeline is.
   bool incremental_training = true;
 
-  /// Warm-start solver state across consecutive Train calls on the same
-  /// dataset (the walk-forward refit loop): SVR resumes SMO from the
-  /// previous window's dual vector mapped through the add-one-drop-one
-  /// row shift, Lasso resumes coordinate descent from the previous
-  /// coefficients, and GB appends gb_extra_stages boosting stages to the
-  /// previous ensemble instead of refitting all n_estimators stages.
-  /// Applies only when the training span advanced by exactly one target
-  /// with an unchanged record count; anything else (expanding windows,
-  /// retrain_every > 1, a dataset switch, a lag-set or hyper-parameter
-  /// change) invalidates the captured state and fits cold -- each
-  /// decision is counted in vupred_train_warmstart_*_total{algorithm=}.
-  ///
-  /// Off by default: warm starts legitimately change the iterate path,
-  /// so predictions are equivalent to a cold fit only within documented
-  /// tolerances (DESIGN.md section 14), not bitwise; the incremental
-  /// path keeps its exact naive-rebuild equivalence unless this is
-  /// explicitly opted in. Not serialized by Save, like
-  /// incremental_training: it changes how training runs, not what a
-  /// trained pipeline is.
-  struct WarmStartOptions {
+  /// Compile shim for perfbench/walkforward.cc, which still reads this
+  /// flag: warm start is retired (DESIGN.md section 14), and Train rejects
+  /// enabled = true with InvalidArgument. Goes with the next
+  /// benchmark-scoped change (ROADMAP item 6).
+  struct {
     bool enabled = false;
-    /// Boosting stages appended per warm GB fit.
-    size_t gb_extra_stages = 10;
-    /// Consecutive warm GB fits before a forced full refit (staleness
-    /// cap): bounds how far the adopted ensemble may drift from the
-    /// window it is applied to.
-    size_t gb_max_staleness = 8;
-    /// Ensemble size that forces a full GB refit regardless of staleness.
-    size_t gb_max_trees = 400;
-    /// LRU capacity (rows) of the SVR kernel-row cache.
-    size_t svr_kernel_cache_rows = 256;
-    /// Step cap for warm SVR fits, in sweeps of n pair steps (cold fits
-    /// use Svr::Options::max_sweeps). Cold and warm fits both stop on the
-    /// KKT gap Svr::Options::tol, on walk-forward windows after about 3
-    /// and 2 sweeps, so the cap only bounds a fit that cannot converge.
-    size_t svr_warm_max_sweeps = 15;
-  };
-  WarmStartOptions warm_start;
+  } warm_start;
 
   size_t ma_period = 30;  // Moving-average baseline period.
   /// LR on wide windowed designs needs Tikhonov stabilization (see
@@ -116,15 +84,9 @@ struct ForecasterConfig {
 StatusOr<std::unique_ptr<Regressor>> MakeRegressor(
     const ForecasterConfig& config);
 
-/// Fingerprint of the algorithm and every hyper-parameter that shapes the
-/// training problem (windowing, selection, scaling, per-algorithm options
-/// and the warm-start knobs themselves). Any change produces a different
-/// hash, so captured warm-start state from the old configuration is
-/// invalidated rather than replayed. Exposed for the warm-start
-/// regression suite.
-uint64_t WarmStartConfigHash(const ForecasterConfig& config);
-
-/// True when `algorithm` has a warm-start path (Lasso, SVR, GB).
+/// Always false: warm start is retired. Compile shim for
+/// perfbench/walkforward.cc, removed with ForecasterConfig::warm_start by
+/// the next benchmark-scoped change (ROADMAP item 6).
 bool AlgorithmSupportsWarmStart(Algorithm algorithm);
 
 /// One member of a pooled training set: a vehicle's dataset plus the
@@ -147,6 +109,7 @@ class VehicleForecaster {
   /// (half-open, indices into `ds`). Requirements: for ML algorithms,
   /// train_begin >= lookback_w and at least 2 records. For baselines this
   /// records the training span end and succeeds trivially.
+  /// InvalidArgument when config().warm_start.enabled is set.
   Status Train(const VehicleDataset& ds, size_t train_begin,
                size_t train_end);
 
@@ -221,9 +184,8 @@ class VehicleForecaster {
   /// Deep copy of the persisted pipeline (config, selected lags and
   /// columns, scaler, fitted model), independent of this forecaster: Save
   /// and SaveCompact of the copy write the same bytes as of this one, even
-  /// after this forecaster is retrained or destroyed. Training caches and
-  /// warm-start state are not copied. Same preconditions and statuses as
-  /// Save.
+  /// after this forecaster is retrained or destroyed. Training caches are
+  /// not copied. Same preconditions and statuses as Save.
   StatusOr<VehicleForecaster> Snapshot() const;
 
   /// Reassembles a trained forecaster from already-validated parts (the
@@ -250,20 +212,6 @@ class VehicleForecaster {
   Status PrepareIncrementalWindow(const VehicleDataset& ds, size_t train_begin,
                                   size_t train_end);
 
-  /// Decides warm vs cold for the upcoming fit (counting the decision in
-  /// the vupred_train_warmstart_* metrics), arms the freshly built model_
-  /// with the captured payload on a hit, and returns whether it did.
-  /// Called after lag selection (the key covers selected_columns_) and
-  /// before model_->Fit; `num_columns` is the design-matrix width.
-  bool ApplyWarmStart(const VehicleDataset& ds, size_t train_begin,
-                      size_t train_end, size_t num_columns);
-
-  /// Captures the fitted model's solver state as the next warm-start
-  /// payload. `fitted_warm` says whether this fit itself resumed from a
-  /// payload (drives the GB staleness counter).
-  void CaptureWarmStartState(size_t train_begin, size_t train_end,
-                             bool fitted_warm);
-
   ForecasterConfig config_;
   bool trained_ = false;
 
@@ -284,13 +232,6 @@ class VehicleForecaster {
   std::optional<SlidingAcf> acf_cache_;
   const void* incremental_ds_ = nullptr;
   size_t incremental_days_ = 0;
-
-  // Warm-start solver state (config_.warm_start.enabled), dataset-keyed
-  // exactly like the incremental caches above: state captured on one
-  // dataset is never replayed onto another.
-  WarmStartState warm_state_;
-  const void* warm_ds_ = nullptr;
-  size_t warm_days_ = 0;
 };
 
 }  // namespace vup

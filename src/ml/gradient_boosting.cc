@@ -23,20 +23,8 @@ double LossValue(GbLoss loss, std::span<const double> y,
 
 }  // namespace
 
-void GradientBoosting::WarmStart(std::vector<RegressionTree> trees,
-                                 double init, size_t num_features,
-                                 size_t extra_stages) {
-  warm_request_ =
-      WarmRequest{std::move(trees), init, num_features, extra_stages};
-}
-
 Status GradientBoosting::Fit(const Matrix& x, std::span<const double> y) {
-  WarmRequest warm;
-  const bool have_warm = warm_request_.has_value();
-  if (have_warm) warm = std::move(*warm_request_);
-  warm_request_.reset();
   fitted_ = false;
-  last_fit_warm_started_ = false;
   trees_.clear();
   stage_losses_.clear();
   if (x.rows() == 0 || x.cols() == 0) {
@@ -55,31 +43,9 @@ Status GradientBoosting::Fit(const Matrix& x, std::span<const double> y) {
   const size_t n = x.rows();
   num_features_ = x.cols();
 
-  std::vector<double> f(n);            // Current ensemble prediction.
-  size_t stages_to_run = options_.n_estimators;
-  const bool warm_started = have_warm && !warm.trees.empty() &&
-                            warm.num_features == num_features_;
-  if (warm_started) {
-    // Resume from the previous ensemble: adopt it and re-evaluate its
-    // prediction on the new window, then boost extra_stages more.
-    last_fit_warm_started_ = true;
-    init_ = warm.init;
-    trees_ = std::move(warm.trees);
-    stages_to_run = warm.extra_stages;
-    for (size_t i = 0; i < n; ++i) {
-      double sum = init_;
-      for (const RegressionTree& tree : trees_) {
-        VUP_ASSIGN_OR_RETURN(double p, tree.PredictOne(x.Row(i)));
-        sum += options_.learning_rate * p;
-      }
-      f[i] = sum;
-    }
-  } else {
-    // Initial constant: mean for LS, median for LAD.
-    init_ = options_.loss == GbLoss::kLeastSquares ? Mean(y) : Median(y);
-    f.assign(n, init_);
-  }
-
+  // Initial constant: mean for LS, median for LAD.
+  init_ = options_.loss == GbLoss::kLeastSquares ? Mean(y) : Median(y);
+  std::vector<double> f(n, init_);     // Current ensemble prediction.
   std::vector<double> gradient(n);     // Negative gradient (pseudo-residual).
   std::vector<double> residual(n);     // y - f, for LAD leaf relabeling.
   Rng rng(options_.seed);
@@ -88,9 +54,9 @@ Status GradientBoosting::Fit(const Matrix& x, std::span<const double> y) {
   tree_options.max_depth = options_.max_depth;
   tree_options.min_samples_leaf = options_.min_samples_leaf;
 
-  trees_.reserve(trees_.size() + stages_to_run);
-  stage_losses_.reserve(stages_to_run);
-  for (size_t stage = 0; stage < stages_to_run; ++stage) {
+  trees_.reserve(options_.n_estimators);
+  stage_losses_.reserve(options_.n_estimators);
+  for (size_t stage = 0; stage < options_.n_estimators; ++stage) {
     for (size_t i = 0; i < n; ++i) {
       residual[i] = y[i] - f[i];
       gradient[i] = options_.loss == GbLoss::kLeastSquares

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "ml/lanes.h"
-#include "obs/metrics.h"
 
 namespace vup {
 
@@ -97,9 +96,10 @@ void PanelSquaredDistances(const double* xi, const double* panels, size_t d,
 
 }  // namespace
 
-Matrix KernelMatrix(const KernelParams& params, const Matrix& x) {
+Matrix KernelMatrix(const KernelParams& params, const Matrix& x,
+                    size_t min_cols) {
   const size_t n = x.rows();
-  Matrix k(n, n);
+  Matrix k(n, std::max(n, min_cols));
   if (params.type == KernelType::kRbf && n > 0) {
     const size_t d = x.cols();
     const double g = params.EffectiveGamma(d);
@@ -137,85 +137,6 @@ Matrix KernelMatrix(const KernelParams& params, const Matrix& x) {
     }
   }
   return k;
-}
-
-namespace {
-
-struct KernelCacheCounters {
-  obs::Counter* hits;
-  obs::Counter* misses;
-  obs::Counter* evictions;
-};
-
-const KernelCacheCounters& GlobalKernelCacheCounters() {
-  static const KernelCacheCounters counters = [] {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    return KernelCacheCounters{
-        registry.GetCounter("vupred_kernel_cache_hits_total",
-                            "Kernel-row cache lookups served from memory."),
-        registry.GetCounter("vupred_kernel_cache_misses_total",
-                            "Kernel-row cache lookups that computed a row."),
-        registry.GetCounter("vupred_kernel_cache_evictions_total",
-                            "Kernel rows evicted by the LRU policy."),
-    };
-  }();
-  return counters;
-}
-
-}  // namespace
-
-KernelRowCache::KernelRowCache(const KernelParams& params, const Matrix& x,
-                               size_t capacity)
-    : params_(params),
-      x_(&x),
-      // >= 2 keeps both rows of the current SMO pair resident (see the
-      // span-lifetime contract in the header).
-      capacity_(std::max<size_t>(capacity, 2)),
-      entries_(x.rows()) {
-  if (params_.gamma <= 0.0 && x.cols() > 0) {
-    params_.gamma = params_.EffectiveGamma(x.cols());
-  }
-}
-
-std::span<const double> KernelRowCache::Row(size_t i) {
-  VUP_CHECK(i < x_->rows());
-  const KernelCacheCounters& counters = GlobalKernelCacheCounters();
-  Entry& entry = entries_[i];
-  if (!entry.values.empty()) {
-    ++stats_.hits;
-    if (counters.hits != nullptr) counters.hits->Increment(1);
-    lru_.splice(lru_.begin(), lru_, entry.lru_pos);
-    return entry.values;
-  }
-
-  ++stats_.misses;
-  if (counters.misses != nullptr) counters.misses->Increment(1);
-  const size_t n = x_->rows();
-  entry.values.resize(n);
-  std::span<const double> xi = x_->Row(i);
-  for (size_t j = 0; j < n; ++j) {
-    // Symmetry fill: every supported kernel is bitwise-symmetric (see the
-    // header), so K(i, j) can be read off an already-cached row j instead
-    // of re-evaluating. The j == i guard matters: entries_[i].values was
-    // just resized, so it would otherwise read back a zero.
-    const Entry& other = entries_[j];
-    entry.values[j] = (j != i && !other.values.empty())
-                          ? other.values[i]
-                          : KernelFunction(params_, xi, x_->Row(j));
-  }
-  lru_.push_front(i);
-  entry.lru_pos = lru_.begin();
-  ++cached_;
-
-  if (cached_ > capacity_) {
-    size_t victim = lru_.back();
-    lru_.pop_back();
-    entries_[victim].values = {};  // Frees the row; slot stays.
-    --cached_;
-    ++stats_.evictions;
-    if (counters.evictions != nullptr) counters.evictions->Increment(1);
-  }
-  return entry.values;
 }
 
 }  // namespace vup

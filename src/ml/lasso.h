@@ -2,7 +2,6 @@
 #define VUPRED_ML_LASSO_H_
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "ml/model.h"
@@ -38,17 +37,6 @@ class Lasso : public Regressor {
 
   const Options& options() const { return options_; }
 
-  /// Arms the next Fit to start coordinate descent from `coefficients`
-  /// (the previous adjacent window's solution) instead of zero: the
-  /// residual is recomputed against the new data, the nonzero (active)
-  /// coordinates are swept to convergence first, and full verification
-  /// sweeps over every coordinate follow until one of them makes no
-  /// tol-sized move -- the cold path's exact convergence criterion, so
-  /// warm and cold fits share the same fixed points. Consumed by the next
-  /// Fit whatever its outcome; silently ignored (cold fit) when the
-  /// column count differs.
-  void WarmStart(std::vector<double> coefficients);
-
   Status Fit(const Matrix& x, std::span<const double> y) override;
   StatusOr<double> PredictOne(std::span<const double> features) const override;
   std::string name() const override { return "Lasso"; }
@@ -60,16 +48,13 @@ class Lasso : public Regressor {
   }
   bool fitted() const override { return fitted_; }
   size_t ResidentBytes() const override {
-    return sizeof(*this) + coef_.capacity() * sizeof(double) +
-           (warm_coef_ ? warm_coef_->capacity() * sizeof(double) : 0);
+    return sizeof(*this) + coef_.capacity() * sizeof(double);
   }
 
   const std::vector<double>& coefficients() const { return coef_; }
   double intercept() const { return intercept_; }
-  /// Sweeps run in the last Fit (active-set and full sweeps both count).
+  /// Coordinate-descent sweeps run in the last Fit.
   size_t iterations_run() const { return iterations_run_; }
-  /// True when the last Fit consumed a WarmStart payload.
-  bool last_fit_warm_started() const { return last_fit_warm_started_; }
 
  private:
   Options options_;
@@ -77,8 +62,6 @@ class Lasso : public Regressor {
   std::vector<double> coef_;
   double intercept_ = 0.0;
   size_t iterations_run_ = 0;
-  bool last_fit_warm_started_ = false;
-  std::optional<std::vector<double>> warm_coef_;
 };
 
 }  // namespace vup

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 
 #include "ml/lanes.h"
 #include "stats/descriptive.h"
@@ -175,16 +174,7 @@ size_t SelectPartner(size_t n, size_t padded, double m_up, double diag_i,
 
 }  // namespace
 
-void Svr::WarmStart(std::vector<double> beta0, size_t kernel_cache_rows,
-                    size_t max_sweeps) {
-  warm_request_ = WarmRequest{std::move(beta0), kernel_cache_rows, max_sweeps};
-}
-
 Status Svr::Fit(const Matrix& x, std::span<const double> y) {
-  WarmRequest warm;
-  const bool have_warm = warm_request_.has_value();
-  if (have_warm) warm = std::move(*warm_request_);
-  warm_request_.reset();
   fitted_ = false;
   fit_stats_ = FitStats{};
   if (x.rows() == 0 || x.cols() == 0) {
@@ -218,62 +208,20 @@ Status Svr::Fit(const Matrix& x, std::span<const double> y) {
     kernel.gamma = kernel.EffectiveGamma(num_features_);
   }
 
-  std::vector<double> beta(n, 0.0);
-  size_t max_sweeps = options_.max_sweeps;
-  if (have_warm && warm.beta0.size() == n) {
-    fit_stats_.warm_started = true;
-    beta = std::move(warm.beta0);
-    if (warm.max_sweeps != 0) max_sweeps = warm.max_sweeps;
-    // Sanitize the starting point: clamp to the box, then repair
-    // sum(beta) = 0 by taking the imbalance back out, newest rows first.
-    double imbalance = 0.0;
-    for (double& b : beta) {
-      b = std::clamp(b, -c, c);
-      imbalance += b;
-    }
-    for (size_t i = n; i-- > 0 && imbalance != 0.0;) {
-      double take = std::clamp(imbalance, beta[i] - c, beta[i] + c);
-      beta[i] -= take;
-      imbalance -= take;
-    }
-  }
-
-  // Kernel rows: the full Gram matrix for a cold fit, an LRU row cache for
-  // a warm one. Both give the same bits for K(i, j).
-  std::optional<Matrix> gram;
-  std::optional<KernelRowCache> cache;
   // The solver's vectors are padded to whole blocks of lanes: beta = NaN
-  // (no box test passes), f = diag = 0 and zero kernel-row tails.
+  // (no box test passes), f = diag = 0, and every Gram row ends in zeros,
+  // so the scans read K(i, .) and K(j, .) in place.
   const size_t padded = (n + kBlock - 1) / kBlock * kBlock;
+  const Matrix gram = KernelMatrix(kernel, x, padded);
   std::vector<double> diag(padded, 0.0);
-  if (fit_stats_.warm_started) {
-    cache.emplace(kernel, x, warm.kernel_cache_rows);
-    for (size_t i = 0; i < n; ++i) {
-      diag[i] = KernelFunction(kernel, x.Row(i), x.Row(i));
-    }
-  } else {
-    gram = KernelMatrix(kernel, x);
-    for (size_t i = 0; i < n; ++i) diag[i] = (*gram)(i, i);
-  }
-  auto row = [&](size_t i) { return gram ? gram->Row(i) : cache->Row(i); };
+  for (size_t i = 0; i < n; ++i) diag[i] = gram(i, i);
 
-  // f = K beta - y, the gradient of the smooth part; only nonzero
-  // coefficients touch a kernel row.
+  // f = K beta - y, the gradient of the smooth part, at beta = 0; `down`
+  // holds the last scan's down costs for the partner scan.
+  std::vector<double> beta(n, 0.0);
+  beta.resize(padded, std::numeric_limits<double>::quiet_NaN());
   std::vector<double> f(padded, 0.0);
   for (size_t i = 0; i < n; ++i) f[i] = -y[i];
-  for (size_t k = 0; k < n; ++k) {
-    if (beta[k] == 0.0) continue;
-    std::span<const double> row_k = row(k);
-    for (size_t i = 0; i < n; ++i) f[i] += beta[k] * row_k[i];
-  }
-  beta.resize(padded, std::numeric_limits<double>::quiet_NaN());
-
-  // The pair's kernel rows K(i, .) and K(j, .), copied out of the Gram
-  // matrix or the cache into one padded buffer, and the last scan's down
-  // costs for the partner scan.
-  std::vector<double> pair_rows(2 * padded, 0.0);
-  double* const row_i = pair_rows.data();
-  double* const row_j = pair_rows.data() + padded;
   std::vector<double> down(padded);
 
   // up/down are the one-sided derivatives of the dual for raising/lowering
@@ -286,7 +234,7 @@ Status Svr::Fit(const Matrix& x, std::span<const double> y) {
   // the steepest "up" row, j the "down" row whose exact pair step gains
   // the most, b^2 / a with b = up(i) + down(j) and a the pair curvature.
   // Each step's f update is fused with the next step's up/down scan.
-  const size_t max_iterations = max_sweeps * n;
+  const size_t max_iterations = options_.max_sweeps * n;
   size_t iterations = 0;
   double gap = 0.0;
   UpDownScan scan = UpdateAndScan(n, padded, 0.0, nullptr, nullptr,
@@ -297,13 +245,13 @@ Status Svr::Fit(const Matrix& x, std::span<const double> y) {
     if (gap <= options_.tol || iterations >= max_iterations) break;
 
     const size_t i = scan.i;
-    std::ranges::copy(row(i), row_i);
+    const double* const row_i = gram.Row(i).data();
     down[i] = std::numeric_limits<double>::infinity();  // j != i.
     const size_t j = SelectPartner(n, padded, scan.m_up, diag[i],
                                    diag.data(), row_i, down.data());
     if (j == n) break;
 
-    std::ranges::copy(row(j), row_j);
+    const double* const row_j = gram.Row(j).data();
     const double eta = std::max(diag[i] + diag[j] - 2.0 * row_i[j], 1e-12);
     const double bi = beta[i];
     const double bj = beta[j];
@@ -323,17 +271,14 @@ Status Svr::Fit(const Matrix& x, std::span<const double> y) {
                          eps, f.data(), down.data());
   }
   fit_stats_.iterations = iterations;
-  fit_stats_.sweeps = (iterations + n - 1) / n;
   fit_stats_.gap = gap;
-  if (cache) fit_stats_.kernel_cache = cache->stats();
 
-  FinishFit(x, y, std::span(beta).first(n), std::span(f).first(n), kernel);
+  FinishFit(x, std::span(beta).first(n), std::span(f).first(n), kernel);
   return Status::OK();
 }
 
-void Svr::FinishFit(const Matrix& x, std::span<const double> y,
-                    std::span<const double> beta, std::span<const double> f,
-                    const KernelParams& kernel) {
+void Svr::FinishFit(const Matrix& x, std::span<const double> beta,
+                    std::span<const double> f, const KernelParams& kernel) {
   const size_t n = x.rows();
   const double c = options_.c;
   const double eps = options_.epsilon;
@@ -359,16 +304,7 @@ void Svr::FinishFit(const Matrix& x, std::span<const double> y,
     bias_ = sum / static_cast<double>(n);
   }
 
-  // Dual objective via f = K beta - y:
-  //   W = 1/2 b^T f - 1/2 b^T y + eps * ||b||_1.
-  dual_objective_ = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    dual_objective_ += 0.5 * beta[i] * f[i] - 0.5 * beta[i] * y[i] +
-                       eps * std::abs(beta[i]);
-  }
-
-  // Keep only support vectors for prediction; the full-length vector
-  // stays available as the next warm start's payload.
+  // Keep only support vectors for prediction.
   std::vector<size_t> sv_rows;
   for (size_t i = 0; i < n; ++i) {
     if (std::abs(beta[i]) > 1e-12) sv_rows.push_back(i);

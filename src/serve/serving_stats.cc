@@ -124,7 +124,9 @@ void ServingStats::Collect(obs::MetricsSnapshot* out,
 
   obs::MetricFamily histogram;
   histogram.name = "vupred_serve_request_seconds";
-  histogram.help = "Scoring latency of finished requests.";
+  histogram.help =
+      "Scoring latency of scored requests; shed and deadline-exceeded "
+      "requests count in vupred_serve_requests_total but get no sample.";
   histogram.type = obs::MetricType::kHistogram;
   obs::MetricSample histogram_sample;
   histogram_sample.labels = labels;

@@ -158,6 +158,23 @@ TEST(ForecasterTest, TrainValidation) {
   EXPECT_TRUE(f.Train(ds, 20, 100).IsOutOfRange());       // Past end.
 }
 
+TEST(ForecasterTest, RejectsRetiredWarmStart) {
+  // Warm start is retired; the flag survives only so that old callers
+  // compile, and setting it must fail loudly rather than fit cold.
+  VehicleDataset ds = WeeklyDataset(60);
+  for (Algorithm algorithm : {Algorithm::kLasso, Algorithm::kSvr,
+                              Algorithm::kGradientBoosting}) {
+    EXPECT_FALSE(AlgorithmSupportsWarmStart(algorithm));
+    ForecasterConfig cfg;
+    cfg.algorithm = algorithm;
+    cfg.windowing.lookback_w = 10;
+    cfg.warm_start.enabled = true;
+    VehicleForecaster f(cfg);
+    EXPECT_TRUE(f.Train(ds, 20, 50).IsInvalidArgument());
+    EXPECT_FALSE(f.trained());
+  }
+}
+
 TEST(ForecasterTest, ClampsToPhysicalRange) {
   // A linearly exploding series would extrapolate beyond 24h; the clamp
   // keeps the forecast physical.

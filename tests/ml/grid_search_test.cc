@@ -1,10 +1,14 @@
 #include "ml/grid_search.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "ml/lasso.h"
 #include "ml/linear_regression.h"
+#include "ml/svr.h"
 
 namespace vup {
 namespace {
@@ -119,7 +123,8 @@ TEST(GridSearchTest, AllFailingReturnsError) {
 
 TEST(GridSearchTest, ParallelMatchesSerial) {
   // jobs > 1 must be an implementation detail: identical scores (bitwise),
-  // identical combination order, identical winner.
+  // identical combination order, identical winner -- for Lasso and for
+  // the SVR, whose fits share only read-only inputs across threads.
   Rng rng(9);
   Matrix x(150, 8);
   std::vector<double> y(150);
@@ -127,28 +132,46 @@ TEST(GridSearchTest, ParallelMatchesSerial) {
     for (size_t c = 0; c < 8; ++c) x(r, c) = rng.Normal();
     y[r] = 1.5 * x(r, 1) - 0.7 * x(r, 4) + 0.2 * rng.Normal();
   }
-  ParamGrid grid;
-  grid.axes["alpha"] = {0.01, 0.1, 1.0, 10.0, 100.0};
-  grid.axes["max_iter"] = {200, 400};
-  RegressorFactory factory = [](const ParamMap& p) {
+  struct Input {
+    std::string name;
+    ParamGrid grid;
+    RegressorFactory factory;
+  };
+  std::vector<Input> inputs(2);
+  inputs[0].name = "Lasso";
+  inputs[0].grid.axes["alpha"] = {0.01, 0.1, 1.0, 10.0, 100.0};
+  inputs[0].grid.axes["max_iter"] = {200, 400};
+  inputs[0].factory = [](const ParamMap& p) {
     Lasso::Options opts;
     opts.alpha = p.at("alpha");
     opts.max_iter = static_cast<size_t>(p.at("max_iter"));
     return std::unique_ptr<Regressor>(new Lasso(opts));
   };
+  inputs[1].name = "SVR";
+  inputs[1].grid.axes["c"] = {1.0, 5.0, 10.0, 20.0};
+  inputs[1].factory = [](const ParamMap& p) {
+    Svr::Options opts;
+    opts.c = p.at("c");
+    return std::unique_ptr<Regressor>(new Svr(opts));
+  };
   GridSearchOptions serial;
   serial.jobs = 1;
   GridSearchOptions parallel = serial;
   parallel.jobs = 4;
-  GridSearchResult a = GridSearch(factory, grid, x, y, serial).value();
-  GridSearchResult b = GridSearch(factory, grid, x, y, parallel).value();
-  ASSERT_EQ(a.scores.size(), b.scores.size());
-  for (size_t i = 0; i < a.scores.size(); ++i) {
-    EXPECT_EQ(a.scores[i].second, b.scores[i].second) << "combination " << i;
-    EXPECT_EQ(a.scores[i].first, b.scores[i].first);
+  for (const Input& in : inputs) {
+    GridSearchResult a =
+        GridSearch(in.factory, in.grid, x, y, serial).value();
+    GridSearchResult b =
+        GridSearch(in.factory, in.grid, x, y, parallel).value();
+    ASSERT_EQ(a.scores.size(), b.scores.size()) << in.name;
+    for (size_t i = 0; i < a.scores.size(); ++i) {
+      EXPECT_EQ(a.scores[i].second, b.scores[i].second)
+          << in.name << " combination " << i;
+      EXPECT_EQ(a.scores[i].first, b.scores[i].first) << in.name;
+    }
+    EXPECT_EQ(a.best_params, b.best_params) << in.name;
+    EXPECT_EQ(a.best_score, b.best_score) << in.name;
   }
-  EXPECT_EQ(a.best_params, b.best_params);
-  EXPECT_EQ(a.best_score, b.best_score);
 }
 
 TEST(GridSearchTest, ParallelSkipsFailuresLikeSerial) {

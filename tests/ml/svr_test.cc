@@ -143,7 +143,7 @@ double RecomputedGap(const Svr& svr, const Matrix& x,
   return -(m_up + m_down);
 }
 
-TEST(SvrTest, ColdAndWarmFitsConvergeOnBenchFleetWindow) {
+TEST(SvrTest, FitConvergesOnBenchFleetWindow) {
   // Vehicle 25 of the seeded 40-vehicle bench fleet, targets 941..1080
   // (n = 140, the paper's TW): a window on which an SMO that stops on a
   // sweep-improvement budget runs all 300 sweeps without converging.
@@ -156,16 +156,12 @@ TEST(SvrTest, ColdAndWarmFitsConvergeOnBenchFleetWindow) {
   ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
   const VehicleDataset& ds = *ds_or.value();
 
-  // The warm fit is the walk-forward's own: the previous window's
-  // solution, shifted by one row.
+  // One fit is the walk-forward's own, through the forecaster.
   ForecasterConfig config;
   ASSERT_EQ(config.algorithm, Algorithm::kSvr);
-  config.warm_start.enabled = true;
   VehicleForecaster forecaster(config);
-  ASSERT_TRUE(forecaster.Train(ds, 940, 1080).ok());
   ASSERT_TRUE(forecaster.Train(ds, 941, 1081).ok());
-  const Svr& warm = static_cast<const Svr&>(*forecaster.regressor());
-  ASSERT_TRUE(warm.last_fit_stats().warm_started);
+  const Svr& trained = static_cast<const Svr&>(*forecaster.regressor());
 
   // The same window's design, rebuilt the way Train builds it.
   StatusOr<WindowedDataset> windowed =
@@ -178,22 +174,20 @@ TEST(SvrTest, ColdAndWarmFitsConvergeOnBenchFleetWindow) {
   const size_t n = x.value().rows();
   ASSERT_EQ(n, 140u);
 
-  Svr cold(config.svr);
-  ASSERT_TRUE(cold.Fit(x.value(), y).ok());
+  Svr direct(config.svr);
+  ASSERT_TRUE(direct.Fit(x.value(), y).ok());
   const double tol = config.svr.tol;
-  EXPECT_LT(cold.last_fit_stats().iterations, config.svr.max_sweeps * n);
-  EXPECT_LT(warm.last_fit_stats().iterations,
-            config.warm_start.svr_warm_max_sweeps * n);
-  EXPECT_LE(cold.last_fit_stats().gap, tol);
-  EXPECT_LE(warm.last_fit_stats().gap, tol);
-  EXPECT_LE(RecomputedGap(cold, x.value(), y), tol);
-  EXPECT_LE(RecomputedGap(warm, x.value(), y), tol);
+  for (const Svr* svr : std::vector<const Svr*>{&trained, &direct}) {
+    EXPECT_LT(svr->last_fit_stats().iterations, config.svr.max_sweeps * n);
+    EXPECT_LE(svr->last_fit_stats().gap, tol);
+    EXPECT_LE(RecomputedGap(*svr, x.value(), y), tol);
+  }
 }
 
 /// The scalar SMO solver that Svr::Fit's lane-parallel scans replaced,
-/// kept as the reference they must match bit for bit: the same sanitized
-/// start, the same second-order working-set loop with sequential `<` / `>`
-/// argmin and argmax scans, and the same bias rule. Kernel rows are
+/// kept as the reference they must match bit for bit: the same start at
+/// beta = 0, the same second-order working-set loop with sequential `<` /
+/// `>` argmin and argmax scans, and the same bias rule. Kernel rows are
 /// KernelFunction evaluations.
 struct ScalarFit {
   std::vector<double> beta;
@@ -235,10 +229,8 @@ void ScalarBestPairStep(double eta, double f_diff, double eps, double bi,
   }
 }
 
-/// `beta0` empty means a cold fit from beta = 0.
 ScalarFit ScalarReferenceFit(const Svr::Options& options, const Matrix& x,
-                             std::span<const double> y,
-                             std::vector<double> beta0) {
+                             std::span<const double> y) {
   const size_t n = x.rows();
   const double c = options.c;
   const double eps = options.epsilon;
@@ -252,25 +244,8 @@ ScalarFit ScalarReferenceFit(const Svr::Options& options, const Matrix& x,
   }
 
   std::vector<double> beta(n, 0.0);
-  if (!beta0.empty()) {
-    beta = std::move(beta0);
-    double imbalance = 0.0;
-    for (double& b : beta) {
-      b = std::clamp(b, -c, c);
-      imbalance += b;
-    }
-    for (size_t i = n; i-- > 0 && imbalance != 0.0;) {
-      double take = std::clamp(imbalance, beta[i] - c, beta[i] + c);
-      beta[i] -= take;
-      imbalance -= take;
-    }
-  }
   std::vector<double> f(n);
   for (size_t i = 0; i < n; ++i) f[i] = -y[i];
-  for (size_t r = 0; r < n; ++r) {
-    if (beta[r] == 0.0) continue;
-    for (size_t i = 0; i < n; ++i) f[i] += beta[r] * k(r, i);
-  }
 
   const double upper = c * (1.0 - 1e-9);
   const double lower = -upper;
@@ -352,56 +327,31 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-/// Fits `x, y` cold, then warm from a rotated copy of the cold solution
-/// through a 2-row and an n-row kernel cache, and checks each fit against
-/// the scalar reference bit for bit.
+/// Fits `x, y` and checks the fit against the scalar reference bit for
+/// bit.
 void ExpectMatchesScalarReference(const Svr::Options& options,
                                   const Matrix& x,
                                   const std::vector<double>& y,
                                   const std::string& label,
                                   bool expect_steps = true) {
   const size_t n = x.rows();
-  Svr cold(options);
-  ASSERT_TRUE(cold.Fit(x, y).ok()) << label;
-  const ScalarFit cold_ref = ScalarReferenceFit(options, x, y, {});
+  Svr svr(options);
+  ASSERT_TRUE(svr.Fit(x, y).ok()) << label;
+  const ScalarFit ref = ScalarReferenceFit(options, x, y);
   if (expect_steps) {
-    EXPECT_GT(cold_ref.iterations, 0u) << label;
+    EXPECT_GT(ref.iterations, 0u) << label;
   } else {
-    EXPECT_EQ(cold_ref.iterations, 0u) << label;
+    EXPECT_EQ(ref.iterations, 0u) << label;
   }
-
-  std::vector<double> beta0(n);
-  for (size_t i = 0; i < n; ++i) {
-    beta0[i] = cold.last_full_beta()[(i + 1) % n];
-  }
-  struct Run {
-    std::string name;
-    size_t cache_rows;  // 0 = cold.
-  };
-  for (const Run& run : {Run{"cold", 0}, Run{"warm/2", 2}, Run{"warm/n", n}}) {
-    const std::string where = label + " " + run.name;
-    Svr svr(options);
-    const std::vector<double> start = run.cache_rows > 0
-                                          ? beta0
-                                          : std::vector<double>();
-    if (run.cache_rows > 0) svr.WarmStart(start, run.cache_rows);
-    ASSERT_TRUE(svr.Fit(x, y).ok()) << where;
-    EXPECT_EQ(svr.last_fit_stats().warm_started, run.cache_rows > 0)
-        << where;
-    const ScalarFit ref = run.cache_rows > 0
-                              ? ScalarReferenceFit(options, x, y, start)
-                              : cold_ref;
-    EXPECT_EQ(svr.last_fit_stats().iterations, ref.iterations) << where;
-    EXPECT_TRUE(SameBits(svr.last_fit_stats().gap, ref.gap))
-        << where << " gap " << svr.last_fit_stats().gap << " vs " << ref.gap;
-    EXPECT_TRUE(SameBits(svr.bias(), ref.bias))
-        << where << " bias " << svr.bias() << " vs " << ref.bias;
-    const std::vector<double>& beta = svr.last_full_beta();
-    ASSERT_EQ(beta.size(), n) << where;
-    EXPECT_EQ(std::memcmp(beta.data(), ref.beta.data(), n * sizeof(double)),
-              0)
-        << where;
-  }
+  EXPECT_EQ(svr.last_fit_stats().iterations, ref.iterations) << label;
+  EXPECT_TRUE(SameBits(svr.last_fit_stats().gap, ref.gap))
+      << label << " gap " << svr.last_fit_stats().gap << " vs " << ref.gap;
+  EXPECT_TRUE(SameBits(svr.bias(), ref.bias))
+      << label << " bias " << svr.bias() << " vs " << ref.bias;
+  const std::vector<double>& beta = svr.last_full_beta();
+  ASSERT_EQ(beta.size(), n) << label;
+  EXPECT_EQ(std::memcmp(beta.data(), ref.beta.data(), n * sizeof(double)), 0)
+      << label;
 }
 
 TEST(SvrTest, SolverIsBitwiseScalarReference) {
