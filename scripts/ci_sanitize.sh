@@ -54,11 +54,14 @@ ctest --preset sanitize -j"${JOBS}" -R \
 ctest --preset sanitize -j"${JOBS}" -R \
   'cluster_profile_test|cluster_kmeans_test|cluster_cluster_meta_test|cluster_pooled_test|serve_hierarchy_fallback_test'
 
-# Guarded publishing: the strict MANIFEST / rollback-journal parsers
-# (hostile-input paths), CRC verification over injector-corrupted files,
-# the publish validator, the scrubber and the kill-point chaos walk.
+# Guarded publishing: the four sidecars (MANIFEST, registry meta,
+# rollback journal, clusters.meta) now share one hostile-input decoder,
+# the record-file codec, so its truncation/flip/garbage suite runs here
+# with each sidecar's field decoder behind it; plus CRC verification over
+# injector-corrupted files, the publish validator, the scrubber and the
+# kill-point chaos walk.
 ctest --preset sanitize -j"${JOBS}" -R \
-  'serve_manifest_test|serve_validator_test|serve_scrubber_test|serve_registry_reload_breaker_test|integration_publish_chaos_test'
+  'common_record_file_test|serve_registry_meta_test|cluster_cluster_meta_test|serve_manifest_test|serve_validator_test|serve_scrubber_test|serve_registry_reload_breaker_test|integration_publish_chaos_test'
 
 # Compact-bundle decoder fuzz under the sanitizers: the vupc v2 decoder
 # walks attacker-controlled bundle bytes (counts, offsets, tree child

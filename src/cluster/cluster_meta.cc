@@ -1,12 +1,9 @@
 #include "cluster/cluster_meta.h"
 
 #include <cmath>
-#include <fstream>
-#include <istream>
 #include <limits>
-#include <sstream>
 
-#include "common/file_util.h"
+#include "common/record_file.h"
 #include "common/string_util.h"
 #include "telemetry/taxonomy.h"
 
@@ -15,56 +12,14 @@ namespace vup::cluster {
 namespace {
 
 constexpr const char* kMetaFile = "clusters.meta";
-constexpr const char* kMetaMagic = "vupred-clusters v1";
-constexpr const char* kMetaEnd = "end-clusters";
+constexpr const char* kMetaMagic = "vupred-clusters v2";
 
 // Structural caps: counts beyond these are garbage (or an attack), not a
-// fleet. They bound every allocation a hostile stream can drive.
+// fleet. They bound every allocation a hostile file can drive.
 constexpr long long kMaxDim = 1 << 16;
 constexpr long long kMaxClusters = 1 << 16;
 constexpr long long kMaxVehicles = 100'000'000;
-
-/// Reads the next line; it must be newline-terminated (a writer killed
-/// mid-line leaves a partial final line, which must parse as truncation,
-/// not as a shorter-but-plausible value).
-StatusOr<std::string> NextLine(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("unexpected end of clusters.meta");
-  }
-  if (in.eof()) {
-    return Status::InvalidArgument(
-        "clusters.meta line not newline-terminated (truncated?)");
-  }
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  return line;
-}
-
-/// Next line split on spaces; token 0 must equal `key`. Returns the rest.
-StatusOr<std::vector<std::string>> ExpectTokens(std::istream& in,
-                                                std::string_view key) {
-  VUP_ASSIGN_OR_RETURN(std::string line, NextLine(in));
-  std::vector<std::string> tokens;
-  for (const std::string& t : Split(std::string(Trim(line)), ' ')) {
-    if (!t.empty()) tokens.push_back(t);
-  }
-  if (tokens.empty() || tokens[0] != key) {
-    return Status::InvalidArgument(
-        "expected '" + std::string(key) + "' line, got '" +
-        (tokens.empty() ? std::string() : tokens[0]) + "'");
-  }
-  tokens.erase(tokens.begin());
-  return tokens;
-}
-
-StatusOr<long long> ExpectInt(std::istream& in, std::string_view key) {
-  VUP_ASSIGN_OR_RETURN(std::vector<std::string> rest, ExpectTokens(in, key));
-  if (rest.size() != 1) {
-    return Status::InvalidArgument("expected one value for '" +
-                                   std::string(key) + "'");
-  }
-  return ParseInt(rest[0]);
-}
+constexpr uint64_t kMaxMetaBytes = 256ull << 20;
 
 /// Parses `count` doubles from `tokens` starting at `offset`; all finite.
 StatusOr<std::vector<double>> ParseDoubles(
@@ -87,11 +42,153 @@ StatusOr<std::vector<double>> ParseDoubles(
   return out;
 }
 
-void WriteDoubles(std::ostringstream& os, const std::vector<double>& v) {
-  for (double x : v) {
-    os << " ";
-    WriteDouble17(os, x);
+/// `leading` followed by every double of `v`, printed %.17g.
+std::vector<std::string> WithDoubles(std::vector<std::string> leading,
+                                     const std::vector<double>& v) {
+  for (double x : v) leading.push_back(StrFormat("%.17g", x));
+  return leading;
+}
+
+StatusOr<ClustersMeta> MetaFromRecords(
+    const std::vector<RecordLine>& records) {
+  // Records come in a fixed order: each call takes the next one, whose key
+  // must be `key`.
+  size_t at = 0;
+  const auto next =
+      [&](std::string_view key) -> StatusOr<const std::vector<std::string>*> {
+    if (at == records.size() || records[at].key != key) {
+      return Status::InvalidArgument("expected a '" + std::string(key) +
+                                     "' record");
+    }
+    return &records[at++].values;
+  };
+  const auto next_int = [&](std::string_view key) -> StatusOr<long long> {
+    VUP_ASSIGN_OR_RETURN(const std::vector<std::string>* values, next(key));
+    if (values->size() != 1) {
+      return Status::InvalidArgument("expected one value for '" +
+                                     std::string(key) + "'");
+    }
+    return ParseInt((*values)[0]);
+  };
+
+  ClustersMeta meta;
+  VUP_ASSIGN_OR_RETURN(long long seed, next_int("seed"));
+  if (seed < 0) return Status::InvalidArgument("seed out of range");
+  meta.seed = static_cast<uint64_t>(seed);
+
+  VUP_ASSIGN_OR_RETURN(long long acf_lags, next_int("acf_lags"));
+  if (acf_lags < 1 || acf_lags > kMaxDim) {
+    return Status::InvalidArgument("acf_lags out of range");
   }
+  meta.acf_lags = static_cast<size_t>(acf_lags);
+
+  VUP_ASSIGN_OR_RETURN(const std::vector<std::string>* values,
+                       next("inertia"));
+  VUP_ASSIGN_OR_RETURN(std::vector<double> inertia,
+                       ParseDoubles(*values, 0, 1, "inertia"));
+  if (inertia[0] < 0.0) return Status::InvalidArgument("inertia out of range");
+  meta.inertia = inertia[0];
+
+  VUP_ASSIGN_OR_RETURN(values, next("scaling_mean"));
+  if (values->empty()) {
+    return Status::InvalidArgument("missing scaling_mean count");
+  }
+  VUP_ASSIGN_OR_RETURN(const long long dim, ParseInt((*values)[0]));
+  if (dim < 1 || dim > kMaxDim) {
+    return Status::InvalidArgument("profile dimension out of range");
+  }
+  const std::string dim_text = std::to_string(dim);
+  VUP_ASSIGN_OR_RETURN(
+      meta.scaling.mean,
+      ParseDoubles(*values, 1, static_cast<size_t>(dim), "scaling_mean"));
+
+  VUP_ASSIGN_OR_RETURN(values, next("scaling_std"));
+  if (values->empty() || (*values)[0] != dim_text) {
+    return Status::InvalidArgument("scaling_std count mismatch");
+  }
+  VUP_ASSIGN_OR_RETURN(
+      meta.scaling.std,
+      ParseDoubles(*values, 1, static_cast<size_t>(dim), "scaling_std"));
+  for (double s : meta.scaling.std) {
+    if (s <= 0.0) return Status::InvalidArgument("scaling_std must be positive");
+  }
+
+  VUP_ASSIGN_OR_RETURN(const long long k, next_int("centroids"));
+  if (k < 1 || k > kMaxClusters) {
+    return Status::InvalidArgument("cluster count out of range");
+  }
+  for (long long c = 0; c < k; ++c) {
+    VUP_ASSIGN_OR_RETURN(values, next("centroid"));
+    if (values->size() < 2 || (*values)[0] != std::to_string(c) ||
+        (*values)[1] != dim_text) {
+      return Status::InvalidArgument(
+          StrFormat("malformed centroid record %lld", c));
+    }
+    VUP_ASSIGN_OR_RETURN(
+        std::vector<double> centroid,
+        ParseDoubles(*values, 2, static_cast<size_t>(dim), "centroid"));
+    meta.centroids.push_back(std::move(centroid));
+  }
+
+  VUP_ASSIGN_OR_RETURN(const long long num_vehicles, next_int("vehicles"));
+  if (num_vehicles < 0 || num_vehicles > kMaxVehicles) {
+    return Status::InvalidArgument("vehicle count out of range");
+  }
+  for (long long i = 0; i < num_vehicles; ++i) {
+    VUP_ASSIGN_OR_RETURN(values, next("vehicle"));
+    if (values->size() != 3) {
+      return Status::InvalidArgument("malformed vehicle record");
+    }
+    VUP_ASSIGN_OR_RETURN(const long long id, ParseInt((*values)[0]));
+    VUP_ASSIGN_OR_RETURN(const long long cluster, ParseInt((*values)[1]));
+    VUP_ASSIGN_OR_RETURN(const long long type, ParseInt((*values)[2]));
+    if (cluster < 0 || cluster >= k) {
+      return Status::InvalidArgument("vehicle cluster id out of range");
+    }
+    if (type < 0 || type >= kNumVehicleTypes) {
+      return Status::InvalidArgument("vehicle type out of range");
+    }
+    if (!meta.vehicles.empty() && id <= meta.vehicles.back().vehicle_id) {
+      return Status::InvalidArgument(
+          "vehicle ids must be strictly ascending");
+    }
+    meta.vehicles.push_back({id, static_cast<int>(cluster),
+                             static_cast<int>(type)});
+  }
+  if (at != records.size()) {
+    return Status::InvalidArgument("trailing records after the vehicles");
+  }
+  return meta;
+}
+
+std::vector<RecordLine> MetaToRecords(const ClustersMeta& meta) {
+  std::vector<RecordLine> records;
+  records.reserve(7 + meta.centroids.size() + meta.vehicles.size());
+  records.push_back({"seed", {std::to_string(meta.seed)}});
+  records.push_back({"acf_lags", {std::to_string(meta.acf_lags)}});
+  records.push_back({"inertia", WithDoubles({}, {meta.inertia})});
+  records.push_back(
+      {"scaling_mean", WithDoubles({std::to_string(meta.scaling.mean.size())},
+                                   meta.scaling.mean)});
+  records.push_back(
+      {"scaling_std", WithDoubles({std::to_string(meta.scaling.std.size())},
+                                  meta.scaling.std)});
+  records.push_back({"centroids", {std::to_string(meta.centroids.size())}});
+  for (size_t c = 0; c < meta.centroids.size(); ++c) {
+    records.push_back(
+        {"centroid",
+         WithDoubles({std::to_string(c),
+                      std::to_string(meta.centroids[c].size())},
+                     meta.centroids[c])});
+  }
+  records.push_back({"vehicles", {std::to_string(meta.vehicles.size())}});
+  for (const VehicleAssignment& v : meta.vehicles) {
+    records.push_back({"vehicle",
+                       {std::to_string(v.vehicle_id),
+                        std::to_string(v.cluster_id),
+                        std::to_string(v.vehicle_type)}});
+  }
+  return records;
 }
 
 }  // namespace
@@ -142,174 +239,27 @@ StatusOr<int> ClustersMeta::AssignProfile(const UsageProfile& profile) const {
   return best_c;
 }
 
-StatusOr<ClustersMeta> ClustersMeta::Parse(std::istream& in) {
-  {
-    VUP_ASSIGN_OR_RETURN(std::string magic, NextLine(in));
-    if (Trim(magic) != kMetaMagic) {
-      return Status::InvalidArgument(std::string("not a ") + kMetaMagic +
-                                     " stream");
-    }
-  }
-
-  ClustersMeta meta;
-  VUP_ASSIGN_OR_RETURN(long long seed, ExpectInt(in, "seed"));
-  meta.seed = static_cast<uint64_t>(seed);
-
-  VUP_ASSIGN_OR_RETURN(long long acf_lags, ExpectInt(in, "acf_lags"));
-  if (acf_lags < 1 || acf_lags > kMaxDim) {
-    return Status::InvalidArgument("acf_lags out of range");
-  }
-  meta.acf_lags = static_cast<size_t>(acf_lags);
-
-  {
-    VUP_ASSIGN_OR_RETURN(std::vector<std::string> rest,
-                         ExpectTokens(in, "inertia"));
-    if (rest.size() != 1) {
-      return Status::InvalidArgument("expected one value for 'inertia'");
-    }
-    VUP_ASSIGN_OR_RETURN(meta.inertia, ParseDouble(rest[0]));
-    if (!std::isfinite(meta.inertia) || meta.inertia < 0.0) {
-      return Status::InvalidArgument("inertia out of range");
-    }
-  }
-
-  long long dim = 0;
-  {
-    VUP_ASSIGN_OR_RETURN(std::vector<std::string> rest,
-                         ExpectTokens(in, "scaling_mean"));
-    if (rest.empty()) {
-      return Status::InvalidArgument("missing scaling_mean count");
-    }
-    VUP_ASSIGN_OR_RETURN(dim, ParseInt(rest[0]));
-    if (dim < 1 || dim > kMaxDim) {
-      return Status::InvalidArgument("profile dimension out of range");
-    }
-    VUP_ASSIGN_OR_RETURN(
-        meta.scaling.mean,
-        ParseDoubles(rest, 1, static_cast<size_t>(dim), "scaling_mean"));
-  }
-  {
-    VUP_ASSIGN_OR_RETURN(std::vector<std::string> rest,
-                         ExpectTokens(in, "scaling_std"));
-    if (rest.empty() || rest[0] != StrFormat("%lld", dim)) {
-      return Status::InvalidArgument("scaling_std count mismatch");
-    }
-    VUP_ASSIGN_OR_RETURN(
-        meta.scaling.std,
-        ParseDoubles(rest, 1, static_cast<size_t>(dim), "scaling_std"));
-    for (double s : meta.scaling.std) {
-      if (s <= 0.0) {
-        return Status::InvalidArgument("scaling_std must be positive");
-      }
-    }
-  }
-
-  VUP_ASSIGN_OR_RETURN(long long k, ExpectInt(in, "centroids"));
-  if (k < 1 || k > kMaxClusters) {
-    return Status::InvalidArgument("cluster count out of range");
-  }
-  meta.centroids.reserve(static_cast<size_t>(k));
-  for (long long c = 0; c < k; ++c) {
-    VUP_ASSIGN_OR_RETURN(std::vector<std::string> rest,
-                         ExpectTokens(in, "centroid"));
-    if (rest.size() < 2 || rest[0] != StrFormat("%lld", c) ||
-        rest[1] != StrFormat("%lld", dim)) {
-      return Status::InvalidArgument(
-          StrFormat("malformed centroid line %lld", c));
-    }
-    VUP_ASSIGN_OR_RETURN(
-        std::vector<double> centroid,
-        ParseDoubles(rest, 2, static_cast<size_t>(dim), "centroid"));
-    meta.centroids.push_back(std::move(centroid));
-  }
-
-  VUP_ASSIGN_OR_RETURN(long long num_vehicles, ExpectInt(in, "vehicles"));
-  if (num_vehicles < 0 || num_vehicles > kMaxVehicles) {
-    return Status::InvalidArgument("vehicle count out of range");
-  }
-  meta.vehicles.reserve(static_cast<size_t>(num_vehicles));
-  int64_t prev_id = std::numeric_limits<int64_t>::min();
-  for (long long i = 0; i < num_vehicles; ++i) {
-    VUP_ASSIGN_OR_RETURN(std::vector<std::string> rest,
-                         ExpectTokens(in, "vehicle"));
-    if (rest.size() != 3) {
-      return Status::InvalidArgument("malformed vehicle line");
-    }
-    VehicleAssignment v;
-    VUP_ASSIGN_OR_RETURN(long long id, ParseInt(rest[0]));
-    VUP_ASSIGN_OR_RETURN(long long cluster, ParseInt(rest[1]));
-    VUP_ASSIGN_OR_RETURN(long long type, ParseInt(rest[2]));
-    if (cluster < 0 || cluster >= k) {
-      return Status::InvalidArgument("vehicle cluster id out of range");
-    }
-    if (type < 0 || type >= kNumVehicleTypes) {
-      return Status::InvalidArgument("vehicle type out of range");
-    }
-    v.vehicle_id = id;
-    v.cluster_id = static_cast<int>(cluster);
-    v.vehicle_type = static_cast<int>(type);
-    if (v.vehicle_id <= prev_id) {
-      return Status::InvalidArgument(
-          "vehicle ids must be strictly ascending");
-    }
-    prev_id = v.vehicle_id;
-    meta.vehicles.push_back(v);
-  }
-
-  {
-    VUP_ASSIGN_OR_RETURN(std::string end, NextLine(in));
-    if (Trim(end) != kMetaEnd) {
-      return Status::InvalidArgument("missing end-clusters sentinel");
-    }
-  }
-  std::string trailing;
-  while (std::getline(in, trailing)) {
-    if (!Trim(trailing).empty()) {
-      return Status::InvalidArgument("trailing content after end-clusters");
-    }
-  }
-  return meta;
+StatusOr<ClustersMeta> ClustersMeta::Parse(std::string_view bytes) {
+  VUP_ASSIGN_OR_RETURN(std::vector<RecordLine> records,
+                       DecodeRecords(kMetaMagic, bytes));
+  return MetaFromRecords(records);
 }
 
 std::string ClustersMeta::Serialize() const {
-  std::ostringstream os;
-  os << kMetaMagic << "\n";
-  os << "seed " << seed << "\n";
-  os << "acf_lags " << acf_lags << "\n";
-  os << "inertia ";
-  WriteDouble17(os, inertia);
-  os << "\n";
-  os << "scaling_mean " << scaling.mean.size();
-  WriteDoubles(os, scaling.mean);
-  os << "\n";
-  os << "scaling_std " << scaling.std.size();
-  WriteDoubles(os, scaling.std);
-  os << "\n";
-  os << "centroids " << centroids.size() << "\n";
-  for (size_t c = 0; c < centroids.size(); ++c) {
-    os << "centroid " << c << " " << centroids[c].size();
-    WriteDoubles(os, centroids[c]);
-    os << "\n";
-  }
-  os << "vehicles " << vehicles.size() << "\n";
-  for (const VehicleAssignment& v : vehicles) {
-    os << "vehicle " << v.vehicle_id << " " << v.cluster_id << " "
-       << v.vehicle_type << "\n";
-  }
-  os << kMetaEnd << "\n";
-  return os.str();
+  return EncodeRecords(kMetaMagic, MetaToRecords(*this));
 }
 
 Status WriteClustersMetaFile(const std::string& directory,
                              const ClustersMeta& meta) {
-  return WriteFileAtomic(directory + "/" + kMetaFile, meta.Serialize());
+  return WriteRecordFile(directory + "/" + kMetaFile, kMetaMagic,
+                         MetaToRecords(meta));
 }
 
 StatusOr<ClustersMeta> ReadClustersMetaFile(const std::string& directory) {
-  const std::string path = directory + "/" + kMetaFile;
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("no clusters.meta in " + directory);
-  return ClustersMeta::Parse(in);
+  VUP_ASSIGN_OR_RETURN(std::vector<RecordLine> records,
+                       ReadRecordFile(directory + "/" + kMetaFile, kMetaMagic,
+                                      kMaxMetaBytes));
+  return MetaFromRecords(records);
 }
 
 }  // namespace vup::cluster

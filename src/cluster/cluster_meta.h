@@ -2,8 +2,8 @@
 #define VUPRED_CLUSTER_CLUSTER_META_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/statusor.h"
@@ -32,10 +32,21 @@ struct VehicleAssignment {
 /// process needs to resolve vehicle -> cluster -> type -> global and to
 /// assign a *new* vehicle to its nearest cluster (scaling + centroids).
 ///
-/// Persisted as `clusters.meta` (`vupred-clusters v1`) next to the model
-/// bundles of a generation, with the same strict, truncation-evident
-/// discipline as registry_meta.txt: every line newline-terminated, a
-/// final `end-clusters` sentinel, size caps on every count, and a parser
+/// Persisted as `clusters.meta` next to the model bundles of a generation:
+/// a record file (common/record_file.h) under `vupred-clusters v2` whose
+/// records come in a fixed order --
+///
+///   seed <n>
+///   acf_lags <n>
+///   inertia <x>
+///   scaling_mean <dim> <x>...
+///   scaling_std <dim> <x>...
+///   centroids <k>
+///   centroid <c> <dim> <x>...      k records, c = 0..k-1
+///   vehicles <n>
+///   vehicle <id> <cluster> <type>  n records, ascending id
+///
+/// -- with doubles printed %.17g, size caps on every count, and a parser
 /// that returns Status errors -- never crashes -- on garbage.
 struct ClustersMeta {
   uint64_t seed = 42;       // Clustering seed (k-means++ init).
@@ -58,8 +69,9 @@ struct ClustersMeta {
   /// cluster id.
   StatusOr<int> AssignProfile(const UsageProfile& profile) const;
 
-  /// Strict parse (see above). Errors are InvalidArgument, never crashes.
-  static StatusOr<ClustersMeta> Parse(std::istream& in);
+  /// Strict parse of clusters.meta bytes (see above). Errors are
+  /// InvalidArgument, never crashes.
+  static StatusOr<ClustersMeta> Parse(std::string_view bytes);
 
   /// Serializes in the format Parse accepts, byte-deterministic for equal
   /// field values.

@@ -67,4 +67,28 @@ uint32_t Crc32(const void* data, size_t size) {
       std::span<const uint8_t>(static_cast<const uint8_t*>(data), size));
 }
 
+void AppendCrc32Trailer(std::string* bytes) {
+  const uint32_t crc = Crc32(bytes->data(), bytes->size());
+  for (size_t i = 0; i < kCrc32TrailerBytes; ++i) {
+    bytes->push_back(static_cast<char>((crc >> (8 * i)) & 0xFF));
+  }
+}
+
+std::optional<uint32_t> CheckCrc32Trailer(const void* data, size_t size) {
+  if (size < kCrc32TrailerBytes) return std::nullopt;
+  const uint32_t stored = StoredCrc32Trailer(data, size);
+  if (Crc32(data, size - kCrc32TrailerBytes) != stored) return std::nullopt;
+  return stored;
+}
+
+uint32_t StoredCrc32Trailer(const void* data, size_t size) {
+  const auto* tail =
+      static_cast<const uint8_t*>(data) + size - kCrc32TrailerBytes;
+  uint32_t stored = 0;
+  for (size_t i = 0; i < kCrc32TrailerBytes; ++i) {
+    stored |= uint32_t{tail[i]} << (8 * i);
+  }
+  return stored;
+}
+
 }  // namespace vup

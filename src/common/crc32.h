@@ -3,23 +3,34 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <string>
 
 namespace vup {
 
 /// IEEE CRC-32 (reflected, polynomial 0xEDB88320): the checksum of the
-/// wire frames, WAL records and registry generation manifests. Shared
+/// wire frames, WAL records and every file of a registry generation. Shared
 /// here so the serving layer can verify model artifacts without pulling
 /// in the wire stack.
 uint32_t Crc32(std::span<const uint8_t> bytes);
 uint32_t Crc32(const void* data, size_t size);
 
-/// The CRC-32 of any buffer that ends in the little-endian CRC-32 of the
-/// bytes before it: Crc32(m || le32(Crc32(m))) == kCrc32Residue for every
-/// m. So a file framed with its own CRC trailer, once its trailer checks,
-/// has this whole-file CRC, and a whole-file CRC recorded elsewhere can be
-/// compared without a second pass over the bytes.
-inline constexpr uint32_t kCrc32Residue = 0x2144DF1C;
+/// Trailer framing: a framed buffer ends in the little-endian CRC-32 of
+/// the bytes before it. Every file of a published generation is framed
+/// so, and the trailer is the per-file digest its MANIFEST records.
+inline constexpr size_t kCrc32TrailerBytes = 4;
+
+/// Appends the trailer of `*bytes` to it.
+void AppendCrc32Trailer(std::string* bytes);
+
+/// The trailer of a framed buffer when it checks (one CRC pass); nullopt
+/// when the buffer is shorter than a trailer or the trailer does not match.
+std::optional<uint32_t> CheckCrc32Trailer(const void* data, size_t size);
+
+/// The last 4 bytes of a buffer of at least that size, read as a trailer
+/// without a CRC pass: for bytes a decoder has already checked.
+uint32_t StoredCrc32Trailer(const void* data, size_t size);
 
 }  // namespace vup
 

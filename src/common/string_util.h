@@ -34,8 +34,8 @@ StatusOr<long long> ParseInt(std::string_view s);
 
 /// Writes `v` as exactly the bytes printf("%.17g", v) would produce, so
 /// every finite double round-trips. Rendered with std::to_chars (no
-/// vsnprintf pass, no temporary string). The text model bundles and
-/// clusters.meta write their doubles through it.
+/// vsnprintf pass, no temporary string). The text model bundles write
+/// their doubles through it.
 void WriteDouble17(std::ostream& os, double v);
 
 /// printf-style formatting into a std::string.

@@ -397,10 +397,10 @@ StatusOr<std::string> EncodeCompactPipeline(
     }
   }
 
-  if (out.size() + 4 > kMaxCompactBytes) {
+  if (out.size() + kCrc32TrailerBytes > kMaxCompactBytes) {
     return Status::InvalidArgument("encoded compact bundle exceeds size cap");
   }
-  PutU32(&out, Crc32(out.data(), out.size()));
+  AppendCrc32Trailer(&out);
   return out;
 }
 
@@ -429,13 +429,9 @@ StatusOr<DecodedCompactPipeline> DecodeCompactPipeline(
   }
   // CRC first: one pass rejects truncation and bit-rot before any
   // structural field is trusted.
-  const uint32_t stored_crc = GetU32(bytes.data() + bytes.size() - 4);
-  const uint32_t actual_crc = Crc32(bytes.data(), bytes.size() - 4);
-  if (stored_crc != actual_crc) {
+  if (!CheckCrc32Trailer(bytes.data(), bytes.size()).has_value()) {
     return Status::DataLoss(
-        StrFormat("compact bundle CRC mismatch (stored %u, computed %u): "
-                  "truncated or bit-rotted",
-                  stored_crc, actual_crc));
+        "compact bundle CRC mismatch: truncated or bit-rotted");
   }
 
   // Payload arrays are read in place as f64 spans. A malloc-ed buffer

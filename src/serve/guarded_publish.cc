@@ -2,14 +2,12 @@
 
 #include <cmath>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <system_error>
 
 #include "common/file_util.h"
 #include "common/random.h"
+#include "common/record_file.h"
 #include "common/string_util.h"
-#include "serve/manifest.h"
 #include "serve/model_registry.h"
 
 namespace vup::serve {
@@ -18,167 +16,108 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kRollbackMagic = "vupred-rollback v1";
-constexpr const char* kRollbackSentinel = "end-rollback";
-constexpr size_t kMaxJournalBytes = 4096;
-constexpr size_t kMaxGenerationNameLength = 64;
+constexpr const char* kRollbackMagic = "vupred-rollback v2";
+// Cap on the two small root files, CURRENT and ROLLBACK.
+constexpr size_t kMaxRootFileBytes = 4096;
 constexpr const char* kNonePrevious = "none";
 
-Status ValidateGenerationName(std::string_view name) {
-  if (name.empty() || name.size() > kMaxGenerationNameLength) {
-    return Status::InvalidArgument("unusable generation name");
-  }
-  if (!StartsWith(name, "gen_")) {
-    return Status::InvalidArgument("not a generation name: " +
-                                   std::string(name));
-  }
-  std::string_view digits = name.substr(4);
-  if (digits.empty() || digits.size() > 18) {
-    return Status::InvalidArgument("generation number out of range: " +
-                                   std::string(name));
-  }
-  for (char c : digits) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("garbage generation name: " +
-                                     std::string(name));
-    }
-  }
-  return Status::OK();
+/// Both names must be generation names; `previous` may be empty.
+Status ValidateJournal(const RollbackJournal& journal) {
+  VUP_RETURN_IF_ERROR(
+      ModelRegistry::ParseGenerationName(journal.promoted).status());
+  if (journal.previous.empty()) return Status::OK();
+  return ModelRegistry::ParseGenerationName(journal.previous).status();
 }
 
-/// A generation is complete when its directory exists, its meta parses
-/// and -- when present -- its manifest parses. Incomplete generations must
-/// never become CURRENT, in either direction.
-Status VerifyGenerationComplete(const std::string& root,
-                                const std::string& name) {
-  VUP_RETURN_IF_ERROR(ValidateGenerationName(name));
-  const std::string dir = root + "/" + name;
-  std::error_code ec;
-  if (!fs::is_directory(dir, ec) || ec) {
-    return Status::NotFound("generation directory is missing: " + dir);
+StatusOr<RollbackJournal> JournalFromRecords(
+    const std::vector<RecordLine>& records) {
+  if (records.size() != 2 || records[0].key != "promoted" ||
+      records[1].key != "previous" || records[0].values.size() != 1 ||
+      records[1].values.size() != 1) {
+    return Status::InvalidArgument(
+        "rollback journal is not one promoted and one previous record");
   }
-  StatusOr<RegistryMeta> meta = ReadRegistryMetaFile(dir);
-  if (!meta.ok()) {
-    return Status::DataLoss("generation " + name + " is incomplete: " +
-                            meta.status().ToString());
-  }
-  StatusOr<GenerationManifest> manifest = ReadManifestFile(dir);
-  if (!manifest.ok() && manifest.status().code() != StatusCode::kNotFound) {
-    return Status::DataLoss("generation " + name +
-                            " has a damaged manifest: " +
-                            manifest.status().ToString());
-  }
-  return Status::OK();
+  RollbackJournal journal{records[0].values[0], records[1].values[0]};
+  if (journal.previous == kNonePrevious) journal.previous.clear();
+  VUP_RETURN_IF_ERROR(ValidateJournal(journal));
+  return journal;
 }
 
-/// Reads the single-line CURRENT pointer. NotFound when no generation has
-/// ever been published under `root`.
-StatusOr<std::string> ReadCurrentPointer(const std::string& root) {
-  const std::string path = root + "/" + kCurrentFileName;
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("no " + path);
-  std::string name;
-  if (!std::getline(in, name)) {
-    return Status::DataLoss("cannot read " + path);
-  }
-  name = std::string(Trim(name));
-  VUP_RETURN_IF_ERROR(ValidateGenerationName(name));
-  return name;
+std::vector<RecordLine> JournalToRecords(const RollbackJournal& journal) {
+  return {{"promoted", {journal.promoted}},
+          {"previous",
+           {journal.previous.empty() ? kNonePrevious : journal.previous}}};
 }
 
 }  // namespace
 
-std::string RollbackJournal::Serialize() const {
-  std::ostringstream os;
-  os << kRollbackMagic << "\n";
-  os << "promoted " << promoted << "\n";
-  os << "previous " << (previous.empty() ? kNonePrevious : previous) << "\n";
-  os << kRollbackSentinel << "\n";
-  return os.str();
+StatusOr<std::string> ReadCurrentPointer(const std::string& root) {
+  VUP_ASSIGN_OR_RETURN(
+      std::string content,
+      ReadFileCapped(root + "/" + kCurrentFileName, kMaxRootFileBytes));
+  const std::string name(Trim(content.substr(0, content.find('\n'))));
+  VUP_RETURN_IF_ERROR(ModelRegistry::ParseGenerationName(name).status());
+  return name;
 }
 
-StatusOr<RollbackJournal> RollbackJournal::Parse(const std::string& content) {
-  if (content.size() > kMaxJournalBytes) {
-    return Status::InvalidArgument("rollback journal is implausibly large");
+StatusOr<std::optional<GenerationManifest>> VerifyGenerationComplete(
+    const std::string& root, const std::string& generation) {
+  VUP_RETURN_IF_ERROR(
+      ModelRegistry::ParseGenerationName(generation).status());
+  const std::string dir = root + "/" + generation;
+  std::error_code ec;
+  if (!fs::is_directory(dir, ec) || ec) {
+    return Status::NotFound("generation directory is missing: " + dir);
   }
-  if (content.empty() || content.back() != '\n') {
-    return Status::InvalidArgument(
-        "rollback journal is not newline-terminated (truncated?)");
+  // The meta is written right before the MANIFEST seals the generation;
+  // an unreadable meta means the generation is torn or incomplete.
+  StatusOr<RegistryMeta> meta = ReadRegistryMetaFile(dir);
+  if (!meta.ok()) {
+    return Status::DataLoss("generation " + generation +
+                            " is incomplete: " + meta.status().ToString());
   }
-  std::istringstream stream(content);
-  std::string line;
-  if (!std::getline(stream, line) || Trim(line) != kRollbackMagic) {
-    return Status::InvalidArgument(std::string("not a ") + kRollbackMagic +
-                                   " file");
+  // No MANIFEST means a legacy generation, served unverified; a damaged
+  // one means the generation is torn.
+  StatusOr<GenerationManifest> manifest = ReadManifestFile(dir);
+  if (manifest.status().IsNotFound()) {
+    return std::optional<GenerationManifest>();
   }
-  RollbackJournal journal;
-  bool saw_promoted = false;
-  bool saw_previous = false;
-  bool saw_sentinel = false;
-  while (std::getline(stream, line)) {
-    std::string trimmed(Trim(line));
-    if (trimmed.empty()) continue;
-    if (saw_sentinel) {
-      return Status::InvalidArgument("content after end-rollback sentinel");
-    }
-    if (trimmed == kRollbackSentinel) {
-      saw_sentinel = true;
-      continue;
-    }
-    std::vector<std::string> tokens = Split(trimmed, ' ');
-    if (tokens.size() != 2) {
-      return Status::InvalidArgument("malformed journal line: " + trimmed);
-    }
-    if (tokens[0] == "promoted") {
-      if (saw_promoted) {
-        return Status::InvalidArgument("duplicate promoted line");
-      }
-      VUP_RETURN_IF_ERROR(ValidateGenerationName(tokens[1]));
-      journal.promoted = tokens[1];
-      saw_promoted = true;
-    } else if (tokens[0] == "previous") {
-      if (saw_previous) {
-        return Status::InvalidArgument("duplicate previous line");
-      }
-      if (tokens[1] != kNonePrevious) {
-        VUP_RETURN_IF_ERROR(ValidateGenerationName(tokens[1]));
-        journal.previous = tokens[1];
-      }
-      saw_previous = true;
-    } else {
-      return Status::InvalidArgument("unknown journal key: " + tokens[0]);
-    }
+  if (!manifest.ok()) {
+    return Status::DataLoss("generation " + generation +
+                            " has a damaged manifest: " +
+                            manifest.status().ToString());
   }
-  if (!saw_sentinel) {
-    return Status::InvalidArgument(
-        "rollback journal is missing the end-rollback sentinel (truncated?)");
-  }
-  if (!saw_promoted || !saw_previous) {
-    return Status::InvalidArgument("rollback journal is missing a field");
-  }
-  return journal;
+  return std::optional<GenerationManifest>(std::move(manifest).value());
+}
+
+std::string RollbackJournal::Serialize() const {
+  return EncodeRecords(kRollbackMagic, JournalToRecords(*this));
+}
+
+StatusOr<RollbackJournal> RollbackJournal::Parse(std::string_view bytes) {
+  VUP_ASSIGN_OR_RETURN(std::vector<RecordLine> records,
+                       DecodeRecords(kRollbackMagic, bytes));
+  return JournalFromRecords(records);
 }
 
 StatusOr<RollbackJournal> ReadRollbackJournal(const std::string& root) {
   VUP_ASSIGN_OR_RETURN(
-      std::string content,
-      ReadFileCapped(root + "/" + kRollbackJournalFileName, kMaxJournalBytes));
-  return RollbackJournal::Parse(content);
+      std::vector<RecordLine> records,
+      ReadRecordFile(root + "/" + kRollbackJournalFileName, kRollbackMagic,
+                     kMaxRootFileBytes));
+  return JournalFromRecords(records);
 }
 
 Status WriteRollbackJournal(const std::string& root,
                             const RollbackJournal& journal) {
-  VUP_RETURN_IF_ERROR(ValidateGenerationName(journal.promoted));
-  if (!journal.previous.empty()) {
-    VUP_RETURN_IF_ERROR(ValidateGenerationName(journal.previous));
-  }
-  return WriteFileAtomic(root + "/" + kRollbackJournalFileName,
-                         journal.Serialize());
+  VUP_RETURN_IF_ERROR(ValidateJournal(journal));
+  return WriteRecordFile(root + "/" + kRollbackJournalFileName,
+                         kRollbackMagic, JournalToRecords(journal));
 }
 
 Status PromoteGeneration(const std::string& root,
                          const std::string& generation) {
-  VUP_RETURN_IF_ERROR(VerifyGenerationComplete(root, generation));
+  VUP_RETURN_IF_ERROR(VerifyGenerationComplete(root, generation).status());
   StatusOr<std::string> current = ReadCurrentPointer(root);
   if (!current.ok() && current.status().code() != StatusCode::kNotFound) {
     return current.status();
@@ -207,7 +146,8 @@ StatusOr<std::string> RollbackGeneration(const std::string& root) {
         "nothing to roll back to: " + journal.promoted +
         " was the first published generation");
   }
-  VUP_RETURN_IF_ERROR(VerifyGenerationComplete(root, journal.previous));
+  VUP_RETURN_IF_ERROR(
+      VerifyGenerationComplete(root, journal.previous).status());
   // The journal stays in place, still naming `promoted`: once CURRENT no
   // longer matches it, a second rollback of the same promotion fails with
   // FailedPrecondition instead of ping-ponging between generations.

@@ -2,9 +2,12 @@
 #define VUPRED_SERVE_GUARDED_PUBLISH_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/statusor.h"
+#include "serve/manifest.h"
 
 namespace vup::serve {
 
@@ -13,24 +16,33 @@ namespace vup::serve {
 inline constexpr char kCurrentFileName[] = "CURRENT";
 inline constexpr char kRollbackJournalFileName[] = "ROLLBACK";
 
+/// Reads the one-line CURRENT pointer under `root` and checks that it
+/// names a generation. NotFound when no generation has ever been promoted
+/// there (a flat layout).
+StatusOr<std::string> ReadCurrentPointer(const std::string& root);
+
+/// Checks that root/`generation` is complete: a well-formed name, the
+/// directory present (NotFound otherwise), a registry meta that decodes
+/// and -- when there is one -- a MANIFEST that decodes (DataLoss
+/// otherwise). Returns the manifest, nullopt for a generation without one.
+/// Incomplete generations must never become CURRENT, in either direction.
+StatusOr<std::optional<GenerationManifest>> VerifyGenerationComplete(
+    const std::string& root, const std::string& generation);
+
 /// The rollback journal: written atomically immediately BEFORE the CURRENT
 /// pointer advances, so a crash between the two leaves enough on disk to
 /// either roll forward (re-flip CURRENT) or roll back (restore `previous`).
-/// Persisted as `ROLLBACK` (`vupred-rollback v1`):
+/// Persisted as `ROLLBACK`, a record file (common/record_file.h) under
+/// `vupred-rollback v2`:
 ///
-///   vupred-rollback v1
 ///   promoted gen_000042
 ///   previous gen_000041      (or `previous none` for a first publish)
-///   end-rollback
-///
-/// Same discipline as registry_meta.txt / MANIFEST: newline-terminated,
-/// explicit end sentinel, strict parse.
 struct RollbackJournal {
   std::string promoted;  // Generation CURRENT was advanced to.
   std::string previous;  // Generation CURRENT held before; "" = none.
 
   std::string Serialize() const;
-  static StatusOr<RollbackJournal> Parse(const std::string& content);
+  static StatusOr<RollbackJournal> Parse(std::string_view bytes);
 
   friend bool operator==(const RollbackJournal& a, const RollbackJournal& b) {
     return a.promoted == b.promoted && a.previous == b.previous;

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <system_error>
 
 #include "common/crc32.h"
 #include "common/file_util.h"
+#include "common/record_file.h"
 #include "common/string_util.h"
 
 namespace vup::serve {
@@ -16,10 +15,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kManifestMagic = "vupred-manifest v1";
-constexpr const char* kManifestSentinel = "end-manifest";
+constexpr const char* kManifestMagic = "vupred-manifest v2";
 // A fleet publishing more files than this into one generation is garbage,
-// not configuration; the byte cap bounds the Parse slurp on hostile input.
+// not configuration; the byte cap bounds the read of a hostile file.
 constexpr size_t kMaxManifestEntries = 10'000'000;
 constexpr size_t kMaxManifestBytes = 512ull * 1024 * 1024;
 constexpr size_t kMaxFileNameLength = 255;
@@ -43,6 +41,47 @@ Status ValidateFileName(std::string_view file) {
     }
   }
   return Status::OK();
+}
+
+StatusOr<GenerationManifest> FromRecords(
+    const std::vector<RecordLine>& records) {
+  GenerationManifest manifest;
+  for (const RecordLine& record : records) {
+    if (record.key != "entry" || record.values.size() != 3) {
+      return Status::InvalidArgument("malformed manifest record: " +
+                                     record.key);
+    }
+    const std::string& file = record.values[0];
+    // Strictly ascending names double as the duplicate check and pin the
+    // on-disk byte order, so Serialize(Parse(x)) == x.
+    if (manifest.size() > 0 && manifest.entries().back().file >= file) {
+      return Status::InvalidArgument("manifest entries out of order at " +
+                                     file);
+    }
+    VUP_ASSIGN_OR_RETURN(long long size, ParseInt(record.values[1]));
+    if (size < 0) {
+      return Status::InvalidArgument("negative manifest size for " + file);
+    }
+    VUP_ASSIGN_OR_RETURN(long long crc, ParseInt(record.values[2]));
+    if (crc < 0 || crc > 0xFFFFFFFFll) {
+      return Status::InvalidArgument("manifest crc32 out of range for " +
+                                     file);
+    }
+    VUP_RETURN_IF_ERROR(manifest.Add(file, static_cast<uint64_t>(size),
+                                     static_cast<uint32_t>(crc)));
+  }
+  return manifest;
+}
+
+std::vector<RecordLine> ToRecords(const GenerationManifest& manifest) {
+  std::vector<RecordLine> records;
+  records.reserve(manifest.size());
+  for (const ManifestEntry& entry : manifest.entries()) {
+    records.push_back({"entry",
+                       {entry.file, std::to_string(entry.size),
+                        std::to_string(entry.crc32)}});
+  }
+  return records;
 }
 
 }  // namespace
@@ -75,83 +114,15 @@ const ManifestEntry* GenerationManifest::Find(std::string_view file) const {
   return &*it;
 }
 
-StatusOr<GenerationManifest> GenerationManifest::Parse(std::istream& in) {
-  std::string content;
-  {
-    char buf[4096];
-    while (in.read(buf, sizeof(buf)) || in.gcount() > 0) {
-      content.append(buf, static_cast<size_t>(in.gcount()));
-      if (content.size() > kMaxManifestBytes) {
-        return Status::InvalidArgument("manifest is implausibly large");
-      }
-    }
-  }
-  if (content.empty() || content.back() != '\n') {
-    return Status::InvalidArgument(
-        "manifest is not newline-terminated (truncated?)");
-  }
-  std::istringstream stream(content);
-  std::string line;
-  if (!std::getline(stream, line) || Trim(line) != kManifestMagic) {
-    return Status::InvalidArgument(std::string("not a ") + kManifestMagic +
-                                   " file");
-  }
-  GenerationManifest manifest;
-  bool saw_sentinel = false;
-  while (std::getline(stream, line)) {
-    std::string trimmed(Trim(line));
-    if (trimmed.empty()) continue;
-    if (saw_sentinel) {
-      return Status::InvalidArgument("content after end-manifest sentinel");
-    }
-    if (trimmed == kManifestSentinel) {
-      saw_sentinel = true;
-      continue;
-    }
-    std::vector<std::string> tokens = Split(trimmed, ' ');
-    if (tokens.size() != 4 || tokens[0] != "entry") {
-      return Status::InvalidArgument("malformed manifest line: " + trimmed);
-    }
-    VUP_RETURN_IF_ERROR(ValidateFileName(tokens[1]));
-    // Strictly ascending names double as the duplicate check and pin the
-    // on-disk byte order, so Serialize(Parse(x)) == x.
-    if (!manifest.entries_.empty() &&
-        manifest.entries_.back().file >= tokens[1]) {
-      return Status::InvalidArgument("manifest entries out of order at " +
-                                     tokens[1]);
-    }
-    VUP_ASSIGN_OR_RETURN(long long size, ParseInt(tokens[2]));
-    if (size < 0) {
-      return Status::InvalidArgument("negative manifest size for " +
-                                     tokens[1]);
-    }
-    VUP_ASSIGN_OR_RETURN(long long crc, ParseInt(tokens[3]));
-    if (crc < 0 || crc > 0xFFFFFFFFll) {
-      return Status::InvalidArgument("manifest crc32 out of range for " +
-                                     tokens[1]);
-    }
-    if (manifest.entries_.size() >= kMaxManifestEntries) {
-      return Status::InvalidArgument("manifest has too many entries");
-    }
-    manifest.entries_.push_back(ManifestEntry{
-        tokens[1], static_cast<uint64_t>(size), static_cast<uint32_t>(crc)});
-  }
-  if (!saw_sentinel) {
-    return Status::InvalidArgument(
-        "manifest is missing the end-manifest sentinel (truncated?)");
-  }
-  return manifest;
+StatusOr<GenerationManifest> GenerationManifest::Parse(
+    std::string_view bytes) {
+  VUP_ASSIGN_OR_RETURN(std::vector<RecordLine> records,
+                       DecodeRecords(kManifestMagic, bytes));
+  return FromRecords(records);
 }
 
 std::string GenerationManifest::Serialize() const {
-  std::ostringstream os;
-  os << kManifestMagic << "\n";
-  for (const ManifestEntry& entry : entries_) {
-    os << "entry " << entry.file << " " << entry.size << " " << entry.crc32
-       << "\n";
-  }
-  os << kManifestSentinel << "\n";
-  return os.str();
+  return EncodeRecords(kManifestMagic, ToRecords(*this));
 }
 
 StatusOr<GenerationManifest> GenerationManifest::BuildFromDirectory(
@@ -167,12 +138,17 @@ StatusOr<GenerationManifest> GenerationManifest::BuildFromDirectory(
     if (!entry.is_regular_file(ec) || ec) continue;
     const std::string name = entry.path().filename().string();
     if (name == kManifestFileName) continue;
-    if (name.size() > 4 && name.substr(name.size() - 4) == ".tmp") continue;
+    if (EndsWith(name, ".tmp")) continue;
     VUP_ASSIGN_OR_RETURN(
         std::string bytes,
         ReadFileCapped(entry.path().string(), kMaxListedFileBytes));
-    VUP_RETURN_IF_ERROR(manifest.Add(
-        name, bytes.size(), Crc32(bytes.data(), bytes.size())));
+    const std::optional<uint32_t> trailer =
+        CheckCrc32Trailer(bytes.data(), bytes.size());
+    if (!trailer.has_value()) {
+      return Status::DataLoss("staged file " + name +
+                              " does not end in its own CRC-32 trailer");
+    }
+    VUP_RETURN_IF_ERROR(manifest.Add(name, bytes.size(), *trailer));
   }
   return manifest;
 }
@@ -185,42 +161,32 @@ Status GenerationManifest::VerifyBytes(const ManifestEntry& entry,
         entry.file.c_str(), bytes.size(),
         static_cast<unsigned long long>(entry.size)));
   }
-  const uint32_t crc = Crc32(bytes.data(), bytes.size());
-  if (crc != entry.crc32) {
+  const std::optional<uint32_t> trailer =
+      CheckCrc32Trailer(bytes.data(), bytes.size());
+  if (!trailer.has_value()) {
+    return Status::DataLoss(entry.file +
+                            ": crc32 trailer does not match its bytes");
+  }
+  if (*trailer != entry.crc32) {
     return Status::DataLoss(StrFormat(
         "%s: crc32 %u does not match manifest (%u)", entry.file.c_str(),
-        crc, entry.crc32));
+        *trailer, entry.crc32));
   }
   return Status::OK();
 }
 
-Status GenerationManifest::VerifyFile(const std::string& dir,
-                                      const ManifestEntry& entry) {
-  const std::string path = dir + "/" + entry.file;
-  // Capped at the listed size: a grown file is a mismatch found by stat,
-  // not by reading it.
-  StatusOr<std::string> bytes = ReadFileCapped(path, entry.size);
-  if (bytes.status().IsNotFound()) {
-    return Status::NotFound("manifest-listed file is missing: " + path);
-  }
-  if (!bytes.ok()) return bytes.status();
-  return VerifyBytes(entry, bytes.value());
-}
-
 Status WriteManifestFile(const std::string& directory,
                          const GenerationManifest& manifest) {
-  return WriteFileAtomic(directory + "/" + kManifestFileName,
-                         manifest.Serialize());
+  return WriteRecordFile(directory + "/" + kManifestFileName, kManifestMagic,
+                         ToRecords(manifest));
 }
 
 StatusOr<GenerationManifest> ReadManifestFile(const std::string& directory) {
-  std::ifstream in(directory + "/" + std::string(kManifestFileName),
-                   std::ios::binary);
-  if (!in) {
-    return Status::NotFound("no " + std::string(kManifestFileName) +
-                            " in " + directory);
-  }
-  return GenerationManifest::Parse(in);
+  VUP_ASSIGN_OR_RETURN(
+      std::vector<RecordLine> records,
+      ReadRecordFile(directory + "/" + kManifestFileName, kManifestMagic,
+                     kMaxManifestBytes));
+  return FromRecords(records);
 }
 
 }  // namespace vup::serve

@@ -2,7 +2,6 @@
 #define VUPRED_SERVE_MANIFEST_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,11 +14,11 @@ namespace vup::serve {
 /// GenerationPublisher next to registry_meta.txt.
 inline constexpr char kManifestFileName[] = "MANIFEST";
 
-/// One file of a published generation: its byte size and IEEE CRC-32.
+/// One file of a published generation: its byte size and CRC-32 trailer.
 struct ManifestEntry {
   std::string file;   // Plain file name inside the generation directory.
   uint64_t size = 0;  // Exact byte count.
-  uint32_t crc32 = 0; // CRC-32 of the whole file content.
+  uint32_t crc32 = 0; // The file's trailer: CRC-32 of its first size-4 bytes.
 
   friend bool operator==(const ManifestEntry& a, const ManifestEntry& b) {
     return a.file == b.file && a.size == b.size && a.crc32 == b.crc32;
@@ -27,31 +26,32 @@ struct ManifestEntry {
 };
 
 /// Integrity manifest of one generation directory: every published file
-/// (model bundles, registry_meta.txt, clusters.meta) with its size and
-/// CRC-32. Persisted as `MANIFEST` (`vupred-manifest v1`):
+/// (model bundles, registry_meta.txt, clusters.meta) with its size and its
+/// CRC-32 trailer. Every such file ends in the CRC-32 of the bytes before
+/// it (common/crc32.h), so the trailer is a per-file digest: two valid
+/// bundles of the same size still differ in it. Persisted as `MANIFEST`,
+/// a record file (common/record_file.h) under `vupred-manifest v2` with one
+/// record per file:
 ///
-///   vupred-manifest v1
 ///   entry <file> <size> <crc32>
-///   ...
-///   end-manifest
 ///
-/// The format follows the registry-meta discipline: newline-terminated
-/// lines, an explicit end sentinel so truncation is always detectable,
-/// entries strictly ascending by file name (duplicates rejected) and hard
-/// caps on counts and token lengths -- the file may be hand-inspected but
-/// a hand-mangled one must fail parse, never crash or half-load.
+/// Entries are strictly ascending by file name (duplicates rejected), and
+/// counts and name lengths are capped, so a damaged manifest fails parse,
+/// never crashes or half-loads.
 class GenerationManifest {
  public:
-  /// Strict parse; any structural damage (bad magic, missing sentinel,
-  /// unsorted/duplicate entries, garbage numbers, over-long tokens,
-  /// missing trailing newline) is an InvalidArgument.
-  static StatusOr<GenerationManifest> Parse(std::istream& in);
+  /// Strict parse of MANIFEST bytes; any damage (framing, unsorted or
+  /// duplicate entries, garbage numbers, unusable names) is an
+  /// InvalidArgument.
+  static StatusOr<GenerationManifest> Parse(std::string_view bytes);
 
   /// Serializes in the format Parse accepts (entries sorted by name).
   std::string Serialize() const;
 
-  /// Scans `dir` and checksums every regular file except the manifest
-  /// itself and `*.tmp` leftovers. Deterministic: entries are sorted by
+  /// Scans `dir` and lists every regular file except the manifest itself
+  /// and `*.tmp` leftovers, with one read and one CRC pass per file.
+  /// DataLoss when a file does not end in its own CRC-32 trailer, so such a
+  /// generation is never finalized. Deterministic: entries are sorted by
   /// file name regardless of directory iteration order.
   static StatusOr<GenerationManifest> BuildFromDirectory(
       const std::string& dir);
@@ -63,14 +63,11 @@ class GenerationManifest {
   /// The entry of `file`, or nullptr when the manifest does not list it.
   const ManifestEntry* Find(std::string_view file) const;
 
-  /// Checks `bytes` against `entry`: DataLoss on a size or CRC mismatch.
+  /// Checks `bytes` against `entry`: DataLoss when the size differs, when
+  /// the bytes fail their own CRC-32 trailer, or when that trailer is not
+  /// the listed one.
   static Status VerifyBytes(const ManifestEntry& entry,
                             std::string_view bytes);
-
-  /// Re-reads `dir`/entry.file from disk and verifies it. NotFound when
-  /// the file vanished, DataLoss on size/CRC mismatch.
-  static Status VerifyFile(const std::string& dir,
-                           const ManifestEntry& entry);
 
   const std::vector<ManifestEntry>& entries() const { return entries_; }
   size_t size() const { return entries_.size(); }

@@ -3,15 +3,15 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <istream>
 #include <optional>
-#include <sstream>
+#include <set>
 #include <system_error>
 #include <thread>
 
 #include "common/crc32.h"
 #include "common/file_util.h"
 #include "common/random.h"
+#include "common/record_file.h"
 #include "common/string_util.h"
 #include "ml/compact.h"
 #include "serve/guarded_publish.h"
@@ -24,15 +24,13 @@ namespace {
 
 constexpr const char* kBundleSuffix = ".cfcst";
 constexpr const char* kBundlePrefix = "vehicle_";
-constexpr const char* kCurrentFile = "CURRENT";
 constexpr const char* kGenerationPrefix = "gen_";
 constexpr const char* kMetaFile = "registry_meta.txt";
-constexpr const char* kMetaMagic = "vupred-registry v1";
-// Sanity caps for the hand-editable meta file: a fleet size or token far
-// beyond these is garbage, not configuration.
+constexpr const char* kMetaMagic = "vupred-registry v2";
+// Sanity caps for the meta file: a fleet size or token far beyond these is
+// garbage, not configuration.
 constexpr long long kMaxMetaVehicles = 100'000'000;
 constexpr size_t kMaxMetaTokenLength = 128;
-constexpr size_t kMaxMetaLines = 64;
 constexpr size_t kMaxMetaBytes = 64 * 1024;
 
 /// Creates (truncates) `path` and writes `bytes` into it.
@@ -73,30 +71,6 @@ std::vector<int64_t> ListBundleIds(const std::string& dir) {
   return ids;
 }
 
-/// Parses "gen_NNNNNN" into its number; error on anything else.
-StatusOr<uint64_t> ParseGenerationName(std::string_view name) {
-  if (!StartsWith(name, kGenerationPrefix)) {
-    return Status::InvalidArgument("not a generation name: " +
-                                   std::string(name));
-  }
-  std::string_view digits = name.substr(std::string(kGenerationPrefix).size());
-  if (digits.empty() || digits.size() > 18) {
-    return Status::InvalidArgument("bad generation name: " +
-                                   std::string(name));
-  }
-  for (char c : digits) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("bad generation name: " +
-                                     std::string(name));
-    }
-  }
-  VUP_ASSIGN_OR_RETURN(long long number, ParseInt(digits));
-  if (number <= 0) {
-    return Status::InvalidArgument("generation number must be positive");
-  }
-  return static_cast<uint64_t>(number);
-}
-
 /// Largest generation number present under `root` (committed or staging),
 /// 0 when none.
 uint64_t MaxGenerationNumber(const std::string& root) {
@@ -105,15 +79,12 @@ uint64_t MaxGenerationNumber(const std::string& root) {
   fs::directory_iterator it(root, ec);
   if (ec) return 0;
   for (const fs::directory_entry& entry : it) {
-    std::string name = entry.path().filename().string();
+    const std::string file = entry.path().filename().string();
+    std::string_view name = file;
     // Strip a ".staging" suffix so abandoned stagings still reserve their
     // number.
-    const std::string staging_suffix = ".staging";
-    if (name.size() > staging_suffix.size() &&
-        name.substr(name.size() - staging_suffix.size()) == staging_suffix) {
-      name = name.substr(0, name.size() - staging_suffix.size());
-    }
-    StatusOr<uint64_t> number = ParseGenerationName(name);
+    if (EndsWith(name, ".staging")) name.remove_suffix(8);
+    StatusOr<uint64_t> number = ModelRegistry::ParseGenerationName(name);
     if (number.ok()) max_number = std::max(max_number, number.value());
   }
   return max_number;
@@ -123,107 +94,82 @@ uint64_t MaxGenerationNumber(const std::string& root) {
 
 // ---- RegistryMeta ------------------------------------------------------
 
-StatusOr<RegistryMeta> RegistryMeta::Parse(std::istream& in) {
-  // Slurp and demand a trailing newline: a writer killed mid-line must
-  // yield a parse error, not a shorter-but-plausible value (e.g.
-  // "algorithm La" from a truncated "algorithm Lasso\n").
-  std::string content;
-  {
-    char buf[4096];
-    while (in.read(buf, sizeof(buf)) || in.gcount() > 0) {
-      content.append(buf, static_cast<size_t>(in.gcount()));
-      if (content.size() > kMaxMetaBytes) {
-        return Status::InvalidArgument("meta file is implausibly large");
-      }
-    }
-  }
-  if (content.empty() || content.back() != '\n') {
-    return Status::InvalidArgument(
-        "meta file is not newline-terminated (truncated?)");
-  }
-  std::istringstream stream(content);
-  std::string line;
-  if (!std::getline(stream, line) || Trim(line) != kMetaMagic) {
-    return Status::InvalidArgument(
-        std::string("not a ") + kMetaMagic + " meta file");
-  }
+namespace {
+
+StatusOr<RegistryMeta> MetaFromRecords(
+    const std::vector<RecordLine>& records) {
   RegistryMeta meta;
-  bool saw_seed = false, saw_vehicles = false, saw_algorithm = false;
-  size_t lines = 0;
-  while (std::getline(stream, line)) {
-    if (++lines > kMaxMetaLines) {
-      return Status::InvalidArgument("meta file has too many lines");
+  std::set<std::string> seen;
+  for (const RecordLine& record : records) {
+    if (record.values.size() != 1 ||
+        record.values[0].size() > kMaxMetaTokenLength) {
+      return Status::InvalidArgument("malformed meta record: " + record.key);
     }
-    std::string trimmed(Trim(line));
-    if (trimmed.empty()) continue;
-    std::vector<std::string> tokens = Split(trimmed, ' ');
-    if (tokens.size() != 2) {
-      return Status::InvalidArgument("malformed meta line: " + trimmed);
+    if (!seen.insert(record.key).second) {
+      return Status::InvalidArgument("duplicate meta key: " + record.key);
     }
-    if (tokens[0].size() > kMaxMetaTokenLength ||
-        tokens[1].size() > kMaxMetaTokenLength) {
-      return Status::InvalidArgument("over-long meta token");
-    }
-    if (tokens[0] == "fleet_seed") {
-      if (saw_seed) return Status::InvalidArgument("duplicate fleet_seed");
-      VUP_ASSIGN_OR_RETURN(long long v, ParseInt(tokens[1]));
-      meta.fleet_seed = static_cast<uint64_t>(v);
-      saw_seed = true;
-    } else if (tokens[0] == "fleet_vehicles") {
-      if (saw_vehicles) {
-        return Status::InvalidArgument("duplicate fleet_vehicles");
+    const std::string& value = record.values[0];
+    if (record.key == "fleet_seed") {
+      VUP_ASSIGN_OR_RETURN(long long v, ParseInt(value));
+      if (v < 0) {
+        return Status::InvalidArgument("fleet_seed out of range: " + value);
       }
-      VUP_ASSIGN_OR_RETURN(long long v, ParseInt(tokens[1]));
+      meta.fleet_seed = static_cast<uint64_t>(v);
+    } else if (record.key == "fleet_vehicles") {
+      VUP_ASSIGN_OR_RETURN(long long v, ParseInt(value));
       if (v <= 0 || v > kMaxMetaVehicles) {
         return Status::InvalidArgument("fleet_vehicles out of range: " +
-                                       tokens[1]);
+                                       value);
       }
       meta.fleet_vehicles = static_cast<size_t>(v);
-      saw_vehicles = true;
-    } else if (tokens[0] == "algorithm") {
-      if (saw_algorithm) return Status::InvalidArgument("duplicate algorithm");
-      for (char c : tokens[1]) {
+    } else if (record.key == "algorithm") {
+      for (char c : value) {
         const bool word = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                           (c >= '0' && c <= '9') || c == '_' || c == '-';
         if (!word) {
-          return Status::InvalidArgument("algorithm is not a word: " +
-                                         tokens[1]);
+          return Status::InvalidArgument("algorithm is not a word: " + value);
         }
       }
-      meta.algorithm = tokens[1];
-      saw_algorithm = true;
+      meta.algorithm = value;
     } else {
-      return Status::InvalidArgument("unknown meta key: " + tokens[0]);
+      return Status::InvalidArgument("unknown meta key: " + record.key);
     }
   }
-  if (!saw_seed || !saw_vehicles || !saw_algorithm) {
-    return Status::InvalidArgument(
-        "meta file is missing a required key (truncated?)");
+  if (seen.size() != 3) {
+    return Status::InvalidArgument("meta file is missing a required key");
   }
   return meta;
 }
 
+std::vector<RecordLine> MetaToRecords(const RegistryMeta& meta) {
+  return {{"fleet_seed", {std::to_string(meta.fleet_seed)}},
+          {"fleet_vehicles", {std::to_string(meta.fleet_vehicles)}},
+          {"algorithm", {meta.algorithm}}};
+}
+
+}  // namespace
+
+StatusOr<RegistryMeta> RegistryMeta::Parse(std::string_view bytes) {
+  VUP_ASSIGN_OR_RETURN(std::vector<RecordLine> records,
+                       DecodeRecords(kMetaMagic, bytes));
+  return MetaFromRecords(records);
+}
+
 std::string RegistryMeta::Serialize() const {
-  std::ostringstream os;
-  os << kMetaMagic << "\n";
-  os << "fleet_seed " << fleet_seed << "\n";
-  os << "fleet_vehicles " << fleet_vehicles << "\n";
-  os << "algorithm " << algorithm << "\n";
-  return os.str();
+  return EncodeRecords(kMetaMagic, MetaToRecords(*this));
 }
 
 Status WriteRegistryMetaFile(const std::string& directory,
                              const RegistryMeta& meta) {
-  return WriteFileAtomic(directory + "/" + kMetaFile, meta.Serialize());
+  return WriteRecordFile(directory + "/" + kMetaFile, kMetaMagic,
+                         MetaToRecords(meta));
 }
 
 StatusOr<RegistryMeta> ReadRegistryMetaFile(const std::string& directory) {
-  std::ifstream in(directory + "/" + kMetaFile);
-  if (!in) {
-    return Status::NotFound("no " + std::string(kMetaFile) + " in " +
-                            directory + " (did `vupred publish` run?)");
-  }
-  return RegistryMeta::Parse(in);
+  VUP_ASSIGN_OR_RETURN(std::vector<RecordLine> records,
+                       ReadRecordFile(directory + "/" + kMetaFile, kMetaMagic,
+                                      kMaxMetaBytes));
+  return MetaFromRecords(records);
 }
 
 StatusOr<VehicleForecaster> LoadBundleFile(const std::string& path) {
@@ -272,6 +218,21 @@ std::string ModelRegistry::GenerationDirName(uint64_t number) {
                    static_cast<unsigned long long>(number));
 }
 
+StatusOr<uint64_t> ModelRegistry::ParseGenerationName(std::string_view name) {
+  const std::string_view digits =
+      StartsWith(name, kGenerationPrefix)
+          ? name.substr(std::string_view(kGenerationPrefix).size())
+          : std::string_view();
+  // 1 to 18 digits, not all zero: a positive number that fits a long long.
+  if (digits.empty() || digits.size() > 18 ||
+      digits.find_first_not_of("0123456789") != std::string_view::npos ||
+      digits.find_first_not_of('0') == std::string_view::npos) {
+    return Status::InvalidArgument("not a generation name: " +
+                                   std::string(name));
+  }
+  return static_cast<uint64_t>(ParseInt(digits).value());
+}
+
 std::string ModelRegistry::BundlePath(int64_t vehicle_id) const {
   std::lock_guard<std::mutex> lock(*active_mu_);
   return active_.dir + "/" + BundleFileName(vehicle_id);
@@ -308,9 +269,8 @@ ModelRegistry::Shard& ModelRegistry::ShardForVehicle(
 
 StatusOr<ModelRegistry::ActiveGeneration> ModelRegistry::ResolveActive(
     const std::string& root) {
-  const std::string current_path = root + "/" + kCurrentFile;
-  std::error_code ec;
-  if (!fs::exists(current_path, ec) || ec) {
+  StatusOr<std::string> name = ReadCurrentPointer(root);
+  if (name.status().IsNotFound()) {
     // Legacy flat layout: the root itself is the (only) generation. A
     // manifest is still honored when present -- opening a finalized
     // gen_NNNNNN directory directly (the canary drill does) lands here.
@@ -324,37 +284,14 @@ StatusOr<ModelRegistry::ActiveGeneration> ModelRegistry::ResolveActive(
     }
     return flat;
   }
-  std::ifstream in(current_path);
-  std::string name;
-  if (!in || !std::getline(in, name)) {
-    return Status::DataLoss("cannot read " + current_path);
-  }
-  name = std::string(Trim(name));
-  VUP_ASSIGN_OR_RETURN(uint64_t number, ParseGenerationName(name));
-  const std::string dir = root + "/" + name;
-  if (!fs::is_directory(dir, ec) || ec) {
-    return Status::DataLoss("CURRENT points at missing generation: " + name);
-  }
-  // The meta is written right before the generation is committed; an
-  // unparseable meta means the generation is torn or incomplete.
-  StatusOr<RegistryMeta> meta = ReadRegistryMetaFile(dir);
-  if (!meta.ok()) {
-    return Status::DataLoss("generation " + name + " is incomplete: " +
-                            meta.status().ToString());
-  }
-  ActiveGeneration active{dir, number, std::nullopt};
-  // A guarded publish always writes a MANIFEST; its absence means a legacy
-  // generation, served unverified. A *damaged* manifest means the
-  // generation is torn -- refuse it whole rather than trusting any part.
-  StatusOr<GenerationManifest> manifest = ReadManifestFile(dir);
-  if (manifest.ok()) {
-    active.manifest = std::move(manifest).value();
-  } else if (!manifest.status().IsNotFound()) {
-    return Status::DataLoss("generation " + name +
-                            " has a damaged manifest: " +
-                            manifest.status().ToString());
-  }
-  return active;
+  VUP_RETURN_IF_ERROR(name.status());
+  // A torn or incomplete generation is refused whole rather than trusting
+  // any part of it.
+  VUP_ASSIGN_OR_RETURN(std::optional<GenerationManifest> manifest,
+                       VerifyGenerationComplete(root, name.value()));
+  return ActiveGeneration{root + "/" + name.value(),
+                          ParseGenerationName(name.value()).value(),
+                          std::move(manifest)};
 }
 
 StatusOr<ModelRegistry> ModelRegistry::Open(Options options) {
@@ -490,17 +427,9 @@ Status ModelRegistry::PruneGenerations(size_t keep) {
 Status ModelRegistry::Publish(int64_t vehicle_id,
                               const VehicleForecaster& forecaster) {
   VUP_ASSIGN_OR_RETURN(const std::string bytes, forecaster.SaveCompact());
-  const std::string path = BundlePath(vehicle_id);
-  // Write to a temp name then rename, so a crashed publish never leaves a
-  // half-written bundle under the serving name.
-  const std::string tmp = path + ".tmp";
-  VUP_RETURN_IF_ERROR(WriteBundleFile(tmp, bytes));
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    return Status::Internal("cannot install bundle " + path + ": " +
-                            ec.message());
-  }
+  // Temp + rename: a crashed publish never leaves a half-written bundle
+  // under the serving name.
+  VUP_RETURN_IF_ERROR(WriteFileAtomic(BundlePath(vehicle_id), bytes));
   // Drop any stale resident copy so the next Get sees the new bundle, and
   // give the fresh bundle a fresh breaker and a clean quarantine record.
   {
@@ -526,8 +455,8 @@ Status ModelRegistry::Publish(int64_t vehicle_id,
       if (entry.file == file) continue;
       VUP_RETURN_IF_ERROR(updated.Add(entry.file, entry.size, entry.crc32));
     }
-    VUP_RETURN_IF_ERROR(
-        updated.Add(file, bytes.size(), Crc32(bytes.data(), bytes.size())));
+    VUP_RETURN_IF_ERROR(updated.Add(
+        file, bytes.size(), StoredCrc32Trailer(bytes.data(), bytes.size())));
     VUP_RETURN_IF_ERROR(WriteManifestFile(active_.dir, updated));
     active_.manifest = std::move(updated);
   }
@@ -582,6 +511,10 @@ ModelRegistry::LoadVerifiedLocked(Shard& shard, int64_t vehicle_id) {
   // before it trusts any structural field, so corrupt bytes are never
   // scored. Files the manifest does not list load unverified by it
   // (single-bundle Publish into a legacy generation keeps working).
+  const uint32_t trailer = bytes.value().size() >= kCrc32TrailerBytes
+                               ? StoredCrc32Trailer(bytes.value().data(),
+                                                    bytes.value().size())
+                               : 0;
   StatusOr<VehicleForecaster> forecaster =
       DecodeOwnedBundle(std::move(bytes).value());
   if (!forecaster.ok()) {
@@ -592,12 +525,13 @@ ModelRegistry::LoadVerifiedLocked(Shard& shard, int64_t vehicle_id) {
     if (entry.has_value()) return quarantine(forecaster.status());
     return forecaster.status();
   }
-  // A bundle whose trailer checks has the whole-file CRC kCrc32Residue, so
-  // the manifest's CRC is compared without a second pass.
-  if (entry.has_value() && entry->crc32 != kCrc32Residue) {
+  // The decoder checked the trailer, so comparing it with the manifest's
+  // needs no second pass. It differs from bundle to bundle, so a valid
+  // bundle copied over another vehicle's of the same size is caught here.
+  if (entry.has_value() && entry->crc32 != trailer) {
     return quarantine(Status::DataLoss(StrFormat(
-        "%s: crc32 %u does not match manifest (%u)", file.c_str(),
-        kCrc32Residue, entry->crc32)));
+        "%s: crc32 %u does not match manifest (%u)", file.c_str(), trailer,
+        entry->crc32)));
   }
   return std::make_shared<const VehicleForecaster>(
       std::move(forecaster).value());

@@ -2,7 +2,6 @@
 #define VUPRED_SERVE_MODEL_REGISTRY_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -26,19 +25,21 @@ namespace vup::serve {
 
 /// How the training fleet behind a registry was generated, so any consumer
 /// can rebuild byte-identical feature windows from the registry directory
-/// alone. Persisted as `registry_meta.txt` (`vupred-registry v1`).
+/// alone. Persisted as `registry_meta.txt`, a record file
+/// (common/record_file.h) under `vupred-registry v2`:
+///
+///   fleet_seed <n>
+///   fleet_vehicles <n>
+///   algorithm <word>
 struct RegistryMeta {
   uint64_t fleet_seed = 42;
   size_t fleet_vehicles = 40;
   std::string algorithm = "Lasso";
 
-  /// Strict parse of a meta stream: magic line, then exactly the three
-  /// `key value` lines (any order, duplicates rejected), every line
-  /// newline-terminated so a writer killed mid-line is detectable.
-  /// Garbage, truncation, absurd counts and over-long tokens are Status
-  /// errors, never crashes -- this file is hand-editable and must be
-  /// fuzz-safe.
-  static StatusOr<RegistryMeta> Parse(std::istream& in);
+  /// Strict parse of meta bytes: exactly the three records above (any
+  /// order, duplicates rejected). Damaged framing, garbage, absurd counts
+  /// and over-long tokens are InvalidArgument, never crashes.
+  static StatusOr<RegistryMeta> Parse(std::string_view bytes);
 
   /// Serializes in the format Parse accepts.
   std::string Serialize() const;
@@ -54,11 +55,12 @@ struct RegistryMeta {
 Status WriteRegistryMetaFile(const std::string& directory,
                              const RegistryMeta& meta);
 
-/// Reads and parses `directory`/registry_meta.txt.
+/// Reads and parses `directory`/registry_meta.txt. NotFound when the file
+/// does not exist.
 StatusOr<RegistryMeta> ReadRegistryMetaFile(const std::string& directory);
 
-/// Maps the compact bundle at `path` and decodes it in place; the
-/// forecaster keeps the mapping alive. NotFound when the file is missing,
+/// Reads the compact bundle at `path` and decodes it in place; the
+/// forecaster owns the buffer. NotFound when the file is missing,
 /// the decoder's statuses (ml/compact.h) when it does not decode.
 StatusOr<VehicleForecaster> LoadBundleFile(const std::string& path);
 
@@ -309,6 +311,9 @@ class ModelRegistry {
   static std::optional<int64_t> ParseBundleFileName(std::string_view name);
 
   static std::string GenerationDirName(uint64_t number);
+  /// Inverse of GenerationDirName: "gen_NNNNNN" -> its number (> 0),
+  /// InvalidArgument for anything else.
+  static StatusOr<uint64_t> ParseGenerationName(std::string_view name);
 
  private:
   friend class GenerationPublisher;

@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <vector>
 
-#include "common/crc32.h"
 #include "common/file_util.h"
 #include "common/string_util.h"
 #include "serve/guarded_publish.h"
@@ -49,7 +48,7 @@ StatusOr<ScrubReport> RegistryScrubber::ScrubOnce() {
     for (const fs::directory_entry& entry : it) {
       if (!entry.is_directory(ec) || ec) continue;
       const std::string name = entry.path().filename().string();
-      if (!StartsWith(name, "gen_") || EndsWith(name, ".staging")) continue;
+      if (!ModelRegistry::ParseGenerationName(name).ok()) continue;
       dirs.push_back(entry.path().string());
     }
   }
@@ -90,8 +89,10 @@ StatusOr<ScrubReport> RegistryScrubber::ScrubOnce() {
       } else if (!bytes.ok()) {
         ++report.missing_files;
         missing_files_.Increment();
-      } else if (Crc32(bytes.value().data(), bytes.value().size()) !=
-                 entry.crc32) {
+      } else if (!GenerationManifest::VerifyBytes(entry, bytes.value()).ok()) {
+        // The size already matched: the bytes fail their own trailer, or
+        // it is not the listed one (another file's bytes of the same
+        // size).
         ++report.crc_mismatches;
         crc_mismatches_.Increment();
       } else {

@@ -2,11 +2,12 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "testing/framing.h"
 
 namespace vup::cluster {
 namespace {
@@ -24,8 +25,13 @@ ClustersMeta SampleMeta() {
 }
 
 StatusOr<ClustersMeta> ParseString(const std::string& text) {
-  std::istringstream in(text);
-  return ClustersMeta::Parse(in);
+  return ClustersMeta::Parse(text);
+}
+
+/// Parses `body` framed, so a tampered body reaches the field check it
+/// targets instead of failing at the trailer.
+StatusOr<ClustersMeta> ParseBody(const std::string& body) {
+  return ClustersMeta::Parse(Framed(body));
 }
 
 TEST(ClusterMetaTest, ReservedModelIds) {
@@ -87,10 +93,11 @@ TEST(ClusterMetaTest, AnyTruncationIsDetected) {
 
 TEST(ClusterMetaTest, TamperingIsDetected) {
   ClustersMeta meta = SampleMeta();
+  const std::string body = Unframed(meta.Serialize());
 
   {  // Wrong magic.
     StatusOr<ClustersMeta> parsed =
-        ParseString("vupred-clusters v9\n" + meta.Serialize());
+        ParseBody("vupred-clusters v9\n" + body);
     EXPECT_FALSE(parsed.ok());
   }
   {  // Vehicle cluster id out of range for k=2.
@@ -108,22 +115,22 @@ TEST(ClusterMetaTest, TamperingIsDetected) {
     std::swap(bad.vehicles[0], bad.vehicles[2]);
     EXPECT_FALSE(ParseString(bad.Serialize()).ok());
   }
-  {  // Trailing garbage after the sentinel.
-    EXPECT_FALSE(ParseString(meta.Serialize() + "extra\n").ok());
+  {  // Trailing records after the last vehicle.
+    EXPECT_FALSE(ParseBody(body + "extra\n").ok());
   }
   {  // Count mismatch: claim one more vehicle than present.
-    std::string bytes = meta.Serialize();
+    std::string bytes = body;
     const size_t pos = bytes.find("vehicles 3");
     ASSERT_NE(pos, std::string::npos);
     bytes.replace(pos, 10, "vehicles 4");
-    EXPECT_FALSE(ParseString(bytes).ok());
+    EXPECT_FALSE(ParseBody(bytes).ok());
   }
   {  // Non-finite centroid coordinate.
-    std::string bytes = meta.Serialize();
+    std::string bytes = body;
     const size_t pos = bytes.find("centroid 0");
     ASSERT_NE(pos, std::string::npos);
     bytes.replace(bytes.find(' ', pos + 11), 2, " nan");
-    EXPECT_FALSE(ParseString(bytes).ok());
+    EXPECT_FALSE(ParseBody(bytes).ok());
   }
 }
 

@@ -74,32 +74,5 @@ TEST(Crc32Test, MatchesReferenceOnRandomBuffersUpToOneMiB) {
   }
 }
 
-TEST(Crc32Test, BufferFramedWithItsOwnCrcHasTheResidue) {
-  // Crc32(m || le32(Crc32(m))) == kCrc32Residue for every m: the registry
-  // compares a bundle's MANIFEST CRC against this constant once the
-  // decoder has checked the bundle's trailer.
-  Rng rng(20261018);
-  std::vector<size_t> sizes = {0, 1, 3, 4, 7, 8, 9, 36, 4096};
-  for (int i = 0; i < 32; ++i) {
-    sizes.push_back(static_cast<size_t>(rng.UniformInt(0, 1 << 16)));
-  }
-  for (size_t size : sizes) {
-    std::vector<uint8_t> framed = RandomBytes(rng, size);
-    const uint32_t crc = Crc32(framed.data(), framed.size());
-    for (int k = 0; k < 4; ++k) {
-      framed.push_back(static_cast<uint8_t>(crc >> (8 * k)));
-    }
-    EXPECT_EQ(Crc32(framed.data(), framed.size()), kCrc32Residue)
-        << "size " << size;
-    EXPECT_EQ(ReferenceCrc32(framed.data(), framed.size()), kCrc32Residue)
-        << "size " << size;
-    // Any flipped bit breaks the residue.
-    framed[rng.UniformInt(0, static_cast<int64_t>(framed.size()) - 1)] ^=
-        0x10;
-    EXPECT_NE(Crc32(framed.data(), framed.size()), kCrc32Residue)
-        << "size " << size;
-  }
-}
-
 }  // namespace
 }  // namespace vup

@@ -2,15 +2,17 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <set>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/crc32.h"
+#include "common/file_util.h"
 #include "core/forecaster.h"
 #include "serve/model_registry.h"
 #include "telemetry/fault_injector.h"
+#include "testing/framing.h"
 
 namespace vup::serve {
 namespace {
@@ -32,6 +34,14 @@ class ManifestTest : public ::testing::Test {
     out << content;
   }
 
+  /// Reads `entry`'s file from `dir_` and verifies it against `entry`.
+  Status VerifyOnDisk(const ManifestEntry& entry) {
+    StatusOr<std::string> bytes =
+        ReadFileCapped(dir_ + "/" + entry.file, 1 << 20);
+    if (!bytes.ok()) return bytes.status();
+    return GenerationManifest::VerifyBytes(entry, bytes.value());
+  }
+
   std::string dir_;
 };
 
@@ -41,8 +51,8 @@ TEST_F(ManifestTest, SerializeParseRoundTrips) {
   ASSERT_TRUE(manifest.Add("a.cfcst", 0, 0).ok());
   ASSERT_TRUE(manifest.Add("clusters.meta", 123, 0xFFFFFFFF).ok());
 
-  std::istringstream in(manifest.Serialize());
-  StatusOr<GenerationManifest> parsed = GenerationManifest::Parse(in);
+  StatusOr<GenerationManifest> parsed =
+      GenerationManifest::Parse(manifest.Serialize());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_TRUE(parsed.value() == manifest);
   // Entries come back strictly ascending regardless of Add order.
@@ -63,48 +73,44 @@ TEST_F(ManifestTest, AddRejectsUnusableNamesAndDuplicates) {
 }
 
 TEST_F(ManifestTest, ParseRejectsStructuralDamage) {
-  const auto parse = [](const std::string& text) {
-    std::istringstream in(text);
-    return GenerationManifest::Parse(in).status();
+  const auto parse = [](const std::string& body) {
+    return GenerationManifest::Parse(Framed(body)).status();
   };
   // Bad magic.
-  EXPECT_TRUE(parse("vupred-manifest v9\nend-manifest\n")
+  EXPECT_TRUE(parse("vupred-manifest v9\n").IsInvalidArgument());
+  // The trailer is missing or does not match (truncation must always be
+  // detectable).
+  EXPECT_TRUE(GenerationManifest::Parse("vupred-manifest v2\n")
+                  .status()
                   .IsInvalidArgument());
-  // Missing end sentinel (truncation must always be detectable).
-  EXPECT_TRUE(parse("vupred-manifest v1\nentry a.cfcst 1 2\n")
+  EXPECT_TRUE(GenerationManifest::Parse("vupred-manifest v2\nentry a 1 2\n")
+                  .status()
                   .IsInvalidArgument());
-  // Missing trailing newline after the sentinel.
-  EXPECT_TRUE(parse("vupred-manifest v1\nend-manifest")
-                  .IsInvalidArgument());
+  // Missing trailing newline before the trailer.
+  EXPECT_TRUE(parse("vupred-manifest v2\nentry a 1 2").IsInvalidArgument());
   // Unsorted entries.
-  EXPECT_TRUE(parse("vupred-manifest v1\nentry b 1 2\nentry a 1 2\n"
-                    "end-manifest\n")
+  EXPECT_TRUE(parse("vupred-manifest v2\nentry b 1 2\nentry a 1 2\n")
                   .IsInvalidArgument());
   // Duplicate entries.
-  EXPECT_TRUE(parse("vupred-manifest v1\nentry a 1 2\nentry a 1 2\n"
-                    "end-manifest\n")
+  EXPECT_TRUE(parse("vupred-manifest v2\nentry a 1 2\nentry a 1 2\n")
                   .IsInvalidArgument());
   // Garbage numbers.
-  EXPECT_TRUE(parse("vupred-manifest v1\nentry a x 2\nend-manifest\n")
-                  .IsInvalidArgument());
-  EXPECT_TRUE(parse("vupred-manifest v1\nentry a 1 99999999999\n"
-                    "end-manifest\n")
+  EXPECT_TRUE(parse("vupred-manifest v2\nentry a x 2\n").IsInvalidArgument());
+  EXPECT_TRUE(parse("vupred-manifest v2\nentry a 1 99999999999\n")
                   .IsInvalidArgument());
   // Wrong token count.
-  EXPECT_TRUE(parse("vupred-manifest v1\nentry a 1\nend-manifest\n")
-                  .IsInvalidArgument());
-  // Trailing garbage after the sentinel.
-  EXPECT_TRUE(parse("vupred-manifest v1\nend-manifest\nentry a 1 2\n")
+  EXPECT_TRUE(parse("vupred-manifest v2\nentry a 1\n").IsInvalidArgument());
+  // A record that is not an entry.
+  EXPECT_TRUE(parse("vupred-manifest v2\nentry a 1 2\nend-manifest\n")
                   .IsInvalidArgument());
   // Empty manifest is fine.
-  std::istringstream empty("vupred-manifest v1\nend-manifest\n");
-  EXPECT_TRUE(GenerationManifest::Parse(empty).ok());
+  EXPECT_TRUE(GenerationManifest::Parse(Framed("vupred-manifest v2\n")).ok());
 }
 
 TEST_F(ManifestTest, BuildFromDirectoryIsDeterministicAndSkipsLeftovers) {
-  WriteFile("vehicle_2.cfcst", "model two");
-  WriteFile("vehicle_1.cfcst", "model one");
-  WriteFile("registry_meta.txt", "meta");
+  WriteFile("vehicle_2.cfcst", Framed("model two"));
+  WriteFile("vehicle_1.cfcst", Framed("model one"));
+  WriteFile("registry_meta.txt", Framed("meta"));
   WriteFile("MANIFEST", "a stale manifest must never checksum itself");
   WriteFile("vehicle_3.cfcst.tmp", "torn install leftover");
 
@@ -117,47 +123,49 @@ TEST_F(ManifestTest, BuildFromDirectoryIsDeterministicAndSkipsLeftovers) {
   EXPECT_EQ(a.value().entries()[0].file, "registry_meta.txt");
   EXPECT_EQ(a.value().entries()[1].file, "vehicle_1.cfcst");
   EXPECT_EQ(a.value().entries()[2].file, "vehicle_2.cfcst");
-  EXPECT_EQ(a.value().entries()[1].size, 9u);
+  EXPECT_EQ(a.value().entries()[1].size, 9u + kCrc32TrailerBytes);
   EXPECT_EQ(a.value().Find("MANIFEST"), nullptr);
   EXPECT_EQ(a.value().Find("vehicle_3.cfcst.tmp"), nullptr);
   // Every listed file verifies against the bytes on disk.
   for (const ManifestEntry& entry : a.value().entries()) {
-    EXPECT_TRUE(GenerationManifest::VerifyFile(dir_, entry).ok())
-        << entry.file;
+    EXPECT_TRUE(VerifyOnDisk(entry).ok()) << entry.file;
   }
+  // A staged file that does not end in its own trailer is refused.
+  WriteFile("clusters.meta", "unframed");
+  EXPECT_TRUE(
+      GenerationManifest::BuildFromDirectory(dir_).status().IsDataLoss());
 }
 
 TEST_F(ManifestTest, VerifyBytesCatchesSizeThenCrcMismatch) {
-  WriteFile("vehicle_1.cfcst", "original content");
+  WriteFile("vehicle_1.cfcst", Framed("original content"));
   StatusOr<GenerationManifest> built =
       GenerationManifest::BuildFromDirectory(dir_);
   ASSERT_TRUE(built.ok());
   const ManifestEntry& entry = built.value().entries()[0];
 
-  EXPECT_TRUE(GenerationManifest::VerifyBytes(entry, "original content").ok());
-  EXPECT_TRUE(GenerationManifest::VerifyBytes(entry, "short")
+  EXPECT_TRUE(
+      GenerationManifest::VerifyBytes(entry, Framed("original content")).ok());
+  EXPECT_TRUE(GenerationManifest::VerifyBytes(entry, Framed("short"))
                   .IsDataLoss());
-  // Same size, different bytes: the CRC catches it.
-  EXPECT_TRUE(GenerationManifest::VerifyBytes(entry, "originaX content")
+  // Same size, different bytes: the trailer check catches it.
+  EXPECT_TRUE(GenerationManifest::VerifyBytes(
+                  entry, Unframed(Framed("original content")) + "abcd")
                   .IsDataLoss());
-}
-
-TEST_F(ManifestTest, VerifyFileIsNotFoundWhenTheFileVanished) {
-  GenerationManifest manifest;
-  ASSERT_TRUE(manifest.Add("vehicle_9.cfcst", 4, 0x12345).ok());
-  EXPECT_TRUE(GenerationManifest::VerifyFile(dir_, manifest.entries()[0])
-                  .IsNotFound());
+  // Same size, different bytes that are framed themselves: their trailer
+  // is not the listed one.
+  EXPECT_TRUE(GenerationManifest::VerifyBytes(entry, Framed("originaX content"))
+                  .IsDataLoss());
 }
 
 TEST_F(ManifestTest, DetectsEveryFaultInjectorCorruptionKind) {
   // Walk file tags until each corruption kind has been drawn at least
-  // once; VerifyFile must flag every single one.
+  // once; verification must flag every single one.
   FaultInjector rot(FaultProfile::BitRot(), /*seed=*/7);
   bool seen[4] = {false, false, false, false};
   for (uint64_t tag = 0; tag < 64; ++tag) {
     const std::string name = "vehicle_" + std::to_string(tag) + ".cfcst";
-    WriteFile(name, "a model bundle with enough bytes to damage " +
-                        std::to_string(tag));
+    WriteFile(name, Framed("a model bundle with enough bytes to damage " +
+                           std::to_string(tag)));
     StatusOr<GenerationManifest> built =
         GenerationManifest::BuildFromDirectory(dir_);
     ASSERT_TRUE(built.ok());
@@ -170,7 +178,7 @@ TEST_F(ManifestTest, DetectsEveryFaultInjectorCorruptionKind) {
     ASSERT_NE(kind.value(), FileCorruptionKind::kNone);
     seen[static_cast<int>(kind.value())] = true;
 
-    Status verified = GenerationManifest::VerifyFile(dir_, *entry);
+    Status verified = VerifyOnDisk(*entry);
     EXPECT_TRUE(verified.IsDataLoss())
         << name << " corrupted by "
         << FileCorruptionKindToString(kind.value()) << ": "
@@ -196,9 +204,19 @@ TEST_F(ManifestTest, WriteReadManifestFileRoundTripsAndFlagsLegacy) {
 
   // A hand-mangled manifest fails parse rather than half-loading.
   std::ofstream out(dir_ + "/MANIFEST", std::ios::trunc);
-  out << "vupred-manifest v1\nentry vehicle_1.cfcst 42 43981\n";
+  out << "vupred-manifest v2\nentry vehicle_1.cfcst 42 43981\n";
   out.close();
   EXPECT_TRUE(ReadManifestFile(dir_).status().IsInvalidArgument());
+  // So does one published before the record-file framing, with a message
+  // that names the format rather than a bare CRC error.
+  WriteFile("MANIFEST",
+            "vupred-manifest v1\nentry vehicle_1.cfcst 42 43981\n"
+            "end-manifest\n");
+  const Status v1 = ReadManifestFile(dir_).status();
+  EXPECT_TRUE(v1.IsInvalidArgument());
+  EXPECT_NE(v1.message().find("not a vupred-manifest v2 file"),
+            std::string::npos)
+      << v1.ToString();
 }
 
 VehicleDataset WeeklyDataset(int64_t vehicle_id) {
@@ -221,10 +239,10 @@ VehicleDataset WeeklyDataset(int64_t vehicle_id) {
   return VehicleDataset::Build(info, recs, italy).value();
 }
 
-TEST_F(ManifestTest, EveryPublishedBundleEntryCarriesTheCrcResidue) {
-  // Each bundle ends in the CRC of the bytes before it, so its whole-file
-  // CRC -- the one the MANIFEST records -- is the residue. The registry's
-  // one-pass load check relies on exactly this.
+TEST_F(ManifestTest, EveryPublishedEntryIsItsFilesTrailer) {
+  // Every file of a generation ends in the CRC-32 of the bytes before it,
+  // and the MANIFEST records exactly that trailer: a digest that differs
+  // from file to file, unlike the whole-file CRC of a framed buffer.
   StatusOr<ModelRegistry> registry = ModelRegistry::Open({dir_, 4});
   ASSERT_TRUE(registry.ok()) << registry.status().ToString();
   StatusOr<GenerationPublisher> pub = registry.value().NewGeneration();
@@ -246,16 +264,28 @@ TEST_F(ManifestTest, EveryPublishedBundleEntryCarriesTheCrcResidue) {
   ASSERT_TRUE(pub.value().Commit(RegistryMeta{}).ok());
   ASSERT_TRUE(registry.value().Reload().ok());
 
-  StatusOr<GenerationManifest> manifest = ReadManifestFile(
-      fs::path(registry.value().BundlePath(1)).parent_path().string());
+  const std::string gen =
+      fs::path(registry.value().BundlePath(1)).parent_path().string();
+  StatusOr<GenerationManifest> manifest = ReadManifestFile(gen);
   ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
   size_t bundles = 0;
+  std::set<uint32_t> trailers;
   for (const ManifestEntry& entry : manifest.value().entries()) {
-    if (!ModelRegistry::ParseBundleFileName(entry.file).has_value()) continue;
-    ++bundles;
-    EXPECT_EQ(entry.crc32, kCrc32Residue) << entry.file;
+    StatusOr<std::string> bytes =
+        ReadFileCapped(gen + "/" + entry.file, 1 << 20);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    ASSERT_EQ(bytes.value().size(), entry.size) << entry.file;
+    const std::optional<uint32_t> trailer =
+        CheckCrc32Trailer(bytes.value().data(), bytes.value().size());
+    ASSERT_TRUE(trailer.has_value()) << entry.file;
+    EXPECT_EQ(entry.crc32, *trailer) << entry.file;
+    EXPECT_EQ(entry.crc32, Crc32(bytes.value().data(), entry.size - 4))
+        << entry.file;
+    trailers.insert(entry.crc32);
+    if (ModelRegistry::ParseBundleFileName(entry.file).has_value()) ++bundles;
   }
   EXPECT_EQ(bundles, std::size(algorithms));
+  EXPECT_EQ(trailers.size(), manifest.value().size());
 }
 
 }  // namespace

@@ -1,19 +1,19 @@
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "serve/model_registry.h"
+#include "testing/framing.h"
 
 namespace vup::serve {
 namespace {
 
+/// Frames `text` first, so each case reaches the field check it names.
 StatusOr<RegistryMeta> ParseText(const std::string& text) {
-  std::istringstream in(text);
-  return RegistryMeta::Parse(in);
+  return RegistryMeta::Parse(Framed(text));
 }
 
 TEST(RegistryMetaTest, SerializeParseRoundtrip) {
@@ -21,14 +21,14 @@ TEST(RegistryMetaTest, SerializeParseRoundtrip) {
   meta.fleet_seed = 12345;
   meta.fleet_vehicles = 77;
   meta.algorithm = "GB";
-  StatusOr<RegistryMeta> parsed = ParseText(meta.Serialize());
+  StatusOr<RegistryMeta> parsed = RegistryMeta::Parse(meta.Serialize());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed.value(), meta);
 }
 
 TEST(RegistryMetaTest, KeysParseInAnyOrder) {
   StatusOr<RegistryMeta> parsed = ParseText(
-      "vupred-registry v1\n"
+      "vupred-registry v2\n"
       "algorithm SVR\n"
       "fleet_vehicles 9\n"
       "fleet_seed 3\n");
@@ -41,32 +41,32 @@ TEST(RegistryMetaTest, KeysParseInAnyOrder) {
 TEST(RegistryMetaTest, RejectsMissingMagic) {
   EXPECT_FALSE(ParseText("").ok());
   EXPECT_FALSE(ParseText("fleet_seed 42\n").ok());
-  EXPECT_FALSE(ParseText("vupred-registry v2\nfleet_seed 42\n").ok());
+  EXPECT_FALSE(ParseText("vupred-registry v1\nfleet_seed 42\n").ok());
 }
 
 TEST(RegistryMetaTest, RejectsFilesWithoutTrailingNewline) {
   // Truncation evidence: a writer killed mid-line must never yield a
   // shorter-but-plausible value ("algorithm La" from "algorithm Lasso\n").
-  EXPECT_FALSE(ParseText("vupred-registry v1\n"
+  EXPECT_FALSE(ParseText("vupred-registry v2\n"
                          "fleet_seed 42\n"
                          "fleet_vehicles 40\n"
                          "algorithm La")
                    .ok());
-  EXPECT_FALSE(ParseText("vupred-registry v1").ok());
+  EXPECT_FALSE(ParseText("vupred-registry v2").ok());
 }
 
 TEST(RegistryMetaTest, RejectsMissingKeys) {
   // Truncated files (a killed writer) must be an error, never a silently
   // defaulted meta.
-  EXPECT_FALSE(ParseText("vupred-registry v1\n").ok());
-  EXPECT_FALSE(ParseText("vupred-registry v1\nfleet_seed 42\n").ok());
+  EXPECT_FALSE(ParseText("vupred-registry v2\n").ok());
+  EXPECT_FALSE(ParseText("vupred-registry v2\nfleet_seed 42\n").ok());
   EXPECT_FALSE(
-      ParseText("vupred-registry v1\nfleet_seed 42\nalgorithm Lasso\n")
+      ParseText("vupred-registry v2\nfleet_seed 42\nalgorithm Lasso\n")
           .ok());
 }
 
 TEST(RegistryMetaTest, RejectsDuplicateKeys) {
-  EXPECT_FALSE(ParseText("vupred-registry v1\n"
+  EXPECT_FALSE(ParseText("vupred-registry v2\n"
                          "fleet_seed 1\n"
                          "fleet_seed 2\n"
                          "fleet_vehicles 4\n"
@@ -75,13 +75,13 @@ TEST(RegistryMetaTest, RejectsDuplicateKeys) {
 }
 
 TEST(RegistryMetaTest, RejectsUnknownKeysAndGarbageLines) {
-  EXPECT_FALSE(ParseText("vupred-registry v1\n"
+  EXPECT_FALSE(ParseText("vupred-registry v2\n"
                          "fleet_seed 1\n"
                          "fleet_vehicles 4\n"
                          "algorithm Lasso\n"
                          "mystery_key 1\n")
                    .ok());
-  EXPECT_FALSE(ParseText("vupred-registry v1\n"
+  EXPECT_FALSE(ParseText("vupred-registry v2\n"
                          "fleet_seed 1\n"
                          "this is not a key value line at all\n"
                          "fleet_vehicles 4\n"
@@ -90,28 +90,28 @@ TEST(RegistryMetaTest, RejectsUnknownKeysAndGarbageLines) {
 }
 
 TEST(RegistryMetaTest, RejectsAbsurdValues) {
-  EXPECT_FALSE(ParseText("vupred-registry v1\n"
+  EXPECT_FALSE(ParseText("vupred-registry v2\n"
                          "fleet_seed 1\n"
                          "fleet_vehicles 0\n"
                          "algorithm Lasso\n")
                    .ok());
-  EXPECT_FALSE(ParseText("vupred-registry v1\n"
+  EXPECT_FALSE(ParseText("vupred-registry v2\n"
                          "fleet_seed 1\n"
                          "fleet_vehicles -4\n"
                          "algorithm Lasso\n")
                    .ok());
-  EXPECT_FALSE(ParseText("vupred-registry v1\n"
+  EXPECT_FALSE(ParseText("vupred-registry v2\n"
                          "fleet_seed 1\n"
                          "fleet_vehicles 999999999999\n"
                          "algorithm Lasso\n")
                    .ok());
-  EXPECT_FALSE(ParseText("vupred-registry v1\n"
+  EXPECT_FALSE(ParseText("vupred-registry v2\n"
                          "fleet_seed not_a_number\n"
                          "fleet_vehicles 4\n"
                          "algorithm Lasso\n")
                    .ok());
   // Token bombs: an over-long algorithm name must not be swallowed.
-  EXPECT_FALSE(ParseText("vupred-registry v1\n"
+  EXPECT_FALSE(ParseText("vupred-registry v2\n"
                          "fleet_seed 1\n"
                          "fleet_vehicles 4\n"
                          "algorithm " +
@@ -129,7 +129,7 @@ TEST(RegistryMetaFuzzTest, EveryTruncationFailsCleanly) {
   meta.algorithm = "Lasso";
   const std::string full = meta.Serialize();
   for (size_t cut = 0; cut < full.size(); ++cut) {
-    StatusOr<RegistryMeta> parsed = ParseText(full.substr(0, cut));
+    StatusOr<RegistryMeta> parsed = RegistryMeta::Parse(full.substr(0, cut));
     if (parsed.ok()) {
       EXPECT_EQ(parsed.value(), meta) << "cut at " << cut;
     }
@@ -149,7 +149,7 @@ TEST(RegistryMetaFuzzTest, RandomByteFlipsNeverCrash) {
           rng.UniformInt(0, static_cast<int64_t>(mutated.size()) - 1));
       mutated[at] = static_cast<char>(rng.UniformInt(0, 255));
     }
-    StatusOr<RegistryMeta> parsed = ParseText(mutated);
+    StatusOr<RegistryMeta> parsed = RegistryMeta::Parse(mutated);
     if (parsed.ok()) {
       // A flip that survives parsing must still produce sane bounds.
       EXPECT_GT(parsed.value().fleet_vehicles, 0u);
@@ -166,7 +166,7 @@ TEST(RegistryMetaFuzzTest, RandomGarbageNeverCrashes) {
       c = static_cast<char>(rng.UniformInt(0, 255));
     }
     (void)ParseText(garbage);
-    (void)ParseText("vupred-registry v1\n" + garbage);
+    (void)ParseText("vupred-registry v2\n" + garbage);
   }
 }
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/crc32.h"
+#include "common/file_util.h"
 #include "core/forecaster.h"
 #include "obs/metrics.h"
 #include "serve/manifest.h"
@@ -391,7 +392,9 @@ TEST_F(RegistryCompactTest, ManifestMismatchOnAnIntactBundleQuarantines) {
   for (const ManifestEntry& entry : listed.value().entries()) {
     ManifestEntry e = entry;
     if (e.file == ModelRegistry::BundleFileName(1)) {
-      ASSERT_EQ(e.crc32, kCrc32Residue);
+      const std::string bytes =
+          ReadFileCapped(gen + "/" + e.file, 1 << 20).value();
+      ASSERT_EQ(e.crc32, CheckCrc32Trailer(bytes.data(), bytes.size()));
       e.crc32 ^= 1;
     }
     if (e.file == ModelRegistry::BundleFileName(2)) e.size += 8;
@@ -412,6 +415,27 @@ TEST_F(RegistryCompactTest, ManifestMismatchOnAnIntactBundleQuarantines) {
   EXPECT_TRUE(reopened.Get(3).ok());
   EXPECT_EQ(reopened.stats().quarantines, 2u);
   EXPECT_EQ(reopened.stats().load_failures, 0u);
+}
+
+TEST_F(RegistryCompactTest, SameSizeBundleSwapQuarantines) {
+  ModelRegistry registry = OpenWith(ModelRegistry::Options{});
+  CommitCompactFleet(registry, 8);
+  // Vehicle 7's valid bundle copied over vehicle 8's: same size, intact
+  // framing, wrong vehicle. Only the MANIFEST's per-file trailer tells the
+  // two apart.
+  ASSERT_EQ(fs::file_size(registry.BundlePath(7)),
+            fs::file_size(registry.BundlePath(8)));
+  fs::copy_file(registry.BundlePath(7), registry.BundlePath(8),
+                fs::copy_options::overwrite_existing);
+
+  const Status status = registry.Get(8).status();
+  EXPECT_TRUE(status.IsNotFound()) << status.ToString();
+  EXPECT_NE(status.message().find("crc32"), std::string::npos)
+      << status.ToString();
+  EXPECT_TRUE(registry.IsQuarantined(8));
+  EXPECT_TRUE(registry.Get(7).ok());
+  EXPECT_EQ(registry.stats().quarantines, 1u);
+  EXPECT_EQ(registry.stats().load_failures, 0u);
 }
 
 TEST_F(RegistryCompactTest, ResidentModelIsChargedItsWholeBundle) {

@@ -133,6 +133,26 @@ TEST_F(ScrubberTest, ActiveGenerationCorruptionIsQuarantinedBeforeAnyGet) {
   EXPECT_EQ(registry.stats().quarantines, 1u);
 }
 
+TEST_F(ScrubberTest, SameSizeBundleSwapIsACrcMismatch) {
+  ModelRegistry registry = OpenRegistry();
+  PublishGeneration(&registry, {7, 8});
+  // Vehicle 7's valid bundle copied over vehicle 8's: the size matches and
+  // the copy ends in its own valid trailer, which is not the one listed.
+  ASSERT_EQ(fs::file_size(registry.BundlePath(7)),
+            fs::file_size(registry.BundlePath(8)));
+  fs::copy_file(registry.BundlePath(7), registry.BundlePath(8),
+                fs::copy_options::overwrite_existing);
+
+  RegistryScrubber scrubber({.root = dir_, .registry = &registry});
+  StatusOr<ScrubReport> report = scrubber.ScrubOnce();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().crc_mismatches, 1u) << report.value().ToString();
+  EXPECT_EQ(report.value().size_mismatches, 0u);
+  EXPECT_EQ(report.value().quarantined, 1u);
+  EXPECT_TRUE(registry.IsQuarantined(8));
+  EXPECT_FALSE(registry.IsQuarantined(7));
+}
+
 TEST_F(ScrubberTest, ResidentBundleBitRotIsQuarantinedAndEvicted) {
   ModelRegistry registry = OpenRegistry();
   PublishGeneration(&registry, {1, 2});

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "obs/export.h"
 
 #ifndef VUP_CLI_PATH
@@ -201,6 +202,9 @@ TEST(CliTest, FleetJobsOutputByteIdentical) {
 TEST(CliTest, PublishWritesOneCompactBundlePerVehicle) {
   std::string dir = TempDir();
   std::string registry = dir + "/registry";
+  // A fresh registry: a leftover one from an earlier build of the suite
+  // may hold sidecars this build does not read.
+  std::filesystem::remove_all(registry);
   ASSERT_EQ(RunCli("publish --out=" + registry +
                    " --vehicles=10 --max-vehicles=2 --train-days=120"),
             0);
@@ -462,6 +466,9 @@ TEST(CliTest, FleetClustersReportsHierarchyComparison) {
 TEST(CliTest, PublishWithClustersStagesHierarchyAndClustersMeta) {
   std::string dir = TempDir();
   std::string registry = dir + "/cluster_registry";
+  // A fresh registry: a leftover one from an earlier build of the suite
+  // may hold sidecars this build does not read.
+  std::filesystem::remove_all(registry);
   std::string publish_out = dir + "/publish_clusters.txt";
   ASSERT_EQ(RunCli("publish --out=" + registry +
                        " --vehicles=10 --max-vehicles=4 --train-days=120 "
@@ -478,13 +485,17 @@ TEST(CliTest, PublishWithClustersStagesHierarchyAndClustersMeta) {
   std::string gen_dir =
       registry + "/" + current.substr(0, current.find('\n'));
   std::string meta_text = ReadFile(gen_dir + "/clusters.meta");
-  EXPECT_NE(meta_text.find("vupred-clusters v1"), std::string::npos);
-  EXPECT_NE(meta_text.find("end-clusters"), std::string::npos);
+  EXPECT_NE(meta_text.find("vupred-clusters v2"), std::string::npos);
+  EXPECT_TRUE(
+      CheckCrc32Trailer(meta_text.data(), meta_text.size()).has_value());
 }
 
 TEST(CliTest, PublishGuardrailsValidateCanaryRollback) {
   std::string dir = TempDir();
   std::string registry = dir + "/guarded_registry";
+  // A fresh registry: a leftover one from an earlier build of the suite
+  // may hold sidecars this build does not read.
+  std::filesystem::remove_all(registry);
   std::string base = "publish --out=" + registry +
                      " --vehicles=10 --max-vehicles=2 ";
 
@@ -505,7 +516,7 @@ TEST(CliTest, PublishGuardrailsValidateCanaryRollback) {
   std::string second = ReadFile(registry + "/CURRENT");
   EXPECT_NE(second, first);
   // The promotion was journaled.
-  EXPECT_NE(ReadFile(registry + "/ROLLBACK").find("vupred-rollback v1"),
+  EXPECT_NE(ReadFile(registry + "/ROLLBACK").find("vupred-rollback v2"),
             std::string::npos);
 
   // --rollback restores the previous generation...
