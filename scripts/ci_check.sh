@@ -69,6 +69,16 @@ if grep -rn 'std::random_device\|std::mt19937' src tools bench \
   exit 1
 fi
 
+echo "== tier-1g: no fused multiply-add in the ML library =="
+# The bitwise contracts hold only while no multiply-add is contracted
+# (src/CMakeLists.txt builds with -ffp-contract=off). ctest runs the same
+# check as ml_no_fma_test; exit 77 means objdump is missing.
+fma_rc=0
+tests/ml/no_fma_test.sh build/src/libvup_ml.a || fma_rc=$?
+if [[ "${fma_rc}" != 0 && "${fma_rc}" != 77 ]]; then
+  exit 1
+fi
+
 if [[ "${FAST}" == 1 ]]; then
   echo "== skipping sanitizer gate (--fast) =="
   exit 0

@@ -12,10 +12,10 @@
 #
 # The grid-search suite fits Lasso and SVR candidates on a worker pool
 # and checks their scores bitwise against a serial run. The SVR suite
-# rides along for a different reason: the TSan tree compiles the AVX2
-# clones of the lane-parallel Gram and SMO kernels out (see
-# src/ml/lanes.h), so this is the run that checks their baseline-ISA code
-# bitwise against KernelFunction and the scalar reference solver.
+# rides along to run the lane-parallel Gram and SMO kernels under TSan:
+# it checks every instruction-set path the CPU supports (see
+# src/ml/lanes.h) bitwise against KernelFunction and the scalar
+# reference solver, as the release suite does.
 #
 # Usage: scripts/ci_tsan.sh [extra ctest args...]
 set -euo pipefail

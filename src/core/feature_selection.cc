@@ -42,14 +42,17 @@ std::vector<size_t> SelectLagsByAcf(const SlidingAcf& acf, size_t begin,
 
 std::vector<size_t> ColumnsForLags(std::span<const WindowColumn> columns,
                                    std::span<const size_t> lags) {
+  // selected[l]: lag l is in `lags`, for every lag a column carries.
+  size_t max_lag = 0;
+  for (const WindowColumn& col : columns) max_lag = std::max(max_lag, col.lag);
+  std::vector<bool> selected(max_lag + 1, false);
+  for (size_t lag : lags) {
+    if (lag <= max_lag) selected[lag] = true;
+  }
   std::vector<size_t> out;
   for (size_t c = 0; c < columns.size(); ++c) {
     const WindowColumn& col = columns[c];
-    if (col.kind == WindowColumn::Kind::kTargetContext) {
-      out.push_back(c);
-      continue;
-    }
-    if (std::find(lags.begin(), lags.end(), col.lag) != lags.end()) {
+    if (col.kind == WindowColumn::Kind::kTargetContext || selected[col.lag]) {
       out.push_back(c);
     }
   }

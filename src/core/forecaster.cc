@@ -105,36 +105,44 @@ Status VehicleForecaster::Train(const VehicleDataset& ds, size_t train_begin,
 
   // Statistics-based feature selection on the training span of the hours
   // series (the days the lookback windows draw from).
-  selected_lags_.clear();
-  selected_columns_.clear();
   if (config_.use_feature_selection) {
     obs::TraceSpan span("select");
     const size_t w = config_.windowing.lookback_w;
+    std::vector<size_t> lags;
     if (incremental) {
       if (!acf_cache_ || acf_cache_->max_lag() != w) {
         acf_cache_.emplace(std::span<const double>(ds.hours()), w);
       }
-      selected_lags_ =
-          SelectLagsByAcf(*acf_cache_, train_begin - w, train_end,
-                          config_.selection.top_k);
+      lags = SelectLagsByAcf(*acf_cache_, train_begin - w, train_end,
+                             config_.selection.top_k);
     } else {
       std::span<const double> hours(ds.hours());
       std::span<const double> train_hours =
           hours.subspan(train_begin - w, w + (train_end - train_begin));
-      selected_lags_ =
-          SelectLagsByAcf(train_hours, w, config_.selection.top_k);
+      lags = SelectLagsByAcf(train_hours, w, config_.selection.top_k);
     }
-    selected_columns_ = ColumnsForLags(all_columns_, selected_lags_);
+    // Consecutive windows mostly keep their lag set, and with it the
+    // column list the last Train mapped it to.
+    if (!columns_match_lags_ || lags != selected_lags_) {
+      selected_columns_ = ColumnsForLags(all_columns_, lags);
+      selected_lags_ = std::move(lags);
+      columns_match_lags_ = true;
+    }
     x = incremental ? window_builder_->MaterializeColumns(selected_columns_)
                     : x.SelectColumns(selected_columns_);
-  } else if (incremental) {
-    obs::TraceSpan span("window");
-    x = window_builder_->MaterializeMatrix();
+  } else {
+    selected_lags_.clear();
+    selected_columns_.clear();
+    columns_match_lags_ = false;
+    if (incremental) {
+      obs::TraceSpan span("window");
+      x = window_builder_->MaterializeMatrix();
+    }
   }
 
   if (config_.standardize) {
     obs::TraceSpan span("scale");
-    VUP_ASSIGN_OR_RETURN(x, scaler_.FitTransform(x));
+    VUP_ASSIGN_OR_RETURN(x, scaler_.FitTransform(std::move(x)));
   }
 
   VUP_ASSIGN_OR_RETURN(model_, MakeRegressor(config_));
@@ -247,7 +255,7 @@ StatusOr<VehicleForecaster> VehicleForecaster::TrainPooled(
 
   if (config.standardize) {
     obs::TraceSpan span("scale");
-    VUP_ASSIGN_OR_RETURN(x, pooled.scaler_.FitTransform(x));
+    VUP_ASSIGN_OR_RETURN(x, pooled.scaler_.FitTransform(std::move(x)));
   }
   VUP_ASSIGN_OR_RETURN(pooled.model_, MakeRegressor(config));
   {

@@ -52,7 +52,7 @@ Status TwoStageForecaster::Train(const VehicleDataset& ds, size_t train_begin,
     selected_columns_ = ColumnsForLags(all_columns_, lags);
     x = x.SelectColumns(selected_columns_);
   }
-  VUP_ASSIGN_OR_RETURN(x, scaler_.FitTransform(x));
+  VUP_ASSIGN_OR_RETURN(x, scaler_.FitTransform(std::move(x)));
 
   // Stage 1: working/idle labels.
   std::vector<int> labels(windowed.y.size());

@@ -122,7 +122,7 @@ Status UsageLevelClassifier::Train(const VehicleDataset& ds,
     selected_columns_ = ColumnsForLags(all_columns_, lags);
     x = x.SelectColumns(selected_columns_);
   }
-  VUP_ASSIGN_OR_RETURN(x, scaler_.FitTransform(x));
+  VUP_ASSIGN_OR_RETURN(x, scaler_.FitTransform(std::move(x)));
 
   const size_t n = windowed.y.size();
   for (int level = 0; level < kNumUsageLevels; ++level) {

@@ -156,15 +156,10 @@ class CompactModel final : public Regressor {
       case kAlgLasso:
         // LinearRegression::PredictOne and Lasso::PredictOne.
         return intercept_ + Dot(features, {coef_, nf_});
-      case kAlgSvr: {
+      case kAlgSvr:
         // Svr::PredictOne.
-        double sum = bias_;
-        for (size_t s = 0; s < num_sv_; ++s) {
-          sum += beta_[s] * KernelFunction(kernel_, {sv_ + nf_ * s, nf_},
-                                           features);
-        }
-        return sum;
-      }
+        return KernelExpansion(kernel_, {sv_, nf_ * num_sv_},
+                               {beta_, num_sv_}, bias_, features);
       case kAlgGb: {
         // GradientBoosting::PredictOne over RegressionTree::LeafIndex.
         double sum = init_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/check.h"
 #include "ml/lanes.h"
@@ -47,84 +48,155 @@ double KernelFunction(const KernelParams& params, std::span<const double> a,
   return 0.0;
 }
 
+double KernelExpansion(const KernelParams& params,
+                       std::span<const double> support,
+                       std::span<const double> beta, double bias,
+                       std::span<const double> x) {
+  const size_t d = x.size();
+  VUP_CHECK(support.size() == beta.size() * d);
+  double sum = bias;
+  for (size_t s = 0; s < beta.size(); ++s) {
+    sum += beta[s] * KernelFunction(params, support.subspan(s * d, d), x);
+  }
+  return sum;
+}
+
 namespace {
 
-/// Rows per panel of the packed design: one lane per row.
-constexpr size_t kPanelRows = kLaneWidth;
+/// Rows per panel of the packed design; one lane per row.
+constexpr size_t kPanelRows = 8;
 
-/// sq[4q + l] = sum over c = 0..d-1, in order, of (xi[c] - x(4(b+q) + l,
-/// c))^2 for the `count` panels b, b+1, ... that start at `panels` (see
-/// KernelMatrix for the layout). A block of four panels -- 16 lanes --
-/// stays in registers across the whole c loop. Each lane is its own add
-/// chain in KernelFunction's order, so no sum is reassociated.
-VUP_LANE_CLONES
-void PanelSquaredDistances(const double* xi, const double* panels, size_t d,
-                           size_t count, double* sq) {
+/// out[r * ld + v * W + l] = ||x_(i0 + r) - x_(j0 + v * W + l)||^2 for
+/// r < kRows, v < kVecs, l < W: a block of kRows rows against kVecs * W
+/// columns, both read from the packed panels (see KernelMatrix). The
+/// kRows * kVecs accumulators stay in registers across the whole c loop,
+/// and each panel load serves kRows rows. Each lane is one pair's own add
+/// chain over c = 0..d-1 in KernelFunction's order, so no sum is
+/// reassociated. i0 is a multiple of kRows, j0 of W, and both divide
+/// kPanelRows, so no row block or vector straddles two panels.
+template <size_t W, size_t kRows, size_t kVecs>
+VUP_LANE_INLINE void DistanceBlock(const double* panels, size_t d, size_t i0,
+                                   size_t j0, double* out, size_t ld) {
+  typedef typename LaneVec<W>::T V;
   const size_t stride = d * kPanelRows;  // Doubles per panel.
-  size_t q = 0;
-  for (; q + 4 <= count; q += 4) {
-    const double* p = panels + q * stride;
-    Lanes s0 = {}, s1 = {}, s2 = {}, s3 = {};
-    for (size_t c = 0; c < d; ++c) {
-      const double xic = xi[c];
-      const double* pc = p + c * kPanelRows;
-      const Lanes d0 = xic - LanesAt(pc);
-      const Lanes d1 = xic - LanesAt(pc + stride);
-      const Lanes d2 = xic - LanesAt(pc + 2 * stride);
-      const Lanes d3 = xic - LanesAt(pc + 3 * stride);
-      s0 += d0 * d0;
-      s1 += d1 * d1;
-      s2 += d2 * d2;
-      s3 += d3 * d3;
-    }
-    double* out = sq + q * kPanelRows;
-    LanesAt(out) = s0;
-    LanesAt(out + kPanelRows) = s1;
-    LanesAt(out + 2 * kPanelRows) = s2;
-    LanesAt(out + 3 * kPanelRows) = s3;
+  const double* rows = panels + i0 / kPanelRows * stride + i0 % kPanelRows;
+  const double* cols[kVecs];
+  for (size_t v = 0; v < kVecs; ++v) {
+    const size_t j = j0 + v * W;
+    cols[v] = panels + j / kPanelRows * stride + j % kPanelRows;
   }
-  for (; q < count; ++q) {
-    const double* p = panels + q * stride;
-    Lanes s = {};
-    for (size_t c = 0; c < d; ++c) {
-      const Lanes diff = xi[c] - LanesAt(p + c * kPanelRows);
-      s += diff * diff;
+  V acc[kRows][kVecs] = {};
+  for (size_t c = 0; c < d; ++c) {
+    V xj[kVecs];
+    for (size_t v = 0; v < kVecs; ++v) {
+      xj[v] = LaneVec<W>::At(cols[v] + c * kPanelRows);
     }
-    LanesAt(sq + q * kPanelRows) = s;
+    for (size_t r = 0; r < kRows; ++r) {
+      const double xi = rows[c * kPanelRows + r];
+      for (size_t v = 0; v < kVecs; ++v) {
+        const V diff = xi - xj[v];
+        acc[r][v] += diff * diff;
+      }
+    }
+  }
+  for (size_t r = 0; r < kRows; ++r) {
+    for (size_t v = 0; v < kVecs; ++v) {
+      LaneVec<W>::At(out + r * ld + v * W) = acc[r][v];
+    }
   }
 }
+
+/// k(i, j) = exp(-g * ||x_i - x_j||^2) for i <= j < n, row block by row
+/// block: the block's distances to every column from its own panel on go
+/// to `sq` (kRows rows of `padded` doubles), then exp runs along each
+/// row's contiguous segment. The lower triangle is left to the caller.
+template <size_t W, size_t kRows, size_t kVecs>
+VUP_LANE_INLINE void RbfUpper(const double* panels, size_t n, size_t d,
+                              double g, double* k, size_t ldk, double* sq) {
+  const size_t padded = (n + kPanelRows - 1) / kPanelRows * kPanelRows;
+  constexpr size_t kCols = kVecs * W;
+  for (size_t i0 = 0; i0 < n; i0 += kRows) {
+    size_t j0 = i0 / W * W;
+    for (; j0 + kCols <= padded; j0 += kCols) {
+      DistanceBlock<W, kRows, kVecs>(panels, d, i0, j0, sq + j0, padded);
+    }
+    for (; j0 < padded; j0 += W) {
+      DistanceBlock<W, kRows, 1>(panels, d, i0, j0, sq + j0, padded);
+    }
+    for (size_t i = i0; i < std::min(i0 + kRows, n); ++i) {
+      const double* sq_i = sq + (i - i0) * padded;
+      double* k_i = k + i * ldk;
+      for (size_t j = i; j < n; ++j) k_i[j] = std::exp(-g * sq_i[j]);
+    }
+  }
+}
+
+// The block shape per ISA fills its vector registers without spilling:
+// 8 rows x 2 zmm (16 accumulators of 32 registers) on x86-64-v4, 4 rows x
+// 2 ymm (8 of 16) on AVX2, 4 rows x 2 xmm (8 of 16) on SSE2.
+void RbfUpperBaseline(const double* panels, size_t n, size_t d, double g,
+                      double* k, size_t ldk, double* sq) {
+  RbfUpper<2, 4, 2>(panels, n, d, g, k, ldk, sq);
+}
+
+#if VUP_LANES_X86
+VUP_TARGET_AVX2
+void RbfUpperAvx2(const double* panels, size_t n, size_t d, double g,
+                  double* k, size_t ldk, double* sq) {
+  RbfUpper<4, 4, 2>(panels, n, d, g, k, ldk, sq);
+}
+
+VUP_TARGET_AVX512
+void RbfUpperAvx512(const double* panels, size_t n, size_t d, double g,
+                    double* k, size_t ldk, double* sq) {
+  RbfUpper<8, 8, 2>(panels, n, d, g, k, ldk, sq);
+}
+#endif
 
 }  // namespace
 
 Matrix KernelMatrix(const KernelParams& params, const Matrix& x,
                     size_t min_cols) {
   const size_t n = x.rows();
-  Matrix k(n, std::max(n, min_cols));
+  const size_t ldk = std::max(n, min_cols);
+  Matrix k(n, ldk);
   if (params.type == KernelType::kRbf && n > 0) {
     const size_t d = x.cols();
     const double g = params.EffectiveGamma(d);
-    // x packed into panels of 4 rows, panel-major then feature-major:
-    // panels[(b * d + c) * 4 + l] = x(4b + l, c). Rows past n are zero.
+    // x packed into panels of 8 rows, panel-major then feature-major:
+    // panels[(b * d + c) * 8 + l] = x(8b + l, c). Rows past n are zero.
     const size_t num_panels = (n + kPanelRows - 1) / kPanelRows;
+    const size_t padded = num_panels * kPanelRows;
     std::vector<double> panels(num_panels * d * kPanelRows, 0.0);
     for (size_t r = 0; r < n; ++r) {
       double* out = panels.data() + (r / kPanelRows) * d * kPanelRows +
                     r % kPanelRows;
       for (size_t c = 0; c < d; ++c) out[c * kPanelRows] = x(r, c);
     }
-    std::vector<double> sq(num_panels * kPanelRows);
-    for (size_t i = 0; i < n; ++i) {
-      // Row i against the panels from its own onwards: sq[j - first]
-      // holds ||x_i - x_j||^2 for j >= first.
-      const size_t b = i / kPanelRows;
-      const size_t first = b * kPanelRows;
-      PanelSquaredDistances(x.Row(i).data(),
-                            panels.data() + b * d * kPanelRows, d,
-                            num_panels - b, sq.data());
-      for (size_t j = i; j < n; ++j) {
-        const double v = std::exp(-g * sq[j - first]);
-        k(i, j) = v;
-        k(j, i) = v;
+    std::vector<double> sq(kPanelRows * padded);
+    double* const kd = k.MutableRow(0).data();
+    switch (ActiveLaneIsa()) {
+#if VUP_LANES_X86
+      case LaneIsa::kAvx512:
+        RbfUpperAvx512(panels.data(), n, d, g, kd, ldk, sq.data());
+        break;
+      case LaneIsa::kAvx2:
+        RbfUpperAvx2(panels.data(), n, d, g, kd, ldk, sq.data());
+        break;
+#endif
+      default:
+        RbfUpperBaseline(panels.data(), n, d, g, kd, ldk, sq.data());
+        break;
+    }
+    // Mirror the upper triangle, one 8 x 8 tile at a time.
+    for (size_t i0 = 0; i0 < n; i0 += kPanelRows) {
+      const size_t i_end = std::min(i0 + kPanelRows, n);
+      for (size_t j0 = 0; j0 <= i0; j0 += kPanelRows) {
+        for (size_t i = i0; i < i_end; ++i) {
+          double* k_i = kd + i * ldk;
+          const size_t j_end = std::min(j0 + kPanelRows, i);
+          for (size_t j = j0; j < j_end; ++j) k_i[j] = kd[j * ldk + i];
+        }
       }
     }
     return k;

@@ -10,39 +10,44 @@ Status StandardScaler::Fit(const Matrix& x) {
   }
   const size_t n = x.rows();
   const size_t d = x.cols();
+  // Row-major passes with one running sum per column: each column's sum
+  // still adds its rows in order, the same chain as a per-column loop, and
+  // the inner loop over columns streams the matrix once per pass.
   means_.assign(d, 0.0);
-  scales_.assign(d, 1.0);
-  for (size_t c = 0; c < d; ++c) {
-    double sum = 0.0;
-    for (size_t r = 0; r < n; ++r) sum += x(r, c);
-    means_[c] = sum / static_cast<double>(n);
+  for (size_t r = 0; r < n; ++r) {
+    const double* row = x.Row(r).data();
+    for (size_t c = 0; c < d; ++c) means_[c] += row[c];
+  }
+  for (size_t c = 0; c < d; ++c) means_[c] /= static_cast<double>(n);
+  scales_.assign(d, 0.0);
+  for (size_t r = 0; r < n; ++r) {
+    const double* row = x.Row(r).data();
+    for (size_t c = 0; c < d; ++c) {
+      const double dlt = row[c] - means_[c];
+      scales_[c] += dlt * dlt;
+    }
   }
   for (size_t c = 0; c < d; ++c) {
-    double ss = 0.0;
-    for (size_t r = 0; r < n; ++r) {
-      double dlt = x(r, c) - means_[c];
-      ss += dlt * dlt;
-    }
     // Population stddev, like sklearn's StandardScaler.
-    double sd = std::sqrt(ss / static_cast<double>(n));
+    const double sd = std::sqrt(scales_[c] / static_cast<double>(n));
     scales_[c] = sd > 0.0 ? sd : 1.0;
   }
   fitted_ = true;
   return Status::OK();
 }
 
-StatusOr<Matrix> StandardScaler::Transform(const Matrix& x) const {
+StatusOr<Matrix> StandardScaler::Transform(Matrix x) const {
   if (!fitted_) return Status::FailedPrecondition("scaler not fitted");
   if (x.cols() != means_.size()) {
     return Status::InvalidArgument("column count differs from fit");
   }
-  Matrix out(x.rows(), x.cols());
   for (size_t r = 0; r < x.rows(); ++r) {
+    double* row = x.MutableRow(r).data();
     for (size_t c = 0; c < x.cols(); ++c) {
-      out(r, c) = (x(r, c) - means_[c]) / scales_[c];
+      row[c] = (row[c] - means_[c]) / scales_[c];
     }
   }
-  return out;
+  return x;
 }
 
 StatusOr<std::vector<double>> StandardScaler::TransformRow(
@@ -58,9 +63,9 @@ StatusOr<std::vector<double>> StandardScaler::TransformRow(
   return out;
 }
 
-StatusOr<Matrix> StandardScaler::FitTransform(const Matrix& x) {
+StatusOr<Matrix> StandardScaler::FitTransform(Matrix x) {
   VUP_RETURN_IF_ERROR(Fit(x));
-  return Transform(x);
+  return Transform(std::move(x));
 }
 
 }  // namespace vup

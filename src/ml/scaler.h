@@ -22,14 +22,15 @@ class StandardScaler {
   const std::vector<double>& means() const { return means_; }
   const std::vector<double>& scales() const { return scales_; }
 
-  /// (x - mean) / scale per column. FailedPrecondition when not fitted,
+  /// (x - mean) / scale per column, computed in x's own storage (pass an
+  /// rvalue to skip the copy). FailedPrecondition when not fitted,
   /// InvalidArgument on column-count mismatch.
-  StatusOr<Matrix> Transform(const Matrix& x) const;
+  StatusOr<Matrix> Transform(Matrix x) const;
   StatusOr<std::vector<double>> TransformRow(
       std::span<const double> row) const;
 
   /// Fit followed by Transform.
-  StatusOr<Matrix> FitTransform(const Matrix& x);
+  StatusOr<Matrix> FitTransform(Matrix x);
 
   /// Reconstructs a fitted scaler from serialized state (ml/serialize.h).
   static StandardScaler FromState(std::vector<double> means,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <limits>
 
 #include "ml/lanes.h"
@@ -14,8 +16,9 @@ namespace {
 /// Objective change of moving the pair by delta:
 ///   dW = 1/2 * eta * delta^2 + (f_i - f_j) * delta
 ///        + eps * (|bi + delta| - |bi|) + eps * (|bj - delta| - |bj|).
-double PairObjectiveDelta(double delta, double eta, double f_diff, double eps,
-                          double bi, double bj) {
+VUP_LANE_INLINE double PairObjectiveDelta(double delta, double eta,
+                                          double f_diff, double eps, double bi,
+                                          double bj) {
   return 0.5 * eta * delta * delta + f_diff * delta +
          eps * (std::abs(bi + delta) - std::abs(bi)) +
          eps * (std::abs(bj - delta) - std::abs(bj));
@@ -23,10 +26,12 @@ double PairObjectiveDelta(double delta, double eta, double f_diff, double eps,
 
 /// Analytic minimizer of the pair subproblem over [lo, hi]. Candidates:
 /// stationary points per sign region of (bi + delta, bj - delta), plus the
-/// kinks and the box ends.
-void BestPairStep(double eta, double f_diff, double eps, double bi, double bj,
-                  double lo, double hi, double* best_delta,
-                  double* best_obj) {
+/// kinks and the box ends. Inlined into each path's SMO loop, like
+/// everything that loop calls: a call from the x86-64-v4 loop out to
+/// baseline (SSE) code made the SMO about 1.5x slower.
+VUP_LANE_INLINE void BestPairStep(double eta, double f_diff, double eps,
+                                  double bi, double bj, double lo, double hi,
+                                  double* best_delta, double* best_obj) {
   double candidates[8];
   int num_candidates = 0;
   for (double sa : {-1.0, 1.0}) {
@@ -58,10 +63,58 @@ struct UpDownScan {
   double m_down;
 };
 
-/// The SMO scans run kStripes independent lane vectors per block of
-/// kBlock rows, so their loop-carried compare-and-select chains overlap.
-constexpr size_t kStripes = 2;
-constexpr size_t kBlock = kStripes * kLaneWidth;
+/// The SMO scans run over blocks of kBlock rows: kBlock / W vectors of W
+/// lanes ("stripes"), whose loop-carried compare-and-select chains
+/// overlap.
+constexpr size_t kBlock = 8;
+
+/// Sets every lane of the LaneVec value `v` to `x`.
+template <typename V>
+VUP_LANE_INLINE void FillLanes(V& v, double x) {
+  double lanes[sizeof(V) / sizeof(double)];
+  std::fill(std::begin(lanes), std::end(lanes), x);
+  std::memcpy(&v, lanes, sizeof(V));
+}
+
+/// The smallest (kLess) or largest of the kBlock NaN-free lanes of `v`;
+/// where lanes compare equal, any one of them.
+template <bool kLess, size_t W, typename V = typename LaneVec<W>::T>
+VUP_LANE_INLINE double LaneExtreme(const V (&v)[kBlock / W]) {
+  V m = v[0];
+  for (size_t h = 1; h < kBlock / W; ++h) {
+    m = (kLess ? v[h] < m : v[h] > m) ? v[h] : m;
+  }
+  double out = m[0];
+  for (size_t l = 1; l < W; ++l) {
+    out = (kLess ? m[l] < out : m[l] > out) ? m[l] : out;
+  }
+  return out;
+}
+
+/// The lowest of the rows `rows` (row numbers as doubles, exact below
+/// 2^53) whose lane of `v` equals `target`; `none` when there is none.
+template <size_t W, typename V = typename LaneVec<W>::T>
+VUP_LANE_INLINE double LowestRowAt(const V (&v)[kBlock / W],
+                                   const V (&rows)[kBlock / W],
+                                   double target, double none) {
+  V r;
+  FillLanes(r, none);
+  for (size_t h = 0; h < kBlock / W; ++h) {
+    const V at = v[h] == target ? rows[h] : none;
+    r = at < r ? at : r;
+  }
+  double out = r[0];
+  for (size_t l = 1; l < W; ++l) out = r[l] < out ? r[l] : out;
+  return out;
+}
+
+/// row[h] = the rows h * W + l of block 0, as doubles.
+template <size_t W, typename V = typename LaneVec<W>::T>
+VUP_LANE_INLINE void FirstRows(V (&row)[kBlock / W]) {
+  double rows[kBlock];
+  for (size_t t = 0; t < kBlock; ++t) rows[t] = static_cast<double>(t);
+  for (size_t h = 0; h < kBlock / W; ++h) row[h] = LaneVec<W>::At(rows + h * W);
+}
 
 /// One pass over the padded rows [0, padded): first the previous step's
 /// gradient update f[t] += delta * (ri[t] - rj[t]) (skipped when `ri` is
@@ -74,55 +127,57 @@ constexpr size_t kBlock = kStripes * kLaneWidth;
 /// Row t runs in lane t % kBlock. Each lane keeps its first strict minimum
 /// of up; across lanes the smallest value wins and the lowest row breaks a
 /// tie. That is the row the sequential `<` scan picks -- the first row
-/// whose up compares equal to the minimum -- and it carries that row's
-/// bits.
-VUP_LANE_CLONES
-UpDownScan UpdateAndScan(size_t n, size_t padded, double delta,
-                         const double* ri, const double* rj,
-                         const double* beta, double upper, double eps,
-                         double* f, double* down) {
+/// whose up compares equal to the minimum -- and m_up is recomputed from
+/// that row, so it carries that row's bits. The cross-lane reductions are
+/// branch-free: a minimum, then the lowest row among the lanes equal to
+/// it.
+template <size_t W>
+VUP_LANE_INLINE UpDownScan UpdateAndScan(size_t n, size_t padded,
+                                         double delta, const double* ri,
+                                         const double* rj,
+                                         const double* beta, double upper,
+                                         double eps, double* f,
+                                         double* down) {
+  typedef LaneVec<W> L;
+  typedef typename L::T V;
+  constexpr size_t kStripes = kBlock / W;
   const double inf = std::numeric_limits<double>::infinity();
-  const int64_t none = static_cast<int64_t>(n);
-  Lanes best_up[kStripes], best_down[kStripes];
-  LaneMask best_i[kStripes], row[kStripes];
+  const double none = static_cast<double>(n);
+  V best_up[kStripes], best_down[kStripes], best_i[kStripes], row[kStripes];
+  FirstRows<W>(row);
   for (size_t h = 0; h < kStripes; ++h) {
-    best_up[h] = Lanes{inf, inf, inf, inf};
-    best_down[h] = best_up[h];
-    best_i[h] = LaneMask{none, none, none, none};
-    const int64_t r0 = static_cast<int64_t>(h * kLaneWidth);
-    row[h] = LaneMask{r0, r0 + 1, r0 + 2, r0 + 3};
+    FillLanes(best_up[h], inf);
+    FillLanes(best_down[h], inf);
+    FillLanes(best_i[h], none);
   }
   for (size_t t0 = 0; t0 < padded; t0 += kBlock) {
     for (size_t h = 0; h < kStripes; ++h) {
-      const size_t t = t0 + h * kLaneWidth;
-      Lanes ft = LanesAt(f + t);
+      const size_t t = t0 + h * W;
+      V ft = L::At(f + t);
       if (ri != nullptr) {
-        ft += delta * (LanesAt(ri + t) - LanesAt(rj + t));
-        LanesAt(f + t) = ft;
+        ft += delta * (L::At(ri + t) - L::At(rj + t));
+        L::At(f + t) = ft;
       }
-      const Lanes bt = LanesAt(beta + t);
-      const Lanes up = ft + (bt < -1e-12 ? -eps : eps);
-      const LaneMask wins = (bt < upper) & (up < best_up[h]);
-      best_up[h] = wins ? up : best_up[h];
+      const V bt = L::At(beta + t);
+      const V up = ft + (bt < -1e-12 ? -eps : eps);
+      // A row that cannot move up competes with +inf, which never wins:
+      // one mask drives both selects.
+      const V cand = bt < upper ? up : inf;
+      const typename L::Mask wins = cand < best_up[h];
+      best_up[h] = wins ? cand : best_up[h];
       best_i[h] = wins ? row[h] : best_i[h];
-      Lanes dn = -ft + (bt > 1e-12 ? -eps : eps);
+      V dn = -ft + (bt > 1e-12 ? -eps : eps);
       dn = bt > -upper ? dn : inf;
-      LanesAt(down + t) = dn;
+      L::At(down + t) = dn;
       best_down[h] = dn < best_down[h] ? dn : best_down[h];
-      row[h] += kBlock;
+      row[h] += static_cast<double>(kBlock);
     }
   }
-  UpDownScan scan{inf, n, inf};
-  for (size_t h = 0; h < kStripes; ++h) {
-    for (size_t l = 0; l < kLaneWidth; ++l) {
-      const size_t i = static_cast<size_t>(best_i[h][l]);
-      const double up = best_up[h][l];
-      if (up < scan.m_up || (up == scan.m_up && i < scan.i)) {
-        scan.m_up = up;
-        scan.i = i;
-      }
-      scan.m_down = std::min(scan.m_down, best_down[h][l]);
-    }
+  UpDownScan scan{inf, n, LaneExtreme<true, W>(best_down)};
+  scan.i = static_cast<size_t>(
+      LowestRowAt<W>(best_up, best_i, LaneExtreme<true, W>(best_up), none));
+  if (scan.i < n) {
+    scan.m_up = f[scan.i] + (beta[scan.i] < -1e-12 ? -eps : eps);
   }
   return scan;
 }
@@ -132,45 +187,120 @@ UpDownScan UpdateAndScan(size_t n, size_t padded, double delta,
 /// count when no row gains. Rows that cannot move down, the row i itself
 /// and padded rows carry down = +inf, so b < 0 fails for them. Ties go to
 /// the lowest row, as in the sequential `>` scan (see UpdateAndScan).
-VUP_LANE_CLONES
-size_t SelectPartner(size_t n, size_t padded, double m_up, double diag_i,
-                     const double* diag, const double* ri,
-                     const double* down) {
-  const int64_t none = static_cast<int64_t>(n);
-  Lanes best_gain[kStripes];
-  LaneMask best_j[kStripes], row[kStripes];
+template <size_t W>
+VUP_LANE_INLINE size_t SelectPartner(size_t n, size_t padded, double m_up,
+                                     double diag_i, const double* diag,
+                                     const double* ri, const double* down) {
+  typedef LaneVec<W> L;
+  typedef typename L::T V;
+  constexpr size_t kStripes = kBlock / W;
+  const double none = static_cast<double>(n);
+  V best_gain[kStripes], best_j[kStripes], row[kStripes];
+  FirstRows<W>(row);
   for (size_t h = 0; h < kStripes; ++h) {
-    best_gain[h] = Lanes{};
-    best_j[h] = LaneMask{none, none, none, none};
-    const int64_t r0 = static_cast<int64_t>(h * kLaneWidth);
-    row[h] = LaneMask{r0, r0 + 1, r0 + 2, r0 + 3};
+    FillLanes(best_gain[h], 0.0);
+    FillLanes(best_j[h], none);
   }
   for (size_t t0 = 0; t0 < padded; t0 += kBlock) {
     for (size_t h = 0; h < kStripes; ++h) {
-      const size_t t = t0 + h * kLaneWidth;
-      const Lanes b = m_up + LanesAt(down + t);
-      Lanes a = diag_i + LanesAt(diag + t) - 2.0 * LanesAt(ri + t);
+      const size_t t = t0 + h * W;
+      const V b = m_up + L::At(down + t);
+      V a = diag_i + L::At(diag + t) - 2.0 * L::At(ri + t);
       a = a < 1e-12 ? 1e-12 : a;
-      const Lanes gain = b * b / a;
-      const LaneMask wins = (b < 0.0) & (gain > best_gain[h]);
-      best_gain[h] = wins ? gain : best_gain[h];
+      const V gain = b * b / a;
+      // A row with b >= 0 competes with gain 0, which never wins.
+      const V cand = b < 0.0 ? gain : 0.0;
+      const typename L::Mask wins = cand > best_gain[h];
+      best_gain[h] = wins ? cand : best_gain[h];
       best_j[h] = wins ? row[h] : best_j[h];
-      row[h] += kBlock;
+      row[h] += static_cast<double>(kBlock);
     }
   }
-  double gain = 0.0;
-  size_t j = n;
-  for (size_t h = 0; h < kStripes; ++h) {
-    for (size_t l = 0; l < kLaneWidth; ++l) {
-      const size_t t = static_cast<size_t>(best_j[h][l]);
-      if (best_gain[h][l] > gain || (best_gain[h][l] == gain && t < j)) {
-        gain = best_gain[h][l];
-        j = t;
-      }
-    }
-  }
-  return j;
+  // No winner leaves every lane at gain 0 with row `none`.
+  return static_cast<size_t>(LowestRowAt<W>(
+      best_gain, best_j, LaneExtreme<false, W>(best_gain), none));
 }
+
+/// One fit's solver state, padded to whole blocks (see Svr::Fit).
+struct SmoProblem {
+  size_t n;
+  size_t padded;
+  const Matrix* gram;  // Rows padded with zeros to `padded` columns.
+  const double* diag;
+  double* beta;
+  double* f;
+  double* down;
+  double c;
+  double eps;
+  double upper;  // Box test bound: beta < upper can move up.
+  double tol;
+  size_t max_iterations;
+};
+
+/// The SMO loop from beta = 0, its scans W lanes per vector. up/down are
+/// the one-sided derivatives of the dual for raising/lowering one
+/// coefficient; moving the pair (i up, j down) improves the dual iff
+/// up(i) + down(j) < 0. The maximal violation -(m_up + m_down) is the KKT
+/// gap that libsvm stops on.
+///
+/// Second-order working-set selection (Fan, Chen & Lin, JMLR 2005): i is
+/// the steepest "up" row, j the "down" row whose exact pair step gains
+/// the most, b^2 / a with b = up(i) + down(j) and a the pair curvature.
+/// Each step's f update is fused with the next step's up/down scan.
+template <size_t W>
+VUP_LANE_INLINE Svr::FitStats SolveSmo(const SmoProblem& p) {
+  const size_t n = p.n;
+  double* const beta = p.beta;
+  double* const f = p.f;
+  Svr::FitStats stats;
+  UpDownScan scan = UpdateAndScan<W>(n, p.padded, 0.0, nullptr, nullptr,
+                                     beta, p.upper, p.eps, f, p.down);
+  while (true) {
+    stats.gap = std::max(0.0, -(scan.m_up + scan.m_down));
+    if (stats.gap <= p.tol || stats.iterations >= p.max_iterations) break;
+
+    const size_t i = scan.i;
+    const double* const row_i = p.gram->Row(i).data();
+    p.down[i] = std::numeric_limits<double>::infinity();  // j != i.
+    const size_t j = SelectPartner<W>(n, p.padded, scan.m_up, p.diag[i],
+                                      p.diag, row_i, p.down);
+    if (j == n) break;
+
+    const double* const row_j = p.gram->Row(j).data();
+    const double eta =
+        std::max(p.diag[i] + p.diag[j] - 2.0 * row_i[j], 1e-12);
+    const double bi = beta[i];
+    const double bj = beta[j];
+    const double lo = std::max(-p.c - bi, bj - p.c);
+    const double hi = std::min(p.c - bi, bj + p.c);
+    double delta = 0.0;
+    double obj = 0.0;
+    BestPairStep(eta, f[i] - f[j], p.eps, bi, bj, lo, hi, &delta, &obj);
+    // A violating pair always has a descent step; none means rounding ate
+    // it, and picking the same pair again would not change that.
+    if (delta == 0.0) break;
+
+    beta[i] += delta;
+    beta[j] -= delta;
+    ++stats.iterations;
+    scan = UpdateAndScan<W>(n, p.padded, delta, row_i, row_j, beta, p.upper,
+                            p.eps, f, p.down);
+  }
+  return stats;
+}
+
+// Lanes per vector on each path: four 2-lane stripes on the baseline
+// (SSE2) path, two 4-lane stripes on AVX2, one 8-lane stripe on
+// x86-64-v4, where mask registers keep the whole scan in registers.
+Svr::FitStats SolveSmoBaseline(const SmoProblem& p) { return SolveSmo<2>(p); }
+
+#if VUP_LANES_X86
+VUP_TARGET_AVX2
+Svr::FitStats SolveSmoAvx2(const SmoProblem& p) { return SolveSmo<4>(p); }
+
+VUP_TARGET_AVX512
+Svr::FitStats SolveSmoAvx512(const SmoProblem& p) { return SolveSmo<8>(p); }
+#endif
 
 }  // namespace
 
@@ -200,8 +330,6 @@ Status Svr::Fit(const Matrix& x, std::span<const double> y) {
 
   const size_t n = x.rows();
   num_features_ = x.cols();
-  const double c = options_.c;
-  const double eps = options_.epsilon;
 
   KernelParams kernel = options_.kernel;
   if (kernel.gamma <= 0.0) {
@@ -224,54 +352,31 @@ Status Svr::Fit(const Matrix& x, std::span<const double> y) {
   for (size_t i = 0; i < n; ++i) f[i] = -y[i];
   std::vector<double> down(padded);
 
-  // up/down are the one-sided derivatives of the dual for raising/lowering
-  // one coefficient; moving the pair (i up, j down) improves the dual iff
-  // up(i) + down(j) < 0. The maximal violation -(m_up + m_down) is the KKT
-  // gap that libsvm stops on.
-  const double upper = c * (1.0 - 1e-9);
-
-  // Second-order working-set selection (Fan, Chen & Lin, JMLR 2005): i is
-  // the steepest "up" row, j the "down" row whose exact pair step gains
-  // the most, b^2 / a with b = up(i) + down(j) and a the pair curvature.
-  // Each step's f update is fused with the next step's up/down scan.
-  const size_t max_iterations = options_.max_sweeps * n;
-  size_t iterations = 0;
-  double gap = 0.0;
-  UpDownScan scan = UpdateAndScan(n, padded, 0.0, nullptr, nullptr,
-                                  beta.data(), upper, eps, f.data(),
-                                  down.data());
-  while (true) {
-    gap = std::max(0.0, -(scan.m_up + scan.m_down));
-    if (gap <= options_.tol || iterations >= max_iterations) break;
-
-    const size_t i = scan.i;
-    const double* const row_i = gram.Row(i).data();
-    down[i] = std::numeric_limits<double>::infinity();  // j != i.
-    const size_t j = SelectPartner(n, padded, scan.m_up, diag[i],
-                                   diag.data(), row_i, down.data());
-    if (j == n) break;
-
-    const double* const row_j = gram.Row(j).data();
-    const double eta = std::max(diag[i] + diag[j] - 2.0 * row_i[j], 1e-12);
-    const double bi = beta[i];
-    const double bj = beta[j];
-    const double lo = std::max(-c - bi, bj - c);
-    const double hi = std::min(c - bi, bj + c);
-    double delta = 0.0;
-    double obj = 0.0;
-    BestPairStep(eta, f[i] - f[j], eps, bi, bj, lo, hi, &delta, &obj);
-    // A violating pair always has a descent step; none means rounding ate
-    // it, and picking the same pair again would not change that.
-    if (delta == 0.0) break;
-
-    beta[i] += delta;
-    beta[j] -= delta;
-    ++iterations;
-    scan = UpdateAndScan(n, padded, delta, row_i, row_j, beta.data(), upper,
-                         eps, f.data(), down.data());
+  const SmoProblem problem{.n = n,
+                           .padded = padded,
+                           .gram = &gram,
+                           .diag = diag.data(),
+                           .beta = beta.data(),
+                           .f = f.data(),
+                           .down = down.data(),
+                           .c = options_.c,
+                           .eps = options_.epsilon,
+                           .upper = options_.c * (1.0 - 1e-9),
+                           .tol = options_.tol,
+                           .max_iterations = options_.max_sweeps * n};
+  switch (ActiveLaneIsa()) {
+#if VUP_LANES_X86
+    case LaneIsa::kAvx512:
+      fit_stats_ = SolveSmoAvx512(problem);
+      break;
+    case LaneIsa::kAvx2:
+      fit_stats_ = SolveSmoAvx2(problem);
+      break;
+#endif
+    default:
+      fit_stats_ = SolveSmoBaseline(problem);
+      break;
   }
-  fit_stats_.iterations = iterations;
-  fit_stats_.gap = gap;
 
   FinishFit(x, std::span(beta).first(n), std::span(f).first(n), kernel);
   return Status::OK();
@@ -325,12 +430,8 @@ StatusOr<double> Svr::PredictOne(std::span<const double> features) const {
   if (features.size() != num_features_) {
     return Status::InvalidArgument("feature count differs from training");
   }
-  double sum = bias_;
-  for (size_t s = 0; s < beta_.size(); ++s) {
-    sum += beta_[s] * KernelFunction(options_.kernel, support_.Row(s),
-                                     features);
-  }
-  return sum;
+  return KernelExpansion(options_.kernel, support_.data(), beta_, bias_,
+                         features);
 }
 
 }  // namespace vup

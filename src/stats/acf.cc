@@ -47,21 +47,24 @@ double AcfSignificanceBound(size_t n) {
 std::vector<size_t> TopKLagsByAcf(std::span<const double> acf, size_t k) {
   std::vector<size_t> lags;
   if (acf.size() <= 1) return lags;
-  for (size_t lag = 1; lag < acf.size(); ++lag) lags.push_back(lag);
   // Rank non-finite ACF values (NaN/inf) as minus-infinity: NaN compares
-  // false against everything, which would otherwise break std::sort's
+  // false against everything, which would otherwise break the sort's
   // strict-weak-ordering contract (undefined behavior).
-  auto rank = [&acf](size_t lag) {
-    double v = acf[lag];
-    return std::isfinite(v) ? v : -std::numeric_limits<double>::infinity();
-  };
-  std::sort(lags.begin(), lags.end(), [&rank](size_t a, size_t b) {
-    const double ra = rank(a);
-    const double rb = rank(b);
-    if (ra != rb) return ra > rb;
-    return a < b;
-  });
-  if (lags.size() > k) lags.resize(k);
+  std::vector<double> rank(acf.size());
+  for (size_t lag = 1; lag < acf.size(); ++lag) {
+    const double v = acf[lag];
+    rank[lag] = std::isfinite(v) ? v : -std::numeric_limits<double>::infinity();
+    lags.push_back(lag);
+  }
+  // Ties go to the smaller lag, so the order is total and the first k of
+  // a partial sort are exactly the first k of a full sort.
+  const size_t keep = std::min(k, lags.size());
+  std::partial_sort(lags.begin(), lags.begin() + keep, lags.end(),
+                    [&rank](size_t a, size_t b) {
+                      if (rank[a] != rank[b]) return rank[a] > rank[b];
+                      return a < b;
+                    });
+  lags.resize(keep);
   return lags;
 }
 

@@ -133,6 +133,30 @@ TEST(ColumnsForLagsTest, KeepsSelectedLagAndContextColumns) {
   }
 }
 
+TEST(ColumnsForLagsTest, MatchesLinearScanReference) {
+  // The lag bitmap keeps exactly the columns a scan of the lag list keeps,
+  // for unsorted and repeated lags and lags no column carries.
+  WindowingConfig cfg;
+  cfg.lookback_w = 12;
+  cfg.include_lag_context = true;
+  std::vector<WindowColumn> columns = MakeWindowColumns(cfg);
+  auto reference = [&columns](const std::vector<size_t>& lags) {
+    std::vector<size_t> out;
+    for (size_t c = 0; c < columns.size(); ++c) {
+      if (columns[c].kind == WindowColumn::Kind::kTargetContext ||
+          std::find(lags.begin(), lags.end(), columns[c].lag) != lags.end()) {
+        out.push_back(c);
+      }
+    }
+    return out;
+  };
+  const std::vector<std::vector<size_t>> cases = {
+      {}, {1}, {12}, {3, 1, 7}, {5, 5, 2}, {0, 13, 1000}, {12, 11, 10, 9, 8}};
+  for (const std::vector<size_t>& lags : cases) {
+    EXPECT_EQ(ColumnsForLags(columns, lags), reference(lags));
+  }
+}
+
 TEST(ColumnsForLagsTest, NoLagsKeepsOnlyContext) {
   WindowingConfig cfg;
   cfg.lookback_w = 3;

@@ -14,6 +14,7 @@
 
 #include "common/random.h"
 #include "core/evaluation.h"
+#include "core/feature_selection.h"
 #include "core/forecaster.h"
 #include "obs/metrics.h"
 #include "pipeline/dataset.h"
@@ -178,6 +179,37 @@ TEST(IncrementalTrainingTest, ForecasterReusedAcrossSlidingSpans) {
   EXPECT_GT(advances, 0.0);
   EXPECT_GE(rebuilds, 1.0);
   EXPECT_GT(advances, rebuilds);
+}
+
+TEST(IncrementalTrainingTest, ColumnListFollowsTheLagSet) {
+  // Train keeps the last column list while the selected lag set is
+  // unchanged and rebuilds it when the set changes; either way it is the
+  // lag set's own column list. Both training paths, one forecaster each.
+  VehicleDataset ds = MakeDataset(160, 23);
+  for (bool incremental : {true, false}) {
+    ForecasterConfig cfg;
+    cfg.algorithm = Algorithm::kLinearRegression;
+    cfg.windowing.lookback_w = 20;
+    cfg.selection.top_k = 7;
+    cfg.incremental_training = incremental;
+    VehicleForecaster forecaster(cfg);
+    const std::vector<WindowColumn> columns =
+        MakeWindowColumns(cfg.windowing);
+    std::vector<size_t> previous;
+    size_t changes = 0;
+    size_t repeats = 0;
+    for (size_t begin = 20; begin + 40 < ds.num_days(); ++begin) {
+      ASSERT_TRUE(forecaster.Train(ds, begin, begin + 30).ok());
+      const std::vector<size_t>& lags = forecaster.selected_lags();
+      EXPECT_EQ(forecaster.selected_columns(), ColumnsForLags(columns, lags))
+          << "incremental=" << incremental << " span at " << begin;
+      if (!previous.empty()) ++(lags == previous ? repeats : changes);
+      previous = lags;
+    }
+    // The walk both keeps and changes its lag set.
+    EXPECT_GT(changes, 0u) << "incremental=" << incremental;
+    EXPECT_GT(repeats, 0u) << "incremental=" << incremental;
+  }
 }
 
 TEST(IncrementalTrainingTest, DatasetSwitchResetsCaches) {

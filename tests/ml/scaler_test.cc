@@ -1,6 +1,12 @@
 #include "ml/scaler.h"
 
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/random.h"
 
 namespace vup {
 namespace {
@@ -46,6 +52,48 @@ TEST(StandardScalerTest, NewDataUsesTrainingStatistics) {
   std::vector<double> out = s.TransformRow(std::vector<double>{20.0}).value();
   // mean 5, stddev 5 -> (20-5)/5 = 3.
   EXPECT_DOUBLE_EQ(out[0], 3.0);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(StandardScalerTest, StatisticsMatchColumnOrderReference) {
+  // Fit accumulates row by row with one running sum per column; each
+  // column must still get the bits of a per-column loop over its rows.
+  Rng rng(41);
+  const size_t n = 140;
+  const size_t d = 89;
+  Matrix x(n, d);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < d; ++c) x(r, c) = rng.Normal();
+    x(r, 3) = 2.5;                                 // Constant column.
+    x(r, 7) = 1e15 + 1e3 * rng.Normal();           // Large offset.
+    x(r, 11) = 1e150 * rng.Normal();               // Large magnitude.
+    x(r, 13) = 1e-150 * rng.Normal();              // Tiny magnitude.
+  }
+  StandardScaler scaler;
+  ASSERT_TRUE(scaler.Fit(x).ok());
+  Matrix t = scaler.Transform(x).value();
+  for (size_t c = 0; c < d; ++c) {
+    double sum = 0.0;
+    for (size_t r = 0; r < n; ++r) sum += x(r, c);
+    const double mean = sum / static_cast<double>(n);
+    double ss = 0.0;
+    for (size_t r = 0; r < n; ++r) {
+      const double dlt = x(r, c) - mean;
+      ss += dlt * dlt;
+    }
+    const double sd = std::sqrt(ss / static_cast<double>(n));
+    const double scale = sd > 0.0 ? sd : 1.0;
+    EXPECT_TRUE(SameBits(scaler.means()[c], mean)) << "column " << c;
+    EXPECT_TRUE(SameBits(scaler.scales()[c], scale)) << "column " << c;
+    for (size_t r = 0; r < n; ++r) {
+      EXPECT_TRUE(SameBits(t(r, c), (x(r, c) - mean) / scale))
+          << "row " << r << " column " << c;
+    }
+  }
+  EXPECT_EQ(scaler.scales()[3], 1.0);
 }
 
 TEST(StandardScalerTest, Errors) {

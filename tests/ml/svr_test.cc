@@ -13,6 +13,7 @@
 #include "core/experiment.h"
 #include "core/forecaster.h"
 #include "core/windowing.h"
+#include "ml/lanes.h"
 #include "ml/metrics.h"
 #include "stats/descriptive.h"
 #include "telemetry/fleet.h"
@@ -76,12 +77,30 @@ TEST(KernelTest, MatrixIsSymmetricWithUnitDiagonal) {
   }
 }
 
+TEST(LanesTest, ScopedPathNestsAndRestores) {
+  const std::vector<LaneIsa> isas = SupportedLaneIsas();
+  ASSERT_FALSE(isas.empty());
+  EXPECT_EQ(isas.front(), LaneIsa::kBaseline);
+  EXPECT_EQ(ActiveLaneIsa(), isas.back());  // The widest supported path.
+  {
+    ScopedLaneIsa outer(LaneIsa::kBaseline);
+    EXPECT_EQ(ActiveLaneIsa(), LaneIsa::kBaseline);
+    {
+      ScopedLaneIsa inner(isas.back());
+      EXPECT_EQ(ActiveLaneIsa(), isas.back());
+    }
+    EXPECT_EQ(ActiveLaneIsa(), LaneIsa::kBaseline);
+  }
+  EXPECT_EQ(ActiveLaneIsa(), isas.back());
+}
+
 TEST(KernelTest, MatrixIsBitwiseKernelFunction) {
-  // KernelMatrix computes RBF entries lane-parallel over 4-row panels of
-  // x, four panels at a time; every entry must still carry
-  // KernelFunction's exact bits. The sizes cover a lone row, each panel
-  // remainder, the edges of the four-panel block (n = 15, 16, 17) and the
-  // walk-forward design (n = 140, d = 89).
+  // KernelMatrix computes RBF entries lane-parallel over 8-row panels of
+  // x, in register blocks of rows against whole panels; every entry must
+  // still carry KernelFunction's exact bits, on every lane path this CPU
+  // runs. The sizes cover a lone row, each panel remainder, the edges of
+  // one, two and three panels and of the two-panel block (n = 7..9,
+  // 15..17, 23..25, 33) and the walk-forward design (n = 140, d = 89).
   KernelParams rbf_auto;
   KernelParams rbf;
   rbf.gamma = 0.37;
@@ -92,28 +111,34 @@ TEST(KernelTest, MatrixIsBitwiseKernelFunction) {
   poly.gamma = 0.5;
   poly.coef0 = 1.0;
   poly.degree = 3;
-  Rng rng(17);
-  for (size_t n : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 140}) {
-    for (size_t d : {1, 3, 89}) {
-      Matrix x(n, d);
-      for (size_t r = 0; r < n; ++r) {
-        for (size_t c = 0; c < d; ++c) x(r, c) = rng.Normal();
-      }
-      for (const KernelParams& params : {rbf_auto, rbf, linear, poly}) {
-        Matrix k = KernelMatrix(params, x);
-        size_t mismatches = 0;
-        for (size_t i = 0; i < n; ++i) {
-          for (size_t j = 0; j < n; ++j) {
-            const double expected = KernelFunction(params, x.Row(i), x.Row(j));
-            const double actual = k(i, j);
-            if (std::memcmp(&expected, &actual, sizeof(double)) != 0) {
-              ++mismatches;
+  for (LaneIsa isa : SupportedLaneIsas()) {
+    ScopedLaneIsa scoped(isa);
+    SCOPED_TRACE(std::string(LaneIsaName(isa)));
+    Rng rng(17);
+    for (size_t n :
+         {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 23, 24, 25, 33, 140}) {
+      for (size_t d : {1, 3, 89}) {
+        Matrix x(n, d);
+        for (size_t r = 0; r < n; ++r) {
+          for (size_t c = 0; c < d; ++c) x(r, c) = rng.Normal();
+        }
+        for (const KernelParams& params : {rbf_auto, rbf, linear, poly}) {
+          Matrix k = KernelMatrix(params, x);
+          size_t mismatches = 0;
+          for (size_t i = 0; i < n; ++i) {
+            for (size_t j = 0; j < n; ++j) {
+              const double expected =
+                  KernelFunction(params, x.Row(i), x.Row(j));
+              const double actual = k(i, j);
+              if (std::memcmp(&expected, &actual, sizeof(double)) != 0) {
+                ++mismatches;
+              }
             }
           }
+          EXPECT_EQ(mismatches, 0u)
+              << KernelTypeToString(params.type) << " gamma=" << params.gamma
+              << " n=" << n << " d=" << d;
         }
-        EXPECT_EQ(mismatches, 0u)
-            << KernelTypeToString(params.type) << " gamma=" << params.gamma
-            << " n=" << n << " d=" << d;
       }
     }
   }
@@ -355,61 +380,66 @@ void ExpectMatchesScalarReference(const Svr::Options& options,
 }
 
 TEST(SvrTest, SolverIsBitwiseScalarReference) {
-  // Sizes around the solver's lane blocks and the walk-forward TW.
-  Rng rng(29);
-  for (size_t n : {1, 2, 3, 4, 5, 7, 8, 9, 33, 140}) {
-    const size_t d = n == 140 ? 89 : 3;
-    Matrix x(n, d);
-    std::vector<double> y(n);
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t c = 0; c < d; ++c) x(r, c) = rng.Normal();
-      y[r] = 3.0 * rng.Normal();
+  // Every lane path this CPU runs.
+  for (LaneIsa isa : SupportedLaneIsas()) {
+    ScopedLaneIsa scoped(isa);
+    SCOPED_TRACE(std::string(LaneIsaName(isa)));
+    // Sizes around the solver's lane blocks and the walk-forward TW.
+    Rng rng(29);
+    for (size_t n : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 140}) {
+      const size_t d = n == 140 ? 89 : 3;
+      Matrix x(n, d);
+      std::vector<double> y(n);
+      for (size_t r = 0; r < n; ++r) {
+        for (size_t c = 0; c < d; ++c) x(r, c) = rng.Normal();
+        y[r] = 3.0 * rng.Normal();
+      }
+      Svr::Options options;
+      ExpectMatchesScalarReference(options, x, y, "n=" + std::to_string(n),
+                                   /*expect_steps=*/n > 1);
+      // A small C pins coefficients at the box bounds.
+      options.c = 0.3;
+      ExpectMatchesScalarReference(options, x, y,
+                                   "C=0.3 n=" + std::to_string(n),
+                                   /*expect_steps=*/n > 1);
     }
-    Svr::Options options;
-    ExpectMatchesScalarReference(options, x, y, "n=" + std::to_string(n),
-                                 /*expect_steps=*/n > 1);
-    // A small C pins coefficients at the box bounds.
-    options.c = 0.3;
-    ExpectMatchesScalarReference(options, x, y,
-                                 "C=0.3 n=" + std::to_string(n),
-                                 /*expect_steps=*/n > 1);
-  }
 
-  // Rows that repeat with a period, targets too: equal up costs and equal
-  // pair gains, so both scans must break ties towards the lowest row --
-  // between rows in one lane and rows in different lanes alike.
-  for (size_t period : {4, 11}) {
-    const size_t n = period == 4 ? 24 : 22;
-    Matrix x(n, 2);
-    std::vector<double> y(n);
-    for (size_t r = 0; r < n; ++r) {
-      const size_t base = r % period;
-      x(r, 0) = static_cast<double>(base % 4);
-      x(r, 1) = static_cast<double>(base % 3);
-      y[r] = static_cast<double>(base % 5) - 2.0;
+    // Rows that repeat with a period, targets too: equal up costs and equal
+    // pair gains, so both scans must break ties towards the lowest row --
+    // between rows in one lane and rows in different lanes alike.
+    for (size_t period : {4, 11}) {
+      const size_t n = period == 4 ? 24 : 22;
+      Matrix x(n, 2);
+      std::vector<double> y(n);
+      for (size_t r = 0; r < n; ++r) {
+        const size_t base = r % period;
+        x(r, 0) = static_cast<double>(base % 4);
+        x(r, 1) = static_cast<double>(base % 3);
+        y[r] = static_cast<double>(base % 5) - 2.0;
+      }
+      const std::string label = "period " + std::to_string(period);
+      Svr::Options options;
+      options.kernel.gamma = 0.5;
+      ExpectMatchesScalarReference(options, x, y, label);
+      options.c = 0.25;
+      ExpectMatchesScalarReference(options, x, y, label + " C=0.25");
     }
-    const std::string label = "period " + std::to_string(period);
-    Svr::Options options;
-    options.kernel.gamma = 0.5;
-    ExpectMatchesScalarReference(options, x, y, label);
-    options.c = 0.25;
-    ExpectMatchesScalarReference(options, x, y, label + " C=0.25");
-  }
 
-  // Every target inside the epsilon tube of the others: the gap is zero at
-  // beta = 0, so the fit takes no step.
-  {
-    Matrix x(9, 2);
-    std::vector<double> y(9);
-    for (size_t r = 0; r < 9; ++r) {
-      x(r, 0) = rng.Normal();
-      x(r, 1) = rng.Normal();
-      y[r] = 4.0 + 0.01 * rng.Normal();
+    // Every target inside the epsilon tube of the others: the gap is zero at
+    // beta = 0, so the fit takes no step.
+    {
+      Matrix x(9, 2);
+      std::vector<double> y(9);
+      for (size_t r = 0; r < 9; ++r) {
+        x(r, 0) = rng.Normal();
+        x(r, 1) = rng.Normal();
+        y[r] = 4.0 + 0.01 * rng.Normal();
+      }
+      Svr::Options options;
+      options.epsilon = 0.2;
+      ExpectMatchesScalarReference(options, x, y, "inside tube",
+                                   /*expect_steps=*/false);
     }
-    Svr::Options options;
-    options.epsilon = 0.2;
-    ExpectMatchesScalarReference(options, x, y, "inside tube",
-                                 /*expect_steps=*/false);
   }
 }
 

@@ -1,5 +1,6 @@
 #include "stats/acf.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -144,6 +145,46 @@ TEST(TopKLagsTest, NonFiniteEntriesRankLastDeterministically) {
   // All-NaN input is still a valid deterministic (lag-ordered) ranking.
   std::vector<double> all_nan = {1.0, nan, nan, nan};
   EXPECT_EQ(TopKLagsByAcf(all_nan, 2), (std::vector<size_t>{1, 2}));
+}
+
+TEST(TopKLagsTest, MatchesFullSortReference) {
+  // TopKLagsByAcf keeps the first k of a partial sort; its order is
+  // total, so that must be the first k of a full sort, ties, NaN and
+  // infinities included.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto reference = [](std::span<const double> acf, size_t k) {
+    std::vector<size_t> lags;
+    for (size_t lag = 1; lag < acf.size(); ++lag) lags.push_back(lag);
+    auto rank = [&acf](size_t lag) {
+      return std::isfinite(acf[lag]) ? acf[lag]
+                                     : -std::numeric_limits<double>::infinity();
+    };
+    std::sort(lags.begin(), lags.end(), [&rank](size_t a, size_t b) {
+      if (rank(a) != rank(b)) return rank(a) > rank(b);
+      return a < b;
+    });
+    if (lags.size() > k) lags.resize(k);
+    return lags;
+  };
+  Rng rng(5);
+  for (int trial = 0; trial < 50; ++trial) {
+    const size_t w = 1 + static_cast<size_t>(rng.UniformInt(0, 140));
+    std::vector<double> acf(w + 1);
+    acf[0] = 1.0;
+    for (size_t lag = 1; lag <= w; ++lag) {
+      // Few distinct values, so ties are common.
+      acf[lag] = 0.25 * static_cast<double>(rng.UniformInt(-4, 4));
+      const int64_t special = rng.UniformInt(0, 19);
+      if (special == 0) acf[lag] = nan;
+      if (special == 1) acf[lag] = inf;
+      if (special == 2) acf[lag] = -inf;
+    }
+    for (size_t k : {size_t{0}, size_t{1}, size_t{20}, w - 1, w, w + 5}) {
+      EXPECT_EQ(TopKLagsByAcf(acf, k), reference(acf, k))
+          << "trial " << trial << " w=" << w << " k=" << k;
+    }
+  }
 }
 
 TEST(SlidingAcfTest, MatchesDirectEstimatorAcrossWindows) {

@@ -179,6 +179,30 @@ TEST(CliTest, UnknownFlagsExitWithCodeTwo) {
   }
 }
 
+TEST(CliTest, NegativeSeedsExitWithCodeTwo) {
+  // A negative seed would wrap to a huge uint64_t; publish would record it
+  // in a registry_meta.txt that its own reader rejects.
+  const std::string dir = TempDir() + "/negative_seed";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  EXPECT_EQ(CliExitCode("generate --out=" + dir + " --vehicles=1 --seed=-1"),
+            2);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/manifest.csv"));
+  EXPECT_EQ(CliExitCode("fleet --vehicles=2 --max-vehicles=1 --seed=-1"), 2);
+  EXPECT_EQ(
+      CliExitCode("fleet --vehicles=2 --max-vehicles=1 --fault-seed=-5"), 2);
+  EXPECT_EQ(CliExitCode("publish --out=" + dir +
+                        "/reg --vehicles=2 --max-vehicles=1 --seed=-1"),
+            2);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/reg"));
+  EXPECT_EQ(CliExitCode("ingest-bench --vehicles=1 --days=2 --seed=-1 "
+                        "--json=" + dir + "/ingest.json"),
+            2);
+  EXPECT_EQ(CliExitCode("cluster-bench --vehicles=2 --seed=-1 --json=" +
+                        dir + "/cluster.json"),
+            2);
+}
+
 TEST(CliTest, FleetJobsOutputByteIdentical) {
   std::string dir = TempDir();
   std::string base =

@@ -125,6 +125,21 @@ class Flags {
   std::vector<std::string> extra_;
 };
 
+/// Reads a seed flag (`fallback` when absent) into `seed`. A negative
+/// value is an error, reported here: the cast to uint64_t would wrap it
+/// into a seed that files recording it cannot read back.
+bool SeedFlag(const Flags& flags, const std::string& key, long long fallback,
+              uint64_t* seed) {
+  const long long value = flags.GetInt(key, fallback);
+  if (value < 0) {
+    std::fprintf(stderr, "error: --%s must be >= 0, got %lld\n", key.c_str(),
+                 value);
+    return false;
+  }
+  *seed = static_cast<uint64_t>(value);
+  return true;
+}
+
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
@@ -230,7 +245,8 @@ ForecasterConfig MakeForecasterConfig(const Flags& flags) {
 int RunGenerate(const Flags& flags) {
   std::string out_dir = flags.Get("out", ".");
   size_t vehicles = static_cast<size_t>(flags.GetInt("vehicles", 20));
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  uint64_t seed = 0;
+  if (!SeedFlag(flags, "seed", 42, &seed)) return 2;
 
   Fleet fleet = Fleet::Generate(FleetConfig::Small(vehicles, seed));
 
@@ -374,11 +390,16 @@ int RunFleet(const Flags& flags) {
     jobs = std::clamp<int64_t>(hw == 0 ? 1 : static_cast<int64_t>(hw), 1,
                                16);
   }
+  uint64_t seed = 0;
+  uint64_t fault_seed = 0;
+  if (!SeedFlag(flags, "seed", 42, &seed) ||
+      !SeedFlag(flags, "fault-seed", 99, &fault_seed)) {
+    return 2;
+  }
   const std::string metrics_format = ResolveMetricsFormat(flags);
   if (metrics_format.empty()) return 2;
   ScopedCliTracer tracer(flags.Has("trace"));
 
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   Fleet fleet =
       Fleet::Generate(FleetConfig::Small(static_cast<size_t>(vehicles), seed));
   ExperimentRunner runner(&fleet);
@@ -386,7 +407,7 @@ int RunFleet(const Flags& flags) {
   ExperimentOptions opts;
   opts.max_vehicles = static_cast<size_t>(flags.GetInt("max-vehicles", 6));
   opts.faults = profile;
-  opts.fault_seed = static_cast<uint64_t>(flags.GetInt("fault-seed", 99));
+  opts.fault_seed = fault_seed;
   opts.jobs = static_cast<size_t>(jobs);
 
   EvaluationConfig cfg;
@@ -473,7 +494,7 @@ int RunPublish(const Flags& flags) {
     return 0;
   }
   serve::RegistryMeta meta;
-  meta.fleet_seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  if (!SeedFlag(flags, "seed", 42, &meta.fleet_seed)) return 2;
   meta.fleet_vehicles =
       static_cast<size_t>(flags.GetInt("vehicles", 40));
   meta.algorithm = flags.Get("algorithm", "Lasso");
@@ -700,7 +721,8 @@ int RunIngestBench(const Flags& flags) {
   }
   const size_t vehicles = static_cast<size_t>(vehicles_arg);
   const size_t days = static_cast<size_t>(days_arg);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  uint64_t seed = 0;
+  if (!SeedFlag(flags, "seed", 42, &seed)) return 2;
   const std::string json_path = flags.Get("json", "BENCH_ingest.json");
   const std::string wal_dir = flags.Get(
       "wal-dir",
@@ -899,7 +921,8 @@ int RunClusterBench(const Flags& flags) {
     return 2;
   }
   const size_t vehicles = static_cast<size_t>(vehicles_flag);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  uint64_t seed = 0;
+  if (!SeedFlag(flags, "seed", 42, &seed)) return 2;
   const size_t clusters = static_cast<size_t>(
       std::max<long long>(flags.GetInt("clusters", 3), 1));
   const size_t acf_lags = static_cast<size_t>(
