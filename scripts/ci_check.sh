@@ -18,6 +18,7 @@ done
 echo "== tier-1: release build + ctest =="
 cmake -B build -S .
 cmake --build build -j"${JOBS}"
+# ctest includes ml_no_fma_test: no fused multiply-add in libvup_ml.a.
 (cd build && ctest --output-on-failure -j"${JOBS}")
 
 echo "== tier-1c: ingest-bench smoke (WAL recovery equivalence, no timing gates) =="
@@ -66,16 +67,6 @@ echo "== tier-1f: RNG determinism guard =="
 if grep -rn 'std::random_device\|std::mt19937' src tools bench \
   --include='*.cc' --include='*.h' | grep -v 'src/common/random'; then
   echo "unseeded RNG primitive outside common/random" >&2
-  exit 1
-fi
-
-echo "== tier-1g: no fused multiply-add in the ML library =="
-# The bitwise contracts hold only while no multiply-add is contracted
-# (src/CMakeLists.txt builds with -ffp-contract=off). ctest runs the same
-# check as ml_no_fma_test; exit 77 means objdump is missing.
-fma_rc=0
-tests/ml/no_fma_test.sh build/src/libvup_ml.a || fma_rc=$?
-if [[ "${fma_rc}" != 0 && "${fma_rc}" != 77 ]]; then
   exit 1
 fi
 

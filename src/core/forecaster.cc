@@ -121,19 +121,13 @@ Status VehicleForecaster::Train(const VehicleDataset& ds, size_t train_begin,
           hours.subspan(train_begin - w, w + (train_end - train_begin));
       lags = SelectLagsByAcf(train_hours, w, config_.selection.top_k);
     }
-    // Consecutive windows mostly keep their lag set, and with it the
-    // column list the last Train mapped it to.
-    if (!columns_match_lags_ || lags != selected_lags_) {
-      selected_columns_ = ColumnsForLags(all_columns_, lags);
-      selected_lags_ = std::move(lags);
-      columns_match_lags_ = true;
-    }
+    selected_columns_ = ColumnsForLags(all_columns_, lags);
+    selected_lags_ = std::move(lags);
     x = incremental ? window_builder_->MaterializeColumns(selected_columns_)
                     : x.SelectColumns(selected_columns_);
   } else {
     selected_lags_.clear();
     selected_columns_.clear();
-    columns_match_lags_ = false;
     if (incremental) {
       obs::TraceSpan span("window");
       x = window_builder_->MaterializeMatrix();

@@ -221,9 +221,6 @@ class VehicleForecaster {
   std::vector<WindowColumn> all_columns_;
   std::vector<size_t> selected_lags_;
   std::vector<size_t> selected_columns_;
-  /// selected_columns_ == ColumnsForLags(all_columns_, selected_lags_), as
-  /// Train last computed it; a loaded forecaster's lists are not trusted.
-  bool columns_match_lags_ = false;
 
   // Incremental-training caches (config_.incremental_training). Valid only
   // for the dataset identified by incremental_ds_/incremental_days_; Train

@@ -182,9 +182,9 @@ TEST(IncrementalTrainingTest, ForecasterReusedAcrossSlidingSpans) {
 }
 
 TEST(IncrementalTrainingTest, ColumnListFollowsTheLagSet) {
-  // Train keeps the last column list while the selected lag set is
-  // unchanged and rebuilds it when the set changes; either way it is the
-  // lag set's own column list. Both training paths, one forecaster each.
+  // After every Train the column list is the selected lag set's own,
+  // whether the set was kept or changed since the last window. Both
+  // training paths, one forecaster each.
   VehicleDataset ds = MakeDataset(160, 23);
   for (bool incremental : {true, false}) {
     ForecasterConfig cfg;
