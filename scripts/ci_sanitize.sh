@@ -23,7 +23,8 @@ ctest --preset sanitize -j"${JOBS}" -R \
 # (UBSan checks its unaligned word loads), the to_chars double formatter
 # against printf over a million bit patterns plus saved bundles, and the
 # write-behind publisher with its writer pool -- ASan catches a queued
-# bundle snapshot that outlives (or aliases) the forecaster it came from.
+# bundle snapshot that outlives (or aliases) the forecaster it came from,
+# or a writer that records its manifest entry after the publisher moved.
 # The registry chaos and scrubber suites ride along for the read path:
 # every resident model scores in place over a bundle buffer it owns, so
 # ASan catches a model that outlives that buffer.

@@ -125,20 +125,51 @@ std::string GenerationManifest::Serialize() const {
   return EncodeRecords(kManifestMagic, ToRecords(*this));
 }
 
+StatusOr<GenerationManifest> GenerationManifest::FromEntries(
+    std::vector<ManifestEntry> entries) {
+  if (entries.size() > kMaxManifestEntries) {
+    return Status::InvalidArgument("manifest has too many entries");
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const ManifestEntry& a, const ManifestEntry& b) {
+              return a.file < b.file;
+            });
+  for (size_t i = 0; i < entries.size(); ++i) {
+    VUP_RETURN_IF_ERROR(ValidateFileName(entries[i].file));
+    if (i > 0 && entries[i - 1].file == entries[i].file) {
+      return Status::InvalidArgument("duplicate manifest entry: " +
+                                     entries[i].file);
+    }
+  }
+  GenerationManifest manifest;
+  manifest.entries_ = std::move(entries);
+  return manifest;
+}
+
 StatusOr<GenerationManifest> GenerationManifest::BuildFromDirectory(
-    const std::string& dir) {
+    const std::string& dir, const KnownEntries& known) {
   std::error_code ec;
   fs::directory_iterator it(dir, ec);
   if (ec) {
     return Status::NotFound("cannot list generation directory " + dir +
                             ": " + ec.message());
   }
-  GenerationManifest manifest;
+  std::vector<ManifestEntry> entries;
   for (const fs::directory_entry& entry : it) {
     if (!entry.is_regular_file(ec) || ec) continue;
-    const std::string name = entry.path().filename().string();
+    std::string name = entry.path().filename().string();
     if (name == kManifestFileName) continue;
     if (EndsWith(name, ".tmp")) continue;
+    // A recorded file still at its recorded size holds the bytes its
+    // writer recorded; one that changed size is read like a foreign file.
+    const auto recorded = known.find(name);
+    if (recorded != known.end()) {
+      const uint64_t size = entry.file_size(ec);
+      if (!ec && size == recorded->second.size) {
+        entries.push_back({std::move(name), size, recorded->second.crc32});
+        continue;
+      }
+    }
     VUP_ASSIGN_OR_RETURN(
         std::string bytes,
         ReadFileCapped(entry.path().string(), kMaxListedFileBytes));
@@ -148,9 +179,9 @@ StatusOr<GenerationManifest> GenerationManifest::BuildFromDirectory(
       return Status::DataLoss("staged file " + name +
                               " does not end in its own CRC-32 trailer");
     }
-    VUP_RETURN_IF_ERROR(manifest.Add(name, bytes.size(), *trailer));
+    entries.push_back({std::move(name), bytes.size(), *trailer});
   }
-  return manifest;
+  return FromEntries(std::move(entries));
 }
 
 Status GenerationManifest::VerifyBytes(const ManifestEntry& entry,

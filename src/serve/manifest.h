@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/statusor.h"
@@ -48,16 +49,28 @@ class GenerationManifest {
   /// Serializes in the format Parse accepts (entries sorted by name).
   std::string Serialize() const;
 
-  /// Scans `dir` and lists every regular file except the manifest itself
-  /// and `*.tmp` leftovers, with one read and one CRC pass per file.
-  /// DataLoss when a file does not end in its own CRC-32 trailer, so such a
-  /// generation is never finalized. Deterministic: entries are sorted by
-  /// file name regardless of directory iteration order.
-  static StatusOr<GenerationManifest> BuildFromDirectory(
-      const std::string& dir);
+  /// Entries a writer recorded for the bytes it just wrote, by file name.
+  using KnownEntries = std::unordered_map<std::string, ManifestEntry>;
 
-  /// Adds one entry. InvalidArgument on an unusable name (empty, path
-  /// separators, "..", over-long) or a duplicate.
+  /// Scans `dir` and lists every regular file except the manifest itself
+  /// and `*.tmp` leftovers. A file in `known` whose on-disk size equals the
+  /// recorded size takes the recorded entry unread; every other file is
+  /// read once and must end in its own CRC-32 trailer (DataLoss when it
+  /// does not, so such a generation is never finalized). Deterministic:
+  /// entries are sorted by file name regardless of directory iteration
+  /// order.
+  static StatusOr<GenerationManifest> BuildFromDirectory(
+      const std::string& dir, const KnownEntries& known);
+
+  /// A manifest of `entries` in any order, sorted by name once.
+  /// InvalidArgument on an unusable name, a duplicate or too many entries.
+  static StatusOr<GenerationManifest> FromEntries(
+      std::vector<ManifestEntry> entries);
+
+  /// Adds one entry in sorted position (linear in the entries after it;
+  /// FromEntries builds a whole manifest at once). InvalidArgument on an
+  /// unusable name (empty, path separators, "..", over-long) or a
+  /// duplicate.
   Status Add(std::string file, uint64_t size, uint32_t crc32);
 
   /// The entry of `file`, or nullptr when the manifest does not list it.

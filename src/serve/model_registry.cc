@@ -878,7 +878,9 @@ GenerationPublisher::GenerationPublisher(GenerationPublisher&& other) noexcept
       committed_(other.committed_),
       moved_from_(other.moved_from_),
       writers_(std::move(other.writers_)),
-      pending_ids_(std::move(other.pending_ids_)) {
+      pending_ids_(std::move(other.pending_ids_)),
+      written_(std::move(other.written_)),
+      staging_handed_out_(other.staging_handed_out_) {
   other.moved_from_ = true;
 }
 
@@ -894,6 +896,8 @@ GenerationPublisher& GenerationPublisher::operator=(
     moved_from_ = other.moved_from_;
     writers_ = std::move(other.writers_);
     pending_ids_ = std::move(other.pending_ids_);
+    written_ = std::move(other.written_);
+    staging_handed_out_ = other.staging_handed_out_;
     other.moved_from_ = true;
   }
   return *this;
@@ -922,7 +926,19 @@ Status GenerationPublisher::DrainWriters() const {
 
 const std::string& GenerationPublisher::staging_dir() const {
   (void)DrainWriters();  // Writer errors surface at Finalize.
+  if (!finalized_) staging_handed_out_ = true;
   return staging_dir_;
+}
+
+void GenerationPublisher::WrittenFiles::Forget(const std::string& file) {
+  std::lock_guard<std::mutex> lock(mu);
+  entries.erase(file);
+}
+
+void GenerationPublisher::WrittenFiles::Record(ManifestEntry entry) {
+  std::lock_guard<std::mutex> lock(mu);
+  std::string file = entry.file;
+  entries.insert_or_assign(std::move(file), std::move(entry));
 }
 
 Status GenerationPublisher::Add(int64_t vehicle_id,
@@ -948,10 +964,16 @@ Status GenerationPublisher::Add(int64_t vehicle_id,
   auto bundle =
       std::make_shared<const VehicleForecaster>(std::move(snapshot));
   return writers_->Submit(
-      [path = staging_dir_ + "/" + ModelRegistry::BundleFileName(vehicle_id),
-       bundle]() -> Status {
+      [dir = staging_dir_, file = ModelRegistry::BundleFileName(vehicle_id),
+       bundle, written = written_.get()]() -> Status {
         VUP_ASSIGN_OR_RETURN(const std::string bytes, bundle->SaveCompact());
-        return WriteBundleFile(path, bytes);
+        // A failed write fails Finalize for good, so only a written
+        // bundle needs an entry. The encoder framed these bytes: their
+        // last four are the trailer, no CRC pass.
+        VUP_RETURN_IF_ERROR(WriteBundleFile(dir + "/" + file, bytes));
+        written->Record({file, bytes.size(),
+                         StoredCrc32Trailer(bytes.data(), bytes.size())});
+        return Status::OK();
       });
 }
 
@@ -961,8 +983,7 @@ Status GenerationPublisher::AddPrebuilt(int64_t vehicle_id,
   // Byte-level Add for synthetic fleets: the RSS ceiling test and the
   // perfbench serving set-ups stamp one trained model's bundle bytes
   // across up to hundreds of thousands of vehicle ids
-  // without re-serializing (or re-training) per id. Finalize checksums
-  // the staged files like any other generation.
+  // without re-serializing (or re-training) per id.
   if (finalized_) {
     return Status::FailedPrecondition(
         "generation already finalized (its manifest is sealed)");
@@ -972,9 +993,18 @@ Status GenerationPublisher::AddPrebuilt(int64_t vehicle_id,
   }
   // A queued Add of the same id lands first, so these bytes win.
   if (pending_ids_.count(vehicle_id) != 0) (void)DrainWriters();
-  return WriteBundleFile(
-      staging_dir_ + "/" + ModelRegistry::BundleFileName(vehicle_id),
-      compact_bytes);
+  std::string file = ModelRegistry::BundleFileName(vehicle_id);
+  written_->Forget(file);
+  VUP_RETURN_IF_ERROR(
+      WriteBundleFile(staging_dir_ + "/" + file, compact_bytes));
+  // The caller's bytes are checked here, in memory. Unframed ones stay
+  // unrecorded, so Finalize reads them back and refuses them.
+  const std::optional<uint32_t> trailer =
+      CheckCrc32Trailer(compact_bytes.data(), compact_bytes.size());
+  if (trailer.has_value()) {
+    written_->Record({std::move(file), compact_bytes.size(), *trailer});
+  }
+  return Status::OK();
 }
 
 Status GenerationPublisher::Finalize(const RegistryMeta& meta) {
@@ -982,17 +1012,27 @@ Status GenerationPublisher::Finalize(const RegistryMeta& meta) {
     return Status::FailedPrecondition("generation already finalized");
   }
   // Order matters for crash-consistency: (1) meta completes the staging
-  // directory, (2) the MANIFEST checksums every staged file -- including
-  // the meta -- so any later bit-rot is detectable, (3) the directory
-  // rename makes the complete generation appear under its final name. A
-  // crash between any two steps leaves at worst an ignored staging
-  // directory; CURRENT never moves here. The writers drain first, so the
-  // MANIFEST covers only complete files, and a generation with a failed
-  // bundle write is never renamed.
+  // directory, (2) the MANIFEST lists every staged file -- including the
+  // meta -- with its size and trailer, so any later bit-rot is
+  // detectable, (3) the directory rename makes the complete generation
+  // appear under its final name. A crash between any two steps leaves at
+  // worst an ignored staging directory; CURRENT never moves here. The
+  // writers drain first, so the MANIFEST covers only complete files, and
+  // a generation with a failed bundle write is never renamed.
   VUP_RETURN_IF_ERROR(DrainWriters());
-  VUP_RETURN_IF_ERROR(WriteRegistryMetaFile(staging_dir_, meta));
-  VUP_ASSIGN_OR_RETURN(GenerationManifest manifest,
-                       GenerationManifest::BuildFromDirectory(staging_dir_));
+  const std::string meta_bytes = meta.Serialize();
+  VUP_RETURN_IF_ERROR(
+      WriteFileAtomic(staging_dir_ + "/" + kMetaFile, meta_bytes));
+  written_->Record({kMetaFile, meta_bytes.size(),
+                    StoredCrc32Trailer(meta_bytes.data(), meta_bytes.size())});
+  // Sealed from the recorded entries, unless the staging directory was
+  // handed out: then every file is read back and checked. The writers are
+  // drained, so written_ is no longer shared.
+  const GenerationManifest::KnownEntries none;
+  VUP_ASSIGN_OR_RETURN(
+      GenerationManifest manifest,
+      GenerationManifest::BuildFromDirectory(
+          staging_dir_, staging_handed_out_ ? none : written_->entries));
   VUP_RETURN_IF_ERROR(WriteManifestFile(staging_dir_, manifest));
   std::string final_dir =
       root_ + "/" + ModelRegistry::GenerationDirName(number_);

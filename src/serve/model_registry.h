@@ -377,8 +377,9 @@ class ModelRegistry {
 
   Shard& ShardForVehicle(int64_t vehicle_id) const;
 
-  /// Maps the bundle of `vehicle_id` from the active generation, verifies
-  /// it against the manifest when one lists it, and decodes it in place.
+  /// Reads the bundle of `vehicle_id` from the active generation into a
+  /// buffer it owns, verifies it against the manifest when one lists it,
+  /// and decodes it in place over that buffer.
   /// A verification or decode failure of a listed bundle quarantines the
   /// vehicle and returns NotFound. Caller holds the vehicle's shard
   /// mutex; this takes active_mu_ inside (see Shard's lock ordering).
@@ -465,9 +466,18 @@ class GenerationPublisher {
 
   /// Completes the staged generation: waits for the writers and returns
   /// the first error of any queued Add (the generation is then left
-  /// staged, never renamed), then meta, MANIFEST (size + CRC-32 of every
-  /// staged file), rename to the final gen_NNNNNN name. Readers are
+  /// staged, never renamed), then meta, MANIFEST (size + CRC-32 trailer of
+  /// every staged file), rename to the final gen_NNNNNN name. Readers are
   /// unaffected; CURRENT does not move.
+  ///
+  /// The MANIFEST is sealed from what this publisher wrote: every bundle
+  /// written by Add or AddPrebuilt and the meta keep the entry of the
+  /// bytes written, and a file still at its recorded size is listed
+  /// unread. Any other file (clusters.meta, anything foreign, a recorded
+  /// file whose size changed) is read and must pass its own CRC-32
+  /// trailer (DataLoss otherwise). Once staging_dir() has handed the
+  /// staging directory out, no recorded entry is trusted and every file
+  /// is read back: the caller may have rewritten one at the same size.
   Status Finalize(const RegistryMeta& meta);
 
   /// Journals and flips CURRENT to the finalized generation
@@ -484,7 +494,8 @@ class GenerationPublisher {
   /// Before Finalize: the hidden staging directory. After: the final
   /// generation directory. Waits for queued writes first, so every
   /// bundle staged so far is on disk when the caller reads the directory
-  /// (a failed write is reported by Finalize, not here).
+  /// (a failed write is reported by Finalize, not here). Called before
+  /// Finalize, it makes Finalize read back every staged file.
   const std::string& staging_dir() const;
 
  private:
@@ -514,6 +525,23 @@ class GenerationPublisher {
   std::unique_ptr<ThreadPool> writers_;
   /// Ids queued on writers_ since the last drain.
   mutable std::unordered_set<int64_t> pending_ids_;
+
+  /// Manifest entries of the files this publisher wrote, taken from the
+  /// bytes it held. Writer tasks record theirs, hence the mutex; held on
+  /// the heap so the tasks' pointer survives a move of the publisher.
+  struct WrittenFiles {
+    /// Drops the entry of `file` before it is rewritten, so a failed
+    /// write leaves the file to Finalize's read-back.
+    void Forget(const std::string& file);
+    void Record(ManifestEntry entry);
+
+    std::mutex mu;
+    GenerationManifest::KnownEntries entries;
+  };
+  std::unique_ptr<WrittenFiles> written_ = std::make_unique<WrittenFiles>();
+  /// Set when staging_dir() hands the staging directory out before
+  /// Finalize: from then on written_ is not trusted.
+  mutable bool staging_handed_out_ = false;
 };
 
 }  // namespace vup::serve

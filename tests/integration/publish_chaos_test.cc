@@ -144,7 +144,7 @@ TEST_F(PublishChaosTest, KillAtEveryPublishStepServesOneCompleteGeneration) {
 
   // Kill 3: + MANIFEST (staging is now byte-complete, still unrenamed).
   StatusOr<GenerationManifest> manifest =
-      GenerationManifest::BuildFromDirectory(staging);
+      GenerationManifest::BuildFromDirectory(staging, {});
   ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
   ASSERT_TRUE(WriteManifestFile(staging, manifest.value()).ok());
   EXPECT_EQ(ServedPrediction(ds), pred_a) << "manifested staging leaked";

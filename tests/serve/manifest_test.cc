@@ -4,6 +4,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -114,9 +115,11 @@ TEST_F(ManifestTest, BuildFromDirectoryIsDeterministicAndSkipsLeftovers) {
   WriteFile("MANIFEST", "a stale manifest must never checksum itself");
   WriteFile("vehicle_3.cfcst.tmp", "torn install leftover");
 
-  StatusOr<GenerationManifest> a = GenerationManifest::BuildFromDirectory(dir_);
+  StatusOr<GenerationManifest> a =
+      GenerationManifest::BuildFromDirectory(dir_, {});
   ASSERT_TRUE(a.ok()) << a.status().ToString();
-  StatusOr<GenerationManifest> b = GenerationManifest::BuildFromDirectory(dir_);
+  StatusOr<GenerationManifest> b =
+      GenerationManifest::BuildFromDirectory(dir_, {});
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(a.value() == b.value());
   ASSERT_EQ(a.value().size(), 3u);
@@ -133,13 +136,69 @@ TEST_F(ManifestTest, BuildFromDirectoryIsDeterministicAndSkipsLeftovers) {
   // A staged file that does not end in its own trailer is refused.
   WriteFile("clusters.meta", "unframed");
   EXPECT_TRUE(
-      GenerationManifest::BuildFromDirectory(dir_).status().IsDataLoss());
+      GenerationManifest::BuildFromDirectory(dir_, {}).status().IsDataLoss());
+}
+
+TEST_F(ManifestTest, BuildFromDirectoryTakesRecordedEntriesAtTheirSize) {
+  WriteFile("vehicle_1.cfcst", Framed("model one"));
+  WriteFile("vehicle_2.cfcst", Framed("model two"));
+  WriteFile("clusters.meta", Framed("clusters"));
+  const uint64_t size = 9 + kCrc32TrailerBytes;
+  // A recorded trailer the bytes on disk do not carry shows which entries
+  // were taken unread.
+  GenerationManifest::KnownEntries known;
+  known["vehicle_1.cfcst"] = {"vehicle_1.cfcst", size, 0x12345678};
+  known["vehicle_2.cfcst"] = {"vehicle_2.cfcst", size + 1, 0x12345678};
+  known["vehicle_9.cfcst"] = {"vehicle_9.cfcst", size, 0x12345678};
+
+  StatusOr<GenerationManifest> built =
+      GenerationManifest::BuildFromDirectory(dir_, known);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ASSERT_EQ(built.value().size(), 3u);
+  // At its recorded size: the recorded entry.
+  EXPECT_EQ(*built.value().Find("vehicle_1.cfcst"),
+            (ManifestEntry{"vehicle_1.cfcst", size, 0x12345678}));
+  // Size changed since it was recorded: read back, listed as it is.
+  EXPECT_TRUE(VerifyOnDisk(*built.value().Find("vehicle_2.cfcst")).ok());
+  EXPECT_TRUE(VerifyOnDisk(*built.value().Find("clusters.meta")).ok());
+  // A recorded file that is not on disk is not listed.
+  EXPECT_EQ(built.value().Find("vehicle_9.cfcst"), nullptr);
+
+  // A recorded file whose size changed is checked like a foreign one.
+  WriteFile("vehicle_1.cfcst", "unframed, other size");
+  EXPECT_TRUE(GenerationManifest::BuildFromDirectory(dir_, known)
+                  .status()
+                  .IsDataLoss());
+}
+
+TEST_F(ManifestTest, FromEntriesSortsOnceAndRejectsDuplicates) {
+  std::vector<ManifestEntry> entries;
+  for (int i = 999; i >= 0; --i) {
+    entries.push_back({"vehicle_" + std::to_string(i) + ".cfcst",
+                       static_cast<uint64_t>(i), static_cast<uint32_t>(i)});
+  }
+  GenerationManifest added;
+  for (const ManifestEntry& e : entries) {
+    ASSERT_TRUE(added.Add(e.file, e.size, e.crc32).ok());
+  }
+  StatusOr<GenerationManifest> built = GenerationManifest::FromEntries(entries);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_TRUE(built.value() == added);
+
+  entries.push_back(entries[500]);
+  EXPECT_TRUE(
+      GenerationManifest::FromEntries(entries).status().IsInvalidArgument());
+  entries.pop_back();
+  entries.push_back({"a/b", 1, 1});
+  EXPECT_TRUE(
+      GenerationManifest::FromEntries(entries).status().IsInvalidArgument());
+  EXPECT_EQ(GenerationManifest::FromEntries({}).value().size(), 0u);
 }
 
 TEST_F(ManifestTest, VerifyBytesCatchesSizeThenCrcMismatch) {
   WriteFile("vehicle_1.cfcst", Framed("original content"));
   StatusOr<GenerationManifest> built =
-      GenerationManifest::BuildFromDirectory(dir_);
+      GenerationManifest::BuildFromDirectory(dir_, {});
   ASSERT_TRUE(built.ok());
   const ManifestEntry& entry = built.value().entries()[0];
 
@@ -167,7 +226,7 @@ TEST_F(ManifestTest, DetectsEveryFaultInjectorCorruptionKind) {
     WriteFile(name, Framed("a model bundle with enough bytes to damage " +
                            std::to_string(tag)));
     StatusOr<GenerationManifest> built =
-        GenerationManifest::BuildFromDirectory(dir_);
+        GenerationManifest::BuildFromDirectory(dir_, {});
     ASSERT_TRUE(built.ok());
     const ManifestEntry* entry = built.value().Find(name);
     ASSERT_NE(entry, nullptr);

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "common/crc32.h"
 #include "core/forecaster.h"
 #include "serve/validator.h"
+#include "testing/framing.h"
 
 namespace vup::serve {
 namespace {
@@ -674,7 +677,7 @@ TEST_F(ModelRegistryGenerationTest, VersionOneBundleIsQuarantinedNotScored) {
     out << bytes;
   }
   ASSERT_TRUE(WriteManifestFile(
-                  gen, GenerationManifest::BuildFromDirectory(gen).value())
+                  gen, GenerationManifest::BuildFromDirectory(gen, {}).value())
                   .ok());
   ModelRegistry reopened = OpenRegistry(4);
   const Status status = reopened.Get(2).status();
@@ -783,6 +786,202 @@ TEST_F(ModelRegistryGenerationTest, AbandonedPublisherWithQueuedWrites) {
     // Destroyed with writes still queued, without staging_dir().
   }
   EXPECT_TRUE(NoStagingLeft(registry.directory()));
+}
+
+// ---- Sealed manifests -----------------------------------------------------
+
+/// The MANIFEST a committed generation holds and the one a full read-back
+/// of its directory builds: Finalize's seal must not tell them apart.
+void ExpectSealedMatchesScan(const std::string& gen) {
+  StatusOr<GenerationManifest> scanned =
+      GenerationManifest::BuildFromDirectory(gen, {});
+  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+  EXPECT_EQ(ReadFile(gen + "/" + kManifestFileName),
+            scanned.value().Serialize())
+      << gen;
+}
+
+/// `bundle` with one payload byte changed and re-framed: a valid file of
+/// the same size that another trailer seals.
+std::string SameSizeOther(const std::string& bundle) {
+  std::string body = Unframed(bundle);
+  body[body.size() / 2] ^= 0x5A;
+  return Framed(std::move(body));
+}
+
+class PublisherSealTest : public ModelRegistryGenerationTest {
+ protected:
+  void SetUp() override {
+    ModelRegistryGenerationTest::SetUp();
+    a_ = std::make_unique<VehicleForecaster>(TrainForecaster(MakeDataset(1)));
+    bundle_ = SaveBundle(*a_);
+    other_ = SameSizeOther(bundle_);
+  }
+
+  /// The staging directory of `pub`, named from the registry root so the
+  /// publisher never hands it out.
+  std::string StagingPath(const ModelRegistry& registry,
+                          const GenerationPublisher& pub) {
+    return registry.directory() + "/" +
+           ModelRegistry::GenerationDirName(pub.number()) + ".staging";
+  }
+
+  std::unique_ptr<VehicleForecaster> a_;
+  std::string bundle_;  // a_'s compact bundle.
+  std::string other_;   // Same size, another trailer.
+};
+
+TEST_F(PublisherSealTest, SealedManifestMatchesDirectoryScan) {
+  ModelRegistry registry = OpenRegistry(4);
+  const VehicleForecaster b = TrainForecaster(MakeDataset(2));
+  const std::vector<
+      std::pair<const char*, std::function<void(GenerationPublisher&)>>>
+      stagings = {
+          {"Add only",
+           [&](GenerationPublisher& p) {
+             for (int64_t id = 1; id <= 12; ++id) {
+               ASSERT_TRUE(p.Add(id, id % 2 == 0 ? *a_ : b).ok());
+             }
+           }},
+          {"AddPrebuilt only",
+           [&](GenerationPublisher& p) {
+             for (int64_t id = 1; id <= 12; ++id) {
+               ASSERT_TRUE(
+                   p.AddPrebuilt(id, {}, id % 2 == 0 ? bundle_ : other_).ok());
+             }
+           }},
+          {"mixed",
+           [&](GenerationPublisher& p) {
+             for (int64_t id = 1; id <= 12; ++id) {
+               ASSERT_TRUE(id % 3 == 0 ? p.AddPrebuilt(id, {}, other_).ok()
+                                       : p.Add(id, *a_).ok());
+             }
+             // Add, then AddPrebuilt of the same id at the same size.
+             ASSERT_TRUE(p.Add(13, *a_).ok());
+             ASSERT_TRUE(p.AddPrebuilt(13, {}, other_).ok());
+           }},
+          {"re-staged id",
+           [&](GenerationPublisher& p) {
+             // Add -> AddPrebuilt -> Add: each write at the same size as
+             // the one it replaces, so a stale entry would be taken.
+             ASSERT_TRUE(p.Add(5, *a_).ok());
+             ASSERT_TRUE(p.AddPrebuilt(5, {}, other_).ok());
+             ASSERT_TRUE(p.Add(5, *a_).ok());
+           }},
+          {"moved publisher",
+           [&](GenerationPublisher& p) {
+             ASSERT_TRUE(p.Add(1, *a_).ok());  // Queued, then moved.
+             GenerationPublisher moved(std::move(p));
+             ASSERT_TRUE(moved.AddPrebuilt(2, {}, other_).ok());
+             p = std::move(moved);
+           }},
+      };
+  for (const auto& [name, stage] : stagings) {
+    SCOPED_TRACE(name);
+    StatusOr<GenerationPublisher> pub = registry.NewGeneration();
+    ASSERT_TRUE(pub.ok()) << pub.status().ToString();
+    stage(pub.value());
+    ASSERT_TRUE(pub.value().Commit(TestMeta()).ok());
+    ExpectSealedMatchesScan(pub.value().staging_dir());
+  }
+  // The re-staged id holds the last Add's bundle, as the MANIFEST says.
+  EXPECT_EQ(ReadFile(registry.directory() + "/gen_000004/" +
+                     ModelRegistry::BundleFileName(5)),
+            bundle_);
+}
+
+TEST_F(PublisherSealTest, RecordedBundleThatChangedSizeIsRefused) {
+  ModelRegistry registry = OpenRegistry(4);
+  CommitGeneration(registry, 1, *a_);
+  const std::string current = ReadFile(registry.directory() + "/CURRENT");
+  const std::vector<std::pair<const char*, std::function<std::string(
+                                               const std::string&)>>>
+      damages = {
+          {"truncated",
+           [](const std::string& bytes) {
+             return bytes.substr(0, bytes.size() - 1);
+           }},
+          {"extended", [](const std::string& bytes) { return bytes + "x"; }},
+      };
+  for (const auto& [how, damage] : damages) {
+    // Vehicle 1 is written by the Add writer, vehicle 2 by AddPrebuilt.
+    for (int64_t victim : {1, 2}) {
+      SCOPED_TRACE(std::string(how) + " vehicle " + std::to_string(victim));
+      StatusOr<GenerationPublisher> pub = registry.NewGeneration();
+      ASSERT_TRUE(pub.ok());
+      ASSERT_TRUE(pub.value().Add(1, *a_).ok());
+      ASSERT_TRUE(pub.value().Add(2, *a_).ok());
+      // Replacing a queued id drains the writers: vehicle 1 is on disk.
+      ASSERT_TRUE(pub.value().AddPrebuilt(2, {}, other_).ok());
+      const std::string path = StagingPath(registry, pub.value()) + "/" +
+                               ModelRegistry::BundleFileName(victim);
+      const std::string written = ReadFile(path);
+      ASSERT_EQ(written, victim == 1 ? bundle_ : other_);
+      {
+        std::ofstream out(path, std::ios::trunc | std::ios::binary);
+        out << damage(written);
+      }
+      const Status finalized = pub.value().Finalize(TestMeta());
+      EXPECT_TRUE(finalized.IsDataLoss()) << finalized.ToString();
+    }
+  }
+  EXPECT_EQ(ReadFile(registry.directory() + "/CURRENT"), current);
+  EXPECT_TRUE(NoStagingLeft(registry.directory()));
+}
+
+TEST_F(PublisherSealTest, FailedWriteLeavesTheFileToTheReadBack) {
+  ModelRegistry registry = OpenRegistry(4);
+  StatusOr<GenerationPublisher> pub = registry.NewGeneration();
+  ASSERT_TRUE(pub.ok());
+  const std::string staging = StagingPath(registry, pub.value());
+  ASSERT_TRUE(pub.value().AddPrebuilt(1, {}, bundle_).ok());
+  // With the staging directory moved away the second write cannot open
+  // its file; the first write's bytes stay, at the size of the second's.
+  std::filesystem::rename(staging, staging + ".away");
+  EXPECT_FALSE(pub.value().AddPrebuilt(1, {}, other_).ok());
+  std::filesystem::rename(staging + ".away", staging);
+  ASSERT_TRUE(pub.value().Commit(TestMeta()).ok());
+  const std::string gen = pub.value().staging_dir();
+  ExpectSealedMatchesScan(gen);
+  EXPECT_EQ(ReadFile(gen + "/" + ModelRegistry::BundleFileName(1)), bundle_);
+}
+
+TEST_F(PublisherSealTest, HandedOutStagingDirIsReadBackInFull) {
+  ModelRegistry registry = OpenRegistry(4);
+  const std::string unframed = Unframed(other_) + "abcd";
+  ASSERT_EQ(unframed.size(), bundle_.size());
+  // A recorded bundle rewritten at its size: unframed bytes are refused,
+  // framed ones are listed as they now are.
+  for (bool framed : {false, true}) {
+    SCOPED_TRACE(framed ? "framed" : "unframed");
+    StatusOr<GenerationPublisher> pub = registry.NewGeneration();
+    ASSERT_TRUE(pub.ok());
+    ASSERT_TRUE(pub.value().Add(1, *a_).ok());
+    ASSERT_TRUE(pub.value().AddPrebuilt(2, {}, bundle_).ok());
+    for (int64_t id : {1, 2}) {
+      std::ofstream out(pub.value().staging_dir() + "/" +
+                            ModelRegistry::BundleFileName(id),
+                        std::ios::trunc | std::ios::binary);
+      out << (framed ? other_ : unframed);
+    }
+    const Status finalized = pub.value().Finalize(TestMeta());
+    if (framed) {
+      ASSERT_TRUE(finalized.ok()) << finalized.ToString();
+      ExpectSealedMatchesScan(pub.value().staging_dir());
+    } else {
+      EXPECT_TRUE(finalized.IsDataLoss()) << finalized.ToString();
+    }
+  }
+  // An unframed file of the caller's is refused.
+  StatusOr<GenerationPublisher> pub = registry.NewGeneration();
+  ASSERT_TRUE(pub.ok());
+  ASSERT_TRUE(pub.value().Add(1, *a_).ok());
+  {
+    std::ofstream out(pub.value().staging_dir() + "/clusters.meta",
+                      std::ios::binary);
+    out << "unframed";
+  }
+  EXPECT_TRUE(pub.value().Finalize(TestMeta()).IsDataLoss());
 }
 
 // ---- Publisher moves -----------------------------------------------------
