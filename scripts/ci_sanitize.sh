@@ -19,8 +19,10 @@ cmake --build --preset sanitize -j"${JOBS}"
 ctest --preset sanitize -j"${JOBS}" -R \
   'core_windowing_test|stats_acf_test|core_feature_selection_test|core_incremental_training_test|ml_grid_search_test'
 
-# Publish-path primitives: slice-by-8 CRC-32 at every start alignment
-# (UBSan checks its unaligned word loads), the to_chars double formatter
+# Publish-path primitives: both CRC-32 paths, slice-by-8 and the
+# PCLMULQDQ fold, at every start alignment (UBSan checks slice-by-8's
+# unaligned word loads, ASan keeps the fold's 16-byte loads inside the
+# buffer), the to_chars double formatter
 # against printf over a million bit patterns plus saved bundles, and the
 # write-behind publisher with its writer pool -- ASan catches a queued
 # bundle snapshot that outlives (or aliases) the forecaster it came from,

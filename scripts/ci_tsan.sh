@@ -15,7 +15,9 @@
 # rides along to run the lane-parallel Gram and SMO kernels under TSan:
 # it checks every instruction-set path the CPU supports (see
 # src/ml/lanes.h) bitwise against KernelFunction and the scalar
-# reference solver, as the release suite does.
+# reference solver, as the release suite does. The CRC-32 suite runs
+# both CRC paths: the path Crc32 takes is a lazily initialised static,
+# first reached from writer-pool and registry threads.
 #
 # Usage: scripts/ci_tsan.sh [extra ctest args...]
 set -euo pipefail
@@ -25,6 +27,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 # Only the concurrent targets need to exist in the TSan tree.
 TARGETS=(
+  common_crc32_test
   common_thread_pool_test
   common_clock_test
   obs_metrics_registry_concurrency_test
@@ -45,5 +48,5 @@ TARGETS=(
 cmake --preset tsan
 cmake --build --preset tsan -j"${JOBS}" --target "${TARGETS[@]}"
 ctest --preset tsan -j"${JOBS}" \
-  -R '^(common_thread_pool_test|common_clock_test|obs_metrics_registry_concurrency_test|obs_trace_test|serve_prediction_service_test|serve_model_registry_test|serve_registry_shard_test|serve_scrubber_test|ml_grid_search_test|ml_svr_test|integration_chaos_test|integration_registry_chaos_test|integration_shard_chaos_test|integration_hierarchy_chaos_test|integration_publish_chaos_test)$' \
+  -R '^(common_crc32_test|common_thread_pool_test|common_clock_test|obs_metrics_registry_concurrency_test|obs_trace_test|serve_prediction_service_test|serve_model_registry_test|serve_registry_shard_test|serve_scrubber_test|ml_grid_search_test|ml_svr_test|integration_chaos_test|integration_registry_chaos_test|integration_shard_chaos_test|integration_hierarchy_chaos_test|integration_publish_chaos_test)$' \
   "$@"

@@ -3,6 +3,16 @@
 #include <bit>
 #include <cstring>
 
+#include "common/check.h"
+
+#if defined(__GNUC__) && defined(__x86_64__)
+#include <immintrin.h>
+#define VUP_CRC32_CLMUL 1
+#define VUP_TARGET_CLMUL __attribute__((target("pclmul,sse4.1")))
+#else
+#define VUP_CRC32_CLMUL 0
+#endif
+
 namespace vup {
 
 namespace {
@@ -35,13 +45,9 @@ const Crc32Tables& Tables() {
   return tables;
 }
 
-}  // namespace
-
-uint32_t Crc32(std::span<const uint8_t> bytes) {
+/// Advances the CRC register `crc` over `n` bytes at `p`.
+uint32_t SliceBy8(uint32_t crc, const uint8_t* p, size_t n) {
   const auto& t = Tables().t;
-  const uint8_t* p = bytes.data();
-  size_t n = bytes.size();
-  uint32_t crc = 0xFFFFFFFFu;
   if constexpr (std::endian::native == std::endian::little) {
     // memcpy loads: any alignment, no aliasing UB; compilers emit plain
     // 32-bit loads.
@@ -59,7 +65,138 @@ uint32_t Crc32(std::span<const uint8_t> bytes) {
   for (; n > 0; ++p, --n) {
     crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   }
-  return crc ^ 0xFFFFFFFFu;
+  return crc;
+}
+
+#if VUP_CRC32_CLMUL
+
+/// The fold needs four 16-byte blocks to fill its accumulators.
+constexpr size_t kFoldMinBytes = 64;
+
+VUP_TARGET_CLMUL inline __m128i Load16(const uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// Folds `x` forward over the distance whose constants `k` holds (low half
+/// times k's low half, high half times its high half) onto `next`.
+VUP_TARGET_CLMUL inline __m128i Fold(__m128i x, __m128i k, __m128i next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                     _mm_clmulepi64_si128(x, k, 0x11)),
+                       next);
+}
+
+/// Advances the CRC register `crc` over `n` bytes at `p`, where n >= 64
+/// and n is a multiple of 16, by carry-less-multiply folding (Gopal et
+/// al., "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+/// Instruction", Intel, 2009; the constants are Linux's crc32-pclmul ones
+/// for the bit-reflected polynomial 0xEDB88320). Each folding constant is
+/// a power of x reduced modulo P, bit-reflected, so every step is exact
+/// GF(2) arithmetic: the register it returns is the one that SliceBy8
+/// returns.
+VUP_TARGET_CLMUL uint32_t FoldBy4(uint32_t crc, const uint8_t* p, size_t n) {
+  // (low, high) 64-bit halves: k1/k2 fold 512 bits, k3/k4 fold 128 bits.
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0xccaa009e, 0x1751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+  // Barrett: P' (the polynomial with its x^32 term) and mu = x^64 / P.
+  const __m128i poly_mu = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i mask32 = _mm_set_epi32(0, 0, 0, -1);
+  __m128i x0 =
+      _mm_xor_si128(Load16(p), _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x1 = Load16(p + 16);
+  __m128i x2 = Load16(p + 32);
+  __m128i x3 = Load16(p + 48);
+  p += 64;
+  n -= 64;
+  for (; n >= 64; p += 64, n -= 64) {
+    x0 = Fold(x0, k1k2, Load16(p));
+    x1 = Fold(x1, k1k2, Load16(p + 16));
+    x2 = Fold(x2, k1k2, Load16(p + 32));
+    x3 = Fold(x3, k1k2, Load16(p + 48));
+  }
+  x0 = Fold(x0, k3k4, x1);
+  x0 = Fold(x0, k3k4, x2);
+  x0 = Fold(x0, k3k4, x3);
+  for (; n >= 16; p += 16, n -= 16) x0 = Fold(x0, k3k4, Load16(p));
+
+  // 128 -> 64 bits: fold the low half over the high one, appending the
+  // register's 32 zero bits.
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                     _mm_clmulepi64_si128(x0, k3k4, 0x10));
+  // 64 -> 32 significant bits.
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x0, mask32), k5, 0x00));
+  // Bit-reflected Barrett reduction to the 32-bit remainder.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x0, mask32), poly_mu, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, mask32), poly_mu, 0x00);
+  return static_cast<uint32_t>(_mm_extract_epi32(_mm_xor_si128(t, x0), 1));
+}
+
+bool FoldSupported() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+}
+
+#endif  // VUP_CRC32_CLMUL
+
+bool Crc32PathSupported(Crc32Path path) {
+  switch (path) {
+    case Crc32Path::kSliceBy8:
+      return true;
+    case Crc32Path::kClmulFold:
+#if VUP_CRC32_CLMUL
+      return FoldSupported();
+#else
+      return false;
+#endif
+  }
+  return false;
+}
+
+/// The fastest path the CPU runs, resolved once.
+Crc32Path BestCrc32Path() {
+  static const Crc32Path best = SupportedCrc32Paths().back();
+  return best;
+}
+
+/// ScopedCrc32Path's choice for this thread; -1 when none.
+thread_local int scoped_path = -1;
+
+}  // namespace
+
+std::vector<Crc32Path> SupportedCrc32Paths() {
+  std::vector<Crc32Path> out;
+  for (Crc32Path path : {Crc32Path::kSliceBy8, Crc32Path::kClmulFold}) {
+    if (Crc32PathSupported(path)) out.push_back(path);
+  }
+  return out;
+}
+
+Crc32Path ActiveCrc32Path() {
+  return scoped_path < 0 ? BestCrc32Path()
+                         : static_cast<Crc32Path>(scoped_path);
+}
+
+ScopedCrc32Path::ScopedCrc32Path(Crc32Path path) : previous_(scoped_path) {
+  VUP_CHECK(Crc32PathSupported(path));
+  scoped_path = static_cast<int>(path);
+}
+
+ScopedCrc32Path::~ScopedCrc32Path() { scoped_path = previous_; }
+
+uint32_t Crc32(std::span<const uint8_t> bytes) {
+  const uint8_t* p = bytes.data();
+  size_t n = bytes.size();
+  uint32_t crc = 0xFFFFFFFFu;
+#if VUP_CRC32_CLMUL
+  if (n >= kFoldMinBytes && ActiveCrc32Path() == Crc32Path::kClmulFold) {
+    const size_t folded = n & ~size_t{15};
+    crc = FoldBy4(crc, p, folded);
+    p += folded;
+    n -= folded;
+  }
+#endif
+  return SliceBy8(crc, p, n) ^ 0xFFFFFFFFu;
 }
 
 uint32_t Crc32(const void* data, size_t size) {

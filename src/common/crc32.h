@@ -6,15 +6,46 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 namespace vup {
 
 /// IEEE CRC-32 (reflected, polynomial 0xEDB88320): the checksum of the
 /// wire frames, WAL records and every file of a registry generation. Shared
 /// here so the serving layer can verify model artifacts without pulling
-/// in the wire stack.
+/// in the wire stack. On x86-64 CPUs with PCLMULQDQ, buffers of 64 bytes
+/// and more are folded with carry-less multiplies; slice-by-8 takes the
+/// rest, and everything on other CPUs. Both compute the same CRC.
 uint32_t Crc32(std::span<const uint8_t> bytes);
 uint32_t Crc32(const void* data, size_t size);
+
+/// The ways Crc32 can run.
+enum class Crc32Path : int {
+  kSliceBy8 = 0,
+  kClmulFold = 1,
+};
+
+/// Every path this CPU runs, slice-by-8 first; the fold only in GCC or
+/// Clang x86-64 builds on a CPU with PCLMULQDQ and SSE4.1.
+std::vector<Crc32Path> SupportedCrc32Paths();
+
+/// The path Crc32 runs on this thread: the fastest supported one, chosen
+/// once, unless a ScopedCrc32Path is active.
+Crc32Path ActiveCrc32Path();
+
+/// Runs Crc32 on the current thread on `path` (which must be supported)
+/// for the scope's lifetime, so tests can check every path against a
+/// reference. Scopes nest.
+class ScopedCrc32Path {
+ public:
+  explicit ScopedCrc32Path(Crc32Path path);
+  ~ScopedCrc32Path();
+  ScopedCrc32Path(const ScopedCrc32Path&) = delete;
+  ScopedCrc32Path& operator=(const ScopedCrc32Path&) = delete;
+
+ private:
+  int previous_;
+};
 
 /// Trailer framing: a framed buffer ends in the little-endian CRC-32 of
 /// the bytes before it. Every file of a published generation is framed

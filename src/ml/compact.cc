@@ -429,15 +429,11 @@ StatusOr<DecodedCompactPipeline> DecodeCompactPipeline(
         "compact bundle CRC mismatch: truncated or bit-rotted");
   }
 
-  // Payload arrays are read in place as f64 spans. A malloc-ed buffer
-  // already is 8-byte aligned; anything else is copied once, under the
-  // size cap checked above.
+  // Payload arrays are read in place as f64 spans, so the bytes must be
+  // 8-byte aligned. Every caller owns a heap buffer, which is.
   if (reinterpret_cast<uintptr_t>(bytes.data()) % alignof(double) != 0) {
-    auto aligned =
-        std::make_shared<std::vector<double>>((bytes.size() + 7) / 8);
-    std::memcpy(aligned->data(), bytes.data(), bytes.size());
-    bytes = {reinterpret_cast<const uint8_t*>(aligned->data()), bytes.size()};
-    owner = std::move(aligned);
+    return Status::InvalidArgument(
+        "compact bundle bytes are not 8-byte aligned");
   }
 
   Cursor cur{bytes.data() + 6, bytes.data() + bytes.size() - 4, bytes.data()};

@@ -110,8 +110,9 @@ StatusOr<std::string> EncodeCompactPipeline(
 
 /// Validates and decodes a compact bundle. The returned model keeps
 /// `owner` alive and reads `bytes` in place, so `bytes` must stay valid
-/// as long as `owner` is held (pass the heap buffer that backs them). Bytes that are not 8-byte aligned are copied once
-/// into an aligned buffer the model owns. See the format comment for the
+/// as long as `owner` is held (pass the heap buffer that backs them).
+/// `bytes` must be 8-byte aligned, as every heap buffer is: misaligned
+/// bytes are InvalidArgument. See the format comment for the rest of the
 /// error contract.
 StatusOr<DecodedCompactPipeline> DecodeCompactPipeline(
     std::span<const uint8_t> bytes, std::shared_ptr<const void> owner);

@@ -145,12 +145,6 @@ bool ParseRecord(const uint8_t* p, int64_t vehicle_id, AggregatedReport* r) {
 
 }  // namespace
 
-uint32_t Crc32(std::span<const uint8_t> bytes) { return vup::Crc32(bytes); }
-
-uint32_t Crc32(const void* data, size_t size) {
-  return vup::Crc32(data, size);
-}
-
 AggregatedReport QuantizeForWire(const AggregatedReport& report) {
   AggregatedReport q = report;
   q.engine_on_fraction =

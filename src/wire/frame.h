@@ -71,11 +71,6 @@ inline constexpr size_t kMaxPayloadBytes =
 inline constexpr size_t kMaxFrameBytes =
     kFrameHeaderBytes + kMaxPayloadBytes + 4;
 
-/// IEEE CRC-32 (reflected, poly 0xEDB88320), the checksum of every frame
-/// and WAL record.
-uint32_t Crc32(std::span<const uint8_t> bytes);
-uint32_t Crc32(const void* data, size_t size);
-
 /// Round-trips one report's channels through quantization: what a decoder
 /// on the other end of the wire will see. Unrepresentable channels come
 /// back as NaN / -1. Grid fields (vehicle_id, date, slot) are untouched.

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/string_util.h"
 #include "wire/frame.h"
 

@@ -33,45 +33,89 @@ std::vector<uint8_t> RandomBytes(Rng& rng, size_t size) {
   return bytes;
 }
 
+const char* PathName(Crc32Path path) {
+  return path == Crc32Path::kClmulFold ? "clmul-fold" : "slice-by-8";
+}
+
 TEST(Crc32Test, CheckValue) {
-  const char* msg = "123456789";
-  EXPECT_EQ(Crc32(msg, 9), 0xCBF43926u);
-  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  for (Crc32Path path : SupportedCrc32Paths()) {
+    SCOPED_TRACE(PathName(path));
+    ScopedCrc32Path scoped(path);
+    const char* msg = "123456789";
+    EXPECT_EQ(Crc32(msg, 9), 0xCBF43926u);
+    EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  }
 }
 
 TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
-  // Lengths 0..4096 at start offsets 0..7 cover every alignment of the
-  // 8-byte word loads and every tail length after them.
+  // Lengths 0..4096 at start offsets 0..15 cover every alignment of the
+  // fold's 16-byte loads and of slice-by-8's word loads, the 64-byte
+  // threshold of the fold and every tail length after either.
   constexpr size_t kMaxLength = 4096;
+  constexpr size_t kOffsets = 16;
   Rng rng(20190326);
-  const std::vector<uint8_t> buffer = RandomBytes(rng, kMaxLength + 8);
-  for (size_t offset = 0; offset < 8; ++offset) {
-    const uint8_t* start = buffer.data() + offset;
-    uint32_t reg = 0xFFFFFFFFu;
-    for (size_t length = 0; length <= kMaxLength; ++length) {
-      if (length > 0) reg = ReferenceUpdate(reg, start[length - 1]);
-      ASSERT_EQ(Crc32(start, length), ~reg)
-          << "offset " << offset << " length " << length;
+  const std::vector<uint8_t> buffer = RandomBytes(rng, kMaxLength + kOffsets);
+  for (Crc32Path path : SupportedCrc32Paths()) {
+    ScopedCrc32Path scoped(path);
+    for (size_t offset = 0; offset < kOffsets; ++offset) {
+      const uint8_t* start = buffer.data() + offset;
+      uint32_t reg = 0xFFFFFFFFu;
+      for (size_t length = 0; length <= kMaxLength; ++length) {
+        if (length > 0) reg = ReferenceUpdate(reg, start[length - 1]);
+        ASSERT_EQ(Crc32(start, length), ~reg)
+            << PathName(path) << " offset " << offset << " length "
+            << length;
+      }
     }
   }
 }
 
 TEST(Crc32Test, MatchesReferenceOnRandomBuffersUpToOneMiB) {
-  Rng rng(7);
-  const size_t sizes[] = {1 << 20, (1 << 20) - 1, 65537, 12345, 8, 7, 1};
-  for (size_t size : sizes) {
-    const std::vector<uint8_t> bytes = RandomBytes(rng, size);
-    EXPECT_EQ(Crc32(bytes.data(), bytes.size()),
-              ReferenceCrc32(bytes.data(), bytes.size()))
-        << "size " << size;
+  for (Crc32Path path : SupportedCrc32Paths()) {
+    SCOPED_TRACE(PathName(path));
+    ScopedCrc32Path scoped(path);
+    Rng rng(7);
+    const size_t sizes[] = {1 << 20, (1 << 20) - 1, 65537, 12345, 8, 7, 1};
+    for (size_t size : sizes) {
+      const std::vector<uint8_t> bytes = RandomBytes(rng, size);
+      EXPECT_EQ(Crc32(bytes.data(), bytes.size()),
+                ReferenceCrc32(bytes.data(), bytes.size()))
+          << "size " << size;
+    }
+    for (int i = 0; i < 8; ++i) {
+      const size_t size = static_cast<size_t>(rng.UniformInt(0, 1 << 20));
+      const std::vector<uint8_t> bytes = RandomBytes(rng, size);
+      EXPECT_EQ(Crc32(std::span<const uint8_t>(bytes)),
+                ReferenceCrc32(bytes.data(), bytes.size()))
+          << "size " << size;
+    }
   }
-  for (int i = 0; i < 8; ++i) {
-    const size_t size = static_cast<size_t>(rng.UniformInt(0, 1 << 20));
-    const std::vector<uint8_t> bytes = RandomBytes(rng, size);
-    EXPECT_EQ(Crc32(std::span<const uint8_t>(bytes)),
-              ReferenceCrc32(bytes.data(), bytes.size()))
-        << "size " << size;
+}
+
+TEST(Crc32Test, RunsTheFoldWhereTheCpuHasPclmul) {
+  // Asked of the CPU here, not of the library: a build that compiles the
+  // fold out on an x86-64 host fails this case.
+#if defined(__GNUC__) && defined(__x86_64__)
+  __builtin_cpu_init();
+  const bool pclmul =
+      __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+#else
+  const bool pclmul = false;
+#endif
+  EXPECT_EQ(ActiveCrc32Path(),
+            pclmul ? Crc32Path::kClmulFold : Crc32Path::kSliceBy8);
+  EXPECT_EQ(SupportedCrc32Paths().size(), pclmul ? 2u : 1u);
+  EXPECT_EQ(SupportedCrc32Paths().front(), Crc32Path::kSliceBy8);
+  {
+    ScopedCrc32Path outer(Crc32Path::kSliceBy8);
+    EXPECT_EQ(ActiveCrc32Path(), Crc32Path::kSliceBy8);
+    {
+      ScopedCrc32Path inner(SupportedCrc32Paths().back());
+      EXPECT_EQ(ActiveCrc32Path(), SupportedCrc32Paths().back());
+    }
+    EXPECT_EQ(ActiveCrc32Path(), Crc32Path::kSliceBy8);
   }
+  EXPECT_EQ(ActiveCrc32Path(), SupportedCrc32Paths().back());
 }
 
 }  // namespace
