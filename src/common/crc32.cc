@@ -184,19 +184,29 @@ ScopedCrc32Path::ScopedCrc32Path(Crc32Path path) : previous_(scoped_path) {
 
 ScopedCrc32Path::~ScopedCrc32Path() { scoped_path = previous_; }
 
-uint32_t Crc32(std::span<const uint8_t> bytes) {
-  const uint8_t* p = bytes.data();
-  size_t n = bytes.size();
-  uint32_t crc = 0xFFFFFFFFu;
+namespace internal_crc32 {
+
+size_t FoldPrefix([[maybe_unused]] uint32_t* crc,
+                  [[maybe_unused]] const uint8_t* p,
+                  [[maybe_unused]] size_t n) {
 #if VUP_CRC32_CLMUL
   if (n >= kFoldMinBytes && ActiveCrc32Path() == Crc32Path::kClmulFold) {
     const size_t folded = n & ~size_t{15};
-    crc = FoldBy4(crc, p, folded);
-    p += folded;
-    n -= folded;
+    *crc = FoldBy4(*crc, p, folded);
+    return folded;
   }
 #endif
-  return SliceBy8(crc, p, n) ^ 0xFFFFFFFFu;
+  return 0;
+}
+
+}  // namespace internal_crc32
+
+uint32_t Crc32(std::span<const uint8_t> bytes) {
+  const uint8_t* p = bytes.data();
+  const size_t n = bytes.size();
+  uint32_t crc = 0xFFFFFFFFu;
+  const size_t folded = internal_crc32::FoldPrefix(&crc, p, n);
+  return SliceBy8(crc, p + folded, n - folded) ^ 0xFFFFFFFFu;
 }
 
 uint32_t Crc32(const void* data, size_t size) {

@@ -47,6 +47,16 @@ class ScopedCrc32Path {
   int previous_;
 };
 
+namespace internal_crc32 {
+
+/// Crc32's dispatch: advances the register `*crc` over the longest prefix
+/// of the `n` bytes at `p` that the active path folds, and returns that
+/// prefix's length; 0 leaves all of it to slice-by-8. Declared here only
+/// so the CRC tests can see which path runs.
+size_t FoldPrefix(uint32_t* crc, const uint8_t* p, size_t n);
+
+}  // namespace internal_crc32
+
 /// Trailer framing: a framed buffer ends in the little-endian CRC-32 of
 /// the bytes before it. Every file of a published generation is framed
 /// so, and the trailer is the per-file digest its MANIFEST records.

@@ -118,5 +118,29 @@ TEST(Crc32Test, RunsTheFoldWhereTheCpuHasPclmul) {
   EXPECT_EQ(ActiveCrc32Path(), SupportedCrc32Paths().back());
 }
 
+TEST(Crc32Test, FoldTakesEveryWholeBlockFromSixtyFourBytes) {
+  // Crc32's own dispatch: on the fold path it folds every whole 16-byte
+  // block of a buffer of 64 bytes or more, to the reference register;
+  // slice-by-8 takes everything else.
+  Rng rng(28);
+  const std::vector<uint8_t> bytes = RandomBytes(rng, 4100);
+  const auto expect_prefix = [&](size_t n, size_t folded) {
+    uint32_t reg = 0xFFFFFFFFu;
+    EXPECT_EQ(internal_crc32::FoldPrefix(&reg, bytes.data(), n), folded)
+        << "length " << n;
+    uint32_t expected = 0xFFFFFFFFu;
+    for (size_t i = 0; i < folded; ++i) {
+      expected = ReferenceUpdate(expected, bytes[i]);
+    }
+    EXPECT_EQ(reg, expected) << "length " << n;
+  };
+  const bool fold = ActiveCrc32Path() == Crc32Path::kClmulFold;
+  for (size_t n : {0, 16, 63, 64, 79, 80, 4100}) {
+    expect_prefix(n, fold && n >= 64 ? n & ~size_t{15} : 0);
+  }
+  ScopedCrc32Path slice(Crc32Path::kSliceBy8);
+  expect_prefix(4100, 0);
+}
+
 }  // namespace
 }  // namespace vup

@@ -53,6 +53,12 @@ std::vector<DecodedFrame> DecodeAll(const std::string& stream,
   return frames;
 }
 
+TEST(Crc32Test, KnownVector) {
+  // The classic IEEE CRC-32 check value.
+  const char* msg = "123456789";
+  EXPECT_EQ(Crc32(msg, 9), 0xCBF43926u);
+}
+
 TEST(FrameCodecTest, RoundTripMatchesQuantizeForWire) {
   std::vector<AggregatedReport> reports = {Report(7, D0(), 10),
                                            Report(7, D0(), 11, 1.0)};
