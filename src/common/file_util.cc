@@ -1,7 +1,11 @@
 #include "common/file_util.h"
 
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <system_error>
 
 #include "common/string_util.h"
@@ -24,11 +28,19 @@ StatusOr<std::string> ReadFileCapped(const std::string& path,
         static_cast<unsigned long long>(size),
         static_cast<unsigned long long>(max_bytes)));
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
+  // fopen, not ifstream: its errno tells a file deleted since the stat
+  // (NotFound) from an IO fault such as descriptor exhaustion (Internal),
+  // which must never read as "no such file".
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> in(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  if (in == nullptr) {
+    const int error = errno;
+    if (error == ENOENT) return Status::NotFound("no such file: " + path);
+    return Status::Internal("cannot open " + path + ": " +
+                            std::strerror(error));
+  }
   std::string bytes(static_cast<size_t>(size), '\0');
-  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (in.bad() || static_cast<uintmax_t>(in.gcount()) != size) {
+  if (std::fread(bytes.data(), 1, bytes.size(), in.get()) != bytes.size()) {
     return Status::DataLoss("short read: " + path);
   }
   return bytes;

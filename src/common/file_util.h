@@ -14,7 +14,8 @@ namespace vup {
 /// huge or hostile file costs a stat, never an allocation of its size.
 ///
 /// NotFound when the file does not exist; DataLoss when it is larger than
-/// `max_bytes` or the read comes up short; Internal for other stat errors.
+/// `max_bytes` or the read comes up short; Internal for every other stat
+/// or open error (a directory in its place, descriptors exhausted).
 StatusOr<std::string> ReadFileCapped(const std::string& path,
                                      uint64_t max_bytes);
 

@@ -60,7 +60,7 @@ StatusOr<std::string> ReadCurrentPointer(const std::string& root) {
   return name;
 }
 
-StatusOr<std::optional<GenerationManifest>> VerifyGenerationComplete(
+StatusOr<GenerationManifest> VerifyGenerationComplete(
     const std::string& root, const std::string& generation) {
   VUP_RETURN_IF_ERROR(
       ModelRegistry::ParseGenerationName(generation).status());
@@ -70,24 +70,20 @@ StatusOr<std::optional<GenerationManifest>> VerifyGenerationComplete(
     return Status::NotFound("generation directory is missing: " + dir);
   }
   // The meta is written right before the MANIFEST seals the generation;
-  // an unreadable meta means the generation is torn or incomplete.
+  // a missing or unreadable one of either means the generation is torn or
+  // incomplete.
   StatusOr<RegistryMeta> meta = ReadRegistryMetaFile(dir);
   if (!meta.ok()) {
     return Status::DataLoss("generation " + generation +
                             " is incomplete: " + meta.status().ToString());
   }
-  // No MANIFEST means a legacy generation, served unverified; a damaged
-  // one means the generation is torn.
   StatusOr<GenerationManifest> manifest = ReadManifestFile(dir);
-  if (manifest.status().IsNotFound()) {
-    return std::optional<GenerationManifest>();
-  }
   if (!manifest.ok()) {
     return Status::DataLoss("generation " + generation +
-                            " has a damaged manifest: " +
+                            " is incomplete: " +
                             manifest.status().ToString());
   }
-  return std::optional<GenerationManifest>(std::move(manifest).value());
+  return manifest;
 }
 
 std::string RollbackJournal::Serialize() const {

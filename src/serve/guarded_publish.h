@@ -2,7 +2,6 @@
 #define VUPRED_SERVE_GUARDED_PUBLISH_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -18,15 +17,15 @@ inline constexpr char kRollbackJournalFileName[] = "ROLLBACK";
 
 /// Reads the one-line CURRENT pointer under `root` and checks that it
 /// names a generation. NotFound when no generation has ever been promoted
-/// there (a flat layout).
+/// there.
 StatusOr<std::string> ReadCurrentPointer(const std::string& root);
 
 /// Checks that root/`generation` is complete: a well-formed name, the
-/// directory present (NotFound otherwise), a registry meta that decodes
-/// and -- when there is one -- a MANIFEST that decodes (DataLoss
-/// otherwise). Returns the manifest, nullopt for a generation without one.
-/// Incomplete generations must never become CURRENT, in either direction.
-StatusOr<std::optional<GenerationManifest>> VerifyGenerationComplete(
+/// directory present (NotFound otherwise), a registry meta and a MANIFEST
+/// that both decode (DataLoss otherwise). Returns the manifest, the only
+/// definition of what the generation serves. Incomplete generations must
+/// never become CURRENT, in either direction.
+StatusOr<GenerationManifest> VerifyGenerationComplete(
     const std::string& root, const std::string& generation);
 
 /// The rollback journal: written atomically immediately BEFORE the CURRENT
@@ -58,8 +57,8 @@ Status WriteRollbackJournal(const std::string& root,
 
 /// Advances root/CURRENT to `generation` ("gen_NNNNNN"), journaling the
 /// step first so it can be undone. Verifies the target is a complete
-/// generation (well-formed name, directory present, parseable meta and --
-/// when one exists -- parseable manifest) before touching any pointer.
+/// generation (well-formed name, directory present, parseable meta and
+/// manifest) before touching any pointer.
 /// Promoting the generation CURRENT already names is an idempotent no-op
 /// that leaves the journal alone.
 Status PromoteGeneration(const std::string& root,

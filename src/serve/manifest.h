@@ -98,8 +98,8 @@ class GenerationManifest {
 Status WriteManifestFile(const std::string& directory,
                          const GenerationManifest& manifest);
 
-/// Reads and parses `directory`/MANIFEST. NotFound when the generation
-/// predates manifests (legacy, served unverified).
+/// Reads and parses `directory`/MANIFEST. NotFound when there is none: a
+/// committed generation without one is incomplete and never served.
 StatusOr<GenerationManifest> ReadManifestFile(const std::string& directory);
 
 }  // namespace vup::serve

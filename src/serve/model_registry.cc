@@ -55,22 +55,6 @@ StatusOr<VehicleForecaster> DecodeOwnedBundle(std::string bytes) {
       owner);
 }
 
-/// Vehicle ids with a bundle file directly under `dir`, ascending.
-std::vector<int64_t> ListBundleIds(const std::string& dir) {
-  std::vector<int64_t> ids;
-  std::error_code ec;
-  fs::directory_iterator it(dir, ec);
-  if (ec) return ids;
-  for (const fs::directory_entry& entry : it) {
-    if (!entry.is_regular_file(ec) || ec) continue;
-    std::optional<int64_t> id =
-        ModelRegistry::ParseBundleFileName(entry.path().filename().string());
-    if (id.has_value()) ids.push_back(*id);
-  }
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
 /// Largest generation number present under `root` (committed or staging),
 /// 0 when none.
 uint64_t MaxGenerationNumber(const std::string& root) {
@@ -271,23 +255,22 @@ StatusOr<ModelRegistry::ActiveGeneration> ModelRegistry::ResolveActive(
     const std::string& root) {
   StatusOr<std::string> name = ReadCurrentPointer(root);
   if (name.status().IsNotFound()) {
-    // Legacy flat layout: the root itself is the (only) generation. A
-    // manifest is still honored when present -- opening a finalized
-    // gen_NNNNNN directory directly (the canary drill does) lands here.
-    ActiveGeneration flat{root, 0, std::nullopt};
+    // No generation was ever promoted here: the root serves what its own
+    // MANIFEST lists (the canary drill opens a finalized gen_NNNNNN
+    // directory this way), and nothing without one -- bundles lying under
+    // the root are never read.
     StatusOr<GenerationManifest> manifest = ReadManifestFile(root);
-    if (manifest.ok()) {
-      flat.manifest = std::move(manifest).value();
-    } else if (!manifest.status().IsNotFound()) {
+    if (manifest.status().IsNotFound()) return ActiveGeneration{root, 0, {}};
+    if (!manifest.ok()) {
       return Status::DataLoss("registry manifest is damaged: " +
                               manifest.status().ToString());
     }
-    return flat;
+    return ActiveGeneration{root, 0, std::move(manifest).value()};
   }
   VUP_RETURN_IF_ERROR(name.status());
   // A torn or incomplete generation is refused whole rather than trusting
   // any part of it.
-  VUP_ASSIGN_OR_RETURN(std::optional<GenerationManifest> manifest,
+  VUP_ASSIGN_OR_RETURN(GenerationManifest manifest,
                        VerifyGenerationComplete(root, name.value()));
   return ActiveGeneration{root + "/" + name.value(),
                           ParseGenerationName(name.value()).value(),
@@ -424,45 +407,6 @@ Status ModelRegistry::PruneGenerations(size_t keep) {
   return Status::OK();
 }
 
-Status ModelRegistry::Publish(int64_t vehicle_id,
-                              const VehicleForecaster& forecaster) {
-  VUP_ASSIGN_OR_RETURN(const std::string bytes, forecaster.SaveCompact());
-  // Temp + rename: a crashed publish never leaves a half-written bundle
-  // under the serving name.
-  VUP_RETURN_IF_ERROR(WriteFileAtomic(BundlePath(vehicle_id), bytes));
-  // Drop any stale resident copy so the next Get sees the new bundle, and
-  // give the fresh bundle a fresh breaker and a clean quarantine record.
-  {
-    Shard& shard = ShardForVehicle(vehicle_id);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(vehicle_id);
-    if (it != shard.index.end()) {
-      shard.resident_bytes -= it->second->bytes;
-      shard.lru.erase(it->second);
-      shard.index.erase(it);
-    }
-    shard.breakers.erase(vehicle_id);
-    shard.quarantined.erase(vehicle_id);
-  }
-  std::lock_guard<std::mutex> lock(*active_mu_);
-  if (active_.manifest.has_value()) {
-    // Keep the generation manifest truthful: swap the bundle's entry for
-    // the bytes just installed, or the next verified load (and every
-    // scrub) would quarantine the bundle we just published.
-    const std::string file = BundleFileName(vehicle_id);
-    GenerationManifest updated;
-    for (const ManifestEntry& entry : active_.manifest->entries()) {
-      if (entry.file == file) continue;
-      VUP_RETURN_IF_ERROR(updated.Add(entry.file, entry.size, entry.crc32));
-    }
-    VUP_RETURN_IF_ERROR(updated.Add(
-        file, bytes.size(), StoredCrc32Trailer(bytes.data(), bytes.size())));
-    VUP_RETURN_IF_ERROR(WriteManifestFile(active_.dir, updated));
-    active_.manifest = std::move(updated);
-  }
-  return Status::OK();
-}
-
 StatusOr<std::shared_ptr<const VehicleForecaster>>
 ModelRegistry::LoadVerifiedLocked(Shard& shard, int64_t vehicle_id) {
   // One consistent peek at the active generation (dir + manifest entry):
@@ -470,14 +414,21 @@ ModelRegistry::LoadVerifiedLocked(Shard& shard, int64_t vehicle_id) {
   // lock order -- so a concurrent Reload can never hand this load the new
   // generation's manifest with the old generation's directory.
   std::string dir;
-  std::optional<ManifestEntry> entry;
+  ManifestEntry entry;
   const std::string file = BundleFileName(vehicle_id);
+  auto no_bundle = [&] {
+    return Status::NotFound(
+        StrFormat("no model bundle for vehicle %lld in %s",
+                  static_cast<long long>(vehicle_id), dir.c_str()));
+  };
   {
     std::lock_guard<std::mutex> lock(*active_mu_);
     dir = active_.dir;
-    if (active_.manifest.has_value()) {
-      if (const ManifestEntry* e = active_.manifest->Find(file)) entry = *e;
-    }
+    const ManifestEntry* listed = active_.manifest.Find(file);
+    // Not listed, not part of the generation: whatever file may lie under
+    // that name is never read.
+    if (listed == nullptr) return no_bundle();
+    entry = *listed;
   }
 
   auto quarantine = [&](const Status& why) {
@@ -488,50 +439,35 @@ ModelRegistry::LoadVerifiedLocked(Shard& shard, int64_t vehicle_id) {
         static_cast<long long>(vehicle_id), why.message().c_str()));
   };
 
-  // A listed bundle is read capped at its manifest size, so a grown file
-  // is a mismatch found by its stat, never read.
-  StatusOr<std::string> bytes = ReadFileCapped(
-      dir + "/" + file, entry.has_value() ? entry->size : kMaxCompactBytes);
-  if (bytes.status().IsNotFound()) {
-    return Status::NotFound(
-        StrFormat("no model bundle for vehicle %lld in %s",
-                  static_cast<long long>(vehicle_id), dir.c_str()));
-  }
-  if (entry.has_value()) {
-    if (bytes.status().IsDataLoss()) return quarantine(bytes.status());
-    if (bytes.ok() && bytes.value().size() != entry->size) {
-      return quarantine(Status::DataLoss(StrFormat(
-          "%s: size %zu does not match manifest (%llu bytes)", file.c_str(),
-          bytes.value().size(),
-          static_cast<unsigned long long>(entry->size))));
-    }
-  }
+  // Read capped at the listed size, so a grown file is a mismatch found by
+  // its stat, never read.
+  StatusOr<std::string> bytes = ReadFileCapped(dir + "/" + file, entry.size);
+  if (bytes.status().IsNotFound()) return no_bundle();
+  if (bytes.status().IsDataLoss()) return quarantine(bytes.status());
   VUP_RETURN_IF_ERROR(bytes.status());
+  if (bytes.value().size() != entry.size) {
+    return quarantine(Status::DataLoss(StrFormat(
+        "%s: size %zu does not match manifest (%llu bytes)", file.c_str(),
+        bytes.value().size(), static_cast<unsigned long long>(entry.size))));
+  }
   // The decoder makes the one CRC pass: it checks the bundle's own trailer
   // before it trusts any structural field, so corrupt bytes are never
-  // scored. Files the manifest does not list load unverified by it
-  // (single-bundle Publish into a legacy generation keeps working).
+  // scored. A bundle that fails its own framing is corruption (or a bundle
+  // this build cannot read): quarantine it.
   const uint32_t trailer = bytes.value().size() >= kCrc32TrailerBytes
                                ? StoredCrc32Trailer(bytes.value().data(),
                                                     bytes.value().size())
                                : 0;
   StatusOr<VehicleForecaster> forecaster =
       DecodeOwnedBundle(std::move(bytes).value());
-  if (!forecaster.ok()) {
-    // A bundle the manifest vouched for but that fails its own framing is
-    // corruption (or a bundle this build cannot read): quarantine it.
-    // Unlisted bundles surface the raw error and count against the
-    // breaker.
-    if (entry.has_value()) return quarantine(forecaster.status());
-    return forecaster.status();
-  }
+  if (!forecaster.ok()) return quarantine(forecaster.status());
   // The decoder checked the trailer, so comparing it with the manifest's
   // needs no second pass. It differs from bundle to bundle, so a valid
   // bundle copied over another vehicle's of the same size is caught here.
-  if (entry.has_value() && entry->crc32 != trailer) {
+  if (entry.crc32 != trailer) {
     return quarantine(Status::DataLoss(StrFormat(
         "%s: crc32 %u does not match manifest (%u)", file.c_str(), trailer,
-        entry->crc32)));
+        entry.crc32)));
   }
   return std::make_shared<const VehicleForecaster>(
       std::move(forecaster).value());
@@ -589,8 +525,7 @@ StatusOr<std::shared_ptr<const VehicleForecaster>> ModelRegistry::Get(
   }
 
   if (shard.quarantined.count(vehicle_id) != 0) {
-    // Quarantine is sticky until the generation swaps or the bundle is
-    // republished -- no disk IO, no breaker involvement, and NotFound so
+    // Quarantine is sticky until the generation swaps -- no disk IO, no breaker involvement, and NotFound so
     // the caller degrades through the same fallback chain as a missing
     // bundle.
     ++shard.counters.quarantine_blocks;
@@ -624,8 +559,8 @@ StatusOr<std::shared_ptr<const VehicleForecaster>> ModelRegistry::Get(
       LoadVerifiedLocked(shard, vehicle_id);
   if (!loaded.ok()) {
     // A missing bundle is the degradation path, not a fault; only real
-    // load failures (corrupt bundle, IO error) count against the breaker.
-    // A fresh quarantine surfaces as NotFound for the same reason.
+    // load failures (IO errors) count against the breaker. A fresh
+    // quarantine surfaces as NotFound for the same reason.
     if (!loaded.status().IsNotFound()) {
       RecordLoadFailureLocked(shard, vehicle_id);
     }
@@ -705,17 +640,22 @@ StatusOr<RegistryMeta> ModelRegistry::ReadMeta() const {
 }
 
 bool ModelRegistry::Contains(int64_t vehicle_id) const {
-  std::error_code ec;
-  return fs::exists(BundlePath(vehicle_id), ec) && !ec;
+  std::lock_guard<std::mutex> lock(*active_mu_);
+  return active_.manifest.Find(BundleFileName(vehicle_id)) != nullptr;
 }
 
 std::vector<int64_t> ModelRegistry::ListVehicleIds() const {
-  std::string dir;
+  std::vector<int64_t> ids;
   {
     std::lock_guard<std::mutex> lock(*active_mu_);
-    dir = active_.dir;
+    for (const ManifestEntry& entry : active_.manifest.entries()) {
+      std::optional<int64_t> id = ParseBundleFileName(entry.file);
+      if (id.has_value()) ids.push_back(*id);
+    }
   }
-  return ListBundleIds(dir);
+  // Entries are sorted by file name, not by id.
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 size_t ModelRegistry::resident_models() const {

@@ -100,7 +100,7 @@ struct ModelRegistryStats {
                                         // open (no disk touched).
   uint64_t breaker_open_vehicles = 0;   // Breakers currently open/half-open.
   uint64_t reloads = 0;        // Generation swaps performed by Reload().
-  uint64_t generation = 0;     // Active generation number (0 = flat layout).
+  uint64_t generation = 0;     // Active generation number (0 = none).
   uint64_t quarantines = 0;    // Models quarantined (manifest mismatch or
                                // explicit Quarantine()).
   uint64_t quarantine_blocks = 0;  // Gets answered NotFound because the
@@ -122,7 +122,7 @@ class GenerationPublisher;
 /// a `vupc v2` compact bundle (ml/compact.h), read into a buffer the model
 /// owns and scored in place.
 ///
-/// On-disk layout, generation mode:
+/// On-disk layout:
 ///
 ///   <registry>/
 ///     CURRENT               # name of the active generation ("gen_000003")
@@ -133,15 +133,19 @@ class GenerationPublisher;
 ///     gen_000003/ ...
 ///
 /// `CURRENT` is written temp+rename and flipped only after the generation
-/// directory (bundles + meta) is fully on disk, so a publisher killed
-/// mid-write can never expose a torn fleet: readers either keep the old
-/// complete generation or see the new complete one. A registry without a
-/// `CURRENT` file is a legacy flat layout (bundles directly under the
-/// root, generation number 0) -- single-bundle Publish keeps working
-/// there.
+/// directory (bundles + meta + MANIFEST) is fully on disk, so a publisher
+/// killed mid-write can never expose a torn fleet: readers either keep the
+/// old complete generation or see the new complete one.
 ///
-/// Circuit breaker: consecutive load *failures* (corrupt bundle, IO error
-/// -- NotFound is not a failure) trip a per-vehicle breaker after
+/// The MANIFEST is the only definition of what a generation serves: a
+/// vehicle is in the fleet when its bundle is listed, and a listed bundle
+/// is served only when its bytes match the listed size and trailer. A
+/// registry root without `CURRENT` is served as generation 0 from its own
+/// MANIFEST (the canary drill opens a finalized generation this way); with
+/// no MANIFEST either, it serves nothing.
+///
+/// Circuit breaker: consecutive load *failures* (IO errors -- NotFound
+/// and quarantine are not failures) trip a per-vehicle breaker after
 /// `failure_threshold`; while open, Get fails fast with `Unavailable`
 /// instead of re-reading a bundle known to be bad. After a seeded,
 /// jittered exponential backoff (schedule from common/retry.h) the
@@ -198,17 +202,12 @@ class ModelRegistry {
   };
 
   /// Opens (and creates, if missing) the registry directory, resolving
-  /// `CURRENT` to the active generation (flat layout when absent).
+  /// `CURRENT` to the active generation (the root's own MANIFEST when
+  /// absent). DataLoss when that generation is incomplete.
   static StatusOr<ModelRegistry> Open(Options options);
 
   ModelRegistry(ModelRegistry&&) noexcept = default;
   ModelRegistry& operator=(ModelRegistry&&) noexcept = default;
-
-  /// Writes the compact bundle of `vehicle_id` (must be trained) into the
-  /// active generation. Replaces an existing bundle, drops any stale resident
-  /// copy and resets the vehicle's breaker (a fresh bundle deserves fresh
-  /// chances).
-  Status Publish(int64_t vehicle_id, const VehicleForecaster& forecaster);
 
   /// Starts a new generation staged invisibly next to the active one;
   /// `Commit` makes it the fleet `CURRENT` points at. Concurrent readers
@@ -232,20 +231,20 @@ class ModelRegistry {
   /// so this registry serves the restored generation immediately.
   Status Rollback();
 
-  /// The model of `vehicle_id`, from cache or disk. NotFound when no
-  /// bundle exists OR when the model is quarantined (so callers degrade
-  /// through the same fallback chain either way); the decoder's errors
-  /// (ml/compact.h) when the bundle is corrupt and unlisted in any
-  /// manifest; Unavailable (fast, no disk IO) while the vehicle's breaker
-  /// is open.
+  /// The model of `vehicle_id`, from cache or disk. NotFound when the
+  /// active MANIFEST does not list its bundle (no disk IO), when the listed
+  /// file is missing, OR when the model is quarantined (so callers degrade
+  /// through the same fallback chain either way); the read's error
+  /// (Internal) when the listed file cannot be read; Unavailable (fast, no
+  /// disk IO) while the vehicle's breaker is open.
   ///
-  /// When the active generation carries a MANIFEST, every disk load is
-  /// verified against it first: a size/CRC mismatch quarantines the model
-  /// (never decoded, never scored) and returns NotFound, and so does a
-  /// listed bundle the decoder rejects (a `vupc v1` bundle among them).
-  /// Quarantine does not touch the circuit breaker -- corruption is a
-  /// publisher/disk fault, not a load-path fault, and burning breaker
-  /// probes on it would delay recovery after the generation is repaired.
+  /// Every disk load is verified against the MANIFEST: a size or trailer
+  /// mismatch quarantines the model (never decoded, never scored) and
+  /// returns NotFound, and so does a listed bundle the decoder rejects (a
+  /// `vupc v1` bundle among them). Quarantine does not touch the circuit
+  /// breaker -- corruption is a publisher/disk fault, not a load-path
+  /// fault, and burning breaker probes on it would delay recovery after
+  /// the generation is repaired.
   StatusOr<std::shared_ptr<const VehicleForecaster>> Get(int64_t vehicle_id);
 
   /// Marks the model of `vehicle_id` as unservable (drops any resident
@@ -255,13 +254,14 @@ class ModelRegistry {
 
   bool IsQuarantined(int64_t vehicle_id) const;
 
-  /// Meta of the active generation (root meta in flat layout).
+  /// Meta of the active generation.
   StatusOr<RegistryMeta> ReadMeta() const;
 
-  /// True when a bundle file exists (does not touch the cache).
+  /// True when the active MANIFEST lists the vehicle's bundle (touches
+  /// neither the disk nor the cache).
   bool Contains(int64_t vehicle_id) const;
 
-  /// Vehicle ids with a bundle in the active generation, ascending.
+  /// Vehicle ids whose bundle the active MANIFEST lists, ascending.
   std::vector<int64_t> ListVehicleIds() const;
 
   /// Number of models currently resident in the cache (all shards).
@@ -328,9 +328,9 @@ class ModelRegistry {
   struct ActiveGeneration {
     std::string dir;
     uint64_t number = 0;
-    /// Integrity manifest of the generation; nullopt for legacy
-    /// generations published before manifests existed (served unverified).
-    std::optional<GenerationManifest> manifest;
+    /// What the generation serves: a bundle it does not list is not part
+    /// of it.
+    GenerationManifest manifest;
   };
 
   /// One lock domain of the registry: its own mutex, LRU (with per-entry
@@ -371,18 +371,21 @@ class ModelRegistry {
     return options_.clock != nullptr ? *options_.clock : Clock::Real();
   }
 
-  /// Resolves CURRENT under `root` (flat layout when absent); validates
-  /// that the generation directory exists and holds a parseable meta.
+  /// Resolves CURRENT under `root` and checks the generation is complete
+  /// (VerifyGenerationComplete). Without CURRENT the root itself is
+  /// generation 0, serving what its MANIFEST lists -- nothing when there
+  /// is none.
   static StatusOr<ActiveGeneration> ResolveActive(const std::string& root);
 
   Shard& ShardForVehicle(int64_t vehicle_id) const;
 
-  /// Reads the bundle of `vehicle_id` from the active generation into a
-  /// buffer it owns, verifies it against the manifest when one lists it,
-  /// and decodes it in place over that buffer.
-  /// A verification or decode failure of a listed bundle quarantines the
-  /// vehicle and returns NotFound. Caller holds the vehicle's shard
-  /// mutex; this takes active_mu_ inside (see Shard's lock ordering).
+  /// Reads the listed bundle of `vehicle_id` from the active generation
+  /// into a buffer it owns, capped at its listed size, and decodes it in
+  /// place over that buffer. NotFound, with no disk access, when the
+  /// MANIFEST does not list it; a size, decode or trailer mismatch
+  /// quarantines the vehicle and returns NotFound. Caller holds the
+  /// vehicle's shard mutex; this takes active_mu_ inside (see Shard's lock
+  /// ordering).
   StatusOr<std::shared_ptr<const VehicleForecaster>> LoadVerifiedLocked(
       Shard& shard, int64_t vehicle_id);
 

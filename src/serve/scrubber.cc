@@ -6,7 +6,6 @@
 
 #include "common/file_util.h"
 #include "common/string_util.h"
-#include "serve/guarded_publish.h"
 #include "serve/manifest.h"
 #include "serve/model_registry.h"
 
@@ -16,12 +15,11 @@ namespace fs = std::filesystem;
 
 std::string ScrubReport::ToString() const {
   return StrFormat(
-      "%zu generations scanned (%zu unmanifested, %zu damaged manifests), "
+      "%zu generations scanned (%zu damaged manifests), "
       "%zu files checked: %zu crc mismatches, %zu size mismatches, "
       "%zu missing, %zu quarantined",
-      generations_scanned, generations_unmanifested, damaged_manifests,
-      files_checked, crc_mismatches, size_mismatches, missing_files,
-      quarantined);
+      generations_scanned, damaged_manifests, files_checked, crc_mismatches,
+      size_mismatches, missing_files, quarantined);
 }
 
 RegistryScrubber::RegistryScrubber(ScrubOptions options)
@@ -33,45 +31,37 @@ StatusOr<ScrubReport> RegistryScrubber::ScrubOnce() {
   ScrubReport report;
   std::error_code ec;
 
-  // Committed generation directories under the root, or the root itself in
-  // flat layout. Staging directories are skipped: they are still being
-  // written and carry no manifest yet.
+  // Committed generation directories under the root. Staging directories
+  // are skipped: they are still being written and carry no manifest yet.
   std::vector<std::string> dirs;
-  if (!fs::exists(options_.root + "/" + kCurrentFileName, ec) || ec) {
-    dirs.push_back(options_.root);
-  } else {
-    fs::directory_iterator it(options_.root, ec);
-    if (ec) {
-      return Status::Internal("cannot list " + options_.root + ": " +
-                              ec.message());
-    }
-    for (const fs::directory_entry& entry : it) {
-      if (!entry.is_directory(ec) || ec) continue;
-      const std::string name = entry.path().filename().string();
-      if (!ModelRegistry::ParseGenerationName(name).ok()) continue;
-      dirs.push_back(entry.path().string());
-    }
+  fs::directory_iterator it(options_.root, ec);
+  if (ec) {
+    return Status::Internal("cannot list " + options_.root + ": " +
+                            ec.message());
+  }
+  for (const fs::directory_entry& entry : it) {
+    if (!entry.is_directory(ec) || ec) continue;
+    const std::string name = entry.path().filename().string();
+    if (!ModelRegistry::ParseGenerationName(name).ok()) continue;
+    dirs.push_back(entry.path().string());
   }
 
   // The directory whose corruption must quarantine serving models.
-  std::string active_dir;
-  if (options_.registry != nullptr) {
-    const uint64_t number = options_.registry->active_generation();
-    active_dir = number == 0
-                     ? options_.registry->directory()
-                     : options_.registry->directory() + "/" +
-                           ModelRegistry::GenerationDirName(number);
-  }
+  const uint64_t active = options_.registry != nullptr
+                              ? options_.registry->active_generation()
+                              : 0;
+  const std::string active_dir =
+      active == 0 ? std::string()
+                  : options_.registry->directory() + "/" +
+                        ModelRegistry::GenerationDirName(active);
 
   for (const std::string& dir : dirs) {
     ++report.generations_scanned;
+    // A committed generation is sealed by its MANIFEST: a missing one is
+    // as damaged as an unreadable one.
     StatusOr<GenerationManifest> manifest = ReadManifestFile(dir);
     if (!manifest.ok()) {
-      if (manifest.status().IsNotFound()) {
-        ++report.generations_unmanifested;
-      } else {
-        ++report.damaged_manifests;
-      }
+      ++report.damaged_manifests;
       continue;
     }
     for (const ManifestEntry& entry : manifest.value().entries()) {

@@ -16,7 +16,7 @@ namespace vup::serve {
 class ModelRegistry;
 
 struct ScrubOptions {
-  std::string root;  // Registry root (CURRENT + gen_* dirs, or flat).
+  std::string root;  // Registry root (CURRENT + gen_* dirs).
   /// When set, corruption found in the ACTIVE generation quarantines the
   /// affected vehicle immediately instead of waiting for its next load.
   ModelRegistry* registry = nullptr;
@@ -32,8 +32,7 @@ struct ScrubOptions {
 /// What one scrub pass found.
 struct ScrubReport {
   size_t generations_scanned = 0;
-  size_t generations_unmanifested = 0;  // Legacy dirs with no MANIFEST.
-  size_t damaged_manifests = 0;         // MANIFEST itself failed to parse.
+  size_t damaged_manifests = 0;  // MANIFEST missing or failed to parse.
   size_t files_checked = 0;
   size_t crc_mismatches = 0;
   size_t size_mismatches = 0;
@@ -67,8 +66,8 @@ class RegistryScrubber {
   RegistryScrubber(const RegistryScrubber&) = delete;
   RegistryScrubber& operator=(const RegistryScrubber&) = delete;
 
-  /// One synchronous scrub pass over every committed generation (or the
-  /// flat root). Error only when the root itself is unlistable.
+  /// One synchronous scrub pass over every committed generation under the
+  /// root. Error only when the root itself is unlistable.
   StatusOr<ScrubReport> ScrubOnce();
 
   /// True when the schedule calls for a scrub (first call is always due).

@@ -5,6 +5,8 @@
 #include <iterator>
 #include <string>
 
+#include <sys/resource.h>
+
 #include <gtest/gtest.h>
 
 namespace vup {
@@ -65,6 +67,30 @@ TEST_F(FileUtilTest, ReadFileCappedRejectsAFileOverTheCap) {
 
 TEST_F(FileUtilTest, ReadFileCappedIsNotFoundForAMissingFile) {
   EXPECT_TRUE(ReadFileCapped(dir_ + "/absent", 1024).status().IsNotFound());
+}
+
+TEST_F(FileUtilTest, ReadFileCappedIsInternalWhenNoDescriptorIsLeft) {
+  const std::string path = dir_ + "/bundle";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "0123456789";
+  }
+  // With the soft descriptor limit at zero the stat succeeds and the open
+  // fails with EMFILE: an IO fault, which must never read as "no such
+  // file". The limit is restored before anything is asserted.
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = 0;
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  const Status status = ReadFileCapped(path, 1024).status();
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
+  EXPECT_TRUE(ReadFileCapped(path, 1024).ok());
+}
+
+TEST_F(FileUtilTest, ReadFileCappedIsInternalForADirectory) {
+  EXPECT_EQ(ReadFileCapped(dir_, 1024).status().code(), StatusCode::kInternal);
 }
 
 TEST_F(FileUtilTest, ReadFileCappedReadsAnEmptyFile) {

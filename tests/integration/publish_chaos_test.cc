@@ -26,6 +26,7 @@
 #include "serve/model_registry.h"
 #include "serve/prediction_service.h"
 #include "telemetry/fault_injector.h"
+#include "testing/registry.h"
 
 namespace vup::serve {
 namespace {
@@ -331,14 +332,16 @@ TEST_F(PublishChaosTest, CanaryReadersRacePromoteRollbackFlips) {
         ModelRegistry::GenerationDirName(registry.active_generation());
   }
 
-  // The staged registry the canary shadow-scores against: a separate flat
-  // fleet trained on the same data, so divergence stays under the bound.
+  // The staged registry the canary shadow-scores against: a separate
+  // committed generation trained on the same data, so divergence stays
+  // under the bound.
   const std::string staged_dir = root_ + "_staged";
   fs::remove_all(staged_dir);
   StatusOr<ModelRegistry> staged_opened = ModelRegistry::Open({staged_dir, 4});
   ASSERT_TRUE(staged_opened.ok());
   ModelRegistry staged = std::move(staged_opened.value());
-  ASSERT_TRUE(staged.Publish(1, TrainForecaster(MakeDataset(1))).ok());
+  const VehicleForecaster staged_model = TrainForecaster(MakeDataset(1));
+  ASSERT_TRUE(PublishFleet(staged, {{1, &staged_model}}, rmeta_).ok());
 
   PredictionService::Options opts;
   opts.canary.staged = &staged;

@@ -16,8 +16,10 @@
 
 #include "common/random.h"
 #include "core/forecaster.h"
+#include "serve/manifest.h"
 #include "serve/model_registry.h"
 #include "serve/scrubber.h"
+#include "testing/registry.h"
 
 namespace vup::serve {
 namespace {
@@ -83,21 +85,6 @@ class RegistryChaosTest : public ::testing::Test {
     return std::move(registry.value());
   }
 
-  /// Commits a generation holding `models` as vehicles 1..N and reloads
-  /// `registry` onto it. Forecasters are move-only, hence the pointers.
-  void CommitFleet(ModelRegistry& registry,
-                   const std::vector<const VehicleForecaster*>& models,
-                   uint64_t meta_seed) {
-    StatusOr<GenerationPublisher> pub = registry.NewGeneration();
-    ASSERT_TRUE(pub.ok()) << pub.status().ToString();
-    for (size_t v = 0; v < models.size(); ++v) {
-      ASSERT_TRUE(
-          pub.value().Add(static_cast<int64_t>(v + 1), *models[v]).ok());
-    }
-    ASSERT_TRUE(pub.value().Commit(TestMeta(meta_seed)).ok());
-    ASSERT_TRUE(registry.Reload().ok());
-  }
-
   /// Atomically rewrites CURRENT (temp + rename, like the publisher).
   void FlipCurrent(const std::string& generation_name) {
     const std::string tmp = dir_ + "/CURRENT.flip";
@@ -117,15 +104,17 @@ TEST_F(RegistryChaosTest, PublisherKilledAtEveryStepKeepsOldGeneration) {
   VehicleForecaster old_model = TrainForecaster(ds);
   VehicleForecaster new_model = TrainForecaster(MakeDataset(6));
   VehicleForecaster second_model = TrainForecaster(MakeDataset(2));
-  CommitFleet(registry, {&old_model, &second_model}, /*meta_seed=*/1);
+  ASSERT_TRUE(PublishFleet(registry, {{1, &old_model}, {2, &second_model}},
+                           TestMeta(1))
+                  .ok());
   ASSERT_EQ(registry.active_generation(), 1u);
   const double old_prediction =
       old_model.PredictTarget(ds, ds.num_days()).value();
 
   // The commit sequence is: write bundles into staging -> write meta ->
-  // rename staging to gen_N -> flip CURRENT. Simulate a publisher killed
-  // after each step and verify a fresh Open and a Reload both stay on the
-  // complete old generation.
+  // write MANIFEST -> rename staging to gen_N -> flip CURRENT. Simulate a
+  // publisher killed after each step and verify a fresh Open and a Reload
+  // both stay on the complete old generation.
   const auto check_still_old = [&](const std::string& kill_point) {
     ASSERT_TRUE(registry.Reload().ok()) << kill_point;
     EXPECT_EQ(registry.active_generation(), 1u) << kill_point;
@@ -155,6 +144,27 @@ TEST_F(RegistryChaosTest, PublisherKilledAtEveryStepKeepsOldGeneration) {
   ASSERT_TRUE(WriteRegistryMetaFile(staging, TestMeta(2)).ok());
   check_still_old("staged-with-meta");
 
+  // Kill point 2b: CURRENT flipped to the generation before its MANIFEST
+  // step. The unsealed generation is refused whole: Reload keeps the old
+  // one, and a fresh Open fails rather than serve it.
+  fs::rename(staging, dir_ + "/gen_000002");
+  FlipCurrent("gen_000002");
+  EXPECT_TRUE(registry.Reload().IsDataLoss());
+  EXPECT_EQ(registry.active_generation(), 1u);
+  StatusOr<std::shared_ptr<const VehicleForecaster>> still = registry.Get(1);
+  ASSERT_TRUE(still.ok()) << still.status().ToString();
+  EXPECT_DOUBLE_EQ(still.value()->PredictTarget(ds, ds.num_days()).value(),
+                   old_prediction);
+  EXPECT_TRUE(ModelRegistry::Open({dir_, 4}).status().IsDataLoss());
+  FlipCurrent("gen_000001");
+  fs::rename(dir_ + "/gen_000002", staging);
+
+  // The MANIFEST step, as Finalize takes it, before the rename.
+  ASSERT_TRUE(WriteManifestFile(
+                  staging,
+                  GenerationManifest::BuildFromDirectory(staging, {}).value())
+                  .ok());
+
   // Kill point 3: staging renamed to its final name, CURRENT not flipped.
   fs::rename(staging, dir_ + "/gen_000002");
   check_still_old("renamed-not-flipped");
@@ -175,7 +185,7 @@ TEST_F(RegistryChaosTest, PublisherKilledAtEveryStepKeepsOldGeneration) {
 TEST_F(RegistryChaosTest, AbandonedStagingDoesNotBlockTheNextPublish) {
   ModelRegistry registry = OpenRegistry(4);
   VehicleForecaster model = TrainForecaster(MakeDataset(1));
-  CommitFleet(registry, {&model}, /*meta_seed=*/1);
+  ASSERT_TRUE(PublishFleet(registry, {{1, &model}}, TestMeta(1)).ok());
 
   // A "killed" publisher left a stale staging directory behind. The next
   // publisher must still commit, under a number that never collides.
@@ -184,7 +194,7 @@ TEST_F(RegistryChaosTest, AbandonedStagingDoesNotBlockTheNextPublish) {
     std::ofstream out(dir_ + "/gen_000002.staging/vehicle_1.cfcst");
     out << "partial garbage";
   }
-  CommitFleet(registry, {&model}, /*meta_seed=*/2);
+  ASSERT_TRUE(PublishFleet(registry, {{1, &model}}, TestMeta(2)).ok());
   EXPECT_GE(registry.active_generation(), 2u);
   EXPECT_TRUE(registry.Get(1).ok());
 }
@@ -204,10 +214,14 @@ TEST_F(RegistryChaosTest, ConcurrentReadersNeverSeeATornFleet) {
   std::vector<VehicleForecaster> fleet_b;
   fleet_b.push_back(TrainForecaster(MakeDataset(5)));
   fleet_b.push_back(TrainForecaster(MakeDataset(6)));
-  CommitFleet(registry, {&fleet_a[0], &fleet_a[1]}, /*meta_seed=*/1);
+  ASSERT_TRUE(
+      PublishFleet(registry, {{1, &fleet_a[0]}, {2, &fleet_a[1]}}, TestMeta(1))
+          .ok());
   const std::string gen_a =
       ModelRegistry::GenerationDirName(registry.active_generation());
-  CommitFleet(registry, {&fleet_b[0], &fleet_b[1]}, /*meta_seed=*/2);
+  ASSERT_TRUE(
+      PublishFleet(registry, {{1, &fleet_b[0]}, {2, &fleet_b[1]}}, TestMeta(2))
+          .ok());
   const std::string gen_b =
       ModelRegistry::GenerationDirName(registry.active_generation());
 
@@ -300,7 +314,7 @@ TEST_F(RegistryChaosTest, BundleTruncatedUnderAResidentModelKeepsServing) {
   cfg.selection.top_k = 14;
   VehicleForecaster svr(cfg);
   ASSERT_TRUE(svr.Train(ds, 30, 200).ok());
-  CommitFleet(registry, {&svr}, /*meta_seed=*/1);
+  ASSERT_TRUE(PublishFleet(registry, {{1, &svr}}, TestMeta(1)).ok());
 
   const std::string path = registry.BundlePath(1);
   ASSERT_GE(fs::file_size(path), 3u * 4096u) << "bundle spans < 3 pages";

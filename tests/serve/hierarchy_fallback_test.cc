@@ -4,6 +4,7 @@
 // and the labeled fallback counters asserted for every hop.
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "obs/metrics.h"
 #include "serve/model_registry.h"
 #include "serve/prediction_service.h"
+#include "testing/registry.h"
 
 namespace vup::serve {
 namespace {
@@ -91,14 +93,25 @@ class HierarchyFallbackTest : public ::testing::Test {
     return std::move(registry.value());
   }
 
-  /// Publishes a model trained on MakeDataset(tag) under `model_id`; the
-  /// tag picks a distinct usage level, so the serving model is provable
-  /// from the returned reference prediction.
-  double PublishTagged(ModelRegistry* registry, int64_t model_id,
-                       int64_t tag) {
-    VehicleForecaster forecaster = TrainForecaster(MakeDataset(tag));
-    EXPECT_TRUE(registry->Publish(model_id, forecaster).ok());
-    return forecaster.PredictTarget(*request_ds_, Target()).value();
+  /// Publishes one generation holding, for each `model_id -> tag`, a model
+  /// trained on MakeDataset(tag); the tag picks a distinct usage level, so
+  /// the serving model is provable from the returned reference
+  /// predictions, by model id.
+  std::map<int64_t, double> PublishTagged(
+      ModelRegistry* registry, const std::map<int64_t, int64_t>& tags) {
+    std::map<int64_t, VehicleForecaster> models;
+    std::map<int64_t, const VehicleForecaster*> fleet;
+    std::map<int64_t, double> predictions;
+    for (const auto& [model_id, tag] : tags) {
+      const VehicleForecaster& model =
+          models.emplace(model_id, TrainForecaster(MakeDataset(tag)))
+              .first->second;
+      fleet[model_id] = &model;
+      predictions[model_id] =
+          model.PredictTarget(*request_ds_, Target()).value();
+    }
+    EXPECT_TRUE(PublishFleet(*registry, fleet).ok());
+    return predictions;
   }
 
   void CorruptBundle(const ModelRegistry& registry, int64_t model_id) {
@@ -129,10 +142,12 @@ class HierarchyFallbackTest : public ::testing::Test {
 
 TEST_F(HierarchyFallbackTest, OwnModelPreferredOverWholeChain) {
   ModelRegistry registry = OpenRegistry();
-  const double own = PublishTagged(&registry, 1, 1);
-  PublishTagged(&registry, cluster::ClusterModelId(0), 11);
-  PublishTagged(&registry, cluster::TypeModelId(2), 12);
-  PublishTagged(&registry, cluster::kGlobalModelId, 13);
+  const double own =
+      PublishTagged(&registry, {{1, 1},
+                                {cluster::ClusterModelId(0), 11},
+                                {cluster::TypeModelId(2), 12},
+                                {cluster::kGlobalModelId, 13}})
+          .at(1);
 
   PredictionService service = MakeService(&registry);
   PredictionResponse resp = service.Predict(Request());
@@ -147,9 +162,11 @@ TEST_F(HierarchyFallbackTest, OwnModelPreferredOverWholeChain) {
 
 TEST_F(HierarchyFallbackTest, MissingVehicleServedByCluster) {
   ModelRegistry registry = OpenRegistry();
-  const double pooled = PublishTagged(&registry, cluster::ClusterModelId(0), 11);
-  PublishTagged(&registry, cluster::TypeModelId(2), 12);
-  PublishTagged(&registry, cluster::kGlobalModelId, 13);
+  const double pooled =
+      PublishTagged(&registry, {{cluster::ClusterModelId(0), 11},
+                                {cluster::TypeModelId(2), 12},
+                                {cluster::kGlobalModelId, 13}})
+          .at(cluster::ClusterModelId(0));
 
   PredictionService service = MakeService(&registry);
   PredictionResponse resp = service.Predict(Request());
@@ -163,8 +180,10 @@ TEST_F(HierarchyFallbackTest, MissingVehicleServedByCluster) {
 
 TEST_F(HierarchyFallbackTest, MissingClusterServedByType) {
   ModelRegistry registry = OpenRegistry();
-  const double pooled = PublishTagged(&registry, cluster::TypeModelId(2), 12);
-  PublishTagged(&registry, cluster::kGlobalModelId, 13);
+  const double pooled =
+      PublishTagged(&registry, {{cluster::TypeModelId(2), 12},
+                                {cluster::kGlobalModelId, 13}})
+          .at(cluster::TypeModelId(2));
 
   PredictionService service = MakeService(&registry);
   PredictionResponse resp = service.Predict(Request());
@@ -177,7 +196,9 @@ TEST_F(HierarchyFallbackTest, MissingClusterServedByType) {
 
 TEST_F(HierarchyFallbackTest, MissingTypeServedByGlobal) {
   ModelRegistry registry = OpenRegistry();
-  const double pooled = PublishTagged(&registry, cluster::kGlobalModelId, 13);
+  const double pooled =
+      PublishTagged(&registry, {{cluster::kGlobalModelId, 13}})
+          .at(cluster::kGlobalModelId);
 
   PredictionService service = MakeService(&registry);
   PredictionResponse resp = service.Predict(Request());
@@ -210,8 +231,10 @@ TEST_F(HierarchyFallbackTest, ExhaustedChainWithoutDegradeIsNotFound) {
 
 TEST_F(HierarchyFallbackTest, TypeHintServesVehicleUnknownToClustering) {
   ModelRegistry registry = OpenRegistry();
-  const double pooled = PublishTagged(&registry, cluster::TypeModelId(2), 12);
-  PublishTagged(&registry, cluster::kGlobalModelId, 13);
+  const double pooled =
+      PublishTagged(&registry, {{cluster::TypeModelId(2), 12},
+                                {cluster::kGlobalModelId, 13}})
+          .at(cluster::TypeModelId(2));
 
   PredictionService service = MakeService(&registry);
   // Vehicle 99 is not in clusters.meta: cluster level unresolvable, and
@@ -234,8 +257,10 @@ TEST_F(HierarchyFallbackTest, TypeHintServesVehicleUnknownToClustering) {
 
 TEST_F(HierarchyFallbackTest, CorruptClusterBundleFallsThroughToType) {
   ModelRegistry registry = OpenRegistry();
-  PublishTagged(&registry, cluster::ClusterModelId(0), 11);
-  const double pooled = PublishTagged(&registry, cluster::TypeModelId(2), 12);
+  const double pooled =
+      PublishTagged(&registry, {{cluster::ClusterModelId(0), 11},
+                                {cluster::TypeModelId(2), 12}})
+          .at(cluster::TypeModelId(2));
   CorruptBundle(registry, cluster::ClusterModelId(0));
 
   PredictionService service = MakeService(&registry);
@@ -250,9 +275,10 @@ TEST_F(HierarchyFallbackTest, CorruptClusterBundleFallsThroughToType) {
 TEST_F(HierarchyFallbackTest, BreakerOpenVehicleServedByClusterNotBaseline) {
   FakeClock clock;
   ModelRegistry registry = OpenWithBreaker(&clock);
-  PublishTagged(&registry, 1, 1);
-  const double pooled = PublishTagged(&registry, cluster::ClusterModelId(0), 11);
-  CorruptBundle(registry, 1);
+  const double pooled =
+      PublishTagged(&registry, {{1, 1}, {cluster::ClusterModelId(0), 11}})
+          .at(cluster::ClusterModelId(0));
+  ASSERT_TRUE(BreakBundle(registry.BundlePath(1)).ok());
 
   // Trip the vehicle's breaker: three direct load failures.
   for (int i = 0; i < 3; ++i) {
@@ -275,8 +301,8 @@ TEST_F(HierarchyFallbackTest, BreakerOpenVehicleServedByClusterNotBaseline) {
 TEST_F(HierarchyFallbackTest, BreakerOpenWithoutPooledModelsStaysUnavailable) {
   FakeClock clock;
   ModelRegistry registry = OpenWithBreaker(&clock);
-  PublishTagged(&registry, 1, 1);
-  CorruptBundle(registry, 1);
+  PublishTagged(&registry, {{1, 1}});
+  ASSERT_TRUE(BreakBundle(registry.BundlePath(1)).ok());
   for (int i = 0; i < 3; ++i) {
     ASSERT_FALSE(registry.Get(1).ok());
   }
@@ -295,7 +321,7 @@ TEST_F(HierarchyFallbackTest, BreakerOpenWithoutPooledModelsStaysUnavailable) {
 
 TEST_F(HierarchyFallbackTest, CountersExportedAsLabeledFamily) {
   ModelRegistry registry = OpenRegistry();
-  PublishTagged(&registry, cluster::ClusterModelId(0), 11);
+  PublishTagged(&registry, {{cluster::ClusterModelId(0), 11}});
 
   PredictionService service = MakeService(&registry);
   ASSERT_TRUE(service.Predict(Request()).status.ok());  // -> cluster.

@@ -15,8 +15,10 @@
 
 #include "common/crc32.h"
 #include "core/forecaster.h"
+#include "serve/guarded_publish.h"
 #include "serve/validator.h"
 #include "testing/framing.h"
+#include "testing/registry.h"
 
 namespace vup::serve {
 namespace {
@@ -79,7 +81,7 @@ TEST_F(ModelRegistryTest, PublishGetRoundtripsPredictions) {
   ModelRegistry registry = OpenRegistry(4);
   VehicleDataset ds = MakeDataset(11);
   VehicleForecaster original = TrainForecaster(ds);
-  ASSERT_TRUE(registry.Publish(11, original).ok());
+  ASSERT_TRUE(PublishFleet(registry, {{11, &original}}).ok());
 
   StatusOr<std::shared_ptr<const VehicleForecaster>> loaded =
       registry.Get(11);
@@ -99,10 +101,10 @@ TEST_F(ModelRegistryTest, GetUnknownVehicleIsNotFound) {
 
 TEST_F(ModelRegistryTest, LruEvictsLeastRecentlyUsed) {
   ModelRegistry registry = OpenRegistry(/*capacity=*/2);
-  for (int64_t id : {1, 2, 3}) {
-    ASSERT_TRUE(
-        registry.Publish(id, TrainForecaster(MakeDataset(id))).ok());
-  }
+  const VehicleForecaster f1 = TrainForecaster(MakeDataset(1));
+  const VehicleForecaster f2 = TrainForecaster(MakeDataset(2));
+  const VehicleForecaster f3 = TrainForecaster(MakeDataset(3));
+  ASSERT_TRUE(PublishFleet(registry, {{1, &f1}, {2, &f2}, {3, &f3}}).ok());
   ASSERT_TRUE(registry.Get(1).ok());  // miss, resident {1}
   ASSERT_TRUE(registry.Get(2).ok());  // miss, resident {2, 1}
   ASSERT_TRUE(registry.Get(1).ok());  // hit, resident {1, 2}
@@ -123,7 +125,8 @@ TEST_F(ModelRegistryTest, LruEvictsLeastRecentlyUsed) {
 
 TEST_F(ModelRegistryTest, CapacityZeroDisablesCaching) {
   ModelRegistry registry = OpenRegistry(/*capacity=*/0);
-  ASSERT_TRUE(registry.Publish(5, TrainForecaster(MakeDataset(5))).ok());
+  const VehicleForecaster f5 = TrainForecaster(MakeDataset(5));
+  ASSERT_TRUE(PublishFleet(registry, {{5, &f5}}).ok());
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(registry.Get(5).ok());
   }
@@ -135,8 +138,9 @@ TEST_F(ModelRegistryTest, CapacityZeroDisablesCaching) {
 
 TEST_F(ModelRegistryTest, CapacityOneKeepsOnlyNewest) {
   ModelRegistry registry = OpenRegistry(/*capacity=*/1);
-  ASSERT_TRUE(registry.Publish(1, TrainForecaster(MakeDataset(1))).ok());
-  ASSERT_TRUE(registry.Publish(2, TrainForecaster(MakeDataset(2))).ok());
+  const VehicleForecaster f1 = TrainForecaster(MakeDataset(1));
+  const VehicleForecaster f2 = TrainForecaster(MakeDataset(2));
+  ASSERT_TRUE(PublishFleet(registry, {{1, &f1}, {2, &f2}}).ok());
   ASSERT_TRUE(registry.Get(1).ok());
   ASSERT_TRUE(registry.Get(2).ok());
   ASSERT_TRUE(registry.Get(2).ok());
@@ -151,8 +155,8 @@ TEST_F(ModelRegistryTest, ReloadAfterEvictionPredictsIdentically) {
   ModelRegistry registry = OpenRegistry(/*capacity=*/1);
   VehicleDataset ds = MakeDataset(7);
   VehicleForecaster original = TrainForecaster(ds);
-  ASSERT_TRUE(registry.Publish(7, original).ok());
-  ASSERT_TRUE(registry.Publish(8, TrainForecaster(MakeDataset(8))).ok());
+  const VehicleForecaster f8 = TrainForecaster(MakeDataset(8));
+  ASSERT_TRUE(PublishFleet(registry, {{7, &original}, {8, &f8}}).ok());
 
   ASSERT_TRUE(registry.Get(7).ok());
   ASSERT_TRUE(registry.Get(8).ok());  // Evicts 7.
@@ -170,8 +174,9 @@ TEST_F(ModelRegistryTest, ReloadAfterEvictionPredictsIdentically) {
 TEST_F(ModelRegistryTest, EvictedModelStaysUsableWhileHeld) {
   ModelRegistry registry = OpenRegistry(/*capacity=*/1);
   VehicleDataset ds = MakeDataset(1);
-  ASSERT_TRUE(registry.Publish(1, TrainForecaster(MakeDataset(1))).ok());
-  ASSERT_TRUE(registry.Publish(2, TrainForecaster(MakeDataset(2))).ok());
+  const VehicleForecaster f1 = TrainForecaster(ds);
+  const VehicleForecaster f2 = TrainForecaster(MakeDataset(2));
+  ASSERT_TRUE(PublishFleet(registry, {{1, &f1}, {2, &f2}}).ok());
   StatusOr<std::shared_ptr<const VehicleForecaster>> held =
       registry.Get(1);
   ASSERT_TRUE(held.ok());
@@ -184,10 +189,11 @@ TEST_F(ModelRegistryTest, RepublishReplacesBundleAndStaleCacheEntry) {
   ModelRegistry registry = OpenRegistry(4);
   VehicleDataset ds_a = MakeDataset(1);
   VehicleDataset ds_b = MakeDataset(6);  // Different usage level.
+  const VehicleForecaster first = TrainForecaster(ds_a);
   VehicleForecaster second = TrainForecaster(ds_b);
-  ASSERT_TRUE(registry.Publish(1, TrainForecaster(ds_a)).ok());
+  ASSERT_TRUE(PublishFleet(registry, {{1, &first}}).ok());
   ASSERT_TRUE(registry.Get(1).ok());  // Now resident.
-  ASSERT_TRUE(registry.Publish(1, second).ok());
+  ASSERT_TRUE(PublishFleet(registry, {{1, &second}}).ok());
 
   StatusOr<std::shared_ptr<const VehicleForecaster>> loaded =
       registry.Get(1);
@@ -199,26 +205,15 @@ TEST_F(ModelRegistryTest, RepublishReplacesBundleAndStaleCacheEntry) {
 
 TEST_F(ModelRegistryTest, ListVehicleIdsAscending) {
   ModelRegistry registry = OpenRegistry(4);
-  for (int64_t id : {42, 7, 100019}) {
-    ASSERT_TRUE(
-        registry.Publish(id, TrainForecaster(MakeDataset(id))).ok());
-  }
+  const VehicleForecaster f42 = TrainForecaster(MakeDataset(42));
+  const VehicleForecaster f7 = TrainForecaster(MakeDataset(7));
+  const VehicleForecaster f100019 = TrainForecaster(MakeDataset(100019));
+  ASSERT_TRUE(
+      PublishFleet(registry, {{42, &f42}, {7, &f7}, {100019, &f100019}})
+          .ok());
   EXPECT_EQ(registry.ListVehicleIds(),
             (std::vector<int64_t>{7, 42, 100019}));
   EXPECT_TRUE(registry.Contains(42));
-}
-
-TEST_F(ModelRegistryTest, CorruptBundleIsAnErrorNotACrash) {
-  ModelRegistry registry = OpenRegistry(4);
-  ASSERT_TRUE(registry.Publish(9, TrainForecaster(MakeDataset(9))).ok());
-  {
-    std::ofstream out(registry.BundlePath(9), std::ios::trunc);
-    out << "vupred-forecaster v1\nalgorithm Alien\n";
-  }
-  Status status = registry.Get(9).status();
-  EXPECT_FALSE(status.ok());
-  EXPECT_FALSE(status.IsNotFound());
-  EXPECT_EQ(registry.stats().load_failures, 1u);
 }
 
 TEST_F(ModelRegistryTest, OpenCreatesDirectory) {
@@ -247,17 +242,19 @@ class ModelRegistryBreakerTest : public ModelRegistryTest {
     return std::move(registry.value());
   }
 
-  void CorruptBundle(const ModelRegistry& registry, int64_t id) {
-    std::ofstream out(registry.BundlePath(id), std::ios::trunc);
-    out << "vupred-forecaster v1\nalgorithm Alien\n";
+  /// Publishes vehicle 9 and breaks its listed bundle, so every load of
+  /// it fails with an IO error until the bytes are restored.
+  void PublishBrokenNine(ModelRegistry& registry,
+                         const VehicleForecaster& forecaster) {
+    ASSERT_TRUE(PublishFleet(registry, {{9, &forecaster}}).ok());
+    ASSERT_TRUE(BreakBundle(registry.BundlePath(9)).ok());
   }
 };
 
 TEST_F(ModelRegistryBreakerTest, OpensAfterThresholdAndFailsFast) {
   FakeClock clock;
   ModelRegistry registry = OpenWithClock(&clock);
-  ASSERT_TRUE(registry.Publish(9, TrainForecaster(MakeDataset(9))).ok());
-  CorruptBundle(registry, 9);
+  PublishBrokenNine(registry, TrainForecaster(MakeDataset(9)));
 
   for (int i = 0; i < 3; ++i) {
     Status status = registry.Get(9).status();
@@ -281,13 +278,12 @@ TEST_F(ModelRegistryBreakerTest, OpensAfterThresholdAndFailsFast) {
 TEST_F(ModelRegistryBreakerTest, HalfOpenProbeReopensOnFailure) {
   FakeClock clock;
   ModelRegistry registry = OpenWithClock(&clock);
-  ASSERT_TRUE(registry.Publish(9, TrainForecaster(MakeDataset(9))).ok());
-  CorruptBundle(registry, 9);
+  PublishBrokenNine(registry, TrainForecaster(MakeDataset(9)));
   for (int i = 0; i < 3; ++i) ASSERT_FALSE(registry.Get(9).ok());
   ASSERT_EQ(registry.breaker_state(9), BreakerState::kOpen);
 
   // Backoff elapses: the next Get is admitted as the half-open probe, the
-  // bundle is still corrupt, so the breaker re-opens with period 2.
+  // bundle is still unreadable, so the breaker re-opens with period 2.
   clock.AdvanceMs(registry.BreakerBackoffMs(9, 1) + 1);
   Status probe = registry.Get(9).status();
   EXPECT_FALSE(probe.ok());
@@ -307,13 +303,14 @@ TEST_F(ModelRegistryBreakerTest, SuccessfulProbeClosesBreaker) {
   ModelRegistry registry = OpenWithClock(&clock);
   VehicleDataset ds = MakeDataset(9);
   VehicleForecaster good = TrainForecaster(ds);
-  ASSERT_TRUE(registry.Publish(9, good).ok());
-  CorruptBundle(registry, 9);
+  PublishBrokenNine(registry, good);
   for (int i = 0; i < 3; ++i) ASSERT_FALSE(registry.Get(9).ok());
   ASSERT_EQ(registry.breaker_state(9), BreakerState::kOpen);
 
-  // Repair the bundle behind the registry's back (no Publish, which would
-  // reset the breaker anyway), let the backoff elapse, probe.
+  // Restore the listed bytes behind the registry's back (no generation
+  // swap, which would reset the breaker anyway), let the backoff elapse,
+  // probe.
+  ASSERT_TRUE(std::filesystem::remove(registry.BundlePath(9)));
   {
     std::ofstream out(registry.BundlePath(9),
                       std::ios::trunc | std::ios::binary);
@@ -339,20 +336,6 @@ TEST_F(ModelRegistryBreakerTest, NotFoundNeverTripsTheBreaker) {
   ModelRegistryStats stats = registry.stats();
   EXPECT_EQ(stats.load_failures, 0u);
   EXPECT_EQ(stats.breaker_opens, 0u);
-}
-
-TEST_F(ModelRegistryBreakerTest, PublishResetsTheBreaker) {
-  FakeClock clock;
-  ModelRegistry registry = OpenWithClock(&clock);
-  ASSERT_TRUE(registry.Publish(9, TrainForecaster(MakeDataset(9))).ok());
-  CorruptBundle(registry, 9);
-  for (int i = 0; i < 3; ++i) ASSERT_FALSE(registry.Get(9).ok());
-  ASSERT_EQ(registry.breaker_state(9), BreakerState::kOpen);
-
-  // A fresh bundle deserves fresh chances: no clock advance needed.
-  ASSERT_TRUE(registry.Publish(9, TrainForecaster(MakeDataset(9))).ok());
-  EXPECT_EQ(registry.breaker_state(9), BreakerState::kClosed);
-  EXPECT_TRUE(registry.Get(9).ok());
 }
 
 TEST_F(ModelRegistryBreakerTest, BackoffScheduleIsSeededAndJittered) {
@@ -392,22 +375,11 @@ class ModelRegistryGenerationTest : public ModelRegistryTest {
     meta.algorithm = "Lasso";
     return meta;
   }
-
-  /// Stages, commits and activates one generation holding `vehicle_id`.
-  void CommitGeneration(ModelRegistry& registry, int64_t vehicle_id,
-                        const VehicleForecaster& forecaster,
-                        uint64_t meta_seed = 42) {
-    StatusOr<GenerationPublisher> pub = registry.NewGeneration();
-    ASSERT_TRUE(pub.ok()) << pub.status().ToString();
-    ASSERT_TRUE(pub.value().Add(vehicle_id, forecaster).ok());
-    ASSERT_TRUE(pub.value().Commit(TestMeta(meta_seed)).ok());
-    ASSERT_TRUE(registry.Reload().ok());
-  }
 };
 
 TEST_F(ModelRegistryGenerationTest, CommitFlipsCurrentOnlyOnReload) {
   ModelRegistry registry = OpenRegistry(4);
-  EXPECT_EQ(registry.active_generation(), 0u);  // Legacy flat layout.
+  EXPECT_EQ(registry.active_generation(), 0u);  // Nothing published yet.
 
   StatusOr<GenerationPublisher> pub = registry.NewGeneration();
   ASSERT_TRUE(pub.ok()) << pub.status().ToString();
@@ -445,13 +417,13 @@ TEST_F(ModelRegistryGenerationTest, ReloadSwapsFleetButHeldModelsSurvive) {
   VehicleDataset ds_new = MakeDataset(6);  // Different usage level.
   VehicleForecaster old_model = TrainForecaster(ds_old);
   VehicleForecaster new_model = TrainForecaster(ds_new);
-  CommitGeneration(registry, 1, old_model, /*meta_seed=*/1);
+  ASSERT_TRUE(PublishFleet(registry, {{1, &old_model}}, TestMeta(1)).ok());
 
   StatusOr<std::shared_ptr<const VehicleForecaster>> held =
       registry.Get(1);
   ASSERT_TRUE(held.ok());
 
-  CommitGeneration(registry, 1, new_model, /*meta_seed=*/2);
+  ASSERT_TRUE(PublishFleet(registry, {{1, &new_model}}, TestMeta(2)).ok());
   EXPECT_EQ(registry.active_generation(), 2u);
   EXPECT_EQ(registry.stats().reloads, 2u);
   EXPECT_EQ(registry.ReadMeta().value().fleet_seed, 2u);
@@ -470,7 +442,8 @@ TEST_F(ModelRegistryGenerationTest, ReloadSwapsFleetButHeldModelsSurvive) {
 
 TEST_F(ModelRegistryGenerationTest, ReloadIsANoOpWhenCurrentUnchanged) {
   ModelRegistry registry = OpenRegistry(4);
-  CommitGeneration(registry, 1, TrainForecaster(MakeDataset(1)));
+  const VehicleForecaster model = TrainForecaster(MakeDataset(1));
+  ASSERT_TRUE(PublishFleet(registry, {{1, &model}}).ok());
   ASSERT_TRUE(registry.Get(1).ok());  // Now resident.
   ASSERT_TRUE(registry.Reload().ok());
   EXPECT_EQ(registry.stats().reloads, 1u);        // Only the first swap.
@@ -479,7 +452,8 @@ TEST_F(ModelRegistryGenerationTest, ReloadIsANoOpWhenCurrentUnchanged) {
 
 TEST_F(ModelRegistryGenerationTest, AbandonedPublisherLeavesNoTrace) {
   ModelRegistry registry = OpenRegistry(4);
-  CommitGeneration(registry, 1, TrainForecaster(MakeDataset(1)));
+  const VehicleForecaster model = TrainForecaster(MakeDataset(1));
+  ASSERT_TRUE(PublishFleet(registry, {{1, &model}}).ok());
   {
     StatusOr<GenerationPublisher> pub = registry.NewGeneration();
     ASSERT_TRUE(pub.ok());
@@ -503,7 +477,8 @@ TEST_F(ModelRegistryGenerationTest, AbandonedPublisherLeavesNoTrace) {
 TEST_F(ModelRegistryGenerationTest, ReloadRejectsGarbageCurrent) {
   ModelRegistry registry = OpenRegistry(4);
   VehicleDataset ds = MakeDataset(1);
-  CommitGeneration(registry, 1, TrainForecaster(ds));
+  const VehicleForecaster model = TrainForecaster(ds);
+  ASSERT_TRUE(PublishFleet(registry, {{1, &model}}).ok());
 
   // CURRENT pointing at a missing generation: Reload fails, the old
   // generation keeps serving.
@@ -526,7 +501,8 @@ TEST_F(ModelRegistryGenerationTest, ReloadRejectsGarbageCurrent) {
 
 TEST_F(ModelRegistryGenerationTest, ReloadRejectsTornGeneration) {
   ModelRegistry registry = OpenRegistry(4);
-  CommitGeneration(registry, 1, TrainForecaster(MakeDataset(1)));
+  const VehicleForecaster model = TrainForecaster(MakeDataset(1));
+  ASSERT_TRUE(PublishFleet(registry, {{1, &model}}).ok());
 
   // Simulate a publisher killed after creating the directory but before
   // the meta (the completeness marker) was written -- then a corrupted
@@ -550,9 +526,9 @@ TEST_F(ModelRegistryGenerationTest, ReloadRejectsTornGeneration) {
 TEST_F(ModelRegistryGenerationTest, PruneKeepsActiveAndNewest) {
   ModelRegistry registry = OpenRegistry(4);
   for (uint64_t g = 1; g <= 3; ++g) {
-    CommitGeneration(registry, static_cast<int64_t>(g),
-                     TrainForecaster(MakeDataset(static_cast<int64_t>(g))),
-                     /*meta_seed=*/g);
+    const auto id = static_cast<int64_t>(g);
+    const VehicleForecaster model = TrainForecaster(MakeDataset(id));
+    ASSERT_TRUE(PublishFleet(registry, {{id, &model}}, TestMeta(g)).ok());
   }
   ASSERT_EQ(registry.active_generation(), 3u);
 
@@ -587,13 +563,114 @@ TEST_F(ModelRegistryGenerationTest, PruneKeepsActiveAndNewest) {
 TEST_F(ModelRegistryGenerationTest, OpenResolvesCurrentGeneration) {
   {
     ModelRegistry registry = OpenRegistry(4);
-    CommitGeneration(registry, 1, TrainForecaster(MakeDataset(1)));
+    const VehicleForecaster model = TrainForecaster(MakeDataset(1));
+    ASSERT_TRUE(PublishFleet(registry, {{1, &model}}).ok());
   }
   // A fresh handle on the same directory starts on the committed
-  // generation, not the flat root.
+  // generation.
   ModelRegistry reopened = OpenRegistry(4);
   EXPECT_EQ(reopened.active_generation(), 1u);
   EXPECT_EQ(reopened.ListVehicleIds(), (std::vector<int64_t>{1}));
+}
+
+// ---- Sealed generations ----------------------------------------------------
+
+TEST_F(ModelRegistryGenerationTest, SwappedBundleWithoutManifestIsRefused) {
+  ModelRegistry registry = OpenRegistry(4);
+  const VehicleDataset ds = MakeDataset(2);
+  const VehicleForecaster a = TrainForecaster(MakeDataset(1));
+  const VehicleForecaster b = TrainForecaster(ds);
+  ASSERT_TRUE(PublishFleet(registry, {{1, &a}, {2, &b}}, TestMeta(1)).ok());
+  {
+    ModelRegistry writer = OpenRegistry(4);
+    ASSERT_TRUE(PublishFleet(writer, {{1, &a}, {2, &b}}, TestMeta(2)).ok());
+  }
+  // In the new generation, vehicle 1's valid bundle is copied over vehicle
+  // 2's, and the MANIFEST that would catch the swap is deleted.
+  const std::string gen = registry.directory() + "/gen_000002";
+  std::filesystem::copy_file(
+      gen + "/" + ModelRegistry::BundleFileName(1),
+      gen + "/" + ModelRegistry::BundleFileName(2),
+      std::filesystem::copy_options::overwrite_existing);
+  ASSERT_TRUE(std::filesystem::remove(gen + "/" + kManifestFileName));
+
+  // CURRENT names the unsealed generation: a fresh Open refuses it whole,
+  // and a Reload keeps serving the old one.
+  const StatusOr<ModelRegistry> opened = ModelRegistry::Open({dir_, 4});
+  EXPECT_TRUE(opened.status().IsDataLoss()) << opened.status().ToString();
+  const Status reloaded = registry.Reload();
+  EXPECT_TRUE(reloaded.IsDataLoss()) << reloaded.ToString();
+  EXPECT_EQ(registry.active_generation(), 1u);
+  StatusOr<std::shared_ptr<const VehicleForecaster>> served = registry.Get(2);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_DOUBLE_EQ(served.value()->PredictTarget(ds, ds.num_days()).value(),
+                   b.PredictTarget(ds, ds.num_days()).value());
+  // Nor can a promotion or a rollback point CURRENT at it.
+  EXPECT_TRUE(PromoteGeneration(dir_, "gen_000002").IsDataLoss());
+  ASSERT_TRUE(PromoteGeneration(dir_, "gen_000001").ok());
+  ASSERT_TRUE(
+      WriteRollbackJournal(dir_, {"gen_000001", "gen_000002"}).ok());
+  EXPECT_TRUE(RollbackGeneration(dir_).status().IsDataLoss());
+}
+
+TEST_F(ModelRegistryGenerationTest, StrayBundleIsNotPartOfTheGeneration) {
+  ModelRegistry registry = OpenRegistry(4);
+  const VehicleForecaster model = TrainForecaster(MakeDataset(1));
+  ASSERT_TRUE(PublishFleet(registry, {{1, &model}}).ok());
+  // A valid bundle dropped into the sealed active generation under a name
+  // its MANIFEST does not list.
+  std::filesystem::copy_file(registry.BundlePath(1), registry.BundlePath(99));
+
+  const Status status = registry.Get(99).status();
+  EXPECT_TRUE(status.IsNotFound()) << status.ToString();
+  EXPECT_FALSE(registry.IsQuarantined(99));
+  EXPECT_FALSE(registry.Contains(99));
+  EXPECT_TRUE(registry.Contains(1));
+  EXPECT_EQ(registry.ListVehicleIds(), (std::vector<int64_t>{1}));
+  const ModelRegistryStats stats = registry.stats();
+  EXPECT_EQ(stats.load_failures, 0u);
+  EXPECT_EQ(stats.quarantines, 0u);
+  EXPECT_TRUE(registry.Get(1).ok());
+}
+
+TEST_F(ModelRegistryGenerationTest, RootWithoutCurrentServesOnlyItsManifest) {
+  const VehicleForecaster model = TrainForecaster(MakeDataset(1));
+  // No CURRENT and no MANIFEST: a bundle lying under the root is never
+  // read.
+  ASSERT_TRUE(std::filesystem::create_directories(dir_));
+  {
+    std::ofstream out(dir_ + "/" + ModelRegistry::BundleFileName(1),
+                      std::ios::binary);
+    out << model.SaveCompact().value();
+  }
+  ModelRegistry empty = OpenRegistry(4);
+  EXPECT_EQ(empty.active_generation(), 0u);
+  EXPECT_TRUE(empty.Get(1).status().IsNotFound());
+  EXPECT_TRUE(empty.ListVehicleIds().empty());
+  EXPECT_FALSE(empty.Contains(1));
+
+  // A finalized generation opened as a root (the canary drill) serves
+  // what its MANIFEST lists.
+  StatusOr<GenerationPublisher> pub = empty.NewGeneration();
+  ASSERT_TRUE(pub.ok()) << pub.status().ToString();
+  ASSERT_TRUE(pub.value().Add(1, model).ok());
+  ASSERT_TRUE(pub.value().Finalize(TestMeta()).ok());
+  StatusOr<ModelRegistry> staged =
+      ModelRegistry::Open({pub.value().staging_dir(), 4});
+  ASSERT_TRUE(staged.ok()) << staged.status().ToString();
+  EXPECT_EQ(staged.value().active_generation(), 0u);
+  EXPECT_EQ(staged.value().ListVehicleIds(), (std::vector<int64_t>{1}));
+  EXPECT_TRUE(staged.value().Get(1).ok());
+
+  // A damaged root MANIFEST is refused whole.
+  {
+    std::ofstream out(pub.value().staging_dir() + "/" + kManifestFileName,
+                      std::ios::trunc);
+    out << "torn";
+  }
+  EXPECT_TRUE(ModelRegistry::Open({pub.value().staging_dir(), 4})
+                  .status()
+                  .IsDataLoss());
 }
 
 // ---- Write-behind staging ------------------------------------------------
@@ -641,7 +718,7 @@ TEST_F(ModelRegistryGenerationTest, AddSnapshotsTheForecaster) {
 TEST_F(ModelRegistryGenerationTest, GenerationHoldsOnlyCompactBundles) {
   ModelRegistry registry = OpenRegistry(4);
   const VehicleForecaster forecaster = TrainForecaster(MakeDataset(2));
-  CommitGeneration(registry, 2, forecaster);
+  ASSERT_TRUE(PublishFleet(registry, {{2, &forecaster}}).ok());
   std::vector<std::string> files;
   for (const auto& entry : std::filesystem::directory_iterator(
            registry.directory() + "/gen_000001")) {
@@ -661,7 +738,8 @@ TEST_F(ModelRegistryGenerationTest, GenerationHoldsOnlyCompactBundles) {
 
 TEST_F(ModelRegistryGenerationTest, VersionOneBundleIsQuarantinedNotScored) {
   ModelRegistry registry = OpenRegistry(4);
-  CommitGeneration(registry, 2, TrainForecaster(MakeDataset(2)));
+  const VehicleForecaster model = TrainForecaster(MakeDataset(2));
+  ASSERT_TRUE(PublishFleet(registry, {{2, &model}}).ok());
   // Rewrite the bundle as a generation published with `vupc v1` would
   // hold it: version 1, a valid CRC, and a MANIFEST that vouches for it.
   const std::string gen = registry.directory() + "/gen_000001";
@@ -745,7 +823,7 @@ TEST_F(ModelRegistryGenerationTest, StagingDirWaitsForQueuedWrites) {
 TEST_F(ModelRegistryGenerationTest, WriterFailureFailsFinalize) {
   ModelRegistry registry = OpenRegistry(4);
   const VehicleForecaster forecaster = TrainForecaster(MakeDataset(5));
-  CommitGeneration(registry, 1, forecaster);
+  ASSERT_TRUE(PublishFleet(registry, {{1, &forecaster}}).ok());
   const std::string current = ReadFile(registry.directory() + "/CURRENT");
   {
     StatusOr<GenerationPublisher> pub = registry.NewGeneration();
@@ -892,7 +970,7 @@ TEST_F(PublisherSealTest, SealedManifestMatchesDirectoryScan) {
 
 TEST_F(PublisherSealTest, RecordedBundleThatChangedSizeIsRefused) {
   ModelRegistry registry = OpenRegistry(4);
-  CommitGeneration(registry, 1, *a_);
+  ASSERT_TRUE(PublishFleet(registry, {{1, a_.get()}}).ok());
   const std::string current = ReadFile(registry.directory() + "/CURRENT");
   const std::vector<std::pair<const char*, std::function<std::string(
                                                const std::string&)>>>

@@ -12,6 +12,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "serve/model_registry.h"
+#include "testing/registry.h"
 
 namespace vup::serve {
 namespace {
@@ -58,11 +59,13 @@ class PredictionServiceTest : public ::testing::Test {
     StatusOr<ModelRegistry> registry = ModelRegistry::Open({dir_, 8});
     ASSERT_TRUE(registry.ok()) << registry.status().ToString();
     registry_ = std::make_unique<ModelRegistry>(std::move(registry.value()));
+    std::map<int64_t, const VehicleForecaster*> fleet;
     for (int64_t id : {1, 2, 3}) {
       datasets_.emplace(id, MakeDataset(id));
       originals_.emplace(id, TrainForecaster(datasets_.at(id)));
-      ASSERT_TRUE(registry_->Publish(id, originals_.at(id)).ok());
+      fleet[id] = &originals_.at(id);
     }
+    ASSERT_TRUE(PublishFleet(*registry_, fleet).ok());
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 

@@ -5,7 +5,6 @@
 // cumulative transition counters.
 
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -13,6 +12,7 @@
 
 #include "core/forecaster.h"
 #include "serve/model_registry.h"
+#include "testing/registry.h"
 
 namespace vup::serve {
 namespace {
@@ -72,19 +72,14 @@ class ReloadBreakerTest : public ::testing::Test {
     return std::move(registry.value());
   }
 
-  /// Publishes vehicle 9's bundle into the flat (unmanifested) layout and
-  /// corrupts it on disk so every load fails to decode. Flat on
-  /// purpose: the corrupt-load path, not the manifest-quarantine path, is
-  /// what trips breakers.
-  void PublishCorruptGeneration(ModelRegistry* registry) {
-    ASSERT_TRUE(
-        registry->Publish(9, TrainForecaster(MakeDataset(9))).ok());
-    CorruptBundle(*registry, 9);
-  }
-
-  void CorruptBundle(const ModelRegistry& registry, int64_t id) {
-    std::ofstream out(registry.BundlePath(id), std::ios::trunc);
-    out << "vupred-forecaster v1\nalgorithm Alien\n";
+  /// Publishes a generation holding vehicle 9 and breaks its listed
+  /// bundle, so every load fails with an IO error. An IO error, not
+  /// corrupt bytes: corrupt listed bytes quarantine, only load failures
+  /// trip breakers.
+  void PublishBrokenGeneration(ModelRegistry* registry) {
+    const VehicleForecaster model = TrainForecaster(MakeDataset(9));
+    ASSERT_TRUE(PublishFleet(*registry, {{9, &model}}).ok());
+    ASSERT_TRUE(BreakBundle(registry->BundlePath(9)).ok());
   }
 
   void TripBreaker(ModelRegistry* registry, int64_t id) {
@@ -102,7 +97,7 @@ class ReloadBreakerTest : public ::testing::Test {
 TEST_F(ReloadBreakerTest, NoOpReloadCarriesOpenBreakerOver) {
   FakeClock clock;
   ModelRegistry registry = OpenWithClock(&clock);
-  PublishCorruptGeneration(&registry);
+  PublishBrokenGeneration(&registry);
   TripBreaker(&registry, 9);
   const ModelRegistryStats before = registry.stats();
   ASSERT_EQ(before.breaker_opens, 1u);
@@ -125,13 +120,13 @@ TEST_F(ReloadBreakerTest, NoOpReloadCarriesOpenBreakerOver) {
 TEST_F(ReloadBreakerTest, NoOpReloadCarriesHalfOpenScheduleOver) {
   FakeClock clock;
   ModelRegistry registry = OpenWithClock(&clock);
-  PublishCorruptGeneration(&registry);
+  PublishBrokenGeneration(&registry);
   TripBreaker(&registry, 9);
   const size_t failures_before = registry.stats().load_failures;
 
   // Let the backoff elapse, then Reload without a CURRENT change: the
   // half-open probe budget must survive, so exactly one Get reaches disk
-  // and the still-corrupt bundle re-opens the breaker.
+  // and the still-broken bundle re-opens the breaker.
   clock.AdvanceMs(registry.BreakerBackoffMs(9, 1) + 1);
   ASSERT_TRUE(registry.Reload().ok());
   Status probe = registry.Get(9).status();
@@ -144,7 +139,7 @@ TEST_F(ReloadBreakerTest, NoOpReloadCarriesHalfOpenScheduleOver) {
 TEST_F(ReloadBreakerTest, GenerationSwapResetsBreakersDeliberately) {
   FakeClock clock;
   ModelRegistry registry = OpenWithClock(&clock);
-  PublishCorruptGeneration(&registry);
+  PublishBrokenGeneration(&registry);
   TripBreaker(&registry, 9);
   const ModelRegistryStats tripped = registry.stats();
   ASSERT_EQ(tripped.breaker_opens, 1u);
@@ -181,7 +176,7 @@ TEST_F(ReloadBreakerTest, GenerationSwapResetsBreakersDeliberately) {
 TEST_F(ReloadBreakerTest, SwapWhileHalfOpenResetsInsteadOfProbing) {
   FakeClock clock;
   ModelRegistry registry = OpenWithClock(&clock);
-  PublishCorruptGeneration(&registry);
+  PublishBrokenGeneration(&registry);
   TripBreaker(&registry, 9);
   clock.AdvanceMs(registry.BreakerBackoffMs(9, 1) + 1);  // Probe is due.
 

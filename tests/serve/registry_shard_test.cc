@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "obs/metrics.h"
 #include "serve/manifest.h"
 #include "serve/model_registry.h"
+#include "testing/registry.h"
 
 namespace vup::serve {
 namespace {
@@ -82,6 +84,22 @@ class RegistryShardTest : public ::testing::Test {
     return std::move(registry.value());
   }
 
+  /// Trains a model for each id (`algorithm_of(id)`, Lasso without one)
+  /// and publishes them as one generation of `registry`.
+  void PublishTrained(ModelRegistry& registry, const std::vector<int64_t>& ids,
+                      Algorithm (*algorithm_of)(int64_t) = nullptr) {
+    std::vector<VehicleForecaster> models;
+    models.reserve(ids.size());  // Stable addresses for the fleet map.
+    std::map<int64_t, const VehicleForecaster*> fleet;
+    for (int64_t id : ids) {
+      models.push_back(TrainForecaster(
+          MakeDataset(id),
+          algorithm_of != nullptr ? algorithm_of(id) : Algorithm::kLasso));
+      fleet[id] = &models.back();
+    }
+    ASSERT_TRUE(PublishFleet(registry, fleet).ok());
+  }
+
   std::string dir_;
 };
 
@@ -109,14 +127,10 @@ TEST_F(RegistryShardTest, ByteBudgetHonoredWithMixedModelSizes) {
   // Compact models charge their whole bundle: a GB ensemble's bundle
   // dwarfs a Lasso's -- genuinely mixed per-model weights.
   ModelRegistry unbounded = OpenWith(ModelRegistry::Options{});
-  std::vector<int64_t> ids;
-  for (int64_t id = 1; id <= 6; ++id) {
-    const Algorithm alg =
-        id % 2 == 0 ? Algorithm::kGradientBoosting : Algorithm::kLasso;
-    ASSERT_TRUE(
-        unbounded.Publish(id, TrainForecaster(MakeDataset(id), alg)).ok());
-    ids.push_back(id);
-  }
+  const std::vector<int64_t> ids = {1, 2, 3, 4, 5, 6};
+  PublishTrained(unbounded, ids, [](int64_t id) {
+    return id % 2 == 0 ? Algorithm::kGradientBoosting : Algorithm::kLasso;
+  });
   size_t smallest = 0;
   for (int64_t id : ids) {
     StatusOr<std::shared_ptr<const VehicleForecaster>> model =
@@ -154,7 +168,7 @@ TEST_F(RegistryShardTest, OversizedModelIsServedButNeverCached) {
   ModelRegistry::Options opts;
   opts.cache_max_bytes = 1;  // Smaller than any real model.
   ModelRegistry registry = OpenWith(opts);
-  ASSERT_TRUE(registry.Publish(7, TrainForecaster(MakeDataset(7))).ok());
+  PublishTrained(registry, {7});
 
   ASSERT_TRUE(registry.Get(7).ok());
   EXPECT_EQ(registry.resident_models(), 0u);
@@ -170,13 +184,8 @@ TEST_F(RegistryShardTest, BreakerStateSurvivesEviction) {
   ModelRegistry::Options opts;
   opts.cache_capacity = 2;
   ModelRegistry registry = OpenWith(opts);
-  for (int64_t id : {1, 2, 3, 9}) {
-    ASSERT_TRUE(registry.Publish(id, TrainForecaster(MakeDataset(id))).ok());
-  }
-  {
-    std::ofstream out(registry.BundlePath(9), std::ios::trunc);
-    out << "vupred-forecaster v1\nalgorithm Alien\n";
-  }
+  PublishTrained(registry, {1, 2, 3, 9});
+  ASSERT_TRUE(BreakBundle(registry.BundlePath(9)).ok());
   for (int i = 0; i < 3; ++i) EXPECT_FALSE(registry.Get(9).ok());
   ASSERT_EQ(registry.breaker_state(9), BreakerState::kOpen);
 
@@ -196,13 +205,8 @@ TEST_F(RegistryShardTest, PerShardSlicesSumToTotals) {
   opts.cache_capacity = 8;  // 1 slot per shard: eviction on collisions.
   ModelRegistry registry = OpenWith(opts);
   const int64_t kVehicles = 12;
-  for (int64_t id = 1; id <= kVehicles; ++id) {
-    ASSERT_TRUE(registry.Publish(id, TrainForecaster(MakeDataset(id))).ok());
-  }
-  {
-    std::ofstream out(registry.BundlePath(12), std::ios::trunc);
-    out << "garbage";
-  }
+  PublishTrained(registry, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12});
+  ASSERT_TRUE(BreakBundle(registry.BundlePath(12)).ok());
   for (int round = 0; round < 2; ++round) {
     for (int64_t id = 1; id <= kVehicles; ++id) {
       Status status = registry.Get(id).status();
@@ -258,10 +262,8 @@ TEST_F(RegistryShardTest, PerShardSlicesSumToTotals) {
 
 TEST_F(RegistryShardTest, CacheBytesGaugeMatchesResidency) {
   ModelRegistry registry = OpenWith(ModelRegistry::Options{});
-  for (int64_t id : {1, 2}) {
-    ASSERT_TRUE(registry.Publish(id, TrainForecaster(MakeDataset(id))).ok());
-    ASSERT_TRUE(registry.Get(id).ok());
-  }
+  PublishTrained(registry, {1, 2});
+  for (int64_t id : {1, 2}) ASSERT_TRUE(registry.Get(id).ok());
   ASSERT_GT(registry.resident_bytes(), 0u);
 
   obs::MetricsSnapshot snapshot;
@@ -283,15 +285,14 @@ class RegistryCompactTest : public RegistryShardTest {
       ModelRegistry& registry, int64_t n,
       Algorithm algorithm = Algorithm::kLinearRegression) {
     std::vector<VehicleForecaster> trained;
-    StatusOr<GenerationPublisher> pub = registry.NewGeneration();
-    EXPECT_TRUE(pub.ok()) << pub.status().ToString();
-    if (!pub.ok()) return trained;
+    std::map<int64_t, const VehicleForecaster*> fleet;
+    trained.reserve(static_cast<size_t>(n));  // Stable addresses.
     for (int64_t id = 1; id <= n; ++id) {
       trained.push_back(TrainForecaster(MakeDataset(id), algorithm));
-      EXPECT_TRUE(pub.value().Add(id, trained.back()).ok());
+      fleet[id] = &trained.back();
     }
-    EXPECT_TRUE(pub.value().Commit(TestMeta(7, "LinearRegression")).ok());
-    EXPECT_TRUE(registry.Reload().ok());
+    EXPECT_TRUE(
+        PublishFleet(registry, fleet, TestMeta(7, "LinearRegression")).ok());
     return trained;
   }
 };

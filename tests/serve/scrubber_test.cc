@@ -3,6 +3,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -11,6 +12,7 @@
 
 #include "core/forecaster.h"
 #include "serve/model_registry.h"
+#include "testing/registry.h"
 #include "telemetry/fault_injector.h"
 
 namespace vup::serve {
@@ -66,16 +68,16 @@ class ScrubberTest : public ::testing::Test {
     return std::move(registry.value());
   }
 
-  /// Publishes one committed generation with the given vehicle ids.
-  void PublishGeneration(ModelRegistry* registry,
+  /// Trains a model for each id and publishes them as one generation.
+  void PublishTrained(ModelRegistry* registry,
                          const std::vector<int64_t>& ids) {
-    StatusOr<GenerationPublisher> pub = registry->NewGeneration();
-    ASSERT_TRUE(pub.ok()) << pub.status().ToString();
+    std::map<int64_t, VehicleForecaster> models;
+    std::map<int64_t, const VehicleForecaster*> fleet;
     for (int64_t id : ids) {
-      ASSERT_TRUE(pub.value().Add(id, TrainForecaster(MakeDataset(id))).ok());
+      fleet[id] =
+          &models.emplace(id, TrainForecaster(MakeDataset(id))).first->second;
     }
-    ASSERT_TRUE(pub.value().Commit(RegistryMeta{}).ok());
-    ASSERT_TRUE(registry->Reload().ok());
+    ASSERT_TRUE(PublishFleet(*registry, fleet).ok());
   }
 
   std::string dir_;
@@ -83,14 +85,14 @@ class ScrubberTest : public ::testing::Test {
 
 TEST_F(ScrubberTest, CleanGenerationScrubsClean) {
   ModelRegistry registry = OpenRegistry();
-  PublishGeneration(&registry, {1, 2, 3});
+  PublishTrained(&registry, {1, 2, 3});
 
   RegistryScrubber scrubber({.root = dir_, .registry = &registry});
   StatusOr<ScrubReport> report = scrubber.ScrubOnce();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report.value().clean()) << report.value().ToString();
   EXPECT_EQ(report.value().generations_scanned, 1u);
-  EXPECT_EQ(report.value().generations_unmanifested, 0u);
+  EXPECT_EQ(report.value().damaged_manifests, 0u);
   // 3 bundles + registry_meta.txt, all verified.
   EXPECT_EQ(report.value().files_checked, 4u);
   EXPECT_EQ(report.value().quarantined, 0u);
@@ -100,7 +102,7 @@ TEST_F(ScrubberTest, CleanGenerationScrubsClean) {
 
 TEST_F(ScrubberTest, ActiveGenerationCorruptionIsQuarantinedBeforeAnyGet) {
   ModelRegistry registry = OpenRegistry();
-  PublishGeneration(&registry, {1, 2});
+  PublishTrained(&registry, {1, 2});
 
   // Bit-rot vehicle 2's bundle on disk, behind the registry's back.
   FaultInjector rot(FaultProfile::BitRot(), /*seed=*/3);
@@ -135,7 +137,7 @@ TEST_F(ScrubberTest, ActiveGenerationCorruptionIsQuarantinedBeforeAnyGet) {
 
 TEST_F(ScrubberTest, SameSizeBundleSwapIsACrcMismatch) {
   ModelRegistry registry = OpenRegistry();
-  PublishGeneration(&registry, {7, 8});
+  PublishTrained(&registry, {7, 8});
   // Vehicle 7's valid bundle copied over vehicle 8's: the size matches and
   // the copy ends in its own valid trailer, which is not the one listed.
   ASSERT_EQ(fs::file_size(registry.BundlePath(7)),
@@ -155,7 +157,7 @@ TEST_F(ScrubberTest, SameSizeBundleSwapIsACrcMismatch) {
 
 TEST_F(ScrubberTest, ResidentBundleBitRotIsQuarantinedAndEvicted) {
   ModelRegistry registry = OpenRegistry();
-  PublishGeneration(&registry, {1, 2});
+  PublishTrained(&registry, {1, 2});
   // Vehicle 2 is resident: its model scores from a buffer read before the
   // rot, so only the scrubber can take it out of service.
   ASSERT_TRUE(registry.Get(2).ok());
@@ -192,10 +194,10 @@ TEST_F(ScrubberTest, ResidentBundleBitRotIsQuarantinedAndEvicted) {
 
 TEST_F(ScrubberTest, NonActiveGenerationCorruptionIsReportedNotQuarantined) {
   ModelRegistry registry = OpenRegistry();
-  PublishGeneration(&registry, {1});
+  PublishTrained(&registry, {1});
   const std::string old_gen =
       dir_ + "/" + ModelRegistry::GenerationDirName(1);
-  PublishGeneration(&registry, {1});
+  PublishTrained(&registry, {1});
   ASSERT_EQ(registry.active_generation(), 2u);
 
   // Damage the *retired* generation: forensically interesting, but no
@@ -218,7 +220,7 @@ TEST_F(ScrubberTest, NonActiveGenerationCorruptionIsReportedNotQuarantined) {
 
 TEST_F(ScrubberTest, MissingFileAndDamagedManifestAreCounted) {
   ModelRegistry registry = OpenRegistry();
-  PublishGeneration(&registry, {1, 2});
+  PublishTrained(&registry, {1, 2});
   const std::string gen_dir =
       dir_ + "/" + ModelRegistry::GenerationDirName(1);
   fs::remove(registry.BundlePath(1));
@@ -241,7 +243,7 @@ TEST_F(ScrubberTest, MissingFileAndDamagedManifestAreCounted) {
 
 TEST_F(ScrubberTest, OversizedFileIsASizeMismatchFromItsStat) {
   ModelRegistry registry = OpenRegistry();
-  PublishGeneration(&registry, {1, 2});
+  PublishTrained(&registry, {1, 2});
   // A stray 256 MiB file (sparse: no disk, no page cache) under a listed
   // name. The scrubber must count it from its size, not slurp it.
   fs::resize_file(registry.BundlePath(2), 256ull << 20);
@@ -257,22 +259,24 @@ TEST_F(ScrubberTest, OversizedFileIsASizeMismatchFromItsStat) {
   EXPECT_FALSE(registry.IsQuarantined(1));
 }
 
-TEST_F(ScrubberTest, LegacyUnmanifestedDirectoryIsFlaggedNotFailed) {
+TEST_F(ScrubberTest, CommittedGenerationWithoutManifestIsADamagedManifest) {
   ModelRegistry registry = OpenRegistry();
-  ASSERT_TRUE(
-      registry.Publish(7, TrainForecaster(MakeDataset(7))).ok());
+  PublishTrained(&registry, {7});
+  ASSERT_TRUE(fs::remove(dir_ + "/" + ModelRegistry::GenerationDirName(1) +
+                         "/" + kManifestFileName));
 
   RegistryScrubber scrubber({.root = dir_, .registry = &registry});
   StatusOr<ScrubReport> report = scrubber.ScrubOnce();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report.value().generations_unmanifested, 1u);
+  EXPECT_EQ(report.value().generations_scanned, 1u);
+  EXPECT_EQ(report.value().damaged_manifests, 1u);
   EXPECT_EQ(report.value().files_checked, 0u);
-  EXPECT_TRUE(report.value().clean());
+  EXPECT_FALSE(report.value().clean());
 }
 
 TEST_F(ScrubberTest, ScheduleRunsOnTheInjectedClock) {
   ModelRegistry registry = OpenRegistry();
-  PublishGeneration(&registry, {1});
+  PublishTrained(&registry, {1});
 
   FakeClock clock;
   RegistryScrubber scrubber({.root = dir_,
@@ -302,7 +306,7 @@ TEST_F(ScrubberTest, ScheduleRunsOnTheInjectedClock) {
 
 TEST_F(ScrubberTest, BackgroundThreadScrubsAndStopsCleanly) {
   ModelRegistry registry = OpenRegistry();
-  PublishGeneration(&registry, {1});
+  PublishTrained(&registry, {1});
 
   RegistryScrubber scrubber({.root = dir_,
                              .registry = &registry,
@@ -326,7 +330,7 @@ TEST_F(ScrubberTest, BackgroundThreadScrubsAndStopsCleanly) {
 
 TEST_F(ScrubberTest, CollectMetricsExportsScrubFamilies) {
   ModelRegistry registry = OpenRegistry();
-  PublishGeneration(&registry, {1});
+  PublishTrained(&registry, {1});
   FaultInjector rot(FaultProfile::BitRot(), /*seed=*/11);
   ASSERT_TRUE(
       rot.CorruptFileOnDisk(registry.BundlePath(1), /*file_tag=*/1).ok());

@@ -615,8 +615,6 @@ int RunPublish(const Flags& flags) {
     live_dir = out_dir + "/" +
                serve::ModelRegistry::GenerationDirName(
                    registry.value().active_generation());
-  } else if (!registry.value().ListVehicleIds().empty()) {
-    live_dir = out_dir;  // Flat legacy layout serving live bundles.
   }
 
   if (flags.Has("validate")) {
