@@ -3,7 +3,8 @@
 # that exercise real concurrency -- the thread pool, the metrics registry
 # and tracer (concurrent instruments + export), the prediction service
 # (admission control, load shedding, deadline fan-out), the model
-# registry (circuit breakers, generation hot-swap), the background
+# registry (circuit breakers, generation hot-swap, two publishers on two
+# threads sharing the registry's writer pool), the background
 # registry scrubber and the chaos suites, including hierarchy fallback
 # reads racing generation swaps and canary shadow-scoring racing
 # promote/rollback flips.

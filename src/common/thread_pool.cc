@@ -8,11 +8,6 @@
 
 namespace vup {
 
-namespace {
-
-/// Runs a task, converting a thrown exception into a Status so a misbehaving
-/// task can never terminate the worker thread (the library's no-exceptions
-/// contract at public boundaries).
 Status RunGuarded(const std::function<Status()>& task) {
   try {
     return task();
@@ -22,8 +17,6 @@ Status RunGuarded(const std::function<Status()>& task) {
     return Status::Internal("task threw a non-std exception");
   }
 }
-
-}  // namespace
 
 ThreadPool::ThreadPool(Options options) : options_(std::move(options)) {
   options_.num_workers = std::max<size_t>(options_.num_workers, 1);

@@ -16,6 +16,11 @@
 
 namespace vup {
 
+/// Runs `task`, converting a thrown exception into an Internal Status so a
+/// misbehaving task can never terminate the thread running it (the
+/// library's no-exceptions contract at public boundaries).
+Status RunGuarded(const std::function<Status()>& task);
+
 /// Fixed-size worker pool with a bounded task queue, shared by the
 /// prediction-serving subsystem and the fleet experiment runner.
 ///

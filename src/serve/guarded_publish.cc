@@ -1,12 +1,14 @@
 #include "serve/guarded_publish.h"
 
+#include <unistd.h>
+
+#include <cerrno>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <system_error>
 
-#include "common/file_util.h"
 #include "common/random.h"
-#include "common/record_file.h"
 #include "common/string_util.h"
 #include "serve/model_registry.h"
 
@@ -16,10 +18,56 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kRollbackMagic = "vupred-rollback v2";
-// Cap on the two small root files, CURRENT and ROLLBACK.
-constexpr size_t kMaxRootFileBytes = 4096;
 constexpr const char* kNonePrevious = "none";
+// Longer than any target this code installs: two generation names.
+constexpr size_t kMaxLinkTarget = 128;
+
+/// "`what` `path`: <errno text>", reading errno before anything allocates.
+std::string ErrnoMessage(const char* what, const std::string& path) {
+  const std::string reason = std::strerror(errno);
+  return std::string(what) + " " + path + ": " + reason;
+}
+
+/// Points root/`name` at `target`: a fresh `name`.tmp link renamed over the
+/// old one. A symlink this short keeps its target in the inode, so the
+/// rename installs the old pointer or the new one, never an empty file, and
+/// ext4 does not flush data ahead of it as it does for a regular file.
+Status InstallLink(const std::string& root, const char* name,
+                   const std::string& target) {
+  const std::string path = root + "/" + name;
+  const std::string tmp = path + ".tmp";
+  // A link left behind by a writer killed before its rename.
+  if (::unlink(tmp.c_str()) != 0 && errno != ENOENT) {
+    return Status::Internal(ErrnoMessage("cannot remove", tmp));
+  }
+  if (::symlink(target.c_str(), tmp.c_str()) != 0) {
+    return Status::Internal(ErrnoMessage("cannot create link", tmp));
+  }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    return Status::Internal(ErrnoMessage("cannot install link", path));
+  }
+  return Status::OK();
+}
+
+/// The target of the root/`name` link. NotFound when there is none;
+/// DataLoss when `name` is not a symlink -- the pointer files of an older
+/// build, which this one does not read.
+StatusOr<std::string> ReadLink(const std::string& root, const char* name) {
+  const std::string path = root + "/" + name;
+  char target[kMaxLinkTarget];
+  const ssize_t n = ::readlink(path.c_str(), target, sizeof(target));
+  if (n >= 0 && static_cast<size_t>(n) < sizeof(target)) {
+    return std::string(target, static_cast<size_t>(n));
+  }
+  if (n >= 0) return Status::DataLoss(path + " has an over-long target");
+  if (errno == ENOENT) return Status::NotFound(path + " does not exist");
+  if (errno == EINVAL) {
+    return Status::DataLoss(
+        path + " is not a symlink (a registry written by an older build): "
+               "delete CURRENT and ROLLBACK, then publish");
+  }
+  return Status::Internal(ErrnoMessage("cannot read link", path));
+}
 
 /// Both names must be generation names; `previous` may be empty.
 Status ValidateJournal(const RollbackJournal& journal) {
@@ -29,33 +77,10 @@ Status ValidateJournal(const RollbackJournal& journal) {
   return ModelRegistry::ParseGenerationName(journal.previous).status();
 }
 
-StatusOr<RollbackJournal> JournalFromRecords(
-    const std::vector<RecordLine>& records) {
-  if (records.size() != 2 || records[0].key != "promoted" ||
-      records[1].key != "previous" || records[0].values.size() != 1 ||
-      records[1].values.size() != 1) {
-    return Status::InvalidArgument(
-        "rollback journal is not one promoted and one previous record");
-  }
-  RollbackJournal journal{records[0].values[0], records[1].values[0]};
-  if (journal.previous == kNonePrevious) journal.previous.clear();
-  VUP_RETURN_IF_ERROR(ValidateJournal(journal));
-  return journal;
-}
-
-std::vector<RecordLine> JournalToRecords(const RollbackJournal& journal) {
-  return {{"promoted", {journal.promoted}},
-          {"previous",
-           {journal.previous.empty() ? kNonePrevious : journal.previous}}};
-}
-
 }  // namespace
 
 StatusOr<std::string> ReadCurrentPointer(const std::string& root) {
-  VUP_ASSIGN_OR_RETURN(
-      std::string content,
-      ReadFileCapped(root + "/" + kCurrentFileName, kMaxRootFileBytes));
-  const std::string name(Trim(content.substr(0, content.find('\n'))));
+  VUP_ASSIGN_OR_RETURN(std::string name, ReadLink(root, kCurrentFileName));
   VUP_RETURN_IF_ERROR(ModelRegistry::ParseGenerationName(name).status());
   return name;
 }
@@ -86,29 +111,27 @@ StatusOr<GenerationManifest> VerifyGenerationComplete(
   return manifest;
 }
 
-std::string RollbackJournal::Serialize() const {
-  return EncodeRecords(kRollbackMagic, JournalToRecords(*this));
-}
-
-StatusOr<RollbackJournal> RollbackJournal::Parse(std::string_view bytes) {
-  VUP_ASSIGN_OR_RETURN(std::vector<RecordLine> records,
-                       DecodeRecords(kRollbackMagic, bytes));
-  return JournalFromRecords(records);
-}
-
 StatusOr<RollbackJournal> ReadRollbackJournal(const std::string& root) {
-  VUP_ASSIGN_OR_RETURN(
-      std::vector<RecordLine> records,
-      ReadRecordFile(root + "/" + kRollbackJournalFileName, kRollbackMagic,
-                     kMaxRootFileBytes));
-  return JournalFromRecords(records);
+  VUP_ASSIGN_OR_RETURN(const std::string target,
+                       ReadLink(root, kRollbackJournalFileName));
+  const size_t space = target.find(' ');
+  if (space == std::string::npos || space + 1 == target.size()) {
+    return Status::InvalidArgument("rollback journal is not two names: " +
+                                   target);
+  }
+  RollbackJournal journal{target.substr(0, space), target.substr(space + 1)};
+  if (journal.previous == kNonePrevious) journal.previous.clear();
+  VUP_RETURN_IF_ERROR(ValidateJournal(journal));
+  return journal;
 }
 
 Status WriteRollbackJournal(const std::string& root,
                             const RollbackJournal& journal) {
   VUP_RETURN_IF_ERROR(ValidateJournal(journal));
-  return WriteRecordFile(root + "/" + kRollbackJournalFileName,
-                         kRollbackMagic, JournalToRecords(journal));
+  return InstallLink(
+      root, kRollbackJournalFileName,
+      journal.promoted + " " +
+          (journal.previous.empty() ? kNonePrevious : journal.previous));
 }
 
 Status PromoteGeneration(const std::string& root,
@@ -126,7 +149,7 @@ Status PromoteGeneration(const std::string& root,
   // detects the mismatch and refuses, readers are unaffected.
   VUP_RETURN_IF_ERROR(WriteRollbackJournal(
       root, RollbackJournal{generation, previous}));
-  return WriteFileAtomic(root + "/" + kCurrentFileName, generation + "\n");
+  return InstallLink(root, kCurrentFileName, generation);
 }
 
 StatusOr<std::string> RollbackGeneration(const std::string& root) {
@@ -147,8 +170,8 @@ StatusOr<std::string> RollbackGeneration(const std::string& root) {
   // The journal stays in place, still naming `promoted`: once CURRENT no
   // longer matches it, a second rollback of the same promotion fails with
   // FailedPrecondition instead of ping-ponging between generations.
-  VUP_RETURN_IF_ERROR(WriteFileAtomic(root + "/" + kCurrentFileName,
-                                      journal.previous + "\n"));
+  VUP_RETURN_IF_ERROR(
+      InstallLink(root, kCurrentFileName, journal.previous));
   return journal.previous;
 }
 

@@ -3,21 +3,22 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "common/statusor.h"
 #include "serve/manifest.h"
 
 namespace vup::serve {
 
-/// Name of the registry pointer file and the rollback journal, both living
-/// in the registry root next to the gen_* directories.
+/// The two root pointers of a registry, living next to the gen_*
+/// directories. Both are relative symlinks whose target is the pointer
+/// itself, so one `rename` installs either and one `readlink` reads it.
 inline constexpr char kCurrentFileName[] = "CURRENT";
 inline constexpr char kRollbackJournalFileName[] = "ROLLBACK";
 
-/// Reads the one-line CURRENT pointer under `root` and checks that it
-/// names a generation. NotFound when no generation has ever been promoted
-/// there.
+/// Reads the CURRENT link under `root` (`CURRENT -> gen_000042`) and checks
+/// that it names a generation. NotFound when no generation has ever been
+/// promoted there; DataLoss when CURRENT is not a symlink (a registry
+/// published by an older build), with the fix in the message.
 StatusOr<std::string> ReadCurrentPointer(const std::string& root);
 
 /// Checks that root/`generation` is complete: a well-formed name, the
@@ -28,30 +29,28 @@ StatusOr<std::string> ReadCurrentPointer(const std::string& root);
 StatusOr<GenerationManifest> VerifyGenerationComplete(
     const std::string& root, const std::string& generation);
 
-/// The rollback journal: written atomically immediately BEFORE the CURRENT
-/// pointer advances, so a crash between the two leaves enough on disk to
-/// either roll forward (re-flip CURRENT) or roll back (restore `previous`).
-/// Persisted as `ROLLBACK`, a record file (common/record_file.h) under
-/// `vupred-rollback v2`:
+/// The rollback journal: installed immediately BEFORE the CURRENT pointer
+/// advances, so a crash between the two leaves enough on disk to either
+/// roll forward (re-flip CURRENT) or roll back (restore `previous`).
+/// Persisted as the `ROLLBACK` symlink, whose target holds both names:
 ///
-///   promoted gen_000042
-///   previous gen_000041      (or `previous none` for a first publish)
+///   ROLLBACK -> "gen_000042 gen_000041"   (promoted, then previous)
+///   ROLLBACK -> "gen_000042 none"         (a first publish)
 struct RollbackJournal {
   std::string promoted;  // Generation CURRENT was advanced to.
   std::string previous;  // Generation CURRENT held before; "" = none.
-
-  std::string Serialize() const;
-  static StatusOr<RollbackJournal> Parse(std::string_view bytes);
 
   friend bool operator==(const RollbackJournal& a, const RollbackJournal& b) {
     return a.promoted == b.promoted && a.previous == b.previous;
   }
 };
 
-/// Reads root/ROLLBACK. NotFound when no guarded promotion ever ran.
+/// Reads root/ROLLBACK. NotFound when no guarded promotion ever ran;
+/// InvalidArgument when its target is not two generation names (the
+/// second may be `none`); DataLoss when ROLLBACK is not a symlink.
 StatusOr<RollbackJournal> ReadRollbackJournal(const std::string& root);
 
-/// Writes root/ROLLBACK atomically (temp + rename).
+/// Installs root/ROLLBACK atomically (temp link + rename).
 Status WriteRollbackJournal(const std::string& root,
                             const RollbackJournal& journal);
 

@@ -156,10 +156,41 @@ StatusOr<RegistryMeta> ReadRegistryMetaFile(const std::string& directory) {
   return MetaFromRecords(records);
 }
 
-StatusOr<VehicleForecaster> LoadBundleFile(const std::string& path) {
+StatusOr<VehicleForecaster> LoadListedBundle(const std::string& directory,
+                                             const ManifestEntry& entry) {
+  // Read capped at the listed size, so a grown file is a mismatch found by
+  // its stat, never read.
   VUP_ASSIGN_OR_RETURN(std::string bytes,
-                       ReadFileCapped(path, kMaxCompactBytes));
-  return DecodeOwnedBundle(std::move(bytes));
+                       ReadFileCapped(directory + "/" + entry.file,
+                                      entry.size));
+  if (bytes.size() != entry.size) {
+    return Status::DataLoss(StrFormat(
+        "%s: size %zu does not match manifest (%llu bytes)",
+        entry.file.c_str(), bytes.size(),
+        static_cast<unsigned long long>(entry.size)));
+  }
+  // The decoder makes the one CRC pass: it checks the bundle's own trailer
+  // before it trusts any structural field, so corrupt bytes are never
+  // scored. A bundle that fails its own framing is corruption (or a bundle
+  // this build cannot read).
+  const uint32_t trailer =
+      bytes.size() >= kCrc32TrailerBytes
+          ? StoredCrc32Trailer(bytes.data(), bytes.size())
+          : 0;
+  StatusOr<VehicleForecaster> forecaster =
+      DecodeOwnedBundle(std::move(bytes));
+  if (!forecaster.ok()) {
+    return Status::DataLoss(std::string(forecaster.status().message()));
+  }
+  // The decoder checked the trailer, so comparing it with the manifest's
+  // needs no second pass. It differs from bundle to bundle, so a valid
+  // bundle copied over another vehicle's of the same size is caught here.
+  if (entry.crc32 != trailer) {
+    return Status::DataLoss(
+        StrFormat("%s: crc32 %u does not match manifest (%u)",
+                  entry.file.c_str(), trailer, entry.crc32));
+  }
+  return forecaster;
 }
 
 std::string_view BreakerStateToString(BreakerState state) {
@@ -350,7 +381,21 @@ StatusOr<GenerationPublisher> ModelRegistry::NewGeneration() {
     return Status::Internal("cannot create staging directory " + staging +
                             ": " + ec.message());
   }
-  return GenerationPublisher(options_.directory, number, staging);
+  std::shared_ptr<ThreadPool> writers;
+  {
+    std::lock_guard<std::mutex> lock(*active_mu_);
+    if (writers_ == nullptr) {
+      // One writer per hardware thread; the queue bound caps the snapshots
+      // held in memory however many vehicles a publish stages.
+      const size_t workers =
+          std::max<size_t>(1, std::thread::hardware_concurrency());
+      writers_ = std::make_shared<ThreadPool>(
+          ThreadPool::Options(workers, 2 * workers));
+    }
+    writers = writers_;
+  }
+  return GenerationPublisher(options_.directory, number, staging,
+                             std::move(writers));
 }
 
 Status ModelRegistry::PruneGenerations(size_t keep) {
@@ -364,13 +409,15 @@ Status ModelRegistry::PruneGenerations(size_t keep) {
   // `promoted` would orphan the journal's sanity check. Both are retained
   // regardless of age or `keep` -- and they consume the keep budget, so
   // `keep` stays an upper bound on retained non-active generations
-  // whenever the pinned ones fit in it.
+  // whenever the pinned ones fit in it. A journal that cannot be read
+  // pins an unknown pair, so nothing is pruned.
   std::string pinned_promoted, pinned_previous;
-  if (StatusOr<RollbackJournal> journal =
-          ReadRollbackJournal(options_.directory);
-      journal.ok()) {
+  StatusOr<RollbackJournal> journal = ReadRollbackJournal(options_.directory);
+  if (journal.ok()) {
     pinned_promoted = journal.value().promoted;
     pinned_previous = journal.value().previous;
+  } else if (!journal.status().IsNotFound()) {
+    return journal.status();
   }
   std::vector<std::pair<uint64_t, std::string>> generations;
   std::error_code ec;
@@ -431,44 +478,19 @@ ModelRegistry::LoadVerifiedLocked(Shard& shard, int64_t vehicle_id) {
     entry = *listed;
   }
 
-  auto quarantine = [&](const Status& why) {
+  // Every mismatch with the entry -- size, framing, trailer -- is
+  // DataLoss: quarantine it. A read error counts against the breaker.
+  StatusOr<VehicleForecaster> forecaster = LoadListedBundle(dir, entry);
+  if (forecaster.status().IsNotFound()) return no_bundle();
+  if (forecaster.status().IsDataLoss()) {
     shard.quarantined.insert(vehicle_id);
     ++shard.counters.quarantines;
     return Status::NotFound(StrFormat(
         "model of vehicle %lld quarantined: %s",
-        static_cast<long long>(vehicle_id), why.message().c_str()));
-  };
-
-  // Read capped at the listed size, so a grown file is a mismatch found by
-  // its stat, never read.
-  StatusOr<std::string> bytes = ReadFileCapped(dir + "/" + file, entry.size);
-  if (bytes.status().IsNotFound()) return no_bundle();
-  if (bytes.status().IsDataLoss()) return quarantine(bytes.status());
-  VUP_RETURN_IF_ERROR(bytes.status());
-  if (bytes.value().size() != entry.size) {
-    return quarantine(Status::DataLoss(StrFormat(
-        "%s: size %zu does not match manifest (%llu bytes)", file.c_str(),
-        bytes.value().size(), static_cast<unsigned long long>(entry.size))));
+        static_cast<long long>(vehicle_id),
+        forecaster.status().message().c_str()));
   }
-  // The decoder makes the one CRC pass: it checks the bundle's own trailer
-  // before it trusts any structural field, so corrupt bytes are never
-  // scored. A bundle that fails its own framing is corruption (or a bundle
-  // this build cannot read): quarantine it.
-  const uint32_t trailer = bytes.value().size() >= kCrc32TrailerBytes
-                               ? StoredCrc32Trailer(bytes.value().data(),
-                                                    bytes.value().size())
-                               : 0;
-  StatusOr<VehicleForecaster> forecaster =
-      DecodeOwnedBundle(std::move(bytes).value());
-  if (!forecaster.ok()) return quarantine(forecaster.status());
-  // The decoder checked the trailer, so comparing it with the manifest's
-  // needs no second pass. It differs from bundle to bundle, so a valid
-  // bundle copied over another vehicle's of the same size is caught here.
-  if (entry.crc32 != trailer) {
-    return quarantine(Status::DataLoss(StrFormat(
-        "%s: crc32 %u does not match manifest (%u)", file.c_str(), trailer,
-        entry.crc32)));
-  }
+  VUP_RETURN_IF_ERROR(forecaster.status());
   return std::make_shared<const VehicleForecaster>(
       std::move(forecaster).value());
 }
@@ -847,8 +869,9 @@ GenerationPublisher::~GenerationPublisher() { Release(); }
 
 void GenerationPublisher::Release() {
   if (moved_from_) return;
-  // Writers first: the pool's shutdown drains every queued write, so none
-  // can land in the staging directory after it is removed.
+  // This publisher's queued writes first: none may land in the staging
+  // directory after it is removed, or outlive the state they record into.
+  (void)written_->Wait();
   writers_.reset();
   if (finalized_) return;
   // Abandoned without Finalize: the staging directory was never visible to
@@ -861,7 +884,7 @@ void GenerationPublisher::Release() {
 
 Status GenerationPublisher::DrainWriters() const {
   pending_ids_.clear();
-  return writers_ == nullptr ? Status::OK() : writers_->Wait();
+  return written_->Wait();
 }
 
 const std::string& GenerationPublisher::staging_dir() const {
@@ -881,6 +904,23 @@ void GenerationPublisher::WrittenFiles::Record(ManifestEntry entry) {
   entries.insert_or_assign(std::move(file), std::move(entry));
 }
 
+void GenerationPublisher::WrittenFiles::Queue() {
+  std::lock_guard<std::mutex> lock(mu);
+  ++queued;
+}
+
+void GenerationPublisher::WrittenFiles::Done(Status status) {
+  std::lock_guard<std::mutex> lock(mu);
+  if (first_error.ok()) first_error = std::move(status);
+  if (--queued == 0) idle.notify_all();
+}
+
+Status GenerationPublisher::WrittenFiles::Wait() {
+  std::unique_lock<std::mutex> lock(mu);
+  idle.wait(lock, [this] { return queued == 0; });
+  return first_error;
+}
+
 Status GenerationPublisher::Add(int64_t vehicle_id,
                                 const VehicleForecaster& forecaster) {
   if (finalized_) {
@@ -892,29 +932,31 @@ Status GenerationPublisher::Add(int64_t vehicle_id,
   VUP_ASSIGN_OR_RETURN(VehicleForecaster snapshot, forecaster.Snapshot());
   // A queued write of the same id lands first, so this Add wins.
   if (pending_ids_.count(vehicle_id) != 0) (void)DrainWriters();
-  if (writers_ == nullptr) {
-    // One writer per hardware thread; the queue bound caps the snapshots
-    // held in memory however many vehicles a publish stages.
-    const size_t workers =
-        std::max<size_t>(1, std::thread::hardware_concurrency());
-    writers_ = std::make_unique<ThreadPool>(
-        ThreadPool::Options(workers, 2 * workers));
-  }
   pending_ids_.insert(vehicle_id);
   auto bundle =
       std::make_shared<const VehicleForecaster>(std::move(snapshot));
-  return writers_->Submit(
+  // Counted before it is queued, so a fast writer cannot finish first.
+  written_->Queue();
+  Status submitted = writers_->Submit(
       [dir = staging_dir_, file = ModelRegistry::BundleFileName(vehicle_id),
        bundle, written = written_.get()]() -> Status {
-        VUP_ASSIGN_OR_RETURN(const std::string bytes, bundle->SaveCompact());
-        // A failed write fails Finalize for good, so only a written
-        // bundle needs an entry. The encoder framed these bytes: their
-        // last four are the trailer, no CRC pass.
-        VUP_RETURN_IF_ERROR(WriteBundleFile(dir + "/" + file, bytes));
-        written->Record({file, bytes.size(),
-                         StoredCrc32Trailer(bytes.data(), bytes.size())});
+        auto write = [&]() -> Status {
+          VUP_ASSIGN_OR_RETURN(const std::string bytes,
+                               bundle->SaveCompact());
+          // A failed write fails Finalize for good, so only a written
+          // bundle needs an entry. The encoder framed these bytes: their
+          // last four are the trailer, no CRC pass.
+          VUP_RETURN_IF_ERROR(WriteBundleFile(dir + "/" + file, bytes));
+          written->Record({file, bytes.size(),
+                           StoredCrc32Trailer(bytes.data(), bytes.size())});
+          return Status::OK();
+        };
+        // The error belongs to this publisher, not to the shared pool.
+        written->Done(RunGuarded(write));
         return Status::OK();
       });
+  if (!submitted.ok()) written_->Done(Status::OK());  // Never queued.
+  return submitted;
 }
 
 Status GenerationPublisher::AddPrebuilt(int64_t vehicle_id,

@@ -1,6 +1,7 @@
 #ifndef VUPRED_SERVE_MODEL_REGISTRY_H_
 #define VUPRED_SERVE_MODEL_REGISTRY_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -59,10 +60,13 @@ Status WriteRegistryMetaFile(const std::string& directory,
 /// does not exist.
 StatusOr<RegistryMeta> ReadRegistryMetaFile(const std::string& directory);
 
-/// Reads the compact bundle at `path` and decodes it in place; the
-/// forecaster owns the buffer. NotFound when the file is missing,
-/// the decoder's statuses (ml/compact.h) when it does not decode.
-StatusOr<VehicleForecaster> LoadBundleFile(const std::string& path);
+/// Reads the bundle `entry` lists in `directory`, capped at its listed
+/// size, and decodes it in place; the forecaster owns the buffer. NotFound
+/// when the file is missing; DataLoss when its size, framing or CRC-32
+/// trailer does not match `entry` (the bytes are never scored); the read's
+/// error otherwise (Internal for a directory in its place).
+StatusOr<VehicleForecaster> LoadListedBundle(const std::string& directory,
+                                             const ManifestEntry& entry);
 
 /// Per-vehicle circuit-breaker state exposed in registry stats.
 enum class BreakerState { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
@@ -125,17 +129,18 @@ class GenerationPublisher;
 /// On-disk layout:
 ///
 ///   <registry>/
-///     CURRENT               # name of the active generation ("gen_000003")
+///     CURRENT -> gen_000003 # symlink naming the active generation
+///     ROLLBACK -> "gen_000003 gen_000002"  # journal (guarded_publish.h)
 ///     gen_000002/           # a complete, immutable published fleet
 ///       registry_meta.txt
 ///       MANIFEST
 ///       vehicle_<id>.cfcst
 ///     gen_000003/ ...
 ///
-/// `CURRENT` is written temp+rename and flipped only after the generation
-/// directory (bundles + meta + MANIFEST) is fully on disk, so a publisher
-/// killed mid-write can never expose a torn fleet: readers either keep the
-/// old complete generation or see the new complete one.
+/// `CURRENT` is installed temp link + rename and flipped only after the
+/// generation directory (bundles + meta + MANIFEST) is fully on disk, so a
+/// publisher killed mid-write can never expose a torn fleet: readers
+/// either keep the old complete generation or see the new complete one.
 ///
 /// The MANIFEST is the only definition of what a generation serves: a
 /// vehicle is in the fleet when its bundle is listed, and a listed bundle
@@ -224,7 +229,8 @@ class ModelRegistry {
   /// `keep` of them (0 keeps none but the active one). Generations the
   /// rollback journal still points at (promoted or previous) are never
   /// deleted, whatever `keep` says -- pruning the rollback target would
-  /// turn the journal into a loaded footgun.
+  /// turn the journal into a loaded footgun. A journal that cannot be read
+  /// (NotFound aside) fails the prune before anything is deleted.
   Status PruneGenerations(size_t keep);
 
   /// Undoes the last journaled promotion (guarded_publish.h) and reloads,
@@ -414,6 +420,11 @@ class ModelRegistry {
   uint64_t rollbacks_observed_ = 0;
 
   std::vector<std::unique_ptr<Shard>> shards_;
+
+  /// Bundle writers of every publisher of this registry, created at the
+  /// first NewGeneration; a publisher holds it until it is released.
+  /// Guarded by active_mu_.
+  std::shared_ptr<ThreadPool> writers_;
 };
 
 /// Stages one new generation: bundles are added into a hidden staging
@@ -425,10 +436,12 @@ class ModelRegistry {
 /// checksummed generation BEFORE any reader can be pointed at it.
 ///
 /// Add is write-behind: it snapshots the trained pipeline and queues the
-/// bundle writes on a writer pool the publisher owns. Every point that
-/// reads the staging directory (staging_dir, Finalize, a re-Add of a
-/// still-queued id) waits for the writers first; the destructor shuts
-/// them down before it removes the staging directory.
+/// bundle write on the registry's writer pool, which every publisher of
+/// the registry shares. Each publisher counts its own queued writes and
+/// keeps its own first error. Every point that reads the staging
+/// directory (staging_dir, Finalize, a re-Add of a still-queued id) waits
+/// for this publisher's writes first, and so does the destructor before it
+/// removes the staging directory.
 ///
 /// A publisher destroyed without Finalize removes its staging directory;
 /// one destroyed after Finalize but without Promote leaves the complete
@@ -436,7 +449,8 @@ class ModelRegistry {
 /// *killed* at any step leaves either an ignored staging directory or an
 /// un-promoted generation behind -- never a torn active fleet.
 ///
-/// Not thread-safe: one thread drives a publisher.
+/// Not thread-safe: one thread drives a publisher. Publishers of one
+/// registry may run on different threads.
 class GenerationPublisher {
  public:
   /// Moves carry everything, queued writes included. Assigning over a
@@ -505,17 +519,20 @@ class GenerationPublisher {
   friend class ModelRegistry;
 
   GenerationPublisher(std::string root, uint64_t number,
-                      std::string staging_dir)
+                      std::string staging_dir,
+                      std::shared_ptr<ThreadPool> writers)
       : root_(std::move(root)),
         number_(number),
-        staging_dir_(std::move(staging_dir)) {}
+        staging_dir_(std::move(staging_dir)),
+        writers_(std::move(writers)) {}
 
-  /// Blocks until every queued write has finished; returns the first
-  /// writer error of this publisher's lifetime (OK if none).
+  /// Blocks until every write this publisher queued has finished; returns
+  /// the first writer error of this publisher's lifetime (OK if none).
+  /// Other publishers' writes on the shared pool are not waited for.
   Status DrainWriters() const;
 
-  /// The destructor's work: shut the writers down, then remove the
-  /// staging directory unless finalized. No-op when moved from.
+  /// The destructor's work: wait for this publisher's queued writes, then
+  /// remove the staging directory unless finalized. No-op when moved from.
   void Release();
 
   std::string root_;
@@ -524,21 +541,33 @@ class GenerationPublisher {
   bool finalized_ = false;
   bool committed_ = false;
   bool moved_from_ = false;
-  /// Write-behind bundle writers, created at the first Add.
-  std::unique_ptr<ThreadPool> writers_;
+  /// Write-behind bundle writers, shared with every publisher of the
+  /// registry.
+  std::shared_ptr<ThreadPool> writers_;
   /// Ids queued on writers_ since the last drain.
   mutable std::unordered_set<int64_t> pending_ids_;
 
-  /// Manifest entries of the files this publisher wrote, taken from the
-  /// bytes it held. Writer tasks record theirs, hence the mutex; held on
-  /// the heap so the tasks' pointer survives a move of the publisher.
+  /// What this publisher's writer tasks report back: the manifest entries
+  /// of the files it wrote, taken from the bytes it held, and the count
+  /// and first error of its queued writes. Writer tasks update it, hence
+  /// the mutex; held on the heap so the tasks' pointer survives a move of
+  /// the publisher.
   struct WrittenFiles {
     /// Drops the entry of `file` before it is rewritten, so a failed
     /// write leaves the file to Finalize's read-back.
     void Forget(const std::string& file);
     void Record(ManifestEntry entry);
+    /// Counts a write about to be queued.
+    void Queue();
+    /// A queued write finished with `status`; the first error sticks.
+    void Done(Status status);
+    /// Blocks until no write is queued; returns the first error.
+    Status Wait();
 
     std::mutex mu;
+    std::condition_variable idle;  // queued dropped to 0.
+    size_t queued = 0;
+    Status first_error;
     GenerationManifest::KnownEntries entries;
   };
   std::unique_ptr<WrittenFiles> written_ = std::make_unique<WrittenFiles>();

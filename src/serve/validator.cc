@@ -1,17 +1,16 @@
 #include "serve/validator.h"
 
 #include <cmath>
-#include <filesystem>
+#include <optional>
 #include <span>
 
 #include "common/string_util.h"
 #include "core/forecaster.h"
 #include "ml/metrics.h"
+#include "serve/manifest.h"
 #include "serve/model_registry.h"
 
 namespace vup::serve {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -29,23 +28,19 @@ const VehicleDataset* ProbeDataset(
   return nullptr;
 }
 
-StatusOr<std::map<int64_t, VehicleForecaster>> LoadBundles(
+/// The bundles the MANIFEST of the live generation `dir` lists, each
+/// checked against its entry. One that does not match is skipped, as the
+/// registry quarantines it rather than serve it.
+StatusOr<std::map<int64_t, VehicleForecaster>> LoadLiveBundles(
     const std::string& dir) {
+  VUP_ASSIGN_OR_RETURN(const GenerationManifest manifest,
+                       ReadManifestFile(dir));
   std::map<int64_t, VehicleForecaster> models;
-  std::error_code ec;
-  fs::directory_iterator it(dir, ec);
-  if (ec) {
-    return Status::NotFound("cannot list generation directory " + dir +
-                            ": " + ec.message());
-  }
-  for (const fs::directory_entry& entry : it) {
-    if (!entry.is_regular_file(ec) || ec) continue;
-    std::optional<int64_t> id =
-        ModelRegistry::ParseBundleFileName(entry.path().filename().string());
+  for (const ManifestEntry& entry : manifest.entries()) {
+    std::optional<int64_t> id = ModelRegistry::ParseBundleFileName(entry.file);
     if (!id.has_value()) continue;
-    StatusOr<VehicleForecaster> model = LoadBundleFile(entry.path().string());
-    if (!model.ok()) continue;  // Counted by the staged-side pass.
-    models.emplace(*id, std::move(model).value());
+    StatusOr<VehicleForecaster> model = LoadListedBundle(dir, entry);
+    if (model.ok()) models.emplace(*id, std::move(model).value());
   }
   return models;
 }
@@ -71,21 +66,17 @@ StatusOr<ValidationReport> ValidateGeneration(
   }
   ValidationReport report;
 
-  // Pass 1: every staged bundle must deserialize and survive its probes.
+  // Pass 1: every bundle the staged MANIFEST lists must match its entry,
+  // deserialize and survive its probes.
+  VUP_ASSIGN_OR_RETURN(const GenerationManifest manifest,
+                       ReadManifestFile(staged_dir));
   std::map<int64_t, VehicleForecaster> staged;
-  std::error_code ec;
-  fs::directory_iterator it(staged_dir, ec);
-  if (ec) {
-    return Status::NotFound("cannot list staged generation " + staged_dir +
-                            ": " + ec.message());
-  }
-  for (const fs::directory_entry& entry : it) {
-    if (!entry.is_regular_file(ec) || ec) continue;
-    const std::string name = entry.path().filename().string();
+  for (const ManifestEntry& entry : manifest.entries()) {
+    const std::string& name = entry.file;
     std::optional<int64_t> id = ModelRegistry::ParseBundleFileName(name);
     if (!id.has_value()) continue;
     ++report.models_checked;
-    StatusOr<VehicleForecaster> model = LoadBundleFile(entry.path().string());
+    StatusOr<VehicleForecaster> model = LoadListedBundle(staged_dir, entry);
     if (!model.ok()) {
       ++report.deserialize_failures;
       report.failures.push_back(name + " does not deserialize: " +
@@ -128,7 +119,7 @@ StatusOr<ValidationReport> ValidateGeneration(
   // bundle on both sides and a probe dataset participate.
   if (!live_dir.empty() && options.holdout_days > 0) {
     StatusOr<std::map<int64_t, VehicleForecaster>> live_or =
-        LoadBundles(live_dir);
+        LoadLiveBundles(live_dir);
     if (!live_or.ok()) return live_or.status();
     std::map<int64_t, VehicleForecaster> live = std::move(live_or).value();
     std::vector<double> staged_pred, live_pred, actual;

@@ -57,15 +57,20 @@ struct ValidationReport {
 };
 
 /// Validates every staged model bundle before the generation may be
-/// promoted: decodes each `vehicle_*.cfcst` under `staged_dir`, scores
-/// deterministic sanity probes against `probe_data` (keyed by vehicle id;
-/// pooled models -- negative reserved ids -- are probed on the first
-/// dataset), and, when `live_dir` is non-empty, scores a shared holdout
-/// against the live generation's bundles to enforce the PE guardrail.
+/// promoted. `staged_dir` is a finalized generation: each bundle its
+/// MANIFEST lists is checked against its entry (size and CRC-32 trailer)
+/// and decoded -- a mismatch is a deserialize failure -- and then scored
+/// on deterministic sanity probes against `probe_data` (keyed by vehicle
+/// id; pooled models -- negative reserved ids -- are probed on the first
+/// dataset). When `live_dir` is non-empty, a shared holdout is scored
+/// against the bundles the live MANIFEST lists to enforce the PE
+/// guardrail; a live bundle that does not match its entry is skipped, as
+/// the registry quarantines it. Files a MANIFEST does not list are never
+/// read.
 ///
 /// Returns the report even when the gate fails -- callers decide via
-/// report.ok(). A Status error means the gate itself could not run
-/// (unlistable directory), not that a model failed it.
+/// report.ok(). A Status error means the gate itself could not run (a
+/// MANIFEST missing or damaged), not that a model failed it.
 StatusOr<ValidationReport> ValidateGeneration(
     const std::string& staged_dir, const std::string& live_dir,
     const std::map<int64_t, const VehicleDataset*>& probe_data,

@@ -10,7 +10,6 @@
 #include "cluster/cluster_meta.h"
 #include "common/crc32.h"
 #include "common/random.h"
-#include "serve/guarded_publish.h"
 #include "serve/manifest.h"
 #include "serve/model_registry.h"
 #include "testing/framing.h"
@@ -148,12 +147,6 @@ TEST(RecordFileTest, SidecarsPublishedAsV1ReadAsNotV2) {
        "vupred-registry v1\nfleet_seed 42\nfleet_vehicles 40\n"
        "algorithm Lasso\n",
        [](std::string_view b) { return serve::RegistryMeta::Parse(b).status(); }},
-      {"vupred-rollback v2",
-       "vupred-rollback v1\npromoted gen_000002\nprevious gen_000001\n"
-       "end-rollback\n",
-       [](std::string_view b) {
-         return serve::RollbackJournal::Parse(b).status();
-       }},
       {"vupred-clusters v2", "vupred-clusters v1\nseed 1\n",
        [](std::string_view b) {
          return cluster::ClustersMeta::Parse(b).status();
@@ -283,11 +276,6 @@ TEST(RecordFileSidecarTest, RegistryMetaFieldDecoderMeetsGarbage) {
   meta.fleet_vehicles = 40;
   meta.algorithm = "GB";
   MutateFramedBodies("vupred-registry v2", meta, 2);
-}
-
-TEST(RecordFileSidecarTest, RollbackJournalFieldDecoderMeetsGarbage) {
-  MutateFramedBodies("vupred-rollback v2",
-                     serve::RollbackJournal{"gen_000042", "gen_000041"}, 3);
 }
 
 TEST(RecordFileSidecarTest, ClustersMetaFieldDecoderMeetsGarbage) {

@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +18,7 @@
 #include "core/forecaster.h"
 #include "serve/model_registry.h"
 #include "serve/prediction_service.h"
+#include "testing/registry.h"
 
 namespace vup::serve {
 namespace {
@@ -160,13 +160,7 @@ TEST(HierarchyChaosTest, FallbackReadsRaceGenerationSwaps) {
 
   // The swap loop: bounce the active generation between A and B.
   for (int flip = 0; flip < 80; ++flip) {
-    const std::string target = flip % 2 == 0 ? gen_a : gen_b;
-    const std::string tmp = dir + "/CURRENT.flip";
-    {
-      std::ofstream out(tmp, std::ios::trunc);
-      out << target << "\n";
-    }
-    fs::rename(tmp, dir + "/CURRENT");
+    EXPECT_TRUE(FlipCurrent(dir, flip % 2 == 0 ? gen_a : gen_b).ok());
     EXPECT_TRUE(registry.Reload().ok());
     std::this_thread::yield();
   }

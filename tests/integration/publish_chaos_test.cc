@@ -5,7 +5,8 @@
 // a fresh registry after each one. Also proves the manifest gate (a
 // corrupt bundle is quarantined and the hierarchy serves the cluster
 // model -- the damaged bytes are never deserialized), that pruning spares
-// journal-pinned generations, and -- under TSan via ci_tsan.sh -- that
+// journal-pinned generations, that both root pointers are symlinks (a
+// regular-file one is refused with its fix), and -- under TSan via ci_tsan.sh -- that
 // canary shadow-scoring races promote/rollback flips cleanly.
 
 #include <atomic>
@@ -19,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster_meta.h"
-#include "common/file_util.h"
 #include "core/forecaster.h"
 #include "serve/guarded_publish.h"
 #include "serve/manifest.h"
@@ -154,14 +154,15 @@ TEST_F(PublishChaosTest, KillAtEveryPublishStepServesOneCompleteGeneration) {
   fs::rename(staging, root_ + "/" + gen_b);
   EXPECT_EQ(ServedPrediction(ds), pred_a) << "unpromoted generation served";
 
-  // Kill 5: torn rollback journal (temp file never renamed).
-  WriteRawFile(root_ + "/ROLLBACK.tmp", "vupred-rollback v1\npromoted ");
+  // Kill 5: torn rollback journal (temp link never renamed).
+  fs::create_symlink(gen_b + " " + gen_a, root_ + "/ROLLBACK.tmp");
   EXPECT_EQ(ServedPrediction(ds), pred_a);
 
-  // Kill 6: journal installed, CURRENT not yet flipped. The journal now
-  // announces a promotion that never happened; rollback must refuse
-  // rather than "restore" a pointer that never moved.
+  // Kill 6: journal installed over the dangling temp link, CURRENT not yet
+  // flipped. The journal now announces a promotion that never happened;
+  // rollback must refuse rather than "restore" a pointer that never moved.
   ASSERT_TRUE(WriteRollbackJournal(root_, {gen_b, gen_a}).ok());
+  EXPECT_FALSE(fs::is_symlink(root_ + "/ROLLBACK.tmp"));
   EXPECT_EQ(ServedPrediction(ds), pred_a) << "journal alone moved traffic";
   {
     StatusOr<ModelRegistry> fresh = ModelRegistry::Open({root_, 4});
@@ -170,29 +171,142 @@ TEST_F(PublishChaosTest, KillAtEveryPublishStepServesOneCompleteGeneration) {
     EXPECT_EQ(fresh.value().active_generation(), 1u);
   }
 
-  // Kill 7: torn CURRENT flip (temp file never renamed).
-  WriteRawFile(root_ + "/CURRENT.tmp", gen_b + "\n");
+  // Kill 7: torn CURRENT flip (temp link made, never renamed).
+  fs::create_symlink(gen_b, root_ + "/CURRENT.tmp");
   EXPECT_EQ(ServedPrediction(ds), pred_a);
 
-  // Kill 8: CURRENT flipped -- the promotion is complete, B serves.
-  ASSERT_TRUE(WriteFileAtomic(root_ + "/" + kCurrentFileName, gen_b + "\n")
-                  .ok());
+  // Kill 8: the temp link renamed over CURRENT -- the promotion is
+  // complete, B serves.
+  fs::rename(root_ + "/CURRENT.tmp", root_ + "/" + kCurrentFileName);
   EXPECT_EQ(ServedPrediction(ds), pred_b);
   StatusOr<RollbackJournal> journal = ReadRollbackJournal(root_);
   ASSERT_TRUE(journal.ok());
   EXPECT_TRUE((journal.value() == RollbackJournal{gen_b, gen_a}));
 
   // Kill 9: rollback torn mid-flip -- B keeps serving.
-  WriteRawFile(root_ + "/CURRENT.tmp", gen_a + "\n");
+  fs::create_symlink(gen_a, root_ + "/CURRENT.tmp");
   EXPECT_EQ(ServedPrediction(ds), pred_b);
 
-  // The rollback completes: A serves again, and the spent journal refuses
-  // a second rollback instead of ping-ponging.
+  // The rollback completes over the stale temp link: A serves again, and
+  // the spent journal refuses a second rollback instead of ping-ponging.
   StatusOr<std::string> restored = RollbackGeneration(root_);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored.value(), gen_a);
   EXPECT_EQ(ServedPrediction(ds), pred_a);
   EXPECT_TRUE(RollbackGeneration(root_).status().IsFailedPrecondition());
+}
+
+TEST_F(PublishChaosTest, RootPointersAreSymlinksThroughPromoteAndRollback) {
+  StatusOr<ModelRegistry> opened = ModelRegistry::Open({root_, 4});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ModelRegistry registry = std::move(opened.value());
+  const VehicleForecaster model = TrainForecaster(MakeDataset(1));
+  const std::string current = root_ + "/" + kCurrentFileName;
+  const std::string rollback = root_ + "/" + kRollbackJournalFileName;
+
+  // A first publish journals `none` as the generation it replaced.
+  ASSERT_TRUE(PublishFleet(registry, {{1, &model}}, rmeta_).ok());
+  ASSERT_TRUE(fs::is_symlink(fs::symlink_status(current)));
+  ASSERT_TRUE(fs::is_symlink(fs::symlink_status(rollback)));
+  EXPECT_EQ(fs::read_symlink(current).string(), "gen_000001");
+  EXPECT_EQ(fs::read_symlink(rollback).string(), "gen_000001 none");
+  EXPECT_TRUE(RollbackGeneration(root_).status().IsFailedPrecondition());
+
+  ASSERT_TRUE(PublishFleet(registry, {{1, &model}}, rmeta_).ok());
+  EXPECT_EQ(fs::read_symlink(current).string(), "gen_000002");
+  EXPECT_EQ(fs::read_symlink(rollback).string(), "gen_000002 gen_000001");
+
+  // Rollback moves CURRENT back and leaves the journal as it was, so the
+  // second rollback of the same promotion is refused.
+  ASSERT_TRUE(registry.Rollback().ok());
+  EXPECT_EQ(registry.active_generation(), 1u);
+  ASSERT_TRUE(fs::is_symlink(fs::symlink_status(current)));
+  EXPECT_EQ(fs::read_symlink(current).string(), "gen_000001");
+  EXPECT_EQ(fs::read_symlink(rollback).string(), "gen_000002 gen_000001");
+  EXPECT_TRUE(registry.Rollback().IsFailedPrecondition());
+  EXPECT_EQ(registry.active_generation(), 1u);
+
+  // No temp link is left behind.
+  for (const fs::directory_entry& entry : fs::directory_iterator(root_)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+  }
+}
+
+TEST_F(PublishChaosTest, RegularFilePointersAreRefusedWithTheFix) {
+  const VehicleForecaster model = TrainForecaster(MakeDataset(1));
+  const std::string fix = "delete CURRENT and ROLLBACK, then publish";
+  for (const char* pointer : {kCurrentFileName, kRollbackJournalFileName}) {
+    SCOPED_TRACE(pointer);
+    fs::remove_all(root_);
+    {
+      StatusOr<ModelRegistry> opened = ModelRegistry::Open({root_, 4});
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      ASSERT_TRUE(PublishFleet(opened.value(), {{1, &model}}, rmeta_).ok());
+      ASSERT_TRUE(PublishFleet(opened.value(), {{1, &model}}, rmeta_).ok());
+    }
+    // The pointer as an older build wrote it: a one-line regular file.
+    const std::string path = root_ + "/" + pointer;
+    fs::remove(path);
+    WriteRawFile(path, "gen_000002\n");
+
+    const Status rolled_back = RollbackGeneration(root_).status();
+    EXPECT_TRUE(rolled_back.IsDataLoss()) << rolled_back.ToString();
+    EXPECT_NE(rolled_back.message().find(fix), std::string::npos)
+        << rolled_back.ToString();
+    if (std::string(pointer) == kCurrentFileName) {
+      const Status reopened = ModelRegistry::Open({root_, 4}).status();
+      EXPECT_TRUE(reopened.IsDataLoss()) << reopened.ToString();
+      EXPECT_NE(reopened.message().find(fix), std::string::npos)
+          << reopened.ToString();
+      EXPECT_TRUE(PromoteGeneration(root_, "gen_000001").IsDataLoss());
+    } else {
+      // Pruning cannot tell which generations the journal pins.
+      StatusOr<ModelRegistry> reopened = ModelRegistry::Open({root_, 4});
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      EXPECT_TRUE(reopened.value().PruneGenerations(0).IsDataLoss());
+      EXPECT_TRUE(fs::exists(root_ + "/gen_000001"));
+    }
+    // Nothing was rewritten over the refused file.
+    EXPECT_FALSE(fs::is_symlink(fs::symlink_status(path)));
+  }
+}
+
+TEST_F(PublishChaosTest, RollbackLinkMeetsGarbageTargets) {
+  StatusOr<ModelRegistry> opened = ModelRegistry::Open({root_, 4});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const VehicleForecaster model = TrainForecaster(MakeDataset(1));
+  ASSERT_TRUE(PublishFleet(opened.value(), {{1, &model}}, rmeta_).ok());
+  ASSERT_TRUE(PublishFleet(opened.value(), {{1, &model}}, rmeta_).ok());
+  const std::string rollback = root_ + "/" + kRollbackJournalFileName;
+  const std::string garbage[] = {
+      "gen_000002",
+      "gen_000002 ",
+      " gen_000001",
+      "gen_000002  gen_000001",
+      "gen_000002 gen_000001 gen_000000",
+      "gen_000002 None",
+      "gen_000002 gen_000000",
+      "../gen_000002 gen_000001",
+      "gen_000002 gen_000001\n",
+      "gen_000002 " + std::string(200, '1'),
+  };
+  for (const std::string& target : garbage) {
+    SCOPED_TRACE(target);
+    fs::remove(rollback);
+    fs::create_symlink(target, rollback);
+    const Status read = ReadRollbackJournal(root_).status();
+    EXPECT_TRUE(read.IsInvalidArgument() || read.IsDataLoss())
+        << read.ToString();
+    EXPECT_FALSE(RollbackGeneration(root_).ok());
+    EXPECT_EQ(fs::read_symlink(root_ + "/" + kCurrentFileName).string(),
+              "gen_000002");
+  }
+  // The valid target, for contrast, rolls back.
+  fs::remove(rollback);
+  fs::create_symlink("gen_000002 gen_000001", rollback);
+  StatusOr<std::string> restored = RollbackGeneration(root_);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.value(), "gen_000001");
 }
 
 TEST_F(PublishChaosTest, ManifestFailingModelIsQuarantinedNeverScored) {

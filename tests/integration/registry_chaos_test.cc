@@ -85,16 +85,6 @@ class RegistryChaosTest : public ::testing::Test {
     return std::move(registry.value());
   }
 
-  /// Atomically rewrites CURRENT (temp + rename, like the publisher).
-  void FlipCurrent(const std::string& generation_name) {
-    const std::string tmp = dir_ + "/CURRENT.flip";
-    {
-      std::ofstream out(tmp, std::ios::trunc);
-      out << generation_name << "\n";
-    }
-    fs::rename(tmp, dir_ + "/CURRENT");
-  }
-
   std::string dir_;
 };
 
@@ -148,7 +138,7 @@ TEST_F(RegistryChaosTest, PublisherKilledAtEveryStepKeepsOldGeneration) {
   // step. The unsealed generation is refused whole: Reload keeps the old
   // one, and a fresh Open fails rather than serve it.
   fs::rename(staging, dir_ + "/gen_000002");
-  FlipCurrent("gen_000002");
+  ASSERT_TRUE(FlipCurrent(dir_, "gen_000002").ok());
   EXPECT_TRUE(registry.Reload().IsDataLoss());
   EXPECT_EQ(registry.active_generation(), 1u);
   StatusOr<std::shared_ptr<const VehicleForecaster>> still = registry.Get(1);
@@ -156,7 +146,7 @@ TEST_F(RegistryChaosTest, PublisherKilledAtEveryStepKeepsOldGeneration) {
   EXPECT_DOUBLE_EQ(still.value()->PredictTarget(ds, ds.num_days()).value(),
                    old_prediction);
   EXPECT_TRUE(ModelRegistry::Open({dir_, 4}).status().IsDataLoss());
-  FlipCurrent("gen_000001");
+  ASSERT_TRUE(FlipCurrent(dir_, "gen_000001").ok());
   fs::rename(dir_ + "/gen_000002", staging);
 
   // The MANIFEST step, as Finalize takes it, before the rename.
@@ -169,15 +159,12 @@ TEST_F(RegistryChaosTest, PublisherKilledAtEveryStepKeepsOldGeneration) {
   fs::rename(staging, dir_ + "/gen_000002");
   check_still_old("renamed-not-flipped");
 
-  // Kill point 4: CURRENT temp file written, rename never happened.
-  {
-    std::ofstream out(dir_ + "/CURRENT.tmp", std::ios::trunc);
-    out << "gen_000002\n";
-  }
+  // Kill point 4: CURRENT temp link made, rename never happened.
+  fs::create_symlink("gen_000002", dir_ + "/CURRENT.tmp");
   check_still_old("current-tmp-only");
 
   // And the flip itself is the commit: once CURRENT moves, Reload swaps.
-  FlipCurrent("gen_000002");
+  ASSERT_TRUE(FlipCurrent(dir_, "gen_000002").ok());
   ASSERT_TRUE(registry.Reload().ok());
   EXPECT_EQ(registry.active_generation(), 2u);
 }
@@ -282,14 +269,14 @@ TEST_F(RegistryChaosTest, ConcurrentReadersNeverSeeATornFleet) {
   for (int flip = 0; flip < 120; ++flip) {
     const int64_t pick = rng.UniformInt(0, 3);
     if (pick == 3) {
-      FlipCurrent("gen_000099");
+      EXPECT_TRUE(FlipCurrent(dir_, "gen_000099").ok());
       Status reloaded = registry.Reload();
       EXPECT_FALSE(reloaded.ok()) << "torn generation accepted";
       ++failed_reloads;
       // Point CURRENT back at a real fleet so the next flip is clean.
-      FlipCurrent(pick % 2 == 0 ? gen_a : gen_b);
+      EXPECT_TRUE(FlipCurrent(dir_, pick % 2 == 0 ? gen_a : gen_b).ok());
     } else {
-      FlipCurrent(pick % 2 == 0 ? gen_a : gen_b);
+      EXPECT_TRUE(FlipCurrent(dir_, pick % 2 == 0 ? gen_a : gen_b).ok());
       EXPECT_TRUE(registry.Reload().ok());
     }
     std::this_thread::yield();

@@ -19,6 +19,7 @@
 #include "core/forecaster.h"
 #include "obs/metrics.h"
 #include "serve/model_registry.h"
+#include "testing/registry.h"
 
 namespace vup::serve {
 namespace {
@@ -105,16 +106,6 @@ class ShardChaosTest : public ::testing::Test {
       *(fleet == 0 ? gen_a : gen_b) =
           ModelRegistry::GenerationDirName(registry.active_generation());
     }
-  }
-
-  /// Atomically rewrites CURRENT (temp + rename, like the publisher).
-  void FlipCurrent(const std::string& generation_name) {
-    const std::string tmp = dir_ + "/CURRENT.flip";
-    {
-      std::ofstream out(tmp, std::ios::trunc);
-      out << generation_name << "\n";
-    }
-    fs::rename(tmp, dir_ + "/CURRENT");
   }
 
   void TrainFleetOnce() {
@@ -213,7 +204,7 @@ TEST_F(ShardChaosTest, ReadersAcrossShardsSurviveSwapAndQuarantineStorm) {
   // two complete fleets.
   Rng rng(7);
   for (int flip = 0; flip < 60; ++flip) {
-    FlipCurrent(flip % 2 == 0 ? gen_a : gen_b);
+    EXPECT_TRUE(FlipCurrent(dir_, flip % 2 == 0 ? gen_a : gen_b).ok());
     ASSERT_TRUE(registry.Reload().ok()) << "flip " << flip;
     if (rng.UniformInt(0, 2) == 0) {
       const std::string staging = dir_ + "/gen_000777.staging";
@@ -237,7 +228,7 @@ TEST_F(ShardChaosTest, ReadersAcrossShardsSurviveSwapAndQuarantineStorm) {
   // Post-storm: a final reload clears every quarantine and the whole
   // fleet serves again from all shards.
   ASSERT_TRUE(registry.Reload().ok());
-  FlipCurrent(gen_a);
+  ASSERT_TRUE(FlipCurrent(dir_, gen_a).ok());
   ASSERT_TRUE(registry.Reload().ok());
   for (int64_t id = 1; id <= kVehicles; ++id) {
     EXPECT_TRUE(registry.Get(id).ok()) << "vehicle " << id;

@@ -4,10 +4,12 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -16,7 +18,6 @@
 #include "common/crc32.h"
 #include "core/forecaster.h"
 #include "serve/guarded_publish.h"
-#include "serve/validator.h"
 #include "testing/framing.h"
 #include "testing/registry.h"
 
@@ -482,19 +483,13 @@ TEST_F(ModelRegistryGenerationTest, ReloadRejectsGarbageCurrent) {
 
   // CURRENT pointing at a missing generation: Reload fails, the old
   // generation keeps serving.
-  {
-    std::ofstream out(registry.directory() + "/CURRENT", std::ios::trunc);
-    out << "gen_009999\n";
-  }
+  ASSERT_TRUE(FlipCurrent(registry.directory(), "gen_009999").ok());
   EXPECT_FALSE(registry.Reload().ok());
   EXPECT_EQ(registry.active_generation(), 1u);
   EXPECT_TRUE(registry.Get(1).ok());
 
-  // CURRENT holding garbage text: same story.
-  {
-    std::ofstream out(registry.directory() + "/CURRENT", std::ios::trunc);
-    out << "../../../etc/passwd\n";
-  }
+  // CURRENT pointing at a path that is no generation name: same story.
+  ASSERT_TRUE(FlipCurrent(registry.directory(), "../../../etc/passwd").ok());
   EXPECT_FALSE(registry.Reload().ok());
   EXPECT_EQ(registry.active_generation(), 1u);
 }
@@ -513,10 +508,7 @@ TEST_F(ModelRegistryGenerationTest, ReloadRejectsTornGeneration) {
     std::ofstream out(torn + "/vehicle_2.cfcst");
     out << "half a bundle";
   }
-  {
-    std::ofstream out(registry.directory() + "/CURRENT", std::ios::trunc);
-    out << "gen_000007\n";
-  }
+  ASSERT_TRUE(FlipCurrent(registry.directory(), "gen_000007").ok());
   Status reloaded = registry.Reload();
   EXPECT_FALSE(reloaded.ok());
   EXPECT_EQ(registry.active_generation(), 1u);
@@ -808,23 +800,23 @@ TEST_F(ModelRegistryGenerationTest, StagingDirWaitsForQueuedWrites) {
   StatusOr<GenerationPublisher> pub = registry.NewGeneration();
   ASSERT_TRUE(pub.ok());
   constexpr int64_t kBundles = 24;
-  std::map<int64_t, const VehicleDataset*> probes;
   for (int64_t id = 1; id <= kBundles; ++id) {
     ASSERT_TRUE(pub.value().Add(id, forecaster).ok());
-    probes[id] = &ds;
   }
-  StatusOr<ValidationReport> report =
-      ValidateGeneration(pub.value().staging_dir(), "", probes);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report.value().models_checked, static_cast<size_t>(kBundles));
-  EXPECT_TRUE(report.value().ok()) << report.value().Summary();
+  // Every queued bundle is on disk, whole, once staging_dir() returns.
+  const std::string staging = pub.value().staging_dir();
+  const std::string bundle = forecaster.SaveCompact().value();
+  for (int64_t id = 1; id <= kBundles; ++id) {
+    EXPECT_EQ(ReadFile(staging + "/" + ModelRegistry::BundleFileName(id)),
+              bundle)
+        << "vehicle " << id;
+  }
 }
 
 TEST_F(ModelRegistryGenerationTest, WriterFailureFailsFinalize) {
   ModelRegistry registry = OpenRegistry(4);
   const VehicleForecaster forecaster = TrainForecaster(MakeDataset(5));
   ASSERT_TRUE(PublishFleet(registry, {{1, &forecaster}}).ok());
-  const std::string current = ReadFile(registry.directory() + "/CURRENT");
   {
     StatusOr<GenerationPublisher> pub = registry.NewGeneration();
     ASSERT_TRUE(pub.ok());
@@ -848,7 +840,9 @@ TEST_F(ModelRegistryGenerationTest, WriterFailureFailsFinalize) {
       EXPECT_EQ(name, "gen_000001");
     }
   }
-  EXPECT_EQ(ReadFile(registry.directory() + "/CURRENT"), current);
+  EXPECT_EQ(
+      std::filesystem::read_symlink(registry.directory() + "/CURRENT"),
+      "gen_000001");
   EXPECT_TRUE(NoStagingLeft(registry.directory()));
 }
 
@@ -864,6 +858,62 @@ TEST_F(ModelRegistryGenerationTest, AbandonedPublisherWithQueuedWrites) {
     // Destroyed with writes still queued, without staging_dir().
   }
   EXPECT_TRUE(NoStagingLeft(registry.directory()));
+}
+
+TEST_F(ModelRegistryGenerationTest, SharedWritersKeepEachPublishersErrors) {
+  ModelRegistry registry = OpenRegistry(4);
+  const VehicleForecaster forecaster = TrainForecaster(MakeDataset(7));
+  // Both publishers queue on the registry's one writer pool. Reserved one
+  // after the other, so their staging directories differ.
+  StatusOr<GenerationPublisher> failing = registry.NewGeneration();
+  StatusOr<GenerationPublisher> healthy = registry.NewGeneration();
+  ASSERT_TRUE(failing.ok()) << failing.status().ToString();
+  ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
+  ASSERT_NE(failing.value().number(), healthy.value().number());
+  ASSERT_TRUE(BreakBundle(failing.value().staging_dir() + "/" +
+                          ModelRegistry::BundleFileName(5))
+                  .ok());
+
+  // The healthy publisher commits only after the failing one's Finalize
+  // has seen its failed write, so an error kept per pool, not per
+  // publisher, would fail the healthy Commit too.
+  constexpr int64_t kBundles = 16;
+  Status finalized, committed;
+  std::promise<void> failed;
+  std::thread failing_thread([&] {
+    for (int64_t id = 1; id <= kBundles; ++id) {
+      EXPECT_TRUE(failing.value().Add(id, forecaster).ok());
+    }
+    finalized = failing.value().Finalize(TestMeta(1));
+    failed.set_value();
+  });
+  std::thread healthy_thread([&] {
+    for (int64_t id = 101; id <= 100 + kBundles; ++id) {
+      EXPECT_TRUE(healthy.value().Add(id, forecaster).ok());
+    }
+    failed.get_future().wait();
+    committed = healthy.value().Commit(TestMeta(2));
+  });
+  failing_thread.join();
+  healthy_thread.join();
+
+  // The failed write is the failing publisher's alone.
+  EXPECT_FALSE(finalized.ok());
+  EXPECT_NE(finalized.message().find("cannot open bundle for writing"),
+            std::string::npos)
+      << finalized.ToString();
+  ASSERT_TRUE(committed.ok()) << committed.ToString();
+  EXPECT_EQ(
+      std::filesystem::read_symlink(registry.directory() + "/CURRENT"),
+      ModelRegistry::GenerationDirName(healthy.value().number()));
+  ASSERT_TRUE(registry.Reload().ok());
+  std::vector<int64_t> expected;
+  for (int64_t id = 101; id <= 100 + kBundles; ++id) expected.push_back(id);
+  EXPECT_EQ(registry.ListVehicleIds(), expected);
+  for (int64_t id : expected) {
+    EXPECT_TRUE(registry.Get(id).ok()) << "vehicle " << id;
+  }
+  EXPECT_EQ(registry.stats().quarantines, 0u);
 }
 
 // ---- Sealed manifests -----------------------------------------------------
@@ -971,7 +1021,6 @@ TEST_F(PublisherSealTest, SealedManifestMatchesDirectoryScan) {
 TEST_F(PublisherSealTest, RecordedBundleThatChangedSizeIsRefused) {
   ModelRegistry registry = OpenRegistry(4);
   ASSERT_TRUE(PublishFleet(registry, {{1, a_.get()}}).ok());
-  const std::string current = ReadFile(registry.directory() + "/CURRENT");
   const std::vector<std::pair<const char*, std::function<std::string(
                                                const std::string&)>>>
       damages = {
@@ -1003,7 +1052,9 @@ TEST_F(PublisherSealTest, RecordedBundleThatChangedSizeIsRefused) {
       EXPECT_TRUE(finalized.IsDataLoss()) << finalized.ToString();
     }
   }
-  EXPECT_EQ(ReadFile(registry.directory() + "/CURRENT"), current);
+  EXPECT_EQ(
+      std::filesystem::read_symlink(registry.directory() + "/CURRENT"),
+      "gen_000001");
   EXPECT_TRUE(NoStagingLeft(registry.directory()));
 }
 

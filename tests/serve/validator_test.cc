@@ -3,13 +3,18 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/forecaster.h"
+#include "ml/metrics.h"
+#include "serve/manifest.h"
 #include "serve/model_registry.h"
+#include "testing/registry.h"
 
 namespace vup::serve {
 namespace {
@@ -71,6 +76,14 @@ class ValidatorTest : public ::testing::Test {
     out << bytes.value();
   }
 
+  /// Seals `dir` the way Finalize does: a MANIFEST of every file in it.
+  void Seal(const std::string& dir) {
+    StatusOr<GenerationManifest> manifest =
+        GenerationManifest::BuildFromDirectory(dir, {});
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    ASSERT_TRUE(WriteManifestFile(dir, manifest.value()).ok());
+  }
+
   std::string root_;
   std::string staged_;
   std::string live_;
@@ -83,6 +96,8 @@ TEST_F(ValidatorTest, HealthyGenerationPassesWithHoldoutComparison) {
   WriteBundle(staged_, 2, TrainForecaster(ds2));
   WriteBundle(live_, 1, TrainForecaster(ds1));
   WriteBundle(live_, 2, TrainForecaster(ds2));
+  Seal(staged_);
+  Seal(live_);
   std::map<int64_t, const VehicleDataset*> probes{{1, &ds1}, {2, &ds2}};
 
   StatusOr<ValidationReport> report =
@@ -102,6 +117,7 @@ TEST_F(ValidatorTest, HealthyGenerationPassesWithHoldoutComparison) {
 TEST_F(ValidatorTest, NoLiveGenerationSkipsTheHoldoutGuardrail) {
   const VehicleDataset ds = MakeDataset(1);
   WriteBundle(staged_, 1, TrainForecaster(ds));
+  Seal(staged_);
   std::map<int64_t, const VehicleDataset*> probes{{1, &ds}};
 
   StatusOr<ValidationReport> report = ValidateGeneration(staged_, "", probes);
@@ -114,6 +130,9 @@ TEST_F(ValidatorTest, NoLiveGenerationSkipsTheHoldoutGuardrail) {
 TEST_F(ValidatorTest, CorruptBundleIsADeserializeFailure) {
   const VehicleDataset ds = MakeDataset(1);
   WriteBundle(staged_, 1, TrainForecaster(ds));
+  WriteBundle(staged_, 2, TrainForecaster(ds));
+  Seal(staged_);
+  // Vehicle 2's listed bundle is overwritten after the seal.
   std::ofstream out(staged_ + "/" + ModelRegistry::BundleFileName(2),
                     std::ios::trunc);
   out << "vupred-forecaster v1\nalgorithm Alien\n";
@@ -132,6 +151,7 @@ TEST_F(ValidatorTest, CorruptBundleIsADeserializeFailure) {
 TEST_F(ValidatorTest, ProbeBoundBreachFailsTheGate) {
   const VehicleDataset ds = MakeDataset(5);
   WriteBundle(staged_, 5, TrainForecaster(ds));
+  Seal(staged_);
   std::map<int64_t, const VehicleDataset*> probes{{5, &ds}};
 
   // A bound far tighter than any real utilization forces every probe over
@@ -170,6 +190,8 @@ TEST_F(ValidatorTest, HoldoutPeGuardrailCatchesARegressedFleet) {
   WriteBundle(live_, 2, TrainForecaster(ds2));
   WriteBundle(staged_, 1, TrainForecaster(alternating(1)));
   WriteBundle(staged_, 2, TrainForecaster(alternating(2)));
+  Seal(staged_);
+  Seal(live_);
   std::map<int64_t, const VehicleDataset*> probes{{1, &ds1}, {2, &ds2}};
 
   ValidationOptions options;
@@ -190,12 +212,100 @@ TEST_F(ValidatorTest, PooledBundlesProbeAgainstAnyMemberDataset) {
   // validator probes it with the first probe dataset on offer.
   const VehicleDataset ds = MakeDataset(1);
   WriteBundle(staged_, -1000, TrainForecaster(ds));
+  Seal(staged_);
   std::map<int64_t, const VehicleDataset*> probes{{1, &ds}};
 
   StatusOr<ValidationReport> report = ValidateGeneration(staged_, "", probes);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report.value().ok()) << report.value().Summary();
   EXPECT_EQ(report.value().models_checked, 1u);
+}
+
+TEST_F(ValidatorTest, OnlyListedBundlesAreChecked) {
+  const VehicleDataset ds = MakeDataset(1);
+  WriteBundle(staged_, 1, TrainForecaster(ds));
+  Seal(staged_);
+  // A bundle dropped in after the seal is no part of the generation.
+  WriteBundle(staged_, 2, TrainForecaster(ds));
+  std::map<int64_t, const VehicleDataset*> probes{{1, &ds}, {2, &ds}};
+
+  StatusOr<ValidationReport> report = ValidateGeneration(staged_, "", probes);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report.value().ok()) << report.value().Summary();
+  EXPECT_EQ(report.value().models_checked, 1u);
+}
+
+TEST_F(ValidatorTest, UnsealedGenerationCannotBeValidated) {
+  const VehicleDataset ds = MakeDataset(1);
+  WriteBundle(staged_, 1, TrainForecaster(ds));
+  WriteBundle(live_, 1, TrainForecaster(ds));
+  std::map<int64_t, const VehicleDataset*> probes{{1, &ds}};
+  EXPECT_TRUE(
+      ValidateGeneration(staged_, "", probes).status().IsNotFound());
+  Seal(staged_);
+  EXPECT_TRUE(
+      ValidateGeneration(staged_, live_, probes).status().IsNotFound());
+}
+
+// A valid bundle copied over another vehicle's of the same size, in both
+// generations: the staged copy is a deserialize failure, and the live one
+// is left out of the holdout, as the registry quarantines it. Live PE is
+// that of the models the registry serves.
+TEST_F(ValidatorTest, SameSizeSwapIsCaughtOnBothSides) {
+  const VehicleDataset ds1 = MakeDataset(1);
+  const VehicleDataset ds2 = MakeDataset(2);
+  const VehicleForecaster live1 = TrainForecaster(ds1);
+  const VehicleForecaster live2 = TrainForecaster(ds2);
+  StatusOr<ModelRegistry> live_registry =
+      ModelRegistry::Open({root_ + "/live_registry", 4});
+  ASSERT_TRUE(live_registry.ok()) << live_registry.status().ToString();
+  ModelRegistry& registry = live_registry.value();
+  ASSERT_TRUE(PublishFleet(registry, {{1, &live1}, {2, &live2}}).ok());
+  const std::string live_dir = registry.directory() + "/gen_000001";
+
+  const VehicleForecaster staged1 = TrainForecaster(MakeDataset(3));
+  const VehicleForecaster staged2 = TrainForecaster(MakeDataset(4));
+  WriteBundle(staged_, 1, staged1);
+  WriteBundle(staged_, 2, staged2);
+  Seal(staged_);
+
+  for (const std::string& dir : {live_dir, staged_}) {
+    const std::string one = dir + "/" + ModelRegistry::BundleFileName(1);
+    const std::string two = dir + "/" + ModelRegistry::BundleFileName(2);
+    ASSERT_EQ(fs::file_size(one), fs::file_size(two)) << dir;
+    fs::copy_file(one, two, fs::copy_options::overwrite_existing);
+  }
+  std::map<int64_t, const VehicleDataset*> probes{{1, &ds1}, {2, &ds2}};
+  ValidationOptions options;
+  options.max_pe_regression_ratio = 1e6;  // The PEs are the point here.
+  StatusOr<ValidationReport> report =
+      ValidateGeneration(staged_, live_dir, probes, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().models_checked, 2u);
+  EXPECT_EQ(report.value().deserialize_failures, 1u);
+  ASSERT_EQ(report.value().failures.size(), 1u);
+  EXPECT_NE(report.value().failures[0].find("vehicle_2"), std::string::npos);
+
+  // The registry serves vehicle 1 and quarantines vehicle 2: the holdout
+  // covers vehicle 1 alone, scored by the model the registry serves.
+  StatusOr<std::shared_ptr<const VehicleForecaster>> served = registry.Get(1);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(registry.Get(2).status().IsNotFound());
+  EXPECT_TRUE(registry.IsQuarantined(2));
+  std::vector<double> live_pred, staged_pred, actual;
+  const size_t n = ds1.num_days();
+  for (size_t k = 1; k <= static_cast<size_t>(options.holdout_days); ++k) {
+    live_pred.push_back(served.value()->PredictTarget(ds1, n - k).value());
+    staged_pred.push_back(staged1.PredictTarget(ds1, n - k).value());
+    actual.push_back(ds1.hours()[n - k]);
+  }
+  EXPECT_EQ(report.value().holdout_points, actual.size());
+  EXPECT_DOUBLE_EQ(report.value().live_pe,
+                   PercentageError(std::span<const double>(live_pred),
+                                   std::span<const double>(actual)));
+  EXPECT_DOUBLE_EQ(report.value().staged_pe,
+                   PercentageError(std::span<const double>(staged_pred),
+                                   std::span<const double>(actual)));
 }
 
 TEST_F(ValidatorTest, MissingStagedDirectoryIsNotFound) {

@@ -9,6 +9,7 @@
 
 #include "common/statusor.h"
 #include "core/forecaster.h"
+#include "serve/guarded_publish.h"
 #include "serve/model_registry.h"
 
 namespace vup::serve {
@@ -28,6 +29,23 @@ inline Status PublishFleet(
   }
   VUP_RETURN_IF_ERROR(publisher.Commit(meta));
   return registry.Reload();
+}
+
+/// Points root/CURRENT at `generation` by hand, the way a chaos test moves
+/// the pointer: a `CURRENT.flip` symlink renamed over CURRENT, with no
+/// journal and no check that `generation` exists or is even a name.
+inline Status FlipCurrent(const std::string& root,
+                          const std::string& generation) {
+  const std::string tmp = root + "/" + kCurrentFileName + ".flip";
+  std::error_code ec;
+  std::filesystem::remove(tmp, ec);
+  if (!ec) std::filesystem::create_symlink(generation, tmp, ec);
+  if (!ec) std::filesystem::rename(tmp, root + "/" + kCurrentFileName, ec);
+  if (ec) {
+    return Status::Internal("cannot flip CURRENT under " + root + ": " +
+                            ec.message());
+  }
+  return Status::OK();
 }
 
 /// Puts a directory where the listed bundle at `path` was. Every read of

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <system_error>
 
 #include <gtest/gtest.h>
 
@@ -40,6 +41,13 @@ std::string ReadFile(const std::string& path) {
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
+}
+
+/// The target of the symlink at `path`; empty when it is not one.
+std::string ReadLink(const std::string& path) {
+  std::error_code ec;
+  const std::filesystem::path target = std::filesystem::read_symlink(path, ec);
+  return ec ? std::string() : target.string();
 }
 
 /// Reads the country of the first manifest vehicle.
@@ -232,12 +240,12 @@ TEST(CliTest, PublishWritesOneCompactBundlePerVehicle) {
   ASSERT_EQ(RunCli("publish --out=" + registry +
                    " --vehicles=10 --max-vehicles=2 --train-days=120"),
             0);
-  // Publish commits an immutable generation and flips CURRENT at it; the
-  // meta lives inside the generation directory, not the registry root.
-  std::string current = ReadFile(registry + "/CURRENT");
-  ASSERT_NE(current.find("gen_"), std::string::npos);
-  std::string gen_dir =
-      registry + "/" + current.substr(0, current.find('\n'));
+  // Publish commits an immutable generation and flips the CURRENT symlink
+  // at it; the meta lives inside the generation directory, not the
+  // registry root.
+  const std::string current = ReadLink(registry + "/CURRENT");
+  ASSERT_EQ(current, "gen_000001");
+  std::string gen_dir = registry + "/" + current;
   EXPECT_FALSE(ReadFile(gen_dir + "/registry_meta.txt").empty());
   // One compact bundle per vehicle, the meta and the MANIFEST: nothing
   // else.
@@ -504,10 +512,9 @@ TEST(CliTest, PublishWithClustersStagesHierarchyAndClustersMeta) {
             std::string::npos);
 
   // clusters.meta landed inside the committed generation.
-  std::string current = ReadFile(registry + "/CURRENT");
-  ASSERT_NE(current.find("gen_"), std::string::npos);
-  std::string gen_dir =
-      registry + "/" + current.substr(0, current.find('\n'));
+  const std::string current = ReadLink(registry + "/CURRENT");
+  ASSERT_EQ(current, "gen_000001");
+  std::string gen_dir = registry + "/" + current;
   std::string meta_text = ReadFile(gen_dir + "/clusters.meta");
   EXPECT_NE(meta_text.find("vupred-clusters v2"), std::string::npos);
   EXPECT_TRUE(
@@ -527,8 +534,8 @@ TEST(CliTest, PublishGuardrailsValidateCanaryRollback) {
   std::string out1 = dir + "/publish_validate.txt";
   ASSERT_EQ(RunCli(base + "--train-days=120 --validate", out1), 0);
   EXPECT_NE(ReadFile(out1).find("validate: "), std::string::npos);
-  std::string first = ReadFile(registry + "/CURRENT");
-  ASSERT_NE(first.find("gen_"), std::string::npos);
+  const std::string first = ReadLink(registry + "/CURRENT");
+  ASSERT_EQ(first, "gen_000001");
 
   // Second publish adds the canary drill against the live generation.
   std::string out2 = dir + "/publish_canary.txt";
@@ -537,17 +544,16 @@ TEST(CliTest, PublishGuardrailsValidateCanaryRollback) {
                    out2),
             0);
   EXPECT_NE(ReadFile(out2).find("canary: healthy"), std::string::npos);
-  std::string second = ReadFile(registry + "/CURRENT");
-  EXPECT_NE(second, first);
-  // The promotion was journaled.
-  EXPECT_NE(ReadFile(registry + "/ROLLBACK").find("vupred-rollback v2"),
-            std::string::npos);
+  const std::string second = ReadLink(registry + "/CURRENT");
+  EXPECT_EQ(second, "gen_000002");
+  // The promotion was journaled: promoted, then previous.
+  EXPECT_EQ(ReadLink(registry + "/ROLLBACK"), second + " " + first);
 
   // --rollback restores the previous generation...
   std::string out3 = dir + "/publish_rollback.txt";
   ASSERT_EQ(RunCli("publish --out=" + registry + " --rollback", out3), 0);
   EXPECT_NE(ReadFile(out3).find("rolled back"), std::string::npos);
-  EXPECT_EQ(ReadFile(registry + "/CURRENT"), first);
+  EXPECT_EQ(ReadLink(registry + "/CURRENT"), first);
   // ...and a second rollback of the spent journal fails cleanly.
   EXPECT_EQ(CliExitCode("publish --out=" + registry + " --rollback"), 1);
 }

@@ -617,11 +617,15 @@ int RunPublish(const Flags& flags) {
                    registry.value().active_generation());
   }
 
+  Status finalized = publisher.value().Finalize(meta);
+  if (!finalized.ok()) return Fail(finalized);
+
   if (flags.Has("validate")) {
-    // Publish gate: every staged bundle must deserialize and survive its
+    // Publish gate over the finalized generation: every bundle its
+    // MANIFEST lists must match its entry, deserialize and survive its
     // sanity probes, and the staged fleet must not regress holdout PE
-    // against the live generation. A failing generation never leaves
-    // staging -- CURRENT is untouched and the staging dir is cleaned up.
+    // against the live generation. A failing generation is never promoted
+    // -- CURRENT is untouched -- and stays on disk, prunable.
     StatusOr<serve::ValidationReport> report = serve::ValidateGeneration(
         publisher.value().staging_dir(), live_dir, probe_data);
     const bool passed = report.ok() && report.value().ok();
@@ -640,9 +644,6 @@ int RunPublish(const Flags& flags) {
           "generation failed validation; CURRENT not advanced"));
     }
   }
-
-  Status finalized = publisher.value().Finalize(meta);
-  if (!finalized.ok()) return Fail(finalized);
 
   const double canary_fraction = flags.GetDouble("canary-fraction", 0.0);
   if (canary_fraction > 0.0 && !live_dir.empty()) {
@@ -1419,10 +1420,11 @@ const std::vector<Command>& Commands() {
        "  serving falls back down the hierarchy for vehicles without a\n"
        "  bundle. Old generations beyond --keep-generations are pruned\n"
        "  (never the ones the rollback journal points at).\n"
-       "  --validate gates the CURRENT flip: every staged bundle must\n"
-       "  decode and survive finite/bounded sanity probes, and the\n"
-       "  staged fleet must not regress holdout PE against the live\n"
-       "  generation; a failing generation never leaves staging.\n"
+       "  --validate gates the CURRENT flip: every bundle the finalized\n"
+       "  MANIFEST lists must match it, decode and survive finite/bounded\n"
+       "  sanity probes, and the staged fleet must not regress holdout PE\n"
+       "  against the live generation; a failing generation is never\n"
+       "  promoted.\n"
        "  --canary-fraction=F shadow-scores the finalized generation\n"
        "  behind live traffic on the seeded F-slice of vehicles before\n"
        "  the flip; a canary breach aborts with CURRENT untouched.\n"
