@@ -21,18 +21,6 @@ cmake --build build -j"${JOBS}"
 # ctest includes ml_no_fma_test: no fused multiply-add in libvup_ml.a.
 (cd build && ctest --output-on-failure -j"${JOBS}")
 
-echo "== tier-1c: ingest-bench smoke (WAL recovery equivalence, no timing gates) =="
-# Encode -> decode -> WAL+ingest -> recover over a seeded stream; the
-# command exits non-zero unless the recovered store is digest-identical
-# to the live one. Throughput numbers are reported but not gated (see
-# DESIGN.md section 11 for the wire format and recovery invariants).
-./build/tools/vupred ingest-bench --vehicles=4 --days=10 \
-  --json=build/BENCH_ingest_smoke.json --wal-dir=build/ingest_smoke_wal
-grep -q '"bench": "ingest"' build/BENCH_ingest_smoke.json
-grep -q '"wal_ingest_reports_per_s"' build/BENCH_ingest_smoke.json
-grep -q '"verify": "recovery-digest-match"' build/BENCH_ingest_smoke.json
-rm -rf build/ingest_smoke_wal
-
 echo "== tier-1d: cluster-bench smoke (determinism + cold-start, no timing gates) =="
 # Seeded profile extraction -> k-means -> pooled hierarchy -> registry
 # cold-start; the command exits non-zero unless clusters.meta is
@@ -50,9 +38,8 @@ rm -rf build/cluster_smoke_registry
 
 echo "== tier-1e: bench JSON schema versioning =="
 # Every bench report carries the shared schema_version so downstream
-# tooling can detect field changes; ingest and cluster are at v1.
-for bench_json in build/BENCH_ingest_smoke.json \
-  build/BENCH_cluster_smoke.json; do
+# tooling can detect field changes; cluster is at v1.
+for bench_json in build/BENCH_cluster_smoke.json; do
   grep -q '"schema_version": 1' "${bench_json}" || {
     echo "missing schema_version in ${bench_json}" >&2
     exit 1

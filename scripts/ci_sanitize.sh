@@ -40,17 +40,6 @@ ctest --preset sanitize -j"${JOBS}" -R \
 # every fit over the same inputs, so it doubles as a UB probe.
 ctest --preset sanitize -j"${JOBS}" -R 'ml_svr_test'
 
-# Deep seeded fuzz of the wire decoder under the sanitizers: 50k mutated
-# streams (vs. 5k in the tier-1 run). The decoder parses every byte as
-# hostile, so this is the pass where an out-of-bounds read or an
-# allocation proportional to a corrupt length field would surface.
-VUP_WIRE_FUZZ_ITERS=50000 ctest --preset sanitize -R \
-  'wire_frame_fuzz_test' --output-on-failure
-
-# Wire framing, WAL replay, and crash-recovery equivalence, byte-exact.
-ctest --preset sanitize -j"${JOBS}" -R \
-  'wire_frame_test|wire_wal_test|wire_stream_ingestor_test|integration_wire_chaos_test'
-
 # Cluster subsystem: profile feature indexing, k-means centroid math, the
 # strict clusters.meta parser (hostile-input path) and the pooled-training
 # span arithmetic, plus the serving fallback chain.

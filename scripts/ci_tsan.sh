@@ -4,7 +4,8 @@
 # and tracer (concurrent instruments + export), the prediction service
 # (admission control, load shedding, deadline fan-out), the model
 # registry (circuit breakers, generation hot-swap, two publishers on two
-# threads sharing the registry's writer pool), the background
+# threads sharing the registry's writer pool, two publishers racing to
+# reserve a generation number), the background
 # registry scrubber and the chaos suites, including hierarchy fallback
 # reads racing generation swaps and canary shadow-scoring racing
 # promote/rollback flips.

@@ -10,12 +10,12 @@
 
 namespace vup {
 
-/// IEEE CRC-32 (reflected, polynomial 0xEDB88320): the checksum of the
-/// wire frames, WAL records and every file of a registry generation. Shared
-/// here so the serving layer can verify model artifacts without pulling
-/// in the wire stack. On x86-64 CPUs with PCLMULQDQ, buffers of 64 bytes
-/// and more are folded with carry-less multiplies; slice-by-8 takes the
-/// rest, and everything on other CPUs. Both compute the same CRC.
+/// IEEE CRC-32 (reflected, polynomial 0xEDB88320): the checksum of every
+/// file of a registry generation (compact bundles, record-file sidecars)
+/// and of the MANIFEST entries that list them. On x86-64 CPUs with
+/// PCLMULQDQ, buffers of 64 bytes and more are folded with carry-less
+/// multiplies; slice-by-8 takes the rest, and everything on other CPUs.
+/// Both compute the same CRC.
 uint32_t Crc32(std::span<const uint8_t> bytes);
 uint32_t Crc32(const void* data, size_t size);
 

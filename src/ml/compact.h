@@ -33,7 +33,7 @@ namespace vup {
 ///       [standardize] f64 means[nf], f64 scales[nf]
 ///       zero padding to an 8-byte boundary
 ///       payload (per algorithm, below)
-///   end-4  u32 CRC-32 (IEEE, as the wire frames and MANIFEST) over every
+///   end-4  u32 CRC-32 (IEEE, as the MANIFEST and sidecars) over every
 ///          preceding byte
 ///
 /// Payloads store every weight as f64, so a decoded model predicts

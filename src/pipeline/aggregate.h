@@ -18,10 +18,12 @@ namespace vup {
 /// averages are weighted by each slot's engine-on fraction; fuel burn
 /// integrates the fuel-rate signal over engine-on time.
 ///
-/// Produces one record per day that has at least one report; missing days
-/// (connectivity gaps or real idleness) are left to the cleaning stage.
-/// Input must be sorted by (date, slot); duplicates are tolerated (last
-/// wins).
+/// Produces one record per day that has at least one report, sorted by
+/// date; missing days (connectivity gaps or real idleness) are left to the
+/// cleaning stage. Input is one vehicle's reports in any order: they are
+/// keyed by (date, slot) and folded in slot order, so arrival order does
+/// not change a bit of the output, except that of several deliveries of
+/// one slot the last in the input wins.
 std::vector<DailyUsageRecord> AggregateReportsDaily(
     std::span<const AggregatedReport> reports);
 

@@ -371,15 +371,35 @@ Status ModelRegistry::Reload() {
 }
 
 StatusOr<GenerationPublisher> ModelRegistry::NewGeneration() {
-  const uint64_t number = MaxGenerationNumber(options_.directory) + 1;
-  const std::string staging =
-      options_.directory + "/" + GenerationDirName(number) + ".staging";
-  std::error_code ec;
-  fs::remove_all(staging, ec);  // A stale staging of the same number.
-  fs::create_directories(staging, ec);
-  if (ec) {
-    return Status::Internal("cannot create staging directory " + staging +
-                            ": " + ec.message());
+  // The exclusive mkdir of gen_N.staging reserves N: of two publishers
+  // that read the same maximum, one creates the directory and the other
+  // moves on to N+1. A stale staging never blocks a number, because
+  // MaxGenerationNumber counts it. A directory listing taken while another
+  // publisher renames its staging may miss both names, so a reserved N
+  // whose gen_N already exists is given up as well.
+  std::string staging;
+  uint64_t number = MaxGenerationNumber(options_.directory);
+  for (;;) {
+    ++number;
+    const std::string final_dir =
+        options_.directory + "/" + GenerationDirName(number);
+    staging = final_dir + ".staging";
+    std::error_code ec;
+    if (!fs::create_directory(staging, ec)) {
+      if (ec) {
+        return Status::Internal("cannot create staging directory " +
+                                staging + ": " + ec.message());
+      }
+      continue;  // Another publisher holds N.
+    }
+    const bool taken = fs::exists(final_dir, ec);
+    if (ec) {
+      const std::string error = ec.message();
+      fs::remove(staging, ec);
+      return Status::Internal("cannot check " + final_dir + ": " + error);
+    }
+    if (!taken) break;
+    fs::remove(staging, ec);
   }
   std::shared_ptr<ThreadPool> writers;
   {
@@ -1016,15 +1036,9 @@ Status GenerationPublisher::Finalize(const RegistryMeta& meta) {
       GenerationManifest::BuildFromDirectory(
           staging_dir_, staging_handed_out_ ? none : written_->entries));
   VUP_RETURN_IF_ERROR(WriteManifestFile(staging_dir_, manifest));
-  std::string final_dir =
+  const std::string final_dir =
       root_ + "/" + ModelRegistry::GenerationDirName(number_);
   std::error_code ec;
-  // A concurrent publisher may have claimed our number; slide forward.
-  for (int attempt = 0; fs::exists(final_dir, ec) && attempt < 1024;
-       ++attempt) {
-    ++number_;
-    final_dir = root_ + "/" + ModelRegistry::GenerationDirName(number_);
-  }
   fs::rename(staging_dir_, final_dir, ec);
   if (ec) {
     return Status::Internal("cannot finalize generation " + final_dir +

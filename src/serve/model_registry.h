@@ -216,7 +216,9 @@ class ModelRegistry {
 
   /// Starts a new generation staged invisibly next to the active one;
   /// `Commit` makes it the fleet `CURRENT` points at. Concurrent readers
-  /// of this registry are unaffected until Reload().
+  /// of this registry are unaffected until Reload(). The generation number
+  /// is reserved by an exclusive mkdir of its staging directory, so
+  /// publishers on different threads (or processes) never share one.
   StatusOr<GenerationPublisher> NewGeneration();
 
   /// Re-resolves `CURRENT` and atomically swaps the active generation if

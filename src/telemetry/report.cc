@@ -34,8 +34,7 @@ std::string_view ReportPayloadIssueToString(ReportPayloadIssue issue) {
 
 namespace {
 
-/// Physical plausibility windows per channel. The wire quantization grid
-/// (wire/frame.cc) is deliberately wider, so these are the binding check.
+/// Physical plausibility windows per channel.
 constexpr double kMaxRpm = 8000.0;
 constexpr double kMaxLoadPct = 125.0;
 constexpr double kMaxFuelRateLph = 1000.0;

@@ -6,8 +6,10 @@
 #include <functional>
 #include <future>
 #include <iterator>
+#include <latch>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -914,6 +916,59 @@ TEST_F(ModelRegistryGenerationTest, SharedWritersKeepEachPublishersErrors) {
     EXPECT_TRUE(registry.Get(id).ok()) << "vehicle " << id;
   }
   EXPECT_EQ(registry.stats().quarantines, 0u);
+}
+
+TEST_F(ModelRegistryGenerationTest, RacingPublishersReserveDistinctNumbers) {
+  ModelRegistry registry = OpenRegistry(4);
+  const VehicleForecaster forecaster = TrainForecaster(MakeDataset(7));
+  // Each round, two publishers start together from one maximum. Both must
+  // commit, under distinct numbers, each holding only its own bundle; a
+  // shared number would let one staging directory take both bundles, or
+  // the second reservation delete the first's.
+  for (int round = 0; round < 200; ++round) {
+    std::latch start(2);
+    std::optional<GenerationPublisher> publishers[2];
+    Status statuses[2];
+    auto publish = [&](int t) {
+      start.arrive_and_wait();
+      StatusOr<GenerationPublisher> pub = registry.NewGeneration();
+      if (!pub.ok()) {
+        statuses[t] = pub.status();
+        return;
+      }
+      statuses[t] = pub.value().Add(2 * round + t + 1, forecaster);
+      if (statuses[t].ok()) statuses[t] = pub.value().Finalize(TestMeta(t));
+      publishers[t].emplace(std::move(pub.value()));
+    };
+    std::thread first(publish, 0);
+    std::thread second(publish, 1);
+    first.join();
+    second.join();
+    for (int t = 0; t < 2; ++t) {
+      ASSERT_TRUE(statuses[t].ok())
+          << "round " << round << ": " << statuses[t].ToString();
+    }
+    ASSERT_NE(publishers[0]->number(), publishers[1]->number())
+        << "round " << round;
+    for (int t = 0; t < 2; ++t) {
+      ASSERT_TRUE(publishers[t]->Promote().ok()) << "round " << round;
+      StatusOr<GenerationManifest> manifest =
+          ReadManifestFile(publishers[t]->staging_dir());
+      ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+      std::vector<std::string> files;
+      for (const ManifestEntry& entry : manifest.value().entries()) {
+        files.push_back(entry.file);
+      }
+      std::sort(files.begin(), files.end());
+      EXPECT_EQ(files,
+                (std::vector<std::string>{
+                    "registry_meta.txt",
+                    ModelRegistry::BundleFileName(2 * round + t + 1)}))
+          << "round " << round;
+    }
+    ASSERT_TRUE(registry.PruneGenerations(0).ok());
+  }
+  EXPECT_TRUE(NoStagingLeft(registry.directory()));
 }
 
 // ---- Sealed manifests -----------------------------------------------------

@@ -210,7 +210,9 @@ TEST_F(RegistryShardTest, PerShardSlicesSumToTotals) {
   for (int round = 0; round < 2; ++round) {
     for (int64_t id = 1; id <= kVehicles; ++id) {
       Status status = registry.Get(id).status();
-      if (id != 12) ASSERT_TRUE(status.ok()) << status.ToString();
+      if (id != 12) {
+        ASSERT_TRUE(status.ok()) << status.ToString();
+      }
     }
   }
   registry.Quarantine(11);

@@ -123,7 +123,8 @@ TEST(ReportAggregatorTest, RejectsConsumeAfterFinalize) {
 // ---- Slot boundary conditions ------------------------------------------
 // Messages land exactly on, one second inside, and one second outside the
 // slot window [SlotStartEpochS, SlotStartEpochS + kSlotSeconds). These pin
-// the half-open-interval contract the wire ingest path relies on.
+// the half-open-interval contract daily aggregation relies on: each message
+// counts toward exactly one slot.
 
 TEST(ReportAggregatorBoundaryTest, MessageExactlyAtSlotStartAccepted) {
   const int64_t start = SlotStartEpochS(TestDate(), 5);

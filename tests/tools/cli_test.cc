@@ -161,8 +161,7 @@ int CliExitCode(const std::string& args) {
 TEST(CliTest, HelpExitsZeroForEveryCommand) {
   std::string dir = TempDir();
   for (const char* cmd : {"generate", "train", "predict", "evaluate",
-                          "fleet", "publish", "ingest-bench",
-                          "cluster-bench"}) {
+                          "fleet", "publish", "cluster-bench"}) {
     std::string out = dir + "/help.txt";
     EXPECT_EQ(RunCli(std::string(cmd) + " --help", out), 0) << cmd;
     EXPECT_NE(ReadFile(out).find("usage: vupred "), std::string::npos)
@@ -174,14 +173,14 @@ TEST(CliTest, HelpExitsZeroForEveryCommand) {
 TEST(CliTest, UnknownFlagsExitWithCodeTwo) {
   EXPECT_EQ(CliExitCode("fleet --no-such-flag=1"), 2);
   EXPECT_EQ(CliExitCode("generate --out=/tmp --frobnicate"), 2);
-  EXPECT_EQ(CliExitCode("ingest-bench --vehicels=4"), 2);
   EXPECT_EQ(CliExitCode("evaluate --data=x.csv stray-positional"), 2);
   EXPECT_EQ(CliExitCode("train"), 2);  // Missing required flags.
   EXPECT_EQ(CliExitCode("nosuchcommand"), 2);
-  // The training, publish and serving benchmarks live in perfbench/; the
-  // old CLI bench commands are unknown commands now.
+  // The training, publish and serving benchmarks live in perfbench/, and
+  // the wire ingest path is gone; their old CLI commands are unknown
+  // commands now.
   for (const char* retired :
-       {"core-bench", "publish-bench", "serve-bench"}) {
+       {"core-bench", "publish-bench", "serve-bench", "ingest-bench"}) {
     EXPECT_EQ(CliExitCode(retired), 2) << retired;
     EXPECT_EQ(CliExitCode(std::string(retired) + " --help"), 2) << retired;
   }
@@ -203,9 +202,6 @@ TEST(CliTest, NegativeSeedsExitWithCodeTwo) {
                         "/reg --vehicles=2 --max-vehicles=1 --seed=-1"),
             2);
   EXPECT_FALSE(std::filesystem::exists(dir + "/reg"));
-  EXPECT_EQ(CliExitCode("ingest-bench --vehicles=1 --days=2 --seed=-1 "
-                        "--json=" + dir + "/ingest.json"),
-            2);
   EXPECT_EQ(CliExitCode("cluster-bench --vehicles=2 --seed=-1 --json=" +
                         dir + "/cluster.json"),
             2);
@@ -262,25 +258,14 @@ TEST(CliTest, PublishWritesOneCompactBundlePerVehicle) {
   EXPECT_EQ(CliExitCode("publish --out=" + registry + " --compact"), 2);
 }
 
-/// Value of a `"name": <number>` field in a flat JSON report.
-std::string JsonField(const std::string& json, const std::string& name) {
-  std::string needle = "\"" + name + "\":";
-  size_t at = json.find(needle);
-  if (at == std::string::npos) return "<missing:" + name + ">";
-  size_t start = at + needle.size();
-  size_t end = json.find_first_of(",\n", start);
-  return json.substr(start, end - start);
-}
-
 TEST(CliTest, MetricsFlagsValidation) {
   // Misspelled --metrics-* flags hit the unknown-flag allowlist.
   EXPECT_EQ(CliExitCode("fleet --metrics-outt=/tmp/x.prom"), 2);
   EXPECT_EQ(CliExitCode("fleet --metrics-fromat=json"), 2);
-  EXPECT_EQ(CliExitCode("ingest-bench --metrics-bogus=1"), 2);
+  EXPECT_EQ(CliExitCode("cluster-bench --metrics-bogus=1"), 2);
   // A bad format value is rejected before any work happens.
   EXPECT_EQ(CliExitCode("fleet --metrics-out=/tmp/x --metrics-format=xml"),
             2);
-  EXPECT_EQ(CliExitCode("ingest-bench --metrics-format=xml"), 2);
   EXPECT_EQ(CliExitCode("cluster-bench --metrics-format=xml"), 2);
 }
 
@@ -357,69 +342,6 @@ TEST(CliTest, FleetMetricsJsonFormatAndTrace) {
   EXPECT_NE(trace_text.find("prepare"), std::string::npos);
   EXPECT_NE(trace_text.find("ingest"), std::string::npos);
   EXPECT_NE(trace_text.find("fit"), std::string::npos);
-}
-
-TEST(CliTest, IngestBenchVerifiesRecoveryAndWritesJson) {
-  std::string dir = TempDir();
-  std::string json_path = dir + "/BENCH_ingest.json";
-  std::string out = dir + "/ingest_bench.txt";
-  ASSERT_EQ(RunCli("ingest-bench --vehicles=2 --days=3 --json=" + json_path +
-                       " --wal-dir=" + dir + "/ingest_wal",
-                   out),
-            0);
-
-  // The run itself asserts the recovered store's digest equals the live
-  // store's; a zero exit plus the verify line is the proof it ran.
-  std::string text = ReadFile(out);
-  EXPECT_NE(text.find("ingest-bench: vehicles=2 days=3"), std::string::npos);
-  EXPECT_NE(text.find("recovered store digest == live store digest"),
-            std::string::npos);
-
-  std::string json = ReadFile(json_path);
-  EXPECT_NE(json.find("\"bench\": \"ingest\""), std::string::npos);
-  EXPECT_NE(json.find("\"verify\": \"recovery-digest-match\""),
-            std::string::npos);
-  for (const char* field :
-       {"reports", "frames", "stream_bytes", "wal_bytes", "encode_seconds",
-        "encode_mb_per_s", "encode_reports_per_s", "decode_seconds",
-        "wal_ingest_seconds", "recover_seconds", "recover_reports_per_s"}) {
-    EXPECT_NE(json.find("\"" + std::string(field) + "\""),
-              std::string::npos)
-        << field;
-  }
-  // 2 vehicles x 3 days x 144 slots, every report framed and replayed.
-  EXPECT_EQ(JsonField(json, "reports"), " 864");
-
-  // An explicit --wal-dir survives the run for inspection.
-  std::ifstream wal(dir + "/ingest_wal/wal.log");
-  EXPECT_TRUE(wal.good());
-}
-
-TEST(CliTest, IngestBenchExportsWireCounters) {
-  std::string dir = TempDir();
-  std::string prom_path = dir + "/ingest_bench.prom";
-  ASSERT_EQ(RunCli("ingest-bench --vehicles=1 --days=2 --json=" + dir +
-                       "/BENCH_ingest_m.json --metrics-out=" + prom_path,
-                   dir + "/ingest_bench_m.txt"),
-            0);
-  obs::ParsedMetrics parsed;
-  std::string error;
-  ASSERT_TRUE(obs::ParsePrometheusText(ReadFile(prom_path), &parsed, &error))
-      << error;
-  // A clean synthetic stream: every frame decodes, nothing resyncs.
-  EXPECT_GT(parsed.Value("vupred_wire_frames_decoded_total", {}, -1.0), 0.0);
-  EXPECT_GT(parsed.Value("vupred_wire_reports_decoded_total", {}, -1.0),
-            0.0);
-  EXPECT_GT(parsed.Value("vupred_wire_wal_appends_total", {}, -1.0), 0.0);
-  EXPECT_EQ(parsed.Value("vupred_wire_frames_rejected_total",
-                         {{"cause", "corrupt"}}, -1.0),
-            0.0);
-}
-
-TEST(CliTest, IngestBenchRejectsBadArguments) {
-  EXPECT_EQ(CliExitCode("ingest-bench --no-such-flag=1"), 2);
-  EXPECT_EQ(CliExitCode("ingest-bench --vehicles=0"), 2);
-  EXPECT_EQ(CliExitCode("ingest-bench --days=0"), 2);
 }
 
 TEST(CliTest, ClusterBenchSmokeProvesDeterminismAndColdStart) {

@@ -10,10 +10,6 @@
 //                       serving registry directory, optionally gated by
 //                       --validate and --canary-fraction; --rollback
 //                       reverts the last journaled promotion.
-//   vupred ingest-bench Time the binary wire path (encode, decode, WAL
-//                       journal+ingest, crash recovery) on a seeded report
-//                       stream; verifies recovery is bit-identical and
-//                       writes BENCH_ingest.json.
 //   vupred cluster-bench Profile-extraction / k-means throughput, pooled
 //                       hierarchy PE (per-vehicle vs per-cluster vs
 //                       global), and a cold-start fallback proof; verifies
@@ -30,14 +26,12 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/cluster_meta.h"
 #include "cluster/pooled.h"
-#include "common/random.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/evaluation.h"
@@ -54,8 +48,6 @@
 #include "table/csv.h"
 #include "telemetry/fault_injector.h"
 #include "telemetry/fleet.h"
-#include "wire/frame.h"
-#include "wire/stream_ingestor.h"
 
 namespace vup {
 namespace {
@@ -707,206 +699,6 @@ int RunPublish(const Flags& flags) {
   return 0;
 }
 
-int RunIngestBench(const Flags& flags) {
-  namespace fs = std::filesystem;
-  const long long vehicles_arg = flags.GetInt("vehicles", 6);
-  const long long days_arg = flags.GetInt("days", 30);
-  if (vehicles_arg <= 0 || days_arg <= 0) {
-    std::fprintf(stderr,
-                 "error: --vehicles and --days must be positive, got "
-                 "%lld and %lld\n",
-                 vehicles_arg, days_arg);
-    return 2;
-  }
-  const size_t vehicles = static_cast<size_t>(vehicles_arg);
-  const size_t days = static_cast<size_t>(days_arg);
-  uint64_t seed = 0;
-  if (!SeedFlag(flags, "seed", 42, &seed)) return 2;
-  const std::string json_path = flags.Get("json", "BENCH_ingest.json");
-  const std::string wal_dir = flags.Get(
-      "wal-dir",
-      (fs::temp_directory_path() / "vupred_ingest_bench").string());
-
-  const std::string metrics_format = ResolveMetricsFormat(flags);
-  if (metrics_format.empty()) return 2;
-  ScopedCliTracer tracer(flags.Has("trace"));
-
-  // A dense seeded stream: every vehicle reports every 10-minute slot of
-  // every day -- the sustained-uplink worst case for the ingest tier.
-  Rng rng(seed);
-  std::vector<AggregatedReport> reports;
-  reports.reserve(vehicles * days * static_cast<size_t>(kSlotsPerDay));
-  const Date d0 = Date::FromYmd(2017, 3, 6).value();
-  for (size_t v = 1; v <= vehicles; ++v) {
-    for (size_t d = 0; d < days; ++d) {
-      for (int slot = 0; slot < kSlotsPerDay; ++slot) {
-        AggregatedReport r;
-        r.vehicle_id = static_cast<int64_t>(v);
-        r.date = d0.AddDays(static_cast<int>(d));
-        r.slot = slot;
-        r.engine_on_fraction = rng.Uniform();
-        r.avg_engine_rpm = rng.Uniform(600, 2200);
-        r.avg_engine_load_pct = rng.Uniform(5, 95);
-        r.avg_fuel_rate_lph = rng.Uniform(1, 35);
-        r.avg_oil_pressure_kpa = rng.Uniform(150, 500);
-        r.avg_coolant_temp_c = rng.Uniform(60, 105);
-        r.avg_speed_kmh = rng.Uniform(0, 30);
-        r.avg_hydraulic_temp_c = rng.Uniform(30, 90);
-        r.fuel_level_pct = rng.Uniform(5, 100);
-        r.engine_hours_total =
-            1000.0 + static_cast<double>(v) * 10 + static_cast<double>(d);
-        r.dtc_count = static_cast<int>(rng.UniformInt(0, 2));
-        r.sample_count = static_cast<int>(rng.UniformInt(1, 60));
-        reports.push_back(r);
-      }
-    }
-  }
-
-  const auto mb = [](size_t bytes) {
-    return static_cast<double>(bytes) / (1024.0 * 1024.0);
-  };
-  const auto seconds_since = [](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-  };
-
-  // Stage 1: encode.
-  std::string stream;
-  const auto encode_t0 = std::chrono::steady_clock::now();
-  size_t unframeable = 0;
-  {
-    Status s = wire::EncodeBatch(reports, &stream, &unframeable);
-    if (!s.ok()) return Fail(s);
-  }
-  const double encode_s = seconds_since(encode_t0);
-  if (unframeable != 0) {
-    return Fail(Status::Internal(
-        StrFormat("%zu clean reports unframeable", unframeable)));
-  }
-
-  // Stage 2: decode (no journaling, no store).
-  size_t decoded_reports = 0;
-  const auto decode_t0 = std::chrono::steady_clock::now();
-  {
-    wire::WireDecoder decoder;
-    decoder.Feed({reinterpret_cast<const uint8_t*>(stream.data()),
-                  stream.size()},
-                 [&decoded_reports](const wire::DecodedFrame& f,
-                                    std::span<const uint8_t>) {
-                   decoded_reports += f.reports.size();
-                 });
-    if (decoder.stats().frames_rejected_corrupt != 0 ||
-        decoder.pending_bytes() != 0) {
-      return Fail(Status::DataLoss("clean stream failed to decode"));
-    }
-  }
-  const double decode_s = seconds_since(decode_t0);
-  if (decoded_reports != reports.size()) {
-    return Fail(Status::Internal(
-        StrFormat("decoded %zu of %zu reports", decoded_reports,
-                  reports.size())));
-  }
-
-  // Stage 3: the full crash-safe path -- decode + WAL journal + ingest.
-  std::error_code ec;
-  fs::remove_all(wal_dir, ec);
-  wire::StreamIngestor::Options options;
-  options.dir = wal_dir;
-  IngestionStore live;
-  size_t wal_frames = 0;
-  uint64_t live_digest = 0;
-  const auto wal_t0 = std::chrono::steady_clock::now();
-  {
-    StatusOr<wire::StreamIngestor> ingestor =
-        wire::StreamIngestor::Open(options, &live);
-    if (!ingestor.ok()) return Fail(ingestor.status());
-    Status s = ingestor.value().Feed(std::string_view(stream));
-    if (!s.ok()) return Fail(s);
-    wal_frames = ingestor.value().stats().frames_accepted;
-  }
-  const double wal_s = seconds_since(wal_t0);
-  live_digest = live.ContentDigest();
-
-  // Stage 4: crash recovery -- reopen and replay the WAL into an empty
-  // store; equivalence is asserted bit for bit via the content digest.
-  IngestionStore recovered;
-  const auto recover_t0 = std::chrono::steady_clock::now();
-  size_t recovered_reports = 0;
-  {
-    StatusOr<wire::StreamIngestor> reopened =
-        wire::StreamIngestor::Open(options, &recovered);
-    if (!reopened.ok()) return Fail(reopened.status());
-    recovered_reports = reopened.value().stats().recovered_reports;
-  }
-  const double recover_s = seconds_since(recover_t0);
-  if (recovered.ContentDigest() != live_digest) {
-    return Fail(Status::DataLoss(
-        "recovered store diverges from the live store"));
-  }
-  const size_t wal_bytes =
-      fs::exists(fs::path(wal_dir) / "wal.log")
-          ? static_cast<size_t>(
-                fs::file_size(fs::path(wal_dir) / "wal.log"))
-          : 0;
-  if (!flags.Has("wal-dir")) fs::remove_all(wal_dir, ec);
-
-  const double n_reports = static_cast<double>(reports.size());
-  std::printf("ingest-bench: vehicles=%zu days=%zu reports=%zu frames=%zu "
-              "stream=%.2fMB wal=%.2fMB seed=%llu\n",
-              vehicles, days, reports.size(), wal_frames, mb(stream.size()),
-              mb(wal_bytes), static_cast<unsigned long long>(seed));
-  std::printf("stage              wall        MB/s     reports/s\n");
-  std::printf("encode      %9.3fms  %9.1f  %12.0f\n", encode_s * 1e3,
-              mb(stream.size()) / encode_s, n_reports / encode_s);
-  std::printf("decode      %9.3fms  %9.1f  %12.0f\n", decode_s * 1e3,
-              mb(stream.size()) / decode_s, n_reports / decode_s);
-  std::printf("wal+ingest  %9.3fms  %9.1f  %12.0f\n", wal_s * 1e3,
-              mb(stream.size()) / wal_s, n_reports / wal_s);
-  std::printf("recover     %9.3fms  %9.1f  %12.0f\n", recover_s * 1e3,
-              mb(wal_bytes) / recover_s, n_reports / recover_s);
-  std::printf("verify: recovered store digest == live store digest "
-              "(%zu reports replayed, exact)\n",
-              recovered_reports);
-
-  std::ofstream json(json_path, std::ios::trunc);
-  if (!json) return Fail(Status::Internal("cannot write " + json_path));
-  json << StrFormat(
-      "{\n"
-      "  \"bench\": \"ingest\",\n"
-      "  \"schema_version\": 1,\n"
-      "  \"vehicles\": %zu,\n"
-      "  \"days\": %zu,\n"
-      "  \"reports\": %zu,\n"
-      "  \"frames\": %zu,\n"
-      "  \"stream_bytes\": %zu,\n"
-      "  \"wal_bytes\": %zu,\n"
-      "  \"encode_seconds\": %.6f,\n"
-      "  \"encode_mb_per_s\": %.1f,\n"
-      "  \"encode_reports_per_s\": %.0f,\n"
-      "  \"decode_seconds\": %.6f,\n"
-      "  \"decode_mb_per_s\": %.1f,\n"
-      "  \"decode_reports_per_s\": %.0f,\n"
-      "  \"wal_ingest_seconds\": %.6f,\n"
-      "  \"wal_ingest_mb_per_s\": %.1f,\n"
-      "  \"wal_ingest_reports_per_s\": %.0f,\n"
-      "  \"recover_seconds\": %.6f,\n"
-      "  \"recover_mb_per_s\": %.1f,\n"
-      "  \"recover_reports_per_s\": %.0f,\n"
-      "  \"verify\": \"recovery-digest-match\"\n"
-      "}\n",
-      vehicles, days, reports.size(), wal_frames, stream.size(), wal_bytes,
-      encode_s, mb(stream.size()) / encode_s, n_reports / encode_s,
-      decode_s, mb(stream.size()) / decode_s, n_reports / decode_s, wal_s,
-      mb(stream.size()) / wal_s, n_reports / wal_s, recover_s,
-      mb(wal_bytes) / recover_s, n_reports / recover_s);
-  if (!json) return Fail(Status::DataLoss("write failed: " + json_path));
-  std::printf("wrote %s\n", json_path.c_str());
-
-  return WriteMetricsOutput(flags, metrics_format,
-                            obs::MetricsRegistry::Global().Snapshot());
-}
-
 // ---- cluster-bench ----------------------------------------------------
 
 int RunClusterBench(const Flags& flags) {
@@ -1435,24 +1227,6 @@ const std::vector<Command>& Commands() {
         "validate", "canary-fraction", "rollback"},
        {"out"},
        RunPublish},
-      {"ingest-bench", "time the binary wire ingest path end to end",
-       "usage: vupred ingest-bench [--vehicles=6] [--days=30] [--seed=42]\n"
-       "  [--json=BENCH_ingest.json] [--wal-dir=DIR] [--metrics-out=FILE]\n"
-       "  [--metrics-format=prom|json] [--trace]\n"
-       "  Generate a dense seeded report stream (every vehicle, every\n"
-       "  10-minute slot), then time each stage of the wire ingest tier:\n"
-       "  frame encode, defensive decode, the crash-safe WAL journal +\n"
-       "  ingest path, and cold crash recovery from the journal. Reports\n"
-       "  MB/s and reports/s per stage, always verifies that the recovered\n"
-       "  store is bit-identical to the live store (exits non-zero on any\n"
-       "  divergence; timings are never gated), and writes the JSON report\n"
-       "  to --json. --wal-dir keeps the journal in DIR for inspection;\n"
-       "  the default temp directory is cleaned up. --metrics-out exports\n"
-       "  the metrics snapshot (vupred_wire_* counters included).\n",
-       {"vehicles", "days", "seed", "json", "wal-dir", "metrics-out",
-        "metrics-format", "trace"},
-       {},
-       RunIngestBench},
       {"cluster-bench", "profile/cluster throughput + cold-start fallback",
        "usage: vupred cluster-bench [--vehicles=12] [--seed=42]\n"
        "  [--clusters=3] [--acf-lags=14] [--max-k=6] [--algorithm=Lasso]\n"
