@@ -5,7 +5,7 @@
 # (admission control, load shedding, deadline fan-out), the model
 # registry (circuit breakers, generation hot-swap, two publishers on two
 # threads sharing the registry's writer pool, two publishers racing to
-# reserve a generation number), the background
+# reserve a generation number and to promote), the background
 # registry scrubber and the chaos suites, including hierarchy fallback
 # reads racing generation swaps and canary shadow-scoring racing
 # promote/rollback flips.
@@ -14,10 +14,10 @@
 #
 # The grid-search suite fits Lasso and SVR candidates on a worker pool
 # and checks their scores bitwise against a serial run. The SVR suite
-# rides along to run the lane-parallel Gram and SMO kernels under TSan:
-# it checks every instruction-set path the CPU supports (see
-# src/ml/lanes.h) bitwise against KernelFunction and the scalar
-# reference solver, as the release suite does. The CRC-32 suite runs
+# rides along to run the lane-parallel Gram, exp and SMO kernels under
+# TSan: it checks every instruction-set path the CPU supports (see
+# src/ml/lanes.h) bitwise against KernelFunction, the scalar exp and the
+# scalar reference solver, as the release suite does. The CRC-32 suite runs
 # both CRC paths: the path Crc32 takes is a lazily initialised static,
 # first reached from writer-pool and registry threads.
 #

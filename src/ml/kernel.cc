@@ -27,19 +27,27 @@ double KernelParams::EffectiveGamma(size_t num_features) const {
   return 1.0 / static_cast<double>(num_features);
 }
 
+namespace {
+
+/// ||a - b||^2 over a's d doubles, added in index order.
+double SquaredDistance(const double* a, const double* b, size_t d) {
+  double sq = 0.0;
+  for (size_t i = 0; i < d; ++i) {
+    const double diff = a[i] - b[i];
+    sq += diff * diff;
+  }
+  return sq;
+}
+
+}  // namespace
+
 double KernelFunction(const KernelParams& params, std::span<const double> a,
                       std::span<const double> b) {
   VUP_CHECK(a.size() == b.size());
   double g = params.EffectiveGamma(a.size());
   switch (params.type) {
-    case KernelType::kRbf: {
-      double sq = 0.0;
-      for (size_t i = 0; i < a.size(); ++i) {
-        double d = a[i] - b[i];
-        sq += d * d;
-      }
-      return std::exp(-g * sq);
-    }
+    case KernelType::kRbf:
+      return Exp(-g * SquaredDistance(a.data(), b.data(), a.size()));
     case KernelType::kLinear:
       return Dot(a, b);
     case KernelType::kPolynomial:
@@ -55,8 +63,27 @@ double KernelExpansion(const KernelParams& params,
   const size_t d = x.size();
   VUP_CHECK(support.size() == beta.size() * d);
   double sum = bias;
-  for (size_t s = 0; s < beta.size(); ++s) {
-    sum += beta[s] * KernelFunction(params, support.subspan(s * d, d), x);
+  if (params.type != KernelType::kRbf) {
+    for (size_t s = 0; s < beta.size(); ++s) {
+      sum += beta[s] * KernelFunction(params, support.subspan(s * d, d), x);
+    }
+    return sum;
+  }
+  // RBF: a chunk of support vectors' exponents, one lane exp over them,
+  // then the terms in support-vector order.
+  const double g = params.EffectiveGamma(d);
+  constexpr size_t kChunk = 64;
+  double k[kChunk] = {};
+  for (size_t s0 = 0; s0 < beta.size(); s0 += kChunk) {
+    const size_t len = std::min(kChunk, beta.size() - s0);
+    for (size_t s = 0; s < len; ++s) {
+      k[s] = -g * SquaredDistance(support.data() + (s0 + s) * d, x.data(), d);
+    }
+    // Whole vectors of 8: the entries past len are zeros or an earlier
+    // chunk's, and unused.
+    const size_t whole = (len + 7) / 8 * 8;
+    ExpLanes({k, whole}, {k, whole});
+    for (size_t s = 0; s < len; ++s) sum += beta[s0 + s] * k[s];
   }
   return sum;
 }
@@ -108,11 +135,13 @@ VUP_LANE_INLINE void DistanceBlock(const double* panels, size_t d, size_t i0,
 
 /// k(i, j) = exp(-g * ||x_i - x_j||^2) for i <= j < n, row block by row
 /// block: the block's distances to every column from its own panel on go
-/// to `sq` (kRows rows of `padded` doubles), then exp runs along each
-/// row's contiguous segment. The lower triangle is left to the caller.
+/// to `sq` (kRows rows of `padded` doubles), then the lane exp runs along
+/// each row's contiguous segment. The lower triangle is left to the
+/// caller.
 template <size_t W, size_t kRows, size_t kVecs>
 VUP_LANE_INLINE void RbfUpper(const double* panels, size_t n, size_t d,
                               double g, double* k, size_t ldk, double* sq) {
+  typedef typename LaneVec<W>::T V;
   const size_t padded = (n + kPanelRows - 1) / kPanelRows * kPanelRows;
   constexpr size_t kCols = kVecs * W;
   for (size_t i0 = 0; i0 < n; i0 += kRows) {
@@ -123,10 +152,23 @@ VUP_LANE_INLINE void RbfUpper(const double* panels, size_t n, size_t d,
     for (; j0 < padded; j0 += W) {
       DistanceBlock<W, kRows, 1>(panels, d, i0, j0, sq + j0, padded);
     }
+    // From the lane boundary at or below the diagonal (the entries left of
+    // it are overwritten by the mirror) to n; the last vector is stored
+    // only up to n, so the padding columns keep their zeros.
+    const double neg_g = -g;
     for (size_t i = i0; i < std::min(i0 + kRows, n); ++i) {
       const double* sq_i = sq + (i - i0) * padded;
       double* k_i = k + i * ldk;
-      for (size_t j = i; j < n; ++j) k_i[j] = std::exp(-g * sq_i[j]);
+      for (size_t j = i / W * W; j < n; j += W) {
+        const V arg = neg_g * LaneVec<W>::At(sq_i + j);
+        V e;
+        ExpBody(arg, e);
+        if (j + W <= n) {
+          LaneVec<W>::At(k_i + j) = e;
+        } else {
+          StoreFirstLanes<W>(k_i + j, e, n - j);
+        }
+      }
     }
   }
 }

@@ -47,8 +47,10 @@ Matrix KernelMatrix(const KernelParams& params, const Matrix& x,
                     size_t min_cols = 0);
 
 /// The kernel expansion bias + sum over s of beta[s] * k(sv_s, x), added
-/// in support-vector order: an SVR's prediction. `support` holds the
-/// beta.size() support vectors row-major, x.size() doubles each.
+/// in support-vector order: an SVR's prediction. Each k is bitwise
+/// KernelFunction(params, sv_s, x); RBF terms take their exp on the lane
+/// path. `support` holds the beta.size() support vectors row-major,
+/// x.size() doubles each.
 double KernelExpansion(const KernelParams& params,
                        std::span<const double> support,
                        std::span<const double> beta, double bias,

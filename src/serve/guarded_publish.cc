@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
 #include <system_error>
 
 #include "common/random.h"
@@ -28,10 +29,20 @@ std::string ErrnoMessage(const char* what, const std::string& path) {
   return std::string(what) + " " + path + ": " + reason;
 }
 
+/// Serializes every pointer flip in this process: PromoteGeneration's and
+/// RollbackGeneration's read-check-write of the journal and CURRENT, and a
+/// lone WriteRollbackJournal. Two publishers promoting at once would
+/// otherwise share InstallLink's fixed temp name, and could leave the
+/// journal naming one generation and CURRENT the other. Flips are rare (a
+/// publish a night), so one lock for all registries costs nothing.
+/// Promotes from several processes are not supported (DESIGN.md §13).
+std::mutex pointer_mutex;
+
 /// Points root/`name` at `target`: a fresh `name`.tmp link renamed over the
 /// old one. A symlink this short keeps its target in the inode, so the
 /// rename installs the old pointer or the new one, never an empty file, and
-/// ext4 does not flush data ahead of it as it does for a regular file.
+/// ext4 does not flush data ahead of it as it does for a regular file. The
+/// caller holds pointer_mutex, which makes the fixed temp name safe.
 Status InstallLink(const std::string& root, const char* name,
                    const std::string& target) {
   const std::string path = root + "/" + name;
@@ -75,6 +86,16 @@ Status ValidateJournal(const RollbackJournal& journal) {
       ModelRegistry::ParseGenerationName(journal.promoted).status());
   if (journal.previous.empty()) return Status::OK();
   return ModelRegistry::ParseGenerationName(journal.previous).status();
+}
+
+/// WriteRollbackJournal; the caller holds pointer_mutex.
+Status WriteJournalLocked(const std::string& root,
+                          const RollbackJournal& journal) {
+  VUP_RETURN_IF_ERROR(ValidateJournal(journal));
+  return InstallLink(
+      root, kRollbackJournalFileName,
+      journal.promoted + " " +
+          (journal.previous.empty() ? kNonePrevious : journal.previous));
 }
 
 }  // namespace
@@ -127,16 +148,14 @@ StatusOr<RollbackJournal> ReadRollbackJournal(const std::string& root) {
 
 Status WriteRollbackJournal(const std::string& root,
                             const RollbackJournal& journal) {
-  VUP_RETURN_IF_ERROR(ValidateJournal(journal));
-  return InstallLink(
-      root, kRollbackJournalFileName,
-      journal.promoted + " " +
-          (journal.previous.empty() ? kNonePrevious : journal.previous));
+  std::lock_guard<std::mutex> lock(pointer_mutex);
+  return WriteJournalLocked(root, journal);
 }
 
 Status PromoteGeneration(const std::string& root,
                          const std::string& generation) {
   VUP_RETURN_IF_ERROR(VerifyGenerationComplete(root, generation).status());
+  std::lock_guard<std::mutex> lock(pointer_mutex);
   StatusOr<std::string> current = ReadCurrentPointer(root);
   if (!current.ok() && current.status().code() != StatusCode::kNotFound) {
     return current.status();
@@ -147,12 +166,13 @@ Status PromoteGeneration(const std::string& root,
   // CURRENT on the old complete generation and a journal that merely
   // announces a promotion that never happened -- RollbackGeneration
   // detects the mismatch and refuses, readers are unaffected.
-  VUP_RETURN_IF_ERROR(WriteRollbackJournal(
-      root, RollbackJournal{generation, previous}));
+  VUP_RETURN_IF_ERROR(
+      WriteJournalLocked(root, RollbackJournal{generation, previous}));
   return InstallLink(root, kCurrentFileName, generation);
 }
 
 StatusOr<std::string> RollbackGeneration(const std::string& root) {
+  std::lock_guard<std::mutex> lock(pointer_mutex);
   VUP_ASSIGN_OR_RETURN(RollbackJournal journal, ReadRollbackJournal(root));
   VUP_ASSIGN_OR_RETURN(std::string current, ReadCurrentPointer(root));
   if (current != journal.promoted) {

@@ -144,6 +144,142 @@ TEST(KernelTest, MatrixIsBitwiseKernelFunction) {
   }
 }
 
+/// Arguments for the exp checks: `dense` uniform draws from each of the
+/// RBF kernel's range [-50, 0], the subnormal band [-745.2, -708.3] and the
+/// whole finite range, then the edges: +-0, both infinities, NaNs, the
+/// overflow and underflow thresholds and far beyond them. The count is
+/// not a multiple of any lane width.
+std::vector<double> ExpArguments(size_t dense) {
+  std::vector<double> args;
+  Rng rng(23);
+  for (size_t i = 0; i < dense; ++i) {
+    args.push_back(rng.Uniform(-50.0, 0.0));
+    args.push_back(rng.Uniform(-745.2, -708.3));
+    args.push_back(rng.Uniform(-746.0, 710.0));
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double edge :
+       {0.0, -0.0, inf, -inf, nan, -nan, 709.782712893384,
+        709.7827128933841, 710.0, 1e3, 1e300, -745.1332191019411,
+        -745.1332191019412, -745.2, -746.0, -1e300, 0x1p-1074, -0x1p-1074,
+        -708.3964185322641, 0.34657359027997264, -0.34657359027997264}) {
+    args.push_back(edge);
+  }
+  args.push_back(1.0);
+  return args;
+}
+
+TEST(ExpTest, LanesMatchScalarOnEveryPath) {
+  const std::vector<double> args = ExpArguments(20000);
+  std::vector<double> expected(args.size());
+  for (size_t i = 0; i < args.size(); ++i) expected[i] = Exp(args[i]);
+  for (LaneIsa isa : SupportedLaneIsas()) {
+    ScopedLaneIsa scoped(isa);
+    SCOPED_TRACE(std::string(LaneIsaName(isa)));
+    // Every prefix length up to 17 reaches each partial last vector.
+    for (size_t len : {args.size(), size_t{1}, size_t{2}, size_t{3},
+                       size_t{5}, size_t{7}, size_t{9}, size_t{17}}) {
+      std::vector<double> actual(args.begin(), args.begin() + len);
+      ExpLanes(actual, actual);  // In place.
+      EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                            len * sizeof(double)),
+                0)
+          << "len=" << len;
+    }
+  }
+}
+
+TEST(ExpTest, EdgesAreExact) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Exp(0.0), 1.0);
+  EXPECT_EQ(Exp(-0.0), 1.0);
+  EXPECT_EQ(Exp(-inf), 0.0);
+  EXPECT_FALSE(std::signbit(Exp(-inf)));
+  EXPECT_EQ(Exp(-746.0), 0.0);
+  EXPECT_EQ(Exp(-1e300), 0.0);
+  EXPECT_EQ(Exp(inf), inf);
+  EXPECT_EQ(Exp(709.7827128933841), inf);
+  EXPECT_EQ(Exp(1e300), inf);
+  EXPECT_TRUE(std::isfinite(Exp(709.782712893384)));  // Just below.
+  EXPECT_EQ(Exp(-745.1332191019411), 0x1p-1074);  // The least subnormal.
+  EXPECT_TRUE(std::isnan(Exp(std::numeric_limits<double>::quiet_NaN())));
+}
+
+TEST(ExpTest, WithinOneUlpOfExpl) {
+  // The error against the long double expl, in units of the spacing of
+  // doubles at the exact result (2^-1074 below 2^-1022).
+  const std::vector<double> args = ExpArguments(350000);
+  double worst = 0.0;
+  double worst_arg = 0.0;
+  size_t checked = 0;
+  for (double x : args) {
+    if (std::isnan(x)) continue;
+    const long double exact = std::exp(static_cast<long double>(x));
+    const double y = Exp(x);
+    if (exact > std::numeric_limits<double>::max()) {
+      EXPECT_EQ(y, std::numeric_limits<double>::infinity()) << x;
+      continue;
+    }
+    int e = 0;
+    std::frexp(exact, &e);  // exact = m * 2^e, m in [0.5, 1).
+    const long double ulp = std::ldexp(1.0L, std::max(e - 53, -1074));
+    const double err =
+        static_cast<double>(std::fabs(static_cast<long double>(y) - exact) /
+                            ulp);
+    if (err > worst) {
+      worst = err;
+      worst_arg = x;
+    }
+    ++checked;
+  }
+  EXPECT_GE(checked, 1000000u);
+  EXPECT_LE(worst, 1.0) << "at x = " << worst_arg;
+}
+
+TEST(KernelTest, ExpansionIsIndexOrderedKernelFunctionSum) {
+  // KernelExpansion runs the lane exp over chunks of support vectors; its
+  // value must still be the scalar sum, term by term in index order, on
+  // every path. 600 support vectors cross any chunk of the stack buffer.
+  KernelParams rbf_auto;
+  KernelParams rbf;
+  rbf.gamma = 0.37;
+  KernelParams poly;
+  poly.type = KernelType::kPolynomial;
+  poly.gamma = 0.5;
+  poly.coef0 = 1.0;
+  for (LaneIsa isa : SupportedLaneIsas()) {
+    ScopedLaneIsa scoped(isa);
+    SCOPED_TRACE(std::string(LaneIsaName(isa)));
+    Rng rng(29);
+    for (size_t m : {1, 7, 8, 9, 127, 600}) {
+      for (size_t d : {1, 3, 89}) {
+        std::vector<double> support(m * d);
+        std::vector<double> beta(m);
+        std::vector<double> x(d);
+        for (double& v : support) v = rng.Normal();
+        for (double& v : beta) v = rng.Normal();
+        for (double& v : x) v = rng.Normal();
+        for (const KernelParams& params : {rbf_auto, rbf, poly}) {
+          double expected = 0.25;
+          for (size_t s = 0; s < m; ++s) {
+            expected += beta[s] * KernelFunction(
+                                      params,
+                                      std::span<const double>(support).subspan(
+                                          s * d, d),
+                                      x);
+          }
+          const double actual =
+              KernelExpansion(params, support, beta, 0.25, x);
+          EXPECT_EQ(std::memcmp(&expected, &actual, sizeof(double)), 0)
+              << KernelTypeToString(params.type) << " gamma=" << params.gamma
+              << " m=" << m << " d=" << d;
+        }
+      }
+    }
+  }
+}
+
 /// The KKT gap of `svr`'s last fit recomputed from scratch: f = K beta - y
 /// from the returned dual vector, not the solver's running f.
 double RecomputedGap(const Svr& svr, const Matrix& x,

@@ -971,6 +971,46 @@ TEST_F(ModelRegistryGenerationTest, RacingPublishersReserveDistinctNumbers) {
   EXPECT_TRUE(NoStagingLeft(registry.directory()));
 }
 
+TEST_F(ModelRegistryGenerationTest, RacingPublishersPromoteConsistently) {
+  ModelRegistry registry = OpenRegistry(4);
+  const VehicleForecaster forecaster = TrainForecaster(MakeDataset(7));
+  // Each round, two finalized generations are promoted together. Both
+  // promotes must succeed, and the journal must name the generation CURRENT
+  // ends on: two flips sharing a temp link would fail, or leave the journal
+  // on one generation and CURRENT on the other.
+  for (int round = 0; round < 200; ++round) {
+    std::optional<GenerationPublisher> publishers[2];
+    for (int t = 0; t < 2; ++t) {
+      StatusOr<GenerationPublisher> pub = registry.NewGeneration();
+      ASSERT_TRUE(pub.ok()) << pub.status().ToString();
+      ASSERT_TRUE(pub.value().Add(2 * round + t + 1, forecaster).ok());
+      ASSERT_TRUE(pub.value().Finalize(TestMeta(t)).ok());
+      publishers[t].emplace(std::move(pub.value()));
+    }
+    std::latch start(2);
+    Status statuses[2];
+    auto promote = [&](int t) {
+      start.arrive_and_wait();
+      statuses[t] = publishers[t]->Promote();
+    };
+    std::thread first(promote, 0);
+    std::thread second(promote, 1);
+    first.join();
+    second.join();
+    for (int t = 0; t < 2; ++t) {
+      ASSERT_TRUE(statuses[t].ok())
+          << "round " << round << ": " << statuses[t].ToString();
+    }
+    StatusOr<std::string> current = ReadCurrentPointer(registry.directory());
+    ASSERT_TRUE(current.ok()) << current.status().ToString();
+    StatusOr<RollbackJournal> journal =
+        ReadRollbackJournal(registry.directory());
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    ASSERT_EQ(journal.value().promoted, current.value()) << "round " << round;
+    ASSERT_TRUE(registry.PruneGenerations(0).ok());
+  }
+}
+
 // ---- Sealed manifests -----------------------------------------------------
 
 /// The MANIFEST a committed generation holds and the one a full read-back

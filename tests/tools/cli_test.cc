@@ -382,9 +382,10 @@ TEST(CliTest, ClusterBenchSmokeProvesDeterminismAndColdStart) {
         "per_vehicle_pe", "per_cluster_pe", "global_pe",
         "per_cluster_vs_vehicle_ratio", "cold_start_vehicle",
         "cold_start_fallback_cluster_total"}) {
-    EXPECT_NE(json.find("\"" + std::string(field) + "\""),
-              std::string::npos)
-        << field;
+    std::string needle = "\"";
+    needle += field;
+    needle += '"';
+    EXPECT_NE(json.find(needle), std::string::npos) << field;
   }
 }
 
