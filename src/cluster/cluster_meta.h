@@ -51,7 +51,7 @@ struct VehicleAssignment {
 struct ClustersMeta {
   uint64_t seed = 42;       // Clustering seed (k-means++ init).
   size_t acf_lags = 14;     // ProfileConfig the profiles were built with.
-  double inertia = 0.0;     // Final k-means inertia (elbow evidence).
+  double inertia = 0.0;     // Final k-means inertia.
   ProfileScaling scaling;   // Column standardization of the profiles.
   std::vector<std::vector<double>> centroids;  // k x dim, standardized.
   std::vector<VehicleAssignment> vehicles;     // Ascending vehicle_id.

@@ -162,19 +162,4 @@ StatusOr<KMeansResult> KMeans(const std::vector<std::vector<double>>& points,
   return result;
 }
 
-StatusOr<std::vector<ElbowPoint>> ElbowSweep(
-    const std::vector<std::vector<double>>& points, size_t max_k,
-    const KMeansConfig& base_config) {
-  if (max_k == 0) return Status::InvalidArgument("max_k must be >= 1");
-  std::vector<ElbowPoint> curve;
-  const size_t cap = std::min(max_k, points.size());
-  for (size_t k = 1; k <= cap; ++k) {
-    KMeansConfig config = base_config;
-    config.k = k;
-    VUP_ASSIGN_OR_RETURN(KMeansResult result, KMeans(points, config));
-    curve.push_back({k, result.inertia});
-  }
-  return curve;
-}
-
 }  // namespace vup::cluster

@@ -43,18 +43,6 @@ struct KMeansResult {
 StatusOr<KMeansResult> KMeans(const std::vector<std::vector<double>>& points,
                               const KMeansConfig& config);
 
-/// One elbow-report row: the inertia reached at a given k.
-struct ElbowPoint {
-  size_t k = 0;
-  double inertia = 0.0;
-};
-
-/// Runs KMeans for each k in [1, max_k] (capped at points.size()) with the
-/// same seed and returns the inertia curve, the input of the elbow choice.
-StatusOr<std::vector<ElbowPoint>> ElbowSweep(
-    const std::vector<std::vector<double>>& points, size_t max_k,
-    const KMeansConfig& base_config);
-
 }  // namespace vup::cluster
 
 #endif  // VUPRED_CLUSTER_KMEANS_H_

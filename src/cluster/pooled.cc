@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 
+#include "common/string_util.h"
 #include "ml/metrics.h"
 #include "obs/trace.h"
 
@@ -42,7 +43,6 @@ double MedianOf(std::vector<double> values) {
 
 void FinishReport(HierarchyLevelReport* report) {
   report->vehicles = report->per_vehicle_pe.size();
-  if (report->vehicles == 0) return;
   double sum = 0.0;
   for (double pe : report->per_vehicle_pe) sum += pe;
   report->mean_pe = sum / static_cast<double>(report->vehicles);
@@ -59,9 +59,8 @@ StatusOr<ClustersMeta> BuildFleetClustering(
     return Status::InvalidArgument("no datasets to cluster");
   }
 
-  // Profiles in ascending vehicle_id order: extraction is a pure function
-  // per vehicle, so any parallel extraction that folds back in this order
-  // yields byte-identical meta.
+  // Profiles in ascending vehicle_id order, so the meta does not depend on
+  // the order of `datasets`.
   std::vector<const VehicleDataset*> ordered;
   ordered.reserve(datasets.size());
   for (const VehicleDataset& ds : datasets) ordered.push_back(&ds);
@@ -83,21 +82,6 @@ StatusOr<ClustersMeta> BuildFleetClustering(
       VUP_ASSIGN_OR_RETURN(UsageProfile profile,
                            ExtractProfile(*ds, profile_config));
       profiles.push_back(std::move(profile));
-    }
-  }
-  return ClusterProfiles(profiles, profile_config, kmeans_config);
-}
-
-StatusOr<ClustersMeta> ClusterProfiles(
-    const std::vector<UsageProfile>& profiles,
-    const ProfileConfig& profile_config, const KMeansConfig& kmeans_config) {
-  if (profiles.empty()) {
-    return Status::InvalidArgument("no profiles to cluster");
-  }
-  for (size_t i = 1; i < profiles.size(); ++i) {
-    if (profiles[i].vehicle_id <= profiles[i - 1].vehicle_id) {
-      return Status::InvalidArgument(
-          "profiles must be strictly ascending by vehicle_id");
     }
   }
 
@@ -130,27 +114,6 @@ StatusOr<ClustersMeta> ClusterProfiles(
     meta.vehicles.push_back(v);
   }
   return meta;
-}
-
-StatusOr<std::vector<ElbowPoint>> FleetElbowSweep(
-    const std::vector<VehicleDataset>& datasets,
-    const ProfileConfig& profile_config, const KMeansConfig& kmeans_config,
-    size_t max_k) {
-  std::vector<UsageProfile> profiles;
-  profiles.reserve(datasets.size());
-  for (const VehicleDataset& ds : datasets) {
-    VUP_ASSIGN_OR_RETURN(UsageProfile profile,
-                         ExtractProfile(ds, profile_config));
-    profiles.push_back(std::move(profile));
-  }
-  VUP_ASSIGN_OR_RETURN(ProfileScaling scaling, ProfileScaling::Fit(profiles));
-  std::vector<std::vector<double>> points;
-  points.reserve(profiles.size());
-  for (const UsageProfile& p : profiles) {
-    VUP_ASSIGN_OR_RETURN(std::vector<double> point, scaling.Apply(p));
-    points.push_back(std::move(point));
-  }
-  return ElbowSweep(points, max_k, kmeans_config);
 }
 
 StatusOr<std::vector<PooledModel>> TrainPooledHierarchy(
@@ -255,6 +218,11 @@ StatusOr<HierarchyEvaluation> EvaluateHierarchy(
     eval.per_vehicle.per_vehicle_pe.push_back(pe_own);
     eval.per_cluster.per_vehicle_pe.push_back(pe_cluster);
     eval.global.per_vehicle_pe.push_back(pe_global);
+  }
+  if (eval.per_vehicle.per_vehicle_pe.empty()) {
+    return Status::FailedPrecondition(StrFormat(
+        "no vehicle was evaluable under the holdout schedule (%zu skipped)",
+        eval.vehicles_skipped));
   }
   FinishReport(&eval.per_vehicle);
   FinishReport(&eval.per_cluster);

@@ -18,25 +18,10 @@ namespace vup::cluster {
 /// Extracts profiles, standardizes them, runs seeded k-means and returns
 /// the persistable ClustersMeta. Vehicles are recorded in ascending
 /// vehicle_id order; everything is deterministic in (datasets, configs),
-/// independent of extraction parallelism.
+/// independent of the order of `datasets`.
 StatusOr<ClustersMeta> BuildFleetClustering(
     const std::vector<VehicleDataset>& datasets,
     const ProfileConfig& profile_config, const KMeansConfig& kmeans_config);
-
-/// Clusters already-extracted profiles (strictly ascending vehicle_id):
-/// standardize, seeded k-means, assemble the meta. BuildFleetClustering is
-/// exactly sorted extraction + ClusterProfiles, so a caller that extracts
-/// profiles in parallel and folds them back in vehicle_id order gets
-/// byte-identical meta.
-StatusOr<ClustersMeta> ClusterProfiles(
-    const std::vector<UsageProfile>& profiles,
-    const ProfileConfig& profile_config, const KMeansConfig& kmeans_config);
-
-/// Inertia curve over k = 1..max_k for the same profiles (elbow report).
-StatusOr<std::vector<ElbowPoint>> FleetElbowSweep(
-    const std::vector<VehicleDataset>& datasets,
-    const ProfileConfig& profile_config, const KMeansConfig& kmeans_config,
-    size_t max_k);
 
 /// Pooled-training schedule shared by every hierarchy level, so the
 /// per-vehicle / per-cluster / global comparison is apples to apples:
@@ -84,6 +69,8 @@ struct HierarchyEvaluation {
   size_t vehicles_skipped = 0;  // Too short for the schedule.
 };
 
+/// FailedPrecondition when no vehicle is evaluable under the schedule: a
+/// report over zero vehicles has no PE to give.
 StatusOr<HierarchyEvaluation> EvaluateHierarchy(
     const std::vector<VehicleDataset>& datasets, const ClustersMeta& meta,
     const PooledTrainingOptions& options);

@@ -31,6 +31,14 @@ std::string_view AlgorithmToString(Algorithm a) {
   return "?";
 }
 
+StatusOr<Algorithm> AlgorithmFromString(std::string_view name) {
+  for (int a = 0; a < kNumAlgorithms; ++a) {
+    const auto algorithm = static_cast<Algorithm>(a);
+    if (AlgorithmToString(algorithm) == name) return algorithm;
+  }
+  return Status::InvalidArgument("unknown algorithm: " + std::string(name));
+}
+
 StatusOr<std::unique_ptr<Regressor>> MakeRegressor(
     const ForecasterConfig& config) {
   switch (config.algorithm) {
@@ -471,16 +479,7 @@ StatusOr<VehicleForecaster> VehicleForecaster::Load(std::istream& is) {
   if (alg.size() != 1) {
     return Status::InvalidArgument("malformed algorithm line");
   }
-  bool found = false;
-  for (int a = 0; a < kNumAlgorithms; ++a) {
-    if (AlgorithmToString(static_cast<Algorithm>(a)) == alg[0]) {
-      config.algorithm = static_cast<Algorithm>(a);
-      found = true;
-    }
-  }
-  if (!found) {
-    return Status::InvalidArgument("unknown algorithm: " + alg[0]);
-  }
+  VUP_ASSIGN_OR_RETURN(config.algorithm, AlgorithmFromString(alg[0]));
 
   // Untrusted stream: bound the structural sizes before they drive any
   // allocation (MakeWindowColumns reserves lookback_w * feature columns).

@@ -36,6 +36,9 @@ inline constexpr int kNumAlgorithms = 6;
 
 std::string_view AlgorithmToString(Algorithm a);
 
+/// Inverse of AlgorithmToString; InvalidArgument for any other name.
+StatusOr<Algorithm> AlgorithmFromString(std::string_view name);
+
 /// Per-vehicle forecaster configuration: algorithm plus the methodology
 /// knobs (lookback window, ACF feature selection, scaling).
 struct ForecasterConfig {

@@ -55,19 +55,6 @@ int SkewDays(Rng* rng, int max_skew_days) {
   return rng->Bernoulli(0.5) ? magnitude : -magnitude;
 }
 
-void CorruptReportField(AggregatedReport* r, Rng* rng) {
-  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  switch (rng->UniformInt(0, 5)) {
-    case 0: r->engine_on_fraction = kNan; break;
-    case 1: r->avg_engine_rpm = kInf; break;
-    case 2: r->engine_on_fraction = 7.5; break;      // > 1 slot of use.
-    case 3: r->avg_coolant_temp_c = -999.0; break;   // Sensor floor glitch.
-    case 4: r->fuel_level_pct = 250.0; break;        // > 100 %.
-    default: r->avg_speed_kmh = -50.0; break;
-  }
-}
-
 void CorruptDailyField(DailyUsageRecord* r, Rng* rng) {
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -164,108 +151,15 @@ FaultProfile FaultProfile::Severe() {
 
 std::string FaultInjectionStats::ToString() const {
   return StrFormat(
-      "in=%zu out=%zu day_gaps=%zu slot_drops=%zu partial_days=%zu "
-      "duplicates=%zu reordered=%zu skewed=%zu corrupted=%zu",
-      records_in, records_out, days_dropped, slots_dropped, partial_days,
+      "in=%zu out=%zu day_gaps=%zu partial_days=%zu duplicates=%zu "
+      "reordered=%zu skewed=%zu corrupted=%zu",
+      records_in, records_out, days_dropped, partial_days,
       duplicates_injected, reports_reordered, dates_skewed,
       fields_corrupted);
 }
 
 FaultInjector::FaultInjector(FaultProfile profile, uint64_t seed)
     : profile_(profile), seed_(seed) {}
-
-std::vector<AggregatedReport> FaultInjector::CorruptReports(
-    std::vector<AggregatedReport> reports, uint64_t stream_tag,
-    FaultInjectionStats* stats) const {
-  FaultInjectionStats local;
-  FaultInjectionStats* st = stats != nullptr ? stats : &local;
-  *st = FaultInjectionStats{};
-  st->records_in = reports.size();
-
-  const uint64_t stream_seed = StreamSeed(seed_, stream_tag);
-  Rng base(stream_seed);
-
-  // Whole-day gaps and slot drops.
-  {
-    Rng rng = base.Fork(kStageSlotDrop);
-    std::vector<AggregatedReport> kept;
-    kept.reserve(reports.size());
-    int32_t last_dropped_day = std::numeric_limits<int32_t>::min();
-    for (AggregatedReport& r : reports) {
-      // One slot-drop draw per input report keeps the stream deterministic
-      // regardless of day-gap decisions.
-      bool slot_dropped = rng.Bernoulli(profile_.slot_drop_prob);
-      int32_t day = r.date.day_number();
-      if (DayDropped(stream_seed, profile_.day_gap_prob, day)) {
-        if (day != last_dropped_day) {
-          ++st->days_dropped;
-          last_dropped_day = day;
-        }
-        continue;
-      }
-      if (slot_dropped) {
-        ++st->slots_dropped;
-        continue;
-      }
-      kept.push_back(std::move(r));
-    }
-    reports = std::move(kept);
-  }
-
-  // Clock skew.
-  {
-    Rng rng = base.Fork(kStageSkew);
-    for (AggregatedReport& r : reports) {
-      if (!rng.Bernoulli(profile_.clock_skew_prob)) continue;
-      r.date = r.date.AddDays(SkewDays(&rng, profile_.max_skew_days));
-      ++st->dates_skewed;
-    }
-  }
-
-  // Field corruption.
-  {
-    Rng rng = base.Fork(kStageCorrupt);
-    for (AggregatedReport& r : reports) {
-      if (!rng.Bernoulli(profile_.field_corrupt_prob)) continue;
-      CorruptReportField(&r, &rng);
-      ++st->fields_corrupted;
-    }
-  }
-
-  // Duplicate storms (re-delivery after connectivity recovery).
-  if (profile_.duplicate_prob > 0.0) {
-    Rng rng = base.Fork(kStageDuplicate);
-    std::vector<AggregatedReport> out;
-    out.reserve(reports.size());
-    for (const AggregatedReport& r : reports) {
-      out.push_back(r);
-      if (!rng.Bernoulli(profile_.duplicate_prob)) continue;
-      int copies = static_cast<int>(
-          rng.UniformInt(1, std::max(1, profile_.max_duplicates)));
-      for (int c = 0; c < copies; ++c) out.push_back(r);
-      st->duplicates_injected += static_cast<size_t>(copies);
-    }
-    reports = std::move(out);
-  }
-
-  // Out-of-order delivery.
-  if (profile_.reorder_prob > 0.0 && reports.size() > 1) {
-    Rng rng = base.Fork(kStageReorder);
-    for (size_t i = 0; i < reports.size(); ++i) {
-      if (!rng.Bernoulli(profile_.reorder_prob)) continue;
-      size_t j = std::min(
-          reports.size() - 1,
-          i + static_cast<size_t>(rng.UniformInt(
-                  1, std::max(1, profile_.max_reorder_distance))));
-      if (j == i) continue;
-      std::swap(reports[i], reports[j]);
-      ++st->reports_reordered;
-    }
-  }
-
-  st->records_out = reports.size();
-  return reports;
-}
 
 std::vector<DailyUsageRecord> FaultInjector::CorruptDaily(
     std::vector<DailyUsageRecord> days, uint64_t stream_tag,

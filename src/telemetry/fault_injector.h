@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/statusor.h"
-#include "telemetry/report.h"
 #include "telemetry/usage_model.h"
 
 namespace vup {
@@ -19,9 +18,8 @@ namespace vup {
 /// class is independently configurable.
 struct FaultProfile {
   // ---- Data-stream corruption -------------------------------------------
-  /// P(drop) per 10-minute slot report. At daily granularity this becomes a
-  /// partial-day undercount: the day keeps a random fraction of its hours,
-  /// modeling lost slots within the day.
+  /// P(a day loses some of its 10-minute slot reports): a partial-day
+  /// undercount, the day keeps a random fraction of its hours.
   double slot_drop_prob = 0.0;
   /// P(the whole day's reports are lost) per calendar day.
   double day_gap_prob = 0.0;
@@ -86,7 +84,6 @@ struct FaultInjectionStats {
   size_t records_in = 0;
   size_t records_out = 0;
   size_t days_dropped = 0;        // Whole-day gaps.
-  size_t slots_dropped = 0;       // Report-level slot drops.
   size_t partial_days = 0;        // Daily-level undercounts (slot loss).
   size_t duplicates_injected = 0;
   size_t reports_reordered = 0;
@@ -119,7 +116,7 @@ struct FileCorruptionStats {
 };
 
 /// Deterministic telemetry fault-injection harness: transforms a clean
-/// report (or daily-record) stream into a corrupted one. Every decision is
+/// daily-record stream into a corrupted one. Every decision is
 /// derived from (seed, profile, stream_tag), so the same inputs always
 /// produce a byte-identical corrupted stream — chaos tests are exactly
 /// reproducible. The injector is stateless and const; it can be shared
@@ -128,14 +125,9 @@ class FaultInjector {
  public:
   FaultInjector(FaultProfile profile, uint64_t seed);
 
-  /// Corrupts a 10-minute report stream. `stream_tag` decorrelates streams
-  /// (use the vehicle id); the same tag always draws the same faults.
-  std::vector<AggregatedReport> CorruptReports(
-      std::vector<AggregatedReport> reports, uint64_t stream_tag,
-      FaultInjectionStats* stats = nullptr) const;
-
-  /// Corrupts a daily-record stream (the fast generation path) with the
-  /// same fault classes at daily granularity.
+  /// Corrupts a daily-record stream with the fault classes at daily
+  /// granularity. `stream_tag` decorrelates streams (use the vehicle id);
+  /// the same tag always draws the same faults.
   std::vector<DailyUsageRecord> CorruptDaily(
       std::vector<DailyUsageRecord> days, uint64_t stream_tag,
       FaultInjectionStats* stats = nullptr) const;

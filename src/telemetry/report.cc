@@ -1,7 +1,5 @@
 #include "telemetry/report.h"
 
-#include <cmath>
-
 #include "common/check.h"
 #include "common/string_util.h"
 #include "telemetry/signal.h"
@@ -21,58 +19,6 @@ std::string AggregatedReport::ToString() const {
       static_cast<long long>(vehicle_id), date.ToString().c_str(), slot,
       engine_on_fraction, avg_engine_rpm, avg_engine_load_pct,
       avg_fuel_rate_lph, fuel_level_pct, engine_hours_total);
-}
-
-std::string_view ReportPayloadIssueToString(ReportPayloadIssue issue) {
-  switch (issue) {
-    case ReportPayloadIssue::kNone: return "none";
-    case ReportPayloadIssue::kNonFinite: return "non_finite";
-    case ReportPayloadIssue::kOutOfRange: return "out_of_range";
-  }
-  return "unknown";
-}
-
-namespace {
-
-/// Physical plausibility windows per channel.
-constexpr double kMaxRpm = 8000.0;
-constexpr double kMaxLoadPct = 125.0;
-constexpr double kMaxFuelRateLph = 1000.0;
-constexpr double kMaxOilPressureKpa = 2000.0;
-constexpr double kMinTempC = -60.0;
-constexpr double kMaxTempC = 150.0;
-constexpr double kMaxSpeedKmh = 200.0;
-constexpr double kMaxEngineHours = 1e6;
-
-bool InRange(double v, double lo, double hi) { return v >= lo && v <= hi; }
-
-}  // namespace
-
-ReportPayloadIssue ValidateReportPayload(const AggregatedReport& r) {
-  const double fields[] = {r.engine_on_fraction, r.avg_engine_rpm,
-                           r.avg_engine_load_pct, r.avg_fuel_rate_lph,
-                           r.avg_oil_pressure_kpa, r.avg_coolant_temp_c,
-                           r.avg_speed_kmh, r.avg_hydraulic_temp_c,
-                           r.fuel_level_pct, r.engine_hours_total};
-  for (double v : fields) {
-    if (!std::isfinite(v)) return ReportPayloadIssue::kNonFinite;
-  }
-  if (r.dtc_count < 0 || r.sample_count < 0) {
-    return ReportPayloadIssue::kNonFinite;
-  }
-  if (!InRange(r.engine_on_fraction, 0.0, 1.0) ||
-      !InRange(r.avg_engine_rpm, 0.0, kMaxRpm) ||
-      !InRange(r.avg_engine_load_pct, 0.0, kMaxLoadPct) ||
-      !InRange(r.avg_fuel_rate_lph, 0.0, kMaxFuelRateLph) ||
-      !InRange(r.avg_oil_pressure_kpa, 0.0, kMaxOilPressureKpa) ||
-      !InRange(r.avg_coolant_temp_c, kMinTempC, kMaxTempC) ||
-      !InRange(r.avg_speed_kmh, 0.0, kMaxSpeedKmh) ||
-      !InRange(r.avg_hydraulic_temp_c, kMinTempC, kMaxTempC) ||
-      !InRange(r.fuel_level_pct, 0.0, 100.0) ||
-      !InRange(r.engine_hours_total, 0.0, kMaxEngineHours)) {
-    return ReportPayloadIssue::kOutOfRange;
-  }
-  return ReportPayloadIssue::kNone;
 }
 
 ReportAggregator::ReportAggregator(int64_t vehicle_id, Date date, int slot,

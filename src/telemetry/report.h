@@ -42,22 +42,6 @@ struct AggregatedReport {
   std::string ToString() const;
 };
 
-/// Payload-sanity classification of a report's measured fields. Grid
-/// fields (vehicle id, date, slot) are validated separately by consumers;
-/// this covers the sensor channels a corrupt device or uplink can poison.
-enum class ReportPayloadIssue {
-  kNone = 0,
-  kNonFinite = 1,    // A NaN/inf channel, or a negative count.
-  kOutOfRange = 2,   // Finite but outside the physical channel range.
-};
-
-std::string_view ReportPayloadIssueToString(ReportPayloadIssue issue);
-
-/// Checks every measured field against its physical range (engine_on in
-/// [0,1], fuel level in [0,100] %, coolant above -60 C, ...). Non-finite
-/// wins over out-of-range when both occur.
-ReportPayloadIssue ValidateReportPayload(const AggregatedReport& report);
-
 /// Streams per-slot aggregation of raw telemetry messages.
 ///
 /// Feed messages in timestamp order for one vehicle and one slot; Finalize

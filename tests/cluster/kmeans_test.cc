@@ -106,31 +106,5 @@ TEST(KMeansTest, RejectsInvalidInput) {
           .IsInvalidArgument());
 }
 
-TEST(ElbowSweepTest, CurveIsCompleteAndNonIncreasing) {
-  std::vector<std::vector<double>> points = TwoBlobs();
-  KMeansConfig config;
-  StatusOr<std::vector<ElbowPoint>> sweep = ElbowSweep(points, 4, config);
-  ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
-  ASSERT_EQ(sweep.value().size(), 4u);
-  for (size_t i = 0; i < sweep.value().size(); ++i) {
-    EXPECT_EQ(sweep.value()[i].k, i + 1);
-    EXPECT_TRUE(std::isfinite(sweep.value()[i].inertia));
-  }
-  // Inertia at the true structure (k=2) collapses relative to k=1.
-  EXPECT_LT(sweep.value()[1].inertia, 0.5 * sweep.value()[0].inertia);
-  for (size_t i = 1; i < sweep.value().size(); ++i) {
-    EXPECT_LE(sweep.value()[i].inertia,
-              sweep.value()[i - 1].inertia + 1e-9);
-  }
-}
-
-TEST(ElbowSweepTest, MaxKIsCappedAtPointCount) {
-  std::vector<std::vector<double>> points = {{0.0}, {4.0}};
-  KMeansConfig config;
-  StatusOr<std::vector<ElbowPoint>> sweep = ElbowSweep(points, 6, config);
-  ASSERT_TRUE(sweep.ok());
-  EXPECT_EQ(sweep.value().size(), 2u);
-}
-
 }  // namespace
 }  // namespace vup::cluster

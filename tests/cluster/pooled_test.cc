@@ -92,28 +92,6 @@ TEST(BuildFleetClusteringTest, SeparatesBehaviorsDeterministically) {
   EXPECT_EQ(reordered.value().Serialize(), meta.value().Serialize());
 }
 
-TEST(BuildFleetClusteringTest, MatchesClusterProfilesComposition) {
-  std::vector<VehicleDataset> fleet = MakeFleet();
-  ProfileConfig pconfig;
-  KMeansConfig kconfig;
-  kconfig.k = 2;
-
-  std::vector<UsageProfile> profiles;
-  for (const VehicleDataset& ds : fleet) {  // Already ascending by id.
-    StatusOr<UsageProfile> p = ExtractProfile(ds, pconfig);
-    ASSERT_TRUE(p.ok());
-    profiles.push_back(std::move(p.value()));
-  }
-  StatusOr<ClustersMeta> via_profiles =
-      ClusterProfiles(profiles, pconfig, kconfig);
-  StatusOr<ClustersMeta> via_datasets =
-      BuildFleetClustering(fleet, pconfig, kconfig);
-  ASSERT_TRUE(via_profiles.ok()) << via_profiles.status().ToString();
-  ASSERT_TRUE(via_datasets.ok());
-  EXPECT_EQ(via_profiles.value().Serialize(),
-            via_datasets.value().Serialize());
-}
-
 TEST(BuildFleetClusteringTest, RejectsBadInput) {
   ProfileConfig pconfig;
   KMeansConfig kconfig;
@@ -124,18 +102,6 @@ TEST(BuildFleetClusteringTest, RejectsBadInput) {
   std::vector<VehicleDataset> dup = {MakeDataset(1, 0, 3.0),
                                      MakeDataset(1, 0, 4.0)};
   EXPECT_TRUE(BuildFleetClustering(dup, pconfig, kconfig)
-                  .status()
-                  .IsInvalidArgument());
-
-  // ClusterProfiles demands strictly ascending vehicle ids.
-  std::vector<UsageProfile> unordered;
-  for (int64_t id : {2, 1}) {
-    StatusOr<UsageProfile> p =
-        ExtractProfile(MakeDataset(id, 0, 3.0), pconfig);
-    ASSERT_TRUE(p.ok());
-    unordered.push_back(std::move(p.value()));
-  }
-  EXPECT_TRUE(ClusterProfiles(unordered, pconfig, kconfig)
                   .status()
                   .IsInvalidArgument());
 }
@@ -239,17 +205,23 @@ TEST(EvaluateHierarchyTest, ReportsFinitePerLevelErrors) {
   }
 }
 
-TEST(FleetElbowSweepTest, CurveCoversRequestedRange) {
+TEST(EvaluateHierarchyTest, NoEvaluableVehicleIsAnError) {
   std::vector<VehicleDataset> fleet = MakeFleet();
   ProfileConfig pconfig;
   KMeansConfig kconfig;
-  StatusOr<std::vector<ElbowPoint>> sweep =
-      FleetElbowSweep(fleet, pconfig, kconfig, 4);
-  ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
-  ASSERT_EQ(sweep.value().size(), 4u);
-  EXPECT_EQ(sweep.value().front().k, 1u);
-  // The two-behavior fleet collapses most inertia by k=2.
-  EXPECT_LT(sweep.value()[1].inertia, sweep.value()[0].inertia);
+  kconfig.k = 2;
+  StatusOr<ClustersMeta> meta =
+      BuildFleetClustering(fleet, pconfig, kconfig);
+  ASSERT_TRUE(meta.ok());
+
+  // A holdout longer than every series leaves nothing to score: no PE
+  // exists, so there is no report to print as 0.00 %.
+  PooledTrainingOptions options;
+  options.forecaster = LassoConfig();
+  options.holdout_days = 500;
+  EXPECT_TRUE(EvaluateHierarchy(fleet, meta.value(), options)
+                  .status()
+                  .IsFailedPrecondition());
 }
 
 }  // namespace

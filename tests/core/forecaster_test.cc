@@ -37,6 +37,20 @@ TEST(AlgorithmTest, NamesStable) {
   EXPECT_EQ(AlgorithmToString(Algorithm::kGradientBoosting), "GB");
 }
 
+TEST(AlgorithmTest, FromStringInvertsToStringAndRejectsOthers) {
+  for (int a = 0; a < kNumAlgorithms; ++a) {
+    const auto algorithm = static_cast<Algorithm>(a);
+    StatusOr<Algorithm> parsed =
+        AlgorithmFromString(AlgorithmToString(algorithm));
+    ASSERT_TRUE(parsed.ok()) << AlgorithmToString(algorithm);
+    EXPECT_EQ(parsed.value(), algorithm);
+  }
+  for (const char* name : {"", "lasso", "Lasoo", "Bogus", "GB "}) {
+    EXPECT_TRUE(AlgorithmFromString(name).status().IsInvalidArgument())
+        << name;
+  }
+}
+
 TEST(MakeRegressorTest, BuildsMlAlgorithms) {
   ForecasterConfig cfg;
   for (Algorithm a : {Algorithm::kLinearRegression, Algorithm::kLasso,

@@ -131,6 +131,10 @@ TEST(HierarchyChaosTest, FallbackReadsRaceGenerationSwaps) {
   std::atomic<bool> done{false};
   std::atomic<size_t> bad_responses{0};
   std::atomic<size_t> reads{0};
+  // Readers that have completed one pass over both vehicles. The flips
+  // start only once every reader has, so they cannot all finish before
+  // any read happens.
+  std::atomic<int> started{0};
   auto is_legal = [](double prediction, const std::vector<double>& set) {
     for (double v : set) {
       if (prediction == v) return true;
@@ -138,10 +142,12 @@ TEST(HierarchyChaosTest, FallbackReadsRaceGenerationSwaps) {
     return false;
   };
 
+  constexpr int kReaders = 3;
   std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
-      while (!done.load(std::memory_order_acquire)) {
+      bool first_pass = true;
+      while (first_pass || !done.load(std::memory_order_acquire)) {
         for (int v = 1; v <= 2; ++v) {
           const VehicleDataset& ds = v == 1 ? ds1 : ds2;
           PredictionResponse resp =
@@ -154,8 +160,15 @@ TEST(HierarchyChaosTest, FallbackReadsRaceGenerationSwaps) {
           }
           reads.fetch_add(1, std::memory_order_relaxed);
         }
+        if (first_pass) {
+          first_pass = false;
+          started.fetch_add(1, std::memory_order_release);
+        }
       }
     });
+  }
+  while (started.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
   }
 
   // The swap loop: bounce the active generation between A and B.

@@ -1,7 +1,10 @@
 // Exhaustive ordering tests of the serving fallback chain
 // vehicle -> cluster -> type -> global -> (baseline | error), including
 // corrupt and breaker-open bundles at each level, with the served level
-// and the labeled fallback counters asserted for every hop.
+// and the labeled fallback counters asserted for every hop, and the whole
+// cold-start chain from a generated fleet to a served prediction.
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -12,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster_meta.h"
+#include "cluster/pooled.h"
+#include "core/experiment.h"
 #include "core/forecaster.h"
 #include "obs/metrics.h"
 #include "serve/model_registry.h"
@@ -345,6 +350,107 @@ TEST_F(HierarchyFallbackTest, CountersExportedAsLabeledFamily) {
       snapshot.Find("vupred_registry_fallback_total", {{"level", "type"}});
   ASSERT_NE(type_sample, nullptr);
   EXPECT_DOUBLE_EQ(type_sample->value, 0.0);
+}
+
+// The real cold-start chain, nothing hand-built: cluster a generated
+// fleet, train the pooled hierarchy without one vehicle, publish it with
+// the other vehicles' own bundles and clusters.meta, and serve the vehicle
+// the hierarchy has never trained on.
+TEST_F(HierarchyFallbackTest, ColdStartVehicleServedByItsOfflineClusterModel) {
+  const Fleet fleet = Fleet::Generate(FleetConfig::Small(8, 42));
+  std::vector<VehicleDataset> datasets;
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    StatusOr<VehicleDataset> ds = PrepareVehicleDataset(fleet, i);
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    datasets.push_back(std::move(ds.value()));
+  }
+  cluster::KMeansConfig kmeans_config;
+  kmeans_config.k = 2;
+  kmeans_config.seed = 42;
+  StatusOr<cluster::ClustersMeta> meta = cluster::BuildFleetClustering(
+      datasets, cluster::ProfileConfig(), kmeans_config);
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+
+  // The cold vehicle: the highest id whose cluster keeps a warm member.
+  std::map<int, size_t> cluster_sizes;
+  for (const cluster::VehicleAssignment& v : meta.value().vehicles) {
+    ++cluster_sizes[v.cluster_id];
+  }
+  int64_t cold_id = -1;
+  int cold_cluster = -1;
+  for (const cluster::VehicleAssignment& v : meta.value().vehicles) {
+    if (cluster_sizes[v.cluster_id] >= 2) {  // Ascending ids: last wins.
+      cold_id = v.vehicle_id;
+      cold_cluster = v.cluster_id;
+    }
+  }
+  ASSERT_GE(cold_id, 0) << "every cluster is a singleton";
+  const VehicleDataset* cold = nullptr;
+  std::vector<VehicleDataset> warm;
+  for (const VehicleDataset& ds : datasets) {
+    if (ds.info().vehicle_id == cold_id) {
+      cold = &ds;
+    } else {
+      warm.push_back(ds);
+    }
+  }
+  ASSERT_NE(cold, nullptr);
+
+  cluster::PooledTrainingOptions options;
+  options.forecaster.algorithm = Algorithm::kLasso;
+  options.forecaster.windowing.lookback_w = 21;
+  options.forecaster.selection.top_k = 7;
+  options.train_window = 60;
+  options.holdout_days = 0;  // Serving models train through the last day.
+  StatusOr<std::vector<cluster::PooledModel>> pooled =
+      cluster::TrainPooledHierarchy(warm, meta.value(), options);
+  ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+  const VehicleForecaster* offline = nullptr;
+  for (const cluster::PooledModel& model : pooled.value()) {
+    if (model.model_id == cluster::ClusterModelId(cold_cluster)) {
+      offline = &model.forecaster;
+    }
+  }
+  ASSERT_NE(offline, nullptr);
+
+  ModelRegistry registry = OpenRegistry();
+  StatusOr<GenerationPublisher> publisher = registry.NewGeneration();
+  ASSERT_TRUE(publisher.ok()) << publisher.status().ToString();
+  size_t warm_published = 0;
+  for (const VehicleDataset& ds : warm) {
+    const size_t n = ds.num_days();
+    VehicleForecaster own(options.forecaster);
+    if (n <= options.train_window ||
+        !own.Train(ds, n - options.train_window, n).ok()) {
+      continue;  // Too short: served by the hierarchy.
+    }
+    ASSERT_TRUE(publisher.value().Add(ds.info().vehicle_id, own).ok());
+    ++warm_published;
+  }
+  EXPECT_GT(warm_published, 0u);
+  for (const cluster::PooledModel& model : pooled.value()) {
+    ASSERT_TRUE(publisher.value().Add(model.model_id, model.forecaster).ok());
+  }
+  ASSERT_TRUE(cluster::WriteClustersMetaFile(publisher.value().staging_dir(),
+                                             meta.value())
+                  .ok());
+  ASSERT_TRUE(publisher.value().Commit(RegistryMeta()).ok());
+  ASSERT_TRUE(registry.Reload().ok());
+
+  PredictionService::Options opts;
+  opts.hierarchy = &meta.value();
+  PredictionService service(&registry, nullptr, opts);
+  PredictionResponse resp =
+      service.Predict(PredictionRequest(cold_id, cold, cold->num_days()));
+  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+  EXPECT_EQ(resp.level, ServedLevel::kCluster);
+  EXPECT_FALSE(resp.degraded);
+  EXPECT_EQ(service.fallback_counts().cluster, 1u);
+  // Bitwise: the served bundle is the offline cluster model itself.
+  StatusOr<double> expected = offline->PredictTarget(*cold, cold->num_days());
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(std::bit_cast<uint64_t>(resp.prediction),
+            std::bit_cast<uint64_t>(expected.value()));
 }
 
 TEST_F(HierarchyFallbackTest, ServedLevelNamesAreStable) {

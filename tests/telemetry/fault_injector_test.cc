@@ -5,7 +5,6 @@
 #include <fstream>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,30 +14,7 @@
 namespace vup {
 namespace {
 
-constexpr int kSlotsPerTestDay = 6;
-
 Date D0() { return Date::FromYmd(2017, 5, 1).value(); }
-
-/// A clean, regular stream: `days` days x kSlotsPerTestDay slots.
-std::vector<AggregatedReport> CleanReports(int days) {
-  std::vector<AggregatedReport> reports;
-  for (int d = 0; d < days; ++d) {
-    for (int s = 0; s < kSlotsPerTestDay; ++s) {
-      AggregatedReport r;
-      r.vehicle_id = 7;
-      r.date = D0().AddDays(d);
-      r.slot = s * 20;
-      r.engine_on_fraction = 0.5;
-      r.avg_engine_rpm = 1500.0;
-      r.avg_coolant_temp_c = 80.0;
-      r.fuel_level_pct = 60.0;
-      r.avg_speed_kmh = 12.0;
-      r.sample_count = 10;
-      reports.push_back(r);
-    }
-  }
-  return reports;
-}
 
 std::vector<DailyUsageRecord> CleanDaily(int days) {
   std::vector<DailyUsageRecord> out;
@@ -56,12 +32,6 @@ std::vector<DailyUsageRecord> CleanDaily(int days) {
   return out;
 }
 
-std::string Render(const std::vector<AggregatedReport>& reports) {
-  std::string out;
-  for (const AggregatedReport& r : reports) out += r.ToString() + "\n";
-  return out;
-}
-
 bool SameDaily(const DailyUsageRecord& a, const DailyUsageRecord& b) {
   auto eq = [](double x, double y) {
     return (std::isnan(x) && std::isnan(y)) || x == y;
@@ -72,6 +42,15 @@ bool SameDaily(const DailyUsageRecord& a, const DailyUsageRecord& b) {
          eq(a.avg_engine_rpm, b.avg_engine_rpm) &&
          eq(a.fuel_level_end_pct, b.fuel_level_end_pct) &&
          eq(a.distance_km, b.distance_km);
+}
+
+bool SameStream(const std::vector<DailyUsageRecord>& a,
+                const std::vector<DailyUsageRecord>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!SameDaily(a[i], b[i])) return false;
+  }
+  return true;
 }
 
 TEST(FaultProfileTest, FlagsAndFingerprint) {
@@ -88,51 +67,23 @@ TEST(FaultProfileTest, FlagsAndFingerprint) {
 
 TEST(FaultInjectorTest, NoFaultsIsIdentity) {
   FaultInjector injector(FaultProfile::None(), 1);
-  std::vector<AggregatedReport> in = CleanReports(5);
+  std::vector<DailyUsageRecord> in = CleanDaily(20);
   FaultInjectionStats stats;
-  std::vector<AggregatedReport> out = injector.CorruptReports(in, 7, &stats);
-  EXPECT_EQ(Render(out), Render(in));
+  EXPECT_TRUE(SameStream(injector.CorruptDaily(in, 7, &stats), in));
   EXPECT_EQ(stats.records_in, in.size());
   EXPECT_EQ(stats.records_out, in.size());
-  EXPECT_EQ(stats.days_dropped + stats.slots_dropped +
+  EXPECT_EQ(stats.days_dropped + stats.partial_days +
                 stats.duplicates_injected + stats.reports_reordered +
                 stats.dates_skewed + stats.fields_corrupted,
             0u);
 }
 
-TEST(FaultInjectorTest, SameSeedProducesByteIdenticalStream) {
-  FaultInjector a(FaultProfile::Severe(), 123);
-  FaultInjector b(FaultProfile::Severe(), 123);
-  std::vector<AggregatedReport> in = CleanReports(20);
-  FaultInjectionStats sa, sb;
-  std::string ra = Render(a.CorruptReports(in, 7, &sa));
-  std::string rb = Render(b.CorruptReports(in, 7, &sb));
-  EXPECT_EQ(ra, rb);
-  EXPECT_EQ(sa.ToString(), sb.ToString());
-  // And the injector itself is reusable: a second pass is identical too.
-  EXPECT_EQ(Render(a.CorruptReports(in, 7)), ra);
-}
-
 TEST(FaultInjectorTest, DifferentSeedOrTagDiverges) {
-  std::vector<AggregatedReport> in = CleanReports(20);
+  std::vector<DailyUsageRecord> in = CleanDaily(60);
   FaultInjector a(FaultProfile::Severe(), 123);
   FaultInjector c(FaultProfile::Severe(), 124);
-  EXPECT_NE(Render(a.CorruptReports(in, 7)),
-            Render(c.CorruptReports(in, 7)));
-  EXPECT_NE(Render(a.CorruptReports(in, 7)),
-            Render(a.CorruptReports(in, 8)));
-}
-
-TEST(FaultInjectorTest, FullSlotDropEmptiesStream) {
-  FaultProfile p;
-  p.slot_drop_prob = 1.0;
-  FaultInjector injector(p, 5);
-  std::vector<AggregatedReport> in = CleanReports(4);
-  FaultInjectionStats stats;
-  std::vector<AggregatedReport> out = injector.CorruptReports(in, 1, &stats);
-  EXPECT_TRUE(out.empty());
-  EXPECT_EQ(stats.slots_dropped, in.size());
-  EXPECT_EQ(stats.records_out, 0u);
+  EXPECT_FALSE(SameStream(a.CorruptDaily(in, 7), c.CorruptDaily(in, 7)));
+  EXPECT_FALSE(SameStream(a.CorruptDaily(in, 7), a.CorruptDaily(in, 8)));
 }
 
 TEST(FaultInjectorTest, DuplicateStormDoublesStream) {
@@ -140,14 +91,15 @@ TEST(FaultInjectorTest, DuplicateStormDoublesStream) {
   p.duplicate_prob = 1.0;
   p.max_duplicates = 1;
   FaultInjector injector(p, 5);
-  std::vector<AggregatedReport> in = CleanReports(4);
+  std::vector<DailyUsageRecord> in = CleanDaily(10);
   FaultInjectionStats stats;
-  std::vector<AggregatedReport> out = injector.CorruptReports(in, 1, &stats);
-  EXPECT_EQ(out.size(), 2 * in.size());
+  std::vector<DailyUsageRecord> out = injector.CorruptDaily(in, 1, &stats);
+  ASSERT_EQ(out.size(), 2 * in.size());
   EXPECT_EQ(stats.duplicates_injected, in.size());
   // Copies are adjacent to their originals (a re-delivery storm).
   for (size_t i = 0; i < out.size(); i += 2) {
-    EXPECT_EQ(out[i].ToString(), out[i + 1].ToString());
+    EXPECT_TRUE(SameDaily(out[i], in[i / 2])) << "record " << i;
+    EXPECT_TRUE(SameDaily(out[i + 1], in[i / 2])) << "record " << i + 1;
   }
 }
 
@@ -157,17 +109,16 @@ TEST(FaultInjectorTest, StatsReconcileWithStreamSize) {
   p.day_gap_prob = 0.15;
   p.duplicate_prob = 0.2;
   FaultInjector injector(p, 77);
-  std::vector<AggregatedReport> in = CleanReports(30);
+  std::vector<DailyUsageRecord> in = CleanDaily(60);
   FaultInjectionStats stats;
-  std::vector<AggregatedReport> out = injector.CorruptReports(in, 3, &stats);
-  // Every input day has exactly kSlotsPerTestDay reports, so the counters
-  // fully explain the output size.
-  EXPECT_EQ(stats.records_out,
-            stats.records_in - stats.days_dropped * kSlotsPerTestDay -
-                stats.slots_dropped + stats.duplicates_injected);
+  std::vector<DailyUsageRecord> out = injector.CorruptDaily(in, 3, &stats);
+  // Gaps remove whole days, partial days keep their record, and every
+  // duplicate adds one: the counters fully explain the output size.
+  EXPECT_EQ(stats.records_out, stats.records_in - stats.days_dropped +
+                                   stats.duplicates_injected);
   EXPECT_EQ(out.size(), stats.records_out);
   EXPECT_GT(stats.days_dropped, 0u);
-  EXPECT_GT(stats.slots_dropped, 0u);
+  EXPECT_GT(stats.partial_days, 0u);
   EXPECT_GT(stats.duplicates_injected, 0u);
 }
 
@@ -176,10 +127,10 @@ TEST(FaultInjectorTest, ClockSkewMovesCountedDates) {
   p.clock_skew_prob = 0.3;
   p.max_skew_days = 2;
   FaultInjector injector(p, 9);
-  std::vector<AggregatedReport> in = CleanReports(20);
+  std::vector<DailyUsageRecord> in = CleanDaily(40);
   FaultInjectionStats stats;
-  std::vector<AggregatedReport> out = injector.CorruptReports(in, 2, &stats);
-  ASSERT_EQ(out.size(), in.size());  // Skew never drops reports.
+  std::vector<DailyUsageRecord> out = injector.CorruptDaily(in, 2, &stats);
+  ASSERT_EQ(out.size(), in.size());  // Skew never drops records.
   size_t moved = 0;
   for (size_t i = 0; i < out.size(); ++i) {
     if (!(out[i].date == in[i].date)) {
@@ -195,17 +146,16 @@ TEST(FaultInjectorTest, FieldCorruptionProducesInvalidValues) {
   FaultProfile p;
   p.field_corrupt_prob = 1.0;
   FaultInjector injector(p, 11);
-  std::vector<AggregatedReport> in = CleanReports(10);
+  std::vector<DailyUsageRecord> in = CleanDaily(20);
   FaultInjectionStats stats;
-  std::vector<AggregatedReport> out = injector.CorruptReports(in, 4, &stats);
+  std::vector<DailyUsageRecord> out = injector.CorruptDaily(in, 4, &stats);
   EXPECT_EQ(stats.fields_corrupted, in.size());
-  for (const AggregatedReport& r : out) {
-    bool invalid =
-        !std::isfinite(r.engine_on_fraction) ||
-        !std::isfinite(r.avg_engine_rpm) || r.engine_on_fraction > 1.0 ||
-        r.avg_coolant_temp_c < -100.0 || r.fuel_level_pct > 100.0 ||
-        r.avg_speed_kmh < 0.0;
-    EXPECT_TRUE(invalid) << r.ToString();
+  for (const DailyUsageRecord& r : out) {
+    const bool invalid =
+        !std::isfinite(r.hours) || !std::isfinite(r.fuel_used_l) ||
+        !std::isfinite(r.avg_engine_rpm) || r.hours > 24.0 ||
+        r.avg_engine_load_pct > 100.0 || r.fuel_level_end_pct < 0.0;
+    EXPECT_TRUE(invalid) << r.date.ToString();
   }
 }
 
@@ -214,20 +164,16 @@ TEST(FaultInjectorTest, ReorderPermutesWithoutLoss) {
   p.reorder_prob = 0.5;
   p.max_reorder_distance = 6;
   FaultInjector injector(p, 13);
-  std::vector<AggregatedReport> in = CleanReports(10);
+  std::vector<DailyUsageRecord> in = CleanDaily(30);
   FaultInjectionStats stats;
-  std::vector<AggregatedReport> out = injector.CorruptReports(in, 6, &stats);
+  std::vector<DailyUsageRecord> out = injector.CorruptDaily(in, 6, &stats);
   ASSERT_EQ(out.size(), in.size());
   EXPECT_GT(stats.reports_reordered, 0u);
-  std::multiset<std::pair<int32_t, int>> before, after;
-  for (const AggregatedReport& r : in) {
-    before.insert({r.date.day_number(), r.slot});
-  }
-  for (const AggregatedReport& r : out) {
-    after.insert({r.date.day_number(), r.slot});
-  }
+  std::multiset<int32_t> before, after;
+  for (const DailyUsageRecord& r : in) before.insert(r.date.day_number());
+  for (const DailyUsageRecord& r : out) after.insert(r.date.day_number());
   EXPECT_EQ(before, after);
-  EXPECT_NE(Render(out), Render(in));
+  EXPECT_FALSE(SameStream(out, in));
 }
 
 TEST(FaultInjectorTest, CorruptDailyDeterministicAndCleanable) {

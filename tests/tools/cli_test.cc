@@ -161,7 +161,7 @@ int CliExitCode(const std::string& args) {
 TEST(CliTest, HelpExitsZeroForEveryCommand) {
   std::string dir = TempDir();
   for (const char* cmd : {"generate", "train", "predict", "evaluate",
-                          "fleet", "publish", "cluster-bench"}) {
+                          "fleet", "publish"}) {
     std::string out = dir + "/help.txt";
     EXPECT_EQ(RunCli(std::string(cmd) + " --help", out), 0) << cmd;
     EXPECT_NE(ReadFile(out).find("usage: vupred "), std::string::npos)
@@ -176,14 +176,91 @@ TEST(CliTest, UnknownFlagsExitWithCodeTwo) {
   EXPECT_EQ(CliExitCode("evaluate --data=x.csv stray-positional"), 2);
   EXPECT_EQ(CliExitCode("train"), 2);  // Missing required flags.
   EXPECT_EQ(CliExitCode("nosuchcommand"), 2);
-  // The training, publish and serving benchmarks live in perfbench/, and
-  // the wire ingest path is gone; their old CLI commands are unknown
-  // commands now.
-  for (const char* retired :
-       {"core-bench", "publish-bench", "serve-bench", "ingest-bench"}) {
+  // The training, publish and serving benchmarks live in perfbench/, the
+  // wire ingest path is gone, the cluster benchmark's checks are ctests
+  // and its PE report is `fleet --clusters`; their old CLI commands are
+  // unknown commands now.
+  for (const char* retired : {"core-bench", "publish-bench", "serve-bench",
+                              "ingest-bench", "cluster-bench"}) {
     EXPECT_EQ(CliExitCode(retired), 2) << retired;
     EXPECT_EQ(CliExitCode(std::string(retired) + " --help"), 2) << retired;
   }
+}
+
+TEST(CliTest, MalformedNumbersExitWithCodeTwo) {
+  // A value that does not parse is a usage error naming the flag, never a
+  // silent fall back to the default.
+  const std::string err = TempDir() + "/malformed.err";
+  int raw = RunCli("fleet --vehicles=7x 2> " + err);
+  ASSERT_TRUE(WIFEXITED(raw));
+  EXPECT_EQ(WEXITSTATUS(raw), 2);
+  EXPECT_NE(ReadFile(err).find("--vehicles=7x"), std::string::npos);
+  EXPECT_EQ(CliExitCode("fleet --max-vehicles=two"), 2);
+  EXPECT_EQ(CliExitCode("fleet --jobs="), 2);
+  EXPECT_EQ(CliExitCode("generate --out=/tmp --seed=4.5"), 2);
+  EXPECT_EQ(CliExitCode("evaluate --data=x.csv --eval-days=1e2"), 2);
+  const std::string dir = TempDir() + "/malformed_registry";
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(CliExitCode("publish --out=" + dir + " --canary-fraction=half"),
+            2);
+  EXPECT_EQ(CliExitCode("publish --out=" + dir + " --keep-generations=2g"),
+            2);
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+TEST(CliTest, UnknownNamesExitWithCodeTwo) {
+  // An unknown algorithm or scenario name must not run another one.
+  const std::string dir = TempDir() + "/unknown_names";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ASSERT_EQ(RunCli("generate --out=" + dir + " --vehicles=1 --seed=7",
+                   dir + "/generate.txt"),
+            0);
+  const std::string data = "--data=" + dir + "/vehicle_100000.csv --country=" +
+                           FirstCountry(dir + "/manifest.csv");
+  EXPECT_EQ(CliExitCode("evaluate " + data +
+                        " --algorithm=Lasso --scenario=typo --eval-days=10"),
+            2);
+  EXPECT_EQ(CliExitCode("evaluate " + data + " --algorithm=lasso"), 2);
+  EXPECT_EQ(CliExitCode("train " + data + " --out=" + dir +
+                        "/model.txt --algorithm=Bogus"),
+            2);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/model.txt"));
+  EXPECT_EQ(CliExitCode("fleet --algorithm=Lasoo --max-vehicles=2"), 2);
+  EXPECT_EQ(CliExitCode("publish --out=" + dir +
+                        "/reg --algorithm=Bogus --max-vehicles=2"),
+            2);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/reg"));
+}
+
+TEST(CliTest, BaselineAlgorithmsRejectedWherePooledOrSaved) {
+  // Baselines have no pooled fit and no state to save: --clusters, train
+  // and publish refuse them before doing any work.
+  EXPECT_EQ(CliExitCode("fleet --clusters=2 --algorithm=MA"), 2);
+  EXPECT_EQ(CliExitCode("fleet --clusters=2 --algorithm=LV"), 2);
+  const std::string dir = TempDir() + "/baseline_registry";
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(CliExitCode("train --data=x.csv --out=" + dir + ".txt" +
+                        " --algorithm=MA"),
+            2);
+  EXPECT_FALSE(std::filesystem::exists(dir + ".txt"));
+  EXPECT_EQ(CliExitCode("publish --out=" + dir +
+                        " --algorithm=LV --max-vehicles=2"),
+            2);
+  EXPECT_EQ(CliExitCode("publish --out=" + dir + " --algorithm=MA"), 2);
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+TEST(CliTest, FleetClustersWithNoEvaluableVehicleFails) {
+  // One-day holdouts that all fall on idle days leave no PE to report:
+  // an error, not a hierarchy line of 0.00 %.
+  const std::string out = TempDir() + "/fleet_clusters_empty.txt";
+  int raw = RunCli("fleet --clusters=1 --eval-days=1 --max-vehicles=3 "
+                   "2> /dev/null",
+                   out);
+  ASSERT_TRUE(WIFEXITED(raw));
+  EXPECT_EQ(WEXITSTATUS(raw), 1);
+  EXPECT_EQ(ReadFile(out).find("hierarchy k="), std::string::npos);
 }
 
 TEST(CliTest, NegativeSeedsExitWithCodeTwo) {
@@ -202,9 +279,6 @@ TEST(CliTest, NegativeSeedsExitWithCodeTwo) {
                         "/reg --vehicles=2 --max-vehicles=1 --seed=-1"),
             2);
   EXPECT_FALSE(std::filesystem::exists(dir + "/reg"));
-  EXPECT_EQ(CliExitCode("cluster-bench --vehicles=2 --seed=-1 --json=" +
-                        dir + "/cluster.json"),
-            2);
 }
 
 TEST(CliTest, FleetJobsOutputByteIdentical) {
@@ -262,11 +336,11 @@ TEST(CliTest, MetricsFlagsValidation) {
   // Misspelled --metrics-* flags hit the unknown-flag allowlist.
   EXPECT_EQ(CliExitCode("fleet --metrics-outt=/tmp/x.prom"), 2);
   EXPECT_EQ(CliExitCode("fleet --metrics-fromat=json"), 2);
-  EXPECT_EQ(CliExitCode("cluster-bench --metrics-bogus=1"), 2);
+  EXPECT_EQ(CliExitCode("fleet --metrics-bogus=1"), 2);
   // A bad format value is rejected before any work happens.
   EXPECT_EQ(CliExitCode("fleet --metrics-out=/tmp/x --metrics-format=xml"),
             2);
-  EXPECT_EQ(CliExitCode("cluster-bench --metrics-format=xml"), 2);
+  EXPECT_EQ(CliExitCode("fleet --metrics-format=xml"), 2);
 }
 
 TEST(CliTest, FleetMetricsDeterministicAcrossRuns) {
@@ -342,67 +416,6 @@ TEST(CliTest, FleetMetricsJsonFormatAndTrace) {
   EXPECT_NE(trace_text.find("prepare"), std::string::npos);
   EXPECT_NE(trace_text.find("ingest"), std::string::npos);
   EXPECT_NE(trace_text.find("fit"), std::string::npos);
-}
-
-TEST(CliTest, ClusterBenchSmokeProvesDeterminismAndColdStart) {
-  std::string dir = TempDir();
-  std::string json_path = dir + "/BENCH_cluster.json";
-  std::string out = dir + "/cluster_bench.txt";
-  ASSERT_EQ(RunCli("cluster-bench --vehicles=8 --clusters=2 --max-k=3 "
-                   "--train-window=60 --holdout-days=14 --jobs=2 --json=" +
-                       json_path,
-                   out),
-            0);
-
-  // The run itself asserts byte-identical clustering across reruns and
-  // parallel extraction, and that the cold-start vehicle is served from
-  // its cluster model; zero exit plus these lines is the proof.
-  std::string text = ReadFile(out);
-  EXPECT_NE(text.find("cluster-bench: fleet=8"), std::string::npos);
-  EXPECT_NE(text.find("elbow: k=1:"), std::string::npos);
-  EXPECT_NE(text.find("hierarchy PE: per-vehicle="), std::string::npos);
-  EXPECT_NE(text.find("served level=cluster"), std::string::npos);
-  EXPECT_NE(
-      text.find("verify: clusters.meta byte-identical across 2 serial "
-                "reruns and --jobs=2 extraction"),
-      std::string::npos);
-
-  std::string json = ReadFile(json_path);
-  EXPECT_NE(json.find("\"bench\": \"cluster\""), std::string::npos);
-  EXPECT_NE(json.find("\"schema_version\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"determinism\": \"byte-identical\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"cold_start_level\": \"cluster\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"verify\": \"cold-start-served-at-cluster-level\""),
-            std::string::npos);
-  for (const char* field :
-       {"fleet_vehicles", "profiles", "profile_dim", "clusters",
-        "extract_seconds", "kmeans_seconds", "evaluate_seconds", "inertia",
-        "per_vehicle_pe", "per_cluster_pe", "global_pe",
-        "per_cluster_vs_vehicle_ratio", "cold_start_vehicle",
-        "cold_start_fallback_cluster_total"}) {
-    std::string needle = "\"";
-    needle += field;
-    needle += '"';
-    EXPECT_NE(json.find(needle), std::string::npos) << field;
-  }
-}
-
-TEST(CliTest, ClusterBenchGateAndBadArguments) {
-  std::string dir = TempDir();
-  // An unmeetable pooled-vs-per-vehicle ratio gate is a deterministic
-  // exit 1 (the bench still runs and verifies).
-  EXPECT_EQ(CliExitCode("cluster-bench --vehicles=8 --clusters=2 "
-                        "--max-k=3 --train-window=60 --holdout-days=14 "
-                        "--max-pe-ratio-pct=1 --json=" +
-                        dir + "/BENCH_cluster_gate.json"),
-            1);
-  // Baselines carry no pooled state to cluster-train.
-  EXPECT_EQ(CliExitCode("cluster-bench --algorithm=LV"), 2);
-  EXPECT_EQ(CliExitCode("cluster-bench --algorithm=MA"), 2);
-  EXPECT_EQ(CliExitCode("cluster-bench --no-such-flag=1"), 2);
-  EXPECT_EQ(CliExitCode("cluster-bench --vehicles=1"), 2);
 }
 
 TEST(CliTest, FleetClustersReportsHierarchyComparison) {

@@ -10,20 +10,12 @@
 //                       serving registry directory, optionally gated by
 //                       --validate and --canary-fraction; --rollback
 //                       reverts the last journaled promotion.
-//   vupred cluster-bench Profile-extraction / k-means throughput, pooled
-//                       hierarchy PE (per-vehicle vs per-cluster vs
-//                       global), and a cold-start fallback proof; verifies
-//                       clustering is byte-identical across reruns and
-//                       --jobs and writes BENCH_cluster.json.
 //
-// `vupred <command> --help` prints the command's usage. Unknown flags are
-// rejected with exit code 2.
+// `vupred <command> --help` prints the command's usage. Unknown flags,
+// malformed numbers and unknown names are rejected with exit code 2.
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
@@ -32,12 +24,11 @@
 
 #include "cluster/cluster_meta.h"
 #include "cluster/pooled.h"
+#include "common/check.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "core/evaluation.h"
 #include "core/experiment.h"
 #include "core/forecaster.h"
-#include "ml/metrics.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -51,6 +42,20 @@
 
 namespace vup {
 namespace {
+
+// Flags whose value must parse as an integer, or as a number, in every
+// command that takes them. Main rejects a malformed value with exit code 2
+// before the command runs, so GetInt and GetDouble never fall back on a
+// typo.
+const std::vector<std::string> kIntegerFlags = {
+    "vehicles", "seed", "fault-seed", "max-vehicles", "eval-days",
+    "retrain-every", "train-window", "lookback", "topk", "jobs",
+    "clusters", "acf-lags", "train-days", "keep-generations"};
+const std::vector<std::string> kNumberFlags = {"canary-fraction"};
+
+bool Contains(const std::vector<std::string>& keys, const std::string& key) {
+  return std::find(keys.begin(), keys.end(), key) != keys.end();
+}
 
 /// Minimal --key=value flag parser with an allowlist check.
 class Flags {
@@ -77,17 +82,15 @@ class Flags {
   }
 
   long long GetInt(const std::string& key, long long fallback) const {
+    VUP_CHECK(Contains(kIntegerFlags, key)) << key;
     auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    StatusOr<long long> v = ParseInt(it->second);
-    return v.ok() ? v.value() : fallback;
+    return it == values_.end() ? fallback : ParseInt(it->second).value();
   }
 
   double GetDouble(const std::string& key, double fallback) const {
+    VUP_CHECK(Contains(kNumberFlags, key)) << key;
     auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    StatusOr<double> v = ParseDouble(it->second);
-    return v.ok() ? v.value() : fallback;
+    return it == values_.end() ? fallback : ParseDouble(it->second).value();
   }
 
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
@@ -99,17 +102,20 @@ class Flags {
       const std::vector<std::string>& allowed) const {
     std::vector<std::string> unknown;
     for (const auto& [key, value] : values_) {
-      if (key == "help") continue;
-      bool found = false;
-      for (const std::string& a : allowed) {
-        if (key == a) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) unknown.push_back(key);
+      if (key != "help" && !Contains(allowed, key)) unknown.push_back(key);
     }
     return unknown;
+  }
+
+  /// The first numeric flag whose value does not parse; empty when none.
+  std::string MalformedKey() const {
+    for (const auto& [key, value] : values_) {
+      if ((Contains(kIntegerFlags, key) && !ParseInt(value).ok()) ||
+          (Contains(kNumberFlags, key) && !ParseDouble(value).ok())) {
+        return key;
+      }
+    }
+    return "";
   }
 
  private:
@@ -137,7 +143,7 @@ int Fail(const Status& status) {
   return 1;
 }
 
-// ---- Observability plumbing (fleet and the bench commands) -------------
+// ---- Observability plumbing (fleet) ------------------------------------
 
 /// Resolves --metrics-format, defaulting by --metrics-out extension:
 /// *.json -> json, anything else -> prom. Empty string on a bad value
@@ -145,13 +151,7 @@ int Fail(const Status& status) {
 std::string ResolveMetricsFormat(const Flags& flags) {
   const std::string path = flags.Get("metrics-out", "");
   std::string format = flags.Get("metrics-format", "");
-  if (format.empty()) {
-    const std::string json_ext = ".json";
-    const bool json = path.size() >= json_ext.size() &&
-                      path.compare(path.size() - json_ext.size(),
-                                   json_ext.size(), json_ext) == 0;
-    format = json ? "json" : "prom";
-  }
+  if (format.empty()) format = path.ends_with(".json") ? "json" : "prom";
   if (format != "prom" && format != "json") {
     std::fprintf(stderr, "unknown --metrics-format=%s (prom|json)\n",
                  format.c_str());
@@ -160,11 +160,12 @@ std::string ResolveMetricsFormat(const Flags& flags) {
   return format;
 }
 
-/// Writes the snapshot to --metrics-out (no-op when the flag is absent).
-int WriteMetricsOutput(const Flags& flags, const std::string& format,
-                       obs::MetricsSnapshot snapshot) {
+/// Writes the global metrics snapshot to --metrics-out (no-op when the
+/// flag is absent).
+int WriteMetricsOutput(const Flags& flags, const std::string& format) {
   const std::string path = flags.Get("metrics-out", "");
   if (path.empty()) return 0;
+  obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
   snapshot.Normalize();
   const std::string text = format == "json" ? obs::ToJson(snapshot)
                                             : obs::ToPrometheusText(snapshot);
@@ -218,18 +219,59 @@ StatusOr<VehicleDataset> LoadDatasetCsv(const std::string& path,
   return VehicleDataset::FromTable(info, table, *country);
 }
 
-ForecasterConfig MakeForecasterConfig(const Flags& flags) {
-  ForecasterConfig cfg;
-  std::string alg = flags.Get("algorithm", "GB");
-  for (int a = 0; a < kNumAlgorithms; ++a) {
-    if (AlgorithmToString(static_cast<Algorithm>(a)) == alg) {
-      cfg.algorithm = static_cast<Algorithm>(a);
-    }
+/// Reads --algorithm, --lookback and --topk (the command's defaults when
+/// absent) into `cfg`. An unknown algorithm name is an error, reported
+/// here: it must not silently train another algorithm. So is a baseline
+/// (LV, MA) when `fitted_for` names a use that needs a fitted model: a
+/// baseline has nothing to pool per cluster and nothing to save.
+bool ForecasterFlags(const Flags& flags, Algorithm algorithm,
+                     long long lookback, long long topk,
+                     const char* fitted_for, ForecasterConfig* cfg) {
+  const std::string name =
+      flags.Get("algorithm", std::string(AlgorithmToString(algorithm)));
+  StatusOr<Algorithm> parsed = AlgorithmFromString(name);
+  if (!parsed.ok()) {
+    std::fprintf(stderr,
+                 "error: unknown --algorithm=%s (LV|MA|LR|Lasso|SVR|GB)\n",
+                 name.c_str());
+    return false;
   }
-  cfg.windowing.lookback_w =
-      static_cast<size_t>(flags.GetInt("lookback", 60));
-  cfg.selection.top_k = static_cast<size_t>(flags.GetInt("topk", 15));
-  return cfg;
+  if (fitted_for != nullptr &&
+      (parsed.value() == Algorithm::kLastValue ||
+       parsed.value() == Algorithm::kMovingAverage)) {
+    std::fprintf(stderr,
+                 "error: %s needs an ML algorithm (baselines have no fitted "
+                 "state), got --algorithm=%s\n",
+                 fitted_for, name.c_str());
+    return false;
+  }
+  cfg->algorithm = parsed.value();
+  cfg->windowing.lookback_w =
+      static_cast<size_t>(flags.GetInt("lookback", lookback));
+  cfg->selection.top_k = static_cast<size_t>(flags.GetInt("topk", topk));
+  return true;
+}
+
+/// The --clusters block of fleet and publish: copies the datasets of the
+/// vehicles at `indices` into `datasets` and clusters their usage profiles
+/// with seeded k-means (k = --clusters, profile ACF lags = --acf-lags).
+StatusOr<cluster::ClustersMeta> ClusterVehicles(
+    const Flags& flags, ExperimentRunner* runner,
+    const std::vector<size_t>& indices, uint64_t seed,
+    std::vector<VehicleDataset>* datasets) {
+  for (size_t index : indices) {
+    VUP_ASSIGN_OR_RETURN(const VehicleDataset* ds, runner->Dataset(index));
+    datasets->push_back(*ds);
+  }
+  cluster::ProfileConfig profile_config;
+  profile_config.acf_lags = static_cast<size_t>(
+      std::max<long long>(flags.GetInt("acf-lags", 14), 1));
+  cluster::KMeansConfig kmeans_config;
+  kmeans_config.k = static_cast<size_t>(
+      std::max<long long>(flags.GetInt("clusters", 3), 1));
+  kmeans_config.seed = seed;
+  return cluster::BuildFleetClustering(*datasets, profile_config,
+                                       kmeans_config);
 }
 
 // ---- Commands ---------------------------------------------------------
@@ -278,11 +320,15 @@ int RunGenerate(const Flags& flags) {
 }
 
 int RunTrain(const Flags& flags) {
+  ForecasterConfig cfg;
+  if (!ForecasterFlags(flags, Algorithm::kGradientBoosting, 60, 15, "train",
+                       &cfg)) {
+    return 2;
+  }
   StatusOr<VehicleDataset> ds =
       LoadDatasetCsv(flags.Get("data", ""), flags.Get("country", "IT"));
   if (!ds.ok()) return Fail(ds.status());
 
-  ForecasterConfig cfg = MakeForecasterConfig(flags);
   size_t n = ds.value().num_days();
   size_t train_days = static_cast<size_t>(flags.GetInt("train-days", 200));
   size_t begin = n > train_days ? n - train_days : cfg.windowing.lookback_w;
@@ -323,18 +369,26 @@ int RunPredict(const Flags& flags) {
 }
 
 int RunEvaluate(const Flags& flags) {
-  StatusOr<VehicleDataset> ds =
-      LoadDatasetCsv(flags.Get("data", ""), flags.Get("country", "IT"));
-  if (!ds.ok()) return Fail(ds.status());
-
   EvaluationConfig cfg;
-  cfg.forecaster = MakeForecasterConfig(flags);
+  if (!ForecasterFlags(flags, Algorithm::kGradientBoosting, 60, 15, nullptr,
+                       &cfg.forecaster)) {
+    return 2;
+  }
+  const std::string scenario = flags.Get("scenario", "next-day");
+  if (scenario == "next-working-day") {
+    cfg.scenario = Scenario::kNextWorkingDay;
+  } else if (scenario != "next-day") {
+    std::fprintf(stderr,
+                 "error: unknown --scenario=%s (next-day|next-working-day)\n",
+                 scenario.c_str());
+    return 2;
+  }
   cfg.eval_days = static_cast<size_t>(flags.GetInt("eval-days", 60));
   cfg.retrain_every = static_cast<size_t>(flags.GetInt("retrain-every", 7));
   cfg.train_window = static_cast<size_t>(flags.GetInt("train-window", 140));
-  cfg.scenario = flags.Get("scenario", "next-day") == "next-working-day"
-                     ? Scenario::kNextWorkingDay
-                     : Scenario::kNextDay;
+  StatusOr<VehicleDataset> ds =
+      LoadDatasetCsv(flags.Get("data", ""), flags.Get("country", "IT"));
+  if (!ds.ok()) return Fail(ds.status());
   StatusOr<VehicleEvaluation> ev = EvaluateVehicle(ds.value(), cfg);
   if (!ev.ok()) return Fail(ev.status());
   std::printf("algorithm=%s scenario=%s predictions=%zu PE=%.2f%% "
@@ -388,6 +442,15 @@ int RunFleet(const Flags& flags) {
       !SeedFlag(flags, "fault-seed", 99, &fault_seed)) {
     return 2;
   }
+  EvaluationConfig cfg;
+  if (!ForecasterFlags(flags, Algorithm::kLasso, 21, 7,
+                       flags.Has("clusters") ? "--clusters" : nullptr,
+                       &cfg.forecaster)) {
+    return 2;
+  }
+  cfg.eval_days = static_cast<size_t>(flags.GetInt("eval-days", 20));
+  cfg.retrain_every = static_cast<size_t>(flags.GetInt("retrain-every", 10));
+  cfg.train_window = static_cast<size_t>(flags.GetInt("train-window", 60));
   const std::string metrics_format = ResolveMetricsFormat(flags);
   if (metrics_format.empty()) return 2;
   ScopedCliTracer tracer(flags.Has("trace"));
@@ -401,15 +464,6 @@ int RunFleet(const Flags& flags) {
   opts.faults = profile;
   opts.fault_seed = fault_seed;
   opts.jobs = static_cast<size_t>(jobs);
-
-  EvaluationConfig cfg;
-  cfg.forecaster = MakeForecasterConfig(flags);
-  if (!flags.Has("algorithm")) cfg.forecaster.algorithm = Algorithm::kLasso;
-  if (!flags.Has("lookback")) cfg.forecaster.windowing.lookback_w = 21;
-  if (!flags.Has("topk")) cfg.forecaster.selection.top_k = 7;
-  cfg.eval_days = static_cast<size_t>(flags.GetInt("eval-days", 20));
-  cfg.retrain_every = static_cast<size_t>(flags.GetInt("retrain-every", 10));
-  cfg.train_window = static_cast<size_t>(flags.GetInt("train-window", 60));
 
   StatusOr<ExperimentResult> run = runner.Run(cfg, opts);
   if (!run.ok()) return Fail(run.status());
@@ -430,22 +484,9 @@ int RunFleet(const Flags& flags) {
     // Hierarchy report: cluster the evaluated vehicles' usage profiles and
     // compare per-vehicle vs pooled per-cluster vs pooled global PE on the
     // shared trailing-holdout protocol (holdout = --eval-days).
-    const size_t k = static_cast<size_t>(
-        std::max<long long>(flags.GetInt("clusters", 3), 1));
     std::vector<VehicleDataset> cluster_datasets;
-    for (size_t index : result.vehicle_indices) {
-      StatusOr<const VehicleDataset*> ds = runner.Dataset(index);
-      if (!ds.ok()) return Fail(ds.status());
-      cluster_datasets.push_back(*ds.value());
-    }
-    cluster::ProfileConfig profile_config;
-    profile_config.acf_lags = static_cast<size_t>(
-        std::max<long long>(flags.GetInt("acf-lags", 14), 1));
-    cluster::KMeansConfig kmeans_config;
-    kmeans_config.k = k;
-    kmeans_config.seed = seed;
-    StatusOr<cluster::ClustersMeta> cmeta = cluster::BuildFleetClustering(
-        cluster_datasets, profile_config, kmeans_config);
+    StatusOr<cluster::ClustersMeta> cmeta = ClusterVehicles(
+        flags, &runner, result.vehicle_indices, seed, &cluster_datasets);
     if (!cmeta.ok()) return Fail(cmeta.status());
     cluster::PooledTrainingOptions popts;
     popts.forecaster = cfg.forecaster;
@@ -463,8 +504,7 @@ int RunFleet(const Flags& flags) {
                 h.global.mean_pe, h.per_vehicle.vehicles,
                 h.vehicles_skipped);
   }
-  const int metrics_rc = WriteMetricsOutput(
-      flags, metrics_format, obs::MetricsRegistry::Global().Snapshot());
+  const int metrics_rc = WriteMetricsOutput(flags, metrics_format);
   if (metrics_rc != 0) return metrics_rc;
   if (flags.Has("strict") && result.degradation.vehicles_quarantined > 0) {
     std::fprintf(stderr,
@@ -485,11 +525,15 @@ int RunPublish(const Flags& flags) {
                 restored.value().c_str());
     return 0;
   }
+  ForecasterConfig cfg;
+  if (!ForecasterFlags(flags, Algorithm::kLasso, 21, 7, "publish", &cfg)) {
+    return 2;
+  }
   serve::RegistryMeta meta;
   if (!SeedFlag(flags, "seed", 42, &meta.fleet_seed)) return 2;
   meta.fleet_vehicles =
       static_cast<size_t>(flags.GetInt("vehicles", 40));
-  meta.algorithm = flags.Get("algorithm", "Lasso");
+  meta.algorithm = std::string(AlgorithmToString(cfg.algorithm));
   const size_t max_vehicles =
       static_cast<size_t>(flags.GetInt("max-vehicles", 6));
   const size_t train_days =
@@ -505,17 +549,6 @@ int RunPublish(const Flags& flags) {
     return Fail(Status::FailedPrecondition(
         "no eligible vehicles to publish models for"));
   }
-
-  ForecasterConfig cfg;
-  cfg.algorithm = Algorithm::kLasso;
-  for (int a = 0; a < kNumAlgorithms; ++a) {
-    if (AlgorithmToString(static_cast<Algorithm>(a)) == meta.algorithm) {
-      cfg.algorithm = static_cast<Algorithm>(a);
-    }
-  }
-  cfg.windowing.lookback_w =
-      static_cast<size_t>(flags.GetInt("lookback", 21));
-  cfg.selection.top_k = static_cast<size_t>(flags.GetInt("topk", 7));
 
   serve::ModelRegistry::Options reg_opts;
   reg_opts.directory = out_dir;
@@ -567,20 +600,8 @@ int RunPublish(const Flags& flags) {
   size_t pooled_k = 0;
   if (flags.Has("clusters")) {
     std::vector<VehicleDataset> cluster_datasets;
-    for (size_t index : selected) {
-      StatusOr<const VehicleDataset*> ds = runner.Dataset(index);
-      if (!ds.ok()) return Fail(ds.status());
-      cluster_datasets.push_back(*ds.value());
-    }
-    cluster::ProfileConfig profile_config;
-    profile_config.acf_lags = static_cast<size_t>(
-        std::max<long long>(flags.GetInt("acf-lags", 14), 1));
-    cluster::KMeansConfig kmeans_config;
-    kmeans_config.k = static_cast<size_t>(
-        std::max<long long>(flags.GetInt("clusters", 3), 1));
-    kmeans_config.seed = meta.fleet_seed;
-    StatusOr<cluster::ClustersMeta> cmeta = cluster::BuildFleetClustering(
-        cluster_datasets, profile_config, kmeans_config);
+    StatusOr<cluster::ClustersMeta> cmeta = ClusterVehicles(
+        flags, &runner, selected, meta.fleet_seed, &cluster_datasets);
     if (!cmeta.ok()) return Fail(cmeta.status());
     pooled_k = cmeta.value().k();
     cluster::PooledTrainingOptions popts;
@@ -699,432 +720,6 @@ int RunPublish(const Flags& flags) {
   return 0;
 }
 
-// ---- cluster-bench ----------------------------------------------------
-
-int RunClusterBench(const Flags& flags) {
-  namespace fs = std::filesystem;
-  const long long vehicles_flag = flags.GetInt("vehicles", 12);
-  if (vehicles_flag < 2) {
-    std::fprintf(stderr,
-                 "cluster-bench needs at least 2 vehicles, got "
-                 "--vehicles=%lld\n",
-                 vehicles_flag);
-    return 2;
-  }
-  const size_t vehicles = static_cast<size_t>(vehicles_flag);
-  uint64_t seed = 0;
-  if (!SeedFlag(flags, "seed", 42, &seed)) return 2;
-  const size_t clusters = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("clusters", 3), 1));
-  const size_t acf_lags = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("acf-lags", 14), 1));
-  const size_t max_k = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("max-k", 6), 1));
-  const size_t lookback = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("lookback", 21), 1));
-  const size_t topk =
-      static_cast<size_t>(std::max<long long>(flags.GetInt("topk", 7), 1));
-  const size_t train_window = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("train-window", 140), 2));
-  const size_t holdout_days = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("holdout-days", 28), 1));
-  const size_t jobs =
-      static_cast<size_t>(std::max<long long>(flags.GetInt("jobs", 1), 1));
-  const std::string json_path = flags.Get("json", "BENCH_cluster.json");
-  const std::string registry_dir = flags.Get(
-      "registry-dir",
-      (fs::temp_directory_path() / "vupred_cluster_bench").string());
-  // Optional deterministic gate (seeded data, so no flakiness): fail when
-  // pooled per-cluster mean PE exceeds this percentage of the per-vehicle
-  // mean PE. 0 = report only.
-  const long long max_pe_ratio_pct =
-      std::max<long long>(flags.GetInt("max-pe-ratio-pct", 0), 0);
-
-  ForecasterConfig forecaster_cfg;
-  const std::string alg = flags.Get("algorithm", "Lasso");
-  bool alg_found = false;
-  for (int a = 0; a < kNumAlgorithms; ++a) {
-    if (AlgorithmToString(static_cast<Algorithm>(a)) == alg) {
-      forecaster_cfg.algorithm = static_cast<Algorithm>(a);
-      alg_found = true;
-    }
-  }
-  if (!alg_found) {
-    std::fprintf(stderr, "unknown --algorithm=%s\n", alg.c_str());
-    return 2;
-  }
-  if (forecaster_cfg.algorithm == Algorithm::kLastValue ||
-      forecaster_cfg.algorithm == Algorithm::kMovingAverage) {
-    std::fprintf(stderr,
-                 "cluster-bench needs an ML algorithm (baselines have no "
-                 "pooled fit), got --algorithm=%s\n",
-                 alg.c_str());
-    return 2;
-  }
-  forecaster_cfg.windowing.lookback_w = lookback;
-  forecaster_cfg.selection.top_k = topk;
-
-  const std::string metrics_format = ResolveMetricsFormat(flags);
-  if (metrics_format.empty()) return 2;
-  ScopedCliTracer tracer(flags.Has("trace"));
-
-  // Seeded fleet; datasets owned here, in ascending vehicle_id order (the
-  // canonical clustering order).
-  Fleet fleet = Fleet::Generate(FleetConfig::Small(vehicles, seed));
-  std::vector<VehicleDataset> datasets;
-  datasets.reserve(fleet.size());
-  for (size_t i = 0; i < fleet.size(); ++i) {
-    StatusOr<VehicleDataset> ds = PrepareVehicleDataset(fleet, i);
-    if (!ds.ok()) return Fail(ds.status());
-    datasets.push_back(std::move(ds.value()));
-  }
-  std::sort(datasets.begin(), datasets.end(),
-            [](const VehicleDataset& a, const VehicleDataset& b) {
-              return a.info().vehicle_id < b.info().vehicle_id;
-            });
-
-  cluster::ProfileConfig profile_config;
-  profile_config.acf_lags = acf_lags;
-  cluster::KMeansConfig kmeans_config;
-  kmeans_config.k = clusters;
-  kmeans_config.seed = seed;
-
-  // Stage 1: profile extraction on `jobs` workers, folded back in
-  // vehicle_id order (extraction is a pure per-vehicle function, so the
-  // fold order alone fixes the output bytes).
-  const size_t n_vehicles = datasets.size();
-  std::vector<StatusOr<cluster::UsageProfile>> slots(
-      n_vehicles,
-      StatusOr<cluster::UsageProfile>(Status::Internal("unextracted")));
-  const auto extract_t0 = std::chrono::steady_clock::now();
-  if (jobs <= 1) {
-    for (size_t i = 0; i < n_vehicles; ++i) {
-      slots[i] = cluster::ExtractProfile(datasets[i], profile_config);
-    }
-  } else {
-    ThreadPool pool({jobs, n_vehicles + 1, "cluster-bench"});
-    for (size_t i = 0; i < n_vehicles; ++i) {
-      Status submitted = pool.Submit([&slots, &datasets, &profile_config,
-                                      i]() -> Status {
-        slots[i] = cluster::ExtractProfile(datasets[i], profile_config);
-        return Status::OK();
-      });
-      if (!submitted.ok()) {
-        slots[i] = cluster::ExtractProfile(datasets[i], profile_config);
-      }
-    }
-    Status drained = pool.Shutdown();
-    if (!drained.ok()) return Fail(drained);
-  }
-  const double extract_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    extract_t0)
-          .count();
-  std::vector<cluster::UsageProfile> profiles;
-  profiles.reserve(n_vehicles);
-  for (StatusOr<cluster::UsageProfile>& slot : slots) {
-    if (!slot.ok()) return Fail(slot.status());
-    profiles.push_back(std::move(slot.value()));
-  }
-
-  // Stage 2: standardize + seeded k-means.
-  const auto kmeans_t0 = std::chrono::steady_clock::now();
-  StatusOr<cluster::ClustersMeta> meta_or =
-      cluster::ClusterProfiles(profiles, profile_config, kmeans_config);
-  const double kmeans_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    kmeans_t0)
-          .count();
-  if (!meta_or.ok()) return Fail(meta_or.status());
-  const cluster::ClustersMeta& meta = meta_or.value();
-
-  // Determinism: the serial library path, run twice, must serialize to the
-  // same bytes as the parallel-extraction path above.
-  const std::string meta_bytes = meta.Serialize();
-  for (int rerun = 0; rerun < 2; ++rerun) {
-    StatusOr<cluster::ClustersMeta> again = cluster::BuildFleetClustering(
-        datasets, profile_config, kmeans_config);
-    if (!again.ok()) return Fail(again.status());
-    if (again.value().Serialize() != meta_bytes) {
-      return Fail(Status::Internal(StrFormat(
-          "clustering is not deterministic: serial rerun %d diverges from "
-          "the --jobs=%zu result",
-          rerun, jobs)));
-    }
-  }
-
-  StatusOr<std::vector<cluster::ElbowPoint>> elbow =
-      cluster::FleetElbowSweep(datasets, profile_config, kmeans_config,
-                               max_k);
-  if (!elbow.ok()) return Fail(elbow.status());
-
-  // Stage 3: pooled hierarchy training + per-level PE on the shared
-  // trailing-holdout protocol.
-  cluster::PooledTrainingOptions popts;
-  popts.forecaster = forecaster_cfg;
-  popts.train_window = train_window;
-  popts.holdout_days = holdout_days;
-  const auto eval_t0 = std::chrono::steady_clock::now();
-  StatusOr<cluster::HierarchyEvaluation> eval_or =
-      cluster::EvaluateHierarchy(datasets, meta, popts);
-  const double eval_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    eval_t0)
-          .count();
-  if (!eval_or.ok()) return Fail(eval_or.status());
-  const cluster::HierarchyEvaluation& eval = eval_or.value();
-  if (eval.per_vehicle.vehicles == 0) {
-    return Fail(Status::FailedPrecondition(
-        "no vehicle was evaluable under the holdout schedule"));
-  }
-  const double pe_ratio =
-      eval.per_vehicle.mean_pe > 0.0
-          ? eval.per_cluster.mean_pe / eval.per_vehicle.mean_pe
-          : 1.0;
-
-  // Cold start: the highest-id vehicle whose cluster keeps at least one
-  // warm member. It stays in clusters.meta but gets no per-vehicle bundle
-  // and contributes nothing to the pooled fits.
-  std::vector<size_t> cluster_sizes(meta.k(), 0);
-  for (const cluster::VehicleAssignment& v : meta.vehicles) {
-    ++cluster_sizes[static_cast<size_t>(v.cluster_id)];
-  }
-  int64_t cold_id = -1;
-  int cold_cluster = -1;
-  for (const cluster::VehicleAssignment& v : meta.vehicles) {
-    if (cluster_sizes[static_cast<size_t>(v.cluster_id)] >= 2) {
-      cold_id = v.vehicle_id;  // Ascending scan: last hit = max id.
-      cold_cluster = v.cluster_id;
-    }
-  }
-  if (cold_id < 0) {
-    return Fail(Status::FailedPrecondition(
-        "every cluster is a singleton; raise --vehicles or lower "
-        "--clusters"));
-  }
-  const VehicleDataset* cold_ds = nullptr;
-  std::vector<VehicleDataset> warm;
-  warm.reserve(datasets.size() - 1);
-  for (const VehicleDataset& ds : datasets) {
-    if (ds.info().vehicle_id == cold_id) {
-      cold_ds = &ds;
-    } else {
-      warm.push_back(ds);
-    }
-  }
-  StatusOr<std::vector<cluster::PooledModel>> warm_pooled =
-      cluster::TrainPooledHierarchy(warm, meta, popts);
-  if (!warm_pooled.ok()) return Fail(warm_pooled.status());
-  auto find_warm = [&warm_pooled](int64_t id) -> const VehicleForecaster* {
-    for (const cluster::PooledModel& m : warm_pooled.value()) {
-      if (m.model_id == id) return &m.forecaster;
-    }
-    return nullptr;
-  };
-  const VehicleForecaster* cold_cluster_model =
-      find_warm(cluster::ClusterModelId(cold_cluster));
-  const VehicleForecaster* cold_global_model =
-      find_warm(cluster::kGlobalModelId);
-  if (cold_cluster_model == nullptr || cold_global_model == nullptr) {
-    return Fail(Status::FailedPrecondition(
-        "warm fleet too short to train the pooled fallback models"));
-  }
-
-  // Cold-start accuracy: the never-seen vehicle's trailing holdout,
-  // predicted by pooled models trained without it.
-  const size_t cold_n = cold_ds->num_days();
-  if (cold_n <= holdout_days) {
-    return Fail(Status::FailedPrecondition(
-        "cold-start vehicle shorter than the holdout"));
-  }
-  std::vector<double> cold_actuals, cold_cluster_pred, cold_global_pred;
-  for (size_t t = cold_n - holdout_days; t < cold_n; ++t) {
-    StatusOr<double> pc = cold_cluster_model->PredictTarget(*cold_ds, t);
-    if (!pc.ok()) return Fail(pc.status());
-    StatusOr<double> pg = cold_global_model->PredictTarget(*cold_ds, t);
-    if (!pg.ok()) return Fail(pg.status());
-    cold_actuals.push_back(cold_ds->hours()[t]);
-    cold_cluster_pred.push_back(pc.value());
-    cold_global_pred.push_back(pg.value());
-  }
-  const double cold_cluster_pe =
-      PercentageError(cold_cluster_pred, cold_actuals);
-  const double cold_global_pe =
-      PercentageError(cold_global_pred, cold_actuals);
-  if (!std::isfinite(cold_cluster_pe) || !std::isfinite(cold_global_pe)) {
-    return Fail(Status::FailedPrecondition(
-        "cold-start holdout is all-zero; PE undefined"));
-  }
-
-  // Publish warm per-vehicle bundles + the warm pooled hierarchy +
-  // clusters.meta, then prove the serving chain: the cold vehicle must be
-  // served at the cluster level and counted in
-  // vupred_registry_fallback_total{level="cluster"}.
-  std::error_code ec;
-  fs::remove_all(registry_dir, ec);
-  serve::ModelRegistry::Options reg_opts;
-  reg_opts.directory = registry_dir;
-  reg_opts.cache_capacity = 0;
-  StatusOr<serve::ModelRegistry> registry =
-      serve::ModelRegistry::Open(std::move(reg_opts));
-  if (!registry.ok()) return Fail(registry.status());
-  StatusOr<serve::GenerationPublisher> publisher =
-      registry.value().NewGeneration();
-  if (!publisher.ok()) return Fail(publisher.status());
-  size_t warm_published = 0;
-  for (const VehicleDataset& ds : warm) {
-    const size_t n = ds.num_days();
-    const size_t begin = n > train_window
-                             ? std::max(n - train_window, lookback)
-                             : lookback;
-    VehicleForecaster own(forecaster_cfg);
-    Status trained = own.Train(ds, begin, n);
-    if (!trained.ok()) continue;  // Too short: served by the hierarchy.
-    Status stored = publisher.value().Add(ds.info().vehicle_id, own);
-    if (!stored.ok()) return Fail(stored);
-    ++warm_published;
-  }
-  for (const cluster::PooledModel& model : warm_pooled.value()) {
-    Status stored = publisher.value().Add(model.model_id, model.forecaster);
-    if (!stored.ok()) return Fail(stored);
-  }
-  Status meta_written = cluster::WriteClustersMetaFile(
-      publisher.value().staging_dir(), meta);
-  if (!meta_written.ok()) return Fail(meta_written);
-  serve::RegistryMeta reg_meta;
-  reg_meta.fleet_seed = seed;
-  reg_meta.fleet_vehicles = vehicles;
-  reg_meta.algorithm = alg;
-  Status committed = publisher.value().Commit(reg_meta);
-  if (!committed.ok()) return Fail(committed);
-  Status reloaded = registry.value().Reload();
-  if (!reloaded.ok()) return Fail(reloaded);
-
-  serve::PredictionService::Options service_opts;
-  service_opts.hierarchy = &meta;
-  serve::PredictionService service(&registry.value(), nullptr,
-                                   service_opts);
-  serve::PredictionRequest cold_request;
-  cold_request.vehicle_id = cold_id;
-  cold_request.dataset = cold_ds;
-  cold_request.target_index = cold_n;  // One-step-ahead forecast.
-  serve::PredictionResponse cold_response = service.Predict(cold_request);
-  if (!cold_response.status.ok()) return Fail(cold_response.status);
-  const serve::PredictionService::FallbackSnapshot fallback =
-      service.fallback_counts();
-  if (cold_response.level != serve::ServedLevel::kCluster ||
-      fallback.cluster != 1) {
-    return Fail(Status::Internal(StrFormat(
-        "cold-start vehicle %lld served at level %s (fallback cluster "
-        "counter %zu), expected cluster/1",
-        static_cast<long long>(cold_id),
-        std::string(serve::ServedLevelToString(cold_response.level))
-            .c_str(),
-        fallback.cluster)));
-  }
-
-  const double safe_extract = extract_s > 0.0 ? extract_s : 1e-9;
-  const double profiles_per_s =
-      static_cast<double>(n_vehicles) / safe_extract;
-  std::printf("cluster-bench: fleet=%zu profiles=%zu dim=%zu k=%zu "
-              "acf-lags=%zu algorithm=%s jobs=%zu seed=%llu\n",
-              vehicles, n_vehicles,
-              cluster::UsageProfile::Dimension(profile_config), meta.k(),
-              acf_lags, alg.c_str(), jobs,
-              static_cast<unsigned long long>(seed));
-  std::printf("stage            wall\n");
-  std::printf("extract   %9.3fms  %10.0f profiles/s\n", extract_s * 1e3,
-              profiles_per_s);
-  std::printf("kmeans    %9.3fms  inertia=%.4f\n", kmeans_s * 1e3,
-              meta.inertia);
-  std::printf("evaluate  %9.3fms\n", eval_s * 1e3);
-  std::string elbow_line = "elbow:";
-  for (const cluster::ElbowPoint& point : elbow.value()) {
-    elbow_line += StrFormat(" k=%zu:%.2f", point.k, point.inertia);
-  }
-  std::printf("%s\n", elbow_line.c_str());
-  std::printf("hierarchy PE: per-vehicle=%.2f%% per-cluster=%.2f%% "
-              "(%.2fx of per-vehicle) global=%.2f%% evaluated=%zu "
-              "skipped=%zu\n",
-              eval.per_vehicle.mean_pe, eval.per_cluster.mean_pe, pe_ratio,
-              eval.global.mean_pe, eval.per_vehicle.vehicles,
-              eval.vehicles_skipped);
-  std::printf("cold-start: vehicle %lld (no bundle, %zu warm published) "
-              "served level=%s fallback_cluster=%zu cluster-PE=%.2f%% "
-              "global-PE=%.2f%%\n",
-              static_cast<long long>(cold_id), warm_published,
-              std::string(serve::ServedLevelToString(cold_response.level))
-                  .c_str(),
-              fallback.cluster, cold_cluster_pe, cold_global_pe);
-  std::printf("verify: clusters.meta byte-identical across 2 serial reruns "
-              "and --jobs=%zu extraction\n",
-              jobs);
-
-  std::ofstream json(json_path, std::ios::trunc);
-  if (!json) return Fail(Status::Internal("cannot write " + json_path));
-  json << StrFormat(
-      "{\n"
-      "  \"bench\": \"cluster\",\n"
-      "  \"schema_version\": 1,\n"
-      "  \"fleet_vehicles\": %zu,\n"
-      "  \"profiles\": %zu,\n"
-      "  \"profile_dim\": %zu,\n"
-      "  \"clusters\": %zu,\n"
-      "  \"acf_lags\": %zu,\n"
-      "  \"algorithm\": \"%s\",\n"
-      "  \"jobs\": %zu,\n"
-      "  \"train_window\": %zu,\n"
-      "  \"holdout_days\": %zu,\n"
-      "  \"extract_seconds\": %.6f,\n"
-      "  \"profiles_per_second\": %.0f,\n"
-      "  \"kmeans_seconds\": %.6f,\n"
-      "  \"evaluate_seconds\": %.6f,\n"
-      "  \"inertia\": %.6f,\n"
-      "  \"per_vehicle_pe\": %.4f,\n"
-      "  \"per_cluster_pe\": %.4f,\n"
-      "  \"global_pe\": %.4f,\n"
-      "  \"per_cluster_vs_vehicle_ratio\": %.4f,\n"
-      "  \"vehicles_evaluated\": %zu,\n"
-      "  \"vehicles_skipped\": %zu,\n"
-      "  \"cold_start_vehicle\": %lld,\n"
-      "  \"cold_start_level\": \"%s\",\n"
-      "  \"cold_start_fallback_cluster_total\": %zu,\n"
-      "  \"cold_start_cluster_pe\": %.4f,\n"
-      "  \"cold_start_global_pe\": %.4f,\n"
-      "  \"determinism\": \"byte-identical\",\n"
-      "  \"verify\": \"cold-start-served-at-cluster-level\"\n"
-      "}\n",
-      vehicles, n_vehicles, cluster::UsageProfile::Dimension(profile_config),
-      meta.k(), acf_lags, alg.c_str(), jobs, train_window, holdout_days,
-      extract_s, static_cast<double>(n_vehicles) / safe_extract,
-      kmeans_s, eval_s, meta.inertia, eval.per_vehicle.mean_pe,
-      eval.per_cluster.mean_pe, eval.global.mean_pe, pe_ratio,
-      eval.per_vehicle.vehicles, eval.vehicles_skipped,
-      static_cast<long long>(cold_id),
-      std::string(serve::ServedLevelToString(cold_response.level)).c_str(),
-      fallback.cluster, cold_cluster_pe, cold_global_pe);
-  if (!json) return Fail(Status::DataLoss("write failed: " + json_path));
-  std::printf("wrote %s\n", json_path.c_str());
-
-  obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
-  service.CollectMetrics(&snapshot);
-  registry.value().CollectMetrics(&snapshot);
-  if (!flags.Has("registry-dir")) fs::remove_all(registry_dir, ec);
-  const int metrics_rc =
-      WriteMetricsOutput(flags, metrics_format, std::move(snapshot));
-  if (metrics_rc != 0) return metrics_rc;
-
-  if (max_pe_ratio_pct > 0 &&
-      pe_ratio * 100.0 > static_cast<double>(max_pe_ratio_pct)) {
-    std::fprintf(stderr,
-                 "error: per-cluster PE is %.0f%% of per-vehicle PE, above "
-                 "the required %lld%%\n",
-                 pe_ratio * 100.0, max_pe_ratio_pct);
-    return 1;
-  }
-  return 0;
-}
-
 // ---- Command registry -------------------------------------------------
 
 struct Command {
@@ -1149,7 +744,8 @@ const std::vector<Command>& Commands() {
        "usage: vupred train --data=FILE.csv --out=MODEL.txt\n"
        "  [--algorithm=GB] [--country=IT] [--lookback=60] [--topk=15]\n"
        "  [--train-days=200]\n"
-       "  Train a per-vehicle forecaster on a dataset CSV and persist it.\n",
+       "  Train a per-vehicle forecaster on a dataset CSV and persist it\n"
+       "  (ML algorithms only: the baselines LV and MA have no state).\n",
        {"data", "out", "algorithm", "country", "lookback", "topk",
         "train-days"},
        {"data", "out"},
@@ -1186,7 +782,8 @@ const std::vector<Command>& Commands() {
        "  non-zero when any vehicle was quarantined. --clusters=K\n"
        "  additionally clusters the evaluated vehicles' usage profiles\n"
        "  (seeded k-means) and reports per-vehicle vs pooled per-cluster\n"
-       "  vs pooled global PE on the shared holdout. --metrics-out writes\n"
+       "  vs pooled global PE on the shared holdout (ML algorithms only;\n"
+       "  an error when no vehicle is evaluable). --metrics-out writes\n"
        "  the metrics snapshot (Prometheus text, or JSON when the path\n"
        "  ends in .json or --metrics-format=json); --trace prints the\n"
        "  aggregated pipeline span tree.\n",
@@ -1206,12 +803,13 @@ const std::vector<Command>& Commands() {
        "  compact bundle (vehicle_<id>.cfcst) plus registry metadata and a\n"
        "  MANIFEST into DIR as a new generation, made live by an atomic\n"
        "  CURRENT flip, ready for any ModelRegistry consumer. With\n"
-       "  --clusters=K the same\n"
-       "  generation also carries clusters.meta plus pooled per-cluster /\n"
-       "  per-type / global bundles under their reserved negative ids, so\n"
-       "  serving falls back down the hierarchy for vehicles without a\n"
-       "  bundle. Old generations beyond --keep-generations are pruned\n"
-       "  (never the ones the rollback journal points at).\n"
+       "  --clusters=K the same generation also carries clusters.meta plus\n"
+       "  pooled per-cluster / per-type / global bundles under their\n"
+       "  reserved negative ids, so serving falls back down the hierarchy\n"
+       "  for vehicles without a bundle. Old generations beyond\n"
+       "  --keep-generations are pruned (never the ones the rollback\n"
+       "  journal points at). The baselines LV and MA have no state to\n"
+       "  publish.\n"
        "  --validate gates the CURRENT flip: every bundle the finalized\n"
        "  MANIFEST lists must match it, decode and survive finite/bounded\n"
        "  sanity probes, and the staged fleet must not regress holdout PE\n"
@@ -1227,34 +825,6 @@ const std::vector<Command>& Commands() {
         "validate", "canary-fraction", "rollback"},
        {"out"},
        RunPublish},
-      {"cluster-bench", "profile/cluster throughput + cold-start fallback",
-       "usage: vupred cluster-bench [--vehicles=12] [--seed=42]\n"
-       "  [--clusters=3] [--acf-lags=14] [--max-k=6] [--algorithm=Lasso]\n"
-       "  [--lookback=21] [--topk=7] [--train-window=140]\n"
-       "  [--holdout-days=28] [--jobs=1] [--json=BENCH_cluster.json]\n"
-       "  [--registry-dir=DIR] [--max-pe-ratio-pct=0]\n"
-       "  [--metrics-out=FILE] [--metrics-format=prom|json] [--trace]\n"
-       "  Benchmark the fleet clustering subsystem on a seeded synthetic\n"
-       "  fleet: time profile extraction (--jobs workers) and seeded\n"
-       "  k-means, print the k=1..max-k elbow, and compare per-vehicle vs\n"
-       "  pooled per-cluster vs pooled global PE on a shared trailing\n"
-       "  holdout. Always verifies that clusters.meta is byte-identical\n"
-       "  across two serial reruns and the parallel extraction path, then\n"
-       "  proves the cold-start chain end to end: the highest-id vehicle\n"
-       "  is published without a per-vehicle bundle (and excluded from\n"
-       "  the pooled fits), served through a real registry, and must come\n"
-       "  back at level=cluster with the labeled fallback counter at 1;\n"
-       "  exits non-zero otherwise. --max-pe-ratio-pct=N additionally\n"
-       "  fails when pooled per-cluster PE exceeds N% of per-vehicle PE\n"
-       "  (off by default; deterministic per seed, unlike timings, which\n"
-       "  are never gated). Writes the JSON report to --json;\n"
-       "  --registry-dir keeps the scratch registry for inspection.\n",
-       {"vehicles", "seed", "clusters", "acf-lags", "max-k", "algorithm",
-        "lookback", "topk", "train-window", "holdout-days", "jobs", "json",
-        "registry-dir", "max-pe-ratio-pct", "metrics-out", "metrics-format",
-        "trace"},
-       {},
-       RunClusterBench},
   };
   return commands;
 }
@@ -1297,6 +867,14 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "error: unexpected argument '%s'\n",
                    flags.extra().front().c_str());
       std::fprintf(stderr, "%s", cmd.usage);
+      return 2;
+    }
+    const std::string malformed = flags.MalformedKey();
+    if (!malformed.empty()) {
+      std::fprintf(stderr, "error: --%s=%s is not a %s\n", malformed.c_str(),
+                   flags.Get(malformed, "").c_str(),
+                   Contains(kIntegerFlags, malformed) ? "whole number"
+                                                      : "number");
       return 2;
     }
     for (const std::string& key : cmd.required) {
