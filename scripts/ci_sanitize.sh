@@ -22,11 +22,12 @@ ctest --preset sanitize -j"${JOBS}" -R \
 # Publish-path primitives: both CRC-32 paths, slice-by-8 and the
 # PCLMULQDQ fold, at every start alignment (UBSan checks slice-by-8's
 # unaligned word loads, ASan keeps the fold's 16-byte loads inside the
-# buffer), the to_chars double formatter
-# against printf over a million bit patterns plus saved bundles, and the
-# write-behind publisher with its writer pool -- ASan catches a queued
-# bundle snapshot that outlives (or aliases) the forecaster it came from,
-# or a writer that records its manifest entry after the publisher moved.
+# buffer), the string parsers, the forecaster's compact round trip with
+# the stream Save/Load shims (Load's capped read of an endless stream
+# included), and the write-behind publisher with its writer pool -- ASan
+# catches a queued bundle snapshot that outlives (or aliases) the
+# forecaster it came from, or a writer that records its manifest entry
+# after the publisher moved.
 # The registry chaos and scrubber suites ride along for the read path:
 # every resident model scores in place over a bundle buffer it owns, so
 # ASan catches a model that outlives that buffer.

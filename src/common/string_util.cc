@@ -1,12 +1,10 @@
 #include "common/string_util.h"
 
-#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cctype>
 #include <cerrno>
-#include <ostream>
 
 namespace vup {
 
@@ -100,14 +98,6 @@ StatusOr<long long> ParseInt(std::string_view s) {
     return Status::OutOfRange("integer out of range: '" + trimmed + "'");
   }
   return value;
-}
-
-void WriteDouble17(std::ostream& os, double v) {
-  // The longest %.17g rendering is 24 chars ("-2.2250738585072014e-308").
-  char buf[32];
-  const std::to_chars_result r = std::to_chars(
-      buf, buf + sizeof(buf), v, std::chars_format::general, 17);
-  os.write(buf, r.ptr - buf);
 }
 
 std::string StrFormat(const char* fmt, ...) {

@@ -1,7 +1,6 @@
 #ifndef VUPRED_COMMON_STRING_UTIL_H_
 #define VUPRED_COMMON_STRING_UTIL_H_
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,12 +30,6 @@ std::string ToLower(std::string_view s);
 /// Strict numeric parsing: the whole (trimmed) string must be consumed.
 StatusOr<double> ParseDouble(std::string_view s);
 StatusOr<long long> ParseInt(std::string_view s);
-
-/// Writes `v` as exactly the bytes printf("%.17g", v) would produce, so
-/// every finite double round-trips. Rendered with std::to_chars (no
-/// vsnprintf pass, no temporary string). The text model bundles write
-/// their doubles through it.
-void WriteDouble17(std::ostream& os, double v);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)

@@ -7,7 +7,6 @@
 #include "common/string_util.h"
 #include "ml/compact.h"
 #include "ml/linear_regression.h"
-#include "ml/serialize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -356,72 +355,6 @@ StatusOr<double> VehicleForecaster::PredictTarget(const VehicleDataset& ds,
   return prediction;
 }
 
-namespace {
-
-constexpr const char* kForecasterMagic = "vupred-forecaster v1";
-
-/// Reads the next non-empty "key values..." line and checks the key.
-StatusOr<std::vector<std::string>> ExpectLine(std::istream& is,
-                                              std::string_view key) {
-  std::string line;
-  while (std::getline(is, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (Trim(line).empty()) continue;
-    std::vector<std::string> tokens;
-    for (const std::string& t : Split(std::string(Trim(line)), ' ')) {
-      if (!t.empty()) tokens.push_back(t);
-    }
-    if (tokens.empty() || tokens[0] != key) {
-      return Status::InvalidArgument("expected '" + std::string(key) +
-                                     "', got '" +
-                                     (tokens.empty() ? "" : tokens[0]) + "'");
-    }
-    tokens.erase(tokens.begin());
-    return tokens;
-  }
-  return Status::InvalidArgument("unexpected end of forecaster stream");
-}
-
-StatusOr<long long> ExpectIntLine(std::istream& is, std::string_view key) {
-  VUP_ASSIGN_OR_RETURN(std::vector<std::string> rest, ExpectLine(is, key));
-  if (rest.size() != 1) {
-    return Status::InvalidArgument("expected one value for '" +
-                                   std::string(key) + "'");
-  }
-  return ParseInt(rest[0]);
-}
-
-StatusOr<std::vector<size_t>> ExpectIndexVector(std::istream& is,
-                                                std::string_view key) {
-  VUP_ASSIGN_OR_RETURN(std::vector<std::string> rest, ExpectLine(is, key));
-  if (rest.empty()) {
-    return Status::InvalidArgument("missing count for '" + std::string(key) +
-                                   "'");
-  }
-  VUP_ASSIGN_OR_RETURN(long long count, ParseInt(rest[0]));
-  if (count < 0 || static_cast<size_t>(count) != rest.size() - 1) {
-    return Status::InvalidArgument("index vector size mismatch for '" +
-                                   std::string(key) + "'");
-  }
-  std::vector<size_t> out;
-  out.reserve(static_cast<size_t>(count));
-  for (size_t i = 1; i < rest.size(); ++i) {
-    VUP_ASSIGN_OR_RETURN(long long v, ParseInt(rest[i]));
-    if (v < 0) return Status::InvalidArgument("negative index");
-    out.push_back(static_cast<size_t>(v));
-  }
-  return out;
-}
-
-void WriteIndexVector(std::ostream& os, const char* key,
-                      const std::vector<size_t>& v) {
-  os << key << " " << v.size();
-  for (size_t x : v) os << " " << x;
-  os << "\n";
-}
-
-}  // namespace
-
 Status VehicleForecaster::CheckSavable() const {
   if (!trained_) {
     return Status::FailedPrecondition("cannot save an untrained forecaster");
@@ -434,109 +367,25 @@ Status VehicleForecaster::CheckSavable() const {
 }
 
 Status VehicleForecaster::Save(std::ostream& os) const {
-  VUP_RETURN_IF_ERROR(CheckSavable());
-  os << kForecasterMagic << "\n";
-  os << "algorithm " << AlgorithmToString(config_.algorithm) << "\n";
-  os << "lookback_w " << config_.windowing.lookback_w << "\n";
-  os << "include_target_day_context "
-     << (config_.windowing.include_target_day_context ? 1 : 0) << "\n";
-  os << "include_lag_context "
-     << (config_.windowing.include_lag_context ? 1 : 0) << "\n";
-  os << "lag_engine_features " << config_.windowing.lag_engine_features
-     << "\n";
-  os << "top_k " << config_.selection.top_k << "\n";
-  os << "use_feature_selection " << (config_.use_feature_selection ? 1 : 0)
-     << "\n";
-  os << "standardize " << (config_.standardize ? 1 : 0) << "\n";
-  os << "clamp_predictions " << (config_.clamp_predictions ? 1 : 0) << "\n";
-  WriteIndexVector(os, "selected_lags", selected_lags_);
-  WriteIndexVector(os, "selected_columns", selected_columns_);
-  if (config_.standardize) {
-    VUP_RETURN_IF_ERROR(SaveScaler(scaler_, os));
-  }
-  VUP_RETURN_IF_ERROR(SaveRegressor(*model_, os));
-  os << "end-forecaster\n";
+  VUP_ASSIGN_OR_RETURN(std::string bytes, SaveCompact());
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (!os) return Status::DataLoss("stream write failed");
   return Status::OK();
 }
 
 StatusOr<VehicleForecaster> VehicleForecaster::Load(std::istream& is) {
-  // Magic line.
-  {
-    std::string line;
-    if (!std::getline(is, line)) {
-      return Status::InvalidArgument("empty forecaster stream");
-    }
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line != kForecasterMagic) {
-      return Status::InvalidArgument("not a vupred-forecaster v1 stream");
-    }
+  // Reads one byte past the cap at most, so an oversized stream costs
+  // kMaxCompactBytes + 1 bytes and the decoder refuses its size.
+  std::string bytes;
+  while (is && bytes.size() <= kMaxCompactBytes) {
+    const size_t have = bytes.size();
+    const size_t want = std::min<size_t>(1 << 16, kMaxCompactBytes + 1 - have);
+    bytes.resize(have + want);
+    is.read(bytes.data() + have, static_cast<std::streamsize>(want));
+    bytes.resize(have + static_cast<size_t>(is.gcount()));
   }
-
-  ForecasterConfig config;
-  VUP_ASSIGN_OR_RETURN(std::vector<std::string> alg,
-                       ExpectLine(is, "algorithm"));
-  if (alg.size() != 1) {
-    return Status::InvalidArgument("malformed algorithm line");
-  }
-  VUP_ASSIGN_OR_RETURN(config.algorithm, AlgorithmFromString(alg[0]));
-
-  // Untrusted stream: bound the structural sizes before they drive any
-  // allocation (MakeWindowColumns reserves lookback_w * feature columns).
-  constexpr long long kMaxStructural = 1 << 16;
-  VUP_ASSIGN_OR_RETURN(long long lookback, ExpectIntLine(is, "lookback_w"));
-  if (lookback < 1 || lookback > kMaxStructural) {
-    return Status::InvalidArgument("lookback_w out of range");
-  }
-  config.windowing.lookback_w = static_cast<size_t>(lookback);
-  VUP_ASSIGN_OR_RETURN(long long tdc,
-                       ExpectIntLine(is, "include_target_day_context"));
-  config.windowing.include_target_day_context = tdc != 0;
-  VUP_ASSIGN_OR_RETURN(long long lc,
-                       ExpectIntLine(is, "include_lag_context"));
-  config.windowing.include_lag_context = lc != 0;
-  VUP_ASSIGN_OR_RETURN(long long lef,
-                       ExpectIntLine(is, "lag_engine_features"));
-  if (lef < 0 || lef > kMaxStructural) {
-    return Status::InvalidArgument("lag_engine_features out of range");
-  }
-  config.windowing.lag_engine_features = static_cast<size_t>(lef);
-  VUP_ASSIGN_OR_RETURN(long long top_k, ExpectIntLine(is, "top_k"));
-  if (top_k < 0 || top_k > kMaxStructural) {
-    return Status::InvalidArgument("top_k out of range");
-  }
-  config.selection.top_k = static_cast<size_t>(top_k);
-  VUP_ASSIGN_OR_RETURN(long long ufs,
-                       ExpectIntLine(is, "use_feature_selection"));
-  config.use_feature_selection = ufs != 0;
-  VUP_ASSIGN_OR_RETURN(long long std_flag, ExpectIntLine(is, "standardize"));
-  config.standardize = std_flag != 0;
-  VUP_ASSIGN_OR_RETURN(long long clamp,
-                       ExpectIntLine(is, "clamp_predictions"));
-  config.clamp_predictions = clamp != 0;
-
-  VehicleForecaster forecaster(config);
-  VUP_ASSIGN_OR_RETURN(forecaster.selected_lags_,
-                       ExpectIndexVector(is, "selected_lags"));
-  VUP_ASSIGN_OR_RETURN(forecaster.selected_columns_,
-                       ExpectIndexVector(is, "selected_columns"));
-  forecaster.all_columns_ = MakeWindowColumns(config.windowing);
-  for (size_t c : forecaster.selected_columns_) {
-    if (c >= forecaster.all_columns_.size()) {
-      return Status::InvalidArgument("selected column index out of range");
-    }
-  }
-  if (config.standardize) {
-    VUP_ASSIGN_OR_RETURN(forecaster.scaler_, LoadScaler(is));
-  }
-  VUP_ASSIGN_OR_RETURN(forecaster.model_, LoadRegressor(is));
-  VUP_ASSIGN_OR_RETURN(std::vector<std::string> end,
-                       ExpectLine(is, "end-forecaster"));
-  if (!end.empty()) {
-    return Status::InvalidArgument("trailing tokens after end-forecaster");
-  }
-  forecaster.trained_ = true;
-  return forecaster;
+  if (is.bad()) return Status::DataLoss("stream read failed");
+  return LoadCompact(std::move(bytes));
 }
 
 size_t VehicleForecaster::ResidentBytes() const {
@@ -633,8 +482,8 @@ StatusOr<VehicleForecaster> VehicleForecaster::LoadCompact(
   std::vector<size_t> cols(decoded.header.selected_columns.begin(),
                            decoded.header.selected_columns.end());
   // Column-range validation against MakeWindowColumns happens in
-  // FromParts, exactly as the text Load path; a compact bundle whose
-  // columns fall outside the window set is rejected, not served.
+  // FromParts; a compact bundle whose columns fall outside the window set
+  // is rejected, not served.
   StatusOr<VehicleForecaster> forecaster =
       FromParts(config, std::move(lags), std::move(cols),
                 std::move(decoded.scaler), std::move(decoded.model));
@@ -646,6 +495,14 @@ StatusOr<VehicleForecaster> VehicleForecaster::LoadCompact(
                             forecaster.status().message());
   }
   return forecaster;
+}
+
+StatusOr<VehicleForecaster> VehicleForecaster::LoadCompact(std::string bytes) {
+  auto owner = std::make_shared<const std::string>(std::move(bytes));
+  return LoadCompact(
+      std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(owner->data()),
+                               owner->size()),
+      owner);
 }
 
 }  // namespace vup

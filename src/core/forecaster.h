@@ -59,7 +59,8 @@ struct ForecasterConfig {
   /// build; the ACF agrees up to floating-point rounding (see SlidingAcf).
   /// Disable to force the naive full-rebuild path (the bitwise reference
   /// that incremental_training_test compares against). Not serialized by
-  /// Save: it changes how training runs, not what a trained pipeline is.
+  /// SaveCompact: it changes how training runs, not what a trained
+  /// pipeline is.
   bool incremental_training = true;
 
   /// Compile shim for perfbench/walkforward.cc, which still reads this
@@ -121,9 +122,9 @@ class VehicleForecaster {
   /// Lags are selected on the member-averaged training-span ACF, the
   /// scaler is fit on the stacked design matrix, and the result is a
   /// regular trained forecaster: PredictTarget scores any member (or
-  /// cold-start) vehicle's dataset, Save/Load round-trips it like a
-  /// per-vehicle model. Members are stacked in input order, so the result
-  /// is deterministic in (members, config). Requirements: ML algorithm
+  /// cold-start) vehicle's dataset, SaveCompact/LoadCompact round-trips it
+  /// like a per-vehicle model. Members are stacked in input order, so the
+  /// result is deterministic in (members, config). Requirements: ML algorithm
   /// (baselines carry no pooled state), >= 1 member, per-member spans as
   /// in Train, >= 2 stacked records in total.
   static StatusOr<VehicleForecaster> TrainPooled(
@@ -162,20 +163,12 @@ class VehicleForecaster {
   size_t ResidentBytes() const;
 
   /// Persists the trained pipeline (config, selected columns, scaler,
-  /// model) as text, so a model trained centrally can be applied at the
-  /// edge without retraining (`vupred train --save`, `predict --model`).
-  /// Registries publish SaveCompact bundles instead. FailedPrecondition
-  /// before Train; Unimplemented for baseline algorithms (they carry no
-  /// state).
-  Status Save(std::ostream& os) const;
-
-  /// Restores a pipeline written by Save.
-  static StatusOr<VehicleForecaster> Load(std::istream& is);
-
-  /// Persists the trained pipeline as a compact binary bundle
-  /// (ml/compact.h): fixed layout, CRC-framed, scored in place -- the
-  /// format registries publish and serve. Same preconditions as Save. The loaded
-  /// pipeline predicts bitwise what this one does (DESIGN.md section 15).
+  /// model) as a compact binary bundle (ml/compact.h): fixed layout,
+  /// CRC-framed, scored in place. It is the one model format: registries
+  /// publish it and `vupred train --out` writes it. The loaded pipeline
+  /// predicts bitwise what this one does (DESIGN.md section 15).
+  /// FailedPrecondition before Train; Unimplemented for baseline
+  /// algorithms (they carry no state).
   StatusOr<std::string> SaveCompact() const;
 
   /// Restores a pipeline written by SaveCompact. The forecaster scores in
@@ -184,15 +177,28 @@ class VehicleForecaster {
   static StatusOr<VehicleForecaster> LoadCompact(
       std::span<const uint8_t> bytes, std::shared_ptr<const void> owner);
 
+  /// LoadCompact over `bytes`, which the returned forecaster then owns.
+  static StatusOr<VehicleForecaster> LoadCompact(std::string bytes);
+
+  /// Writes the SaveCompact bytes to `os`; DataLoss when the write fails.
+  /// Kept only for perfbench, and deleted with the other perfbench shims
+  /// (ROADMAP item 9).
+  Status Save(std::ostream& os) const;
+
+  /// Reads at most kMaxCompactBytes + 1 bytes of `is` into an owned buffer
+  /// and returns LoadCompact's result, under the same hostile-bytes
+  /// contract. Kept only for perfbench, like Save.
+  static StatusOr<VehicleForecaster> Load(std::istream& is);
+
   /// Deep copy of the persisted pipeline (config, selected lags and
-  /// columns, scaler, fitted model), independent of this forecaster: Save
-  /// and SaveCompact of the copy write the same bytes as of this one, even
+  /// columns, scaler, fitted model), independent of this forecaster:
+  /// SaveCompact of the copy writes the same bytes as of this one, even
   /// after this forecaster is retrained or destroyed. Training caches are
-  /// not copied. Same preconditions and statuses as Save.
+  /// not copied. Same preconditions and statuses as SaveCompact.
   StatusOr<VehicleForecaster> Snapshot() const;
 
   /// Reassembles a trained forecaster from already-validated parts (the
-  /// compact decode path), with Load's structural validation: ML
+  /// compact decode path), with structural validation: ML
   /// algorithm only, fitted model, selected columns within the window
   /// column set, fitted scaler iff config.standardize.
   static StatusOr<VehicleForecaster> FromParts(
@@ -206,8 +212,8 @@ class VehicleForecaster {
            config_.algorithm == Algorithm::kMovingAverage;
   }
 
-  /// Save's preconditions: FailedPrecondition before Train, Unimplemented
-  /// for baseline algorithms.
+  /// SaveCompact's preconditions: FailedPrecondition before Train,
+  /// Unimplemented for baseline algorithms.
   Status CheckSavable() const;
 
   /// Advances (or rebuilds) the cached sliding-window builder so it covers

@@ -33,8 +33,7 @@ constexpr uint8_t kKnownFlags =
     kFlagTargetDayContext | kFlagLagContext;
 
 // Structural caps, enforced on decode before any count-sized allocation
-// and on encode so every emitted bundle decodes. kMaxStructural matches
-// the text loader's cap for the same fields.
+// and on encode so every emitted bundle decodes.
 constexpr uint32_t kMaxStructural = 1u << 16;
 constexpr uint32_t kMaxCompactFeatures = 1u << 20;
 constexpr uint64_t kMaxSvCells = 1ull << 23;  // num_sv * num_features.
@@ -143,7 +142,7 @@ class CompactModel final : public Regressor {
 
   Status Fit(const Matrix&, std::span<const double>) override {
     return Status::FailedPrecondition(
-        "compact model bundles are read-only; train via the text pipeline");
+        "compact model bundles are read-only; train a new model instead");
   }
 
   StatusOr<double> PredictOne(
@@ -498,7 +497,7 @@ StatusOr<DecodedCompactPipeline> DecodeCompactPipeline(
     }
     for (size_t i = 0; i < nf; ++i) {
       if (!std::isfinite(means[i]) || !std::isfinite(scales[i]) ||
-          scales[i] == 0.0) {
+          scales[i] <= 0.0) {
         return Status::DataLoss("compact bundle scaler state is invalid");
       }
     }

@@ -72,7 +72,7 @@ inline constexpr uint16_t kCompactVersion = 2;
 inline constexpr size_t kMaxCompactBytes = 64ull << 20;
 
 /// Pipeline-shape fields of a compact bundle -- the ml-layer mirror of
-/// the ForecasterConfig subset the text format persists. The core layer
+/// the ForecasterConfig subset a saved pipeline keeps. The core layer
 /// (VehicleForecaster::SaveCompact/LoadCompact) maps between the two;
 /// this struct keeps the codec free of core dependencies.
 struct CompactPipelineHeader {

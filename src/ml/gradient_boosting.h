@@ -39,18 +39,6 @@ class GradientBoosting : public Regressor {
   GradientBoosting() = default;
   explicit GradientBoosting(Options options) : options_(options) {}
 
-  /// Reconstructs a fitted ensemble from serialized state (ml/serialize.h).
-  static GradientBoosting FromState(Options options, double init,
-                                    std::vector<RegressionTree> trees,
-                                    size_t num_features) {
-    GradientBoosting m(options);
-    m.init_ = init;
-    m.trees_ = std::move(trees);
-    m.num_features_ = num_features;
-    m.fitted_ = true;
-    return m;
-  }
-
   const Options& options() const { return options_; }
   const std::vector<RegressionTree>& trees() const { return trees_; }
   size_t num_features() const { return num_features_; }

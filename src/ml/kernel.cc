@@ -1,7 +1,6 @@
 #include "ml/kernel.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/check.h"
@@ -39,6 +38,20 @@ double SquaredDistance(const double* a, const double* b, size_t d) {
   return sq;
 }
 
+/// base^exponent by squaring: one fixed sequence of multiplications, so
+/// the result does not depend on which pow the C library picks for the
+/// CPU. A negative exponent gives the reciprocal of the positive power.
+double IntPow(double base, int exponent) {
+  unsigned n = exponent < 0 ? 0u - static_cast<unsigned>(exponent)
+                            : static_cast<unsigned>(exponent);
+  double result = 1.0;
+  for (; n != 0; n >>= 1) {
+    if (n & 1u) result *= base;
+    base *= base;
+  }
+  return exponent < 0 ? 1.0 / result : result;
+}
+
 }  // namespace
 
 double KernelFunction(const KernelParams& params, std::span<const double> a,
@@ -51,7 +64,7 @@ double KernelFunction(const KernelParams& params, std::span<const double> a,
     case KernelType::kLinear:
       return Dot(a, b);
     case KernelType::kPolynomial:
-      return std::pow(g * Dot(a, b) + params.coef0, params.degree);
+      return IntPow(g * Dot(a, b) + params.coef0, params.degree);
   }
   return 0.0;
 }

@@ -25,16 +25,6 @@ class Lasso : public Regressor {
   Lasso() = default;
   explicit Lasso(Options options) : options_(options) {}
 
-  /// Reconstructs a fitted model from serialized state (ml/serialize.h).
-  static Lasso FromState(Options options, std::vector<double> coefficients,
-                         double intercept) {
-    Lasso m(options);
-    m.coef_ = std::move(coefficients);
-    m.intercept_ = intercept;
-    m.fitted_ = true;
-    return m;
-  }
-
   const Options& options() const { return options_; }
 
   Status Fit(const Matrix& x, std::span<const double> y) override;

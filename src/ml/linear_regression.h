@@ -24,17 +24,6 @@ class LinearRegression : public Regressor {
   LinearRegression() = default;
   explicit LinearRegression(Options options) : options_(options) {}
 
-  /// Reconstructs a fitted model from serialized state (ml/serialize.h).
-  static LinearRegression FromState(Options options,
-                                    std::vector<double> coefficients,
-                                    double intercept) {
-    LinearRegression m(options);
-    m.coef_ = std::move(coefficients);
-    m.intercept_ = intercept;
-    m.fitted_ = true;
-    return m;
-  }
-
   const Options& options() const { return options_; }
 
   Status Fit(const Matrix& x, std::span<const double> y) override;

@@ -4,15 +4,16 @@
 #include <cmath>
 
 #include "linalg/cholesky.h"
+#include "ml/lanes.h"
 
 namespace vup {
 
 double Sigmoid(double z) {
   if (z >= 0.0) {
-    double e = std::exp(-z);
+    double e = Exp(-z);
     return 1.0 / (1.0 + e);
   }
-  double e = std::exp(z);
+  double e = Exp(z);
   return e / (1.0 + e);
 }
 

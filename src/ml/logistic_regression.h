@@ -32,17 +32,6 @@ class LogisticRegression {
   LogisticRegression() = default;
   explicit LogisticRegression(Options options) : options_(options) {}
 
-  /// Reconstructs a fitted model from serialized state (ml/serialize.h).
-  static LogisticRegression FromState(Options options,
-                                      std::vector<double> coefficients,
-                                      double intercept) {
-    LogisticRegression m(options);
-    m.coef_ = std::move(coefficients);
-    m.intercept_ = intercept;
-    m.fitted_ = true;
-    return m;
-  }
-
   const Options& options() const { return options_; }
 
   /// Trains on labels y in {0, 1}. InvalidArgument on shape mismatch,
@@ -69,7 +58,8 @@ class LogisticRegression {
   size_t iterations_run_ = 0;
 };
 
-/// Numerically-stable logistic sigmoid.
+/// Numerically-stable logistic sigmoid. Its exp is the library's own
+/// (ml/lanes.h), so fits and probabilities are the same on every host.
 double Sigmoid(double z);
 
 }  // namespace vup

@@ -32,7 +32,7 @@ class StandardScaler {
   /// Fit followed by Transform.
   StatusOr<Matrix> FitTransform(Matrix x);
 
-  /// Reconstructs a fitted scaler from serialized state (ml/serialize.h).
+  /// Reconstructs a fitted scaler from decoded state (ml/compact.h).
   static StandardScaler FromState(std::vector<double> means,
                                   std::vector<double> scales) {
     StandardScaler s;

@@ -55,20 +55,6 @@ class Svr : public Regressor {
   Svr() = default;
   explicit Svr(Options options) : options_(options) {}
 
-  /// Reconstructs a fitted model from serialized state (ml/serialize.h).
-  /// `options.kernel.gamma` must be the resolved (positive) value.
-  static Svr FromState(Options options, Matrix support_vectors,
-                       std::vector<double> beta, double bias,
-                       size_t num_features) {
-    Svr m(options);
-    m.support_ = std::move(support_vectors);
-    m.beta_ = std::move(beta);
-    m.bias_ = bias;
-    m.num_features_ = num_features;
-    m.fitted_ = true;
-    return m;
-  }
-
   const Options& options() const { return options_; }
   const Matrix& support_vectors() const { return support_; }
   const std::vector<double>& dual_coefficients() const { return beta_; }

@@ -10,25 +10,6 @@
 
 namespace vup {
 
-RegressionTree RegressionTree::FromState(Options options,
-                                         const std::vector<NodeState>& nodes,
-                                         size_t num_features) {
-  RegressionTree tree(options);
-  tree.nodes_.reserve(nodes.size());
-  for (const NodeState& n : nodes) {
-    Node node;
-    node.feature = n.feature;
-    node.threshold = n.threshold;
-    node.left = n.left;
-    node.right = n.right;
-    node.value = n.value;
-    tree.nodes_.push_back(node);
-  }
-  tree.num_features_ = num_features;
-  tree.fitted_ = !tree.nodes_.empty();
-  return tree;
-}
-
 std::vector<RegressionTree::NodeState> RegressionTree::GetState() const {
   std::vector<NodeState> out;
   out.reserve(nodes_.size());

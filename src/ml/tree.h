@@ -32,11 +32,6 @@ class RegressionTree : public Regressor {
   RegressionTree() = default;
   explicit RegressionTree(Options options) : options_(options) {}
 
-  /// Reconstructs a fitted tree from serialized state (ml/serialize.h).
-  static RegressionTree FromState(Options options,
-                                  const std::vector<NodeState>& nodes,
-                                  size_t num_features);
-
   /// Current node state, for serialization. Empty when unfitted.
   std::vector<NodeState> GetState() const;
 

@@ -45,16 +45,6 @@ Status WriteBundleFile(const std::string& path, std::string_view bytes) {
   return Status::OK();
 }
 
-/// Decodes a compact bundle that the returned forecaster then owns: the
-/// model scores in place over `bytes`, held alive by the forecaster.
-StatusOr<VehicleForecaster> DecodeOwnedBundle(std::string bytes) {
-  auto owner = std::make_shared<const std::string>(std::move(bytes));
-  return VehicleForecaster::LoadCompact(
-      std::span<const uint8_t>(
-          reinterpret_cast<const uint8_t*>(owner->data()), owner->size()),
-      owner);
-}
-
 /// Largest generation number present under `root` (committed or staging),
 /// 0 when none.
 uint64_t MaxGenerationNumber(const std::string& root) {
@@ -178,7 +168,7 @@ StatusOr<VehicleForecaster> LoadListedBundle(const std::string& directory,
           ? StoredCrc32Trailer(bytes.data(), bytes.size())
           : 0;
   StatusOr<VehicleForecaster> forecaster =
-      DecodeOwnedBundle(std::move(bytes));
+      VehicleForecaster::LoadCompact(std::move(bytes));
   if (!forecaster.ok()) {
     return Status::DataLoss(std::string(forecaster.status().message()));
   }

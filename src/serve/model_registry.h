@@ -306,7 +306,8 @@ class ModelRegistry {
 
   /// The bundle file of a vehicle: "vehicle_<id>.cfcst".
   static std::string BundleFileName(int64_t vehicle_id);
-  /// Same as BundleFileName; kept so existing callers still compile.
+  /// Same as BundleFileName. Kept only for perfbench/nightly.cc, and
+  /// deleted with perfbench's other shims (ROADMAP item 9).
   static std::string CompactBundleFileName(int64_t vehicle_id) {
     return BundleFileName(vehicle_id);
   }
@@ -314,8 +315,7 @@ class ModelRegistry {
   std::string BundlePath(int64_t vehicle_id) const;
 
   /// Inverse of BundleFileName: "vehicle_<id>.cfcst" -> id, nullopt for
-  /// anything else (meta, manifest, tmp leftovers, and the text bundles
-  /// of generations published before compact-only generations).
+  /// anything else (meta, manifest, clusters.meta, tmp leftovers).
   static std::optional<int64_t> ParseBundleFileName(std::string_view name);
 
   static std::string GenerationDirName(uint64_t number);

@@ -37,7 +37,7 @@ struct ValidationOptions {
 /// carries one human-readable line per defect for logs and CLI output.
 struct ValidationReport {
   size_t models_checked = 0;
-  size_t deserialize_failures = 0;  // Bundles Load refused.
+  size_t deserialize_failures = 0;  // Bundles the decoder refused.
   size_t probe_failures = 0;        // Probes that returned an error.
   size_t nonfinite_outputs = 0;     // Probes that produced NaN/inf.
   size_t bound_breaches = 0;        // Probes outside [-max, max] hours.

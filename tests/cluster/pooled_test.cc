@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -131,19 +130,20 @@ TEST(TrainPooledHierarchyTest, ProducesExpectedModelIds) {
   EXPECT_EQ(ids, expected);
 
   // Every pooled model predicts any member vehicle and survives a
-  // Save/Load round trip with identical predictions.
+  // SaveCompact/LoadCompact round trip with bitwise identical predictions.
   const VehicleDataset& probe = fleet[0];
   const size_t target = probe.num_days() - 1;
   for (const PooledModel& m : models.value()) {
     StatusOr<double> before = m.forecaster.PredictTarget(probe, target);
     ASSERT_TRUE(before.ok()) << "model " << m.model_id;
-    std::stringstream buffer;
-    ASSERT_TRUE(m.forecaster.Save(buffer).ok());
-    StatusOr<VehicleForecaster> loaded = VehicleForecaster::Load(buffer);
+    StatusOr<std::string> bytes = m.forecaster.SaveCompact();
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    StatusOr<VehicleForecaster> loaded =
+        VehicleForecaster::LoadCompact(std::move(bytes).value());
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     StatusOr<double> after = loaded.value().PredictTarget(probe, target);
     ASSERT_TRUE(after.ok());
-    EXPECT_DOUBLE_EQ(after.value(), before.value());
+    EXPECT_EQ(after.value(), before.value());
   }
 }
 

@@ -1,11 +1,11 @@
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <sstream>
+#include <streambuf>
 
 #include <gtest/gtest.h>
 
 #include "core/forecaster.h"
+#include "ml/compact.h"
 
 namespace vup {
 namespace {
@@ -32,98 +32,69 @@ VehicleDataset WeeklyDataset(int n) {
   return VehicleDataset::Build(info, recs, Italy()).value();
 }
 
+ForecasterConfig PersistenceConfig(Algorithm algorithm) {
+  ForecasterConfig cfg;
+  cfg.algorithm = algorithm;
+  cfg.windowing.lookback_w = 14;
+  cfg.selection.top_k = 7;
+  cfg.gb.n_estimators = 30;
+  return cfg;
+}
+
 class ForecasterPersistenceTest : public ::testing::TestWithParam<Algorithm> {
 };
 
 TEST_P(ForecasterPersistenceTest, SaveLoadPredictsIdentically) {
   VehicleDataset ds = WeeklyDataset(220);
-  ForecasterConfig cfg;
-  cfg.algorithm = GetParam();
-  cfg.windowing.lookback_w = 14;
-  cfg.selection.top_k = 7;
-  cfg.gb.n_estimators = 30;
-  VehicleForecaster original(cfg);
+  VehicleForecaster original(PersistenceConfig(GetParam()));
   ASSERT_TRUE(original.Train(ds, 20, 200).ok());
 
-  std::ostringstream os;
-  ASSERT_TRUE(original.Save(os).ok())
-      << AlgorithmToString(GetParam());
-  std::istringstream is(os.str());
-  StatusOr<VehicleForecaster> loaded_or = VehicleForecaster::Load(is);
+  StatusOr<std::string> bytes = original.SaveCompact();
+  ASSERT_TRUE(bytes.ok()) << AlgorithmToString(GetParam());
+  StatusOr<VehicleForecaster> loaded_or =
+      VehicleForecaster::LoadCompact(std::move(bytes).value());
   ASSERT_TRUE(loaded_or.ok()) << loaded_or.status().ToString();
   const VehicleForecaster& loaded = loaded_or.value();
   EXPECT_TRUE(loaded.trained());
   EXPECT_EQ(loaded.selected_lags(), original.selected_lags());
+  EXPECT_EQ(loaded.selected_columns(), original.selected_columns());
 
   for (size_t t = 205; t <= ds.num_days(); t += 3) {
-    EXPECT_DOUBLE_EQ(loaded.PredictTarget(ds, t).value(),
-                     original.PredictTarget(ds, t).value())
-        << "target " << t;
+    const double want = original.PredictTarget(ds, t).value();
+    const double got = loaded.PredictTarget(ds, t).value();
+    EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+        << "target " << t << ": " << want << " vs " << got;
   }
 }
 
-/// Re-renders every numeric token of a saved bundle with printf("%.17g")
-/// of the value it parses to, keeping all other bytes as they are. A
-/// bundle equals its rendering exactly when every number in it is the
-/// %.17g text of its double. `doubles` counts the non-integer tokens.
-std::string PrintfRendering(const std::string& text, size_t* doubles) {
-  std::string out;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    const size_t end = std::min(text.find_first_of(" \n", pos), text.size());
-    const std::string token = text.substr(pos, end - pos);
-    char* parsed_end = nullptr;
-    const double value = std::strtod(token.c_str(), &parsed_end);
-    if (!token.empty() && *parsed_end == '\0') {
-      char buf[64];
-      out.append(buf, static_cast<size_t>(std::snprintf(
-                          buf, sizeof(buf), "%.17g", value)));
-      if (token.find_first_of(".e") != std::string::npos) ++*doubles;
-    } else {
-      out += token;
-    }
-    if (end < text.size()) out += text[end];
-    pos = end + 1;
-  }
-  return out;
-}
-
-TEST_P(ForecasterPersistenceTest, SavedBytesMatchPrintfReference) {
+TEST_P(ForecasterPersistenceTest, StreamSaveWritesTheCompactBytes) {
   VehicleDataset ds = WeeklyDataset(220);
-  ForecasterConfig cfg;
-  cfg.algorithm = GetParam();
-  cfg.windowing.lookback_w = 14;
-  cfg.selection.top_k = 7;
-  cfg.gb.n_estimators = 30;
-  VehicleForecaster forecaster(cfg);
+  VehicleForecaster forecaster(PersistenceConfig(GetParam()));
   ASSERT_TRUE(forecaster.Train(ds, 20, 200).ok());
+  const std::string compact = forecaster.SaveCompact().value();
   std::ostringstream os;
   ASSERT_TRUE(forecaster.Save(os).ok());
-  size_t doubles = 0;
-  EXPECT_EQ(os.str(), PrintfRendering(os.str(), &doubles));
-  EXPECT_GE(doubles, 10u) << "too few doubles for a meaningful check";
+  EXPECT_EQ(os.str(), compact);
+
+  std::istringstream is(os.str());
+  StatusOr<VehicleForecaster> loaded = VehicleForecaster::Load(is);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const double want = forecaster.PredictTarget(ds, ds.num_days()).value();
+  const double got = loaded.value().PredictTarget(ds, ds.num_days()).value();
+  EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+      << want << " vs " << got;
 }
 
 TEST_P(ForecasterPersistenceTest, SnapshotSavesTheSameBytes) {
   VehicleDataset ds = WeeklyDataset(220);
-  ForecasterConfig cfg;
-  cfg.algorithm = GetParam();
-  cfg.windowing.lookback_w = 14;
-  cfg.selection.top_k = 7;
-  cfg.gb.n_estimators = 30;
-  VehicleForecaster forecaster(cfg);
+  VehicleForecaster forecaster(PersistenceConfig(GetParam()));
   ASSERT_TRUE(forecaster.Train(ds, 20, 200).ok());
-  std::ostringstream text;
-  ASSERT_TRUE(forecaster.Save(text).ok());
   const std::string compact = forecaster.SaveCompact().value();
 
   StatusOr<VehicleForecaster> snapshot = forecaster.Snapshot();
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   // Retraining the source leaves the snapshot's bytes as they were.
   ASSERT_TRUE(forecaster.Train(ds, 40, 210).ok());
-  std::ostringstream copied;
-  ASSERT_TRUE(snapshot.value().Save(copied).ok());
-  EXPECT_EQ(copied.str(), text.str());
   EXPECT_EQ(snapshot.value().SaveCompact().value(), compact);
 }
 
@@ -138,7 +109,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ForecasterPersistenceTest, UntrainedRejected) {
   VehicleForecaster forecaster(ForecasterConfig{});
   std::ostringstream os;
+  EXPECT_TRUE(forecaster.SaveCompact().status().IsFailedPrecondition());
   EXPECT_TRUE(forecaster.Save(os).IsFailedPrecondition());
+  EXPECT_TRUE(os.str().empty());
   EXPECT_TRUE(forecaster.Snapshot().status().IsFailedPrecondition());
 }
 
@@ -149,42 +122,54 @@ TEST(ForecasterPersistenceTest, BaselineRejected) {
   VehicleForecaster forecaster(cfg);
   ASSERT_TRUE(forecaster.Train(ds, 0, 90).ok());
   std::ostringstream os;
+  EXPECT_TRUE(forecaster.SaveCompact().status().IsUnimplemented());
   EXPECT_TRUE(forecaster.Save(os).IsUnimplemented());
   EXPECT_TRUE(forecaster.Snapshot().status().IsUnimplemented());
 }
 
 TEST(ForecasterPersistenceTest, GarbageRejected) {
-  for (const char* garbage :
-       {"", "nonsense", "vupred-forecaster v1\nalgorithm Alien\n",
-        "vupred-forecaster v1\nalgorithm SVR\nlookback_w 14\n"}) {
+  // Too short for a compact header: DataLoss.
+  for (const char* garbage : {"", "nonsense", "VUPC"}) {
     std::istringstream is(garbage);
-    EXPECT_FALSE(VehicleForecaster::Load(is).ok()) << garbage;
+    const Status status = VehicleForecaster::Load(is).status();
+    EXPECT_TRUE(status.IsDataLoss()) << garbage << ": " << status.ToString();
   }
+  // The retired text format is refused by its first bytes, not parsed.
+  const std::string text =
+      "vupred-forecaster v1\nalgorithm Lasso\nlookback_w 14\n"
+      "include_target_day_context 1\ninclude_lag_context 1\n";
+  std::istringstream is(text);
+  const Status status = VehicleForecaster::Load(is).status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_TRUE(
+      VehicleForecaster::LoadCompact(text).status().IsInvalidArgument());
 }
 
-TEST(ForecasterPersistenceTest, CorruptColumnIndexRejected) {
-  VehicleDataset ds = WeeklyDataset(200);
-  ForecasterConfig cfg;
-  cfg.algorithm = Algorithm::kLasso;
-  cfg.windowing.lookback_w = 14;
-  cfg.selection.top_k = 7;
-  VehicleForecaster forecaster(cfg);
-  ASSERT_TRUE(forecaster.Train(ds, 20, 190).ok());
-  std::ostringstream os;
-  ASSERT_TRUE(forecaster.Save(os).ok());
-  // Tamper: blow up a selected column index far beyond the layout.
-  std::string text = os.str();
-  size_t pos = text.find("selected_columns");
-  ASSERT_NE(pos, std::string::npos);
-  size_t line_end = text.find('\n', pos);
-  std::string line = text.substr(pos, line_end - pos);
-  // Replace the last index with 99999.
-  size_t last_space = line.rfind(' ');
-  std::string tampered = text.substr(0, pos) +
-                         line.substr(0, last_space) + " 99999" +
-                         text.substr(line_end);
-  std::istringstream is(tampered);
-  EXPECT_FALSE(VehicleForecaster::Load(is).ok());
+/// An endless stream of one byte that counts what it hands out.
+class EndlessBuf : public std::streambuf {
+ public:
+  size_t served() const { return served_; }
+
+ protected:
+  int_type underflow() override {
+    setg(chunk_, chunk_, chunk_ + sizeof(chunk_));
+    served_ += sizeof(chunk_);
+    return traits_type::to_int_type(chunk_[0]);
+  }
+
+ private:
+  char chunk_[4096] = {'V'};
+  size_t served_ = 0;
+};
+
+TEST(ForecasterPersistenceTest, OversizedStreamIsReadOnlyPastTheCap) {
+  EndlessBuf buf;
+  std::istream is(&buf);
+  const Status status = VehicleForecaster::Load(is).status();
+  EXPECT_TRUE(status.IsDataLoss()) << status.ToString();
+  // One byte past the cap decides it; the buffer hands out whole chunks.
+  EXPECT_GT(buf.served(), kMaxCompactBytes);
+  EXPECT_LE(buf.served(), kMaxCompactBytes + 4096);
 }
 
 }  // namespace

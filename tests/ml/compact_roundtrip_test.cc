@@ -288,6 +288,15 @@ TEST(CompactRoundtripTest, HeaderAndScalerRoundTrip) {
   }
 }
 
+TEST(CompactRoundtripTest, UnfittedModelIsNotEncoded) {
+  const LinearRegression model;
+  EXPECT_TRUE(EncodeCompactPipeline(
+                  MakeHeader(Algorithm::kLinearRegression, false), nullptr,
+                  model)
+                  .status()
+                  .IsFailedPrecondition());
+}
+
 TEST(CompactRoundtripTest, DecodedModelRefusesFit) {
   Matrix x;
   std::vector<double> y;
@@ -465,6 +474,176 @@ TEST(CompactHostileBytesTest, TrailingBytesAreDataLoss) {
   std::string bytes = EncodeSample();
   bytes += '\0';
   EXPECT_TRUE(DecodeBytes(bytes).IsDataLoss());
+}
+
+TEST(CompactHostileBytesTest, RandomGarbageNeverDecodes) {
+  Rng rng(1234);
+  for (int round = 0; round < 500; ++round) {
+    std::string garbage(static_cast<size_t>(rng.UniformInt(0, 512)), '\0');
+    for (char& c : garbage) c = static_cast<char>(rng.UniformInt(0, 255));
+    // Often a valid magic and version, so the CRC check is reached.
+    if (rng.Bernoulli(0.5)) garbage = std::string("VUPC\x02\x00", 6) + garbage;
+    const Status status = DecodeBytes(garbage);
+    ASSERT_FALSE(status.ok()) << "round " << round << " decoded";
+    ASSERT_TRUE(status.IsDataLoss() || status.IsInvalidArgument() ||
+                status.IsUnimplemented())
+        << "round " << round << ": " << status.ToString();
+  }
+}
+
+// ---- Structural lies that pass the CRC ---------------------------------
+//
+// Each case overwrites one field and then recomputes the CRC trailer, so
+// the edit reaches the decoder's structural checks. Offsets follow the
+// layout in ml/compact.h for MakeHeader's 3 lags and 4 columns over 4
+// features: columns at 44, a scaler's scales at 92, and the payload at 64
+// without a scaler.
+
+constexpr size_t kColumnsAt = 32 + 4 * 3;
+constexpr size_t kPayloadAt = 64;
+
+template <typename T>
+std::string WithValidCrc(std::string bytes, size_t offset, T value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(T));
+  const uint32_t crc = Crc32(bytes.data(), bytes.size() - 4);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
+  return bytes;
+}
+
+TEST(CompactHostileBytesTest, HeaderLiesWithValidCrcAreDataLoss) {
+  const std::string bytes = EncodeSample();
+  ASSERT_TRUE(DecodeBytes(WithValidCrc(bytes, 8, uint32_t{14})).ok());
+  EXPECT_TRUE(DecodeBytes(WithValidCrc(bytes, 6, uint8_t{9})).IsDataLoss());
+  EXPECT_TRUE(
+      DecodeBytes(WithValidCrc(bytes, 7, uint8_t{0x80})).IsDataLoss());
+  EXPECT_TRUE(DecodeBytes(WithValidCrc(bytes, 8, uint32_t{0})).IsDataLoss());
+  EXPECT_TRUE(
+      DecodeBytes(WithValidCrc(bytes, 20, uint32_t{0})).IsDataLoss());
+  for (uint32_t count : {uint32_t{1} << 17, uint32_t{0xFFFFFFFF}, 1000u}) {
+    EXPECT_TRUE(DecodeBytes(WithValidCrc(bytes, 24, count)).IsDataLoss())
+        << "num_selected_lags " << count;
+    EXPECT_TRUE(DecodeBytes(WithValidCrc(bytes, 28, count)).IsDataLoss())
+        << "num_selected_columns " << count;
+  }
+}
+
+TEST(CompactHostileBytesTest, SvrLiesWithValidCrcAreDataLoss) {
+  const std::string bytes = EncodeSample(Algorithm::kSvr);
+  const size_t num_sv_at = kPayloadAt + 32;
+  // Past the cell cap, and under it but past the buffer: no allocation of
+  // the claimed size either way.
+  for (uint32_t num_sv : {0xFFFFFFFFu, (1u << 20) + 1, 1000u}) {
+    EXPECT_TRUE(
+        DecodeBytes(WithValidCrc(bytes, num_sv_at, num_sv)).IsDataLoss())
+        << "num_sv " << num_sv;
+  }
+  EXPECT_TRUE(
+      DecodeBytes(WithValidCrc(bytes, kPayloadAt + 24, uint32_t{3}))
+          .IsDataLoss());  // Kernel type.
+  EXPECT_TRUE(
+      DecodeBytes(WithValidCrc(bytes, kPayloadAt + 28, uint32_t{1} << 17))
+          .IsDataLoss());  // Degree.
+  for (double gamma : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    EXPECT_TRUE(
+        DecodeBytes(WithValidCrc(bytes, kPayloadAt, gamma)).IsDataLoss())
+        << "gamma " << gamma;
+  }
+}
+
+TEST(CompactHostileBytesTest, GbLiesWithValidCrcAreDataLoss) {
+  const std::string bytes = EncodeSample(Algorithm::kGradientBoosting);
+  const size_t num_trees_at = kPayloadAt + 16;
+  const size_t nodes_at = num_trees_at + 8;  // After num_trees, num_nodes.
+  uint16_t root_feature = 0;
+  std::memcpy(&root_feature, bytes.data() + nodes_at, sizeof(root_feature));
+  ASSERT_NE(root_feature, 0xFFFF) << "the first tree's root is a leaf";
+
+  for (uint32_t num_trees : {0xFFFFFFFFu, (1u << 16) + 1, 1000u}) {
+    EXPECT_TRUE(DecodeBytes(WithValidCrc(bytes, num_trees_at, num_trees))
+                    .IsDataLoss())
+        << "num_trees " << num_trees;
+  }
+  EXPECT_TRUE(DecodeBytes(WithValidCrc(bytes, num_trees_at + 4, uint32_t{0}))
+                  .IsDataLoss());  // An empty tree.
+  // A child pointing back at the root would loop forever; a split on
+  // feature 4 of 4 would read past the row.
+  EXPECT_TRUE(DecodeBytes(WithValidCrc(bytes, nodes_at + 2, uint16_t{0}))
+                  .IsDataLoss());
+  EXPECT_TRUE(DecodeBytes(WithValidCrc(bytes, nodes_at + 4, uint16_t{0}))
+                  .IsDataLoss());
+  EXPECT_TRUE(DecodeBytes(WithValidCrc(bytes, nodes_at, uint16_t{4}))
+                  .IsDataLoss());
+}
+
+TEST(CompactHostileBytesTest, ScalerLiesWithValidCrcAreDataLoss) {
+  Matrix x;
+  std::vector<double> y;
+  MakeProblem(&x, &y, 40, 29);
+  StandardScaler scaler;
+  ASSERT_TRUE(scaler.Fit(x).ok());
+  LinearRegression model;
+  ASSERT_TRUE(model.Fit(scaler.Transform(x).value(), y).ok());
+  const std::string bytes =
+      EncodeCompactPipeline(MakeHeader(Algorithm::kLinearRegression, true),
+                            &scaler, model)
+          .value();
+  const size_t scales_at = kColumnsAt + 4 * 4 + 8 * 4;
+  ASSERT_TRUE(DecodeBytes(WithValidCrc(bytes, scales_at, 2.0)).ok());
+  for (double scale : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    EXPECT_TRUE(DecodeBytes(WithValidCrc(bytes, scales_at, scale)).IsDataLoss())
+        << "scale " << scale;
+  }
+  EXPECT_TRUE(DecodeBytes(WithValidCrc(bytes, scales_at - 8, std::nan("")))
+                  .IsDataLoss());  // The last mean.
+}
+
+// ---- Whole forecaster bundles ----------------------------------------------
+
+Status LoadForecasterBytes(std::string bytes) {
+  return VehicleForecaster::LoadCompact(std::move(bytes)).status();
+}
+
+/// A trained Lasso pipeline's bundle: selected lags and columns, a
+/// scaler and a payload, as `vupred train --out` writes it.
+std::string ForecasterBundle() {
+  ForecasterConfig config;
+  config.algorithm = Algorithm::kLasso;
+  config.windowing.lookback_w = 14;
+  config.selection.top_k = 7;
+  const VehicleDataset ds = NoisyWeeklyDataset(220);
+  VehicleForecaster forecaster(config);
+  EXPECT_TRUE(forecaster.Train(ds, 20, 200).ok());
+  return forecaster.SaveCompact().value();
+}
+
+TEST(CompactHostileBytesTest, ColumnOutOfRangeWithValidCrcIsDataLoss) {
+  const std::string bytes = ForecasterBundle();
+  ASSERT_TRUE(LoadForecasterBytes(bytes).ok());
+  uint32_t num_lags = 0;
+  uint32_t num_cols = 0;
+  std::memcpy(&num_lags, bytes.data() + 24, sizeof(num_lags));
+  std::memcpy(&num_cols, bytes.data() + 28, sizeof(num_cols));
+  ASSERT_GT(num_cols, 0u);
+  // The decoder accepts any u32 column; the pipeline check against the
+  // window column set refuses it, and the forecaster reports DataLoss.
+  const size_t last_col_at = 32 + 4 * (num_lags + num_cols - 1);
+  const Status status =
+      LoadForecasterBytes(WithValidCrc(bytes, last_col_at, uint32_t{99999}));
+  EXPECT_TRUE(status.IsDataLoss()) << status.ToString();
+}
+
+TEST(CompactHostileBytesTest, ForecasterBundleTruncatedOrFlippedNeverLoads) {
+  const std::string bytes = ForecasterBundle();
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    const Status status = LoadForecasterBytes(bytes.substr(0, len));
+    ASSERT_FALSE(status.ok()) << "truncated to " << len << " loaded";
+  }
+  for (size_t byte = 0; byte < bytes.size(); ++byte) {
+    std::string mutated = bytes;
+    mutated[byte] = static_cast<char>(mutated[byte] ^ (1 << (byte % 8)));
+    const Status status = LoadForecasterBytes(mutated);
+    ASSERT_FALSE(status.ok()) << "flip in byte " << byte << " loaded";
+  }
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 #!/bin/sh
-# Fails when an RBF Gram matrix or an SVR's predictions depend on which
-# CPU features glibc may use. The driver prints their hashes and one of
-# glibc's own exp; this runs it plainly and with glibc told not to use
-# FMA, which on an x86-64 CPU with FMA switches glibc to another exp whose
-# results differ in the last bit for some arguments.
+# Fails when an RBF or polynomial Gram matrix, an SVR's predictions or a
+# logistic regression depend on which CPU features glibc may use. The
+# driver prints their hashes and one of glibc's own exp; this runs it
+# plainly and with glibc told not to use FMA, which on an x86-64 CPU with
+# FMA switches glibc to another exp (and pow) whose results differ in the
+# last bit for some arguments.
 #
 #   tests/ml/exp_host_test.sh build/tests/ml_exp_host_driver
 #
@@ -22,7 +23,7 @@ printf 'plain:\n%s\nwithout FMA in glibc:\n%s\n' "$plain" "$masked"
 ours_plain=$(printf '%s\n' "$plain" | grep -v '^libm ')
 ours_masked=$(printf '%s\n' "$masked" | grep -v '^libm ')
 if [ "$ours_plain" != "$ours_masked" ]; then
-  echo "FAIL: the Gram matrix or the predictions depend on glibc's exp"
+  echo "FAIL: a Gram matrix, predictions or a logistic fit depend on glibc"
   exit 1
 fi
 if [ "$(printf '%s\n' "$plain" | grep '^libm ')" = \

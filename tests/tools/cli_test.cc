@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include "common/crc32.h"
+#include "core/forecaster.h"
 #include "obs/export.h"
+#include "table/csv.h"
 
 #ifndef VUP_CLI_PATH
 #error "VUP_CLI_PATH must be defined by the build"
@@ -67,6 +69,25 @@ std::string FirstCountry(const std::string& manifest) {
   return "IT";
 }
 
+/// Reads a dataset CSV the way `vupred train` does.
+VehicleDataset LoadDataset(const std::string& path,
+                           const std::string& country_code) {
+  std::vector<Field> fields = {{"date", DataType::kDate, false},
+                               {"utilization_hours", DataType::kDouble, false}};
+  for (const std::string& name : VehicleDataset::FeatureNames()) {
+    fields.push_back({name, DataType::kDouble, false});
+  }
+  const Table table =
+      ReadCsvFile(path, Schema::Make(std::move(fields)).value()).value();
+  VehicleInfo info;
+  info.vehicle_id = 1;
+  info.country_code = country_code;
+  return VehicleDataset::FromTable(
+             info, table,
+             *CountryRegistry::Global().Find(country_code).value())
+      .value();
+}
+
 TEST(CliTest, FullWorkflow) {
   std::string dir = TempDir();
 
@@ -78,14 +99,23 @@ TEST(CliTest, FullWorkflow) {
   ASSERT_FALSE(ReadFile(data).empty());
   std::string country = FirstCountry(manifest);
 
-  // train
-  std::string model = dir + "/model.txt";
+  // train: the model file is the compact bundle of the same fit (train's
+  // defaults: lookback 60, top-k 15, the last 200 days).
+  std::string model = dir + "/model.cfcst";
   ASSERT_EQ(RunCli("train --data=" + data + " --out=" + model +
                    " --algorithm=Lasso --country=" + country),
             0);
-  std::string model_text = ReadFile(model);
-  EXPECT_NE(model_text.find("vupred-forecaster v1"), std::string::npos);
-  EXPECT_NE(model_text.find("type Lasso"), std::string::npos);
+  const std::string model_bytes = ReadFile(model);
+  EXPECT_EQ(model_bytes.substr(0, 4), "VUPC");
+  const VehicleDataset ds = LoadDataset(data, country);
+  ForecasterConfig cfg;
+  cfg.algorithm = Algorithm::kLasso;
+  cfg.windowing.lookback_w = 60;
+  cfg.selection.top_k = 15;
+  ASSERT_GT(ds.num_days(), 200u);
+  VehicleForecaster expected(cfg);
+  ASSERT_TRUE(expected.Train(ds, ds.num_days() - 200, ds.num_days()).ok());
+  EXPECT_EQ(model_bytes, expected.SaveCompact().value());
 
   // predict
   std::string pred_file = dir + "/pred.txt";
@@ -106,6 +136,28 @@ TEST(CliTest, FullWorkflow) {
   std::string eval = ReadFile(eval_file);
   EXPECT_NE(eval.find("PE="), std::string::npos);
   EXPECT_NE(eval.find("NextWorkingDay"), std::string::npos);
+}
+
+TEST(CliTest, PredictRefusesTextModelFile) {
+  // The retired `vupred-forecaster v1` text format is not read: retrain.
+  const std::string dir = TempDir();
+  ASSERT_EQ(RunCli("generate --out=" + dir + " --vehicles=1 --seed=7",
+                   dir + "/generate.txt"),
+            0);
+  const std::string model = dir + "/text_model.txt";
+  {
+    std::ofstream out(model);
+    out << "vupred-forecaster v1\nalgorithm Lasso\nlookback_w 14\n";
+  }
+  const std::string err = dir + "/text_model.err";
+  const int raw = RunCli("predict --data=" + dir + "/vehicle_100000.csv" +
+                         " --country=" + FirstCountry(dir + "/manifest.csv") +
+                         " --model=" + model + " 2> " + err);
+  ASSERT_TRUE(WIFEXITED(raw));
+  EXPECT_EQ(WEXITSTATUS(raw), 1);
+  EXPECT_NE(ReadFile(err).find("not a compact model bundle (bad magic)"),
+            std::string::npos)
+      << ReadFile(err);
 }
 
 TEST(CliTest, FleetCommandCleanRun) {
@@ -223,9 +275,9 @@ TEST(CliTest, UnknownNamesExitWithCodeTwo) {
             2);
   EXPECT_EQ(CliExitCode("evaluate " + data + " --algorithm=lasso"), 2);
   EXPECT_EQ(CliExitCode("train " + data + " --out=" + dir +
-                        "/model.txt --algorithm=Bogus"),
+                        "/model.cfcst --algorithm=Bogus"),
             2);
-  EXPECT_FALSE(std::filesystem::exists(dir + "/model.txt"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/model.cfcst"));
   EXPECT_EQ(CliExitCode("fleet --algorithm=Lasoo --max-vehicles=2"), 2);
   EXPECT_EQ(CliExitCode("publish --out=" + dir +
                         "/reg --algorithm=Bogus --max-vehicles=2"),
@@ -240,10 +292,10 @@ TEST(CliTest, BaselineAlgorithmsRejectedWherePooledOrSaved) {
   EXPECT_EQ(CliExitCode("fleet --clusters=2 --algorithm=LV"), 2);
   const std::string dir = TempDir() + "/baseline_registry";
   std::filesystem::remove_all(dir);
-  EXPECT_EQ(CliExitCode("train --data=x.csv --out=" + dir + ".txt" +
+  EXPECT_EQ(CliExitCode("train --data=x.csv --out=" + dir + ".cfcst" +
                         " --algorithm=MA"),
             2);
-  EXPECT_FALSE(std::filesystem::exists(dir + ".txt"));
+  EXPECT_FALSE(std::filesystem::exists(dir + ".cfcst"));
   EXPECT_EQ(CliExitCode("publish --out=" + dir +
                         " --algorithm=LV --max-vehicles=2"),
             2);
@@ -261,6 +313,51 @@ TEST(CliTest, FleetClustersWithNoEvaluableVehicleFails) {
   ASSERT_TRUE(WIFEXITED(raw));
   EXPECT_EQ(WEXITSTATUS(raw), 1);
   EXPECT_EQ(ReadFile(out).find("hierarchy k="), std::string::npos);
+}
+
+TEST(CliTest, FleetWithNoEvaluableVehicleFails) {
+  // Every one-day holdout falls on an idle day: no fleet PE to report, so
+  // an error instead of a summary line of 0.00 %.
+  const std::string out = TempDir() + "/fleet_empty.txt";
+  const int raw = RunCli(
+      "fleet --eval-days=1 --max-vehicles=2 --seed=3 2> /dev/null", out);
+  ASSERT_TRUE(WIFEXITED(raw));
+  EXPECT_EQ(WEXITSTATUS(raw), 1);
+  EXPECT_EQ(ReadFile(out).find("PE="), std::string::npos);
+}
+
+TEST(CliTest, NegativeIntegerFlagsExitWithCodeTwo) {
+  // Every integer flag is a count, a size or a seed: a negative value
+  // would wrap to a huge size_t or uint64_t, so it is a usage error naming
+  // the flag, before any command runs. --retrain-every must be >= 1.
+  const std::string dir = TempDir() + "/negative_flags";
+  std::filesystem::remove_all(dir);
+  const std::string err = dir + ".err";
+  auto expect_usage_error = [&](const std::string& args,
+                                const std::string& flag) {
+    const int raw = RunCli(args + " 2> " + err);
+    ASSERT_TRUE(WIFEXITED(raw)) << args;
+    EXPECT_EQ(WEXITSTATUS(raw), 2) << args;
+    EXPECT_NE(ReadFile(err).find("--" + flag + "="), std::string::npos)
+        << args << ": " << ReadFile(err);
+  };
+  for (const char* flag :
+       {"vehicles", "seed", "fault-seed", "max-vehicles", "eval-days",
+        "retrain-every", "train-window", "lookback", "topk", "jobs",
+        "clusters", "acf-lags"}) {
+    expect_usage_error("fleet --" + std::string(flag) + "=-1", flag);
+  }
+  expect_usage_error("fleet --retrain-every=0", "retrain-every");
+  expect_usage_error("evaluate --data=x.csv --eval-days=-5", "eval-days");
+  expect_usage_error("generate --out=" + dir + " --vehicles=-1", "vehicles");
+  expect_usage_error("train --data=x.csv --out=" + dir + " --train-days=-1",
+                     "train-days");
+  for (const char* flag : {"train-days", "keep-generations", "vehicles",
+                           "max-vehicles", "lookback", "topk", "clusters",
+                           "acf-lags"}) {
+    expect_usage_error("publish --out=" + dir + " --" + flag + "=-2", flag);
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 TEST(CliTest, NegativeSeedsExitWithCodeTwo) {

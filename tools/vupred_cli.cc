@@ -20,15 +20,18 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster_meta.h"
 #include "cluster/pooled.h"
 #include "common/check.h"
+#include "common/file_util.h"
 #include "common/string_util.h"
 #include "core/evaluation.h"
 #include "core/experiment.h"
 #include "core/forecaster.h"
+#include "ml/compact.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -46,7 +49,9 @@ namespace {
 // Flags whose value must parse as an integer, or as a number, in every
 // command that takes them. Main rejects a malformed value with exit code 2
 // before the command runs, so GetInt and GetDouble never fall back on a
-// typo.
+// typo. Every integer flag is a count, a size or a seed: Main also rejects
+// a negative one (and a zero --retrain-every), so no cast to size_t or
+// uint64_t wraps it.
 const std::vector<std::string> kIntegerFlags = {
     "vehicles", "seed", "fault-seed", "max-vehicles", "eval-days",
     "retrain-every", "train-window", "lookback", "topk", "jobs",
@@ -118,25 +123,22 @@ class Flags {
     return "";
   }
 
+  /// The first integer flag below its minimum, with that minimum: 1 for
+  /// --retrain-every, 0 for the rest. Empty key when none. Call after
+  /// MalformedKey found nothing.
+  std::pair<std::string, long long> BelowMinimumKey() const {
+    for (const auto& [key, value] : values_) {
+      if (!Contains(kIntegerFlags, key)) continue;
+      const long long minimum = key == "retrain-every" ? 1 : 0;
+      if (ParseInt(value).value() < minimum) return {key, minimum};
+    }
+    return {"", 0};
+  }
+
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> extra_;
 };
-
-/// Reads a seed flag (`fallback` when absent) into `seed`. A negative
-/// value is an error, reported here: the cast to uint64_t would wrap it
-/// into a seed that files recording it cannot read back.
-bool SeedFlag(const Flags& flags, const std::string& key, long long fallback,
-              uint64_t* seed) {
-  const long long value = flags.GetInt(key, fallback);
-  if (value < 0) {
-    std::fprintf(stderr, "error: --%s must be >= 0, got %lld\n", key.c_str(),
-                 value);
-    return false;
-  }
-  *seed = static_cast<uint64_t>(value);
-  return true;
-}
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -279,8 +281,7 @@ StatusOr<cluster::ClustersMeta> ClusterVehicles(
 int RunGenerate(const Flags& flags) {
   std::string out_dir = flags.Get("out", ".");
   size_t vehicles = static_cast<size_t>(flags.GetInt("vehicles", 20));
-  uint64_t seed = 0;
-  if (!SeedFlag(flags, "seed", 42, &seed)) return 2;
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
 
   Fleet fleet = Fleet::Generate(FleetConfig::Small(vehicles, seed));
 
@@ -336,11 +337,9 @@ int RunTrain(const Flags& flags) {
   Status trained = forecaster.Train(ds.value(), begin, n);
   if (!trained.ok()) return Fail(trained);
 
-  std::ofstream out(flags.Get("out", ""));
-  if (!out) {
-    return Fail(Status::NotFound("cannot open " + flags.Get("out", "")));
-  }
-  Status saved = forecaster.Save(out);
+  StatusOr<std::string> bytes = forecaster.SaveCompact();
+  if (!bytes.ok()) return Fail(bytes.status());
+  Status saved = WriteFileAtomic(flags.Get("out", ""), bytes.value());
   if (!saved.ok()) return Fail(saved);
   std::printf("trained %s on %zu records (%zu ACF-selected lags), saved to "
               "%s\n",
@@ -354,11 +353,11 @@ int RunPredict(const Flags& flags) {
   StatusOr<VehicleDataset> ds =
       LoadDatasetCsv(flags.Get("data", ""), flags.Get("country", "IT"));
   if (!ds.ok()) return Fail(ds.status());
-  std::ifstream in(flags.Get("model", ""));
-  if (!in) {
-    return Fail(Status::NotFound("cannot open " + flags.Get("model", "")));
-  }
-  StatusOr<VehicleForecaster> forecaster = VehicleForecaster::Load(in);
+  StatusOr<std::string> bytes =
+      ReadFileCapped(flags.Get("model", ""), kMaxCompactBytes);
+  if (!bytes.ok()) return Fail(bytes.status());
+  StatusOr<VehicleForecaster> forecaster =
+      VehicleForecaster::LoadCompact(std::move(bytes).value());
   if (!forecaster.ok()) return Fail(forecaster.status());
   StatusOr<double> pred =
       forecaster.value().PredictTarget(ds.value(), ds.value().num_days());
@@ -416,19 +415,12 @@ int RunFleet(const Flags& flags) {
     return 2;
   }
 
-  int64_t vehicles = flags.GetInt("vehicles", 40);
-  if (vehicles <= 0) {
-    std::fprintf(stderr, "error: --vehicles must be positive, got %lld\n",
-                 static_cast<long long>(vehicles));
+  const int64_t vehicles = flags.GetInt("vehicles", 40);
+  if (vehicles == 0) {
+    std::fprintf(stderr, "error: --vehicles must be positive, got 0\n");
     return 2;
   }
   int64_t jobs = flags.GetInt("jobs", 1);
-  if (jobs < 0) {
-    std::fprintf(stderr,
-                 "error: --jobs must be >= 0 (0 = auto), got %lld\n",
-                 static_cast<long long>(jobs));
-    return 2;
-  }
   if (jobs == 0) {
     // Auto: one job per hardware thread, capped so a many-core box does
     // not oversubscribe the small demo fleets this command runs on.
@@ -436,12 +428,9 @@ int RunFleet(const Flags& flags) {
     jobs = std::clamp<int64_t>(hw == 0 ? 1 : static_cast<int64_t>(hw), 1,
                                16);
   }
-  uint64_t seed = 0;
-  uint64_t fault_seed = 0;
-  if (!SeedFlag(flags, "seed", 42, &seed) ||
-      !SeedFlag(flags, "fault-seed", 99, &fault_seed)) {
-    return 2;
-  }
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  const uint64_t fault_seed =
+      static_cast<uint64_t>(flags.GetInt("fault-seed", 99));
   EvaluationConfig cfg;
   if (!ForecasterFlags(flags, Algorithm::kLasso, 21, 7,
                        flags.Has("clusters") ? "--clusters" : nullptr,
@@ -473,6 +462,13 @@ int RunFleet(const Flags& flags) {
               std::string(AlgorithmToString(cfg.forecaster.algorithm))
                   .c_str(),
               profile_name.c_str());
+  if (result.fleet.vehicles_evaluated == 0) {
+    // A fleet PE over zero vehicles would print as 0.00 %.
+    return Fail(Status::FailedPrecondition(StrFormat(
+        "no vehicle could be evaluated (skipped=%zu quarantined=%zu); no "
+        "fleet error to report",
+        result.fleet.vehicles_skipped, result.fleet.vehicles_quarantined)));
+  }
   std::printf("PE=%.2f%% medianPE=%.2f%% MAE=%.3fh evaluated=%zu "
               "skipped=%zu quarantined=%zu\n",
               result.fleet.mean_pe, result.fleet.median_pe,
@@ -530,7 +526,7 @@ int RunPublish(const Flags& flags) {
     return 2;
   }
   serve::RegistryMeta meta;
-  if (!SeedFlag(flags, "seed", 42, &meta.fleet_seed)) return 2;
+  meta.fleet_seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   meta.fleet_vehicles =
       static_cast<size_t>(flags.GetInt("vehicles", 40));
   meta.algorithm = std::string(AlgorithmToString(cfg.algorithm));
@@ -699,12 +695,9 @@ int RunPublish(const Flags& flags) {
   // the fleet that was just made live.
   Status reloaded = registry.value().Reload();
   if (!reloaded.ok()) return Fail(reloaded);
-  const long long keep = flags.GetInt("keep-generations", 2);
-  if (keep >= 0) {
-    Status pruned = registry.value().PruneGenerations(
-        static_cast<size_t>(keep));
-    if (!pruned.ok()) return Fail(pruned);
-  }
+  Status pruned = registry.value().PruneGenerations(
+      static_cast<size_t>(flags.GetInt("keep-generations", 2)));
+  if (!pruned.ok()) return Fail(pruned);
   std::printf("published %zu/%zu model bundles (%s) to %s as %s\n",
               published, selected.size(),
               std::string(AlgorithmToString(cfg.algorithm)).c_str(),
@@ -741,17 +734,18 @@ const std::vector<Command>& Commands() {
        {"out"},
        RunGenerate},
       {"train", "train one per-vehicle forecaster and persist it",
-       "usage: vupred train --data=FILE.csv --out=MODEL.txt\n"
+       "usage: vupred train --data=FILE.csv --out=MODEL.cfcst\n"
        "  [--algorithm=GB] [--country=IT] [--lookback=60] [--topk=15]\n"
        "  [--train-days=200]\n"
        "  Train a per-vehicle forecaster on a dataset CSV and persist it\n"
-       "  (ML algorithms only: the baselines LV and MA have no state).\n",
+       "  as a compact bundle, the format registries publish (ML\n"
+       "  algorithms only: the baselines LV and MA have no state).\n",
        {"data", "out", "algorithm", "country", "lookback", "topk",
         "train-days"},
        {"data", "out"},
        RunTrain},
       {"predict", "score a persisted forecaster on a dataset",
-       "usage: vupred predict --data=FILE.csv --model=MODEL.txt\n"
+       "usage: vupred predict --data=FILE.csv --model=MODEL.cfcst\n"
        "  [--country=IT]\n"
        "  Load a persisted forecaster and forecast the day after the\n"
        "  series.\n",
@@ -779,7 +773,8 @@ const std::vector<Command>& Commands() {
        "  telemetry fault injector. --jobs=N evaluates vehicles on N\n"
        "  worker threads with byte-identical output; --jobs=0 picks one\n"
        "  job per hardware thread (capped at 16). With --strict, exits\n"
-       "  non-zero when any vehicle was quarantined. --clusters=K\n"
+       "  non-zero when any vehicle was quarantined; exits 1 when no\n"
+       "  vehicle could be evaluated. --clusters=K\n"
        "  additionally clusters the evaluated vehicles' usage profiles\n"
        "  (seeded k-means) and reports per-vehicle vs pooled per-cluster\n"
        "  vs pooled global PE on the shared holdout (ML algorithms only;\n"
@@ -875,6 +870,12 @@ int Main(int argc, char** argv) {
                    flags.Get(malformed, "").c_str(),
                    Contains(kIntegerFlags, malformed) ? "whole number"
                                                       : "number");
+      return 2;
+    }
+    const auto [low, minimum] = flags.BelowMinimumKey();
+    if (!low.empty()) {
+      std::fprintf(stderr, "error: --%s=%s must be >= %lld\n", low.c_str(),
+                   flags.Get(low, "").c_str(), minimum);
       return 2;
     }
     for (const std::string& key : cmd.required) {
