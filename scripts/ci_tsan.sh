@@ -6,7 +6,7 @@
 # registry (circuit breakers, generation hot-swap, two publishers on two
 # threads sharing the registry's writer pool, two publishers racing to
 # reserve a generation number and to promote), the background
-# registry scrubber and the chaos suites, including hierarchy fallback
+# registry scrubber and the chaos suites, including global fallback
 # reads racing generation swaps and canary shadow-scoring racing
 # promote/rollback flips.
 # Races found here are overload/reload bugs the release build may only
@@ -26,8 +26,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
+source scripts/ctest_pass.sh
 
-# Only the concurrent targets need to exist in the TSan tree.
+# Only the concurrent targets need to exist in the TSan tree; each is one
+# ctest suite of the same name.
 TARGETS=(
   common_crc32_test
   common_thread_pool_test
@@ -49,6 +51,4 @@ TARGETS=(
 
 cmake --preset tsan
 cmake --build --preset tsan -j"${JOBS}" --target "${TARGETS[@]}"
-ctest --preset tsan -j"${JOBS}" \
-  -R '^(common_crc32_test|common_thread_pool_test|common_clock_test|obs_metrics_registry_concurrency_test|obs_trace_test|serve_prediction_service_test|serve_model_registry_test|serve_registry_shard_test|serve_scrubber_test|ml_grid_search_test|ml_svr_test|integration_chaos_test|integration_registry_chaos_test|integration_shard_chaos_test|integration_hierarchy_chaos_test|integration_publish_chaos_test)$' \
-  "$@"
+focused_pass tsan "${TARGETS[@]}" -- "$@"

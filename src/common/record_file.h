@@ -20,8 +20,8 @@ struct RecordLine {
   }
 };
 
-/// The layout of the registry's sidecar files (MANIFEST, registry_meta.txt,
-/// clusters.meta, ROLLBACK): a magic line, one `key value...` record per
+/// The layout of the registry's sidecar files (MANIFEST,
+/// registry_meta.txt): a magic line, one `key value...` record per
 /// line with single spaces, then the 4-byte CRC-32 trailer of common/crc32.h.
 /// Keys and values are non-empty and hold no space and no control byte.
 /// The trailer catches any truncation or flipped byte, so no sidecar needs

@@ -118,7 +118,7 @@ class VehicleForecaster {
                size_t train_end);
 
   /// Trains one *pooled* model on the stacked windowed records of several
-  /// vehicles (the per-cluster / global models of the serving hierarchy).
+  /// vehicles (the global model that serves a vehicle without its own).
   /// Lags are selected on the member-averaged training-span ACF, the
   /// scaler is fit on the stacked design matrix, and the result is a
   /// regular trained forecaster: PredictTarget scores any member (or
@@ -173,7 +173,8 @@ class VehicleForecaster {
 
   /// Restores a pipeline written by SaveCompact. The forecaster scores in
   /// place over `bytes` and keeps `owner` alive, so pass the heap buffer
-  /// backing them. Error contract as DecodeCompactPipeline.
+  /// backing them; its SaveCompact (and its Snapshot's) writes `bytes`
+  /// again. Error contract as DecodeCompactPipeline.
   static StatusOr<VehicleForecaster> LoadCompact(
       std::span<const uint8_t> bytes, std::shared_ptr<const void> owner);
 

@@ -210,6 +210,9 @@ class CompactModel final : public Regressor {
   // Populated by the decoder.
   std::shared_ptr<const void> owner_;
   size_t bundle_bytes_ = 0;
+  // The payload bytes (after the header, before the trailer), which a
+  // re-encode copies unchanged.
+  std::span<const uint8_t> payload_;
   uint8_t alg_ = 0;
   size_t nf_ = 0;
   double intercept_ = 0.0;
@@ -254,9 +257,13 @@ StatusOr<std::string> EncodeCompactPipeline(
   const auto* lasso = dynamic_cast<const Lasso*>(&model);
   const auto* svr = dynamic_cast<const Svr*>(&model);
   const auto* gb = dynamic_cast<const GradientBoosting*>(&model);
+  const auto* decoded = dynamic_cast<const CompactModel*>(&model);
   uint8_t alg = 0;
   size_t nf = 0;
-  if (lr != nullptr) {
+  if (decoded != nullptr) {
+    alg = decoded->alg_;
+    nf = decoded->nf_;
+  } else if (lr != nullptr) {
     alg = kAlgLr;
     nf = lr->coefficients().size();
   } else if (lasso != nullptr) {
@@ -317,7 +324,12 @@ StatusOr<std::string> EncodeCompactPipeline(
   }
   PadTo8(&out);
 
-  if (lr != nullptr) {
+  if (decoded != nullptr) {
+    // A decoded model re-encodes from the bundle it owns: its payload was
+    // validated when it was decoded and is copied as it is.
+    out.append(reinterpret_cast<const char*>(decoded->payload_.data()),
+               decoded->payload_.size());
+  } else if (lr != nullptr) {
     PutF64(&out, lr->intercept());
     PutArray<double>(&out, lr->coefficients());
   } else if (lasso != nullptr) {
@@ -517,6 +529,7 @@ StatusOr<DecodedCompactPipeline> DecodeCompactPipeline(
   auto model = std::make_unique<CompactModel>();
   model->owner_ = std::move(owner);
   model->bundle_bytes_ = bytes.size();
+  model->payload_ = {cur.p, static_cast<size_t>(cur.end - cur.p)};
   model->alg_ = alg;
   model->nf_ = nf;
 

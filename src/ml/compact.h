@@ -98,12 +98,15 @@ struct DecodedCompactPipeline {
 };
 
 /// Serializes a fitted model (LinearRegression, Lasso, Svr or
-/// GradientBoosting -- matched by dynamic type) plus its pipeline header
-/// and optional scaler into a compact bundle. `scaler` must be fitted
-/// with the model's feature width when header.standardize is set (and is
-/// ignored otherwise). Unimplemented for model shapes the packed format
-/// cannot hold (a GB ensemble wider than 65534 features or deeper than
-/// 65535 nodes per tree); FailedPrecondition for an unfitted model.
+/// GradientBoosting -- matched by dynamic type -- or a model decoded from
+/// a bundle, whose payload is copied from that bundle) plus its pipeline
+/// header and optional scaler into a compact bundle. Re-encoding a decoded
+/// pipeline with its decoded header and scaler gives back the same
+/// bytes. `scaler` must be fitted with the model's feature width when
+/// header.standardize is set (and is ignored otherwise). Unimplemented
+/// for model shapes the packed format cannot hold (a GB ensemble wider
+/// than 65534 features or deeper than 65535 nodes per tree);
+/// FailedPrecondition for an unfitted model.
 StatusOr<std::string> EncodeCompactPipeline(
     const CompactPipelineHeader& header, const StandardScaler* scaler,
     const Regressor& model);

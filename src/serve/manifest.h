@@ -27,7 +27,7 @@ struct ManifestEntry {
 };
 
 /// Integrity manifest of one generation directory: every published file
-/// (model bundles, registry_meta.txt, clusters.meta) with its size and its
+/// (model bundles, registry_meta.txt, sidecars) with its size and its
 /// CRC-32 trailer. Every such file ends in the CRC-32 of the bytes before
 /// it (common/crc32.h), so the trailer is a per-file digest: two valid
 /// bundles of the same size still differ in it. Persisted as `MANIFEST`,

@@ -315,7 +315,7 @@ class ModelRegistry {
   std::string BundlePath(int64_t vehicle_id) const;
 
   /// Inverse of BundleFileName: "vehicle_<id>.cfcst" -> id, nullopt for
-  /// anything else (meta, manifest, clusters.meta, tmp leftovers).
+  /// anything else (meta, manifest, other sidecars, tmp leftovers).
   static std::optional<int64_t> ParseBundleFileName(std::string_view name);
 
   static std::string GenerationDirName(uint64_t number);
@@ -492,7 +492,7 @@ class GenerationPublisher {
   /// The MANIFEST is sealed from what this publisher wrote: every bundle
   /// written by Add or AddPrebuilt and the meta keep the entry of the
   /// bytes written, and a file still at its recorded size is listed
-  /// unread. Any other file (clusters.meta, anything foreign, a recorded
+  /// unread. Any other file (a sidecar the caller wrote, a recorded
   /// file whose size changed) is read and must pass its own CRC-32
   /// trailer (DataLoss otherwise). Once staging_dir() has handed the
   /// staging directory out, no recorded entry is trusted and every file

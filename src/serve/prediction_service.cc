@@ -29,10 +29,6 @@ std::string_view ServedLevelToString(ServedLevel level) {
       return "none";
     case ServedLevel::kVehicle:
       return "vehicle";
-    case ServedLevel::kCluster:
-      return "cluster";
-    case ServedLevel::kType:
-      return "type";
     case ServedLevel::kGlobal:
       return "global";
     case ServedLevel::kBaseline:
@@ -68,48 +64,22 @@ PredictionService::ResolvedModel PredictionService::ResolveModelFrom(
   }
   resolved.status = own.status();
 
-  // Hierarchy fallback applies to a missing bundle (NotFound) and to a
+  // The global model stands in for a missing bundle (NotFound) and for a
   // breaker-degraded vehicle (Unavailable): an open per-vehicle breaker
-  // means *that bundle* is suspect, not the pooled models. Any other
-  // error (corrupt dataset window etc.) is reported as-is.
-  if (options_.hierarchy == nullptr ||
-      (!own.status().IsNotFound() && !own.status().IsUnavailable())) {
+  // means *that bundle* is suspect, not the pooled model. Any other error
+  // is reported as-is. A generation that does not list the global bundle
+  // is not asked for it, so the registry counts no miss for it.
+  if ((!own.status().IsNotFound() && !own.status().IsUnavailable()) ||
+      !registry->Contains(kGlobalModelId)) {
     return resolved;
   }
-  const cluster::ClustersMeta& meta = *options_.hierarchy;
-
-  StatusOr<int> cluster_id = meta.ClusterOf(request.vehicle_id);
-  if (cluster_id.ok()) {
-    StatusOr<std::shared_ptr<const VehicleForecaster>> pooled =
-        registry->Get(cluster::ClusterModelId(cluster_id.value()));
-    if (pooled.ok()) {
-      resolved.model = std::move(pooled.value());
-      resolved.level = ServedLevel::kCluster;
-      return resolved;
-    }
-  }
-
-  StatusOr<int> type = meta.TypeOf(request.vehicle_id);
-  const int type_id = type.ok() ? type.value() : request.vehicle_type_hint;
-  if (type_id >= 0) {
-    StatusOr<std::shared_ptr<const VehicleForecaster>> pooled =
-        registry->Get(cluster::TypeModelId(type_id));
-    if (pooled.ok()) {
-      resolved.model = std::move(pooled.value());
-      resolved.level = ServedLevel::kType;
-      return resolved;
-    }
-  }
-
   StatusOr<std::shared_ptr<const VehicleForecaster>> global =
-      registry->Get(cluster::kGlobalModelId);
+      registry->Get(kGlobalModelId);
   if (global.ok()) {
     resolved.model = std::move(global.value());
     resolved.level = ServedLevel::kGlobal;
-    return resolved;
   }
-
-  // Chain exhausted: the vehicle-level status decides what happens next
+  // Otherwise the vehicle-level status decides what happens next
   // (NotFound may still degrade to the baseline in ScoreOne).
   return resolved;
 }
@@ -132,19 +102,7 @@ PredictionResponse PredictionService::ScoreOne(
     if (prediction.ok()) {
       response.prediction = prediction.value();
       response.level = level;
-      switch (level) {
-        case ServedLevel::kCluster:
-          fallback_.cluster.Increment(1);
-          break;
-        case ServedLevel::kType:
-          fallback_.type.Increment(1);
-          break;
-        case ServedLevel::kGlobal:
-          fallback_.global.Increment(1);
-          break;
-        default:
-          break;
-      }
+      if (level == ServedLevel::kGlobal) fallback_.global.Increment(1);
     } else {
       response.status = prediction.status();
     }
@@ -270,8 +228,8 @@ void PredictionService::ScoreGroup(
   }
   if (live.empty()) return;
 
-  // One model resolution per vehicle group (own bundle, or the hierarchy
-  // chain); the shared_ptr keeps the model alive across the group even if
+  // One model resolution per vehicle group (own bundle, or the global
+  // one); the shared_ptr keeps the model alive across the group even if
   // the LRU evicts it or a Reload swaps the generation meanwhile.
   ResolvedModel resolved = [&] {
     obs::TraceSpan span("serve.fetch");
@@ -286,8 +244,6 @@ void PredictionService::ScoreGroup(
 PredictionService::FallbackSnapshot PredictionService::fallback_counts()
     const {
   FallbackSnapshot snapshot;
-  snapshot.cluster = static_cast<size_t>(fallback_.cluster.value());
-  snapshot.type = static_cast<size_t>(fallback_.type.value());
   snapshot.global = static_cast<size_t>(fallback_.global.value());
   snapshot.baseline = static_cast<size_t>(fallback_.baseline.value());
   return snapshot;
@@ -299,12 +255,11 @@ void PredictionService::CollectMetrics(obs::MetricsSnapshot* out,
   obs::MetricFamily family;
   family.name = "vupred_registry_fallback_total";
   family.help =
-      "Predictions served below the vehicle level of the model hierarchy.";
+      "Predictions served below the vehicle level: global model or "
+      "Last-Value baseline.";
   family.type = obs::MetricType::kCounter;
   const FallbackSnapshot counts = fallback_counts();
   const std::pair<const char*, size_t> levels[] = {
-      {"cluster", counts.cluster},
-      {"type", counts.type},
       {"global", counts.global},
       {"baseline", counts.baseline},
   };

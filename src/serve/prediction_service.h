@@ -8,7 +8,6 @@
 #include <string_view>
 #include <vector>
 
-#include "cluster/cluster_meta.h"
 #include "common/clock.h"
 #include "common/thread_pool.h"
 #include "pipeline/dataset.h"
@@ -18,14 +17,17 @@
 
 namespace vup::serve {
 
-/// Which level of the model hierarchy actually served a prediction.
+/// Registry id of the fleet-wide pooled model `vupred publish` stages
+/// next to the per-vehicle bundles (file vehicle_-3000.cfcst), far below
+/// any real vehicle id.
+inline constexpr int64_t kGlobalModelId = -3000;
+
+/// Which level of the fallback chain actually served a prediction.
 enum class ServedLevel : int {
   kNone = 0,      // Nothing served (error response).
   kVehicle = 1,   // The vehicle's own model.
-  kCluster = 2,   // Its cluster's pooled model.
-  kType = 3,      // Its vehicle type's pooled model.
-  kGlobal = 4,    // The fleet-wide pooled model.
-  kBaseline = 5,  // Last-Value degradation.
+  kGlobal = 2,    // The fleet-wide pooled model.
+  kBaseline = 3,  // Last-Value degradation.
 };
 
 std::string_view ServedLevelToString(ServedLevel level);
@@ -53,10 +55,6 @@ struct PredictionRequest {
   /// DeadlineExceeded without fetching a model or occupying a pool
   /// worker. Defaults to no deadline.
   Deadline deadline;
-  /// Vehicle type (as int) for hierarchy fallback of vehicles absent from
-  /// clusters.meta (a brand-new connection the clustering has never
-  /// seen). -1 = unknown: the type level is skipped for such vehicles.
-  int vehicle_type_hint = -1;
 };
 
 /// Outcome of one request. `status` is OK when `prediction` is usable;
@@ -69,7 +67,7 @@ struct PredictionResponse {
   double prediction = 0.0;
   bool degraded = false;
   double latency_seconds = 0.0;
-  /// Hierarchy level that produced `prediction` (kVehicle when the
+  /// Fallback level that produced `prediction` (kVehicle when the
   /// vehicle's own model served; kNone on error responses).
   ServedLevel level = ServedLevel::kNone;
 };
@@ -105,17 +103,13 @@ enum class OverloadPolicy {
 /// baseline over the dataset's history (mirroring the fleet runner's
 /// degrade-before-quarantine policy) and flagged `degraded`.
 ///
-/// Hierarchy fallback: with `hierarchy` set, a vehicle whose own model is
-/// missing (NotFound) *or* breaker-degraded (Unavailable) resolves down
-/// the chain vehicle -> cluster -> type -> global before any baseline: the
-/// vehicle's cluster comes from clusters.meta, its type from the meta row
-/// (or the request's vehicle_type_hint for vehicles the clustering has
-/// never seen), and each level's pooled bundle is fetched from the same
-/// registry under its reserved model id. Every request served below the
-/// vehicle level increments vupred_registry_fallback_total{level=...}.
-/// Only when the whole chain is exhausted does the original per-vehicle
-/// status apply (NotFound then degrades to Last-Value as before;
-/// breaker-open stays Unavailable).
+/// Global fallback: a vehicle whose own model is missing (NotFound) *or*
+/// breaker-degraded (Unavailable) is served by the global pooled model
+/// (kGlobalModelId) when the active MANIFEST lists it, before any
+/// baseline. Every request served below the vehicle level increments
+/// vupred_registry_fallback_total{level=...}. Without a listed, loadable
+/// global bundle the per-vehicle status applies (NotFound then degrades
+/// to Last-Value; breaker-open stays Unavailable).
 class PredictionService {
  public:
   struct Options {
@@ -128,10 +122,6 @@ class PredictionService {
     OverloadPolicy overload_policy = OverloadPolicy::kBlock;
     /// Time source for deadline checks; null means Clock::Real().
     const Clock* clock = nullptr;
-    /// The published fleet clustering (hierarchy map + centroids). Null
-    /// disables hierarchy fallback. Must outlive the service; swap it by
-    /// constructing a new service (the meta is immutable once published).
-    const cluster::ClustersMeta* hierarchy = nullptr;
     /// Canary rollout: when `canary.staged` is set, requests whose vehicle
     /// falls in the seeded hash-slice are *shadow-scored* against the
     /// staged registry after the live answer is produced. The live answer
@@ -146,8 +136,6 @@ class PredictionService {
   /// construction (the counters behind
   /// vupred_registry_fallback_total{level=...}).
   struct FallbackSnapshot {
-    size_t cluster = 0;
-    size_t type = 0;
     size_t global = 0;
     size_t baseline = 0;
   };
@@ -190,17 +178,16 @@ class PredictionService {
  private:
   /// Scores requests[i] for each i in `positions` (all the same vehicle),
   /// writing responses[i]. Requests whose deadline has expired fail fast;
-  /// the model (own or hierarchy fallback) is resolved once and only if
-  /// some request is still live.
+  /// the model (own or global) is resolved once and only if some request
+  /// is still live.
   void ScoreGroup(std::span<const PredictionRequest> requests,
                   const std::vector<size_t>& positions,
                   std::vector<PredictionResponse>* responses);
 
   /// Resolves the model serving this group: the vehicle's own bundle, or
-  /// -- when that is missing/breaker-open and a hierarchy is configured --
-  /// the first available pooled bundle down the chain. On total failure
-  /// returns the *vehicle-level* status (the chain adds options, not new
-  /// error modes).
+  /// -- when that is missing/breaker-open -- the listed global bundle. On
+  /// failure returns the *vehicle-level* status (the fallback adds an
+  /// option, not new error modes).
   struct ResolvedModel {
     std::shared_ptr<const VehicleForecaster> model;
     Status status;
@@ -208,7 +195,7 @@ class PredictionService {
   };
   ResolvedModel ResolveModel(const PredictionRequest& request);
 
-  /// The same resolution chain against an arbitrary registry -- the live
+  /// The same resolution against an arbitrary registry -- the live
   /// one for serving, the staged one for canary shadow scoring.
   ResolvedModel ResolveModelFrom(ModelRegistry* registry,
                                  const PredictionRequest& request);
@@ -240,8 +227,6 @@ class PredictionService {
   /// Per-service fallback counters (obs instruments so CollectMetrics can
   /// export them labeled without double bookkeeping).
   struct FallbackCounters {
-    obs::Counter cluster;
-    obs::Counter type;
     obs::Counter global;
     obs::Counter baseline;
   };

@@ -14,8 +14,8 @@ namespace vup::serve {
 
 namespace {
 
-/// The probe dataset of `vehicle_id`: its own when listed, else (for the
-/// pooled cluster/type/global models, which score any member's windows)
+/// The probe dataset of `vehicle_id`: its own when listed, else (for a
+/// pooled model under a negative id, which scores any vehicle's windows)
 /// the first dataset on offer.
 const VehicleDataset* ProbeDataset(
     const std::map<int64_t, const VehicleDataset*>& probe_data,

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/cluster_meta.h"
 #include "common/crc32.h"
 #include "common/random.h"
 #include "serve/manifest.h"
@@ -147,10 +146,6 @@ TEST(RecordFileTest, SidecarsPublishedAsV1ReadAsNotV2) {
        "vupred-registry v1\nfleet_seed 42\nfleet_vehicles 40\n"
        "algorithm Lasso\n",
        [](std::string_view b) { return serve::RegistryMeta::Parse(b).status(); }},
-      {"vupred-clusters v2", "vupred-clusters v1\nseed 1\n",
-       [](std::string_view b) {
-         return cluster::ClustersMeta::Parse(b).status();
-       }},
   };
   for (const V1File& file : files) {
     const Status status = file.parse(file.bytes);
@@ -263,7 +258,7 @@ void MutateFramedBodies(std::string_view magic, const Sidecar& valid,
 
 TEST(RecordFileSidecarTest, ManifestFieldDecoderMeetsGarbage) {
   serve::GenerationManifest manifest;
-  ASSERT_TRUE(manifest.Add("clusters.meta", 812, 2381867102u).ok());
+  ASSERT_TRUE(manifest.Add("extra.meta", 812, 2381867102u).ok());
   ASSERT_TRUE(manifest.Add("registry_meta.txt", 64, 901283774u).ok());
   ASSERT_TRUE(manifest.Add("vehicle_7.cfcst", 5120, 4022250974u).ok());
   ASSERT_TRUE(manifest.Add("vehicle_8.cfcst", 5120, 17u).ok());
@@ -276,18 +271,6 @@ TEST(RecordFileSidecarTest, RegistryMetaFieldDecoderMeetsGarbage) {
   meta.fleet_vehicles = 40;
   meta.algorithm = "GB";
   MutateFramedBodies("vupred-registry v2", meta, 2);
-}
-
-TEST(RecordFileSidecarTest, ClustersMetaFieldDecoderMeetsGarbage) {
-  cluster::ClustersMeta meta;
-  meta.seed = 99;
-  meta.acf_lags = 3;
-  meta.inertia = 1.25;
-  meta.scaling.mean = {0.5, -1.0, 3.0};
-  meta.scaling.std = {1.0, 2.0, 0.25};
-  meta.centroids = {{0.0, 0.1, -0.2}, {1.0, 1.1, 1.2}};
-  meta.vehicles = {{100, 0, 2}, {101, 1, 2}, {250, 0, 5}};
-  MutateFramedBodies("vupred-clusters v2", meta, 4);
 }
 
 }  // namespace

@@ -98,6 +98,27 @@ TEST_P(ForecasterPersistenceTest, SnapshotSavesTheSameBytes) {
   EXPECT_EQ(snapshot.value().SaveCompact().value(), compact);
 }
 
+TEST_P(ForecasterPersistenceTest, LoadedForecasterSavesTheSameBytes) {
+  VehicleDataset ds = WeeklyDataset(220);
+  VehicleForecaster forecaster(PersistenceConfig(GetParam()));
+  ASSERT_TRUE(forecaster.Train(ds, 20, 200).ok());
+  const std::string compact = forecaster.SaveCompact().value();
+
+  StatusOr<VehicleForecaster> loaded = VehicleForecaster::LoadCompact(compact);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  StatusOr<std::string> saved = loaded.value().SaveCompact();
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  EXPECT_EQ(saved.value(), compact);
+  StatusOr<VehicleForecaster> snapshot = loaded.value().Snapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_EQ(snapshot.value().SaveCompact().value(), compact);
+  // A second generation of the round trip is the same bytes again.
+  StatusOr<VehicleForecaster> reloaded =
+      VehicleForecaster::LoadCompact(std::move(saved).value());
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded.value().SaveCompact().value(), compact);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     MlAlgorithms, ForecasterPersistenceTest,
     ::testing::Values(Algorithm::kLinearRegression, Algorithm::kLasso,

@@ -1,10 +1,10 @@
-// Concurrency chaos for the serving hierarchy: reader threads resolving
-// the vehicle -> cluster -> type -> global fallback chain race a
-// republish + Reload loop that swaps between two complete generations --
-// one with the vehicle's own bundle, one serving it from the cluster
-// model only. Every response must be OK, served at the vehicle or
-// cluster level, and carry a prediction belonging to one of the known
-// complete fleets. Run under TSan by ci_tsan.sh.
+// Concurrency chaos for the serving fallback: reader threads resolving
+// the vehicle -> global chain race a republish + Reload loop that swaps
+// between two complete generations -- one with the vehicle's own bundle,
+// one serving it from the global model only. Every response must be OK,
+// served at the vehicle or global level, and carry a prediction
+// belonging to one of the known complete fleets. Run under TSan by
+// ci_tsan.sh.
 
 #include <atomic>
 #include <filesystem>
@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/cluster_meta.h"
 #include "core/forecaster.h"
 #include "serve/model_registry.h"
 #include "serve/prediction_service.h"
@@ -65,44 +64,32 @@ TEST(HierarchyChaosTest, FallbackReadsRaceGenerationSwaps) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   ModelRegistry registry = std::move(opened.value());
 
-  // Vehicles 1 and 2 share cluster 0; vehicle 2 never has an own bundle,
-  // so it exercises the fallback hop on every single read.
-  cluster::ClustersMeta meta;
-  meta.scaling.mean = {0.0};
-  meta.scaling.std = {1.0};
-  meta.centroids = {{0.0}};
-  meta.vehicles = {{1, 0, 2}, {2, 0, 2}};
-
+  // Vehicle 2 never has an own bundle, so it exercises the fallback hop
+  // on every single read.
   const VehicleDataset ds1 = MakeDataset(1);
   const VehicleDataset ds2 = MakeDataset(2);
   VehicleForecaster own_a = TrainForecaster(MakeDataset(1));
-  VehicleForecaster cluster_a = TrainForecaster(MakeDataset(3));
-  VehicleForecaster cluster_b = TrainForecaster(MakeDataset(5));
+  VehicleForecaster global_a = TrainForecaster(MakeDataset(3));
+  VehicleForecaster global_b = TrainForecaster(MakeDataset(5));
 
   RegistryMeta rmeta;
-  // Generation A: vehicle 1 served by its own model, 2 by the cluster.
+  // Generation A: vehicle 1 served by its own model, 2 by the global one.
   {
     StatusOr<GenerationPublisher> pub = registry.NewGeneration();
     ASSERT_TRUE(pub.ok()) << pub.status().ToString();
     ASSERT_TRUE(pub.value().Add(1, own_a).ok());
-    ASSERT_TRUE(pub.value().Add(cluster::ClusterModelId(0), cluster_a).ok());
-    ASSERT_TRUE(cluster::WriteClustersMetaFile(pub.value().staging_dir(),
-                                               meta)
-                    .ok());
+    ASSERT_TRUE(pub.value().Add(kGlobalModelId, global_a).ok());
     ASSERT_TRUE(pub.value().Commit(rmeta).ok());
   }
   ASSERT_TRUE(registry.Reload().ok());
   const std::string gen_a =
       ModelRegistry::GenerationDirName(registry.active_generation());
 
-  // Generation B: no per-vehicle bundle at all, everything pooled.
+  // Generation B: no per-vehicle bundle at all, only the global model.
   {
     StatusOr<GenerationPublisher> pub = registry.NewGeneration();
     ASSERT_TRUE(pub.ok()) << pub.status().ToString();
-    ASSERT_TRUE(pub.value().Add(cluster::ClusterModelId(0), cluster_b).ok());
-    ASSERT_TRUE(cluster::WriteClustersMetaFile(pub.value().staging_dir(),
-                                               meta)
-                    .ok());
+    ASSERT_TRUE(pub.value().Add(kGlobalModelId, global_b).ok());
     ASSERT_TRUE(pub.value().Commit(rmeta).ok());
   }
   ASSERT_TRUE(registry.Reload().ok());
@@ -121,12 +108,10 @@ TEST(HierarchyChaosTest, FallbackReadsRaceGenerationSwaps) {
     return out;
   };
   const std::vector<double> legal1 =
-      legal(ds1, {&own_a, &cluster_a, &cluster_b});
-  const std::vector<double> legal2 = legal(ds2, {&cluster_a, &cluster_b});
+      legal(ds1, {&own_a, &global_a, &global_b});
+  const std::vector<double> legal2 = legal(ds2, {&global_a, &global_b});
 
-  PredictionService::Options opts;
-  opts.hierarchy = &meta;
-  PredictionService service(&registry, nullptr, opts);
+  PredictionService service(&registry, nullptr);
 
   std::atomic<bool> done{false};
   std::atomic<size_t> bad_responses{0};
@@ -153,7 +138,7 @@ TEST(HierarchyChaosTest, FallbackReadsRaceGenerationSwaps) {
           PredictionResponse resp =
               service.Predict({v, &ds, ds.num_days()});
           const bool level_ok = resp.level == ServedLevel::kVehicle ||
-                                resp.level == ServedLevel::kCluster;
+                                resp.level == ServedLevel::kGlobal;
           if (!resp.status.ok() || !level_ok || resp.degraded ||
               !is_legal(resp.prediction, v == 1 ? legal1 : legal2)) {
             bad_responses.fetch_add(1, std::memory_order_relaxed);
@@ -183,7 +168,7 @@ TEST(HierarchyChaosTest, FallbackReadsRaceGenerationSwaps) {
   EXPECT_EQ(bad_responses.load(), 0u);
   EXPECT_GT(reads.load(), 0u);
   // The fallback hop was actually exercised while swapping.
-  EXPECT_GT(service.fallback_counts().cluster, 0u);
+  EXPECT_GT(service.fallback_counts().global, 0u);
   fs::remove_all(dir);
 }
 

@@ -3,8 +3,8 @@
 // leave the registry serving exactly one complete generation. The walk
 // below constructs every intermediate on-disk state by hand and re-opens
 // a fresh registry after each one. Also proves the manifest gate (a
-// corrupt bundle is quarantined and the hierarchy serves the cluster
-// model -- the damaged bytes are never deserialized), that pruning spares
+// corrupt bundle is quarantined and the global model serves the vehicle
+// -- the damaged bytes are never deserialized), that pruning spares
 // journal-pinned generations, that both root pointers are symlinks (a
 // regular-file one is refused with its fix), and -- under TSan via ci_tsan.sh -- that
 // canary shadow-scoring races promote/rollback flips cleanly.
@@ -19,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/cluster_meta.h"
 #include "core/forecaster.h"
 #include "serve/guarded_publish.h"
 #include "serve/manifest.h"
@@ -314,12 +313,6 @@ TEST_F(PublishChaosTest, ManifestFailingModelIsQuarantinedNeverScored) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   ModelRegistry registry = std::move(opened.value());
 
-  cluster::ClustersMeta meta;
-  meta.scaling.mean = {0.0};
-  meta.scaling.std = {1.0};
-  meta.centroids = {{0.0}};
-  meta.vehicles = {{1, 0, 2}};
-
   const VehicleDataset ds = MakeDataset(1);
   VehicleForecaster own = TrainForecaster(MakeDataset(1));
   VehicleForecaster pooled = TrainForecaster(MakeDataset(3));
@@ -327,28 +320,24 @@ TEST_F(PublishChaosTest, ManifestFailingModelIsQuarantinedNeverScored) {
     StatusOr<GenerationPublisher> pub = registry.NewGeneration();
     ASSERT_TRUE(pub.ok()) << pub.status().ToString();
     ASSERT_TRUE(pub.value().Add(1, own).ok());
-    ASSERT_TRUE(pub.value().Add(cluster::ClusterModelId(0), pooled).ok());
-    ASSERT_TRUE(
-        cluster::WriteClustersMetaFile(pub.value().staging_dir(), meta).ok());
+    ASSERT_TRUE(pub.value().Add(kGlobalModelId, pooled).ok());
     ASSERT_TRUE(pub.value().Commit(rmeta_).ok());
   }
   ASSERT_TRUE(registry.Reload().ok());
 
   // Bit-rot vehicle 1's bundle after publish: the manifest must catch it
-  // on first load, quarantine it, and the hierarchy serves the cluster
-  // model instead -- the damaged bytes are never deserialized or scored.
+  // on first load, quarantine it, and the global model serves the vehicle
+  // instead -- the damaged bytes are never deserialized or scored.
   FaultInjector rot(FaultProfile::BitRot(), /*seed=*/11);
   StatusOr<FileCorruptionKind> kind =
       rot.CorruptFileOnDisk(registry.BundlePath(1), /*file_tag=*/1);
   ASSERT_TRUE(kind.ok()) << kind.status().ToString();
   ASSERT_NE(kind.value(), FileCorruptionKind::kNone);
 
-  PredictionService::Options opts;
-  opts.hierarchy = &meta;
-  PredictionService service(&registry, nullptr, opts);
+  PredictionService service(&registry, nullptr);
   PredictionResponse resp = service.Predict({1, &ds, ds.num_days()});
   ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
-  EXPECT_EQ(resp.level, ServedLevel::kCluster);
+  EXPECT_EQ(resp.level, ServedLevel::kGlobal);
   EXPECT_FALSE(resp.degraded);
   EXPECT_DOUBLE_EQ(resp.prediction,
                    pooled.PredictTarget(ds, ds.num_days()).value());
@@ -361,10 +350,10 @@ TEST_F(PublishChaosTest, ManifestFailingModelIsQuarantinedNeverScored) {
 
   // Repeat requests stay on the fallback without re-reading the corpse.
   PredictionResponse again = service.Predict({1, &ds, ds.num_days()});
-  EXPECT_EQ(again.level, ServedLevel::kCluster);
+  EXPECT_EQ(again.level, ServedLevel::kGlobal);
   EXPECT_EQ(registry.stats().quarantines, 1u);
   EXPECT_GT(registry.stats().quarantine_blocks, stats.quarantine_blocks);
-  EXPECT_GT(service.fallback_counts().cluster, 0u);
+  EXPECT_GT(service.fallback_counts().global, 0u);
 }
 
 TEST_F(PublishChaosTest, PruneSparesJournalPinnedGenerations) {

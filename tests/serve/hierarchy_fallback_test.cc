@@ -1,8 +1,8 @@
-// Exhaustive ordering tests of the serving fallback chain
-// vehicle -> cluster -> type -> global -> (baseline | error), including
-// corrupt and breaker-open bundles at each level, with the served level
-// and the labeled fallback counters asserted for every hop, and the whole
-// cold-start chain from a generated fleet to a served prediction.
+// Ordering tests of the serving fallback chain
+// vehicle -> global -> (Last-Value | error): missing, quarantined, corrupt
+// and breaker-open bundles, with the served level, the prediction and the
+// labeled fallback counters asserted for every hop, and the cold-start
+// chain from a generated fleet through TrainPooled to a served prediction.
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -14,8 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/cluster_meta.h"
-#include "cluster/pooled.h"
+#include "common/record_file.h"
 #include "core/experiment.h"
 #include "core/forecaster.h"
 #include "obs/metrics.h"
@@ -61,22 +60,14 @@ VehicleForecaster TrainForecaster(const VehicleDataset& ds) {
   return forecaster;
 }
 
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
 class HierarchyFallbackTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "/vup_hierarchy_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
-
-    // Hand-built clustering: vehicles 1 and 2 in cluster 0 (type 2),
-    // vehicle 3 in cluster 1 (type 4). 1-D standardized profile space.
-    meta_.seed = 42;
-    meta_.acf_lags = 14;
-    meta_.scaling.mean = {0.0};
-    meta_.scaling.std = {1.0};
-    meta_.centroids = {{0.0}, {1.0}};
-    meta_.vehicles = {{1, 0, 2}, {2, 0, 2}, {3, 1, 4}};
-
     request_ds_ = std::make_unique<VehicleDataset>(MakeDataset(1));
   }
 
@@ -124,97 +115,92 @@ class HierarchyFallbackTest : public ::testing::Test {
     out << "vupred-forecaster v1\nalgorithm Alien\n";
   }
 
+  /// Trips vehicle 1's breaker: its bundle becomes unreadable and three
+  /// direct loads fail.
+  void TripBreaker(ModelRegistry* registry) {
+    ASSERT_TRUE(BreakBundle(registry->BundlePath(1)).ok());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_FALSE(registry->Get(1).ok());
+    }
+    ASSERT_EQ(registry->breaker_state(1), BreakerState::kOpen);
+  }
+
   PredictionService MakeService(ModelRegistry* registry,
                                 bool degrade_to_baseline = true) {
     PredictionService::Options opts;
     opts.degrade_to_baseline = degrade_to_baseline;
-    opts.hierarchy = &meta_;
     return PredictionService(registry, nullptr, opts);
   }
 
   size_t Target() const { return request_ds_->num_days(); }
 
-  PredictionRequest Request(int type_hint = -1) const {
-    PredictionRequest request(1, request_ds_.get(), Target());
-    request.vehicle_type_hint = type_hint;
-    return request;
+  PredictionRequest Request(int64_t vehicle_id = 1) const {
+    return PredictionRequest(vehicle_id, request_ds_.get(), Target());
   }
 
   std::string dir_;
-  cluster::ClustersMeta meta_;
   std::unique_ptr<VehicleDataset> request_ds_;
 };
 
-TEST_F(HierarchyFallbackTest, OwnModelPreferredOverWholeChain) {
+TEST_F(HierarchyFallbackTest, OwnModelPreferredOverGlobal) {
   ModelRegistry registry = OpenRegistry();
   const double own =
-      PublishTagged(&registry, {{1, 1},
-                                {cluster::ClusterModelId(0), 11},
-                                {cluster::TypeModelId(2), 12},
-                                {cluster::kGlobalModelId, 13}})
-          .at(1);
+      PublishTagged(&registry, {{1, 1}, {kGlobalModelId, 13}}).at(1);
 
   PredictionService service = MakeService(&registry);
   PredictionResponse resp = service.Predict(Request());
   ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
   EXPECT_EQ(resp.level, ServedLevel::kVehicle);
-  EXPECT_DOUBLE_EQ(resp.prediction, own);
+  EXPECT_EQ(Bits(resp.prediction), Bits(own));
   EXPECT_FALSE(resp.degraded);
   PredictionService::FallbackSnapshot counts = service.fallback_counts();
-  EXPECT_EQ(counts.cluster + counts.type + counts.global + counts.baseline,
-            0u);
+  EXPECT_EQ(counts.global + counts.baseline, 0u);
 }
 
-TEST_F(HierarchyFallbackTest, MissingVehicleServedByCluster) {
+TEST_F(HierarchyFallbackTest, MissingVehicleServedByGlobal) {
   ModelRegistry registry = OpenRegistry();
-  const double pooled =
-      PublishTagged(&registry, {{cluster::ClusterModelId(0), 11},
-                                {cluster::TypeModelId(2), 12},
-                                {cluster::kGlobalModelId, 13}})
-          .at(cluster::ClusterModelId(0));
+  const double global =
+      PublishTagged(&registry, {{2, 2}, {kGlobalModelId, 13}})
+          .at(kGlobalModelId);
 
   PredictionService service = MakeService(&registry);
-  PredictionResponse resp = service.Predict(Request());
-  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
-  EXPECT_EQ(resp.level, ServedLevel::kCluster);
-  EXPECT_DOUBLE_EQ(resp.prediction, pooled);
-  EXPECT_FALSE(resp.degraded);
-  EXPECT_EQ(service.fallback_counts().cluster, 1u);
-  EXPECT_EQ(service.fallback_counts().type, 0u);
+  // Vehicle 1 has no bundle, and neither has vehicle 99, which the
+  // generation has never seen: both are served by the global model.
+  for (int64_t vehicle_id : {int64_t{1}, int64_t{99}}) {
+    PredictionResponse resp = service.Predict(Request(vehicle_id));
+    ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+    EXPECT_EQ(resp.level, ServedLevel::kGlobal);
+    EXPECT_EQ(Bits(resp.prediction), Bits(global));
+    EXPECT_FALSE(resp.degraded);
+  }
+  EXPECT_EQ(service.fallback_counts().global, 2u);
+  EXPECT_EQ(service.fallback_counts().baseline, 0u);
 }
 
-TEST_F(HierarchyFallbackTest, MissingClusterServedByType) {
+TEST_F(HierarchyFallbackTest, QuarantinedVehicleServedByGlobal) {
   ModelRegistry registry = OpenRegistry();
-  const double pooled =
-      PublishTagged(&registry, {{cluster::TypeModelId(2), 12},
-                                {cluster::kGlobalModelId, 13}})
-          .at(cluster::TypeModelId(2));
+  const double global =
+      PublishTagged(&registry, {{1, 1}, {kGlobalModelId, 13}})
+          .at(kGlobalModelId);
+  CorruptBundle(registry, 1);
 
   PredictionService service = MakeService(&registry);
-  PredictionResponse resp = service.Predict(Request());
-  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
-  EXPECT_EQ(resp.level, ServedLevel::kType);
-  EXPECT_DOUBLE_EQ(resp.prediction, pooled);
-  EXPECT_EQ(service.fallback_counts().type, 1u);
-  EXPECT_EQ(service.fallback_counts().cluster, 0u);
+  for (int i = 0; i < 2; ++i) {  // The first load quarantines, the second
+                                 // is blocked by the quarantine.
+    PredictionResponse resp = service.Predict(Request());
+    ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+    EXPECT_EQ(resp.level, ServedLevel::kGlobal);
+    EXPECT_EQ(Bits(resp.prediction), Bits(global));
+  }
+  EXPECT_TRUE(registry.IsQuarantined(1));
+  EXPECT_EQ(registry.stats().quarantine_blocks, 2u);
+  EXPECT_EQ(service.fallback_counts().global, 2u);
 }
 
-TEST_F(HierarchyFallbackTest, MissingTypeServedByGlobal) {
+TEST_F(HierarchyFallbackTest, NoGlobalBundleDegradesToBaseline) {
   ModelRegistry registry = OpenRegistry();
-  const double pooled =
-      PublishTagged(&registry, {{cluster::kGlobalModelId, 13}})
-          .at(cluster::kGlobalModelId);
+  PublishTagged(&registry, {{2, 2}});
 
-  PredictionService service = MakeService(&registry);
-  PredictionResponse resp = service.Predict(Request());
-  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
-  EXPECT_EQ(resp.level, ServedLevel::kGlobal);
-  EXPECT_DOUBLE_EQ(resp.prediction, pooled);
-  EXPECT_EQ(service.fallback_counts().global, 1u);
-}
-
-TEST_F(HierarchyFallbackTest, ExhaustedChainDegradesToBaseline) {
-  ModelRegistry registry = OpenRegistry();
   PredictionService service = MakeService(&registry);
   PredictionResponse resp = service.Predict(Request());
   ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
@@ -222,9 +208,13 @@ TEST_F(HierarchyFallbackTest, ExhaustedChainDegradesToBaseline) {
   EXPECT_TRUE(resp.degraded);
   EXPECT_DOUBLE_EQ(resp.prediction, request_ds_->hours().back());
   EXPECT_EQ(service.fallback_counts().baseline, 1u);
+  EXPECT_EQ(service.fallback_counts().global, 0u);
+  // The unlisted global bundle is never asked for: the only miss is the
+  // vehicle's own lookup.
+  EXPECT_EQ(registry.stats().misses, 1u);
 }
 
-TEST_F(HierarchyFallbackTest, ExhaustedChainWithoutDegradeIsNotFound) {
+TEST_F(HierarchyFallbackTest, NoGlobalBundleWithoutDegradeIsNotFound) {
   ModelRegistry registry = OpenRegistry();
   PredictionService service =
       MakeService(&registry, /*degrade_to_baseline=*/false);
@@ -232,86 +222,49 @@ TEST_F(HierarchyFallbackTest, ExhaustedChainWithoutDegradeIsNotFound) {
   EXPECT_TRUE(resp.status.IsNotFound()) << resp.status.ToString();
   EXPECT_EQ(resp.level, ServedLevel::kNone);
   EXPECT_EQ(service.fallback_counts().baseline, 0u);
+  EXPECT_EQ(registry.stats().misses, 1u);
 }
 
-TEST_F(HierarchyFallbackTest, TypeHintServesVehicleUnknownToClustering) {
+TEST_F(HierarchyFallbackTest, CorruptGlobalBundleDegradesToBaseline) {
   ModelRegistry registry = OpenRegistry();
-  const double pooled =
-      PublishTagged(&registry, {{cluster::TypeModelId(2), 12},
-                                {cluster::kGlobalModelId, 13}})
-          .at(cluster::TypeModelId(2));
-
-  PredictionService service = MakeService(&registry);
-  // Vehicle 99 is not in clusters.meta: cluster level unresolvable, and
-  // without a hint the type level is skipped too -> global.
-  PredictionRequest no_hint(99, request_ds_.get(), Target());
-  PredictionResponse resp = service.Predict(no_hint);
-  ASSERT_TRUE(resp.status.ok());
-  EXPECT_EQ(resp.level, ServedLevel::kGlobal);
-
-  // With the hint, the type model serves the cold-start vehicle.
-  PredictionRequest hinted(99, request_ds_.get(), Target());
-  hinted.vehicle_type_hint = 2;
-  resp = service.Predict(hinted);
-  ASSERT_TRUE(resp.status.ok());
-  EXPECT_EQ(resp.level, ServedLevel::kType);
-  EXPECT_DOUBLE_EQ(resp.prediction, pooled);
-  EXPECT_EQ(service.fallback_counts().type, 1u);
-  EXPECT_EQ(service.fallback_counts().global, 1u);
-}
-
-TEST_F(HierarchyFallbackTest, CorruptClusterBundleFallsThroughToType) {
-  ModelRegistry registry = OpenRegistry();
-  const double pooled =
-      PublishTagged(&registry, {{cluster::ClusterModelId(0), 11},
-                                {cluster::TypeModelId(2), 12}})
-          .at(cluster::TypeModelId(2));
-  CorruptBundle(registry, cluster::ClusterModelId(0));
+  PublishTagged(&registry, {{kGlobalModelId, 13}});
+  CorruptBundle(registry, kGlobalModelId);
 
   PredictionService service = MakeService(&registry);
   PredictionResponse resp = service.Predict(Request());
   ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
-  EXPECT_EQ(resp.level, ServedLevel::kType);
-  EXPECT_DOUBLE_EQ(resp.prediction, pooled);
-  EXPECT_EQ(service.fallback_counts().cluster, 0u);
-  EXPECT_EQ(service.fallback_counts().type, 1u);
+  EXPECT_EQ(resp.level, ServedLevel::kBaseline);
+  EXPECT_TRUE(resp.degraded);
+  EXPECT_TRUE(registry.IsQuarantined(kGlobalModelId));
+  EXPECT_EQ(service.fallback_counts().global, 0u);
+  EXPECT_EQ(service.fallback_counts().baseline, 1u);
 }
 
-TEST_F(HierarchyFallbackTest, BreakerOpenVehicleServedByClusterNotBaseline) {
+TEST_F(HierarchyFallbackTest, BreakerOpenVehicleServedByGlobal) {
   FakeClock clock;
   ModelRegistry registry = OpenWithBreaker(&clock);
-  const double pooled =
-      PublishTagged(&registry, {{1, 1}, {cluster::ClusterModelId(0), 11}})
-          .at(cluster::ClusterModelId(0));
-  ASSERT_TRUE(BreakBundle(registry.BundlePath(1)).ok());
-
-  // Trip the vehicle's breaker: three direct load failures.
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_FALSE(registry.Get(1).ok());
-  }
-  ASSERT_EQ(registry.breaker_state(1), BreakerState::kOpen);
+  const double global =
+      PublishTagged(&registry, {{1, 1}, {kGlobalModelId, 13}})
+          .at(kGlobalModelId);
+  TripBreaker(&registry);
 
   // While the breaker is open the vehicle level returns Unavailable; the
-  // chain must degrade to the cluster model, not to Last-Value.
+  // request must be served by the global model, not by Last-Value.
   PredictionService service = MakeService(&registry);
   PredictionResponse resp = service.Predict(Request());
   ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
-  EXPECT_EQ(resp.level, ServedLevel::kCluster);
-  EXPECT_DOUBLE_EQ(resp.prediction, pooled);
+  EXPECT_EQ(resp.level, ServedLevel::kGlobal);
+  EXPECT_EQ(Bits(resp.prediction), Bits(global));
   EXPECT_FALSE(resp.degraded);
-  EXPECT_EQ(service.fallback_counts().cluster, 1u);
+  EXPECT_EQ(service.fallback_counts().global, 1u);
   EXPECT_EQ(service.fallback_counts().baseline, 0u);
 }
 
-TEST_F(HierarchyFallbackTest, BreakerOpenWithoutPooledModelsStaysUnavailable) {
+TEST_F(HierarchyFallbackTest, BreakerOpenWithoutGlobalStaysUnavailable) {
   FakeClock clock;
   ModelRegistry registry = OpenWithBreaker(&clock);
   PublishTagged(&registry, {{1, 1}});
-  ASSERT_TRUE(BreakBundle(registry.BundlePath(1)).ok());
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_FALSE(registry.Get(1).ok());
-  }
-  ASSERT_EQ(registry.breaker_state(1), BreakerState::kOpen);
+  TripBreaker(&registry);
 
   // Breaker-open is not NotFound: even with degradation enabled the
   // response must stay Unavailable rather than silently serving stale
@@ -326,37 +279,68 @@ TEST_F(HierarchyFallbackTest, BreakerOpenWithoutPooledModelsStaysUnavailable) {
 
 TEST_F(HierarchyFallbackTest, CountersExportedAsLabeledFamily) {
   ModelRegistry registry = OpenRegistry();
-  PublishTagged(&registry, {{cluster::ClusterModelId(0), 11}});
+  PublishTagged(&registry, {{kGlobalModelId, 13}});
 
   PredictionService service = MakeService(&registry);
-  ASSERT_TRUE(service.Predict(Request()).status.ok());  // -> cluster.
-  ASSERT_TRUE(service.Predict(Request()).status.ok());  // -> cluster.
-  PredictionRequest unknown(99, request_ds_.get(), Target());
-  PredictionResponse resp = service.Predict(unknown);  // -> baseline.
-  ASSERT_TRUE(resp.status.ok());
-  EXPECT_EQ(resp.level, ServedLevel::kBaseline);
+  ASSERT_TRUE(service.Predict(Request()).status.ok());  // -> global.
+  ASSERT_TRUE(service.Predict(Request()).status.ok());  // -> global.
 
   obs::MetricsSnapshot snapshot;
   service.CollectMetrics(&snapshot);
-  const obs::MetricSample* cluster_sample =
-      snapshot.Find("vupred_registry_fallback_total", {{"level", "cluster"}});
-  ASSERT_NE(cluster_sample, nullptr);
-  EXPECT_DOUBLE_EQ(cluster_sample->value, 2.0);
+  size_t samples = 0;
+  for (const obs::MetricFamily& family : snapshot.families) {
+    if (family.name == "vupred_registry_fallback_total") {
+      samples += family.samples.size();
+    }
+  }
+  EXPECT_EQ(samples, 2u);  // global and baseline only.
+  const obs::MetricSample* global_sample =
+      snapshot.Find("vupred_registry_fallback_total", {{"level", "global"}});
+  ASSERT_NE(global_sample, nullptr);
+  EXPECT_DOUBLE_EQ(global_sample->value, 2.0);
   const obs::MetricSample* baseline_sample =
       snapshot.Find("vupred_registry_fallback_total", {{"level", "baseline"}});
   ASSERT_NE(baseline_sample, nullptr);
-  EXPECT_DOUBLE_EQ(baseline_sample->value, 1.0);
-  const obs::MetricSample* type_sample =
-      snapshot.Find("vupred_registry_fallback_total", {{"level", "type"}});
-  ASSERT_NE(type_sample, nullptr);
-  EXPECT_DOUBLE_EQ(type_sample->value, 0.0);
+  EXPECT_DOUBLE_EQ(baseline_sample->value, 0.0);
 }
 
-// The real cold-start chain, nothing hand-built: cluster a generated
-// fleet, train the pooled hierarchy without one vehicle, publish it with
-// the other vehicles' own bundles and clusters.meta, and serve the vehicle
-// the hierarchy has never trained on.
-TEST_F(HierarchyFallbackTest, ColdStartVehicleServedByItsOfflineClusterModel) {
+// A generation published by an older build may list more pooled bundles
+// under negative ids and a sidecar file this build does not read. It
+// still opens, the extra files are listed but never served, and its global
+// bundle serves a vehicle without its own.
+TEST_F(HierarchyFallbackTest, ExtraPooledBundlesAndSidecarsAreIgnored) {
+  ModelRegistry registry = OpenRegistry();
+  const VehicleForecaster global = TrainForecaster(MakeDataset(13));
+  const VehicleForecaster pooled = TrainForecaster(MakeDataset(11));
+  {
+    StatusOr<GenerationPublisher> pub = registry.NewGeneration();
+    ASSERT_TRUE(pub.ok()) << pub.status().ToString();
+    ASSERT_TRUE(pub.value().Add(-1000, pooled).ok());
+    ASSERT_TRUE(pub.value().Add(-2002, pooled).ok());
+    ASSERT_TRUE(pub.value().Add(kGlobalModelId, global).ok());
+    std::ofstream sidecar(pub.value().staging_dir() + "/extra.meta",
+                          std::ios::binary);
+    sidecar << EncodeRecords("vupred-extra v2", {{"seed", {"42"}}});
+    sidecar.close();
+    ASSERT_TRUE(pub.value().Commit(RegistryMeta()).ok());
+  }
+  ASSERT_TRUE(registry.Reload().ok());
+  EXPECT_EQ(registry.ListVehicleIds(),
+            (std::vector<int64_t>{kGlobalModelId, -2002, -1000}));
+
+  PredictionService service = MakeService(&registry);
+  PredictionResponse resp = service.Predict(Request());
+  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+  EXPECT_EQ(resp.level, ServedLevel::kGlobal);
+  EXPECT_EQ(Bits(resp.prediction),
+            Bits(global.PredictTarget(*request_ds_, Target()).value()));
+}
+
+// The real cold-start chain, nothing hand-built: pool a generated fleet's
+// vehicles without one of them, publish the pooled model as the global
+// bundle with the other vehicles' own bundles, and serve the vehicle the
+// generation has never trained on.
+TEST_F(HierarchyFallbackTest, ColdStartVehicleServedByTheOfflineGlobalModel) {
   const Fleet fleet = Fleet::Generate(FleetConfig::Small(8, 42));
   std::vector<VehicleDataset> datasets;
   for (size_t i = 0; i < fleet.size(); ++i) {
@@ -364,99 +348,53 @@ TEST_F(HierarchyFallbackTest, ColdStartVehicleServedByItsOfflineClusterModel) {
     ASSERT_TRUE(ds.ok()) << ds.status().ToString();
     datasets.push_back(std::move(ds.value()));
   }
-  cluster::KMeansConfig kmeans_config;
-  kmeans_config.k = 2;
-  kmeans_config.seed = 42;
-  StatusOr<cluster::ClustersMeta> meta = cluster::BuildFleetClustering(
-      datasets, cluster::ProfileConfig(), kmeans_config);
-  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  const VehicleDataset& cold = datasets.back();
 
-  // The cold vehicle: the highest id whose cluster keeps a warm member.
-  std::map<int, size_t> cluster_sizes;
-  for (const cluster::VehicleAssignment& v : meta.value().vehicles) {
-    ++cluster_sizes[v.cluster_id];
-  }
-  int64_t cold_id = -1;
-  int cold_cluster = -1;
-  for (const cluster::VehicleAssignment& v : meta.value().vehicles) {
-    if (cluster_sizes[v.cluster_id] >= 2) {  // Ascending ids: last wins.
-      cold_id = v.vehicle_id;
-      cold_cluster = v.cluster_id;
-    }
-  }
-  ASSERT_GE(cold_id, 0) << "every cluster is a singleton";
-  const VehicleDataset* cold = nullptr;
-  std::vector<VehicleDataset> warm;
-  for (const VehicleDataset& ds : datasets) {
-    if (ds.info().vehicle_id == cold_id) {
-      cold = &ds;
-    } else {
-      warm.push_back(ds);
-    }
-  }
-  ASSERT_NE(cold, nullptr);
-
-  cluster::PooledTrainingOptions options;
-  options.forecaster.algorithm = Algorithm::kLasso;
-  options.forecaster.windowing.lookback_w = 21;
-  options.forecaster.selection.top_k = 7;
-  options.train_window = 60;
-  options.holdout_days = 0;  // Serving models train through the last day.
-  StatusOr<std::vector<cluster::PooledModel>> pooled =
-      cluster::TrainPooledHierarchy(warm, meta.value(), options);
-  ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
-  const VehicleForecaster* offline = nullptr;
-  for (const cluster::PooledModel& model : pooled.value()) {
-    if (model.model_id == cluster::ClusterModelId(cold_cluster)) {
-      offline = &model.forecaster;
-    }
-  }
-  ASSERT_NE(offline, nullptr);
+  ForecasterConfig config;
+  config.algorithm = Algorithm::kLasso;
+  config.windowing.lookback_w = 21;
+  config.selection.top_k = 7;
+  constexpr size_t kTrainWindow = 60;
 
   ModelRegistry registry = OpenRegistry();
   StatusOr<GenerationPublisher> publisher = registry.NewGeneration();
   ASSERT_TRUE(publisher.ok()) << publisher.status().ToString();
-  size_t warm_published = 0;
-  for (const VehicleDataset& ds : warm) {
+  std::vector<PooledTrainingSpan> spans;
+  for (size_t i = 0; i + 1 < datasets.size(); ++i) {
+    const VehicleDataset& ds = datasets[i];
     const size_t n = ds.num_days();
-    VehicleForecaster own(options.forecaster);
-    if (n <= options.train_window ||
-        !own.Train(ds, n - options.train_window, n).ok()) {
-      continue;  // Too short: served by the hierarchy.
+    VehicleForecaster own(config);
+    if (n <= kTrainWindow || !own.Train(ds, n - kTrainWindow, n).ok()) {
+      continue;  // Too short: served by the global model.
     }
     ASSERT_TRUE(publisher.value().Add(ds.info().vehicle_id, own).ok());
-    ++warm_published;
+    spans.push_back({&ds, n - kTrainWindow, n});
   }
-  EXPECT_GT(warm_published, 0u);
-  for (const cluster::PooledModel& model : pooled.value()) {
-    ASSERT_TRUE(publisher.value().Add(model.model_id, model.forecaster).ok());
-  }
-  ASSERT_TRUE(cluster::WriteClustersMetaFile(publisher.value().staging_dir(),
-                                             meta.value())
-                  .ok());
+  ASSERT_GT(spans.size(), 1u);
+  StatusOr<VehicleForecaster> offline =
+      VehicleForecaster::TrainPooled(spans, config);
+  ASSERT_TRUE(offline.ok()) << offline.status().ToString();
+  ASSERT_TRUE(publisher.value().Add(kGlobalModelId, offline.value()).ok());
   ASSERT_TRUE(publisher.value().Commit(RegistryMeta()).ok());
   ASSERT_TRUE(registry.Reload().ok());
 
-  PredictionService::Options opts;
-  opts.hierarchy = &meta.value();
-  PredictionService service(&registry, nullptr, opts);
-  PredictionResponse resp =
-      service.Predict(PredictionRequest(cold_id, cold, cold->num_days()));
+  PredictionService service = MakeService(&registry);
+  PredictionResponse resp = service.Predict(
+      PredictionRequest(cold.info().vehicle_id, &cold, cold.num_days()));
   ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
-  EXPECT_EQ(resp.level, ServedLevel::kCluster);
+  EXPECT_EQ(resp.level, ServedLevel::kGlobal);
   EXPECT_FALSE(resp.degraded);
-  EXPECT_EQ(service.fallback_counts().cluster, 1u);
-  // Bitwise: the served bundle is the offline cluster model itself.
-  StatusOr<double> expected = offline->PredictTarget(*cold, cold->num_days());
+  EXPECT_EQ(service.fallback_counts().global, 1u);
+  // Bitwise: the served bundle is the offline pooled model itself.
+  StatusOr<double> expected = offline.value().PredictTarget(cold,
+                                                            cold.num_days());
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-  EXPECT_EQ(std::bit_cast<uint64_t>(resp.prediction),
-            std::bit_cast<uint64_t>(expected.value()));
+  EXPECT_EQ(Bits(resp.prediction), Bits(expected.value()));
 }
 
 TEST_F(HierarchyFallbackTest, ServedLevelNamesAreStable) {
+  EXPECT_EQ(ServedLevelToString(ServedLevel::kNone), "none");
   EXPECT_EQ(ServedLevelToString(ServedLevel::kVehicle), "vehicle");
-  EXPECT_EQ(ServedLevelToString(ServedLevel::kCluster), "cluster");
-  EXPECT_EQ(ServedLevelToString(ServedLevel::kType), "type");
   EXPECT_EQ(ServedLevelToString(ServedLevel::kGlobal), "global");
   EXPECT_EQ(ServedLevelToString(ServedLevel::kBaseline), "baseline");
 }

@@ -50,7 +50,7 @@ TEST_F(ManifestTest, SerializeParseRoundTrips) {
   GenerationManifest manifest;
   ASSERT_TRUE(manifest.Add("b.cfcst", 10, 0xDEADBEEF).ok());
   ASSERT_TRUE(manifest.Add("a.cfcst", 0, 0).ok());
-  ASSERT_TRUE(manifest.Add("clusters.meta", 123, 0xFFFFFFFF).ok());
+  ASSERT_TRUE(manifest.Add("extra.meta", 123, 0xFFFFFFFF).ok());
 
   StatusOr<GenerationManifest> parsed =
       GenerationManifest::Parse(manifest.Serialize());
@@ -60,7 +60,7 @@ TEST_F(ManifestTest, SerializeParseRoundTrips) {
   ASSERT_EQ(parsed.value().size(), 3u);
   EXPECT_EQ(parsed.value().entries()[0].file, "a.cfcst");
   EXPECT_EQ(parsed.value().entries()[1].file, "b.cfcst");
-  EXPECT_EQ(parsed.value().entries()[2].file, "clusters.meta");
+  EXPECT_EQ(parsed.value().entries()[2].file, "extra.meta");
 }
 
 TEST_F(ManifestTest, AddRejectsUnusableNamesAndDuplicates) {
@@ -134,7 +134,7 @@ TEST_F(ManifestTest, BuildFromDirectoryIsDeterministicAndSkipsLeftovers) {
     EXPECT_TRUE(VerifyOnDisk(entry).ok()) << entry.file;
   }
   // A staged file that does not end in its own trailer is refused.
-  WriteFile("clusters.meta", "unframed");
+  WriteFile("extra.meta", "unframed");
   EXPECT_TRUE(
       GenerationManifest::BuildFromDirectory(dir_, {}).status().IsDataLoss());
 }
@@ -142,7 +142,7 @@ TEST_F(ManifestTest, BuildFromDirectoryIsDeterministicAndSkipsLeftovers) {
 TEST_F(ManifestTest, BuildFromDirectoryTakesRecordedEntriesAtTheirSize) {
   WriteFile("vehicle_1.cfcst", Framed("model one"));
   WriteFile("vehicle_2.cfcst", Framed("model two"));
-  WriteFile("clusters.meta", Framed("clusters"));
+  WriteFile("extra.meta", Framed("extra"));
   const uint64_t size = 9 + kCrc32TrailerBytes;
   // A recorded trailer the bytes on disk do not carry shows which entries
   // were taken unread.
@@ -160,7 +160,7 @@ TEST_F(ManifestTest, BuildFromDirectoryTakesRecordedEntriesAtTheirSize) {
             (ManifestEntry{"vehicle_1.cfcst", size, 0x12345678}));
   // Size changed since it was recorded: read back, listed as it is.
   EXPECT_TRUE(VerifyOnDisk(*built.value().Find("vehicle_2.cfcst")).ok());
-  EXPECT_TRUE(VerifyOnDisk(*built.value().Find("clusters.meta")).ok());
+  EXPECT_TRUE(VerifyOnDisk(*built.value().Find("extra.meta")).ok());
   // A recorded file that is not on disk is not listed.
   EXPECT_EQ(built.value().Find("vehicle_9.cfcst"), nullptr);
 

@@ -709,6 +709,29 @@ TEST_F(ModelRegistryGenerationTest, AddSnapshotsTheForecaster) {
   EXPECT_EQ(ReadFile(gen + "/" + ModelRegistry::BundleFileName(3)), bundle);
 }
 
+TEST_F(ModelRegistryGenerationTest, ServedModelPublishesItsBundleAgain) {
+  // A model served from one generation carries into the next one byte for
+  // byte, with no retraining: the restored forecaster re-encodes from the
+  // bundle it was read from.
+  ModelRegistry registry = OpenRegistry(4);
+  const VehicleForecaster forecaster = TrainForecaster(MakeDataset(4));
+  ASSERT_TRUE(PublishFleet(registry, {{4, &forecaster}}).ok());
+  const std::string bundle =
+      ReadFile(registry.directory() + "/gen_000001/" +
+               ModelRegistry::BundleFileName(4));
+  StatusOr<std::shared_ptr<const VehicleForecaster>> served = registry.Get(4);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+
+  StatusOr<GenerationPublisher> pub = registry.NewGeneration();
+  ASSERT_TRUE(pub.ok());
+  ASSERT_TRUE(pub.value().Add(4, *served.value()).ok());
+  ASSERT_TRUE(pub.value().Add(5, *served.value()).ok());
+  ASSERT_TRUE(pub.value().Commit(TestMeta()).ok());
+  const std::string gen = pub.value().staging_dir();
+  EXPECT_EQ(ReadFile(gen + "/" + ModelRegistry::BundleFileName(4)), bundle);
+  EXPECT_EQ(ReadFile(gen + "/" + ModelRegistry::BundleFileName(5)), bundle);
+}
+
 TEST_F(ModelRegistryGenerationTest, GenerationHoldsOnlyCompactBundles) {
   ModelRegistry registry = OpenRegistry(4);
   const VehicleForecaster forecaster = TrainForecaster(MakeDataset(2));
@@ -1201,7 +1224,7 @@ TEST_F(PublisherSealTest, HandedOutStagingDirIsReadBackInFull) {
   ASSERT_TRUE(pub.ok());
   ASSERT_TRUE(pub.value().Add(1, *a_).ok());
   {
-    std::ofstream out(pub.value().staging_dir() + "/clusters.meta",
+    std::ofstream out(pub.value().staging_dir() + "/extra.meta",
                       std::ios::binary);
     out << "unframed";
   }

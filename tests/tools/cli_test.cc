@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/crc32.h"
 #include "core/forecaster.h"
 #include "obs/export.h"
 #include "table/csv.h"
@@ -229,9 +228,8 @@ TEST(CliTest, UnknownFlagsExitWithCodeTwo) {
   EXPECT_EQ(CliExitCode("train"), 2);  // Missing required flags.
   EXPECT_EQ(CliExitCode("nosuchcommand"), 2);
   // The training, publish and serving benchmarks live in perfbench/, the
-  // wire ingest path is gone, the cluster benchmark's checks are ctests
-  // and its PE report is `fleet --clusters`; their old CLI commands are
-  // unknown commands now.
+  // wire ingest path and fleet clustering are gone; their old CLI commands
+  // are unknown commands now.
   for (const char* retired : {"core-bench", "publish-bench", "serve-bench",
                               "ingest-bench", "cluster-bench"}) {
     EXPECT_EQ(CliExitCode(retired), 2) << retired;
@@ -286,10 +284,8 @@ TEST(CliTest, UnknownNamesExitWithCodeTwo) {
 }
 
 TEST(CliTest, BaselineAlgorithmsRejectedWherePooledOrSaved) {
-  // Baselines have no pooled fit and no state to save: --clusters, train
-  // and publish refuse them before doing any work.
-  EXPECT_EQ(CliExitCode("fleet --clusters=2 --algorithm=MA"), 2);
-  EXPECT_EQ(CliExitCode("fleet --clusters=2 --algorithm=LV"), 2);
+  // Baselines have no pooled fit and no state to save: train and publish
+  // refuse them before doing any work.
   const std::string dir = TempDir() + "/baseline_registry";
   std::filesystem::remove_all(dir);
   EXPECT_EQ(CliExitCode("train --data=x.csv --out=" + dir + ".cfcst" +
@@ -301,18 +297,6 @@ TEST(CliTest, BaselineAlgorithmsRejectedWherePooledOrSaved) {
             2);
   EXPECT_EQ(CliExitCode("publish --out=" + dir + " --algorithm=MA"), 2);
   EXPECT_FALSE(std::filesystem::exists(dir));
-}
-
-TEST(CliTest, FleetClustersWithNoEvaluableVehicleFails) {
-  // One-day holdouts that all fall on idle days leave no PE to report:
-  // an error, not a hierarchy line of 0.00 %.
-  const std::string out = TempDir() + "/fleet_clusters_empty.txt";
-  int raw = RunCli("fleet --clusters=1 --eval-days=1 --max-vehicles=3 "
-                   "2> /dev/null",
-                   out);
-  ASSERT_TRUE(WIFEXITED(raw));
-  EXPECT_EQ(WEXITSTATUS(raw), 1);
-  EXPECT_EQ(ReadFile(out).find("hierarchy k="), std::string::npos);
 }
 
 TEST(CliTest, FleetWithNoEvaluableVehicleFails) {
@@ -343,8 +327,7 @@ TEST(CliTest, NegativeIntegerFlagsExitWithCodeTwo) {
   };
   for (const char* flag :
        {"vehicles", "seed", "fault-seed", "max-vehicles", "eval-days",
-        "retrain-every", "train-window", "lookback", "topk", "jobs",
-        "clusters", "acf-lags"}) {
+        "retrain-every", "train-window", "lookback", "topk", "jobs"}) {
     expect_usage_error("fleet --" + std::string(flag) + "=-1", flag);
   }
   expect_usage_error("fleet --retrain-every=0", "retrain-every");
@@ -353,8 +336,7 @@ TEST(CliTest, NegativeIntegerFlagsExitWithCodeTwo) {
   expect_usage_error("train --data=x.csv --out=" + dir + " --train-days=-1",
                      "train-days");
   for (const char* flag : {"train-days", "keep-generations", "vehicles",
-                           "max-vehicles", "lookback", "topk", "clusters",
-                           "acf-lags"}) {
+                           "max-vehicles", "lookback", "topk"}) {
     expect_usage_error("publish --out=" + dir + " --" + flag + "=-2", flag);
   }
   EXPECT_FALSE(std::filesystem::exists(dir));
@@ -414,8 +396,9 @@ TEST(CliTest, PublishWritesOneCompactBundlePerVehicle) {
   ASSERT_EQ(current, "gen_000001");
   std::string gen_dir = registry + "/" + current;
   EXPECT_FALSE(ReadFile(gen_dir + "/registry_meta.txt").empty());
-  // One compact bundle per vehicle, the meta and the MANIFEST: nothing
-  // else.
+  // One compact bundle per vehicle, the global model's, the meta and the
+  // MANIFEST: nothing else.
+  EXPECT_TRUE(std::filesystem::exists(gen_dir + "/vehicle_-3000.cfcst"));
   size_t bundles = 0;
   for (const auto& entry : std::filesystem::directory_iterator(gen_dir)) {
     const std::string name = entry.path().filename().string();
@@ -424,7 +407,7 @@ TEST(CliTest, PublishWritesOneCompactBundlePerVehicle) {
     EXPECT_EQ(entry.path().extension().string(), ".cfcst") << name;
     ++bundles;
   }
-  EXPECT_EQ(bundles, 2u);
+  EXPECT_EQ(bundles, 3u);
   // Compact bundles are the only format: the old twin flag is gone.
   EXPECT_EQ(CliExitCode("publish --out=" + registry + " --compact"), 2);
 }
@@ -515,43 +498,65 @@ TEST(CliTest, FleetMetricsJsonFormatAndTrace) {
   EXPECT_NE(trace_text.find("fit"), std::string::npos);
 }
 
-TEST(CliTest, FleetClustersReportsHierarchyComparison) {
+TEST(CliTest, PublishStagesTheGlobalModel) {
   std::string dir = TempDir();
-  std::string out = dir + "/fleet_clusters.txt";
-  ASSERT_EQ(RunCli("fleet --vehicles=20 --max-vehicles=6 --eval-days=10 "
-                   "--clusters=2",
-                   out),
-            0);
-  std::string text = ReadFile(out);
-  EXPECT_NE(text.find("hierarchy k=2 inertia="), std::string::npos);
-  EXPECT_NE(text.find("per-cluster PE="), std::string::npos);
-  EXPECT_NE(text.find("global PE="), std::string::npos);
-}
-
-TEST(CliTest, PublishWithClustersStagesHierarchyAndClustersMeta) {
-  std::string dir = TempDir();
-  std::string registry = dir + "/cluster_registry";
+  std::string registry = dir + "/global_registry";
   // A fresh registry: a leftover one from an earlier build of the suite
   // may hold sidecars this build does not read.
   std::filesystem::remove_all(registry);
-  std::string publish_out = dir + "/publish_clusters.txt";
+  std::string publish_out = dir + "/publish_global.txt";
   ASSERT_EQ(RunCli("publish --out=" + registry +
-                       " --vehicles=10 --max-vehicles=4 --train-days=120 "
-                       "--clusters=2",
+                       " --vehicles=10 --max-vehicles=4 --train-days=120",
                    publish_out),
             0);
   EXPECT_NE(ReadFile(publish_out)
-                .find("pooled hierarchy bundles + clusters.meta (k=2)"),
+                .find("published the global model (Lasso) over 4 vehicles "
+                      "as vehicle_-3000.cfcst"),
             std::string::npos);
 
-  // clusters.meta landed inside the committed generation.
+  // The committed generation's MANIFEST lists the global bundle.
   const std::string current = ReadLink(registry + "/CURRENT");
   ASSERT_EQ(current, "gen_000001");
-  std::string gen_dir = registry + "/" + current;
-  std::string meta_text = ReadFile(gen_dir + "/clusters.meta");
-  EXPECT_NE(meta_text.find("vupred-clusters v2"), std::string::npos);
-  EXPECT_TRUE(
-      CheckCrc32Trailer(meta_text.data(), meta_text.size()).has_value());
+  const std::string manifest = ReadFile(registry + "/" + current +
+                                        "/MANIFEST");
+  EXPECT_NE(manifest.find("entry vehicle_-3000.cfcst "), std::string::npos);
+
+  // Clustering is gone: its flags are unknown flags.
+  EXPECT_EQ(CliExitCode("publish --out=" + registry + " --clusters=2"), 2);
+  EXPECT_EQ(CliExitCode("publish --out=" + registry + " --acf-lags=14"), 2);
+  EXPECT_EQ(CliExitCode("fleet --clusters=2"), 2);
+  EXPECT_EQ(CliExitCode("fleet --acf-lags=14"), 2);
+  EXPECT_EQ(ReadLink(registry + "/CURRENT"), current);
+
+  // Whatever --algorithm the vehicles use, the global model is a Lasso
+  // fit, whose cost grows linearly in the pooled rows.
+  ASSERT_EQ(RunCli("publish --out=" + registry +
+                       " --vehicles=10 --max-vehicles=4 --train-days=120"
+                       " --algorithm=SVR",
+                   publish_out),
+            0);
+  EXPECT_NE(ReadFile(publish_out)
+                .find("published the global model (Lasso) over 4 vehicles "
+                      "as vehicle_-3000.cfcst"),
+            std::string::npos);
+  const std::string generation = registry + "/" +
+                                 ReadLink(registry + "/CURRENT");
+  ASSERT_EQ(generation, registry + "/gen_000002");
+  size_t vehicle_bundles = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(generation)) {
+    const std::string name = entry.path().filename().string();
+    if (!name.ends_with(".cfcst")) continue;
+    StatusOr<VehicleForecaster> loaded =
+        VehicleForecaster::LoadCompact(ReadFile(entry.path().string()));
+    ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.status().ToString();
+    if (name == "vehicle_-3000.cfcst") {
+      EXPECT_EQ(loaded.value().config().algorithm, Algorithm::kLasso);
+    } else {
+      EXPECT_EQ(loaded.value().config().algorithm, Algorithm::kSvr) << name;
+      ++vehicle_bundles;
+    }
+  }
+  EXPECT_EQ(vehicle_bundles, 4u);
 }
 
 TEST(CliTest, PublishGuardrailsValidateCanaryRollback) {

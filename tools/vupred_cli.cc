@@ -23,8 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/cluster_meta.h"
-#include "cluster/pooled.h"
 #include "common/check.h"
 #include "common/file_util.h"
 #include "common/string_util.h"
@@ -55,7 +53,7 @@ namespace {
 const std::vector<std::string> kIntegerFlags = {
     "vehicles", "seed", "fault-seed", "max-vehicles", "eval-days",
     "retrain-every", "train-window", "lookback", "topk", "jobs",
-    "clusters", "acf-lags", "train-days", "keep-generations"};
+    "train-days", "keep-generations"};
 const std::vector<std::string> kNumberFlags = {"canary-fraction"};
 
 bool Contains(const std::vector<std::string>& keys, const std::string& key) {
@@ -225,7 +223,7 @@ StatusOr<VehicleDataset> LoadDatasetCsv(const std::string& path,
 /// absent) into `cfg`. An unknown algorithm name is an error, reported
 /// here: it must not silently train another algorithm. So is a baseline
 /// (LV, MA) when `fitted_for` names a use that needs a fitted model: a
-/// baseline has nothing to pool per cluster and nothing to save.
+/// baseline has nothing to pool and nothing to save.
 bool ForecasterFlags(const Flags& flags, Algorithm algorithm,
                      long long lookback, long long topk,
                      const char* fitted_for, ForecasterConfig* cfg) {
@@ -252,28 +250,6 @@ bool ForecasterFlags(const Flags& flags, Algorithm algorithm,
       static_cast<size_t>(flags.GetInt("lookback", lookback));
   cfg->selection.top_k = static_cast<size_t>(flags.GetInt("topk", topk));
   return true;
-}
-
-/// The --clusters block of fleet and publish: copies the datasets of the
-/// vehicles at `indices` into `datasets` and clusters their usage profiles
-/// with seeded k-means (k = --clusters, profile ACF lags = --acf-lags).
-StatusOr<cluster::ClustersMeta> ClusterVehicles(
-    const Flags& flags, ExperimentRunner* runner,
-    const std::vector<size_t>& indices, uint64_t seed,
-    std::vector<VehicleDataset>* datasets) {
-  for (size_t index : indices) {
-    VUP_ASSIGN_OR_RETURN(const VehicleDataset* ds, runner->Dataset(index));
-    datasets->push_back(*ds);
-  }
-  cluster::ProfileConfig profile_config;
-  profile_config.acf_lags = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("acf-lags", 14), 1));
-  cluster::KMeansConfig kmeans_config;
-  kmeans_config.k = static_cast<size_t>(
-      std::max<long long>(flags.GetInt("clusters", 3), 1));
-  kmeans_config.seed = seed;
-  return cluster::BuildFleetClustering(*datasets, profile_config,
-                                       kmeans_config);
 }
 
 // ---- Commands ---------------------------------------------------------
@@ -432,8 +408,7 @@ int RunFleet(const Flags& flags) {
   const uint64_t fault_seed =
       static_cast<uint64_t>(flags.GetInt("fault-seed", 99));
   EvaluationConfig cfg;
-  if (!ForecasterFlags(flags, Algorithm::kLasso, 21, 7,
-                       flags.Has("clusters") ? "--clusters" : nullptr,
+  if (!ForecasterFlags(flags, Algorithm::kLasso, 21, 7, nullptr,
                        &cfg.forecaster)) {
     return 2;
   }
@@ -476,30 +451,6 @@ int RunFleet(const Flags& flags) {
               result.fleet.vehicles_skipped,
               result.fleet.vehicles_quarantined);
   std::printf("degradation: %s\n", result.degradation.ToString().c_str());
-  if (flags.Has("clusters")) {
-    // Hierarchy report: cluster the evaluated vehicles' usage profiles and
-    // compare per-vehicle vs pooled per-cluster vs pooled global PE on the
-    // shared trailing-holdout protocol (holdout = --eval-days).
-    std::vector<VehicleDataset> cluster_datasets;
-    StatusOr<cluster::ClustersMeta> cmeta = ClusterVehicles(
-        flags, &runner, result.vehicle_indices, seed, &cluster_datasets);
-    if (!cmeta.ok()) return Fail(cmeta.status());
-    cluster::PooledTrainingOptions popts;
-    popts.forecaster = cfg.forecaster;
-    popts.train_window = cfg.train_window;
-    popts.holdout_days = cfg.eval_days;
-    StatusOr<cluster::HierarchyEvaluation> hier =
-        cluster::EvaluateHierarchy(cluster_datasets, cmeta.value(), popts);
-    if (!hier.ok()) return Fail(hier.status());
-    const cluster::HierarchyEvaluation& h = hier.value();
-    std::printf("hierarchy k=%zu inertia=%.3f: per-vehicle PE=%.2f%% "
-                "per-cluster PE=%.2f%% global PE=%.2f%% (evaluated=%zu "
-                "skipped=%zu)\n",
-                cmeta.value().k(), cmeta.value().inertia,
-                h.per_vehicle.mean_pe, h.per_cluster.mean_pe,
-                h.global.mean_pe, h.per_vehicle.vehicles,
-                h.vehicles_skipped);
-  }
   const int metrics_rc = WriteMetricsOutput(flags, metrics_format);
   if (metrics_rc != 0) return metrics_rc;
   if (flags.Has("strict") && result.degradation.vehicles_quarantined > 0) {
@@ -562,6 +513,7 @@ int RunPublish(const Flags& flags) {
 
   size_t published = 0;
   std::map<int64_t, const VehicleDataset*> probe_data;
+  std::vector<PooledTrainingSpan> global_spans;
   for (size_t index : selected) {
     StatusOr<const VehicleDataset*> ds = runner.Dataset(index);
     if (!ds.ok()) return Fail(ds.status());
@@ -583,39 +535,35 @@ int RunPublish(const Flags& flags) {
     Status stored = publisher.value().Add(id, forecaster);
     if (!stored.ok()) return Fail(stored);
     probe_data[id] = ds.value();
+    global_spans.push_back({&d, begin, n});
     ++published;
   }
   if (published == 0) {
     return Fail(Status::Internal("no vehicle model could be trained"));
   }
-  // Optional hierarchy publish: cluster the same vehicles, stage pooled
-  // per-cluster / per-type / global bundles under their reserved ids plus
-  // clusters.meta into the generation, all made live by the same CURRENT
-  // flip as the per-vehicle bundles.
-  size_t pooled_published = 0;
-  size_t pooled_k = 0;
-  if (flags.Has("clusters")) {
-    std::vector<VehicleDataset> cluster_datasets;
-    StatusOr<cluster::ClustersMeta> cmeta = ClusterVehicles(
-        flags, &runner, selected, meta.fleet_seed, &cluster_datasets);
-    if (!cmeta.ok()) return Fail(cmeta.status());
-    pooled_k = cmeta.value().k();
-    cluster::PooledTrainingOptions popts;
-    popts.forecaster = cfg;
-    popts.train_window = train_days;
-    popts.holdout_days = 0;  // Serving models train through the last day.
-    StatusOr<std::vector<cluster::PooledModel>> pooled =
-        cluster::TrainPooledHierarchy(cluster_datasets, cmeta.value(),
-                                      popts);
-    if (!pooled.ok()) return Fail(pooled.status());
-    for (const cluster::PooledModel& model : pooled.value()) {
-      Status stored = publisher.value().Add(model.model_id, model.forecaster);
-      if (!stored.ok()) return Fail(stored);
-      ++pooled_published;
-    }
-    Status meta_written = cluster::WriteClustersMetaFile(
-        publisher.value().staging_dir(), cmeta.value());
-    if (!meta_written.ok()) return Fail(meta_written);
+  // The global model over the published vehicles' training spans, stacked
+  // in ascending vehicle id, serves a vehicle whose own bundle is missing
+  // or breaker-open. It is always Lasso, whatever --algorithm says: that
+  // is the configuration bench_ablation_fallback_levels evidences, and its
+  // cost grows linearly in the pooled rows, where an SVR Gram matrix over
+  // every vehicle's rows would grow quadratically. A pooled fit that fails
+  // is skipped like a vehicle that fails to train.
+  std::sort(global_spans.begin(), global_spans.end(),
+            [](const PooledTrainingSpan& a, const PooledTrainingSpan& b) {
+              return a.dataset->info().vehicle_id <
+                     b.dataset->info().vehicle_id;
+            });
+  ForecasterConfig global_cfg = cfg;
+  global_cfg.algorithm = Algorithm::kLasso;
+  StatusOr<VehicleForecaster> global =
+      VehicleForecaster::TrainPooled(global_spans, global_cfg);
+  if (global.ok()) {
+    Status stored =
+        publisher.value().Add(serve::kGlobalModelId, global.value());
+    if (!stored.ok()) return Fail(stored);
+  } else {
+    std::fprintf(stderr, "warning: global model not published: %s\n",
+                 global.status().ToString().c_str());
   }
   // The live generation's bundle directory (if any) before the CURRENT
   // flip: the holdout-PE guardrail and the canary both compare against it.
@@ -705,10 +653,11 @@ int RunPublish(const Flags& flags) {
               serve::ModelRegistry::GenerationDirName(
                   publisher.value().number())
                   .c_str());
-  if (flags.Has("clusters")) {
-    std::printf("published %zu pooled hierarchy bundles + clusters.meta "
-                "(k=%zu)\n",
-                pooled_published, pooled_k);
+  if (global.ok()) {
+    std::printf(
+        "published the global model (Lasso) over %zu vehicles as %s\n",
+        global_spans.size(),
+        serve::ModelRegistry::BundleFileName(serve::kGlobalModelId).c_str());
   }
   return 0;
 }
@@ -767,41 +716,35 @@ const std::vector<Command>& Commands() {
        "  [--algorithm=Lasso] [--eval-days=20] [--retrain-every=10]\n"
        "  [--train-window=60] [--lookback=21] [--topk=7] [--jobs=N]\n"
        "  [--fault-profile=none|mild|severe] [--fault-seed=S] [--strict]\n"
-       "  [--clusters=K] [--acf-lags=14] [--metrics-out=FILE]\n"
-       "  [--metrics-format=prom|json] [--trace]\n"
+       "  [--metrics-out=FILE] [--metrics-format=prom|json] [--trace]\n"
        "  Fleet experiment on a demo fleet, optionally routed through the\n"
        "  telemetry fault injector. --jobs=N evaluates vehicles on N\n"
        "  worker threads with byte-identical output; --jobs=0 picks one\n"
        "  job per hardware thread (capped at 16). With --strict, exits\n"
        "  non-zero when any vehicle was quarantined; exits 1 when no\n"
-       "  vehicle could be evaluated. --clusters=K\n"
-       "  additionally clusters the evaluated vehicles' usage profiles\n"
-       "  (seeded k-means) and reports per-vehicle vs pooled per-cluster\n"
-       "  vs pooled global PE on the shared holdout (ML algorithms only;\n"
-       "  an error when no vehicle is evaluable). --metrics-out writes\n"
-       "  the metrics snapshot (Prometheus text, or JSON when the path\n"
-       "  ends in .json or --metrics-format=json); --trace prints the\n"
-       "  aggregated pipeline span tree.\n",
+       "  vehicle could be evaluated. --metrics-out writes the metrics\n"
+       "  snapshot (Prometheus text, or JSON when the path ends in .json\n"
+       "  or --metrics-format=json); --trace prints the aggregated\n"
+       "  pipeline span tree.\n",
        {"vehicles", "seed", "max-vehicles", "algorithm", "eval-days",
         "retrain-every", "train-window", "lookback", "topk", "jobs",
-        "fault-profile", "fault-seed", "strict", "clusters", "acf-lags",
-        "metrics-out", "metrics-format", "trace"},
+        "fault-profile", "fault-seed", "strict", "metrics-out",
+        "metrics-format", "trace"},
        {},
        RunFleet},
       {"publish", "train the fleet and publish bundles into a registry",
        "usage: vupred publish --out=DIR [--vehicles=N] [--seed=S]\n"
        "  [--max-vehicles=M] [--algorithm=Lasso] [--lookback=21]\n"
        "  [--topk=7] [--train-days=200] [--keep-generations=2]\n"
-       "  [--clusters=K] [--acf-lags=14] [--validate]\n"
-       "  [--canary-fraction=F] [--rollback]\n"
+       "  [--validate] [--canary-fraction=F] [--rollback]\n"
        "  Train one forecaster per eligible fleet vehicle and write its\n"
        "  compact bundle (vehicle_<id>.cfcst) plus registry metadata and a\n"
        "  MANIFEST into DIR as a new generation, made live by an atomic\n"
-       "  CURRENT flip, ready for any ModelRegistry consumer. With\n"
-       "  --clusters=K the same generation also carries clusters.meta plus\n"
-       "  pooled per-cluster / per-type / global bundles under their\n"
-       "  reserved negative ids, so serving falls back down the hierarchy\n"
-       "  for vehicles without a bundle. Old generations beyond\n"
+       "  CURRENT flip, ready for any ModelRegistry consumer. The same\n"
+       "  generation carries the global model (vehicle_-3000.cfcst), one\n"
+       "  Lasso fit pooled over the published vehicles whatever\n"
+       "  --algorithm says, which serves a vehicle without a usable bundle\n"
+       "  of its own. Old generations beyond\n"
        "  --keep-generations are pruned (never the ones the rollback\n"
        "  journal points at). The baselines LV and MA have no state to\n"
        "  publish.\n"
@@ -816,8 +759,8 @@ const std::vector<Command>& Commands() {
        "  --rollback (standalone) undoes the last journaled promotion\n"
        "  and exits: CURRENT flips back to the previous generation.\n",
        {"out", "vehicles", "seed", "max-vehicles", "algorithm", "lookback",
-        "topk", "train-days", "keep-generations", "clusters", "acf-lags",
-        "validate", "canary-fraction", "rollback"},
+        "topk", "train-days", "keep-generations", "validate",
+        "canary-fraction", "rollback"},
        {"out"},
        RunPublish},
   };
