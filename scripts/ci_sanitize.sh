@@ -30,13 +30,13 @@ focused_pass sanitize core_windowing_test stats_acf_test \
 # catches a queued bundle snapshot that outlives (or aliases) the
 # forecaster it came from, or a writer that records its manifest entry
 # after the publisher moved.
-# The registry chaos and scrubber suites ride along for the read path:
-# every resident model scores in place over a bundle buffer it owns, so
-# ASan catches a model that outlives that buffer.
+# The registry chaos suite rides along for the read path: every resident
+# model scores in place over a bundle buffer it owns, so ASan catches a
+# model that outlives that buffer.
 focused_pass sanitize common_crc32_test common_file_util_test \
   common_string_util_test core_forecaster_persistence_test \
   serve_model_registry_test common_thread_pool_test \
-  integration_registry_chaos_test serve_scrubber_test
+  integration_registry_chaos_test
 
 # SVR solver surface: the panel-packed Gram kernel and the fused SMO
 # scans read whole lane vectors, so ASan guards their padded lanes -- a
@@ -54,9 +54,10 @@ focused_pass sanitize serve_hierarchy_fallback_test
 # one hostile-input decoder, the record-file codec, so its
 # truncation/flip/garbage suite runs here with each sidecar's field
 # decoder behind it; plus CRC verification over injector-corrupted files,
-# the publish validator, the scrubber and the kill-point chaos walk.
+# the publish validator, the kill-point chaos walk and the rollback's
+# check of a damaged retained generation.
 focused_pass sanitize common_record_file_test serve_registry_meta_test \
-  serve_manifest_test serve_validator_test serve_scrubber_test \
+  serve_manifest_test serve_validator_test \
   serve_registry_reload_breaker_test integration_publish_chaos_test
 
 # Compact-bundle decoder fuzz under the sanitizers: the vupc v2 decoder

@@ -5,9 +5,9 @@
 # (admission control, load shedding, deadline fan-out), the model
 # registry (circuit breakers, generation hot-swap, two publishers on two
 # threads sharing the registry's writer pool, two publishers racing to
-# reserve a generation number and to promote), the background
-# registry scrubber and the chaos suites, including global fallback
-# reads racing generation swaps and canary shadow-scoring racing
+# reserve a generation number and to promote) and the chaos suites,
+# including quarantines racing generation swaps, global fallback reads
+# racing generation swaps and canary shadow-scoring racing
 # promote/rollback flips.
 # Races found here are overload/reload bugs the release build may only
 # hit in production.
@@ -39,7 +39,6 @@ TARGETS=(
   serve_prediction_service_test
   serve_model_registry_test
   serve_registry_shard_test
-  serve_scrubber_test
   ml_grid_search_test
   ml_svr_test
   integration_chaos_test

@@ -1,12 +1,7 @@
 #include "obs/export.h"
 
-#include <algorithm>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 
 namespace vup::obs {
 
@@ -155,33 +150,6 @@ std::string EscapeLabelValue(std::string_view value) {
   return out;
 }
 
-std::string UnescapeLabelValue(std::string_view value) {
-  std::string out;
-  out.reserve(value.size());
-  for (size_t i = 0; i < value.size(); ++i) {
-    if (value[i] != '\\' || i + 1 >= value.size()) {
-      out += value[i];
-      continue;
-    }
-    ++i;
-    switch (value[i]) {
-      case '\\':
-        out += '\\';
-        break;
-      case '"':
-        out += '"';
-        break;
-      case 'n':
-        out += '\n';
-        break;
-      default:  // Unknown escape: keep verbatim.
-        out += '\\';
-        out += value[i];
-    }
-  }
-  return out;
-}
-
 std::string ToPrometheusText(const MetricsSnapshot& snapshot) {
   std::string out;
   for (const MetricFamily& family : snapshot.families) {
@@ -240,158 +208,6 @@ std::string ToJson(const MetricsSnapshot& snapshot) {
   }
   out += "\n}\n";
   return out;
-}
-
-// ---- Parser -----------------------------------------------------------
-
-namespace {
-
-bool Fail(std::string* error, const std::string& message, size_t line_no) {
-  if (error != nullptr) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "line %zu: ", line_no);
-    *error = buf + message;
-  }
-  return false;
-}
-
-}  // namespace
-
-const ParsedSample* ParsedMetrics::Find(std::string_view name,
-                                        const LabelSet& labels) const {
-  LabelSet sorted = labels;
-  std::sort(sorted.begin(), sorted.end());
-  for (const ParsedSample& sample : samples) {
-    if (sample.name != name) continue;
-    LabelSet sample_labels = sample.labels;
-    std::sort(sample_labels.begin(), sample_labels.end());
-    if (sample_labels == sorted) return &sample;
-  }
-  return nullptr;
-}
-
-double ParsedMetrics::Value(std::string_view name, const LabelSet& labels,
-                            double fallback) const {
-  const ParsedSample* sample = Find(name, labels);
-  return sample != nullptr ? sample->value : fallback;
-}
-
-bool ParsePrometheusText(std::string_view text, ParsedMetrics* out,
-                         std::string* error) {
-  ParsedMetrics parsed;
-  size_t line_no = 0;
-  size_t at = 0;
-  while (at <= text.size()) {
-    size_t end = text.find('\n', at);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view line = text.substr(at, end - at);
-    at = end + 1;
-    ++line_no;
-    if (line.empty()) {
-      if (at > text.size()) break;
-      continue;
-    }
-    if (line[0] == '#') {
-      // Only "# TYPE <name> <type>" is retained; HELP and other comments
-      // are skipped.
-      const std::string_view type_prefix = "# TYPE ";
-      if (line.substr(0, type_prefix.size()) == type_prefix) {
-        std::string_view rest = line.substr(type_prefix.size());
-        size_t space = rest.find(' ');
-        if (space == std::string_view::npos) {
-          return Fail(error, "malformed TYPE line", line_no);
-        }
-        parsed.types.emplace_back(std::string(rest.substr(0, space)),
-                                  std::string(rest.substr(space + 1)));
-      }
-      continue;
-    }
-
-    ParsedSample sample;
-    size_t pos = 0;
-    while (pos < line.size() && line[pos] != '{' && line[pos] != ' ') ++pos;
-    sample.name = std::string(line.substr(0, pos));
-    if (!IsValidMetricName(sample.name)) {
-      return Fail(error, "invalid metric name '" + sample.name + "'",
-                  line_no);
-    }
-
-    if (pos < line.size() && line[pos] == '{') {
-      ++pos;
-      while (pos < line.size() && line[pos] != '}') {
-        size_t eq = line.find('=', pos);
-        if (eq == std::string_view::npos) {
-          return Fail(error, "label without '='", line_no);
-        }
-        std::string label(line.substr(pos, eq - pos));
-        if (!IsValidLabelName(label)) {
-          return Fail(error, "invalid label name '" + label + "'", line_no);
-        }
-        pos = eq + 1;
-        if (pos >= line.size() || line[pos] != '"') {
-          return Fail(error, "label value is not quoted", line_no);
-        }
-        ++pos;
-        std::string raw;
-        bool closed = false;
-        while (pos < line.size()) {
-          char c = line[pos];
-          if (c == '\\') {
-            if (pos + 1 >= line.size()) {
-              return Fail(error, "dangling escape in label value", line_no);
-            }
-            raw += c;
-            raw += line[pos + 1];
-            pos += 2;
-            continue;
-          }
-          if (c == '"') {
-            closed = true;
-            ++pos;
-            break;
-          }
-          raw += c;
-          ++pos;
-        }
-        if (!closed) {
-          return Fail(error, "unterminated label value", line_no);
-        }
-        sample.labels.emplace_back(std::move(label),
-                                   UnescapeLabelValue(raw));
-        if (pos < line.size() && line[pos] == ',') ++pos;
-      }
-      if (pos >= line.size() || line[pos] != '}') {
-        return Fail(error, "unterminated label set", line_no);
-      }
-      ++pos;
-    }
-
-    while (pos < line.size() && line[pos] == ' ') ++pos;
-    if (pos >= line.size()) {
-      return Fail(error, "missing sample value", line_no);
-    }
-    std::string value_text(line.substr(pos));
-    // Trim a timestamp if present (we never emit one, but accept it).
-    size_t value_end = value_text.find(' ');
-    if (value_end != std::string::npos) value_text.resize(value_end);
-    if (value_text == "+Inf") {
-      sample.value = std::numeric_limits<double>::infinity();
-    } else if (value_text == "-Inf") {
-      sample.value = -std::numeric_limits<double>::infinity();
-    } else if (value_text == "NaN") {
-      sample.value = std::numeric_limits<double>::quiet_NaN();
-    } else {
-      char* parse_end = nullptr;
-      sample.value = std::strtod(value_text.c_str(), &parse_end);
-      if (parse_end == value_text.c_str() || *parse_end != '\0') {
-        return Fail(error, "non-numeric value '" + value_text + "'",
-                    line_no);
-      }
-    }
-    parsed.samples.push_back(std::move(sample));
-  }
-  if (out != nullptr) *out = std::move(parsed);
-  return true;
 }
 
 }  // namespace vup::obs

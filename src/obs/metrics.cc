@@ -274,21 +274,8 @@ Histogram* MetricsRegistry::GetHistogram(std::string_view name,
   return instrument != nullptr ? instrument->histogram.get() : nullptr;
 }
 
-uint64_t MetricsRegistry::RegisterCollector(Collector collector) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t id = next_collector_id_++;
-  collectors_.emplace(id, std::move(collector));
-  return id;
-}
-
-void MetricsRegistry::UnregisterCollector(uint64_t id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  collectors_.erase(id);
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snapshot;
-  std::vector<Collector> collectors;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [key, instrument] : instruments_) {
@@ -312,15 +299,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
       family.samples.push_back(std::move(sample));
       snapshot.families.push_back(std::move(family));
     }
-    collectors.reserve(collectors_.size());
-    for (const auto& [id, collector] : collectors_) {
-      collectors.push_back(collector);
-    }
-  }
-  // Collectors run outside the registry lock: they take their owners'
-  // locks (ServingStats, ModelRegistry) and must not nest under ours.
-  for (const Collector& collector : collectors) {
-    collector(&snapshot);
   }
   snapshot.Normalize();
   return snapshot;

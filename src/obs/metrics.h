@@ -2,7 +2,6 @@
 #define VUPRED_OBS_METRICS_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -115,27 +114,6 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// RAII timer: records the elapsed wall seconds into a histogram on
-/// destruction. A null histogram disables it (no clock read).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* histogram) : histogram_(histogram) {
-    if (histogram_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedTimer() {
-    if (histogram_ == nullptr) return;
-    histogram_->Record(std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start_)
-                           .count());
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram* histogram_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 enum class MetricType { kCounter = 0, kGauge = 1, kHistogram = 2 };
 
 std::string_view MetricTypeToString(MetricType type);
@@ -156,8 +134,9 @@ struct MetricFamily {
   std::vector<MetricSample> samples;
 };
 
-/// A point-in-time export of a registry (plus any collector-contributed
-/// families). Normalize() before exporting.
+/// A point-in-time export of a registry, to which owners of their own
+/// stats (ServingStats, ModelRegistry) append families through their
+/// Collect/CollectMetrics. Normalize() before exporting.
 struct MetricsSnapshot {
   std::vector<MetricFamily> families;
 
@@ -184,10 +163,6 @@ struct MetricsSnapshot {
 /// same name must always carry the same instrument type (a lookup with a
 /// conflicting type returns nullptr, and callers treat a null instrument
 /// as "metrics disabled").
-///
-/// External stat surfaces that keep their own state (ServingStats,
-/// ModelRegistry) register a collector instead of duplicating counters:
-/// Snapshot() runs every registered collector and merges what they append.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -205,15 +180,7 @@ class MetricsRegistry {
                           std::vector<double> bounds,
                           const LabelSet& labels = {});
 
-  /// Appends families to the snapshot being taken. Must be thread-safe.
-  using Collector = std::function<void(MetricsSnapshot*)>;
-
-  /// Registers `collector`; the returned id unregisters it. Collectors
-  /// must outlive their registration (unregister in the owner's dtor).
-  uint64_t RegisterCollector(Collector collector);
-  void UnregisterCollector(uint64_t id);
-
-  /// Owned instruments plus all collector output, normalized.
+  /// Owned instruments, normalized.
   MetricsSnapshot Snapshot() const;
 
   size_t num_instruments() const;
@@ -240,46 +207,6 @@ class MetricsRegistry {
   // Key: name + serialized sorted labels. deque-backed values would still
   // need the map for lookup; unique_ptr keeps pointers stable.
   std::map<std::string, std::unique_ptr<Instrument>> instruments_;
-  std::map<uint64_t, Collector> collectors_;
-  uint64_t next_collector_id_ = 1;
-};
-
-/// RAII collector registration.
-class ScopedCollector {
- public:
-  ScopedCollector() = default;
-  ScopedCollector(MetricsRegistry* registry,
-                  MetricsRegistry::Collector collector)
-      : registry_(registry),
-        id_(registry != nullptr
-                ? registry->RegisterCollector(std::move(collector))
-                : 0) {}
-  ~ScopedCollector() { Reset(); }
-  ScopedCollector(ScopedCollector&& other) noexcept
-      : registry_(other.registry_), id_(other.id_) {
-    other.registry_ = nullptr;
-    other.id_ = 0;
-  }
-  ScopedCollector& operator=(ScopedCollector&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      registry_ = other.registry_;
-      id_ = other.id_;
-      other.registry_ = nullptr;
-      other.id_ = 0;
-    }
-    return *this;
-  }
-
-  void Reset() {
-    if (registry_ != nullptr && id_ != 0) registry_->UnregisterCollector(id_);
-    registry_ = nullptr;
-    id_ = 0;
-  }
-
- private:
-  MetricsRegistry* registry_ = nullptr;
-  uint64_t id_ = 0;
 };
 
 }  // namespace vup::obs

@@ -185,8 +185,17 @@ StatusOr<std::string> RollbackGeneration(const std::string& root) {
         "nothing to roll back to: " + journal.promoted +
         " was the first published generation");
   }
-  VUP_RETURN_IF_ERROR(
-      VerifyGenerationComplete(root, journal.previous).status());
+  VUP_ASSIGN_OR_RETURN(const GenerationManifest manifest,
+                       VerifyGenerationComplete(root, journal.previous));
+  // A retained generation's bundles have not been read since its publish:
+  // check every listed file before serving them again.
+  const Status listed =
+      VerifyListedFiles(root + "/" + journal.previous, manifest);
+  if (listed.IsDataLoss()) {
+    return Status::DataLoss("cannot roll back to " + journal.previous +
+                            ": " + listed.message());
+  }
+  VUP_RETURN_IF_ERROR(listed);
   // The journal stays in place, still naming `promoted`: once CURRENT no
   // longer matches it, a second rollback of the same promotion fails with
   // FailedPrecondition instead of ping-ponging between generations.

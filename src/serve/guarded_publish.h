@@ -65,7 +65,10 @@ Status PromoteGeneration(const std::string& root,
 
 /// Undoes the journaled promotion: CURRENT must still name
 /// journal.promoted (FailedPrecondition otherwise -- a later publish made
-/// the journal stale), journal.previous must exist and be complete.
+/// the journal stale), journal.previous must exist and be complete, and
+/// every file its MANIFEST lists must hold the listed bytes
+/// (VerifyListedFiles; DataLoss naming the generation and the file
+/// otherwise, with CURRENT and ROLLBACK untouched).
 /// Flips CURRENT back and returns the restored generation name. The
 /// journal is left in place, so a second rollback of the same promotion
 /// fails cleanly instead of ping-ponging.

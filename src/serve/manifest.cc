@@ -206,6 +206,20 @@ Status GenerationManifest::VerifyBytes(const ManifestEntry& entry,
   return Status::OK();
 }
 
+Status VerifyListedFiles(const std::string& dir,
+                         const GenerationManifest& manifest) {
+  for (const ManifestEntry& entry : manifest.entries()) {
+    StatusOr<std::string> bytes =
+        ReadFileCapped(dir + "/" + entry.file, entry.size);
+    if (bytes.status().IsNotFound()) {
+      return Status::DataLoss(entry.file + ": listed file is missing");
+    }
+    VUP_RETURN_IF_ERROR(bytes.status());
+    VUP_RETURN_IF_ERROR(GenerationManifest::VerifyBytes(entry, bytes.value()));
+  }
+  return Status::OK();
+}
+
 Status WriteManifestFile(const std::string& directory,
                          const GenerationManifest& manifest) {
   return WriteRecordFile(directory + "/" + kManifestFileName, kManifestMagic,

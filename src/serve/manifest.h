@@ -102,6 +102,14 @@ Status WriteManifestFile(const std::string& directory,
 /// committed generation without one is incomplete and never served.
 StatusOr<GenerationManifest> ReadManifestFile(const std::string& directory);
 
+/// Reads every file `manifest` lists from `dir` and checks it with
+/// VerifyBytes. Each read is capped at the listed size, so a grown file
+/// costs a stat, never a read. DataLoss naming the first damaged file: a
+/// missing one, a size other than the listed one, bytes that fail their
+/// trailer, or another file's bytes of the same size.
+Status VerifyListedFiles(const std::string& dir,
+                         const GenerationManifest& manifest);
+
 }  // namespace vup::serve
 
 #endif  // VUPRED_SERVE_MANIFEST_H_

@@ -376,11 +376,13 @@ StatusOr<GenerationPublisher> ModelRegistry::NewGeneration() {
     staging = final_dir + ".staging";
     std::error_code ec;
     if (!fs::create_directory(staging, ec)) {
-      if (ec) {
+      // Another publisher holds N. The library reports EEXIST as an error
+      // when that publisher renamed its staging away before the check.
+      if (ec && ec != std::errc::file_exists) {
         return Status::Internal("cannot create staging directory " +
                                 staging + ": " + ec.message());
       }
-      continue;  // Another publisher holds N.
+      continue;
     }
     const bool taken = fs::exists(final_dir, ec);
     if (ec) {
@@ -633,22 +635,6 @@ StatusOr<std::shared_ptr<const VehicleForecaster>> ModelRegistry::Get(
     }
   }
   return model;
-}
-
-void ModelRegistry::Quarantine(int64_t vehicle_id) {
-  Shard& shard = ShardForVehicle(vehicle_id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (!shard.quarantined.insert(vehicle_id).second) return;
-  ++shard.counters.quarantines;
-  // A resident copy was deserialized from bytes that verified at load
-  // time; the scrubber has since seen different bytes on disk, so the
-  // cached model's provenance is gone -- drop it.
-  auto it = shard.index.find(vehicle_id);
-  if (it != shard.index.end()) {
-    shard.resident_bytes -= it->second->bytes;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-  }
 }
 
 bool ModelRegistry::IsQuarantined(int64_t vehicle_id) const {

@@ -106,7 +106,7 @@ struct ModelRegistryStats {
   uint64_t reloads = 0;        // Generation swaps performed by Reload().
   uint64_t generation = 0;     // Active generation number (0 = none).
   uint64_t quarantines = 0;    // Models quarantined (manifest mismatch or
-                               // explicit Quarantine()).
+                               // a bundle the decoder rejects).
   uint64_t quarantine_blocks = 0;  // Gets answered NotFound because the
                                    // vehicle's model is quarantined.
   uint64_t quarantined_models = 0; // Currently quarantined vehicle count.
@@ -255,11 +255,6 @@ class ModelRegistry {
   /// the generation is repaired.
   StatusOr<std::shared_ptr<const VehicleForecaster>> Get(int64_t vehicle_id);
 
-  /// Marks the model of `vehicle_id` as unservable (drops any resident
-  /// copy). Used by the scrubber when a background re-verify catches
-  /// bit-rot before any Get does.
-  void Quarantine(int64_t vehicle_id);
-
   bool IsQuarantined(int64_t vehicle_id) const;
 
   /// Meta of the active generation.
@@ -363,9 +358,9 @@ class ModelRegistry {
     std::list<LruEntry> lru;  // Most recently used at the front.
     std::unordered_map<int64_t, std::list<LruEntry>::iterator> index;
     std::unordered_map<int64_t, Breaker> breakers;
-    /// Vehicles whose model failed manifest verification (or were flagged
-    /// by the scrubber). Cleared on a generation swap: the new fleet's
-    /// bundles get verified on their own merits.
+    /// Vehicles whose model failed manifest verification or decoding.
+    /// Cleared on a generation swap: the new fleet's bundles get verified
+    /// on their own merits.
     std::unordered_set<int64_t> quarantined;
     size_t resident_bytes = 0;
 

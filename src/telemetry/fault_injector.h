@@ -54,8 +54,7 @@ struct FaultProfile {
   /// P(a stored artifact is corrupted on disk) per CorruptFileOnDisk call.
   /// The corruption kind (bit flips, truncation, zero-fill) is drawn
   /// uniformly; this models silent media rot and torn writes under model
-  /// registries and WALs, the class the MANIFEST + scrubber are built to
-  /// catch.
+  /// registries, the class the MANIFEST checks are built to catch.
   double file_corrupt_prob = 0.0;
   int max_file_bit_flips = 8;  // Bit-flip kind flips 1..this many bits.
 
@@ -74,8 +73,8 @@ struct FaultProfile {
   /// exhaust default retry budgets.
   static FaultProfile Severe();
   /// Certain on-disk corruption, nothing else: every CorruptFileOnDisk
-  /// call damages its file. The scrubber/chaos suites use this to make
-  /// bit-rot deterministic instead of probabilistic.
+  /// call damages its file. The chaos suites use this to make bit-rot
+  /// deterministic instead of probabilistic.
   static FaultProfile BitRot();
 };
 

@@ -5,16 +5,21 @@
 // a fresh registry after each one. Also proves the manifest gate (a
 // corrupt bundle is quarantined and the global model serves the vehicle
 // -- the damaged bytes are never deserialized), that pruning spares
-// journal-pinned generations, that both root pointers are symlinks (a
-// regular-file one is refused with its fix), and -- under TSan via ci_tsan.sh -- that
-// canary shadow-scoring races promote/rollback flips cleanly.
+// journal-pinned generations, that a rollback refuses a retained
+// generation whose bundle bytes differ from its MANIFEST, that both root
+// pointers are symlinks (a regular-file one is refused with its fix), and
+// -- under TSan via ci_tsan.sh -- that canary shadow-scoring races
+// promote/rollback flips cleanly.
 
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -229,6 +234,68 @@ TEST_F(PublishChaosTest, RootPointersAreSymlinksThroughPromoteAndRollback) {
   for (const fs::directory_entry& entry : fs::directory_iterator(root_)) {
     EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
   }
+}
+
+TEST_F(PublishChaosTest, RollbackRefusesARetainedGenerationWithDamagedBytes) {
+  StatusOr<ModelRegistry> opened = ModelRegistry::Open({root_, 4});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ModelRegistry registry = std::move(opened.value());
+  const VehicleForecaster own_1 = TrainForecaster(MakeDataset(1));
+  const VehicleForecaster own_2 = TrainForecaster(MakeDataset(4));
+  for (int gen = 0; gen < 2; ++gen) {
+    ASSERT_TRUE(
+        PublishFleet(registry, {{1, &own_1}, {2, &own_2}}, rmeta_).ok());
+  }
+  const std::string current = root_ + "/" + kCurrentFileName;
+  const std::string rollback = root_ + "/" + kRollbackJournalFileName;
+  const std::string bundle =
+      root_ + "/gen_000001/" + ModelRegistry::BundleFileName(1);
+  const std::string other =
+      root_ + "/gen_000001/" + ModelRegistry::BundleFileName(2);
+  std::ifstream in(bundle, std::ios::binary);
+  const std::string intact((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  in.close();
+  // Another vehicle's valid bundle of the same size differs only in its
+  // CRC trailer from the listed one.
+  ASSERT_EQ(fs::file_size(other), intact.size());
+  ASSERT_GT(intact.size(), 64u);
+
+  const std::vector<std::pair<const char*, std::function<void()>>> damages = {
+      {"truncated", [&] { fs::resize_file(bundle, intact.size() - 1); }},
+      {"grown", [&] { WriteRawFile(bundle, intact + "x"); }},
+      {"bit flipped",
+       [&] {
+         std::string flipped = intact;
+         flipped[intact.size() / 2] ^= 0x01;
+         WriteRawFile(bundle, flipped);
+       }},
+      {"missing", [&] { fs::remove(bundle); }},
+      {"another vehicle's bundle",
+       [&] {
+         fs::copy_file(other, bundle, fs::copy_options::overwrite_existing);
+       }},
+  };
+  for (const auto& [name, damage] : damages) {
+    SCOPED_TRACE(name);
+    damage();
+    const Status refused = RollbackGeneration(root_).status();
+    EXPECT_TRUE(refused.IsDataLoss()) << refused.ToString();
+    EXPECT_NE(refused.message().find("gen_000001"), std::string::npos)
+        << refused.ToString();
+    EXPECT_NE(refused.message().find(ModelRegistry::BundleFileName(1)),
+              std::string::npos)
+        << refused.ToString();
+    EXPECT_EQ(fs::read_symlink(current).string(), "gen_000002");
+    EXPECT_EQ(fs::read_symlink(rollback).string(), "gen_000002 gen_000001");
+    WriteRawFile(bundle, intact);
+  }
+
+  // Restored bytes: the same rollback goes through.
+  StatusOr<std::string> restored = RollbackGeneration(root_);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.value(), "gen_000001");
+  EXPECT_EQ(fs::read_symlink(current).string(), "gen_000001");
 }
 
 TEST_F(PublishChaosTest, RegularFilePointersAreRefusedWithTheFix) {

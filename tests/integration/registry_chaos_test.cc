@@ -18,7 +18,6 @@
 #include "core/forecaster.h"
 #include "serve/manifest.h"
 #include "serve/model_registry.h"
-#include "serve/scrubber.h"
 #include "testing/registry.h"
 
 namespace vup::serve {
@@ -292,7 +291,7 @@ TEST_F(RegistryChaosTest, ConcurrentReadersNeverSeeATornFleet) {
 TEST_F(RegistryChaosTest, BundleTruncatedUnderAResidentModelKeepsServing) {
   // A resident model scores from the bundle bytes it read and owns, so a
   // bundle truncated on disk afterwards cannot reach it: the model keeps
-  // predicting the same bits until the scrubber takes it out of service.
+  // predicting the same bits for as long as it stays resident.
   ModelRegistry registry = OpenRegistry(4);
   const VehicleDataset ds = MakeDataset(3);
   ForecasterConfig cfg;
@@ -321,22 +320,8 @@ TEST_F(RegistryChaosTest, BundleTruncatedUnderAResidentModelKeepsServing) {
     EXPECT_EQ(std::memcmp(&p.value(), &before[t - 200], sizeof(double)), 0)
         << "target " << t;
   }
-  // The cached model still serves until the scrub; the scrub then
-  // quarantines the vehicle and evicts it.
+  // The cached model still serves: nothing re-reads a resident bundle.
   ASSERT_TRUE(registry.Get(1).ok());
-
-  RegistryScrubber scrubber({.root = dir_, .registry = &registry});
-  StatusOr<ScrubReport> report = scrubber.ScrubOnce();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report.value().size_mismatches, 1u) << report.value().ToString();
-  EXPECT_EQ(report.value().quarantined, 1u);
-  EXPECT_TRUE(registry.IsQuarantined(1));
-  EXPECT_EQ(registry.resident_models(), 0u);
-  EXPECT_TRUE(registry.Get(1).status().IsNotFound());
-  // The model handed out before the scrub still owns its bytes.
-  StatusOr<double> held = model.value()->PredictTarget(ds, 200);
-  ASSERT_TRUE(held.ok()) << held.status().ToString();
-  EXPECT_EQ(std::memcmp(&held.value(), &before[0], sizeof(double)), 0);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Shard-concurrency chaos: readers hammering Get across every shard of a
 // sharded registry while a publisher thread commits new generations,
-// reloads, quarantines and reads stats concurrently. Any torn fleet, lost
-// counter or lock-order bug shows up here (the suite also runs under
+// reloads, trips quarantines and reads stats concurrently. Any torn fleet,
+// lost counter or lock-order bug shows up here (the suite also runs under
 // TSan, where the multi-shard lock choreography is the thing on trial).
 
 #include <atomic>
@@ -28,6 +28,8 @@ namespace fs = std::filesystem;
 
 constexpr int64_t kVehicles = 12;
 constexpr size_t kShards = 4;
+// The vehicle whose bundle the quarantine storm rots in fleet A.
+constexpr int64_t kRotten = 5;
 
 const Country& Italy() {
   return *CountryRegistry::Global().Find("IT").value();
@@ -128,6 +130,19 @@ TEST_F(ShardChaosTest, ReadersAcrossShardsSurviveSwapAndQuarantineStorm) {
   ModelRegistry registry = OpenSharded(/*cache_capacity=*/kShards);
   std::string gen_a, gen_b;
   CommitTwoFleets(registry, &gen_a, &gen_b);
+  // One flipped byte, same size: every miss on kRotten while fleet A is
+  // active fails the CRC and quarantines it; each swap lifts the mark.
+  {
+    std::fstream bundle(
+        dir_ + "/" + gen_a + "/" + ModelRegistry::BundleFileName(kRotten),
+        std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(bundle.good());
+    bundle.seekg(64);
+    const char byte = static_cast<char>(bundle.get());
+    bundle.seekp(64);
+    bundle.put(static_cast<char>(byte ^ 0x01));
+    ASSERT_TRUE(bundle.good());
+  }
 
   // All shards must actually carry traffic or the test proves nothing.
   std::vector<int> shard_population(kShards, 0);
@@ -152,7 +167,7 @@ TEST_F(ShardChaosTest, ReadersAcrossShardsSurviveSwapAndQuarantineStorm) {
         StatusOr<std::shared_ptr<const VehicleForecaster>> model =
             registry.Get(id);
         // Legal outcomes: the model (either fleet), or NotFound while
-        // the quarantine thread has this vehicle flagged. Unavailable /
+        // kRotten is quarantined in fleet A. Unavailable /
         // DataLoss / anything else means a load path broke mid-swap.
         if (model.ok()) {
           if (!model.value()->trained()) {
@@ -186,15 +201,13 @@ TEST_F(ShardChaosTest, ReadersAcrossShardsSurviveSwapAndQuarantineStorm) {
     }
   });
 
-  // Quarantine storm: random vehicles get flagged while swaps race to
-  // clear the flags. (No read-back check: a concurrent Reload may lift a
-  // quarantine between the call and the check, and that is correct.)
+  // Quarantine storm: the miss path flags kRotten while swaps race to
+  // clear the flag. (No read-back check: a concurrent Reload may lift a
+  // quarantine between the Get and the check, and that is correct.)
   std::thread quarantiner([&] {
-    Rng rng(9);
     while (!done.load(std::memory_order_acquire)) {
-      const int64_t id = rng.UniformInt(1, kVehicles);
-      registry.Quarantine(id);
-      (void)registry.IsQuarantined(id);
+      (void)registry.Get(kRotten);
+      (void)registry.IsQuarantined(kRotten);
       std::this_thread::yield();
     }
   });
@@ -225,10 +238,14 @@ TEST_F(ShardChaosTest, ReadersAcrossShardsSurviveSwapAndQuarantineStorm) {
   EXPECT_EQ(bad_observations.load(), 0u);
   EXPECT_GT(reads.load(), 0u);
 
-  // Post-storm: a final reload clears every quarantine and the whole
-  // fleet serves again from all shards.
-  ASSERT_TRUE(registry.Reload().ok());
+  // Post-storm: fleet A still quarantines its rotten bundle, and a swap
+  // to fleet B clears every quarantine and the whole fleet serves again
+  // from all shards.
   ASSERT_TRUE(FlipCurrent(dir_, gen_a).ok());
+  ASSERT_TRUE(registry.Reload().ok());
+  EXPECT_TRUE(registry.Get(kRotten).status().IsNotFound());
+  EXPECT_TRUE(registry.IsQuarantined(kRotten));
+  ASSERT_TRUE(FlipCurrent(dir_, gen_b).ok());
   ASSERT_TRUE(registry.Reload().ok());
   for (int64_t id = 1; id <= kVehicles; ++id) {
     EXPECT_TRUE(registry.Get(id).ok()) << "vehicle " << id;

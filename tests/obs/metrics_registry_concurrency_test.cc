@@ -111,28 +111,5 @@ TEST(MetricsRegistryConcurrencyTest, SnapshotAndExportRaceWithWriters) {
             static_cast<uint64_t>(kWriters * kOpsPerWriter));
 }
 
-TEST(MetricsRegistryConcurrencyTest, CollectorsRegisterConcurrently) {
-  MetricsRegistry registry;
-  constexpr int kThreads = 4;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&registry] {
-      for (int i = 0; i < 200; ++i) {
-        ScopedCollector scoped(&registry, [](MetricsSnapshot* out) {
-          MetricFamily family;
-          family.name = "vupred_test_collector_total";
-          family.type = MetricType::kCounter;
-          family.samples.push_back(MetricSample{});
-          out->families.push_back(std::move(family));
-        });
-        MetricsSnapshot snap = registry.Snapshot();
-        EXPECT_GE(snap.families.size(), 1u);
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  EXPECT_TRUE(registry.Snapshot().families.empty());
-}
-
 }  // namespace
 }  // namespace vup::obs

@@ -14,6 +14,7 @@
 #include "common/random.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "testing/prometheus.h"
 
 namespace vup::obs {
 namespace {

@@ -12,6 +12,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "serve/model_registry.h"
+#include "testing/prometheus.h"
 #include "testing/registry.h"
 
 namespace vup::serve {

@@ -206,17 +206,18 @@ TEST_F(RegistryShardTest, PerShardSlicesSumToTotals) {
   ModelRegistry registry = OpenWith(opts);
   const int64_t kVehicles = 12;
   PublishTrained(registry, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12});
+  // 12 fails its reads (breaker); 11, cut short of its listed size, is
+  // quarantined by its first miss.
   ASSERT_TRUE(BreakBundle(registry.BundlePath(12)).ok());
+  fs::resize_file(registry.BundlePath(11), 100);
   for (int round = 0; round < 2; ++round) {
     for (int64_t id = 1; id <= kVehicles; ++id) {
       Status status = registry.Get(id).status();
-      if (id != 12) {
+      if (id < 11) {
         ASSERT_TRUE(status.ok()) << status.ToString();
       }
     }
   }
-  registry.Quarantine(11);
-
   ModelRegistryStats stats = registry.stats();
   ASSERT_EQ(stats.shards.size(), 8u);
   ModelRegistryShardStats sum;

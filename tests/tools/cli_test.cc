@@ -14,8 +14,8 @@
 #include <gtest/gtest.h>
 
 #include "core/forecaster.h"
-#include "obs/export.h"
 #include "table/csv.h"
+#include "testing/prometheus.h"
 
 #ifndef VUP_CLI_PATH
 #error "VUP_CLI_PATH must be defined by the build"
@@ -586,6 +586,19 @@ TEST(CliTest, PublishGuardrailsValidateCanaryRollback) {
   EXPECT_EQ(second, "gen_000002");
   // The promotion was journaled: promoted, then previous.
   EXPECT_EQ(ReadLink(registry + "/ROLLBACK"), second + " " + first);
+
+  // A rotted bundle in the previous generation refuses the rollback and
+  // leaves CURRENT where it was.
+  const std::string rotted =
+      registry + "/" + first + "/vehicle_-3000.cfcst";
+  const std::string intact = ReadFile(rotted);
+  ASSERT_GT(intact.size(), 64u);
+  std::string flipped = intact;
+  flipped[intact.size() / 2] ^= 0x01;
+  std::ofstream(rotted, std::ios::binary | std::ios::trunc) << flipped;
+  EXPECT_EQ(CliExitCode("publish --out=" + registry + " --rollback"), 1);
+  EXPECT_EQ(ReadLink(registry + "/CURRENT"), second);
+  std::ofstream(rotted, std::ios::binary | std::ios::trunc) << intact;
 
   // --rollback restores the previous generation...
   std::string out3 = dir + "/publish_rollback.txt";
